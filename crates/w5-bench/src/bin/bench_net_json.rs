@@ -7,8 +7,8 @@
 //! - **reference**: [`w5_net::InlineServe`] — the seed dispatch kept
 //!   verbatim: every client runs the handler on its own thread,
 //!   concurrency bounded only by connection count.
-//! - **pipeline**: [`w5_net::Pipeline`] — a fixed two-worker pool fed by
-//!   bounded per-class queues with deficit-round-robin fair dequeue.
+//! - **pipeline**: [`w5_net::Pipeline`] — two handler slots behind
+//!   bounded per-class queues, granted by deficit round-robin.
 //!
 //! Two workloads per engine:
 //!
@@ -22,7 +22,7 @@
 //! On the reference engine every rogue connection gets the handler
 //! directly, so the flood oversubscribes the CPU and the honest tenant
 //! degrades with rogue connection count — unboundedly. On the pipeline
-//! the rogue is confined to the worker pool and DRR interleaves the
+//! the rogue is confined to the handler slots and DRR interleaves the
 //! honest class every rotation, so the honest tenant waits at most the
 //! residual of one cheap rogue job: the PR's acceptance floor is a
 //! fairness ratio **< 2.0** on the pipeline in full mode.
@@ -118,6 +118,10 @@ struct Fairness {
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 struct BenchNet {
     short: bool,
+    /// `available_parallelism` of the recording host: the ratios compare
+    /// like with like only at the same core count.
+    #[serde(default)]
+    cores: usize,
     entries: Vec<BenchEntry>,
     fairness: Vec<Fairness>,
 }
@@ -175,8 +179,8 @@ fn record(
     result: (Histogram, u64, u64),
 ) -> f64 {
     let (hist, honest, rogue) = result;
-    let p50 = hist.percentile_ns(50.0) as f64 / 1_000.0;
-    let p99 = hist.percentile_ns(99.0) as f64 / 1_000.0;
+    let p50 = hist.percentile_ns(0.50) as f64 / 1_000.0;
+    let p99 = hist.percentile_ns(0.99) as f64 / 1_000.0;
     let secs = window.as_secs_f64();
     println!(
         "  {name:<34} honest p50 {p50:>9.1} µs  p99 {p99:>9.1} µs  {:>8.0} rps  (rogue {:>9.0} rps)",
@@ -247,9 +251,10 @@ fn main() {
     let window = if short { Duration::from_millis(250) } else { Duration::from_millis(1500) };
     // Enough rogue connections to oversubscribe any plausible core count
     // — the reference engine runs them all at once, the pipeline never
-    // runs more than its worker pool.
-    let rogue_threads = 2 * thread::available_parallelism().map(|n| n.get()).unwrap_or(8).max(8);
-    println!("  window {window:?}, rogue connections {rogue_threads}\n");
+    // runs more than its handler slots.
+    let cores = thread::available_parallelism().map(|n| n.get()).unwrap_or(0);
+    let rogue_threads = 2 * cores.max(8);
+    println!("  window {window:?}, cores {cores}, rogue connections {rogue_threads}\n");
 
     let mut entries = Vec::new();
     let mut fairness = Vec::new();
@@ -267,8 +272,8 @@ fn main() {
     println!("  {:<34} fairness ratio {ref_ratio:.2} (contrast only)\n", "reference");
     fairness.push(Fairness { name: "fairness_reference".into(), ratio: ref_ratio });
 
-    // --- Pipeline: two workers, one shard, quantum 1 — the rogue class
-    // gets one cheap job per rotation, never the whole pool.
+    // --- Pipeline: two slots, one shard, quantum 1 — the rogue class
+    // gets one cheap job per rotation, never every slot.
     let pipeline = Pipeline::start(
         PipelineConfig { workers: 2, shards: 1, quantum: 1, ..PipelineConfig::default() },
         Arc::new(SpinHandler),
@@ -292,7 +297,7 @@ fn main() {
     );
     fairness.push(Fairness { name: "fairness_pipeline".into(), ratio: pipe_ratio });
 
-    let out = BenchNet { short, entries, fairness };
+    let out = BenchNet { short, cores, entries, fairness };
     let path = w5_bench::metrics::write_metrics("BENCH_net", &out).expect("write metrics");
     println!("wrote {}", path.display());
 

@@ -61,9 +61,9 @@ pub enum Site {
     /// full even though it is not (forced shed — the 503 + `Retry-After`
     /// path under no real load).
     NetQueueFull,
-    /// A pipeline worker stalls briefly before running a dequeued request
-    /// (straggler worker; exercises occupancy accounting and fairness
-    /// under uneven service times).
+    /// A request that holds a pipeline handler slot stalls briefly before
+    /// its handler runs (straggler; exercises occupancy accounting and
+    /// fairness under uneven service times).
     NetSlowWorker,
 }
 

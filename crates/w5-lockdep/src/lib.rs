@@ -135,8 +135,7 @@ impl Manifest {
                 class!("net.accept", 10, "HTTP server accept-thread join handle"),
                 class!("net.dns", 12, "DNS record table"),
                 class!("net.dns_thread", 13, "DNS refresher join handle"),
-                class!("net.pipeline", 14, "pipeline shard queue state — DRR queues (index = shard)"),
-                class!("net.pipeline.worker", 15, "pipeline worker-pool join handles"),
+                class!("net.pipeline", 14, "pipeline shard scheduler state — slots + DRR ticket queues (index = shard)"),
                 class!("platform.sessions", 20, "live session table"),
                 class!("platform.principals", 21, "principal name/id maps"),
                 class!("platform.appreg", 22, "app manifest + module registry"),

@@ -4,7 +4,7 @@
 //! browser would) and by federation (provider-to-provider sync). Supports
 //! one-shot requests and persistent keep-alive connections.
 
-use crate::http::{buf_reader, HttpError, Limits, Method, Request, Response};
+use crate::http::{buf_reader, write_once, HttpError, Limits, Method, Request, Response};
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -66,6 +66,7 @@ impl HttpClient {
         Ok(Connection {
             reader: buf_reader(stream),
             writer: write_half,
+            out: Vec::new(),
             limits: self.limits,
         })
     }
@@ -189,13 +190,15 @@ fn build(
 pub struct Connection {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// Reusable serialisation buffer: one socket write per request.
+    out: Vec<u8>,
     limits: Limits,
 }
 
 impl Connection {
     /// Send one request and read its response.
     pub fn request(&mut self, request: &Request) -> Result<Response, HttpError> {
-        request.write_to(&mut self.writer)?;
+        write_once(&mut self.writer, &mut self.out, |buf| request.write_to(buf))?;
         Response::read_from(&mut self.reader, &self.limits)
     }
 }

@@ -399,31 +399,58 @@ impl Response {
     }
 }
 
+/// Serialise one message into `buf` and hand the stream a single
+/// `write_all`. The `write_to` methods emit a fragment per `write!`; on a
+/// `TCP_NODELAY` socket every fragment is its own `write(2)` and its own
+/// segment, so every socket writer goes through here. `buf` is the
+/// connection's reusable scratch: cleared first, and capped so one large
+/// body does not pin its capacity for the connection's lifetime.
+pub(crate) fn write_once<W: Write>(
+    w: &mut W,
+    buf: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>) -> Result<(), HttpError>,
+) -> Result<(), HttpError> {
+    const RETAINED: usize = 64 * 1024;
+    buf.clear();
+    buf.shrink_to(RETAINED);
+    encode(buf)?;
+    w.write_all(buf)?;
+    w.flush()?;
+    Ok(())
+}
+
 /// Read one CRLF- (or LF-) terminated line, without the terminator.
+/// Scans the reader's own buffer and never takes more than `max + 1`
+/// bytes of one line, so the limit trips without buffering further.
 fn read_line<R: BufRead>(r: &mut R, max: usize) -> Result<String, HttpError> {
-    let mut buf = Vec::new();
+    let mut line = Vec::new();
     loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte)? {
-            0 => {
-                if buf.is_empty() {
-                    return Ok(String::new());
-                }
-                return Err(HttpError::UnexpectedEof);
+        let avail = match r.fill_buf() {
+            Ok(avail) => avail,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(HttpError::Io(e)),
+        };
+        if avail.is_empty() {
+            if line.is_empty() {
+                return Ok(String::new());
             }
-            _ => {
-                if byte[0] == b'\n' {
-                    if buf.last() == Some(&b'\r') {
-                        buf.pop();
-                    }
-                    return String::from_utf8(buf)
-                        .map_err(|_| HttpError::Malformed("non-UTF8 header line"));
-                }
-                buf.push(byte[0]);
-                if buf.len() > max {
-                    return Err(HttpError::TooLarge("line"));
-                }
+            return Err(HttpError::UnexpectedEof);
+        }
+        let room = max.saturating_add(1) - line.len();
+        let window = &avail[..avail.len().min(room)];
+        let newline = window.iter().position(|&b| b == b'\n');
+        let taken = newline.unwrap_or(window.len());
+        line.extend_from_slice(&window[..taken]);
+        r.consume(taken + usize::from(newline.is_some()));
+        if newline.is_some() {
+            if line.last() == Some(&b'\r') {
+                line.pop();
             }
+            return String::from_utf8(line)
+                .map_err(|_| HttpError::Malformed("non-UTF8 header line"));
+        }
+        if line.len() > max {
+            return Err(HttpError::TooLarge("line"));
         }
     }
 }
@@ -595,6 +622,44 @@ mod tests {
 
         let big_body = "POST / HTTP/1.1\r\ncontent-length: 999999999\r\n\r\n";
         assert!(matches!(parse_req(big_body), Err(HttpError::TooLarge(_))));
+    }
+
+    #[test]
+    fn line_limit_trips_at_max_plus_one_without_reading_further() {
+        // Exactly `max` bytes before the newline (CR included) is fine…
+        let mut r = Cursor::new(b"abc\r\nrest".to_vec());
+        assert_eq!(read_line(&mut r, 4).unwrap(), "abc");
+        assert_eq!(r.position(), 5);
+        // …one more is not, and the reader is left at byte max + 1 even
+        // though the newline was already buffered right behind it.
+        let mut r = Cursor::new(b"abcde\nrest".to_vec());
+        assert!(matches!(read_line(&mut r, 4), Err(HttpError::TooLarge("line"))));
+        assert_eq!(r.position(), 5);
+        // Bare LF, EOF at a line start, EOF mid-line, non-UTF-8.
+        let mut r = Cursor::new(b"x\n".to_vec());
+        assert_eq!(read_line(&mut r, 4).unwrap(), "x");
+        assert_eq!(read_line(&mut r, 4).unwrap(), "");
+        let mut r = Cursor::new(b"xy".to_vec());
+        assert!(matches!(read_line(&mut r, 4), Err(HttpError::UnexpectedEof)));
+        let mut r = Cursor::new(b"\xff\xfe\n".to_vec());
+        assert!(matches!(read_line(&mut r, 4), Err(HttpError::Malformed(_))));
+    }
+
+    #[test]
+    fn header_line_straddles_reader_refills() {
+        // A 16-byte BufReader refills mid request line, mid header name,
+        // mid header value and between a CR and its LF.
+        let raw = "POST /straddle/path/xy HTTP/1.1\r\nx-long-header-name: value spanning refills\r\ncontent-length: 5\r\n\r\nhello";
+        assert_eq!(raw.find("\r\n").unwrap() % 16, 15, "first CRLF must straddle a refill");
+        let mut r = BufReader::with_capacity(16, Cursor::new(raw.as_bytes().to_vec()));
+        let req = Request::read_from(&mut r, &Limits::default()).unwrap();
+        assert_eq!(req.path, "/straddle/path/xy");
+        assert_eq!(req.header("x-long-header-name"), Some("value spanning refills"));
+        assert_eq!(&req.body[..], b"hello");
+        // The limit still counts the whole line, not one refill's share.
+        let limits = Limits { max_line: 20, ..Limits::default() };
+        let mut r = BufReader::with_capacity(16, Cursor::new(raw.as_bytes().to_vec()));
+        assert!(matches!(Request::read_from(&mut r, &limits), Err(HttpError::TooLarge("line"))));
     }
 
     #[test]

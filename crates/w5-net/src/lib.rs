@@ -15,12 +15,13 @@
 //! * [`router`] — a small path router with `:param` captures and a
 //!   405-aware [`router::RouteOutcome`].
 //! * [`pipeline`] — the staged request engine: bounded per-principal-class
-//!   queues, deficit-round-robin shard worker pools, and an [`Admission`]
-//!   hook that charges kernel resource containers at the socket boundary.
+//!   queues, a deficit-round-robin permit scheduler bounding concurrent
+//!   handlers, and an [`Admission`] hook that charges kernel resource
+//!   containers at the socket boundary.
 //! * [`server`] — the TCP front end (accept loop, keep-alive, graceful
 //!   shutdown) over a pluggable [`Serve`] engine. [`Server`] runs the
-//!   pipeline; [`ReferenceServer`] keeps the seed's
-//!   thread-per-connection semantics as the differential-oracle baseline.
+//!   pipeline; [`ReferenceServer`] keeps the seed's unscheduled
+//!   semantics as the differential-oracle baseline.
 //! * [`client`] — a blocking client used by the experiment harnesses and by
 //!   provider-to-provider federation.
 //!
@@ -28,10 +29,10 @@
 //! robustness over cleverness — a small number of obvious state machines,
 //! explicit limits on every input (header count, line length, body size),
 //! and no unbounded allocation driven by peer-controlled values. There is
-//! deliberately no async runtime: a thread-per-connection front end with a
-//! fixed worker pool behind it keeps the trusted computing base legible,
-//! and the experiments measure platform overhead, not connection-scaling
-//! limits.
+//! deliberately no async runtime: a thread-per-connection front end
+//! whose handlers take one of a fixed number of slots keeps the trusted
+//! computing base legible, and the experiments measure platform overhead,
+//! not connection-scaling limits.
 
 #![forbid(unsafe_code)]
 

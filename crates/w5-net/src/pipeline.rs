@@ -1,57 +1,63 @@
-//! Staged request pipeline: bounded worker pools, label-aware admission
-//! control, and container-backed backpressure.
+//! Staged request pipeline: label-aware admission control, a fair permit
+//! scheduler bounding concurrent handlers, and container-backed
+//! backpressure.
 //!
-//! The seed server dedicated one OS thread to every connection, so a rogue
-//! principal could occupy every thread with slow requests and starve
-//! honest ones. This module splits request handling into explicit stages:
+//! The seed server ran every connection's handler the moment its request
+//! parsed, so a rogue principal could occupy every core with its own
+//! requests and starve honest ones. This module puts explicit stages
+//! between the parser and the handler — all of them on the connection's
+//! own thread; the pipeline owns none:
 //!
 //! 1. **Classify** — an [`Admission`] policy maps the parsed request to a
 //!    [`PrincipalClass`] (anonymous, session user, or target app).
 //! 2. **Charge (request)** — the same policy charges the request's bytes
 //!    against the principal's kernel resource container; a quota denial
 //!    becomes 429 with a fault-report body, before any queueing.
-//! 3. **Enqueue** — the class hashes to a worker-pool shard and joins a
-//!    *per-class* bounded queue. A full class queue (or a full class
-//!    table) sheds with 503 + `Retry-After` computed from that class's
-//!    own depth — never from another principal's, so queue occupancy is
-//!    not a cross-principal covert channel.
-//! 4. **Execute** — shard workers drain classes by deficit round-robin,
-//!    so a flooding class gets at most `quantum` consecutive requests
-//!    before the scheduler rotates to the next class.
+//! 3. **Admit** — the class hashes to a shard holding a fixed number of
+//!    handler *slots*. A free slot with nobody waiting is taken at once;
+//!    otherwise the thread joins its class's bounded ticket queue. A full
+//!    class queue (or a full class table) sheds with 503 + `Retry-After`
+//!    computed from that class's own depth — never from another
+//!    principal's, so queue occupancy is not a cross-principal covert
+//!    channel.
+//! 4. **Execute** — the handler runs on the submitting thread while it
+//!    holds a slot. Whoever releases a slot grants it to the next ticket
+//!    by deficit round-robin over classes, so a flooding class gets at
+//!    most `quantum` consecutive grants before the scheduler rotates.
 //! 5. **Charge (response)** — response bytes are charged before the body
 //!    is released; a denial withholds the body and answers 429.
 //!
-//! The connection front end (accept loop, keep-alive, parsing) is
-//! unchanged and talks to either engine through the [`Serve`] trait:
-//! [`Pipeline`] here, or the seed's inline thread-per-connection semantics
-//! via [`InlineServe`]. `w5_sim::netdiff` proves the two engines
-//! request/response equivalent with a four-arm differential oracle.
+//! The connection front end (accept loop, keep-alive, parsing) talks to
+//! either engine through the [`Serve`] trait: [`Pipeline`] here, or the
+//! seed's unscheduled semantics via [`InlineServe`]. `w5_sim::netdiff`
+//! proves the two engines request/response equivalent with a four-arm
+//! differential oracle.
 
 use crate::http::{Request, Response, Status};
 use crate::server::Handler;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 use w5_sync::{lockdep, Mutex};
 
 /// A request-serving engine behind the connection front end. Implemented
 /// by [`Pipeline`] (staged, bounded) and [`InlineServe`] (the seed's
-/// handler-on-the-connection-thread semantics).
+/// call-the-handler semantics). Both run the handler on the calling
+/// thread.
 pub trait Serve: Send + Sync + 'static {
     /// Serve one parsed request to completion.
     fn serve(&self, request: Request, peer: SocketAddr) -> Response;
-    /// Stop background machinery (worker pools). Idempotent; the default
-    /// is a no-op for engines with no threads of their own.
+    /// Stop taking new requests. Idempotent; the default is a no-op for
+    /// engines with nothing to wind down.
     fn stop(&self) {}
 }
 
-/// The seed engine: run the handler directly on the calling (connection)
-/// thread. Kept verbatim-equivalent to the pre-pipeline server so the
-/// differential oracle has a reference arm.
+/// The seed engine: call the handler and nothing else — no admission, no
+/// queue, no bound on concurrent handlers. Kept equivalent to the
+/// pre-pipeline server so the differential oracle has a reference arm.
 pub struct InlineServe {
     handler: Arc<dyn Handler>,
 }
@@ -180,9 +186,10 @@ impl Admission for OpenAdmission {
 /// Pipeline tuning knobs.
 #[derive(Clone)]
 pub struct PipelineConfig {
-    /// Total worker threads, split across shards.
+    /// Total concurrent handler slots, split across shards (named for
+    /// `W5_NET_WORKERS`; no threads are created).
     pub workers: usize,
-    /// Lock stripes over the class queues (each with its own worker set).
+    /// Lock stripes over the class queues (each with its own slots).
     pub shards: usize,
     /// Maximum queued requests per principal class; excess sheds with 503.
     pub queue_depth: usize,
@@ -193,14 +200,15 @@ pub struct PipelineConfig {
     pub quantum: u64,
     /// Minimum `Retry-After` seconds on a shed.
     pub retry_after_floor: u64,
-    /// How long a connection thread waits for its queued request before
-    /// answering 503 on its behalf.
+    /// How long a queued request waits for a handler slot before its
+    /// connection thread answers 503 instead. Bounds the wait only: once
+    /// the handler has started it runs to completion.
     pub response_timeout: Duration,
     /// Fault injector for the pipeline's own sites (`net.queue_full`,
     /// `net.slow_worker`). Deliberately *not* the ambient thread
-    /// injector: handler-stage faults are captured per-job at submit and
-    /// re-installed on the worker, so arming handler sites stays
-    /// deterministic across engines while pipeline faults are opt-in.
+    /// injector, which the handler sees unchanged: arming handler sites
+    /// stays deterministic across engines while pipeline faults are
+    /// opt-in.
     pub chaos: Option<Arc<w5_chaos::Injector>>,
 }
 
@@ -258,13 +266,13 @@ impl PipelineConfig {
 /// Counters for shed/charge decisions; cheap enough to keep always-on.
 #[derive(Debug, Default)]
 pub struct PipelineStats {
-    /// Requests admitted to a class queue.
+    /// Requests admitted (given a slot at once, or queued for one).
     pub admitted: AtomicU64,
     /// Requests shed at admission (queue or class table full).
     pub shed: AtomicU64,
     /// Requests refused by the resource container (either charge point).
     pub quota_denied: AtomicU64,
-    /// Responses completed by workers.
+    /// Responses completed by handlers.
     pub served: AtomicU64,
     /// Handler panics converted to 500s.
     pub panics: AtomicU64,
@@ -273,13 +281,13 @@ pub struct PipelineStats {
 /// A point-in-time stats snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
 pub struct PipelineSnapshot {
-    /// Requests admitted to a class queue.
+    /// Requests admitted (given a slot at once, or queued for one).
     pub admitted: u64,
     /// Requests shed at admission.
     pub shed: u64,
     /// Requests refused by the resource container.
     pub quota_denied: u64,
-    /// Responses completed by workers.
+    /// Responses completed by handlers.
     pub served: u64,
     /// Handler panics converted to 500s.
     pub panics: u64,
@@ -298,66 +306,90 @@ impl PipelineStats {
     }
 }
 
-/// One queued request, waiting for a shard worker.
-struct Job {
-    request: Request,
-    peer: SocketAddr,
-    class: PrincipalClass,
-    /// Capacity-1 rendezvous back to the connection thread.
-    resp_tx: SyncSender<Response>,
-    /// The submitting thread's ambient fault injector, re-installed on
-    /// the worker around handler execution so chaos streams follow the
-    /// request, not the executor.
-    injector: Option<Arc<w5_chaos::Injector>>,
-    /// The submitting thread's innermost span (the connection's HTTP
-    /// root), adopted by the worker so handler-side spans nest under it
-    /// exactly as they did when the handler ran inline.
-    trace: Option<w5_obs::TraceContext>,
+/// One queued request: its connection thread, parked on the receiving
+/// end of a capacity-1 grant channel.
+struct Ticket {
+    /// Shard-unique, so a waiter that times out can find its own ticket.
+    id: u64,
+    /// Sending the shard's occupancy here hands the waiter a slot.
+    grant: SyncSender<usize>,
 }
 
 /// A per-class FIFO with its deficit round-robin budget.
 struct ClassQueue {
-    jobs: VecDeque<Job>,
+    tickets: VecDeque<Ticket>,
     deficit: u64,
 }
 
-/// Queue state for one shard, under one `net.pipeline` lock stripe.
+/// Scheduler state for one shard, under one `net.pipeline` lock stripe.
 struct ShardState {
     queues: BTreeMap<String, ClassQueue>,
     /// Round-robin order over live class keys (each key appears once).
     order: VecDeque<String>,
-    /// Total queued jobs across classes (gauge for tests/benches).
+    /// Total queued tickets across classes (gauge for tests/benches).
     depth: usize,
+    /// Slots taken: handlers executing, plus grants not yet picked up.
+    running: usize,
+    next_ticket_id: u64,
 }
 
 struct Shard {
     state: Mutex<ShardState>,
-    /// Capacity-1 wake hints, one per worker. `try_send` from submit;
-    /// a full channel means a wake is already pending, so no hint is
-    /// ever lost. (The vendored lock shim has no condvar.)
-    wake: Vec<SyncSender<()>>,
-    busy: AtomicUsize,
-    workers: usize,
+    slots: usize,
+    /// The pipeline's DRR quantum, here so a slot can grant itself on.
+    quantum: u64,
 }
 
-/// The staged engine: bounded per-class queues feeding fixed shard
-/// worker pools. Construct with [`Pipeline::start`]; it implements
+/// How admission placed a request, decided under the shard lock.
+enum Placement {
+    /// A slot was free and nobody was waiting; carries the occupancy.
+    Run(usize),
+    /// Queued behind `depth - 1` others of its class.
+    Wait { id: u64, granted: Receiver<usize>, depth: usize },
+    /// Refused at the class's current depth.
+    Shed(usize),
+}
+
+/// A held handler slot. Dropping it frees the slot and grants it on, so
+/// a panic anywhere on the submitting thread cannot leak one.
+struct Slot<'a>(&'a Shard);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let shard = self.0;
+        let mut st = shard.state.lock();
+        st.running -= 1;
+        while st.running < shard.slots {
+            let Some(ticket) = next_ticket(&mut st, shard.quantum) else { break };
+            // A waiter keeps its receiver until it has looked for its
+            // ticket under this lock, so the send lands; were it gone,
+            // the slot simply stays free for the next ticket.
+            if ticket.grant.try_send(st.running + 1).is_ok() {
+                st.running += 1;
+            }
+        }
+    }
+}
+
+/// The staged engine: admission, bounded per-class queues, and a fixed
+/// number of handler slots per shard handed out by deficit round-robin.
+/// It owns no threads — every stage runs on the thread that calls
+/// [`Pipeline::submit`]. Construct with [`Pipeline::start`]; it implements
 /// [`Serve`] so the TCP front end (or a test harness) can drive it.
 pub struct Pipeline {
     config: PipelineConfig,
     handler: Arc<dyn Handler>,
     admission: Arc<dyn Admission>,
     shards: Vec<Shard>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
     stopped: AtomicBool,
     /// Shed/charge counters.
     pub stats: PipelineStats,
 }
 
 impl Pipeline {
-    /// Spawn the worker pool and return the engine. Workers inherit the
-    /// caller's scoped ledger and lock-order recorder, so harness scopes
-    /// (`w5_obs::scoped`, `lockdep::scoped`) see pipeline activity.
+    /// Build the engine. Nothing is spawned: handlers run on submitting
+    /// threads and so see their scoped ledger, lock-order recorder, fault
+    /// injector and open trace span with no hand-off.
     pub fn start(
         config: PipelineConfig,
         handler: Arc<dyn Handler>,
@@ -370,71 +402,40 @@ impl Pipeline {
         config.queue_depth = config.queue_depth.max(1);
         config.max_classes = config.max_classes.max(1);
 
-        let shard_count = config.shards;
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut wake_rxs: Vec<Vec<Receiver<()>>> = Vec::with_capacity(shard_count);
-        for s in 0..shard_count {
-            // Split workers evenly; the first (workers % shards) shards
-            // take the remainder.
-            let per = config.workers / shard_count
-                + if s < config.workers % shard_count { 1 } else { 0 };
-            let per = per.max(1);
-            let mut wake = Vec::with_capacity(per);
-            let mut rxs = Vec::with_capacity(per);
-            for _ in 0..per {
-                let (tx, rx) = sync_channel::<()>(1);
-                wake.push(tx);
-                rxs.push(rx);
-            }
-            shards.push(Shard {
+        let shards = (0..config.shards)
+            .map(|s| Shard {
                 state: Mutex::with_index(
                     "net.pipeline",
                     s as u32,
-                    ShardState { queues: BTreeMap::new(), order: VecDeque::new(), depth: 0 },
+                    ShardState {
+                        queues: BTreeMap::new(),
+                        order: VecDeque::new(),
+                        depth: 0,
+                        running: 0,
+                        next_ticket_id: 0,
+                    },
                 ),
-                wake,
-                busy: AtomicUsize::new(0),
-                workers: per,
-            });
-            wake_rxs.push(rxs);
-        }
+                // Split slots evenly; the first (workers % shards) shards
+                // take the remainder.
+                slots: config.workers / config.shards
+                    + usize::from(s < config.workers % config.shards),
+                quantum: config.quantum,
+            })
+            .collect();
 
-        let pipeline = Arc::new(Pipeline {
+        Arc::new(Pipeline {
             config,
             handler,
             admission,
             shards,
-            workers: Mutex::new("net.pipeline.worker", Vec::new()),
             stopped: AtomicBool::new(false),
             stats: PipelineStats::default(),
-        });
-
-        let ledger = w5_obs::current_scoped();
-        let recorder = lockdep::current_scoped();
-        let mut handles = Vec::new();
-        for (s, rxs) in wake_rxs.into_iter().enumerate() {
-            for (w, rx) in rxs.into_iter().enumerate() {
-                let p = Arc::clone(&pipeline);
-                let ledger = ledger.clone();
-                let recorder = recorder.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("w5-pipe-{s}-{w}"))
-                    .spawn(move || {
-                        let _obs = ledger.map(w5_obs::scoped);
-                        let _dep = recorder.map(lockdep::scoped);
-                        worker_loop(&p, s, rx);
-                    })
-                    .expect("spawn pipeline worker");
-                handles.push(handle);
-            }
-        }
-        *pipeline.workers.lock() = handles;
-        pipeline
+        })
     }
 
-    /// Run one request through classify → charge → enqueue → execute →
-    /// charge, blocking the calling (connection) thread until the
-    /// response is ready or `response_timeout` passes.
+    /// Run one request through classify → charge → admit → execute →
+    /// charge on the calling (connection) thread. Blocks only while the
+    /// request waits for a slot, for at most `response_timeout`.
     pub fn submit(&self, request: Request, peer: SocketAddr) -> Response {
         if self.stopped.load(Ordering::SeqCst) {
             return shed_response("shutting down", self.config.retry_after_floor);
@@ -457,41 +458,39 @@ impl Pipeline {
             .as_ref()
             .map(|c| c.roll(w5_chaos::Site::NetQueueFull).is_some())
             .unwrap_or(false);
-        let (resp_tx, resp_rx) = sync_channel::<Response>(1);
         let key = class.key();
-        let verdict = {
+        let placement = {
             let mut st = shard.state.lock();
-            let depth = st.queues.get(&key).map(|q| q.jobs.len()).unwrap_or(0);
+            let depth = st.queues.get(&key).map(|q| q.tickets.len()).unwrap_or(0);
             let table_full =
                 !st.queues.contains_key(&key) && st.queues.len() >= self.config.max_classes;
             if forced_full || depth >= self.config.queue_depth || table_full {
-                Err(depth)
+                Placement::Shed(depth)
+            } else if st.depth == 0 && st.running < shard.slots {
+                st.running += 1;
+                Placement::Run(st.running)
             } else {
+                let (grant, granted) = sync_channel(1);
+                let id = st.next_ticket_id;
+                st.next_ticket_id += 1;
                 if !st.queues.contains_key(&key) {
                     st.order.push_back(key.clone());
                     st.queues
-                        .insert(key.clone(), ClassQueue { jobs: VecDeque::new(), deficit: 0 });
+                        .insert(key.clone(), ClassQueue { tickets: VecDeque::new(), deficit: 0 });
                 }
                 st.depth += 1;
                 let q = st.queues.get_mut(&key).expect("just inserted");
-                q.jobs.push_back(Job {
-                    request,
-                    peer,
-                    class: class.clone(),
-                    resp_tx,
-                    injector: w5_chaos::current(),
-                    trace: w5_obs::current_context(),
-                });
-                Ok(q.jobs.len() as u64)
+                q.tickets.push_back(Ticket { id, grant });
+                Placement::Wait { id, granted, depth: q.tickets.len() }
             }
         };
 
-        match verdict {
-            Err(depth) => {
+        let busy = match placement {
+            Placement::Shed(depth) => {
                 // Retry-After derives from THIS class's depth and static
-                // pool geometry only — another principal's queue must not
+                // slot geometry only — another principal's queue must not
                 // modulate it (see tests/noninterference.rs).
-                let retry = self.retry_after(depth, shard.workers);
+                let retry = self.retry_after(depth, shard.slots);
                 self.stats.shed.fetch_add(1, Ordering::Relaxed);
                 w5_obs::record(
                     &label,
@@ -502,33 +501,84 @@ impl Pipeline {
                         retry_after: retry,
                     },
                 );
-                shed_response("class queue full: request shed", retry)
+                return shed_response("class queue full: request shed", retry);
             }
-            Ok(depth) => {
-                self.stats.admitted.fetch_add(1, Ordering::Relaxed);
-                w5_obs::record(
-                    &label,
-                    w5_obs::EventKind::QueueAdmit { class: key, shard: shard_ix as u64, depth },
-                );
-                for w in &shard.wake {
-                    let _ = w.try_send(());
-                }
-                lockdep::blocking("net.pipeline.await_response");
-                match resp_rx.recv_timeout(self.config.response_timeout) {
-                    Ok(resp) => resp,
-                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                        shed_response(
+            Placement::Run(busy) => {
+                self.note_admit(&label, key, shard_ix, 0);
+                busy
+            }
+            Placement::Wait { id, granted, depth } => {
+                self.note_admit(&label, key.clone(), shard_ix, depth);
+                lockdep::blocking("net.pipeline.await_slot");
+                match granted.recv_timeout(self.config.response_timeout) {
+                    Ok(busy) => busy,
+                    Err(_) => {
+                        // Leave the queue so the handler never runs for a
+                        // client that was told 503. If a grant raced the
+                        // timeout in, the slot is ours: hand it straight on.
+                        let withdrawn = withdraw(&mut shard.state.lock(), &key, id);
+                        if !withdrawn {
+                            drop(Slot(shard));
+                        }
+                        return shed_response(
                             "request timed out in pipeline",
                             self.config.retry_after_floor,
-                        )
+                        );
                     }
                 }
+            }
+        };
+
+        let _slot = Slot(shard);
+        w5_obs::record(
+            &w5_obs::ObsLabel::empty(),
+            w5_obs::EventKind::WorkerOccupancy {
+                shard: shard_ix as u64,
+                busy: busy as u64,
+                workers: shard.slots as u64,
+            },
+        );
+        if let Some(chaos) = &self.config.chaos {
+            if chaos.roll(w5_chaos::Site::NetSlowWorker).is_some() {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+        let handler = &self.handler;
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handler.handle(request, peer)
+        })) {
+            Ok(resp) => {
+                let bytes = resp.body.len() as u64;
+                match self.admission.charge(&class, ChargePoint::Response, bytes) {
+                    Ok(()) => {
+                        self.stats.served.fetch_add(1, Ordering::Relaxed);
+                        resp
+                    }
+                    Err(denied) => {
+                        // The body is withheld: the principal's budget
+                        // could not cover exporting it.
+                        self.stats.quota_denied.fetch_add(1, Ordering::Relaxed);
+                        quota_response(&class, &denied)
+                    }
+                }
+            }
+            Err(_) => {
+                self.stats.panics.fetch_add(1, Ordering::Relaxed);
+                Response::error(Status::INTERNAL_ERROR, "application error")
             }
         }
     }
 
-    fn retry_after(&self, class_depth: usize, shard_workers: usize) -> u64 {
-        self.config.retry_after_floor + (class_depth / shard_workers.max(1)) as u64
+    fn note_admit(&self, label: &w5_obs::ObsLabel, class: String, shard_ix: usize, depth: usize) {
+        self.stats.admitted.fetch_add(1, Ordering::Relaxed);
+        w5_obs::record(
+            label,
+            w5_obs::EventKind::QueueAdmit { class, shard: shard_ix as u64, depth: depth as u64 },
+        );
+    }
+
+    fn retry_after(&self, class_depth: usize, shard_slots: usize) -> u64 {
+        self.config.retry_after_floor + (class_depth / shard_slots.max(1)) as u64
     }
 
     /// Total queued (not yet executing) requests, summed over shards.
@@ -537,96 +587,16 @@ impl Pipeline {
         self.shards.iter().map(|s| s.state.lock().depth).sum()
     }
 
-    /// Workers currently executing a request, summed over shards.
+    /// Handler slots currently taken, summed over shards.
     pub fn busy_workers(&self) -> usize {
-        self.shards.iter().map(|s| s.busy.load(Ordering::Relaxed)).sum()
+        self.shards.iter().map(|s| s.state.lock().running).sum()
     }
 
-    /// Drain queues, stop workers, and answer any still-queued requests
-    /// with 503. Idempotent.
+    /// Refuse new requests with 503. Requests already queued keep their
+    /// tickets and are granted slots as running handlers finish (a ticket
+    /// only ever waits behind a full set of them). Idempotent.
     pub fn stop(&self) {
-        if self.stopped.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        for shard in &self.shards {
-            for w in &shard.wake {
-                let _ = w.try_send(());
-            }
-        }
-        let handles: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
-        // Workers drain their queues before exiting; anything that raced
-        // in after the final drain is answered here so no connection
-        // thread waits out its full response timeout.
-        for shard in &self.shards {
-            let mut st = shard.state.lock();
-            let keys: Vec<String> = st.queues.keys().cloned().collect();
-            for key in keys {
-                if let Some(mut q) = st.queues.remove(&key) {
-                    while let Some(job) = q.jobs.pop_front() {
-                        let _ = job
-                            .resp_tx
-                            .try_send(shed_response("shutting down", self.config.retry_after_floor));
-                    }
-                }
-            }
-            st.order.clear();
-            st.depth = 0;
-        }
-    }
-
-    fn run_job(&self, shard_ix: usize, job: Job) {
-        let shard = &self.shards[shard_ix];
-        let busy = shard.busy.fetch_add(1, Ordering::Relaxed) + 1;
-        w5_obs::record(
-            &w5_obs::ObsLabel::empty(),
-            w5_obs::EventKind::WorkerOccupancy {
-                shard: shard_ix as u64,
-                busy: busy as u64,
-                workers: shard.workers as u64,
-            },
-        );
-        if let Some(chaos) = &self.config.chaos {
-            if chaos.roll(w5_chaos::Site::NetSlowWorker).is_some() {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-        let Job { request, peer, class, resp_tx, injector, trace } = job;
-        let response = {
-            let _chaos = injector.map(w5_chaos::with_injector);
-            let _trace = trace.as_ref().map(w5_obs::adopt_context);
-            let handler = &self.handler;
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                handler.handle(request, peer)
-            })) {
-                Ok(resp) => {
-                    let bytes = resp.body.len() as u64;
-                    match self.admission.charge(&class, ChargePoint::Response, bytes) {
-                        Ok(()) => {
-                            self.stats.served.fetch_add(1, Ordering::Relaxed);
-                            resp
-                        }
-                        Err(denied) => {
-                            // The body is withheld: the principal's budget
-                            // could not cover exporting it.
-                            self.stats.quota_denied.fetch_add(1, Ordering::Relaxed);
-                            quota_response(&class, &denied)
-                        }
-                    }
-                }
-                Err(_) => {
-                    self.stats.panics.fetch_add(1, Ordering::Relaxed);
-                    Response::error(Status::INTERNAL_ERROR, "application error")
-                }
-            }
-        };
-        // Release the worker slot before handing the response over: the
-        // send synchronizes with the submitter's recv, so once a caller
-        // has its response the busy gauge no longer counts this job.
-        shard.busy.fetch_sub(1, Ordering::Relaxed);
-        let _ = resp_tx.try_send(response);
+        self.stopped.store(true, Ordering::SeqCst);
     }
 }
 
@@ -640,38 +610,15 @@ impl Serve for Pipeline {
     }
 }
 
-fn worker_loop(pipeline: &Pipeline, shard_ix: usize, wake: Receiver<()>) {
-    loop {
-        let job = {
-            let mut st = pipeline.shards[shard_ix].state.lock();
-            next_job(&mut st, pipeline.config.quantum)
-        };
-        match job {
-            Some(job) => pipeline.run_job(shard_ix, job),
-            None => {
-                if pipeline.stopped.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Park with no locks held; the 10ms cap bounds the race
-                // where a wake hint lands between the empty poll and the
-                // recv (hint channels are capacity-1, so hints coalesce
-                // rather than get lost).
-                lockdep::blocking("net.pipeline.park");
-                let _ = wake.recv_timeout(Duration::from_millis(10));
-            }
-        }
-    }
-}
-
 /// Deficit round-robin dequeue. Each live class key appears exactly once
 /// in `order`; a class with deficit left keeps the front of the rotation
 /// (batch service up to `quantum`), an exhausted class is refreshed and
 /// rotated to the back, a drained class is removed entirely (the class
 /// table only holds live classes).
-fn next_job(st: &mut ShardState, quantum: u64) -> Option<Job> {
+fn next_ticket(st: &mut ShardState, quantum: u64) -> Option<Ticket> {
     while let Some(key) = st.order.pop_front() {
         let Some(q) = st.queues.get_mut(&key) else { continue };
-        if q.jobs.is_empty() {
+        if q.tickets.is_empty() {
             st.queues.remove(&key);
             continue;
         }
@@ -681,17 +628,31 @@ fn next_job(st: &mut ShardState, quantum: u64) -> Option<Job> {
             continue;
         }
         q.deficit -= 1;
-        let job = q.jobs.pop_front().expect("checked non-empty");
+        let ticket = q.tickets.pop_front().expect("checked non-empty");
         st.depth -= 1;
-        if q.jobs.is_empty() {
+        if q.tickets.is_empty() {
             q.deficit = 0;
             st.queues.remove(&key);
         } else {
             st.order.push_front(key);
         }
-        return Some(job);
+        return Some(ticket);
     }
     None
+}
+
+/// Take ticket `id` back out of class `key`'s queue. `false` means it is
+/// no longer queued: a grant already popped it.
+fn withdraw(st: &mut ShardState, key: &str, id: u64) -> bool {
+    let Some(q) = st.queues.get_mut(key) else { return false };
+    let Some(pos) = q.tickets.iter().position(|t| t.id == id) else { return false };
+    q.tickets.remove(pos);
+    st.depth -= 1;
+    if q.tickets.is_empty() {
+        st.queues.remove(key);
+        st.order.retain(|k| k != key);
+    }
+    true
 }
 
 /// Render a fault-report log line exactly like
@@ -758,7 +719,8 @@ mod tests {
 
     #[test]
     fn full_class_queue_sheds_with_retry_after_from_own_depth() {
-        // One worker, parked: the queue fills deterministically.
+        // One slot, held by a parked handler: the queue fills
+        // deterministically.
         let (tx, rx) = mpsc::channel::<()>();
         let rx = Mutex::new("test.fixture", rx);
         let p = Pipeline::start(
@@ -775,8 +737,8 @@ mod tests {
             }),
             Arc::new(OpenAdmission),
         );
-        // Fill deterministically: park the worker on the first request,
-        // then queue exactly queue_depth more.
+        // Fill deterministically: park the first request in the only
+        // slot, then queue exactly queue_depth more.
         let mut submits = Vec::new();
         {
             let ps = Arc::clone(&p);
@@ -788,7 +750,7 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(p.busy_workers(), 1, "worker never picked up the parked request");
+        assert_eq!(p.busy_workers(), 1, "the parked request never took the slot");
         for i in 1..3 {
             let ps = Arc::clone(&p);
             let path = format!("/{i}");
@@ -804,7 +766,7 @@ mod tests {
         let resp = p.submit(req("/overflow"), peer());
         assert_eq!(resp.status, Status::SERVICE_UNAVAILABLE);
         let retry: u64 = resp.header("retry-after").unwrap().parse().unwrap();
-        // floor 1 + depth 2 / 1 worker = 3.
+        // floor 1 + depth 2 / 1 slot = 3.
         assert_eq!(retry, 3);
         assert_eq!(p.stats.snapshot().shed, 1);
         // Release the parked handler; everything queued completes.
@@ -819,7 +781,7 @@ mod tests {
 
     #[test]
     fn deficit_round_robin_interleaves_classes() {
-        // Single parked worker; flood class A, then add one B request.
+        // Single slot, parked; flood class A, then add one B request.
         // With quantum 2, B must run after at most 2 more A's, not after
         // all of them.
         let (tx, rx) = mpsc::channel::<()>();
@@ -842,7 +804,7 @@ mod tests {
             }),
             Arc::new(TestAdmission),
         );
-        // Park the worker on a warm-up request so enqueue order is ours.
+        // Park a warm-up request in the slot so enqueue order is ours.
         let warm = {
             let p = Arc::clone(&p);
             std::thread::spawn(move || p.submit(req("/warm"), peer()))
@@ -1008,8 +970,8 @@ mod tests {
         let resp = p.submit(req("/boom"), peer());
         assert_eq!(resp.status, Status::INTERNAL_ERROR);
         assert_eq!(p.stats.snapshot().panics, 1);
-        // The single worker must still be alive and unoccupied.
-        assert_eq!(p.busy_workers(), 0, "worker slot leaked across a panic");
+        // The single slot must have come back.
+        assert_eq!(p.busy_workers(), 0, "handler slot leaked across a panic");
         let resp = p.submit(req("/next"), peer());
         assert_eq!(resp.status, Status::OK);
         assert_eq!(String::from_utf8_lossy(&resp.body), "fine");
@@ -1023,17 +985,156 @@ mod tests {
             Arc::new(|_r: Request, _| Response::text("ok")),
             Arc::new(TestAdmission),
         );
-        // Saturating the class table requires the classes to be *live*
-        // (queued), so park the worker first.
-        // Simpler: drive serially — classes drain between submits, so the
-        // table never fills and everything is served. This pins the
-        // "table only holds live classes" behavior.
+        // The class table holds only *live* (queued) classes. Driven
+        // serially every request takes the free slot without queueing, so
+        // the table never fills and everything is served.
         for i in 0..8 {
             let resp = p.submit(req(&format!("/u{i}/x")), peer());
             assert_eq!(resp.status, Status::OK, "drained classes must not count");
         }
         assert_eq!(p.stats.snapshot().shed, 0);
         p.stop();
+    }
+
+    #[test]
+    fn timed_out_waiter_leaves_the_queue_and_its_handler_never_runs() {
+        // One slot held by a gated request; a second request waits 50 ms
+        // for it, is told 503 — and must then never execute, or a client
+        // that retries a write would see it applied twice.
+        let (tx, rx) = mpsc::channel::<()>();
+        let rx = Mutex::new("test.fixture", rx);
+        let ran = Arc::new(Mutex::new("test.fixture", Vec::<String>::new()));
+        let ran_h = Arc::clone(&ran);
+        let p = Pipeline::start(
+            PipelineConfig {
+                workers: 1,
+                shards: 1,
+                response_timeout: Duration::from_millis(50),
+                ..PipelineConfig::default()
+            },
+            Arc::new(move |r: Request, _| {
+                ran_h.lock().push(r.path.clone());
+                if r.path == "/gate" {
+                    let _ = rx.lock().recv();
+                }
+                Response::text("ok")
+            }),
+            Arc::new(OpenAdmission),
+        );
+        let gate = {
+            let p = Arc::clone(&p);
+            std::thread::spawn(move || p.submit(req("/gate"), peer()))
+        };
+        for _ in 0..2000 {
+            if p.busy_workers() == 1 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(p.busy_workers(), 1, "the gated request never took the slot");
+
+        let resp = p.submit(req("/write"), peer());
+        assert_eq!(resp.status, Status::SERVICE_UNAVAILABLE);
+        assert!(String::from_utf8_lossy(&resp.body).contains("timed out"));
+        assert_eq!(p.queue_depth(), 0, "the timed-out ticket is still queued");
+
+        tx.send(()).unwrap();
+        assert_eq!(gate.join().unwrap().status, Status::OK);
+        assert_eq!(p.busy_workers(), 0, "slot leaked");
+        assert_eq!(p.queue_depth(), 0);
+        // The slot is free again and the next request is served.
+        assert_eq!(p.submit(req("/next"), peer()).status, Status::OK);
+        assert_eq!(*ran.lock(), ["/gate", "/next"], "the 503'd request must never run");
+        let snap = p.stats.snapshot();
+        assert_eq!((snap.admitted, snap.served), (3, 2));
+        p.stop();
+    }
+
+    #[test]
+    fn at_most_workers_handlers_ever_run_concurrently() {
+        use std::sync::atomic::AtomicUsize;
+        // Every handler parks on the gate, so the three slots fill and
+        // stay full while the other 61 submitters queue behind them.
+        let (tx, rx) = mpsc::channel::<()>();
+        let rx = Mutex::new("test.fixture", rx);
+        let running = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let (running_h, peak_h) = (Arc::clone(&running), Arc::clone(&peak));
+        let p = Pipeline::start(
+            PipelineConfig { workers: 3, shards: 1, ..PipelineConfig::default() },
+            Arc::new(move |_r: Request, _| {
+                let now = running_h.fetch_add(1, Ordering::SeqCst) + 1;
+                peak_h.fetch_max(now, Ordering::SeqCst);
+                let _ = rx.lock().recv();
+                running_h.fetch_sub(1, Ordering::SeqCst);
+                Response::text("ok")
+            }),
+            Arc::new(OpenAdmission),
+        );
+        // One class (anonymous) with the default queue_depth of 64, so
+        // none of the 61 waiters is shed.
+        let submits: Vec<_> = (0..64)
+            .map(|i| {
+                let p = Arc::clone(&p);
+                std::thread::spawn(move || p.submit(req(&format!("/{i}")), peer()))
+            })
+            .collect();
+        for _ in 0..5000 {
+            if running.load(Ordering::SeqCst) == 3 && p.queue_depth() == 61 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!((running.load(Ordering::SeqCst), p.queue_depth()), (3, 61));
+        assert_eq!(p.busy_workers(), 3);
+        // Drain: every release grants the slot on, never a fourth.
+        for _ in 0..64 {
+            tx.send(()).unwrap();
+        }
+        for s in submits {
+            assert_eq!(s.join().unwrap().status, Status::OK);
+        }
+        assert_eq!(peak.load(Ordering::SeqCst), 3);
+        assert_eq!((p.busy_workers(), p.queue_depth()), (0, 0));
+        assert_eq!(p.stats.snapshot().served, 64);
+        p.stop();
+    }
+
+    #[test]
+    fn queued_requests_are_still_served_after_stop() {
+        let (tx, rx) = mpsc::channel::<()>();
+        let rx = Mutex::new("test.fixture", rx);
+        let p = Pipeline::start(
+            PipelineConfig { workers: 1, shards: 1, ..PipelineConfig::default() },
+            Arc::new(move |_r: Request, _| {
+                let _ = rx.lock().recv();
+                Response::text("ok")
+            }),
+            Arc::new(OpenAdmission),
+        );
+        let submits: Vec<_> = (0..2)
+            .map(|i| {
+                let ps = Arc::clone(&p);
+                let t = std::thread::spawn(move || ps.submit(req("/x"), peer()));
+                for _ in 0..2000 {
+                    if p.busy_workers() + p.queue_depth() == i + 1 {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                t
+            })
+            .collect();
+        assert_eq!((p.busy_workers(), p.queue_depth()), (1, 1));
+        p.stop();
+        assert_eq!(p.submit(req("/late"), peer()).status, Status::SERVICE_UNAVAILABLE);
+        for _ in 0..2 {
+            tx.send(()).unwrap();
+        }
+        for s in submits {
+            assert_eq!(s.join().unwrap().status, Status::OK);
+        }
+        assert_eq!((p.busy_workers(), p.queue_depth()), (0, 0));
     }
 
     #[test]

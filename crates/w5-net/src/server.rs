@@ -1,18 +1,18 @@
 //! Threaded HTTP front end with keep-alive and graceful shutdown.
 //!
-//! One OS thread per connection parses and writes; the request itself is
-//! executed by a pluggable [`Serve`] engine. [`Server`] runs the staged
-//! [`Pipeline`](crate::pipeline::Pipeline) (bounded worker pools, per-class
-//! queues); [`ReferenceServer`] keeps the seed's semantics — the handler
-//! runs directly on the connection thread — as the baseline arm of
+//! One OS thread per connection parses, runs the request through a
+//! pluggable [`Serve`] engine, and answers with one socket write. [`Server`]
+//! runs the staged [`Pipeline`](crate::pipeline::Pipeline) (admission,
+//! per-class queues, a bound on concurrent handlers); [`ReferenceServer`]
+//! calls the handler with none of that, as the baseline arm of
 //! `w5_sim::netdiff`'s differential oracle. Shutdown flips an atomic flag
 //! and unblocks the accept loop by connecting to itself — no busy-wait, no
 //! platform-specific listener tricks.
 
-use crate::http::{buf_reader, HttpError, Limits, Request, Response, Status};
+use crate::http::{buf_reader, write_once, HttpError, Limits, Request, Response, Status};
 use crate::pipeline::{fault_line, InlineServe, OpenAdmission, Pipeline, PipelineConfig, Serve};
 use w5_sync::{lockdep, Mutex};
-use std::io::Write;
+use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -87,8 +87,9 @@ impl ServerHandle {
     }
 
     /// Stop accepting, wait for the accept loop to exit, then stop the
-    /// engine (pipeline workers drain their queues first). In-flight
-    /// connections finish their current request and close.
+    /// engine (the pipeline refuses new requests; queued ones still get
+    /// their slot). In-flight connections finish their current request
+    /// and close.
     pub fn shutdown(&self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return; // already stopped
@@ -188,10 +189,10 @@ impl Server {
     }
 }
 
-/// The seed server, preserved verbatim behind the [`Serve`] trait: the
-/// handler runs directly on the connection thread, unbounded by any
-/// worker pool. Baseline arm of the netdiff oracle and of the fairness
-/// benchmark (`bench_net_json`).
+/// The seed server, preserved behind the [`Serve`] trait: the handler
+/// runs on the connection thread with no admission, queueing or bound on
+/// concurrent handlers. Baseline arm of the netdiff oracle and of the
+/// fairness benchmark (`bench_net_json`).
 pub struct ReferenceServer;
 
 impl ReferenceServer {
@@ -223,7 +224,7 @@ impl Drop for ConnGuard {
     }
 }
 
-fn overloaded(mut stream: TcpStream) -> std::io::Result<()> {
+fn overloaded(mut stream: TcpStream) -> Result<(), HttpError> {
     // Same shed contract as the pipeline's admission stage: a Retry-After
     // hint plus a fault-report body in the faultreport.rs log-line format.
     // The connection carries no labels yet, so the detail is never
@@ -233,14 +234,13 @@ fn overloaded(mut stream: TcpStream) -> std::io::Result<()> {
         &fault_line("net/server", "infrastructure", Some("server overloaded: connection limit reached")),
     )
     .with_header("retry-after", "1");
-    let mut out = Vec::new();
-    let _ = resp.write_to(&mut out, false);
     lockdep::blocking("net.socket.write");
-    stream.write_all(&out)?;
+    write_once(&mut stream, &mut Vec::new(), |buf| resp.write_to(buf, false))?;
     // Half of the rejected clients have already sent (part of) a request;
     // without an explicit shutdown they sit in their own read until their
     // timeout. Close both directions so they see EOF right after the 503.
-    stream.shutdown(std::net::Shutdown::Both)
+    stream.shutdown(std::net::Shutdown::Both)?;
+    Ok(())
 }
 
 fn serve_connection(
@@ -257,12 +257,26 @@ fn serve_connection(
     stream.set_nodelay(true).ok();
     let mut write_half = stream.try_clone().map_err(HttpError::Io)?;
     let mut reader = buf_reader(stream);
+    serve_stream(&mut reader, &mut write_half, peer, config, engine, served, stop)
+}
 
+/// The keep-alive loop over any byte stream: parse, serve, answer with
+/// exactly one `write_all` per response from a per-connection buffer.
+fn serve_stream<R: BufRead, W: Write>(
+    reader: &mut R,
+    writer: &mut W,
+    peer: SocketAddr,
+    config: &ServerConfig,
+    engine: &dyn Serve,
+    served: &AtomicUsize,
+    stop: &AtomicBool,
+) -> Result<(), HttpError> {
+    let mut out = Vec::new();
     for _ in 0..config.max_requests_per_connection {
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let request = match Request::read_from(&mut reader, &config.limits) {
+        let request = match Request::read_from(reader, &config.limits) {
             Ok(r) => r,
             Err(HttpError::UnexpectedEof) => break, // clean close
             Err(HttpError::Io(ref e))
@@ -282,7 +296,8 @@ fn serve_connection(
                     HttpError::UnsupportedMethod(_) => Status::METHOD_NOT_ALLOWED,
                     _ => Status::BAD_REQUEST,
                 };
-                let _ = Response::error(status, &e.to_string()).write_to(&mut write_half, false);
+                let resp = Response::error(status, &e.to_string());
+                let _ = write_once(writer, &mut out, |buf| resp.write_to(buf, false));
                 break;
             }
         };
@@ -319,7 +334,7 @@ fn serve_connection(
         w5_obs::time("net.http", &w5_obs::ObsLabel::empty(), elapsed);
         served.fetch_add(1, Ordering::Relaxed);
         lockdep::blocking("net.socket.write");
-        response.write_to(&mut write_half, keep)?;
+        write_once(writer, &mut out, |buf| response.write_to(buf, keep))?;
         if !keep {
             break;
         }
@@ -524,7 +539,7 @@ mod tests {
     fn pipelined_server_turns_handler_panic_into_500_and_recovers() {
         let h = Server::start("127.0.0.1:0", ServerConfig::default(), panicky_handler()).unwrap();
         let c = HttpClient::new();
-        // The worker catches the panic and the connection gets a real 500.
+        // The pipeline catches the panic and the connection gets a real 500.
         let resp = c.get(h.addr(), "/boom").unwrap();
         assert_eq!(resp.status, Status::INTERNAL_ERROR);
         // The connection slot drains (the conn thread never panicked).
@@ -535,10 +550,75 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(h.active_connections(), 0, "slot leaked across a handler panic");
-        // The worker pool is intact: the next request is admitted and served.
+        // The handler slot came back: the next request is admitted and served.
         let resp = c.get(h.addr(), "/ok").unwrap();
         assert_eq!(resp.status, Status::OK);
         h.shutdown();
+    }
+
+    /// Counts `write` calls the way a `TCP_NODELAY` socket turns them
+    /// into segments.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn serve_bytes(raw: &[u8], handler: Arc<dyn Handler>) -> CountingWriter {
+        let engine = Pipeline::start(PipelineConfig::default(), handler, Arc::new(OpenAdmission));
+        let mut out = CountingWriter::default();
+        serve_stream(
+            &mut std::io::Cursor::new(raw.to_vec()),
+            &mut out,
+            "127.0.0.1:9".parse().unwrap(),
+            &ServerConfig::default(),
+            &*engine,
+            &AtomicUsize::new(0),
+            &AtomicBool::new(false),
+        )
+        .unwrap();
+        out
+    }
+
+    #[test]
+    fn each_response_reaches_the_socket_in_one_write() {
+        let handler: Arc<dyn Handler> = Arc::new(|_req: Request, _peer: SocketAddr| {
+            Response::text("x".repeat(4096))
+                .with_header("x-w5-app", "photo")
+                .with_header("cache-control", "no-store")
+        });
+        // One keep-alive request, then one that closes.
+        let out = serve_bytes(
+            b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\nconnection: close\r\n\r\n",
+            Arc::clone(&handler),
+        );
+        assert_eq!(out.writes, 2, "two responses, one write each");
+        let mut r = std::io::Cursor::new(out.bytes);
+        for connection in ["keep-alive", "close"] {
+            let resp = Response::read_from(&mut r, &Limits::default()).unwrap();
+            assert_eq!(resp.status, Status::OK);
+            assert_eq!(resp.header("x-w5-app"), Some("photo"));
+            assert_eq!(resp.header("cache-control"), Some("no-store"));
+            assert_eq!(resp.header("content-type"), Some("text/plain; charset=utf-8"));
+            assert_eq!(resp.header("connection"), Some(connection));
+            assert_eq!(resp.body.len(), 4096);
+        }
+        // The parse-error answer takes the same path.
+        let out = serve_bytes(b"BANANA / HTTP/1.1\r\n\r\n", handler);
+        assert_eq!(out.writes, 1);
+        assert!(out.bytes.starts_with(b"HTTP/1.1 405 "));
     }
 
     #[test]

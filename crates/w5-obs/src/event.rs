@@ -177,15 +177,16 @@ pub enum EventKind {
         /// Did any route match?
         matched: bool,
     },
-    /// The request pipeline admitted a request into its principal-class
-    /// queue. Recorded under the principal's secrecy label, so a hidden
-    /// principal's queue activity is clearance-gated in ledger views.
+    /// The request pipeline admitted a request: straight into a handler
+    /// slot, or into its principal-class queue to wait for one. Recorded
+    /// under the principal's secrecy label, so a hidden principal's queue
+    /// activity is clearance-gated in ledger views.
     QueueAdmit {
         /// Principal-class key (`"anon"`, `"session:<user>"`, `"app:<key>"`).
         class: String,
-        /// The worker-pool shard the class hashes to.
+        /// The pipeline shard the class hashes to.
         shard: u64,
-        /// The class queue depth after this admit.
+        /// The class queue depth after this admit (0: took a free slot).
         depth: u64,
     },
     /// Admission control shed a request (class queue full, class table
@@ -194,21 +195,21 @@ pub enum EventKind {
     QueueShed {
         /// Principal-class key.
         class: String,
-        /// The worker-pool shard the class hashes to.
+        /// The pipeline shard the class hashes to.
         shard: u64,
         /// The class queue depth that triggered the shed.
         depth: u64,
         /// The `Retry-After` seconds sent, computed from `depth` only.
         retry_after: u64,
     },
-    /// Worker-pool occupancy sampled at dequeue time (busy workers out of
-    /// the shard's total).
+    /// Handler-slot occupancy sampled when a request is given its slot
+    /// (slots taken out of the shard's total).
     WorkerOccupancy {
         /// The shard sampled.
         shard: u64,
-        /// Workers executing a request, including the sampling one.
+        /// Slots taken, including the sampling request's.
         busy: u64,
-        /// Workers in the shard.
+        /// Slots in the shard.
         workers: u64,
     },
     // ---- store ----

@@ -314,35 +314,6 @@ pub fn span_if_active(name: &str, layer: Layer, secrecy: &ObsLabel) -> Option<Sp
     Some(push_span(Target::capture(), top.trace, parent, true, name, layer, secrecy))
 }
 
-/// Keeps an adopted context on this thread's span stack; pops on drop,
-/// records nothing.
-pub struct ContextGuard {
-    /// Pops a thread-local stack on drop: keep it on the adopting thread.
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl Drop for ContextGuard {
-    fn drop(&mut self) {
-        SPAN_STACK.with(|s| {
-            s.borrow_mut().pop();
-        });
-    }
-}
-
-/// Adopt `ctx` as this thread's innermost span *without opening a new
-/// span*: spans opened while the guard lives become children of the
-/// remote parent, exactly as if they had opened on the originating
-/// thread. This is the worker half of a same-process queue hand-off —
-/// the net pipeline captures [`current_context`] at submit and
-/// re-installs it here; the cross-process half is [`span_with_remote`],
-/// which additionally opens a server-side root.
-pub fn adopt_context(ctx: &TraceContext) -> ContextGuard {
-    SPAN_STACK.with(|s| {
-        s.borrow_mut().push(ActiveSpan { trace: ctx.trace, id: ctx.parent, sampled: ctx.sampled })
-    });
-    ContextGuard { _not_send: std::marker::PhantomData }
-}
-
 /// The wire context for an outgoing request from the current span, if a
 /// trace is open on this thread (`parent` = the innermost open span).
 pub fn current_context() -> Option<TraceContext> {

@@ -24,10 +24,10 @@
 //!   and that app touches only its own table `ndt{c}`, so every response
 //!   is a pure function of one client's deterministic request sequence.
 //! * **Per-client chaos** — each client carries its own
-//!   [`w5_chaos::Injector`] for `Site::SqlQuery`. The pipeline captures
-//!   the submitter's ambient injector per job and re-installs it on the
-//!   worker, so the abort stream a client's handlers experience depends
-//!   only on `(seed, client)` — identical across all four arms.
+//!   [`w5_chaos::Injector`] for `Site::SqlQuery`. Both engines run the
+//!   handler on the client's own thread, under its ambient injector, so
+//!   the abort stream a client's handlers experience depends only on
+//!   `(seed, client)` — identical across all four arms.
 //! * **Admission without charging** — the oracle arms classify requests
 //!   (so DRR fairness and per-class queues are really exercised) but
 //!   never charge: resource-container verdicts depend on shared counters
@@ -123,8 +123,8 @@ enum Op {
     Sum,
     /// Point delete.
     Del { id: i64 },
-    /// Handler panic — the pipeline worker and the platform must both
-    /// survive and answer 500.
+    /// Handler panic — the pipeline and the platform must both survive
+    /// and answer 500.
     Boom,
     /// A static provider route (`GET /registry`).
     Registry,
@@ -348,8 +348,6 @@ fn run_arm(spec: &NetSpec, pipelined: bool, concurrent: bool) -> NetRun {
     let platform = Platform::new_default("netdiff");
     setup(&platform, spec);
     let gateway: Arc<dyn Handler> = Arc::new(Gateway::new(Arc::clone(&platform)));
-    // Pipeline workers are spawned *inside* the scoped ledger/recorder so
-    // handler activity on worker threads records into this arm.
     let pipeline = if pipelined {
         Some(Pipeline::start(
             PipelineConfig {
@@ -390,9 +388,8 @@ fn run_arm(spec: &NetSpec, pipelined: bool, concurrent: bool) -> NetRun {
                     s.spawn(move || {
                         let _obs = w5_obs::scoped(handoff);
                         let _lockdep = lockdep::scoped(lock_handoff);
-                        // The ambient injector is captured per job at
-                        // submit and re-installed on the worker, so the
-                        // handler-stage fault stream follows the client.
+                        // Handlers run on this thread in both engines,
+                        // so the fault stream follows the client.
                         let _chaos = w5_chaos::with_injector(Arc::clone(&inj));
                         drive_client(engine.as_ref(), c, ops)
                     })
@@ -462,7 +459,7 @@ pub fn run_reference_concurrent(spec: &NetSpec) -> NetRun {
 }
 
 /// Staged pipeline under real client threads — queues, DRR rotation and
-/// worker hand-offs all live.
+/// slot grants all live.
 pub fn run_pipelined_concurrent(spec: &NetSpec) -> NetRun {
     run_arm(spec, true, true)
 }
