@@ -12,18 +12,12 @@
 //!   rogue application cannot degrade the cluster.
 //! * [`sched`] — a deterministic round-robin scheduler driving cooperative
 //!   tasks, used by the resource-allocation and covert-channel experiments.
-//! * [`api`] — the [`Syscalls`] trait abstracting the syscall surface over
-//!   both kernel implementations.
-//! * [`reference`] — the pre-sharding single-lock kernel, kept verbatim as
-//!   the baseline arm of `w5-sim`'s differential concurrency oracle.
 //!
 //! ## Concurrency
 //!
-//! [`Kernel`] stripes process state across power-of-two lock shards
-//! (pid-hashed) so syscalls on different processes run in parallel;
-//! cross-shard sends take both shard locks in ascending index order (the
-//! kernel-wide deadlock-freedom rule). See the module docs in [`kernel`]
-//! and DESIGN.md §14.
+//! [`Kernel`] is `Clone + Send + Sync`; its process table sits behind one
+//! mutex that no syscall nests. See the module docs in [`kernel`] and
+//! DESIGN.md §14.
 //!
 //! ## Covert-channel hygiene
 //!
@@ -39,19 +33,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod api;
 pub mod ids;
 pub mod kernel;
 pub mod message;
 pub mod process;
-pub mod reference;
 pub mod resource;
 pub mod sched;
 
-pub use api::Syscalls;
 pub use ids::ProcessId;
-pub use kernel::{Delivery, Kernel, KernelError, KernelResult, KernelStats, SpawnSpec, DEFAULT_SHARDS};
-pub use reference::ReferenceKernel;
+pub use kernel::{Delivery, Kernel, KernelError, KernelResult, KernelStats, SpawnSpec};
 pub use message::Message;
 pub use process::{ProcessInfo, ProcessState};
 pub use resource::{ResourceContainer, ResourceKind, ResourceLimits, ResourceUsage};

@@ -1,9 +1,11 @@
 //! # w5-lockdep — lock-order certification for the W5 synchronization layer
 //!
-//! PR 7 sharded the kernel across 16 lock stripes and PR 8 partitioned
-//! the store; the only deadlock discipline was the hand-rolled `TwoShards`
-//! lower-index-first rule. This crate makes the synchronization layer
-//! *checkable*, the way `w5lint` made the label configuration checkable:
+//! W5's locks span every layer from the accept thread to the ledger, and
+//! several classes are multi-instance (pipeline shards, intern stripes,
+//! registry meta/global, ledger rings) under a lower-index-first rule that
+//! nothing but review used to enforce. This crate makes the
+//! synchronization layer *checkable*, the way `w5lint` made the label
+//! configuration checkable:
 //!
 //! 1. Every lock in the workspace is a classed `w5-sync` wrapper; test and
 //!    sim runs record an [`ObservedRun`] — cross-class acquisition edges,
@@ -53,7 +55,7 @@ pub const LOCKDEP_CATALOG: [(&str, &str, Severity, &str); 6] = [
         "W5D002",
         "same-class-unordered",
         Severity::Error,
-        "one lock class acquired twice without strictly ascending instance index (TwoShards bypass)",
+        "one lock class acquired twice without strictly ascending instance index (bypasses the lower-index-first rule)",
     ),
     (
         "W5D003",
@@ -148,8 +150,7 @@ impl Manifest {
                 class!("baseline.silo", 30, "siloed-deployment baseline state"),
                 class!("baseline.mashup", 31, "mashup baseline received-data log"),
                 class!("baseline.thirdparty", 32, "third-party-hosting baseline state"),
-                class!("kernel.shard", 40, "sharded kernel process-map stripe (index = shard)"),
-                class!("kernel.reference", 41, "single-lock reference kernel state"),
+                class!("kernel.procs", 40, "kernel process table (the kernel's only lock)"),
                 class!("store.partition", 50, "SQL store label-partitioned table map"),
                 class!("store.fs", 52, "labeled in-memory filesystem tree"),
                 class!("difc.registry", 60, "tag metadata + global capability set (meta=0, global=1)"),
@@ -359,7 +360,7 @@ pub fn analyze(manifest: &Manifest, run: &ObservedRun) -> DeadlockReport {
             } else {
                 format!(
                     "acquired instance {} while holding instance {} (descending: bypasses the \
-                     ordered TwoShards-style path)",
+                     lower-index-first rule)",
                     s.acquired_index, s.held_index
                 )
             };
@@ -629,8 +630,8 @@ mod tests {
     #[test]
     fn descending_same_class_is_w5d002_and_ascending_is_clean() {
         let rec = Arc::new(Recorder::new());
-        let lo = Mutex::with_index("kernel.shard", 2, ());
-        let hi = Mutex::with_index("kernel.shard", 5, ());
+        let lo = Mutex::with_index("difc.intern.shard", 2, ());
+        let hi = Mutex::with_index("difc.intern.shard", 5, ());
         {
             let _scope = lockdep::scoped(Arc::clone(&rec));
             let _a = lo.lock();
@@ -643,7 +644,7 @@ mod tests {
         {
             let _scope = lockdep::scoped(Arc::clone(&rec));
             let _b = hi.lock();
-            let _a = lo.lock(); // descending: TwoShards bypass
+            let _a = lo.lock(); // descending: rule bypassed
         }
         let report = analyze(&Manifest::workspace(), &rec.snapshot());
         let hits = report.with_code("W5D002");
@@ -654,7 +655,7 @@ mod tests {
     #[test]
     fn unannotated_ledger_under_lock_warns_and_annotation_silences() {
         let rec = Arc::new(Recorder::new());
-        let shard = Mutex::with_index("kernel.shard", 0, ());
+        let shard = Mutex::with_index("difc.intern.shard", 0, ());
         let ledger = Mutex::with_index("obs.ledger", 0, ());
         {
             let _scope = lockdep::scoped(Arc::clone(&rec));
@@ -678,7 +679,7 @@ mod tests {
     #[test]
     fn blocking_under_lock_is_w5d003() {
         let rec = Arc::new(Recorder::new());
-        let shard = Mutex::with_index("kernel.shard", 3, ());
+        let shard = Mutex::with_index("difc.intern.shard", 3, ());
         {
             let _scope = lockdep::scoped(Arc::clone(&rec));
             let _g = shard.lock();
@@ -687,7 +688,7 @@ mod tests {
         let report = analyze(&Manifest::workspace(), &rec.snapshot());
         let hits = report.with_code("W5D003");
         assert_eq!(hits.len(), 1, "{:#?}", report.findings);
-        assert!(hits[0].message.contains("kernel.shard#3"), "{}", hits[0].message);
+        assert!(hits[0].message.contains("difc.intern.shard#3"), "{}", hits[0].message);
     }
 
     #[test]
@@ -717,7 +718,7 @@ mod tests {
         run.edges.push(w5_sync::lockdep::ObservedEdge {
             held: "obs.ledger".into(),
             held_index: 0,
-            acquired: "kernel.shard".into(),
+            acquired: "difc.intern.shard".into(),
             acquired_index: 0,
             site: "x.rs:1".into(),
             allowed: false,
@@ -726,7 +727,7 @@ mod tests {
         });
         let dot = to_dot(&Manifest::workspace(), &run);
         assert!(dot.contains("digraph w5locks"));
-        assert!(dot.contains("\"obs.ledger\" -> \"kernel.shard\" [color=red"), "{dot}");
+        assert!(dot.contains("\"obs.ledger\" -> \"difc.intern.shard\" [color=red"), "{dot}");
         assert!(dot.contains("\"fixture.alpha\" [style=dashed"), "{dot}");
     }
 

@@ -76,8 +76,8 @@ impl NetAdmission {
         if let Some(pid) = self.pids.lock().get(&key).copied() {
             return pid;
         }
-        // Create outside the map lock: process creation takes a kernel
-        // shard lock ("platform.boundary" → "kernel.shard" is the
+        // Create outside the map lock: process creation takes the kernel's
+        // process-table lock ("platform.boundary" → "kernel.procs" is the
         // certified order, but the map lock need not be held for it).
         let labels = self.class_labels(class);
         let pid = self.platform.kernel.create_process(

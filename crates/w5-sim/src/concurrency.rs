@@ -1,14 +1,12 @@
-//! Differential concurrency oracle for the sharded kernel.
+//! Serial/concurrent oracle for the kernel.
 //!
-//! The sharded [`w5_kernel::Kernel`] claims to preserve, observable by
-//! observable, the behavior of the single-lock
-//! [`w5_kernel::ReferenceKernel`] it replaced. This module checks that
-//! claim the only way that scales: replay the *same seeded operation
-//! schedule* against both kernels — under real OS-thread interleavings
-//! and serially — and compare everything a syscall client or an auditor
-//! could see: per-process labels, capability bags, mailbox depths,
-//! lifecycle states, flow-decision counters, obs-ledger aggregates, and
-//! per-thread fault-injection reports.
+//! [`w5_kernel::Kernel`] is called from many connection threads at once.
+//! This module checks that threads change nothing an observer can see:
+//! replay the *same seeded operation schedule* once serially and once
+//! under real OS-thread interleavings, and compare everything a syscall
+//! client or an auditor could see — per-process labels, capability bags,
+//! mailbox depths, lifecycle states, flow-decision counters, obs-ledger
+//! aggregates, and per-thread fault-injection reports.
 //!
 //! # Why the schedules are interleaving-invariant
 //!
@@ -36,7 +34,7 @@
 //!   serial replay.
 //! * **Pre-created tags** — all tags are created in single-threaded
 //!   setup, so the shared [`w5_difc::TagRegistry`] allocates identical
-//!   tag ids in every arm.
+//!   tag ids in both arms.
 //!
 //! Process *ids* are still racy (threads interleave allocations), which
 //! is why the oracle keys state by process *name* and maps parent links
@@ -44,8 +42,8 @@
 //!
 //! Serial replays additionally expose the run's private
 //! [`w5_obs::Ledger::digest`]: with one thread the event stream itself
-//! is deterministic, so reference-serial and sharded-serial must agree
-//! bit-for-bit — the chaos-digest regression the tests pin.
+//! is deterministic, so the digest is a pure function of the spec —
+//! `tests/concurrency.rs` pins it to golden values.
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -55,9 +53,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
 use w5_difc::{CapSet, Capability, Label, LabelPair, Privilege, Tag, TagKind, TagRegistry};
-use w5_kernel::{
-    Kernel, KernelStats, ProcessId, ReferenceKernel, ResourceLimits, SpawnSpec, Syscalls,
-};
+use w5_kernel::{Kernel, KernelStats, ProcessId, ResourceLimits, SpawnSpec};
 use w5_obs::Ledger;
 use w5_sync::lockdep;
 
@@ -65,9 +61,8 @@ use w5_sync::lockdep;
 /// live list, which grows as the thread spawns children.
 const PROCS_PER_THREAD: usize = 4;
 
-/// One differential run: a schedule seed, a thread count, a length, a
-/// storm rate for the kernel fault sites, and the shard count for the
-/// sharded arm.
+/// One oracle run: a schedule seed, a thread count, a length and a storm
+/// rate for the kernel fault sites.
 #[derive(Clone, Copy, Debug)]
 pub struct ConcSpec {
     /// Seeds every thread's op stream and fault plan.
@@ -78,14 +73,12 @@ pub struct ConcSpec {
     pub ops_per_thread: usize,
     /// Injection probability for `KernelSend`/`KernelSpawn` (0.0 = calm).
     pub fault_rate: f64,
-    /// Shard count for the sharded kernel arm.
-    pub shards: usize,
 }
 
 impl ConcSpec {
     /// A moderate default: 4 threads, 400 ops each, a light fault storm.
     pub fn new(seed: u64) -> ConcSpec {
-        ConcSpec { seed, threads: 4, ops_per_thread: 400, fault_rate: 0.05, shards: 16 }
+        ConcSpec { seed, threads: 4, ops_per_thread: 400, fault_rate: 0.05 }
     }
 }
 
@@ -107,7 +100,7 @@ pub struct ProcState {
     pub parent: Option<String>,
 }
 
-/// The full observable outcome of one run. Two arms replaying the same
+/// The full observable outcome of one run. Both arms replaying the same
 /// [`ConcSpec`] must compare equal, whatever the interleaving.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct ConcOutcome {
@@ -185,7 +178,7 @@ struct ThreadCtx {
     spawned: usize,
 }
 
-fn apply_ops<K: Syscalls>(k: &K, ctx: &mut ThreadCtx, ops: &[Op]) {
+fn apply_ops(k: &Kernel, ctx: &mut ThreadCtx, ops: &[Op]) {
     let payload = Bytes::from_static(b"conc");
     for op in ops {
         match *op {
@@ -243,10 +236,10 @@ fn apply_ops<K: Syscalls>(k: &K, ctx: &mut ThreadCtx, ops: &[Op]) {
     }
 }
 
-/// Identical single-threaded setup for every arm: hubs, per-thread
+/// Identical single-threaded setup for both arms: hubs, per-thread
 /// processes, per-thread tags — so pid streams and registry tag ids
 /// start out aligned.
-fn setup<K: Syscalls>(k: &K, spec: &ConcSpec) -> Vec<ThreadCtx> {
+fn setup(k: &Kernel, spec: &ConcSpec) -> Vec<ThreadCtx> {
     let hubs: Vec<ProcessId> = (0..spec.threads)
         .map(|t| {
             k.create_process(
@@ -281,8 +274,8 @@ fn setup<K: Syscalls>(k: &K, spec: &ConcSpec) -> Vec<ThreadCtx> {
         .collect()
 }
 
-fn collect<K: Syscalls>(
-    k: &K,
+fn collect(
+    k: &Kernel,
     ledger: &Ledger,
     ctxs: &[ThreadCtx],
     faults: Vec<w5_chaos::ChaosReport>,
@@ -327,29 +320,30 @@ fn collect<K: Syscalls>(
     }
 }
 
-/// Drive one kernel through the spec's schedule. `concurrent` selects
+/// Drive a fresh kernel through the spec's schedule. `concurrent` selects
 /// real OS threads vs. a serial replay of the same per-thread sequences.
 /// Returns the outcome plus the private ledger's digest — meaningful for
 /// comparison only between serial runs (ring/event *order* is
 /// timing-dependent under threads; counts are not).
-fn run_with<K: Syscalls + Clone>(
-    k: &K,
-    spec: &ConcSpec,
-    concurrent: bool,
-    context: Option<Box<lockdep::ContextFn>>,
-) -> (ConcOutcome, u64) {
+fn run(spec: &ConcSpec, concurrent: bool) -> (ConcOutcome, u64) {
     assert!(spec.threads >= 1, "need at least one thread");
+    let k = Kernel::new(Arc::new(TagRegistry::new()));
     // Private ledger first: setup events are part of the serial digest,
     // exactly like the chaos harness.
     let ledger = Arc::new(Ledger::new());
     let _obs_guard = w5_obs::scoped(Arc::clone(&ledger));
     // Private order graph second: every classed-lock acquisition this run
     // makes (setup, workers, teardown) lands here and is checked against
-    // the declared manifest before the outcome is returned.
-    let recorder = crate::lockgate::recorder(context);
+    // the declared manifest before the outcome is returned. Its edge
+    // context is the kernel's relaxed-atomic counter snapshot — lock-free
+    // (the provider contract), so it can run mid-acquisition.
+    let stats_of = k.clone();
+    let recorder = crate::lockgate::recorder(Some(Box::new(move || {
+        w5_obs::snapshot_json(&stats_of).unwrap_or_default()
+    })));
     let _lock_guard = lockdep::scoped(Arc::clone(&recorder));
 
-    let mut ctxs = setup(k, spec);
+    let mut ctxs = setup(&k, spec);
     let op_lists: Vec<Vec<Op>> = (0..spec.threads).map(|t| gen_ops(spec, t)).collect();
     let injectors: Vec<Arc<w5_chaos::Injector>> =
         (0..spec.threads).map(|t| injector_for(spec, t)).collect();
@@ -393,83 +387,36 @@ fn run_with<K: Syscalls + Clone>(
                 // stream each sequence sees matches what its dedicated
                 // thread saw in the concurrent run.
                 let _chaos = w5_chaos::with_injector(Arc::clone(inj));
-                apply_ops(k, ctx, ops);
+                apply_ops(&k, ctx, ops);
                 inj.report()
             })
             .collect()
     };
 
-    let outcome = collect(k, &ledger, &ctxs, faults);
+    let outcome = collect(&k, &ledger, &ctxs, faults);
     recorder.note("harness", "concurrency");
     recorder.note("threads", &spec.threads.to_string());
     crate::lockgate::enforce(&recorder, "concurrency");
     (outcome, ledger.digest())
 }
 
-/// Sharded kernel under real thread interleavings.
-pub fn run_sharded_concurrent(spec: &ConcSpec) -> ConcOutcome {
-    let k = Kernel::with_shards(spec.shards, Arc::new(TagRegistry::new()));
-    let ctx = stats_context(&k);
-    run_with(&k, spec, true, Some(ctx)).0
+/// The kernel under real thread interleavings.
+pub fn run_concurrent(spec: &ConcSpec) -> ConcOutcome {
+    run(spec, true).0
 }
 
-/// Edge-context provider for the sharded arms: the kernel's relaxed-atomic
-/// counter snapshot, serialized. Lock-free by construction (the provider
-/// contract), so it can run in the middle of any acquisition.
-fn stats_context(k: &Kernel) -> Box<lockdep::ContextFn> {
-    let k = k.clone();
-    Box::new(move || w5_obs::snapshot_json(&k).unwrap_or_default())
+/// Serial replay. The digest covers the full private event stream and is
+/// a pure function of the spec.
+pub fn run_serial(spec: &ConcSpec) -> (ConcOutcome, u64) {
+    run(spec, false)
 }
 
-/// Single-lock reference kernel under real thread interleavings (the
-/// trivially linearizable baseline).
-pub fn run_reference_concurrent(spec: &ConcSpec) -> ConcOutcome {
-    let k = ReferenceKernel::new(Arc::new(TagRegistry::new()));
-    // No context provider: the reference kernel's stats live under the very
-    // lock whose acquisitions are being recorded.
-    run_with(&k, spec, true, None).0
-}
-
-/// Sharded kernel, serial replay. The digest covers the full private
-/// event stream and is comparable against [`run_reference_serial`].
-pub fn run_sharded_serial(spec: &ConcSpec) -> (ConcOutcome, u64) {
-    let k = Kernel::with_shards(spec.shards, Arc::new(TagRegistry::new()));
-    let ctx = stats_context(&k);
-    run_with(&k, spec, false, Some(ctx))
-}
-
-/// Reference kernel, serial replay, with digest.
-pub fn run_reference_serial(spec: &ConcSpec) -> (ConcOutcome, u64) {
-    let k = ReferenceKernel::new(Arc::new(TagRegistry::new()));
-    run_with(&k, spec, false, None)
-}
-
-/// The full four-arm differential check, used by tests and CI: sharded
-/// concurrent ≡ reference concurrent ≡ reference serial ≡ sharded
-/// serial, plus bit-identical serial digests. Panics with a labeled diff
-/// on the first mismatch.
+/// The differential check used by tests and CI: the run under threads
+/// must equal the serial replay. Panics with a labeled diff on mismatch.
 pub fn assert_differential(spec: &ConcSpec) {
-    let (ref_serial, ref_digest) = run_reference_serial(spec);
-    let (shard_serial, shard_digest) = run_sharded_serial(spec);
-    assert_eq!(
-        ref_serial, shard_serial,
-        "serial replay diverged between reference and sharded kernels"
-    );
-    assert_eq!(
-        ref_digest, shard_digest,
-        "serial ledger digests diverged: the kernels emitted different event streams"
-    );
-    let shard_conc = run_sharded_concurrent(spec);
-    assert_eq!(
-        ref_serial, shard_conc,
-        "sharded kernel under threads diverged from the serial oracle"
-    );
-    let ref_conc = run_reference_concurrent(spec);
-    assert_eq!(
-        ref_serial, ref_conc,
-        "reference kernel under threads diverged from its own serial replay \
-         (schedule is not interleaving-invariant — harness bug)"
-    );
+    let (serial, _) = run_serial(spec);
+    let concurrent = run_concurrent(spec);
+    assert_eq!(serial, concurrent, "kernel under threads diverged from the serial oracle");
 }
 
 #[cfg(test)]
@@ -478,21 +425,21 @@ mod tests {
 
     #[test]
     fn four_arms_agree_on_default_spec() {
-        assert_differential(&ConcSpec { seed: 2007, threads: 4, ops_per_thread: 150, fault_rate: 0.05, shards: 16 });
+        assert_differential(&ConcSpec { seed: 2007, threads: 4, ops_per_thread: 150, fault_rate: 0.05 });
     }
 
     #[test]
     fn calm_run_agrees_without_faults() {
-        let spec = ConcSpec { seed: 9, threads: 2, ops_per_thread: 120, fault_rate: 0.0, shards: 4 };
+        let spec = ConcSpec { seed: 9, threads: 2, ops_per_thread: 120, fault_rate: 0.0 };
         assert_differential(&spec);
-        let (out, _) = run_sharded_serial(&spec);
+        let (out, _) = run_serial(&spec);
         assert_eq!(out.faults.iter().map(|f| f.total_injected()).sum::<u64>(), 0);
     }
 
     #[test]
     fn workload_actually_exercises_flow_machinery() {
         let spec = ConcSpec::new(20070824);
-        let (out, _) = run_sharded_serial(&spec);
+        let (out, _) = run_serial(&spec);
         assert!(out.stats.sends_checked > 0);
         assert!(out.stats.sends_dropped > 0, "taint must force some drops");
         assert!(out.stats.label_changes_denied > 0, "declass without t- must be denied");

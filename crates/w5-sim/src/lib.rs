@@ -34,8 +34,7 @@ pub mod workload;
 
 pub use chaos::{run_chaos, ChaosOutcome, ChaosSpec};
 pub use concurrency::{
-    assert_differential, run_reference_concurrent, run_reference_serial, run_sharded_concurrent,
-    run_sharded_serial, ConcOutcome, ConcSpec, ProcState,
+    assert_differential, run_concurrent, run_serial, ConcOutcome, ConcSpec, ProcState,
 };
 pub use differential::{run_differential, DiffOutcome, DiffSpec};
 pub use netdiff::{

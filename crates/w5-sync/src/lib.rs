@@ -1,7 +1,7 @@
 //! Classed lock wrappers with lockdep-style acquisition recording.
 //!
 //! Every `Mutex`/`RwLock` in the workspace is constructed through this
-//! crate with a static **lock class** (`kernel.shard`, `store.partition`,
+//! crate with a static **lock class** (`kernel.procs`, `store.partition`,
 //! `obs.ledger`, …) and an instance index (shard number, partition slot).
 //! The wrappers behave exactly like the underlying `parking_lot` locks;
 //! in addition, each acquisition consults a thread-local held-lock stack
@@ -11,8 +11,8 @@
 //! * a **cross-class edge** `(held-class, acquired-class, site)` for every
 //!   lock already held when a lock of a *different* class is taken,
 //! * a **same-class event** `(class, held-index, acquired-index, site)`
-//!   when a second lock of the *same* class is taken (the `TwoShards`
-//!   lower-index-first path must keep these strictly ascending),
+//!   when a second lock of the *same* class is taken (the
+//!   lower-index-first rule: these must be strictly ascending),
 //! * a **blocking event** when [`lockdep::blocking`] is reached with any
 //!   classed lock held.
 //!

@@ -1,26 +1,26 @@
-//! The sharded kernel against its single-lock reference, under real
-//! thread interleavings — the tier-1 face of `w5_sim::concurrency`.
+//! The kernel under real thread interleavings — the tier-1 face of
+//! `w5_sim::concurrency`.
 //!
-//! Four claims:
+//! Five claims:
 //!
-//! 1. **Differential equivalence** (property) — for any seeded schedule
+//! 1. **Serial ≡ concurrent** (property) — for any seeded schedule
 //!    (2–8 threads, mixed send/spawn/taint/declass/cap traffic, with or
-//!    without a `w5-chaos` fault storm), the sharded kernel's final
-//!    observable state — labels, capability bags, mailbox depths,
-//!    counters, ledger aggregates, per-thread fault tallies — is
-//!    identical to the single-lock reference kernel's, concurrently and
-//!    serially.
-//! 2. **Lock ordering** (unit) — the two-shard ordered locking path
-//!    cannot deadlock: opposite-direction cross-shard sends, self-sends
-//!    and spawns into foreign shards all complete under contention.
-//! 3. **No lost taint** — a taint applied through one shard is visible
-//!    to every subsequent send through another shard; concurrency never
-//!    launders a label.
-//! 4. **Digest regression** — for fixed seeds, the serial replay digest
-//!    of the private obs ledger is bit-identical between the reference
-//!    and sharded kernels (they emit the same event stream, not merely
-//!    the same counts), and the platform-level `ChaosOutcome` digest
-//!    still replays bit-identically on top of the sharded kernel.
+//!    without a `w5-chaos` fault storm), the kernel's final observable
+//!    state — labels, capability bags, mailbox depths, counters, ledger
+//!    aggregates, per-thread fault tallies — is identical whether the
+//!    schedule ran on real threads or was replayed serially.
+//! 2. **Deadlock freedom** (unit) — opposite-direction sends, self-sends
+//!    and spawns all complete under contention.
+//! 3. **No lost taint** — a taint applied by one thread is visible to
+//!    every subsequent send from another; concurrency never launders a
+//!    label.
+//! 4. **Exit/reap under fire** — a process can exit and be reaped while
+//!    other threads send to it; nothing is delivered after `exit` returns.
+//! 5. **Digest regression** — for fixed seeds, the serial replay digest
+//!    of the private obs ledger equals golden values recorded from the
+//!    former single-lock reference kernel (the same event stream, not
+//!    merely the same counts), and the platform-level `ChaosOutcome`
+//!    digest still replays bit-identically.
 //!
 //! Seeding is explicit everywhere: outcomes depend only on the specs
 //! below, never on `RUST_TEST_THREADS` or scheduler timing.
@@ -30,18 +30,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use w5_difc::{CapSet, Label, LabelPair, TagKind, TagRegistry};
-use w5_kernel::{Delivery, Kernel, ProcessId, ResourceLimits, SpawnSpec};
-use w5_sim::concurrency::{
-    assert_differential, run_reference_serial, run_sharded_concurrent, run_sharded_serial,
-    ConcSpec,
-};
+use w5_kernel::{Delivery, Kernel, KernelError, ProcessId, ResourceLimits, SpawnSpec};
+use w5_sim::concurrency::{assert_differential, run_concurrent, run_serial, ConcSpec};
 use w5_sim::{run_chaos, ChaosSpec};
 
 fn mk(k: &Kernel, name: &str) -> ProcessId {
     k.create_process(name, LabelPair::public(), CapSet::empty(), ResourceLimits::unlimited())
 }
 
-// ---- 1. differential equivalence ----
+// ---- 1. serial ≡ concurrent ----
 
 #[test]
 fn differential_fixed_seeds_calm_and_stormy() {
@@ -53,29 +50,13 @@ fn differential_fixed_seeds_calm_and_stormy() {
             threads,
             ops_per_thread: 200,
             fault_rate: rate,
-            shards: 16,
-        });
-    }
-}
-
-#[test]
-fn differential_survives_degenerate_shard_counts() {
-    // 1 shard (every pair same-shard) and 64 shards (nearly every pair
-    // cross-shard) must behave identically to the reference too.
-    for shards in [1usize, 2, 64] {
-        assert_differential(&ConcSpec {
-            seed: 7,
-            threads: 4,
-            ops_per_thread: 120,
-            fault_rate: 0.05,
-            shards,
         });
     }
 }
 
 mod properties {
     //! Random schedules: proptest picks the shape, every shape must
-    //! agree across all four arms — including under fault storms.
+    //! agree across both arms — including under fault storms.
     use super::*;
     use proptest::prelude::*;
 
@@ -86,37 +67,26 @@ mod properties {
             threads in 2usize..=8,
             ops in 30usize..120,
             rate_pct in 0u32..25,
-            shards in prop_oneof![Just(1usize), Just(4), Just(16), Just(64)],
         ) {
             assert_differential(&ConcSpec {
                 seed,
                 threads,
                 ops_per_thread: ops,
                 fault_rate: rate_pct as f64 / 100.0,
-                shards,
             });
         }
     }
 }
 
-// ---- 2. lock-ordering / deadlock freedom ----
-
-/// Two pids in *different* shards of a 2-shard kernel, for exercising
-/// both lock-acquisition orders.
-fn cross_shard_pair(k: &Kernel) -> (ProcessId, ProcessId) {
-    let a = mk(k, "a");
-    let b = mk(k, "b");
-    assert_ne!(a.0 % 2, b.0 % 2, "consecutive pids land in different shards of 2");
-    (a, b)
-}
+// ---- 2. deadlock freedom ----
 
 #[test]
 fn opposite_direction_cross_shard_sends_never_deadlock() {
-    // Thread 1 sends a→b (locks shard(a) then shard(b) by index order),
-    // thread 2 sends b→a (same index order, opposite roles). Unordered
-    // locking would deadlock here almost immediately.
-    let k = Kernel::with_shards(2, Arc::new(TagRegistry::new()));
-    let (a, b) = cross_shard_pair(&k);
+    // Thread 1 sends a→b while thread 2 sends b→a. Every send needs both
+    // processes at once; any scheme that locked them separately and in
+    // argument order would deadlock here almost immediately.
+    let k = Kernel::new(Arc::new(TagRegistry::new()));
+    let (a, b) = (mk(&k, "a"), mk(&k, "b"));
     const N: usize = 5_000;
     let barrier = Barrier::new(2);
     thread::scope(|s| {
@@ -144,7 +114,7 @@ fn opposite_direction_cross_shard_sends_never_deadlock() {
 
 #[test]
 fn self_send_takes_single_shard() {
-    let k = Kernel::with_shards(2, Arc::new(TagRegistry::new()));
+    let k = Kernel::new(Arc::new(TagRegistry::new()));
     let a = mk(&k, "loop");
     for _ in 0..1_000 {
         k.send_strict(a, a, Bytes::from_static(b"echo"), CapSet::empty()).unwrap();
@@ -154,11 +124,10 @@ fn self_send_takes_single_shard() {
 
 #[test]
 fn concurrent_spawns_into_foreign_shards() {
-    // Parents spawn children whose pids stripe across every shard while
-    // cross-shard sends run; spawn drops the parent guard before taking
-    // the child's shard, so this must complete without deadlock and
-    // every parent link must be intact.
-    let k = Kernel::with_shards(4, Arc::new(TagRegistry::new()));
+    // Four parents spawn children at once while sends run between two of
+    // them: this must complete without deadlock, every parent link must
+    // be intact and no child may be lost.
+    let k = Kernel::new(Arc::new(TagRegistry::new()));
     let parents: Vec<ProcessId> = (0..4).map(|i| mk(&k, &format!("p{i}"))).collect();
     const SPAWNS: usize = 400;
     thread::scope(|s| {
@@ -192,75 +161,17 @@ fn concurrent_spawns_into_foreign_shards() {
     assert_eq!(k.live_processes(), 4 + 4 * SPAWNS);
 }
 
-#[test]
-fn exhaustive_two_shard_interleavings_stay_ordered() {
-    // Every direction assignment of 2 and then 3 threads over one
-    // 2-shard kernel, barrier-aligned per round so all threads enter
-    // their cross-shard send at the same instant. A scoped lockdep
-    // recorder watches every acquisition; the moment any thread takes
-    // shard 0 while holding shard 1 the assertion below names the
-    // inverted pair, the thread mask and the source line — no need to
-    // wait for an actual deadlock to hang the suite.
-    use w5_sync::lockdep;
-    for threads in [2usize, 3] {
-        for mask in 0u32..(1 << threads) {
-            let rec = Arc::new(lockdep::Recorder::new());
-            let k = Kernel::with_shards(2, Arc::new(TagRegistry::new()));
-            let (a, b) = cross_shard_pair(&k);
-            const ROUNDS: usize = 150;
-            let barrier = Barrier::new(threads);
-            thread::scope(|s| {
-                for t in 0..threads {
-                    let k = k.clone();
-                    let rec = Arc::clone(&rec);
-                    let barrier = &barrier;
-                    // Bit t of the mask picks this thread's direction, so
-                    // the loop covers all-same, all-opposed and every
-                    // mixed assignment.
-                    let (from, to) = if mask >> t & 1 == 0 { (a, b) } else { (b, a) };
-                    s.spawn(move || {
-                        let _rec = lockdep::scoped(rec);
-                        for _ in 0..ROUNDS {
-                            barrier.wait();
-                            k.send_strict(from, to, Bytes::from_static(b"x"), CapSet::empty())
-                                .unwrap();
-                        }
-                    });
-                }
-            });
-            let run = rec.snapshot();
-            assert!(
-                run.same_class.iter().any(|e| e.class == "kernel.shard"),
-                "threads={threads} mask={mask:#05b}: cross-shard sends must nest shard locks"
-            );
-            for ev in &run.same_class {
-                if ev.class != "kernel.shard" {
-                    continue;
-                }
-                assert!(
-                    ev.acquired_index > ev.held_index,
-                    "inverted acquisition: shard {} taken while holding shard {} \
-                     (threads={threads}, mask={mask:#05b}, at {})",
-                    ev.acquired_index,
-                    ev.held_index,
-                    ev.site,
-                );
-            }
-        }
-    }
-}
-
-// ---- 3. no lost taint across shards ----
+// ---- 3. no lost taint across threads ----
 
 #[test]
 fn taint_applied_in_one_shard_is_seen_by_sends_from_another() {
-    // One thread taints the sender (sender's shard lock); the main
-    // thread keeps sending sender→sink (both shard locks). From the
-    // moment the tainting thread observes its taint_for_read returned,
+    // One thread taints the sender; the main thread keeps sending
+    // sender→sink. From the moment the tainting thread observes its
+    // taint_for_read returned,
     // every *subsequent* send must be dropped — a delivered message
     // after that point would be a lost-taint race.
     for trial in 0..20u64 {
-        let k = Kernel::with_shards(2, Arc::new(TagRegistry::new()));
+        let k = Kernel::new(Arc::new(TagRegistry::new()));
         let owner = mk(&k, "owner");
         let sender = mk(&k, "sender");
         let sink = mk(&k, "sink");
@@ -298,33 +209,98 @@ fn taint_applied_in_one_shard_is_seen_by_sends_from_another() {
     }
 }
 
-// ---- 4. digest regressions ----
+// ---- 4. exit / reap under fire ----
+
+#[test]
+fn exit_and_reap_race_with_senders() {
+    // Senders hammer one target while its owner exits and then reaps it.
+    // A send may see the target alive, dead or gone — nothing else — and
+    // once `exit` has returned no send may be delivered: the liveness
+    // check and the mailbox push are one critical section.
+    const SENDERS: usize = 4;
+    let k = Kernel::new(Arc::new(TagRegistry::new()));
+    let sources: Vec<ProcessId> = (0..SENDERS).map(|i| mk(&k, &format!("src{i}"))).collect();
+    let baseline = k.live_processes();
+    for trial in 0..50 {
+        let target = mk(&k, "target");
+        let exited = AtomicBool::new(false);
+        let gone = AtomicBool::new(false);
+        let start = Barrier::new(SENDERS + 1);
+        thread::scope(|s| {
+            for &src in &sources {
+                let (k, exited, gone, start) = (k.clone(), &exited, &gone, &start);
+                s.spawn(move || {
+                    start.wait();
+                    loop {
+                        // Read the flags *before* the send: if they were
+                        // already set, the send started after the call
+                        // returned.
+                        let (was_exited, was_gone) =
+                            (exited.load(Ordering::Acquire), gone.load(Ordering::Acquire));
+                        match k.send(src, target, Bytes::from_static(b"x"), CapSet::empty()) {
+                            Ok(Delivery::Delivered) => {
+                                assert!(!was_exited, "trial {trial}: delivered after exit returned")
+                            }
+                            Err(KernelError::ProcessDead(p)) => {
+                                assert_eq!(p, target);
+                                assert!(!was_gone, "trial {trial}: dead after reap returned");
+                            }
+                            Err(KernelError::NoSuchProcess(p)) => assert_eq!(p, target),
+                            other => panic!("trial {trial}: unexpected send outcome {other:?}"),
+                        }
+                        if was_gone {
+                            break; // one send verified after the reap
+                        }
+                    }
+                });
+            }
+            start.wait();
+            let exit = k.exit(target);
+            exited.store(true, Ordering::Release);
+            let queued = k.process_info(target).map(|info| info.mailbox_len);
+            let reap = k.reap(target);
+            // Release the senders before asserting, so a failure here
+            // fails the test instead of leaving them spinning.
+            gone.store(true, Ordering::Release);
+            assert_eq!((exit, reap), (Ok(()), Ok(())), "trial {trial}");
+            assert_eq!(queued, Ok(0), "trial {trial}: exit discards the mailbox for good");
+        });
+        assert_eq!(k.live_processes(), baseline, "trial {trial}");
+    }
+}
+
+// ---- 5. digest regressions ----
 
 #[test]
 fn serial_ledger_digest_identical_between_kernels() {
-    // Stronger than equal aggregates: the reference and sharded kernels
-    // must emit the *same event stream* (FNV digest over events, ring
-    // order and counters) when driven serially by the same schedule.
-    for seed in [1u64, 42, 1007, 20070824] {
-        let spec = ConcSpec { seed, threads: 4, ops_per_thread: 250, fault_rate: 0.08, shards: 16 };
-        let (ref_out, ref_digest) = run_reference_serial(&spec);
-        let (shard_out, shard_digest) = run_sharded_serial(&spec);
-        assert_eq!(ref_out, shard_out, "seed {seed}: serial outcomes diverged");
+    // Golden test. These are the `run_reference_serial` digests of the
+    // single-lock reference kernel, recorded at the last commit that
+    // carried it (92c06cb; EXPERIMENTS.md §P14). The surviving kernel
+    // must still emit the *same event stream* — FNV digest over events,
+    // ring order and counters — for the same schedules.
+    for (seed, golden) in [
+        (1u64, 0x1412_fa64_e623_bc8fu64),
+        (42, 0xdeb8_6c32_0fc3_e421),
+        (1007, 0x7233_f2a9_f12a_0eb9),
+        (20070824, 0x209d_7eaf_6af4_a31e),
+    ] {
+        let spec = ConcSpec { seed, threads: 4, ops_per_thread: 250, fault_rate: 0.08 };
+        let (_, digest) = run_serial(&spec);
         assert_eq!(
-            ref_digest, shard_digest,
-            "seed {seed}: ledger digest changed under sharding"
+            digest, golden,
+            "seed {seed}: serial ledger digest {digest:#018x} left the recorded reference stream"
         );
     }
 }
 
 #[test]
 fn chaos_outcome_digest_replays_on_sharded_kernel() {
-    // The platform now runs on the sharded kernel; the chaos harness's
-    // whole-run FNV digest must still be a pure function of its seeds.
+    // The platform runs on this kernel; the chaos harness's whole-run
+    // FNV digest must be a pure function of its seeds.
     let spec = ChaosSpec { seed: 22325, steps: 250, fault_rate: 0.08 };
     let first = run_chaos(&spec);
     let second = run_chaos(&spec);
-    assert_eq!(first, second, "ChaosOutcome must replay bit-identically on the sharded kernel");
+    assert_eq!(first, second, "ChaosOutcome must replay bit-identically");
     assert!(first.violations.is_empty(), "{:?}", first.violations);
     assert!(first.faults.total_injected() > 0, "storm never fired");
 }
@@ -333,10 +309,10 @@ fn chaos_outcome_digest_replays_on_sharded_kernel() {
 fn concurrent_outcome_independent_of_run_order() {
     // Same spec, run concurrently twice plus serially once: all equal.
     // Catches timing-dependence smuggled into the outcome type itself.
-    let spec = ConcSpec { seed: 1007, threads: 6, ops_per_thread: 180, fault_rate: 0.06, shards: 16 };
-    let a = run_sharded_concurrent(&spec);
-    let b = run_sharded_concurrent(&spec);
-    let (c, _) = run_sharded_serial(&spec);
+    let spec = ConcSpec { seed: 1007, threads: 6, ops_per_thread: 180, fault_rate: 0.06 };
+    let a = run_concurrent(&spec);
+    let b = run_concurrent(&spec);
+    let (c, _) = run_serial(&spec);
     assert_eq!(a, b, "two concurrent runs of one spec diverged");
     assert_eq!(a, c, "concurrent run diverged from serial replay");
 }

@@ -31,7 +31,7 @@ fn live_platform_workload_certifies_against_the_manifest() {
     let rec = Arc::new(lockdep::Recorder::new());
     let run = {
         let _scope = lockdep::scoped(Arc::clone(&rec));
-        let k = Kernel::with_shards(4, Arc::new(TagRegistry::new()));
+        let k = Kernel::new(Arc::new(TagRegistry::new()));
         let mk = |name: &str| {
             k.create_process(
                 name,

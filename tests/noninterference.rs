@@ -341,7 +341,7 @@ mod scan_cost {
 
 mod concurrent_kernel {
     //! The same noninterference discipline, exercised directly against
-    //! the sharded kernel under real thread interleavings.
+    //! the kernel under real thread interleavings.
     //!
     //! Seeding is `--test-threads`-independent: every outcome below is a
     //! pure function of the literal seeds — worker counts and schedules
@@ -351,12 +351,12 @@ mod concurrent_kernel {
     use std::sync::Arc;
     use w5_difc::{CapSet, Capability, Label, LabelPair, TagKind, TagRegistry};
     use w5_kernel::{Delivery, Kernel, ProcessId, ResourceLimits};
-    use w5_sim::concurrency::{run_reference_serial, run_sharded_concurrent, ConcSpec};
+    use w5_sim::concurrency::{run_concurrent, run_serial, ConcSpec};
 
     /// The platform-level invariant, restated for raw kernel IPC: a
     /// message from a tainted sender reaches an unlabeled receiver only
     /// if the sender holds the declassification privilege. Hammered from
-    /// many threads at once, the sharded kernel must never deliver one.
+    /// many threads at once, the kernel must never deliver one.
     #[test]
     fn tainted_sends_never_reach_public_sinks_under_contention() {
         let k = Kernel::new(Arc::new(TagRegistry::new()));
@@ -378,8 +378,8 @@ mod concurrent_kernel {
                 s.spawn(move || {
                     // Each worker owns one tainted source (no `e-`) and
                     // one public sink; the only cross-worker pressure is
-                    // shard-lock contention — which must not change a
-                    // single verdict.
+                    // contention on the process-table lock — which must
+                    // not change a single verdict.
                     let src = k.create_process(
                         &format!("src{t}"),
                         secret.clone(),
@@ -418,14 +418,14 @@ mod concurrent_kernel {
 
     /// The randomized differential workload's verdicts — which processes
     /// ended tainted, which declassifications were denied, which flows
-    /// were dropped — must match the single-lock serial oracle for fixed
-    /// seeds, however the OS schedules the workers.
+    /// were dropped — must match the serial oracle for fixed seeds,
+    /// however the OS schedules the workers.
     #[test]
     fn concurrent_verdicts_match_serial_oracle() {
         for seed in [20070824u64, 5, 77] {
-            let spec = ConcSpec { seed, threads: 4, ops_per_thread: 200, fault_rate: 0.04, shards: 16 };
-            let (oracle, _) = run_reference_serial(&spec);
-            let live = run_sharded_concurrent(&spec);
+            let spec = ConcSpec { seed, threads: 4, ops_per_thread: 200, fault_rate: 0.04 };
+            let (oracle, _) = run_serial(&spec);
+            let live = run_concurrent(&spec);
             assert_eq!(
                 oracle, live,
                 "seed {seed}: concurrent noninterference verdicts diverged from the oracle"
