@@ -4,9 +4,8 @@
 //! Every scenario drives one [`w5_net::Serve`] engine with a CPU-bound
 //! handler and measures an honest tenant's request latency:
 //!
-//! - **reference**: [`w5_net::InlineServe`] — the seed dispatch kept
-//!   verbatim: every client runs the handler on its own thread,
-//!   concurrency bounded only by connection count.
+//! - **reference**: the bare handler, unscheduled — every client runs it
+//!   on its own thread, concurrency bounded only by connection count.
 //! - **pipeline**: [`w5_net::Pipeline`] — two handler slots behind
 //!   bounded per-class queues, granted by deficit round-robin.
 //!
@@ -38,7 +37,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 use w5_net::{
-    Admission, ChargeDenied, ChargePoint, Handler, InlineServe, Pipeline, PipelineConfig,
+    Admission, ChargeDenied, ChargePoint, Handler, Pipeline, PipelineConfig,
     PrincipalClass, Request, Response, Serve,
 };
 use w5_obs::Histogram;
@@ -66,6 +65,13 @@ impl Handler for SpinHandler {
     fn handle(&self, request: Request, _peer: SocketAddr) -> Response {
         let work = if request.path.starts_with("/honest") { HONEST_ITERS } else { ROGUE_ITERS };
         Response::text(format!("{:x}", spin(work)))
+    }
+}
+
+/// The unscheduled arm: the handler with nothing in front of it.
+impl Serve for SpinHandler {
+    fn serve(&self, request: Request, peer: SocketAddr) -> Response {
+        self.handle(request, peer)
     }
 }
 
@@ -259,8 +265,8 @@ fn main() {
     let mut entries = Vec::new();
     let mut fairness = Vec::new();
 
-    // --- Reference: the seed dispatch, every connection its own thread.
-    let reference: Arc<dyn Serve> = Arc::new(InlineServe::new(Arc::new(SpinHandler)));
+    // --- Reference: no scheduler, every connection its own thread.
+    let reference: Arc<dyn Serve> = Arc::new(SpinHandler);
     let base = record(&mut entries, "reference honest_alone", window, run_workload(&reference, 0, window));
     let cont = record(
         &mut entries,
@@ -272,10 +278,10 @@ fn main() {
     println!("  {:<34} fairness ratio {ref_ratio:.2} (contrast only)\n", "reference");
     fairness.push(Fairness { name: "fairness_reference".into(), ratio: ref_ratio });
 
-    // --- Pipeline: two slots, one shard, quantum 1 — the rogue class
+    // --- Pipeline: two slots, quantum 1 — the rogue class
     // gets one cheap job per rotation, never every slot.
     let pipeline = Pipeline::start(
-        PipelineConfig { workers: 2, shards: 1, quantum: 1, ..PipelineConfig::default() },
+        PipelineConfig { workers: 2, quantum: 1, ..PipelineConfig::default() },
         Arc::new(SpinHandler),
         Arc::new(ClassByPath),
     );

@@ -38,9 +38,6 @@ struct BenchEntry {
     name: String,
     ns_per_op: f64,
     ops_per_sec: f64,
-    /// Rows the query logically covers per second (table size × query
-    /// rate) — the "how fast does the table feel" number for scans.
-    rows_per_sec: f64,
 }
 
 /// A reference-vs-partitioned pairing; `speedup` = ref ns / partitioned ns.
@@ -65,20 +62,14 @@ struct Harness {
 }
 
 impl Harness {
-    fn bench<F: FnMut()>(&mut self, name: &str, table_rows: usize, mut f: F) -> f64 {
+    fn bench<F: FnMut()>(&mut self, name: &str, mut f: F) -> f64 {
         let (iters, elapsed) = w5_bench::throughput(self.budget, &mut f);
         let ns = elapsed.as_nanos() as f64 / iters as f64;
-        let rows_per_sec = (iters * table_rows as u64) as f64 / elapsed.as_secs_f64();
-        println!(
-            "  {name:<34} {:>12}  {ns:>12.0} ns/query  {:>14} rows/s",
-            w5_bench::ops_per_sec(iters, elapsed),
-            w5_bench::ops_per_sec(iters * table_rows as u64, elapsed),
-        );
+        println!("  {name:<34} {:>12}  {ns:>12.0} ns/query", w5_bench::ops_per_sec(iters, elapsed));
         self.entries.push(BenchEntry {
             name: name.to_string(),
             ns_per_op: ns,
             ops_per_sec: iters as f64 / elapsed.as_secs_f64(),
-            rows_per_sec,
         });
         ns
     }
@@ -86,12 +77,11 @@ impl Harness {
     fn pair<FR: FnMut(), FP: FnMut()>(
         &mut self,
         name: &str,
-        table_rows: usize,
         reference: FR,
         partitioned: FP,
     ) {
-        let r = self.bench(&format!("{name} (reference)"), table_rows, reference);
-        let p = self.bench(&format!("{name} (partitioned)"), table_rows, partitioned);
+        let r = self.bench(&format!("{name} (reference)"), reference);
+        let p = self.bench(&format!("{name} (partitioned)"), partitioned);
         let speedup = r / p;
         println!("  {name:<34} speedup {speedup:.1}x");
         self.speedups.push(Speedup { name: name.to_string(), speedup });
@@ -218,7 +208,6 @@ fn main() {
         let (mut kr, mut kp) = (0usize, 0usize);
         h.pair(
             &format!("point_lookup_{rows}"),
-            rows,
             || {
                 let id = (kr * OWNERS) % rows;
                 kr += 1;
@@ -235,7 +224,6 @@ fn main() {
         // 99% other people's partitions. ---
         h.pair(
             &format!("label_skew_{rows}"),
-            rows,
             || {
                 select(&rdb, &owner0, "SELECT COUNT(*), SUM(v) FROM items");
             },
@@ -258,7 +246,6 @@ fn main() {
         };
         h.pair(
             &format!("range_scan_{rows}"),
-            rows,
             || {
                 select(&rpub, &public_reader, &range_sql(ar));
                 ar += 1;

@@ -1,8 +1,8 @@
 //! # w5-lockdep — lock-order certification for the W5 synchronization layer
 //!
 //! W5's locks span every layer from the accept thread to the ledger, and
-//! several classes are multi-instance (pipeline shards, intern stripes,
-//! registry meta/global, ledger rings) under a lower-index-first rule that
+//! several classes are multi-instance (intern stripes, registry
+//! meta/global, ledger rings) under a lower-index-first rule that
 //! nothing but review used to enforce. This crate makes the
 //! synchronization layer *checkable*, the way `w5lint` made the label
 //! configuration checkable:
@@ -137,7 +137,7 @@ impl Manifest {
                 class!("net.accept", 10, "HTTP server accept-thread join handle"),
                 class!("net.dns", 12, "DNS record table"),
                 class!("net.dns_thread", 13, "DNS refresher join handle"),
-                class!("net.pipeline", 14, "pipeline shard scheduler state — slots + DRR ticket queues (index = shard)"),
+                class!("net.pipeline", 14, "pipeline scheduler state — handler slots + DRR ticket queues"),
                 class!("platform.sessions", 20, "live session table"),
                 class!("platform.principals", 21, "principal name/id maps"),
                 class!("platform.appreg", 22, "app manifest + module registry"),

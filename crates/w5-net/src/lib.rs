@@ -19,9 +19,7 @@
 //!   handlers, and an [`Admission`] hook that charges kernel resource
 //!   containers at the socket boundary.
 //! * [`server`] — the TCP front end (accept loop, keep-alive, graceful
-//!   shutdown) over a pluggable [`Serve`] engine. [`Server`] runs the
-//!   pipeline; [`ReferenceServer`] keeps the seed's unscheduled
-//!   semantics as the differential-oracle baseline.
+//!   shutdown) over the [`Serve`] trait; [`Server`] runs the pipeline.
 //! * [`client`] — a blocking client used by the experiment harnesses and by
 //!   provider-to-provider federation.
 //!
@@ -55,8 +53,8 @@ pub use dns::{DnsServer, Zone};
 pub use cookie::{Cookie, SetCookie};
 pub use http::{HttpError, Method, Request, Response, Status};
 pub use pipeline::{
-    Admission, ChargeDenied, ChargePoint, InlineServe, OpenAdmission, Pipeline, PipelineConfig,
+    Admission, ChargeDenied, ChargePoint, OpenAdmission, Pipeline, PipelineConfig,
     PipelineSnapshot, PipelineStats, PrincipalClass, Serve,
 };
 pub use router::{allow_header, RouteMatch, RouteOutcome, Router};
-pub use server::{Handler, ReferenceServer, Server, ServerConfig, ServerHandle};
+pub use server::{Handler, Server, ServerConfig, ServerHandle};

@@ -13,9 +13,9 @@
 //! 2. **Charge (request)** — the same policy charges the request's bytes
 //!    against the principal's kernel resource container; a quota denial
 //!    becomes 429 with a fault-report body, before any queueing.
-//! 3. **Admit** — the class hashes to a shard holding a fixed number of
-//!    handler *slots*. A free slot with nobody waiting is taken at once;
-//!    otherwise the thread joins its class's bounded ticket queue. A full
+//! 3. **Admit** — one scheduler holds a fixed number of handler *slots*.
+//!    A free slot with nobody waiting is taken at once; otherwise the
+//!    thread joins its class's bounded ticket queue. A full
 //!    class queue (or a full class table) sheds with 503 + `Retry-After`
 //!    computed from that class's own depth — never from another
 //!    principal's, so queue occupancy is not a cross-principal covert
@@ -27,11 +27,11 @@
 //! 5. **Charge (response)** — response bytes are charged before the body
 //!    is released; a denial withholds the body and answers 429.
 //!
-//! The connection front end (accept loop, keep-alive, parsing) talks to
-//! either engine through the [`Serve`] trait: [`Pipeline`] here, or the
-//! seed's unscheduled semantics via [`InlineServe`]. `w5_sim::netdiff`
-//! proves the two engines request/response equivalent with a four-arm
-//! differential oracle.
+//! The connection front end (accept loop, keep-alive, parsing) reaches
+//! the engine through the [`Serve`] trait, so a harness can put the bare
+//! handler behind the same loop: `w5_sim::netdiff` proves the pipeline
+//! request/response equivalent to that with a four-arm differential
+//! oracle.
 
 use crate::http::{Request, Response, Status};
 use crate::server::Handler;
@@ -43,36 +43,15 @@ use std::sync::Arc;
 use std::time::Duration;
 use w5_sync::{lockdep, Mutex};
 
-/// A request-serving engine behind the connection front end. Implemented
-/// by [`Pipeline`] (staged, bounded) and [`InlineServe`] (the seed's
-/// call-the-handler semantics). Both run the handler on the calling
-/// thread.
+/// A request-serving engine behind the connection front end. [`Pipeline`]
+/// is the one this crate ships; oracles and benches implement it over a
+/// bare handler. The handler runs on the calling thread.
 pub trait Serve: Send + Sync + 'static {
     /// Serve one parsed request to completion.
     fn serve(&self, request: Request, peer: SocketAddr) -> Response;
     /// Stop taking new requests. Idempotent; the default is a no-op for
     /// engines with nothing to wind down.
     fn stop(&self) {}
-}
-
-/// The seed engine: call the handler and nothing else — no admission, no
-/// queue, no bound on concurrent handlers. Kept equivalent to the
-/// pre-pipeline server so the differential oracle has a reference arm.
-pub struct InlineServe {
-    handler: Arc<dyn Handler>,
-}
-
-impl InlineServe {
-    /// Wrap a handler.
-    pub fn new(handler: Arc<dyn Handler>) -> InlineServe {
-        InlineServe { handler }
-    }
-}
-
-impl Serve for InlineServe {
-    fn serve(&self, request: Request, peer: SocketAddr) -> Response {
-        self.handler.handle(request, peer)
-    }
 }
 
 /// The principal a request is billed to and queued under. Classes — not
@@ -97,22 +76,6 @@ impl PrincipalClass {
             PrincipalClass::App(key) => format!("app:{key}"),
         }
     }
-
-    fn shard(&self, shards: usize) -> usize {
-        (fnv64(self.key().as_bytes()) % shards as u64) as usize
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Where in the pipeline a charge lands.
@@ -162,7 +125,7 @@ pub trait Admission: Send + Sync + 'static {
 
 /// Everyone is anonymous-or-session by cookie, nothing is ever charged.
 /// This is the engine-equivalence configuration: with charging disabled
-/// the pipeline must be request/response identical to [`InlineServe`].
+/// the pipeline must be request/response identical to the bare handler.
 pub struct OpenAdmission;
 
 impl Admission for OpenAdmission {
@@ -186,20 +149,15 @@ impl Admission for OpenAdmission {
 /// Pipeline tuning knobs.
 #[derive(Clone)]
 pub struct PipelineConfig {
-    /// Total concurrent handler slots, split across shards (named for
-    /// `W5_NET_WORKERS`; no threads are created).
+    /// Concurrent handler slots (no threads are created).
     pub workers: usize,
-    /// Lock stripes over the class queues (each with its own slots).
-    pub shards: usize,
     /// Maximum queued requests per principal class; excess sheds with 503.
     pub queue_depth: usize,
-    /// Maximum live classes per shard; new classes beyond this shed.
+    /// Maximum live (queued) classes; new classes beyond this shed.
     pub max_classes: usize,
     /// Deficit round-robin quantum: consecutive requests one class may
     /// take before the scheduler rotates.
     pub quantum: u64,
-    /// Minimum `Retry-After` seconds on a shed.
-    pub retry_after_floor: u64,
     /// How long a queued request waits for a handler slot before its
     /// connection thread answers 503 instead. Bounds the wait only: once
     /// the handler has started it runs to completion.
@@ -216,11 +174,9 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             workers: 8,
-            shards: 2,
             queue_depth: 64,
             max_classes: 64,
             quantum: 4,
-            retry_after_floor: 1,
             response_timeout: Duration::from_secs(30),
             chaos: None,
         }
@@ -231,37 +187,17 @@ impl std::fmt::Debug for PipelineConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PipelineConfig")
             .field("workers", &self.workers)
-            .field("shards", &self.shards)
             .field("queue_depth", &self.queue_depth)
             .field("max_classes", &self.max_classes)
             .field("quantum", &self.quantum)
-            .field("retry_after_floor", &self.retry_after_floor)
             .field("response_timeout", &self.response_timeout)
             .field("chaos", &self.chaos.is_some())
             .finish()
     }
 }
 
-impl PipelineConfig {
-    /// Defaults overridden by `W5_NET_WORKERS`, `W5_NET_SHARDS`,
-    /// `W5_NET_QUEUE_DEPTH` (documented in the README's tuning table).
-    pub fn from_env() -> PipelineConfig {
-        fn env_usize(name: &str) -> Option<usize> {
-            std::env::var(name).ok()?.trim().parse().ok()
-        }
-        let mut c = PipelineConfig::default();
-        if let Some(v) = env_usize("W5_NET_WORKERS") {
-            c.workers = v.max(1);
-        }
-        if let Some(v) = env_usize("W5_NET_SHARDS") {
-            c.shards = v.max(1);
-        }
-        if let Some(v) = env_usize("W5_NET_QUEUE_DEPTH") {
-            c.queue_depth = v.max(1);
-        }
-        c
-    }
-}
+/// Minimum `Retry-After` seconds on a shed.
+const RETRY_AFTER_FLOOR: u64 = 1;
 
 /// Counters for shed/charge decisions; cheap enough to keep always-on.
 #[derive(Debug, Default)]
@@ -309,9 +245,9 @@ impl PipelineStats {
 /// One queued request: its connection thread, parked on the receiving
 /// end of a capacity-1 grant channel.
 struct Ticket {
-    /// Shard-unique, so a waiter that times out can find its own ticket.
+    /// Unique, so a waiter that times out can find its own ticket.
     id: u64,
-    /// Sending the shard's occupancy here hands the waiter a slot.
+    /// Sending the slot occupancy here hands the waiter a slot.
     grant: SyncSender<usize>,
 }
 
@@ -321,8 +257,9 @@ struct ClassQueue {
     deficit: u64,
 }
 
-/// Scheduler state for one shard, under one `net.pipeline` lock stripe.
-struct ShardState {
+/// The scheduler's state, under the one `net.pipeline` lock.
+#[derive(Default)]
+struct SchedState {
     queues: BTreeMap<String, ClassQueue>,
     /// Round-robin order over live class keys (each key appears once).
     order: VecDeque<String>,
@@ -333,14 +270,7 @@ struct ShardState {
     next_ticket_id: u64,
 }
 
-struct Shard {
-    state: Mutex<ShardState>,
-    slots: usize,
-    /// The pipeline's DRR quantum, here so a slot can grant itself on.
-    quantum: u64,
-}
-
-/// How admission placed a request, decided under the shard lock.
+/// How admission placed a request, decided under the scheduler lock.
 enum Placement {
     /// A slot was free and nobody was waiting; carries the occupancy.
     Run(usize),
@@ -352,15 +282,15 @@ enum Placement {
 
 /// A held handler slot. Dropping it frees the slot and grants it on, so
 /// a panic anywhere on the submitting thread cannot leak one.
-struct Slot<'a>(&'a Shard);
+struct Slot<'a>(&'a Pipeline);
 
 impl Drop for Slot<'_> {
     fn drop(&mut self) {
-        let shard = self.0;
-        let mut st = shard.state.lock();
+        let config = &self.0.config;
+        let mut st = self.0.state.lock();
         st.running -= 1;
-        while st.running < shard.slots {
-            let Some(ticket) = next_ticket(&mut st, shard.quantum) else { break };
+        while st.running < config.workers {
+            let Some(ticket) = next_ticket(&mut st, config.quantum) else { break };
             // A waiter keeps its receiver until it has looked for its
             // ticket under this lock, so the send lands; were it gone,
             // the slot simply stays free for the next ticket.
@@ -372,7 +302,7 @@ impl Drop for Slot<'_> {
 }
 
 /// The staged engine: admission, bounded per-class queues, and a fixed
-/// number of handler slots per shard handed out by deficit round-robin.
+/// number of handler slots handed out by deficit round-robin.
 /// It owns no threads — every stage runs on the thread that calls
 /// [`Pipeline::submit`]. Construct with [`Pipeline::start`]; it implements
 /// [`Serve`] so the TCP front end (or a test harness) can drive it.
@@ -380,7 +310,7 @@ pub struct Pipeline {
     config: PipelineConfig,
     handler: Arc<dyn Handler>,
     admission: Arc<dyn Admission>,
-    shards: Vec<Shard>,
+    state: Mutex<SchedState>,
     stopped: AtomicBool,
     /// Shed/charge counters.
     pub stats: PipelineStats,
@@ -397,37 +327,15 @@ impl Pipeline {
     ) -> Arc<Pipeline> {
         let mut config = config;
         config.workers = config.workers.max(1);
-        config.shards = config.shards.clamp(1, config.workers);
         config.quantum = config.quantum.max(1);
         config.queue_depth = config.queue_depth.max(1);
         config.max_classes = config.max_classes.max(1);
-
-        let shards = (0..config.shards)
-            .map(|s| Shard {
-                state: Mutex::with_index(
-                    "net.pipeline",
-                    s as u32,
-                    ShardState {
-                        queues: BTreeMap::new(),
-                        order: VecDeque::new(),
-                        depth: 0,
-                        running: 0,
-                        next_ticket_id: 0,
-                    },
-                ),
-                // Split slots evenly; the first (workers % shards) shards
-                // take the remainder.
-                slots: config.workers / config.shards
-                    + usize::from(s < config.workers % config.shards),
-                quantum: config.quantum,
-            })
-            .collect();
 
         Arc::new(Pipeline {
             config,
             handler,
             admission,
-            shards,
+            state: Mutex::new("net.pipeline", SchedState::default()),
             stopped: AtomicBool::new(false),
             stats: PipelineStats::default(),
         })
@@ -438,7 +346,7 @@ impl Pipeline {
     /// request waits for a slot, for at most `response_timeout`.
     pub fn submit(&self, request: Request, peer: SocketAddr) -> Response {
         if self.stopped.load(Ordering::SeqCst) {
-            return shed_response("shutting down", self.config.retry_after_floor);
+            return shed_response("shutting down", RETRY_AFTER_FLOOR);
         }
         let class = self.admission.classify(&request, peer);
         let label = self.admission.telemetry_label(&class);
@@ -450,8 +358,7 @@ impl Pipeline {
             return quota_response(&class, &denied);
         }
 
-        let shard_ix = class.shard(self.shards.len());
-        let shard = &self.shards[shard_ix];
+        let slots = self.config.workers;
         let forced_full = self
             .config
             .chaos
@@ -460,13 +367,13 @@ impl Pipeline {
             .unwrap_or(false);
         let key = class.key();
         let placement = {
-            let mut st = shard.state.lock();
+            let mut st = self.state.lock();
             let depth = st.queues.get(&key).map(|q| q.tickets.len()).unwrap_or(0);
             let table_full =
                 !st.queues.contains_key(&key) && st.queues.len() >= self.config.max_classes;
             if forced_full || depth >= self.config.queue_depth || table_full {
                 Placement::Shed(depth)
-            } else if st.depth == 0 && st.running < shard.slots {
+            } else if st.depth == 0 && st.running < slots {
                 st.running += 1;
                 Placement::Run(st.running)
             } else {
@@ -475,8 +382,11 @@ impl Pipeline {
                 st.next_ticket_id += 1;
                 if !st.queues.contains_key(&key) {
                     st.order.push_back(key.clone());
-                    st.queues
-                        .insert(key.clone(), ClassQueue { tickets: VecDeque::new(), deficit: 0 });
+                    // A class enters holding its quantum: entering empty
+                    // would send it to the back once more on its first
+                    // visit, behind the flooder it was already waiting on.
+                    let deficit = self.config.quantum;
+                    st.queues.insert(key.clone(), ClassQueue { tickets: VecDeque::new(), deficit });
                 }
                 st.depth += 1;
                 let q = st.queues.get_mut(&key).expect("just inserted");
@@ -487,16 +397,15 @@ impl Pipeline {
 
         let busy = match placement {
             Placement::Shed(depth) => {
-                // Retry-After derives from THIS class's depth and static
-                // slot geometry only — another principal's queue must not
-                // modulate it (see tests/noninterference.rs).
-                let retry = self.retry_after(depth, shard.slots);
+                // Retry-After derives from THIS class's depth and the
+                // static slot count only — another principal's queue must
+                // not modulate it (see tests/noninterference.rs).
+                let retry = RETRY_AFTER_FLOOR + (depth / slots) as u64;
                 self.stats.shed.fetch_add(1, Ordering::Relaxed);
                 w5_obs::record(
                     &label,
                     w5_obs::EventKind::QueueShed {
                         class: key,
-                        shard: shard_ix as u64,
                         depth: depth as u64,
                         retry_after: retry,
                     },
@@ -504,11 +413,11 @@ impl Pipeline {
                 return shed_response("class queue full: request shed", retry);
             }
             Placement::Run(busy) => {
-                self.note_admit(&label, key, shard_ix, 0);
+                self.note_admit(&label, key, 0);
                 busy
             }
             Placement::Wait { id, granted, depth } => {
-                self.note_admit(&label, key.clone(), shard_ix, depth);
+                self.note_admit(&label, key.clone(), depth);
                 lockdep::blocking("net.pipeline.await_slot");
                 match granted.recv_timeout(self.config.response_timeout) {
                     Ok(busy) => busy,
@@ -516,27 +425,20 @@ impl Pipeline {
                         // Leave the queue so the handler never runs for a
                         // client that was told 503. If a grant raced the
                         // timeout in, the slot is ours: hand it straight on.
-                        let withdrawn = withdraw(&mut shard.state.lock(), &key, id);
+                        let withdrawn = withdraw(&mut self.state.lock(), &key, id);
                         if !withdrawn {
-                            drop(Slot(shard));
+                            drop(Slot(self));
                         }
-                        return shed_response(
-                            "request timed out in pipeline",
-                            self.config.retry_after_floor,
-                        );
+                        return shed_response("request timed out in pipeline", RETRY_AFTER_FLOOR);
                     }
                 }
             }
         };
 
-        let _slot = Slot(shard);
+        let _slot = Slot(self);
         w5_obs::record(
             &w5_obs::ObsLabel::empty(),
-            w5_obs::EventKind::WorkerOccupancy {
-                shard: shard_ix as u64,
-                busy: busy as u64,
-                workers: shard.slots as u64,
-            },
+            w5_obs::EventKind::WorkerOccupancy { busy: busy as u64, workers: slots as u64 },
         );
         if let Some(chaos) = &self.config.chaos {
             if chaos.roll(w5_chaos::Site::NetSlowWorker).is_some() {
@@ -569,27 +471,20 @@ impl Pipeline {
         }
     }
 
-    fn note_admit(&self, label: &w5_obs::ObsLabel, class: String, shard_ix: usize, depth: usize) {
+    fn note_admit(&self, label: &w5_obs::ObsLabel, class: String, depth: usize) {
         self.stats.admitted.fetch_add(1, Ordering::Relaxed);
-        w5_obs::record(
-            label,
-            w5_obs::EventKind::QueueAdmit { class, shard: shard_ix as u64, depth: depth as u64 },
-        );
+        w5_obs::record(label, w5_obs::EventKind::QueueAdmit { class, depth: depth as u64 });
     }
 
-    fn retry_after(&self, class_depth: usize, shard_slots: usize) -> u64 {
-        self.config.retry_after_floor + (class_depth / shard_slots.max(1)) as u64
-    }
-
-    /// Total queued (not yet executing) requests, summed over shards.
-    /// Trusted-observer gauge for tests and benches.
+    /// Total queued (not yet executing) requests. Trusted-observer gauge
+    /// for tests and benches.
     pub fn queue_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.state.lock().depth).sum()
+        self.state.lock().depth
     }
 
-    /// Handler slots currently taken, summed over shards.
+    /// Handler slots currently taken.
     pub fn busy_workers(&self) -> usize {
-        self.shards.iter().map(|s| s.state.lock().running).sum()
+        self.state.lock().running
     }
 
     /// Refuse new requests with 503. Requests already queued keep their
@@ -615,7 +510,7 @@ impl Serve for Pipeline {
 /// (batch service up to `quantum`), an exhausted class is refreshed and
 /// rotated to the back, a drained class is removed entirely (the class
 /// table only holds live classes).
-fn next_ticket(st: &mut ShardState, quantum: u64) -> Option<Ticket> {
+fn next_ticket(st: &mut SchedState, quantum: u64) -> Option<Ticket> {
     while let Some(key) = st.order.pop_front() {
         let Some(q) = st.queues.get_mut(&key) else { continue };
         if q.tickets.is_empty() {
@@ -643,7 +538,7 @@ fn next_ticket(st: &mut ShardState, quantum: u64) -> Option<Ticket> {
 
 /// Take ticket `id` back out of class `key`'s queue. `false` means it is
 /// no longer queued: a grant already popped it.
-fn withdraw(st: &mut ShardState, key: &str, id: u64) -> bool {
+fn withdraw(st: &mut SchedState, key: &str, id: u64) -> bool {
     let Some(q) = st.queues.get_mut(key) else { return false };
     let Some(pos) = q.tickets.iter().position(|t| t.id == id) else { return false };
     q.tickets.remove(pos);
@@ -726,7 +621,6 @@ mod tests {
         let p = Pipeline::start(
             PipelineConfig {
                 workers: 1,
-                shards: 1,
                 queue_depth: 2,
                 response_timeout: Duration::from_secs(10),
                 ..PipelineConfig::default()
@@ -791,7 +685,6 @@ mod tests {
         let p = Pipeline::start(
             PipelineConfig {
                 workers: 1,
-                shards: 1,
                 quantum: 2,
                 queue_depth: 64,
                 response_timeout: Duration::from_secs(10),
@@ -853,6 +746,70 @@ mod tests {
             "DRR failed to interleave: B served at position {b_pos} in {served:?}"
         );
         p.stop();
+    }
+
+    /// One slot; class A floods and is one grant into its quantum when a
+    /// single B request queues. Returns how many more A requests are
+    /// granted the slot before B is.
+    fn flooder_grants_before_newcomer(quantum: u64) -> usize {
+        let (tx, rx) = mpsc::channel::<()>();
+        let rx = Mutex::new("test.fixture", rx);
+        let started = Arc::new(Mutex::new("test.fixture", Vec::<String>::new()));
+        let started_h = Arc::clone(&started);
+        let p = Pipeline::start(
+            PipelineConfig { workers: 1, quantum, ..PipelineConfig::default() },
+            Arc::new(move |r: Request, _| {
+                started_h.lock().push(r.path.clone());
+                let _ = rx.lock().recv();
+                Response::text("ok")
+            }),
+            Arc::new(TestAdmission),
+        );
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            for _ in 0..2000 {
+                if done() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            panic!("timed out waiting for {what}");
+        };
+        let submit = |path: String| {
+            let p = Arc::clone(&p);
+            std::thread::spawn(move || p.submit(req(&path), peer()))
+        };
+        let mut threads = vec![submit("/warm".into())];
+        wait_for("the warm-up to take the slot", &|| p.busy_workers() == 1);
+        for i in 0..8 {
+            threads.push(submit(format!("/a/{i}")));
+            wait_for("an A request to queue", &|| p.queue_depth() == i + 1);
+        }
+        // Let the warm-up finish: /a/0 is granted and parks in the handler,
+        // so A is mid-quantum when B arrives.
+        tx.send(()).unwrap();
+        wait_for("/a/0 to start", &|| started.lock().len() == 2);
+        threads.push(submit("/b/0".into()));
+        wait_for("B to queue", &|| p.queue_depth() == 8);
+        for _ in 0..9 {
+            tx.send(()).unwrap();
+        }
+        for t in threads {
+            assert_eq!(t.join().unwrap().status, Status::OK);
+        }
+        let started = started.lock();
+        assert_eq!(started[..2], ["/warm", "/a/0"]);
+        started.iter().position(|s| s == "/b/0").expect("B was served") - 2
+    }
+
+    #[test]
+    fn newly_queued_class_waits_at_most_one_quantum_of_a_flooder() {
+        for quantum in [1, 3] {
+            let ahead = flooder_grants_before_newcomer(quantum);
+            assert!(
+                ahead as u64 <= quantum,
+                "quantum {quantum}: {ahead} flooder grants between B's enqueue and B's grant"
+            );
+        }
     }
 
     /// Classifies by first path segment so tests control class placement.
@@ -958,7 +915,7 @@ mod tests {
     #[test]
     fn worker_survives_handler_panic_and_serves_next_request() {
         let p = Pipeline::start(
-            PipelineConfig { workers: 1, shards: 1, ..PipelineConfig::default() },
+            PipelineConfig { workers: 1, ..PipelineConfig::default() },
             Arc::new(|r: Request, _| {
                 if r.path == "/boom" {
                     panic!("handler exploded");
@@ -981,7 +938,7 @@ mod tests {
     #[test]
     fn class_table_bound_sheds_new_classes_only() {
         let p = Pipeline::start(
-            PipelineConfig { workers: 1, shards: 1, max_classes: 2, ..PipelineConfig::default() },
+            PipelineConfig { workers: 1, max_classes: 2, ..PipelineConfig::default() },
             Arc::new(|_r: Request, _| Response::text("ok")),
             Arc::new(TestAdmission),
         );
@@ -1008,7 +965,6 @@ mod tests {
         let p = Pipeline::start(
             PipelineConfig {
                 workers: 1,
-                shards: 1,
                 response_timeout: Duration::from_millis(50),
                 ..PipelineConfig::default()
             },
@@ -1061,7 +1017,7 @@ mod tests {
         let peak = Arc::new(AtomicUsize::new(0));
         let (running_h, peak_h) = (Arc::clone(&running), Arc::clone(&peak));
         let p = Pipeline::start(
-            PipelineConfig { workers: 3, shards: 1, ..PipelineConfig::default() },
+            PipelineConfig { workers: 3, ..PipelineConfig::default() },
             Arc::new(move |_r: Request, _| {
                 let now = running_h.fetch_add(1, Ordering::SeqCst) + 1;
                 peak_h.fetch_max(now, Ordering::SeqCst);
@@ -1105,7 +1061,7 @@ mod tests {
         let (tx, rx) = mpsc::channel::<()>();
         let rx = Mutex::new("test.fixture", rx);
         let p = Pipeline::start(
-            PipelineConfig { workers: 1, shards: 1, ..PipelineConfig::default() },
+            PipelineConfig { workers: 1, ..PipelineConfig::default() },
             Arc::new(move |_r: Request, _| {
                 let _ = rx.lock().recv();
                 Response::text("ok")
@@ -1152,13 +1108,5 @@ mod tests {
         assert!(resp.header("retry-after").is_some());
         assert_eq!(p.stats.snapshot().shed, 1);
         p.stop();
-    }
-
-    #[test]
-    fn from_env_defaults_are_sane() {
-        let c = PipelineConfig::from_env();
-        assert!(c.workers >= 1);
-        assert!(c.shards >= 1);
-        assert!(c.queue_depth >= 1);
     }
 }

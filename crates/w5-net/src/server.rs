@@ -1,16 +1,14 @@
 //! Threaded HTTP front end with keep-alive and graceful shutdown.
 //!
 //! One OS thread per connection parses, runs the request through a
-//! pluggable [`Serve`] engine, and answers with one socket write. [`Server`]
-//! runs the staged [`Pipeline`](crate::pipeline::Pipeline) (admission,
-//! per-class queues, a bound on concurrent handlers); [`ReferenceServer`]
-//! calls the handler with none of that, as the baseline arm of
-//! `w5_sim::netdiff`'s differential oracle. Shutdown flips an atomic flag
+//! [`Serve`] engine, and answers with one socket write. [`Server`] runs the
+//! staged [`Pipeline`](crate::pipeline::Pipeline) (admission, per-class
+//! queues, a bound on concurrent handlers). Shutdown flips an atomic flag
 //! and unblocks the accept loop by connecting to itself — no busy-wait, no
 //! platform-specific listener tricks.
 
 use crate::http::{buf_reader, write_once, HttpError, Limits, Request, Response, Status};
-use crate::pipeline::{fault_line, InlineServe, OpenAdmission, Pipeline, PipelineConfig, Serve};
+use crate::pipeline::{fault_line, OpenAdmission, Pipeline, PipelineConfig, Serve};
 use w5_sync::{lockdep, Mutex};
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -108,24 +106,23 @@ impl ServerHandle {
     }
 }
 
-/// The server factory. [`Server::start`] serves through the staged
-/// pipeline; use [`ReferenceServer::start`] for the seed's
-/// handler-on-the-connection-thread semantics, or
-/// [`Server::start_engine`] to supply a custom engine (e.g. a pipeline
-/// with kernel-backed admission).
+/// The server factory. [`Server::start`] serves through a default
+/// pipeline; [`Server::start_engine`] takes one built by the caller (other
+/// tuning, kernel-backed admission).
 pub struct Server;
 
 impl Server {
     /// Bind and serve on a background thread through a
-    /// [`Pipeline`](crate::pipeline::Pipeline) configured from the
-    /// environment (`W5_NET_WORKERS` etc.). `addr` may use port 0 to let
-    /// the OS pick; read the effective address from the returned handle.
+    /// [`Pipeline`](crate::pipeline::Pipeline) with the default
+    /// [`PipelineConfig`] and classify-only admission. `addr` may use port
+    /// 0 to let the OS pick; read the effective address from the returned
+    /// handle.
     pub fn start(
         addr: &str,
         config: ServerConfig,
         handler: Arc<dyn Handler>,
     ) -> std::io::Result<ServerHandle> {
-        let engine = Pipeline::start(PipelineConfig::from_env(), handler, Arc::new(OpenAdmission));
+        let engine = Pipeline::start(PipelineConfig::default(), handler, Arc::new(OpenAdmission));
         Server::start_engine(addr, config, engine)
     }
 
@@ -186,23 +183,6 @@ impl Server {
             served,
             engine,
         })
-    }
-}
-
-/// The seed server, preserved behind the [`Serve`] trait: the handler
-/// runs on the connection thread with no admission, queueing or bound on
-/// concurrent handlers. Baseline arm of the netdiff oracle and of the
-/// fairness benchmark (`bench_net_json`).
-pub struct ReferenceServer;
-
-impl ReferenceServer {
-    /// Bind and serve with thread-per-connection handler execution.
-    pub fn start(
-        addr: &str,
-        config: ServerConfig,
-        handler: Arc<dyn Handler>,
-    ) -> std::io::Result<ServerHandle> {
-        Server::start_engine(addr, config, Arc::new(InlineServe::new(handler)))
     }
 }
 
@@ -624,17 +604,23 @@ mod tests {
     #[test]
     fn reference_server_releases_slot_when_handler_panics() {
         use std::io::Read;
-        let h =
-            ReferenceServer::start("127.0.0.1:0", ServerConfig::default(), panicky_handler())
-                .unwrap();
-        // Seed semantics: the panic unwinds the connection thread, so the
-        // client sees EOF with no response…
+        /// An engine with no `catch_unwind` of its own.
+        struct Bare(Arc<dyn Handler>);
+        impl Serve for Bare {
+            fn serve(&self, request: Request, peer: SocketAddr) -> Response {
+                self.0.handle(request, peer)
+            }
+        }
+        let engine = Arc::new(Bare(panicky_handler()));
+        let h = Server::start_engine("127.0.0.1:0", ServerConfig::default(), engine).unwrap();
+        // The panic unwinds the connection thread, so the client sees EOF
+        // with no response…
         let mut s = TcpStream::connect(h.addr()).unwrap();
         s.write_all(b"GET /boom HTTP/1.1\r\n\r\n").unwrap();
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         let mut buf = Vec::new();
         let _ = s.read_to_end(&mut buf);
-        assert!(buf.is_empty(), "reference engine should not answer a panicked request");
+        assert!(buf.is_empty(), "an unwinding engine should not answer a panicked request");
         // …but the ConnGuard still releases the slot, so the active count
         // returns to zero and the next request is admitted.
         for _ in 0..2000 {
@@ -646,25 +632,6 @@ mod tests {
         assert_eq!(h.active_connections(), 0, "panicked connection leaked its slot");
         let resp = HttpClient::new().get(h.addr(), "/ok").unwrap();
         assert_eq!(resp.status, Status::OK);
-        h.shutdown();
-    }
-
-    #[test]
-    fn reference_server_matches_seed_semantics_for_normal_traffic() {
-        let h = ReferenceServer::start(
-            "127.0.0.1:0",
-            ServerConfig::default(),
-            Arc::new(|req: Request, _peer: SocketAddr| {
-                Response::text(format!("{} {}", req.method, req.path))
-            }),
-        )
-        .unwrap();
-        let mut conn = HttpClient::new().connect(h.addr()).unwrap();
-        for i in 0..3 {
-            let resp = conn.request(&Request::get(&format!("/r{i}"))).unwrap();
-            assert_eq!(resp.body_string(), format!("GET /r{i}"));
-        }
-        assert_eq!(h.requests_served(), 3);
         h.shutdown();
     }
 

@@ -184,8 +184,6 @@ pub enum EventKind {
     QueueAdmit {
         /// Principal-class key (`"anon"`, `"session:<user>"`, `"app:<key>"`).
         class: String,
-        /// The pipeline shard the class hashes to.
-        shard: u64,
         /// The class queue depth after this admit (0: took a free slot).
         depth: u64,
     },
@@ -195,21 +193,17 @@ pub enum EventKind {
     QueueShed {
         /// Principal-class key.
         class: String,
-        /// The pipeline shard the class hashes to.
-        shard: u64,
         /// The class queue depth that triggered the shed.
         depth: u64,
         /// The `Retry-After` seconds sent, computed from `depth` only.
         retry_after: u64,
     },
     /// Handler-slot occupancy sampled when a request is given its slot
-    /// (slots taken out of the shard's total).
+    /// (slots taken out of the pipeline's total).
     WorkerOccupancy {
-        /// The shard sampled.
-        shard: u64,
         /// Slots taken, including the sampling request's.
         busy: u64,
-        /// Slots in the shard.
+        /// Slots in the pipeline.
         workers: u64,
     },
     // ---- store ----

@@ -87,13 +87,15 @@ impl Histogram {
         }
     }
 
-    /// Approximate percentile (0.0..=1.0), as the lower bound of the
-    /// containing bucket.
+    /// Approximate percentile, as the lower bound of the containing
+    /// bucket. `p` is a fraction in `0.0..=1.0`, not a percentage: 99.0
+    /// would read as the max, so debug builds refuse an out-of-range `p`.
     pub fn percentile_ns(&self, p: f64) -> u64 {
+        debug_assert!((0.0..=1.0).contains(&p), "percentile_ns takes a fraction, got {p}");
         if self.total == 0 {
             return 0;
         }
-        let rank = ((p.clamp(0.0, 1.0)) * self.total as f64).ceil().max(1.0) as u64;
+        let rank = (p * self.total as f64).ceil().max(1.0) as u64;
         let mut seen = 0;
         for (b, &c) in self.counts.iter().enumerate() {
             seen += c;
@@ -246,6 +248,13 @@ mod tests {
         assert_eq!(h.mean_ns(), 0.0);
         assert_eq!(h.percentile_ns(0.99), 0);
         assert_eq!(h.min_ns(), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "takes a fraction")]
+    fn percentage_instead_of_fraction_is_refused() {
+        Histogram::new().percentile_ns(99.0);
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //!   [`w5_chaos::Injector`] (injector scopes are thread-local), so the
 //!   fault stream each op sequence experiences is a pure function of
 //!   `(seed, thread)` — identical between the concurrent run and the
-//!   serial replay.
+//!   serial replay. Both are driven by `crate::drive`, which all three
+//!   oracles share.
 //! * **Pre-created tags** — all tags are created in single-threaded
 //!   setup, so the shared [`w5_difc::TagRegistry`] allocates identical
 //!   tag ids in both arms.
@@ -51,7 +52,6 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::thread;
 use w5_difc::{CapSet, Capability, Label, LabelPair, Privilege, Tag, TagKind, TagRegistry};
 use w5_kernel::{Kernel, KernelStats, ProcessId, ResourceLimits, SpawnSpec};
 use w5_obs::Ledger;
@@ -348,50 +348,10 @@ fn run(spec: &ConcSpec, concurrent: bool) -> (ConcOutcome, u64) {
     let injectors: Vec<Arc<w5_chaos::Injector>> =
         (0..spec.threads).map(|t| injector_for(spec, t)).collect();
 
-    let faults: Vec<w5_chaos::ChaosReport> = if concurrent {
-        // Scoped ledgers are thread-local: capture this run's ledger and
-        // re-install it inside every worker so their syscalls record here,
-        // not into the process-global ledger.
-        let handoff = w5_obs::current_scoped().expect("scoped ledger installed above");
-        let lock_handoff = lockdep::current_scoped().expect("scoped recorder installed above");
-        thread::scope(|s| {
-            let handles: Vec<_> = ctxs
-                .iter_mut()
-                .zip(op_lists.iter())
-                .zip(injectors.iter())
-                .map(|((ctx, ops), inj)| {
-                    let k = k.clone();
-                    let handoff = Arc::clone(&handoff);
-                    let lock_handoff = Arc::clone(&lock_handoff);
-                    let inj = Arc::clone(inj);
-                    s.spawn(move || {
-                        let _obs = w5_obs::scoped(handoff);
-                        let _lockdep = lockdep::scoped(lock_handoff);
-                        let _chaos = w5_chaos::with_injector(Arc::clone(&inj));
-                        apply_ops(&k, ctx, ops);
-                        inj.report()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        })
-    } else {
-        ctxs.iter_mut()
-            .zip(op_lists.iter())
-            .zip(injectors.iter())
-            .map(|((ctx, ops), inj)| {
-                // Fresh injector scope per thread segment: the fault
-                // stream each sequence sees matches what its dedicated
-                // thread saw in the concurrent run.
-                let _chaos = w5_chaos::with_injector(Arc::clone(inj));
-                apply_ops(&k, ctx, ops);
-                inj.report()
-            })
-            .collect()
-    };
+    let faults = crate::drive::drive(&mut ctxs, &injectors, concurrent, |t, ctx| {
+        apply_ops(&k, ctx, &op_lists[t]);
+        injectors[t].report()
+    });
 
     let outcome = collect(&k, &ledger, &ctxs, faults);
     recorder.note("harness", "concurrency");

@@ -24,6 +24,7 @@ pub mod chaos;
 pub mod concurrency;
 pub mod depgraph;
 pub mod differential;
+mod drive;
 pub mod lockgate;
 pub mod netdiff;
 pub mod population;

@@ -1,12 +1,12 @@
-//! Lock-order gate shared by the concurrency and store harnesses.
+//! Lock-order gate shared by the kernel, store and net harnesses.
 //!
 //! Each harness run installs a scoped [`w5_sync::lockdep::Recorder`] and
-//! hands it into every worker thread (exactly like the scoped ledger and
-//! chaos injectors), so the run leaves behind an order graph of every
-//! classed-lock acquisition it performed. [`enforce`] then replays that
-//! graph through `w5-lockdep` against the workspace manifest and panics
-//! if any finding reaches the deny threshold — a deadlock hazard observed
-//! under test is a test failure, not a log line.
+//! `crate::drive` carries it into every worker thread (with the scoped
+//! ledger and the chaos injectors), so the run leaves behind an order
+//! graph of every classed-lock acquisition it performed. [`enforce`] then
+//! replays that graph through `w5-lockdep` against the workspace manifest
+//! and panics if any finding reaches the deny threshold — a deadlock
+//! hazard observed under test is a test failure, not a log line.
 //!
 //! The threshold comes from `W5_LOCKDEP_DENY` (`info` | `warning` |
 //! `error`, default `error`); set it to `off` to record without gating.

@@ -1,18 +1,20 @@
 //! Differential request-path oracle for the staged net pipeline.
 //!
 //! The staged pipeline ([`w5_net::Pipeline`]) claims to preserve, response
-//! by response, the behavior of the seed's thread-per-connection dispatch
-//! (kept verbatim as [`w5_net::InlineServe`] behind the [`w5_net::Serve`]
-//! trait) — while adding bounded per-class queues, deficit-round-robin
-//! fairness and admission control in front of the handler. This module
-//! checks that claim the way the kernel and store oracles do: replay the
-//! *same seeded request schedule* through both engines — under real OS
-//! threads and serially — and compare everything an HTTP client could
-//! see: status codes, bodies, and the platform's retained fault log.
+//! by response, the behavior of calling the handler directly — while
+//! adding bounded per-class queues, deficit-round-robin fairness and
+//! admission control in front of it. The reference arm is exactly that
+//! claim's other side: the bare [`w5_net::Handler`] behind a five-line
+//! [`w5_net::Serve`] impl (`BareHandler`). This module checks the claim
+//! the way the kernel and store oracles do: replay the *same seeded
+//! request schedule* through both — under real OS threads and serially,
+//! by the shared driver in `crate::drive` — and compare everything an
+//! HTTP client could see: status codes, bodies, and the platform's
+//! retained fault log.
 //!
 //! What is deliberately **excluded** from the comparison is the queue
 //! metadata the pipeline emits into the obs ledger (`QueueAdmit`,
-//! `QueueShed`, `WorkerOccupancy`): the reference engine has no queues,
+//! `QueueShed`, `WorkerOccupancy`): the bare handler has no queues,
 //! so those events exist on one side by design. Serial ledger digests are
 //! therefore compared through [`w5_obs::Ledger::digest_where`] with the
 //! queue events filtered out — queue telemetry aside, both engines must
@@ -49,7 +51,7 @@ use std::sync::Arc;
 use std::thread;
 use w5_difc::LabelPair;
 use w5_net::{
-    Admission, ChargeDenied, ChargePoint, Handler, InlineServe, Pipeline, PipelineConfig,
+    Admission, ChargeDenied, ChargePoint, Handler, Pipeline, PipelineConfig,
     PipelineSnapshot, PrincipalClass, Request, Response, Serve,
 };
 use w5_obs::{EventKind, Ledger};
@@ -270,6 +272,16 @@ impl Admission for ClassifyOnly {
     }
 }
 
+/// The reference arm: the handler with nothing in front of it — no
+/// admission, no queue, no bound on concurrent calls, no `catch_unwind`.
+struct BareHandler(Arc<dyn Handler>);
+
+impl Serve for BareHandler {
+    fn serve(&self, request: Request, peer: SocketAddr) -> Response {
+        self.0.handle(request, peer)
+    }
+}
+
 /// Build the HTTP request for one op. `Request::get` does not split a
 /// query string off the path, so `query_raw` is set explicitly.
 fn build_request(c: usize, op: &Op) -> Request {
@@ -307,7 +319,7 @@ fn fold_response(h: &mut u64, i: usize, resp: &Response) {
 }
 
 /// Events the pipeline emits about its own queues — excluded from
-/// cross-engine ledger comparison because the reference engine has no
+/// cross-engine ledger comparison because the bare handler has no
 /// queues to report on.
 fn is_queue_metadata(kind: &EventKind) -> bool {
     matches!(
@@ -350,12 +362,7 @@ fn run_arm(spec: &NetSpec, pipelined: bool, concurrent: bool) -> NetRun {
     let gateway: Arc<dyn Handler> = Arc::new(Gateway::new(Arc::clone(&platform)));
     let pipeline = if pipelined {
         Some(Pipeline::start(
-            PipelineConfig {
-                workers: 4,
-                shards: 2,
-                chaos: None,
-                ..PipelineConfig::default()
-            },
+            PipelineConfig { workers: 4, ..PipelineConfig::default() },
             Arc::clone(&gateway),
             Arc::new(ClassifyOnly),
         ))
@@ -364,63 +371,26 @@ fn run_arm(spec: &NetSpec, pipelined: bool, concurrent: bool) -> NetRun {
     };
     let engine: Arc<dyn Serve> = match &pipeline {
         Some(p) => Arc::clone(p) as Arc<dyn Serve>,
-        None => Arc::new(InlineServe::new(gateway)),
+        None => Arc::new(BareHandler(gateway)),
     };
 
-    let op_lists: Vec<Vec<Op>> = (0..spec.clients).map(|c| gen_ops(spec, c)).collect();
+    let mut op_lists: Vec<Vec<Op>> = (0..spec.clients).map(|c| gen_ops(spec, c)).collect();
     let injectors: Vec<Arc<w5_chaos::Injector>> =
         (0..spec.clients).map(|c| injector_for(spec, c)).collect();
 
+    // Both engines run the handler on the calling thread, so each client's
+    // fault stream follows it whichever way the schedule is driven.
+    let results = crate::drive::drive(&mut op_lists, &injectors, concurrent, |c, ops| {
+        drive_client(engine.as_ref(), c, ops)
+    });
     let mut statuses: BTreeMap<u16, u64> = BTreeMap::new();
-    let digests: Vec<u64> = if concurrent {
-        let handoff = w5_obs::current_scoped().expect("scoped ledger installed above");
-        let lock_handoff = lockdep::current_scoped().expect("scoped recorder installed above");
-        let results: Vec<(u64, BTreeMap<u16, u64>)> = thread::scope(|s| {
-            let handles: Vec<_> = op_lists
-                .iter()
-                .zip(injectors.iter())
-                .enumerate()
-                .map(|(c, (ops, inj))| {
-                    let handoff = Arc::clone(&handoff);
-                    let lock_handoff = Arc::clone(&lock_handoff);
-                    let inj = Arc::clone(inj);
-                    let engine = Arc::clone(&engine);
-                    s.spawn(move || {
-                        let _obs = w5_obs::scoped(handoff);
-                        let _lockdep = lockdep::scoped(lock_handoff);
-                        // Handlers run on this thread in both engines,
-                        // so the fault stream follows the client.
-                        let _chaos = w5_chaos::with_injector(Arc::clone(&inj));
-                        drive_client(engine.as_ref(), c, ops)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread panicked"))
-                .collect()
-        });
-        for (_, counts) in &results {
-            for (status, n) in counts {
-                *statuses.entry(*status).or_insert(0) += n;
-            }
+    let mut digests = Vec::with_capacity(results.len());
+    for (digest, counts) in results {
+        digests.push(digest);
+        for (status, n) in counts {
+            *statuses.entry(status).or_insert(0) += n;
         }
-        results.into_iter().map(|(d, _)| d).collect()
-    } else {
-        op_lists
-            .iter()
-            .zip(injectors.iter())
-            .enumerate()
-            .map(|(c, (ops, inj))| {
-                let _chaos = w5_chaos::with_injector(Arc::clone(inj));
-                let (digest, counts) = drive_client(engine.as_ref(), c, ops);
-                for (status, n) in counts {
-                    *statuses.entry(status).or_insert(0) += n;
-                }
-                digest
-            })
-            .collect()
-    };
+    }
 
     if let Some(p) = &pipeline {
         p.stop();
@@ -536,7 +506,6 @@ pub fn run_pipeline_storm(spec: &NetSpec) -> StormReport {
     let pipeline = Pipeline::start(
         PipelineConfig {
             workers: 2,
-            shards: 1,
             queue_depth: 2,
             chaos: Some(Arc::clone(&injector)),
             ..PipelineConfig::default()

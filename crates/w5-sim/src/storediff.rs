@@ -24,7 +24,8 @@
 //! * **Per-thread chaos** — each thread carries its own
 //!   [`w5_chaos::Injector`] for `Site::SqlQuery`, so the abort stream a
 //!   sequence experiences depends only on `(seed, thread)` — identical
-//!   between the concurrent run and the serial replay.
+//!   between the concurrent run and the serial replay (both driven by
+//!   `crate::drive`).
 //! * **Pre-created tags** — all tags are created in single-threaded
 //!   setup on a fresh [`w5_difc::TagRegistry`] per arm, so raw tag ids
 //!   align across arms. Digests always fold *resolved* labels (sorted
@@ -41,7 +42,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::thread;
 use w5_difc::{CapSet, Label, LabelPair, Tag, TagKind, TagRegistry};
 use w5_obs::Ledger;
 use w5_sync::lockdep;
@@ -434,54 +434,15 @@ fn run_arm(db: &Database, spec: &StoreSpec, concurrent: bool) -> StoreRun {
     let recorder = crate::lockgate::recorder(None);
     let _lock_guard = lockdep::scoped(Arc::clone(&recorder));
 
-    let ctxs = setup(db, spec);
+    let mut ctxs = setup(db, spec);
     let op_lists: Vec<Vec<Op>> = (0..spec.threads).map(|t| gen_ops(spec, t)).collect();
     let injectors: Vec<Arc<w5_chaos::Injector>> =
         (0..spec.threads).map(|t| injector_for(spec, t)).collect();
 
-    let results: Vec<(u64, u64, w5_chaos::ChaosReport)> = if concurrent {
-        // Scoped ledgers are thread-local: capture this run's ledger and
-        // re-install it inside every worker so their flow checks record
-        // here, not into the process-global ledger.
-        let handoff = w5_obs::current_scoped().expect("scoped ledger installed above");
-        let lock_handoff = lockdep::current_scoped().expect("scoped recorder installed above");
-        thread::scope(|s| {
-            let handles: Vec<_> = ctxs
-                .iter()
-                .zip(op_lists.iter())
-                .zip(injectors.iter())
-                .map(|((ctx, ops), inj)| {
-                    let handoff = Arc::clone(&handoff);
-                    let lock_handoff = Arc::clone(&lock_handoff);
-                    let inj = Arc::clone(inj);
-                    s.spawn(move || {
-                        let _obs = w5_obs::scoped(handoff);
-                        let _lockdep = lockdep::scoped(lock_handoff);
-                        let _chaos = w5_chaos::with_injector(Arc::clone(&inj));
-                        let (digest, scanned) = apply_ops(db, ctx, ops);
-                        (digest, scanned, inj.report())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        })
-    } else {
-        ctxs.iter()
-            .zip(op_lists.iter())
-            .zip(injectors.iter())
-            .map(|((ctx, ops), inj)| {
-                // Fresh injector scope per thread segment: the fault
-                // stream each sequence sees matches what its dedicated
-                // thread saw in the concurrent run.
-                let _chaos = w5_chaos::with_injector(Arc::clone(inj));
-                let (digest, scanned) = apply_ops(db, ctx, ops);
-                (digest, scanned, inj.report())
-            })
-            .collect()
-    };
+    let results = crate::drive::drive(&mut ctxs, &injectors, concurrent, |t, ctx| {
+        let (digest, scanned) = apply_ops(db, ctx, &op_lists[t]);
+        (digest, scanned, injectors[t].report())
+    });
 
     let tables: BTreeMap<String, Vec<String>> =
         ctxs.iter().map(|ctx| (ctx.table.clone(), dump(db, &ctx.table))).collect();

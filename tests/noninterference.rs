@@ -487,7 +487,7 @@ mod net_admission {
         let admission = NetAdmission::new(Arc::clone(&platform), limits, 0);
         let gateway: Arc<dyn Handler> = Arc::new(Gateway::new(Arc::clone(&platform)));
         let pipeline = Pipeline::start(
-            PipelineConfig { workers: 2, shards: 1, ..PipelineConfig::default() },
+            PipelineConfig { workers: 2, ..PipelineConfig::default() },
             gateway,
             admission,
         );
@@ -588,9 +588,7 @@ mod net_admission {
         let pipeline = Pipeline::start(
             PipelineConfig {
                 workers: 1,
-                shards: 1,
                 queue_depth: DEPTH,
-                retry_after_floor: 1,
                 ..PipelineConfig::default()
             },
             Arc::clone(&handler) as Arc<dyn Handler>,
