@@ -226,11 +226,10 @@ pub struct LabelSnap {
 
 impl LabelSnap {
     fn from_pair(p: &w5_difc::LabelPair) -> LabelSnap {
-        let mut secrecy: Vec<u64> = p.secrecy.as_slice().iter().map(|t| t.raw()).collect();
-        let mut integrity: Vec<u64> = p.integrity.as_slice().iter().map(|t| t.raw()).collect();
-        secrecy.sort_unstable();
-        integrity.sort_unstable();
-        LabelSnap { secrecy, integrity }
+        LabelSnap {
+            secrecy: p.secrecy.iter().map(|t| t.raw()).collect(),
+            integrity: p.integrity.iter().map(|t| t.raw()).collect(),
+        }
     }
 }
 

@@ -7,12 +7,12 @@
 //! across any boundary, which in W5 is exactly the privilege users delegate
 //! to declassifiers (paper §3.1).
 //!
-//! A [`CapSet`] keeps each sign as a sorted, deduplicated `Vec<Tag>`:
-//! membership is a binary search, and `union` / `extend` / `is_subset` are
-//! single-pass merges over the sorted runs — no per-operation `BTreeSet`
-//! rebuilds, no per-node allocation. Capability sets sit on the kernel's
-//! send/spawn path (the registry's effective-bag computation is a `union`),
-//! so this is hot-path algebra, not bookkeeping.
+//! A [`CapSet`] keeps each sign as a [`Label`] — the workspace's one sorted
+//! tag set: membership is a binary search, and `union` / `extend` /
+//! `is_subset` are that type's single-pass merges. Capability sets sit on
+//! the kernel's send/spawn path (the registry's effective-bag computation
+//! is a `union`, and a union with an empty private bag shares the global
+//! bag's storage), so this is hot-path algebra, not bookkeeping.
 
 use crate::label::Label;
 use crate::tag::Tag;
@@ -58,97 +58,14 @@ impl fmt::Debug for Capability {
     }
 }
 
-/// Insert into a sorted, deduplicated vec. Returns true if newly added.
-fn sorted_insert(v: &mut Vec<Tag>, tag: Tag) -> bool {
-    match v.binary_search(&tag) {
-        Ok(_) => false,
-        Err(ix) => {
-            v.insert(ix, tag);
-            true
-        }
-    }
-}
-
-/// Remove from a sorted vec. Returns true if it was present.
-fn sorted_remove(v: &mut Vec<Tag>, tag: Tag) -> bool {
-    match v.binary_search(&tag) {
-        Ok(ix) => {
-            v.remove(ix);
-            true
-        }
-        Err(_) => false,
-    }
-}
-
-/// Single-pass merge union of two sorted, deduplicated runs.
-fn merge_union(a: &[Tag], b: &[Tag]) -> Vec<Tag> {
-    if a.is_empty() {
-        return b.to_vec();
-    }
-    if b.is_empty() {
-        return a.to_vec();
-    }
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// `a ⊆ b` over sorted, deduplicated runs, single pass.
-fn sorted_subset(a: &[Tag], b: &[Tag]) -> bool {
-    if a.len() > b.len() {
-        return false;
-    }
-    let mut j = 0;
-    'outer: for &t in a {
-        while j < b.len() {
-            match b[j].cmp(&t) {
-                std::cmp::Ordering::Less => j += 1,
-                std::cmp::Ordering::Equal => {
-                    j += 1;
-                    continue 'outer;
-                }
-                std::cmp::Ordering::Greater => return false,
-            }
-        }
-        return false;
-    }
-    true
-}
-
-/// Canonicalize an arbitrary tag list into a sorted, deduplicated vec.
-fn canonicalize(mut v: Vec<Tag>) -> Vec<Tag> {
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
 /// A set of capabilities — a process's private bag `D`, or a grant bundle
 /// handed to a declassifier.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct CapSet {
-    /// Tags held with `t+`; sorted and deduplicated.
-    plus: Vec<Tag>,
-    /// Tags held with `t-`; sorted and deduplicated.
-    minus: Vec<Tag>,
+    /// Tags held with `t+`.
+    plus: Label,
+    /// Tags held with `t-`.
+    minus: Label,
 }
 
 impl CapSet {
@@ -167,39 +84,50 @@ impl CapSet {
                 Privilege::Minus => minus.push(c.tag),
             }
         }
-        CapSet { plus: canonicalize(plus), minus: canonicalize(minus) }
+        CapSet { plus: Label::from_iter(plus), minus: Label::from_iter(minus) }
+    }
+
+    fn side_mut(&mut self, privilege: Privilege) -> &mut Label {
+        match privilege {
+            Privilege::Plus => &mut self.plus,
+            Privilege::Minus => &mut self.minus,
+        }
     }
 
     /// Insert one capability. Returns true if it was newly added.
     pub fn insert(&mut self, cap: Capability) -> bool {
-        match cap.privilege {
-            Privilege::Plus => sorted_insert(&mut self.plus, cap.tag),
-            Privilege::Minus => sorted_insert(&mut self.minus, cap.tag),
+        let side = self.side_mut(cap.privilege);
+        let added = !side.contains(cap.tag);
+        if added {
+            *side = side.with(cap.tag);
         }
+        added
     }
 
     /// Remove one capability. Returns true if it was present.
     pub fn remove(&mut self, cap: Capability) -> bool {
-        match cap.privilege {
-            Privilege::Plus => sorted_remove(&mut self.plus, cap.tag),
-            Privilege::Minus => sorted_remove(&mut self.minus, cap.tag),
+        let side = self.side_mut(cap.privilege);
+        let present = side.contains(cap.tag);
+        if present {
+            *side = side.without(cap.tag);
         }
+        present
     }
 
     /// Grant full ownership (`t+` and `t-`) of a tag.
     pub fn insert_ownership(&mut self, tag: Tag) {
-        sorted_insert(&mut self.plus, tag);
-        sorted_insert(&mut self.minus, tag);
+        self.plus = self.plus.with(tag);
+        self.minus = self.minus.with(tag);
     }
 
     /// Does the set contain `t+` for this tag?
     pub fn has_plus(&self, tag: Tag) -> bool {
-        self.plus.binary_search(&tag).is_ok()
+        self.plus.contains(tag)
     }
 
     /// Does the set contain `t-` for this tag?
     pub fn has_minus(&self, tag: Tag) -> bool {
-        self.minus.binary_search(&tag).is_ok()
+        self.minus.contains(tag)
     }
 
     /// Does the set contain both halves?
@@ -217,44 +145,27 @@ impl CapSet {
 
     /// All tags with a `t+` here, as a label (used in flow adjustments).
     pub fn plus_label(&self) -> Label {
-        Label::from_sorted_vec(self.plus.clone())
+        self.plus.clone()
     }
 
     /// All tags with a `t-` here, as a label.
     pub fn minus_label(&self) -> Label {
-        Label::from_sorted_vec(self.minus.clone())
+        self.minus.clone()
     }
 
     /// Union with another capability set (single-pass sorted merge).
     pub fn union(&self, other: &CapSet) -> CapSet {
-        if other.is_empty() {
-            return self.clone();
-        }
-        if self.is_empty() {
-            return other.clone();
-        }
-        CapSet {
-            plus: merge_union(&self.plus, &other.plus),
-            minus: merge_union(&self.minus, &other.minus),
-        }
+        CapSet { plus: self.plus.union(&other.plus), minus: self.minus.union(&other.minus) }
     }
 
     /// Merge another capability set into this one in place.
     pub fn extend(&mut self, other: &CapSet) {
-        if other.is_empty() {
-            return;
-        }
-        if self.is_empty() {
-            *self = other.clone();
-            return;
-        }
-        self.plus = merge_union(&self.plus, &other.plus);
-        self.minus = merge_union(&self.minus, &other.minus);
+        *self = self.union(other);
     }
 
     /// `self ⊆ other` as capability sets.
     pub fn is_subset(&self, other: &CapSet) -> bool {
-        sorted_subset(&self.plus, &other.plus) && sorted_subset(&self.minus, &other.minus)
+        self.plus.is_subset(&other.plus) && self.minus.is_subset(&other.minus)
     }
 
     /// Number of capabilities held.
@@ -269,10 +180,7 @@ impl CapSet {
 
     /// Iterate all capabilities.
     pub fn iter(&self) -> impl Iterator<Item = Capability> + '_ {
-        self.plus
-            .iter()
-            .map(|&t| Capability::plus(t))
-            .chain(self.minus.iter().map(|&t| Capability::minus(t)))
+        self.plus.iter().map(Capability::plus).chain(self.minus.iter().map(Capability::minus))
     }
 }
 
@@ -295,10 +203,10 @@ impl FromIterator<Capability> for CapSet {
     }
 }
 
-// Manual serde: the wire shape is identical to the old derived
-// `BTreeSet`-backed struct (`{"plus": [...], "minus": [...]}` with sorted
-// arrays), and deserialization re-canonicalizes so a permuted or
-// duplicated input cannot smuggle in a non-canonical set.
+// Manual serde: the wire shape is `{"plus": [...], "minus": [...]}` with
+// sorted arrays, and `Label`'s deserialiser re-canonicalizes (and refuses
+// tag 0), so a permuted or duplicated input cannot smuggle in a
+// non-canonical set.
 impl serde::Serialize for CapSet {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
@@ -310,13 +218,10 @@ impl serde::Serialize for CapSet {
 
 impl serde::Deserialize for CapSet {
     fn from_json(v: &Json) -> Result<CapSet, DeError> {
-        let plus: Vec<Tag> = serde::Deserialize::from_json(
-            v.get("plus").ok_or_else(|| DeError::missing_field("plus"))?,
-        )?;
-        let minus: Vec<Tag> = serde::Deserialize::from_json(
-            v.get("minus").ok_or_else(|| DeError::missing_field("minus"))?,
-        )?;
-        Ok(CapSet { plus: canonicalize(plus), minus: canonicalize(minus) })
+        let side = |name: &'static str| -> Result<Label, DeError> {
+            serde::Deserialize::from_json(v.get(name).ok_or_else(|| DeError::missing_field(name))?)
+        };
+        Ok(CapSet { plus: side("plus")?, minus: side("minus")? })
     }
 }
 

@@ -1,100 +1,35 @@
 //! Labels: sorted sets of tags with cheap set algebra.
 //!
 //! Labels are the hot data structure of the whole platform — every IPC send,
-//! file access and database row visit performs label comparisons — so the
-//! representation is tuned for the traffic we actually see:
-//!
-//! * **Inline small labels.** `{}` (public data) and `{e_u}` (one user's
-//!   secret) dominate real traffic, with `{e_u, e_v}` mashups a distant
-//!   third. Labels of 0–2 tags are stored inline in the `Label` value with
-//!   no heap allocation at all; only larger sets spill to a `Vec<Tag>`.
-//!   Cloning a small label is a `memcpy`.
-//! * Subset / equality checks are linear merges with no allocation.
-//! * Union / intersection / difference are single-pass merges that build
-//!   inline when the result fits.
-//! * Repeated labels can be *interned* (see [`crate::intern`]) down to a
-//!   `u32` id, making equality an integer compare and memoizing subset
-//!   results globally.
+//! file access and database row visit performs label comparisons. A
+//! [`Label`] is a typed view over the workspace's one sorted tag-set
+//! implementation, [`w5_obs::ObsLabel`]: it takes and yields [`Tag`]s
+//! (never the reserved zero id) and every set operation is that type's
+//! single merge loop. `{}` (public data) and `{e_u}` (one user's secret)
+//! dominate real traffic; labels of 0–2 tags are stored inline and no
+//! operation on them allocates.
 //!
 //! Labels are immutable in spirit: all operations return new labels, which
 //! keeps sharing across threads trivial.
 
 use crate::tag::Tag;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use w5_obs::ObsLabel;
 
-/// Tags stored inline before spilling to the heap. `{}` and `{e_u}` are the
-/// overwhelmingly common labels; two slots also covers pairwise mashups.
-const INLINE_CAP: usize = 2;
-
-/// Padding value for unused inline slots (never observable: `as_slice`
-/// truncates to `len`).
-fn pad() -> Tag {
-    Tag::from_raw(u64::MAX)
-}
-
-#[derive(Clone)]
-enum Repr {
-    /// 0–2 tags stored without heap allocation. Slots `>= len` hold an
-    /// arbitrary pad value.
-    Inline { len: u8, tags: [Tag; INLINE_CAP] },
-    /// 3+ tags, sorted and deduplicated.
-    Heap(Vec<Tag>),
-}
-
-/// A set of [`Tag`]s. Invariant: the backing storage is sorted, contains no
-/// duplicates, and uses the inline representation iff it holds
-/// `<= INLINE_CAP` tags (so representation is canonical per tag set).
-#[derive(Clone)]
-pub struct Label(Repr);
-
-/// Builds a label from ascending pushes, staying inline while the result
-/// fits. Spills to a heap vector on overflow.
-struct LabelBuf(Repr);
-
-impl LabelBuf {
-    fn new() -> LabelBuf {
-        LabelBuf(Repr::Inline { len: 0, tags: [pad(); INLINE_CAP] })
-    }
-
-    /// Push a tag strictly greater than every tag pushed so far.
-    fn push(&mut self, t: Tag) {
-        match &mut self.0 {
-            Repr::Inline { len, tags } => {
-                if (*len as usize) < INLINE_CAP {
-                    tags[*len as usize] = t;
-                    *len += 1;
-                } else {
-                    let mut v = Vec::with_capacity(INLINE_CAP * 2);
-                    v.extend_from_slice(&tags[..]);
-                    v.push(t);
-                    self.0 = Repr::Heap(v);
-                }
-            }
-            Repr::Heap(v) => v.push(t),
-        }
-    }
-
-    fn extend_from_slice(&mut self, ts: &[Tag]) {
-        for &t in ts {
-            self.push(t);
-        }
-    }
-
-    fn into_label(self) -> Label {
-        Label(self.0)
-    }
-}
+/// A set of [`Tag`]s. Invariant: no tag id is zero — every constructor
+/// takes `Tag`s, which cannot be — so [`Label::iter`] can hand them back.
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Label(ObsLabel);
 
 impl Label {
     /// The empty label (public data / no integrity claims). Never allocates.
     pub fn empty() -> Label {
-        Label(Repr::Inline { len: 0, tags: [pad(); INLINE_CAP] })
+        Label(ObsLabel::empty())
     }
 
     /// A label containing a single tag. Never allocates.
     pub fn singleton(tag: Tag) -> Label {
-        Label(Repr::Inline { len: 1, tags: [tag, pad()] })
+        Label(ObsLabel::singleton(tag.raw()))
     }
 
     /// Build from an unsorted, possibly duplicated tag collection.
@@ -102,253 +37,90 @@ impl Label {
     /// construction stays greppable at call sites.
     #[allow(clippy::should_implement_trait)]
     pub fn from_iter<I: IntoIterator<Item = Tag>>(tags: I) -> Label {
-        let mut v: Vec<Tag> = tags.into_iter().collect();
-        v.sort_unstable();
-        v.dedup();
-        Label::from_canonical_vec(v)
+        Label(ObsLabel::from_tags(tags.into_iter().map(Tag::raw)))
     }
 
     /// Build from a vector that the caller guarantees is sorted and
     /// deduplicated. Checked in debug builds.
     pub fn from_sorted_vec(v: Vec<Tag>) -> Label {
-        debug_assert!(v.windows(2).all(|w| w[0] < w[1]), "label vec not strictly sorted");
-        Label::from_canonical_vec(v)
-    }
-
-    /// Normalize a sorted, deduplicated vector into the canonical repr.
-    fn from_canonical_vec(v: Vec<Tag>) -> Label {
-        if v.len() <= INLINE_CAP {
-            let mut tags = [pad(); INLINE_CAP];
-            tags[..v.len()].copy_from_slice(&v);
-            Label(Repr::Inline { len: v.len() as u8, tags })
-        } else {
-            Label(Repr::Heap(v))
-        }
+        Label(ObsLabel::from_sorted(v.into_iter().map(Tag::raw).collect()))
     }
 
     /// True if the label is stored inline (no heap allocation).
     pub fn is_inline(&self) -> bool {
-        matches!(self.0, Repr::Inline { .. })
+        self.0.is_inline()
     }
 
     /// Number of tags in the label.
     pub fn len(&self) -> usize {
-        match &self.0 {
-            Repr::Inline { len, .. } => *len as usize,
-            Repr::Heap(v) => v.len(),
-        }
+        self.0.len()
     }
 
     /// True if the label contains no tags.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 
     /// Membership test (binary search).
     pub fn contains(&self, tag: Tag) -> bool {
-        self.as_slice().binary_search(&tag).is_ok()
+        self.0.contains(tag.raw())
     }
 
     /// Iterate tags in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = Tag> + '_ {
-        self.as_slice().iter().copied()
-    }
-
-    /// The underlying sorted slice.
-    pub fn as_slice(&self) -> &[Tag] {
-        match &self.0 {
-            Repr::Inline { len, tags } => &tags[..*len as usize],
-            Repr::Heap(v) => v,
-        }
+        self.0.iter().map(Tag::from_raw)
     }
 
     /// `self ⊆ other`, by linear merge (O(|self| + |other|)).
     pub fn is_subset(&self, other: &Label) -> bool {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        if a.len() > b.len() {
-            return false;
-        }
-        let mut oi = b.iter();
-        'outer: for t in a {
-            for o in oi.by_ref() {
-                match o.cmp(t) {
-                    std::cmp::Ordering::Less => continue,
-                    std::cmp::Ordering::Equal => continue 'outer,
-                    std::cmp::Ordering::Greater => return false,
-                }
-            }
-            return false;
-        }
-        true
-    }
-
-    /// `self ∪ other`.
-    pub fn union(&self, other: &Label) -> Label {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        // Subset fast paths keep the common `x ∪ {} `/`x ∪ x` case clone-only.
-        if b.is_empty() {
-            return self.clone();
-        }
-        if a.is_empty() {
-            return other.clone();
-        }
-        let mut out = LabelBuf::new();
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
-        out.into_label()
-    }
-
-    /// `self ∩ other`.
-    pub fn intersection(&self, other: &Label) -> Label {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        let mut out = LabelBuf::new();
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.into_label()
-    }
-
-    /// `self − other`.
-    pub fn difference(&self, other: &Label) -> Label {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        let mut out = LabelBuf::new();
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() {
-            if j >= b.len() {
-                out.extend_from_slice(&a[i..]);
-                break;
-            }
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.into_label()
-    }
-
-    /// A copy of `self` with `tag` inserted.
-    pub fn with(&self, tag: Tag) -> Label {
-        let a = self.as_slice();
-        match a.binary_search(&tag) {
-            Ok(_) => self.clone(),
-            Err(pos) => {
-                let mut out = LabelBuf::new();
-                out.extend_from_slice(&a[..pos]);
-                out.push(tag);
-                out.extend_from_slice(&a[pos..]);
-                out.into_label()
-            }
-        }
-    }
-
-    /// A copy of `self` with `tag` removed.
-    pub fn without(&self, tag: Tag) -> Label {
-        let a = self.as_slice();
-        match a.binary_search(&tag) {
-            Ok(pos) => {
-                let mut out = LabelBuf::new();
-                out.extend_from_slice(&a[..pos]);
-                out.extend_from_slice(&a[pos + 1..]);
-                out.into_label()
-            }
-            Err(_) => self.clone(),
-        }
-    }
-
-    /// The ledger-side image of this label: raw sorted tag ids. Lossless
-    /// for clearance purposes (subset tests commute with the conversion).
-    ///
-    /// Goes through the intern table so the conversion is computed once per
-    /// distinct tag set and afterwards costs a cache lookup plus an
-    /// allocation-free `ObsLabel` clone for small labels.
-    pub fn to_obs(&self) -> w5_obs::ObsLabel {
-        crate::intern::intern(self).to_obs()
-    }
-
-    /// The ledger-side image, computed directly without touching the intern
-    /// table (used by the interner itself and by one-shot conversions).
-    pub fn to_obs_uncached(&self) -> w5_obs::ObsLabel {
-        w5_obs::ObsLabel::from_sorted(self.iter().map(|t| t.raw()).collect())
+        self.0.is_subset(&other.0)
     }
 
     /// True if the labels share no tags.
     pub fn is_disjoint(&self, other: &Label) -> bool {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return false,
-            }
-        }
-        true
+        self.intersection(other).is_empty()
     }
-}
 
-impl Default for Label {
-    fn default() -> Label {
-        Label::empty()
+    /// `self ∪ other`.
+    pub fn union(&self, other: &Label) -> Label {
+        Label(self.0.union(&other.0))
     }
-}
 
-// Equality/hashing are over the logical tag set. The repr is canonical per
-// set (inline iff small), but comparing slices keeps that invariant
-// non-load-bearing for correctness.
-impl PartialEq for Label {
-    fn eq(&self, other: &Label) -> bool {
-        self.as_slice() == other.as_slice()
+    /// `self ∩ other`.
+    pub fn intersection(&self, other: &Label) -> Label {
+        Label(self.0.intersection(&other.0))
     }
-}
 
-impl Eq for Label {}
+    /// `self − other`.
+    pub fn difference(&self, other: &Label) -> Label {
+        Label(self.0.difference(&other.0))
+    }
 
-impl Hash for Label {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state)
+    /// A copy of `self` with `tag` inserted.
+    pub fn with(&self, tag: Tag) -> Label {
+        self.union(&Label::singleton(tag))
+    }
+
+    /// A copy of `self` with `tag` removed.
+    pub fn without(&self, tag: Tag) -> Label {
+        self.difference(&Label::singleton(tag))
+    }
+
+    /// The ledger's view of this label: the same set as raw tag ids. A
+    /// borrow — no conversion, no lock, no table.
+    pub fn to_obs(&self) -> &ObsLabel {
+        &self.0
     }
 }
 
 impl serde::Serialize for Label {
     fn to_json(&self) -> serde::Json {
-        serde::Json::Arr(self.iter().map(|t| serde::Serialize::to_json(&t)).collect())
+        self.0.to_json()
     }
 }
 
+// Through `Vec<Tag>`, not `ObsLabel`'s deserialiser: a label from outside
+// bytes must refuse the zero tag id.
 impl serde::Deserialize for Label {
     fn from_json(v: &serde::Json) -> Result<Label, serde::DeError> {
         let tags: Vec<Tag> = serde::Deserialize::from_json(v)?;
@@ -375,17 +147,10 @@ impl FromIterator<Tag> for Label {
     }
 }
 
-impl<'a> IntoIterator for &'a Label {
-    type Item = Tag;
-    type IntoIter = std::iter::Copied<std::slice::Iter<'a, Tag>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter().copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::{Hash, Hasher};
 
     fn l(ids: &[u64]) -> Label {
         Label::from_iter(ids.iter().map(|&i| Tag::from_raw(i)))
@@ -394,7 +159,8 @@ mod tests {
     #[test]
     fn from_iter_sorts_and_dedups() {
         let a = l(&[3, 1, 2, 3, 1]);
-        assert_eq!(a.as_slice(), &[Tag::from_raw(1), Tag::from_raw(2), Tag::from_raw(3)]);
+        let tags: Vec<Tag> = a.iter().collect();
+        assert_eq!(tags, [Tag::from_raw(1), Tag::from_raw(2), Tag::from_raw(3)]);
     }
 
     #[test]

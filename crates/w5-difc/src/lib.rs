@@ -38,7 +38,6 @@ pub mod endpoint;
 pub mod error;
 pub mod intern;
 pub mod label;
-pub mod naive;
 pub mod registry;
 pub mod rules;
 pub mod tag;
@@ -54,8 +53,9 @@ pub use rules::{can_flow, can_flow_with, labels_for_read, labels_for_write, safe
 pub use tag::{Tag, TagKind};
 
 /// A secrecy/integrity label pair, the complete flow-control state of a
-/// passive entity (file, row, message).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+/// passive entity (file, row, message). Ordered by secrecy, then integrity
+/// (each as its sorted tag sequence), for deterministic listings.
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
 pub struct LabelPair {
     /// Secrecy label: who may learn this datum.
     pub secrecy: Label,
@@ -89,8 +89,9 @@ impl LabelPair {
         self.secrecy.is_empty() && self.integrity.is_empty()
     }
 
-    /// Intern both halves; the returned [`PairId`] compares, hashes and
-    /// combines in a few integer operations.
+    /// Intern both halves; the returned [`PairId`] compares and hashes in a
+    /// few integer operations. For the store only: the id table never
+    /// shrinks (see [`intern`]).
     pub fn interned(&self) -> PairId {
         PairId::intern(self)
     }

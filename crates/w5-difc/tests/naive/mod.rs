@@ -1,23 +1,12 @@
 //! The retained naive reference implementation of label algebra.
 //!
-//! This module is the pre-interning semantics, kept verbatim: plain
-//! `Vec<Tag>` sets, rebuilt and re-sorted on every operation, no sharing,
-//! no memoization. It exists for two reasons:
-//!
-//! 1. **Differential testing.** The interned fast paths in
-//!    [`crate::intern`] and the inline representation in [`crate::label`]
-//!    are checked against these functions under proptest-generated tag
-//!    sets (see `tests/intern_differential.rs`). Any divergence is a
-//!    soundness bug in the fast path, full stop.
-//! 2. **Benchmark honesty.** `w5-bench`'s `bench_difc_json` binary runs a
-//!    "naive" arm through these functions so the speedup claimed for the
-//!    interned arm is measured against the real prior implementation by
-//!    the same harness, not against a strawman.
-//!
-//! Nothing in the production call graph uses this module.
+//! Plain `Vec<Tag>` sets, rebuilt and re-sorted on every operation, no
+//! inline representation, no sharing, no ids. `intern_differential.rs`
+//! checks the shipping `Label` algebra, the id table and the flow rules
+//! against these functions under proptest-generated tag sets; any
+//! divergence is a soundness bug in the shipping code, full stop.
 
-use crate::label::Label;
-use crate::tag::Tag;
+use w5_difc::{Label, Tag};
 
 /// Canonicalize: sort and deduplicate.
 pub fn canon(mut tags: Vec<Tag>) -> Vec<Tag> {

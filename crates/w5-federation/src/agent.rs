@@ -35,7 +35,7 @@ pub struct SyncReport {
     pub unchanged: usize,
     /// Bytes received on the wire (payload, after decode).
     pub bytes: usize,
-    /// Records whose remote label pair arrived via the batch's interned
+    /// Records whose remote label pair arrived via the batch's
     /// label dictionary (0 for batches from legacy peers).
     pub labeled: usize,
     /// Transient failures ridden out by retries before this pass succeeded.
@@ -148,7 +148,7 @@ impl SyncAgent {
         }
         let mut batch: ExportBatch =
             serde_json::from_slice(&resp.body).map_err(|e| SyncError::BadBatch(e.to_string()))?;
-        // Decode the batch's interned label dictionary up front: a batch
+        // Decode the batch's label dictionary up front: a batch
         // with a malformed dictionary or a dangling reference is rejected
         // whole, before any record is applied. Remote tag ids are
         // meaningless in the local registry, so the decoded pairs serve as

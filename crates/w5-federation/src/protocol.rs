@@ -1,9 +1,9 @@
 //! Wire records for provider-to-provider sync.
 //!
 //! Labels cross the provider boundary as a **batch-level dictionary**: the
-//! exporter interns each distinct label pair once (by [`w5_difc::PairId`]),
-//! wire-encodes it once ([`w5_difc::wire`] LEB128 deltas, hex-wrapped for
-//! JSON), and every record carries only a small dictionary index. A
+//! exporter wire-encodes each distinct label pair once ([`w5_difc::wire`]
+//! LEB128 deltas, hex-wrapped for JSON), and every record carries only a
+//! small dictionary index. A
 //! thousand-file batch under one user's `{e_u}/{w_u}` labels ships the tag
 //! sets exactly once. Both fields are `#[serde(default)]`, so batches from
 //! peers predating the dictionary still parse (records with no `label_ref`
@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use w5_difc::{LabelPair, PairId};
+use w5_difc::LabelPair;
 
 /// Header carrying the peering secret.
 pub const FEDERATION_TOKEN_HEADER: &str = "x-w5-peer-token";
@@ -79,12 +79,11 @@ impl ExportBatch {
     }
 }
 
-/// Builds an [`ExportBatch`] label dictionary, deduplicating by interned
-/// id: each distinct label pair is wire-encoded exactly once however many
-/// records carry it.
+/// Builds an [`ExportBatch`] label dictionary: each distinct label pair is
+/// wire-encoded exactly once however many records carry it.
 #[derive(Default)]
 pub struct LabelDict {
-    index: HashMap<PairId, u32>,
+    index: HashMap<LabelPair, u32>,
     entries: Vec<String>,
 }
 
@@ -96,13 +95,12 @@ impl LabelDict {
 
     /// The dictionary index for `pair`, encoding it on first sight.
     pub fn intern(&mut self, pair: &LabelPair) -> u32 {
-        let id = pair.interned();
-        if let Some(&ix) = self.index.get(&id) {
+        if let Some(&ix) = self.index.get(pair) {
             return ix;
         }
         let ix = self.entries.len() as u32;
         self.entries.push(hex_encode(&w5_difc::wire::pair_to_bytes(pair)));
-        self.index.insert(id, ix);
+        self.index.insert(pair.clone(), ix);
         ix
     }
 
@@ -188,7 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn label_dict_dedups_by_interned_pair() {
+    fn label_dict_dedups_by_pair() {
         use w5_difc::{Label, LabelPair, Tag};
         let pa = LabelPair::new(Label::singleton(Tag::from_raw(11)), Label::singleton(Tag::from_raw(12)));
         let pb = LabelPair::public();

@@ -51,10 +51,7 @@ impl FederationService {
             w5_difc::LabelPair::public(),
             self.platform.registry.effective(&account.owner_caps),
         );
-        // Hoist the selection label out of the loop and compare by
-        // interned id: per-entry selection is an integer compare.
-        let export_secrecy =
-            w5_difc::intern::intern(&w5_difc::Label::singleton(account.export_tag));
+        let export_secrecy = w5_difc::Label::singleton(account.export_tag);
         // Child of the server's HTTP root span (None when driven directly
         // in tests); labeled with the union of everything exported.
         let mut trace_span = w5_obs::span_if_active(
@@ -66,10 +63,10 @@ impl FederationService {
         let mut dict = crate::protocol::LabelDict::new();
         if let Ok(entries) = self.platform.fs.list_recursive(&subject, "/") {
             for meta in entries {
-                if w5_difc::intern::intern(&meta.labels.secrecy) == export_secrecy {
+                if meta.labels.secrecy == export_secrecy {
                     if let Ok((data, _)) = self.platform.fs.read(&subject, &meta.path) {
                         if let Some(s) = trace_span.as_mut() {
-                            s.add_secrecy(&meta.labels.secrecy.to_obs());
+                            s.add_secrecy(meta.labels.secrecy.to_obs());
                         }
                         let mut rec = ExportRecord::new(&meta.path, meta.version, &data);
                         rec.label_ref = Some(dict.intern(&meta.labels));

@@ -12,9 +12,11 @@
 //! (`kernel.procs`). Every syscall takes it at most once and never
 //! nests it, so the kernel has no internal lock order to get wrong, and
 //! a send's check-charge-deliver is atomic by construction. Critical
-//! sections are short: the dominant send shape compares interned label
-//! ids ([`w5_difc::intern`], whose subset cache is lock-free) and defers
-//! its ledger write until the guard has dropped.
+//! sections are short: the dominant send shape asks the zero-privilege
+//! question of the two processes' labels as they stand
+//! ([`rules::can_flow_unprivileged`], an allocation-free merge) and defers
+//! its ledger write until the guard has dropped. The kernel never interns
+//! a label: an app chooses its labels, and the id table never shrinks.
 //!
 //! Flow-decision counters ([`KernelStats`]) are relaxed atomics outside
 //! the lock: exact totals, no ordering claims between counters, readable
@@ -208,8 +210,7 @@ impl Kernel {
         limits: ResourceLimits,
     ) -> ProcessId {
         let id = ProcessId(self.shared.next_pid.fetch_add(1, Ordering::Relaxed));
-        let pair = labels.interned();
-        let obs_secrecy = pair.secrecy.to_obs();
+        let secrecy = labels.secrecy.clone();
         // Child span inside an active sampled trace (e.g. an app launch
         // under `platform.invoke`); a single thread-local read otherwise.
         let mut trace_span = w5_obs::span_if_active(
@@ -218,13 +219,12 @@ impl Kernel {
             &w5_obs::ObsLabel::empty(),
         );
         if let Some(s) = trace_span.as_mut() {
-            s.add_secrecy(&obs_secrecy);
+            s.add_secrecy(secrecy.to_obs());
         }
         let proc = Process {
             id,
             name: name.to_string(),
             labels,
-            pair,
             caps,
             state: ProcessState::Runnable,
             mailbox: Default::default(),
@@ -233,7 +233,7 @@ impl Kernel {
         };
         self.shared.procs.lock().insert(id, proc);
         w5_obs::record(
-            &obs_secrecy,
+            secrecy.to_obs(),
             w5_obs::EventKind::ProcSpawn { pid: id.0, parent: 0, name: name.to_string() },
         );
         id
@@ -250,7 +250,7 @@ impl Kernel {
         }
         // Child span only inside an already-sampled trace: outside one this
         // is a single thread-local read. The label (the child's secrecy) is
-        // unioned in below, once it is interned anyway.
+        // unioned in below, once the spawn is validated.
         let mut trace_span = w5_obs::span_if_active(
             "kernel.spawn",
             w5_obs::Layer::Kernel,
@@ -262,8 +262,7 @@ impl Kernel {
         // (the dominant spawn shape) is trivially safe — `safe_change` of
         // a label to itself always passes — so the effective-bag union
         // and capability algebra are skipped entirely.
-        let spec_pair = spec.labels.interned();
-        if spec_pair != p.pair || !spec.grant.is_empty() {
+        if spec.labels != p.labels || !spec.grant.is_empty() {
             let eff = self.shared.registry.effective(&p.caps);
             // `safe_change` counts its check in the flow ledger while the
             // process-table guard is held; intentional (the labels under
@@ -280,13 +279,12 @@ impl Kernel {
         // pid stream (and the golden ledger digests, which cover pids, see
         // a denial as the absence of a spawn, nothing more).
         let id = ProcessId(self.shared.next_pid.fetch_add(1, Ordering::Relaxed));
-        let obs_secrecy = spec_pair.secrecy.to_obs();
+        let secrecy = spec.labels.secrecy.clone();
         let child_name = spec.name.clone();
         let child = Process {
             id,
             name: spec.name,
             labels: spec.labels,
-            pair: spec_pair,
             caps: spec.grant,
             state: ProcessState::Runnable,
             mailbox: Default::default(),
@@ -296,10 +294,10 @@ impl Kernel {
         procs.insert(id, child);
         drop(procs);
         if let Some(s) = trace_span.as_mut() {
-            s.add_secrecy(&obs_secrecy);
+            s.add_secrecy(secrecy.to_obs());
         }
         w5_obs::record(
-            &obs_secrecy,
+            secrecy.to_obs(),
             w5_obs::EventKind::ProcSpawn { pid: id.0, parent: parent.0, name: child_name },
         );
         Ok(id)
@@ -352,7 +350,7 @@ impl Kernel {
             .and_then(|()| rules::safe_change(&p.labels.integrity, &new.integrity, &eff));
         match check {
             Ok(()) => {
-                p.set_labels(new);
+                p.labels = new;
                 Ok(())
             }
             Err(e) => {
@@ -446,13 +444,13 @@ impl Kernel {
         let mut procs = self.shared.procs.lock();
 
         // Snapshot sender state.
-        let (s_labels, s_pair, s_caps) = {
+        let (s_labels, s_caps) = {
             let p = live(&procs, from)?;
-            (p.labels.clone(), p.pair, p.caps.clone())
+            (p.labels.clone(), p.caps.clone())
         };
-        // The effective bag is an allocating union with the global bag;
-        // compute it only when a grant must be validated (the empty grant
-        // is the common case) or the interned fast path below misses.
+        // The effective bag is a union with the global bag; compute it
+        // only when a grant must be validated (the empty grant is the
+        // common case) or the zero-privilege fast path below misses.
         let mut s_eff = None;
         if !grant.is_empty() {
             let eff = s_eff.insert(registry.effective(&s_caps));
@@ -461,7 +459,7 @@ impl Kernel {
             }
         }
 
-        let r_pair = live(&procs, to)?.pair;
+        let r_labels = &live(&procs, to)?.labels;
 
         // Delivery is checked against the receiver's labels *as they stand*:
         // a receiver that wants high-secrecy data must raise its label first
@@ -472,11 +470,9 @@ impl Kernel {
         //
         // Fast path: if the zero-privilege flow already holds — sender
         // secrecy ⊆ receiver secrecy and receiver integrity ⊆ sender
-        // integrity, both memoized lock-free id-level subset probes — the
-        // privileged rule holds a fortiori (privileges only ever relax it),
-        // so the capability algebra is skipped.
-        let fast_ok = w5_difc::intern::subset(s_pair.secrecy, r_pair.secrecy)
-            && w5_difc::intern::subset(r_pair.integrity, s_pair.integrity);
+        // integrity — the privileged rule holds a fortiori (privileges
+        // only ever relax it), so the capability algebra is skipped.
+        let fast_ok = rules::can_flow_unprivileged(&s_labels, r_labels);
         let flow = if fast_ok {
             // Ledger parity with the slow path, which counts one "flow"
             // check inside `can_flow_with` — but emitted only after the
@@ -491,7 +487,6 @@ impl Kernel {
                 Some(eff) => eff,
                 None => s_eff.insert(registry.effective(&s_caps)),
             };
-            let r_labels = r_pair.resolve();
             // The rule evaluation ledgers its flow check while the guard
             // is held; intentional (the labels under comparison live
             // inside the guarded table).
@@ -511,12 +506,12 @@ impl Kernel {
             self.shared.sends_dropped.fetch_add(1, Ordering::Relaxed);
             drop(procs);
             if let Some(s) = trace_span.as_mut() {
-                s.add_secrecy(&s_pair.secrecy.to_obs());
+                s.add_secrecy(s_labels.secrecy.to_obs());
             }
             // The drop itself is sender-labeled data: who tried to reach whom
             // is only visible to viewers cleared for the sender's secrecy.
             w5_obs::record(
-                &s_pair.secrecy.to_obs(),
+                s_labels.secrecy.to_obs(),
                 w5_obs::EventKind::IpcSend {
                     from: from.0,
                     to: to.0,
@@ -529,7 +524,7 @@ impl Kernel {
 
         // Charge the sender's network/IPC budget.
         let size = payload.len() as u64;
-        let obs_secrecy = s_pair.secrecy.to_obs();
+        let s_secrecy = s_labels.secrecy.clone();
         let charged = procs
             .get_mut(&from)
             .expect("sender checked above")
@@ -538,7 +533,7 @@ impl Kernel {
         if let Err(e) = charged {
             drop(procs);
             if fast_ok {
-                w5_obs::count_check("flow", true, &obs_secrecy);
+                w5_obs::count_check("flow", true, s_secrecy.to_obs());
             }
             return Err(e.into());
         }
@@ -550,13 +545,13 @@ impl Kernel {
         }
         drop(procs);
         if fast_ok {
-            w5_obs::count_check("flow", true, &obs_secrecy);
+            w5_obs::count_check("flow", true, s_secrecy.to_obs());
         }
         if let Some(s) = trace_span.as_mut() {
-            s.add_secrecy(&obs_secrecy);
+            s.add_secrecy(s_secrecy.to_obs());
         }
         w5_obs::record(
-            &obs_secrecy,
+            s_secrecy.to_obs(),
             w5_obs::EventKind::IpcSend { from: from.0, to: to.0, bytes: size, delivered: true },
         );
         Ok(())
@@ -573,7 +568,7 @@ impl Kernel {
                 p.caps.extend(&msg.grant);
                 drop(procs);
                 w5_obs::record(
-                    &msg.labels.secrecy.to_obs(),
+                    msg.labels.secrecy.to_obs(),
                     w5_obs::EventKind::IpcRecv { pid: pid.0, bytes: msg.payload.len() as u64 },
                 );
                 Ok(Some(msg))
@@ -673,7 +668,6 @@ impl Kernel {
     /// currently be read by process `pid` (with its effective caps), and if
     /// so, raise the process's labels accordingly.
     pub fn taint_for_read(&self, pid: ProcessId, data: &LabelPair) -> KernelResult<()> {
-        let data_pair = data.interned();
         let registry = Arc::clone(&self.shared.registry);
         let mut procs = self.shared.procs.lock();
         let p = live_mut(&mut procs, pid)?;
@@ -682,11 +676,9 @@ impl Kernel {
         // would return `Allowed` without consulting capabilities, so the
         // effective-bag union is skipped. (Ledger parity: the slow path
         // counts one "read" check.)
-        if w5_difc::intern::subset(data_pair.secrecy, p.pair.secrecy)
-            && w5_difc::intern::subset(p.pair.integrity, data_pair.integrity)
-        {
+        if rules::can_flow_unprivileged(data, &p.labels) {
             drop(procs);
-            w5_obs::count_check("read", true, &data_pair.secrecy.to_obs());
+            w5_obs::count_check("read", true, data.secrecy.to_obs());
             return Ok(());
         }
         let eff = registry.effective(&p.caps);
@@ -696,7 +688,7 @@ impl Kernel {
         match rules::labels_for_read(&p.labels, &eff, data) {
             rules::FlowCheck::Allowed => Ok(()),
             rules::FlowCheck::AllowedWithChange { new_secrecy, new_integrity } => {
-                p.set_labels(LabelPair::new(new_secrecy, new_integrity));
+                p.labels = LabelPair::new(new_secrecy, new_integrity);
                 Ok(())
             }
             rules::FlowCheck::Denied(e) => Err(e.into()),

@@ -4,7 +4,7 @@ use crate::ids::ProcessId;
 use crate::message::Message;
 use crate::resource::ResourceContainer;
 use std::collections::VecDeque;
-use w5_difc::{CapSet, LabelPair, PairId};
+use w5_difc::{CapSet, LabelPair};
 
 /// Lifecycle state of a process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,9 +25,6 @@ pub(crate) struct Process {
     pub name: String,
     /// Current secrecy/integrity labels.
     pub labels: LabelPair,
-    /// Interned image of `labels`, kept in lockstep by
-    /// [`Process::set_labels`]. Send-path flow checks compare these ids.
-    pub pair: PairId,
     /// Private capability bag `D` (the global bag lives in the registry).
     pub caps: CapSet,
     pub state: ProcessState,
@@ -56,13 +53,6 @@ pub struct ProcessInfo {
 }
 
 impl Process {
-    /// Replace the labels, keeping the interned pair in sync. All label
-    /// mutations must go through here so `pair` never goes stale.
-    pub(crate) fn set_labels(&mut self, labels: LabelPair) {
-        self.pair = labels.interned();
-        self.labels = labels;
-    }
-
     pub(crate) fn info(&self) -> ProcessInfo {
         ProcessInfo {
             id: self.id,

@@ -188,13 +188,9 @@ impl Scheduler {
                         // Quantum accounting is labeled with the task's
                         // current secrecy: CPU-use patterns of a tainted
                         // process are themselves tainted (§3.5).
-                        let secrecy = self
-                            .kernel
-                            .labels(entry.pid)
-                            .map(|l| l.secrecy.to_obs())
-                            .unwrap_or_default();
+                        let labels = self.kernel.labels(entry.pid).unwrap_or_default();
                         w5_obs::record(
-                            &secrecy,
+                            labels.secrecy.to_obs(),
                             w5_obs::EventKind::ScheduleQuantum { pid: entry.pid.0, ticks: cost },
                         );
                         progressed = true;

@@ -1,8 +1,8 @@
 //! # w5-lockdep — lock-order certification for the W5 synchronization layer
 //!
 //! W5's locks span every layer from the accept thread to the ledger, and
-//! several classes are multi-instance (intern stripes, registry
-//! meta/global, ledger rings) under a lower-index-first rule that
+//! several classes are multi-instance (registry meta/global, ledger
+//! rings) under a lower-index-first rule that
 //! nothing but review used to enforce. This crate makes the
 //! synchronization layer *checkable*, the way `w5lint` made the label
 //! configuration checkable:
@@ -154,9 +154,7 @@ impl Manifest {
                 class!("store.partition", 50, "SQL store label-partitioned table map"),
                 class!("store.fs", 52, "labeled in-memory filesystem tree"),
                 class!("difc.registry", 60, "tag metadata + global capability set (meta=0, global=1)"),
-                class!("difc.intern.shard", 62, "label intern hash stripe"),
-                class!("difc.intern.table", 63, "interned label table"),
-                class!("difc.intern.ops", 64, "label binop memo table"),
+                class!("difc.intern", 62, "label id table (ids handed to the store)"),
                 class!("chaos.injector", 80, "fault-injector schedule state"),
                 class!("obs.ledger", 90, "flow ledger rings (ring=0, latencies=1, published=2, spans=3)"),
             ],
@@ -630,8 +628,8 @@ mod tests {
     #[test]
     fn descending_same_class_is_w5d002_and_ascending_is_clean() {
         let rec = Arc::new(Recorder::new());
-        let lo = Mutex::with_index("difc.intern.shard", 2, ());
-        let hi = Mutex::with_index("difc.intern.shard", 5, ());
+        let lo = Mutex::with_index("difc.registry", 0, ());
+        let hi = Mutex::with_index("difc.registry", 1, ());
         {
             let _scope = lockdep::scoped(Arc::clone(&rec));
             let _a = lo.lock();
@@ -649,17 +647,17 @@ mod tests {
         let report = analyze(&Manifest::workspace(), &rec.snapshot());
         let hits = report.with_code("W5D002");
         assert_eq!(hits.len(), 1, "{:#?}", report.findings);
-        assert!(hits[0].message.contains("instance 2 while holding instance 5"));
+        assert!(hits[0].message.contains("instance 0 while holding instance 1"));
     }
 
     #[test]
     fn unannotated_ledger_under_lock_warns_and_annotation_silences() {
         let rec = Arc::new(Recorder::new());
-        let shard = Mutex::with_index("difc.intern.shard", 0, ());
+        let meta = Mutex::with_index("difc.registry", 0, ());
         let ledger = Mutex::with_index("obs.ledger", 0, ());
         {
             let _scope = lockdep::scoped(Arc::clone(&rec));
-            let _g = shard.lock();
+            let _g = meta.lock();
             let _l = ledger.lock();
         }
         let report = analyze(&Manifest::workspace(), &rec.snapshot());
@@ -668,7 +666,7 @@ mod tests {
         rec.reset();
         {
             let _scope = lockdep::scoped(Arc::clone(&rec));
-            let _g = shard.lock();
+            let _g = meta.lock();
             let _permit = lockdep::allow_held("obs.ledger");
             let _l = ledger.lock();
         }
@@ -679,16 +677,16 @@ mod tests {
     #[test]
     fn blocking_under_lock_is_w5d003() {
         let rec = Arc::new(Recorder::new());
-        let shard = Mutex::with_index("difc.intern.shard", 3, ());
+        let global = Mutex::with_index("difc.registry", 1, ());
         {
             let _scope = lockdep::scoped(Arc::clone(&rec));
-            let _g = shard.lock();
+            let _g = global.lock();
             lockdep::blocking("net.socket.write");
         }
         let report = analyze(&Manifest::workspace(), &rec.snapshot());
         let hits = report.with_code("W5D003");
         assert_eq!(hits.len(), 1, "{:#?}", report.findings);
-        assert!(hits[0].message.contains("difc.intern.shard#3"), "{}", hits[0].message);
+        assert!(hits[0].message.contains("difc.registry#1"), "{}", hits[0].message);
     }
 
     #[test]
@@ -718,7 +716,7 @@ mod tests {
         run.edges.push(w5_sync::lockdep::ObservedEdge {
             held: "obs.ledger".into(),
             held_index: 0,
-            acquired: "difc.intern.shard".into(),
+            acquired: "difc.intern".into(),
             acquired_index: 0,
             site: "x.rs:1".into(),
             allowed: false,
@@ -727,7 +725,7 @@ mod tests {
         });
         let dot = to_dot(&Manifest::workspace(), &run);
         assert!(dot.contains("digraph w5locks"));
-        assert!(dot.contains("\"obs.ledger\" -> \"difc.intern.shard\" [color=red"), "{dot}");
+        assert!(dot.contains("\"obs.ledger\" -> \"difc.intern\" [color=red"), "{dot}");
         assert!(dot.contains("\"fixture.alpha\" [style=dashed"), "{dot}");
     }
 

@@ -1,36 +1,78 @@
-//! Observability-side secrecy labels.
+//! The workspace's one sorted tag-set type.
 //!
-//! `w5-obs` sits below `w5-difc` in the crate graph, so it cannot name
-//! `w5_difc::Label` directly; an [`ObsLabel`] is the same mathematical
-//! object — a sorted, deduplicated set of tag ids — carried as raw `u64`s.
-//! `w5-difc` provides the lossless conversion from its `Label`.
+//! A label is a sorted, deduplicated set of tag ids. There is exactly one
+//! implementation of that set — this one — and two views of it:
+//! [`ObsLabel`] carries raw `u64` ids for the ledger, and `w5_difc::Label`
+//! is a newtype over it that takes and yields typed, non-zero `Tag`s. The
+//! type lives here because `w5-obs` is the lowest crate that needs it (the
+//! flow rules themselves are instrumented), so handing a `Label` to the
+//! ledger is a borrow, not a conversion.
 //!
-//! Ledger events clone their label on every record, so the representation
-//! is built to make clones free: 0–2 tags (the overwhelming majority of
-//! real labels — `{}` and `{e_u}`) live inline with no heap allocation,
-//! and larger sets share an `Arc<[u64]>` so a clone is a reference-count
-//! bump, never a vector copy.
+//! Real labels are one tag wide (`{e_u}`, `{w_u}`; paper §3.1), so 0–2 tags
+//! live inline with no heap allocation and every operation on them is
+//! allocation-free; larger sets share an `Arc<[u64]>`, so a clone is a
+//! reference-count bump, never a vector copy.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
-const OBS_INLINE: usize = 2;
+const INLINE: usize = 2;
 
 #[derive(Clone, Debug)]
 enum Repr {
     /// Up to two tags stored in place; `tags[len..]` is unused padding.
-    Inline { len: u8, tags: [u64; OBS_INLINE] },
-    /// Larger sets, shared. Always strictly sorted, length > OBS_INLINE.
+    Inline { len: u8, tags: [u64; INLINE] },
+    /// Larger sets, shared. Always strictly sorted, length > INLINE.
     Heap(Arc<[u64]>),
 }
 
-/// A secrecy label as the ledger sees it: sorted, deduplicated raw tag ids.
+/// A sorted, deduplicated set of raw tag ids. Invariant: the inline
+/// representation is used iff the set holds `<= INLINE` tags, so the
+/// representation is canonical per set.
 #[derive(Clone)]
 pub struct ObsLabel(Repr);
+
+/// The one ordered merge behind union, intersection and difference: walks
+/// both sorted runs once and emits, in ascending order, each run of tags
+/// that `keep` selects by where it was found — `keep[0]` only in `a`,
+/// `keep[1]` in both, `keep[2]` only in `b`.
+fn merge_runs(a: &[u64], b: &[u64], keep: [bool; 3], mut emit: impl FnMut(&[u64])) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => {
+                if keep[0] {
+                    emit(&a[i..=i]);
+                }
+                i += 1;
+            }
+            Ordering::Equal => {
+                if keep[1] {
+                    emit(&a[i..=i]);
+                }
+                i += 1;
+                j += 1;
+            }
+            Ordering::Greater => {
+                if keep[2] {
+                    emit(&b[j..=j]);
+                }
+                j += 1;
+            }
+        }
+    }
+    if keep[0] {
+        emit(&a[i..]);
+    }
+    if keep[2] {
+        emit(&b[j..]);
+    }
+}
 
 impl ObsLabel {
     /// The empty (public) label.
     pub fn empty() -> ObsLabel {
-        ObsLabel(Repr::Inline { len: 0, tags: [0; OBS_INLINE] })
+        ObsLabel(Repr::Inline { len: 0, tags: [0; INLINE] })
     }
 
     /// A label of a single tag id.
@@ -46,17 +88,16 @@ impl ObsLabel {
         ObsLabel::from_canonical(v)
     }
 
-    /// Build from a vector the caller guarantees is sorted and deduplicated
-    /// (e.g. produced from an already-sorted `w5_difc::Label`). Checked in
-    /// debug builds.
+    /// Build from a vector the caller guarantees is sorted and deduplicated.
+    /// Checked in debug builds.
     pub fn from_sorted(v: Vec<u64>) -> ObsLabel {
-        debug_assert!(v.windows(2).all(|w| w[0] < w[1]), "obs label not strictly sorted");
+        debug_assert!(v.windows(2).all(|w| w[0] < w[1]), "label not strictly sorted");
         ObsLabel::from_canonical(v)
     }
 
     fn from_canonical(v: Vec<u64>) -> ObsLabel {
-        if v.len() <= OBS_INLINE {
-            let mut tags = [0u64; OBS_INLINE];
+        if v.len() <= INLINE {
+            let mut tags = [0u64; INLINE];
             tags[..v.len()].copy_from_slice(&v);
             ObsLabel(Repr::Inline { len: v.len() as u8, tags })
         } else {
@@ -72,6 +113,11 @@ impl ObsLabel {
         }
     }
 
+    /// True if the label is stored inline (no heap allocation).
+    pub fn is_inline(&self) -> bool {
+        matches!(self.0, Repr::Inline { .. })
+    }
+
     /// Number of tags.
     pub fn len(&self) -> usize {
         self.as_slice().len()
@@ -82,7 +128,7 @@ impl ObsLabel {
         self.len() == 0
     }
 
-    /// Membership test.
+    /// Membership test (binary search).
     pub fn contains(&self, tag: u64) -> bool {
         self.as_slice().binary_search(&tag).is_ok()
     }
@@ -92,9 +138,10 @@ impl ObsLabel {
         self.as_slice().iter().copied()
     }
 
-    /// `self ⊆ other` by linear merge. This is the clearance test: an event
+    /// `self ⊆ other` by linear merge, no allocation. This is both the
+    /// no-privilege flow rule and the ledger's clearance test: an event
     /// labeled `self` may flow to a viewer cleared for `other` exactly when
-    /// the no-privilege secrecy rule `S_event ⊆ S_viewer` holds.
+    /// `S_event ⊆ S_viewer` holds.
     pub fn is_subset(&self, other: &ObsLabel) -> bool {
         let (a, b) = (self.as_slice(), other.as_slice());
         if a.len() > b.len() {
@@ -104,9 +151,9 @@ impl ObsLabel {
         'outer: for t in a {
             for o in oi.by_ref() {
                 match o.cmp(t) {
-                    std::cmp::Ordering::Less => continue,
-                    std::cmp::Ordering::Equal => continue 'outer,
-                    std::cmp::Ordering::Greater => return false,
+                    Ordering::Less => continue,
+                    Ordering::Equal => continue 'outer,
+                    Ordering::Greater => return false,
                 }
             }
             return false;
@@ -114,37 +161,45 @@ impl ObsLabel {
         true
     }
 
-    /// `self ∪ other` (used to accumulate the label of a latency series).
-    pub fn union(&self, other: &ObsLabel) -> ObsLabel {
+    /// Merge with `other`, keeping tags as [`merge_runs`] selects them.
+    /// Real labels are one tag wide: when both operands together fit
+    /// inline, so does the result, and nothing allocates.
+    fn merge(&self, other: &ObsLabel, keep: [bool; 3]) -> ObsLabel {
         let (a, b) = (self.as_slice(), other.as_slice());
-        if a.is_empty() {
+        if a.len() + b.len() <= INLINE {
+            let (mut tags, mut len) = ([0u64; INLINE], 0);
+            merge_runs(a, b, keep, |run| {
+                tags[len..len + run.len()].copy_from_slice(run);
+                len += run.len();
+            });
+            ObsLabel(Repr::Inline { len: len as u8, tags })
+        } else {
+            let mut out = Vec::with_capacity(a.len() + b.len());
+            merge_runs(a, b, keep, |run| out.extend_from_slice(run));
+            ObsLabel::from_canonical(out)
+        }
+    }
+
+    /// `self ∪ other`.
+    pub fn union(&self, other: &ObsLabel) -> ObsLabel {
+        // `x ∪ {}` is the common case: a clone shares heap storage.
+        if self.is_empty() {
             return other.clone();
         }
-        if b.is_empty() {
+        if other.is_empty() {
             return self.clone();
         }
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
-        ObsLabel::from_canonical(out)
+        self.merge(other, [true, true, true])
+    }
+
+    /// `self ∩ other`.
+    pub fn intersection(&self, other: &ObsLabel) -> ObsLabel {
+        self.merge(other, [false, true, false])
+    }
+
+    /// `self − other`.
+    pub fn difference(&self, other: &ObsLabel) -> ObsLabel {
+        self.merge(other, [true, false, false])
     }
 }
 
@@ -154,8 +209,8 @@ impl Default for ObsLabel {
     }
 }
 
-// Equality, hashing and debug output are representation-blind: they see
-// only the canonical sorted tag sequence.
+// Equality, ordering, hashing and debug output are representation-blind:
+// they see only the canonical sorted tag sequence.
 impl PartialEq for ObsLabel {
     fn eq(&self, other: &ObsLabel) -> bool {
         self.as_slice() == other.as_slice()
@@ -163,6 +218,18 @@ impl PartialEq for ObsLabel {
 }
 
 impl Eq for ObsLabel {}
+
+impl PartialOrd for ObsLabel {
+    fn partial_cmp(&self, other: &ObsLabel) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ObsLabel {
+    fn cmp(&self, other: &ObsLabel) -> Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
 
 impl std::hash::Hash for ObsLabel {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
@@ -184,8 +251,7 @@ impl FromIterator<u64> for ObsLabel {
     }
 }
 
-// Wire format unchanged from the old `#[serde(transparent)] Vec<u64>`
-// derive: a plain JSON array, e.g. `[7,9]`.
+// Wire format: a plain JSON array, e.g. `[7,9]`.
 impl serde::Serialize for ObsLabel {
     fn to_json(&self) -> serde::Json {
         serde::Json::Arr(self.iter().map(serde::Json::UInt).collect())

@@ -10,10 +10,11 @@
 //! must not become the §3.5 covert channel it exists to watch for.
 //!
 //! Layering: this crate sits *below* `w5-difc` so that even the flow rules
-//! themselves can be instrumented. It therefore cannot use [`w5_difc::Label`];
-//! instead [`ObsLabel`] holds the raw sorted tag ids, and clearance checks
-//! are plain subset tests — exactly the no-privilege secrecy-flow rule
-//! (`S_event ⊆ S_viewer`).
+//! themselves can be instrumented. That makes it the lowest crate that
+//! needs a tag set, so the workspace's one sorted-set implementation lives
+//! here: [`ObsLabel`] is the set over raw tag ids, `w5_difc::Label` is a
+//! typed view over it, and clearance checks are plain subset tests —
+//! exactly the no-privilege secrecy-flow rule (`S_event ⊆ S_viewer`).
 //!
 //! Cost model: counters are lock-free atomics on every path; the bounded
 //! event ring and the latency registry take a short mutex. The hottest

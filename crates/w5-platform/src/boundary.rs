@@ -158,7 +158,7 @@ impl Admission for NetAdmission {
     }
 
     fn telemetry_label(&self, class: &PrincipalClass) -> w5_obs::ObsLabel {
-        self.class_labels(class).secrecy.to_obs()
+        self.class_labels(class).secrecy.to_obs().clone()
     }
 }
 

@@ -140,12 +140,11 @@ impl Exporter {
     ) -> ExportDecision {
         let started = std::time::Instant::now();
         self.stats.checked.fetch_add(1, Ordering::Relaxed);
-        // One interned-cache lookup covers both ledger emissions below;
-        // for the dominant public-response case this is an alloc-free
-        // inline copy.
-        let obs_secrecy = labels.secrecy.to_obs();
-        let _span =
-            w5_obs::span("platform.export_check", w5_obs::Layer::Platform, &obs_secrecy);
+        let _span = w5_obs::span(
+            "platform.export_check",
+            w5_obs::Layer::Platform,
+            labels.secrecy.to_obs(),
+        );
         let mut cleared = Vec::new();
         let mut blocked = Vec::new();
 
@@ -205,14 +204,14 @@ impl Exporter {
         // export names the tags that blocked it, which is exactly the data
         // the perimeter refused to release.
         w5_obs::record(
-            &obs_secrecy,
+            labels.secrecy.to_obs(),
             w5_obs::EventKind::ExportCheck {
                 app: app.to_string(),
                 allowed,
                 blocked_tags: blocked.len() as u64,
             },
         );
-        w5_obs::time("platform.export_check", &obs_secrecy, started.elapsed());
+        w5_obs::time("platform.export_check", labels.secrecy.to_obs(), started.elapsed());
         ExportDecision { allowed, cleared, blocked }
     }
 

@@ -414,10 +414,10 @@ impl Platform {
         // carries the same label before it closes.
         let result_secrecy = result.labels.secrecy.to_obs();
         if let Some(s) = trace_span.as_mut() {
-            s.add_secrecy(&result_secrecy);
+            s.add_secrecy(result_secrecy);
         }
         drop(trace_span.take());
-        w5_obs::time("platform.invoke", &result_secrecy, invoke_started.elapsed());
+        w5_obs::time("platform.invoke", result_secrecy, invoke_started.elapsed());
         result
     }
 
@@ -462,7 +462,7 @@ impl Platform {
         {
             let (clean, stats) = sanitize_html_labeled(
                 &String::from_utf8_lossy(&response.body),
-                &labels.secrecy.to_obs(),
+                labels.secrecy.to_obs(),
             );
             (Bytes::from(clean), Some(stats))
         } else {

@@ -61,8 +61,8 @@ mod tests {
         let rec = recorder(None);
         {
             let _scope = lockdep::scoped(Arc::clone(&rec));
-            let a = w5_sync::Mutex::with_index("difc.intern.shard", 0, ());
-            let b = w5_sync::Mutex::with_index("difc.intern.shard", 1, ());
+            let a = w5_sync::Mutex::with_index("difc.registry", 0, ());
+            let b = w5_sync::Mutex::with_index("difc.registry", 1, ());
             let _ga = a.lock();
             let _gb = b.lock();
         }
@@ -75,8 +75,8 @@ mod tests {
         let rec = recorder(None);
         {
             let _scope = lockdep::scoped(Arc::clone(&rec));
-            let a = w5_sync::Mutex::with_index("difc.intern.shard", 0, ());
-            let b = w5_sync::Mutex::with_index("difc.intern.shard", 1, ());
+            let a = w5_sync::Mutex::with_index("difc.registry", 0, ());
+            let b = w5_sync::Mutex::with_index("difc.registry", 1, ());
             let _gb = b.lock();
             let _ga = a.lock();
         }

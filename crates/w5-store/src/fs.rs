@@ -29,7 +29,7 @@ fn ledger_access(path: &str, bytes: u64, labels: &LabelPair, write: bool, allowe
     } else {
         w5_obs::EventKind::StoreRead { path: path.to_string(), bytes, allowed }
     };
-    w5_obs::record(&labels.secrecy.to_obs(), kind);
+    w5_obs::record(labels.secrecy.to_obs(), kind);
 }
 
 /// Filesystem errors.
@@ -322,10 +322,7 @@ impl LabeledFs {
             *counts.entry(f.labels.clone()).or_insert(0) += 1;
         }
         let mut entries: Vec<(LabelPair, usize)> = counts.into_iter().collect();
-        entries.sort_by(|a, b| {
-            (a.0.secrecy.as_slice(), a.0.integrity.as_slice())
-                .cmp(&(b.0.secrecy.as_slice(), b.0.integrity.as_slice()))
-        });
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
         entries
     }
 }

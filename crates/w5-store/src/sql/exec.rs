@@ -490,10 +490,7 @@ impl Database {
                     .iter()
                     .map(|p| (p.labels.resolve(), p.rows.len()))
                     .collect();
-                entries.sort_by(|a, b| {
-                    (a.0.secrecy.as_slice(), a.0.integrity.as_slice())
-                        .cmp(&(b.0.secrecy.as_slice(), b.0.integrity.as_slice()))
-                });
+                entries.sort_by(|a, b| a.0.cmp(&b.0));
                 (name.clone(), entries)
             })
             .collect();
@@ -924,16 +921,17 @@ fn validate_columns(
     Ok(())
 }
 
-/// Fold the interned labels of contributing rows. [`PairId::combine`]'s
-/// identity fast path means a scan over rows with one distinct label pair
-/// (the common case: one user's table) does no set algebra at all.
-fn combine_labels<I: Iterator<Item = PairId>>(mut labels: I) -> PairId {
-    // Seed from the first row, not from PUBLIC: integrity combines by
+/// Fold the interned labels of contributing rows over their *distinct*
+/// ids, so the set algebra is bounded by partitions hit, not rows: a scan
+/// over one distinct label pair (the common case: one user's table) does
+/// none at all.
+fn combine_labels<I: Iterator<Item = PairId>>(labels: I) -> PairId {
+    let mut distinct: Vec<PairId> = labels.collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    // Reduce from the first id, not from PUBLIC: integrity combines by
     // intersection, and an empty seed would erase every integrity claim.
-    match labels.next() {
-        None => PairId::PUBLIC,
-        Some(first) => labels.fold(first, |acc, l| acc.combine(l)),
-    }
+    distinct.into_iter().reduce(PairId::combine).unwrap_or(PairId::PUBLIC)
 }
 
 fn eval(

@@ -75,7 +75,7 @@ impl FlowMemo<'_> {
             Some(&ok) => {
                 // Memoized verdicts still tick the ledger: audit sees every
                 // per-row check; only the recomputation is skipped.
-                w5_obs::count_check("read", ok, &id.secrecy.to_obs());
+                w5_obs::count_check("read", ok, id.secrecy.resolve().to_obs());
                 ok
             }
             None => {
@@ -90,7 +90,7 @@ impl FlowMemo<'_> {
     pub fn may_write(&mut self, id: PairId) -> bool {
         match self.write.get(&id) {
             Some(&ok) => {
-                w5_obs::count_check("write", ok, &self.subject.labels.secrecy.to_obs());
+                w5_obs::count_check("write", ok, self.subject.labels.secrecy.to_obs());
                 ok
             }
             None => {
