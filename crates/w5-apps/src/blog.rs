@@ -97,7 +97,7 @@ pub fn install(platform: &Arc<Platform>) {
         &w5_difc::LabelPair::public(),
         "CREATE TABLE blog_posts (owner TEXT, title TEXT, body TEXT)",
     );
-    // Reads are always by owner; the index makes them sorted-run probes.
+    // Reads are always by owner; the index makes them one lookup per partition.
     let _ = platform.db.create_index("blog_posts", "owner");
     platform
         .apps

@@ -8,7 +8,7 @@
 //!   check and one budget unit per row.
 //! - **partitioned**: [`w5_store::PartitionedExec`] — rows grouped into
 //!   label partitions (one flow check per partition, unreadable
-//!   partitions skipped at flat cost) with per-partition sorted runs
+//!   partitions skipped at flat cost) with per-partition ordered indexes
 //!   serving indexed `WHERE` clauses.
 //!
 //! Three shapes, at 1k and 100k rows:
@@ -19,6 +19,11 @@
 //!   no label skew.
 //! - `label_skew` — full aggregate by an owner who can read 1 of 100
 //!   partitions: pure pruning win, no index.
+//!
+//! And one probe of the partitioned engine alone, `point_lookup_parts_N`:
+//! the same indexed point lookup at a fixed 100k rows spread over 10, 100
+//! and 1000 partitions of which the reader may read one — what a statement
+//! pays per partition it has to ask about, as ns per partition.
 //!
 //! Emits `BENCH_store.json` (via `w5_bench::metrics`, so
 //! `W5_METRICS_DIR` redirects it). `--short` shrinks sizes and budgets
@@ -47,12 +52,21 @@ struct Speedup {
     speedup: f64,
 }
 
+/// One `point_lookup_parts_N` reading: query time over partitions walked.
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+struct PerPartition {
+    name: String,
+    partitions: usize,
+    ns_per_partition: f64,
+}
+
 /// The whole artifact.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 struct BenchStore {
     short: bool,
     entries: Vec<BenchEntry>,
     speedups: Vec<Speedup>,
+    per_partition: Vec<PerPartition>,
 }
 
 struct Harness {
@@ -257,7 +271,34 @@ fn main() {
         );
     }
 
-    let out = BenchStore { short, entries: h.entries, speedups: h.speedups };
+    // --- The per-partition constant: one readable partition among N
+    // read-protected ones, row count fixed, so only N moves. Tags made
+    // here are not in `owner0`'s capability snapshot: it reads partition 0
+    // and is refused everywhere else, as above. ---
+    let rows = if short { 10_000 } else { 100_000 };
+    let part_counts: &[usize] = if short { &[10, 100] } else { &[10, 100, 1000] };
+    let mut labels = owner_labels;
+    let mut per_partition = Vec::new();
+    for &parts in part_counts {
+        for i in labels.len()..parts {
+            let (t, _) = reg.create_tag(TagKind::ReadProtect, &format!("bench:u{i}"));
+            labels.push(LabelPair::new(Label::singleton(t), Label::empty()));
+        }
+        let db = Database::new();
+        build(&db, rows, &labels[..parts]);
+        let name = format!("point_lookup_parts_{parts}");
+        let mut k = 0usize;
+        let ns = h.bench(&format!("{name} (partitioned)"), || {
+            let id = (k * parts) % rows;
+            k += 1;
+            select(&db, &owner0, &format!("SELECT v FROM items WHERE id = {id}"));
+        });
+        let ns_per_partition = ns / parts as f64;
+        println!("  {name:<34} {ns_per_partition:.0} ns/partition");
+        per_partition.push(PerPartition { name, partitions: parts, ns_per_partition });
+    }
+
+    let out = BenchStore { short, entries: h.entries, speedups: h.speedups, per_partition };
     let path = w5_bench::metrics::write_metrics("BENCH_store", &out).expect("write metrics");
     println!();
     println!("wrote {}", path.display());

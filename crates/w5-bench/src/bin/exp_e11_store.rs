@@ -8,7 +8,7 @@
 //!
 //! Since the storage engine became label-partitioned, every configuration
 //! runs on both executors: **reference** (the seed per-row scan) and
-//! **partitioned** (one flow check per partition, pruning, sorted-run
+//! **partitioned** (one flow check per partition, pruning, ordered
 //! indexes). The rows/s column is the number the paper's bet depends on —
 //! partitioning is what keeps the shared table competitive with per-user
 //! silos as label diversity grows.

@@ -4,8 +4,10 @@
 //! Writes are cheap: per-layer counters are lock-free atomics; the bounded
 //! event ring and the latency registry take one short `obs.ledger`-classed
 //! `w5_sync` mutex each (instances ring=0, latencies=1, published=2,
-//! spans=3; never nested). Reads are **labeled operations**: [`Ledger::view`] takes the
-//! viewer's clearance (their secrecy label, as an [`ObsLabel`]) and
+//! spans=3; never nested), and the published aggregate's mutex is taken
+//! only by the one event in [`REFRESH_EVERY`] that republishes it. Reads
+//! are **labeled operations**: [`Ledger::view`] takes the viewer's
+//! clearance (their secrecy label, as an [`ObsLabel`]) and
 //!
 //! * returns verbatim only events whose secrecy label is a subset of the
 //!   clearance (the no-privilege secrecy-flow rule);
@@ -66,13 +68,6 @@ struct LatencySeries {
     hist: Histogram,
 }
 
-/// The published (stale, quantized) aggregate a redacted viewer sees.
-struct Published {
-    agg: Aggregate,
-    /// Events recorded when `agg` was built.
-    at: u64,
-}
-
 /// The label-aware flow ledger.
 pub struct Ledger {
     seq: AtomicU64,
@@ -81,7 +76,14 @@ pub struct Ledger {
     ring: Mutex<VecDeque<Event>>,
     ring_cap: usize,
     latencies: Mutex<BTreeMap<String, LatencySeries>>,
-    published: Mutex<Published>,
+    /// The published (stale, quantized) aggregate a redacted viewer sees.
+    published: Mutex<Aggregate>,
+    /// Events recorded when `published` was last built (0 = never). Written
+    /// only under the `published` lock; read without it, so every event but
+    /// the one that republishes decides with one load. It guards no data —
+    /// the aggregate is read under the mutex — hence `Relaxed`: a stale read
+    /// can only send a thread to the lock, where it looks again.
+    published_at: AtomicU64,
     /// Completed spans, oldest first (see `crate::trace`).
     spans: Mutex<VecDeque<SpanRecord>>,
     span_cap: usize,
@@ -121,7 +123,8 @@ impl Ledger {
             ring: Mutex::with_index("obs.ledger", 0, VecDeque::with_capacity(ring_cap.min(1024))),
             ring_cap,
             latencies: Mutex::with_index("obs.ledger", 1, BTreeMap::new()),
-            published: Mutex::with_index("obs.ledger", 2, Published { agg: Aggregate::default(), at: 0 }),
+            published: Mutex::with_index("obs.ledger", 2, Aggregate::default()),
+            published_at: AtomicU64::new(0),
             spans: Mutex::with_index("obs.ledger", 3, VecDeque::with_capacity(DEFAULT_SPAN_CAP.min(1024))),
             span_cap: DEFAULT_SPAN_CAP,
             span_counters: Default::default(),
@@ -219,7 +222,7 @@ impl Ledger {
 
         let aggregate = if redacted {
             // Stale + quantized: the published snapshot, floored to QUANTUM.
-            self.published.lock().agg.clone()
+            self.published.lock().clone()
         } else {
             self.aggregate()
         };
@@ -448,8 +451,13 @@ impl Ledger {
     /// snapshot — that staleness *is* the rate limit.
     fn maybe_republish(&self) {
         let now = self.seq.load(Ordering::Relaxed);
+        let fresh = |at: u64| at != 0 && now < at + REFRESH_EVERY;
+        if fresh(self.published_at.load(Ordering::Relaxed)) {
+            return;
+        }
         let mut published = self.published.lock();
-        if now < published.at + REFRESH_EVERY && published.at != 0 {
+        // Another thread may have republished while this one waited.
+        if fresh(self.published_at.load(Ordering::Relaxed)) {
             return;
         }
         let mut agg = self.aggregate();
@@ -459,8 +467,8 @@ impl Ledger {
         for v in agg.denied.values_mut() {
             *v -= *v % QUANTUM;
         }
-        published.agg = agg;
-        published.at = now.max(1);
+        *published = agg;
+        self.published_at.store(now.max(1), Ordering::Relaxed);
     }
 }
 
@@ -565,6 +573,51 @@ mod tests {
         let after = l.view(&ObsLabel::empty()).aggregate;
         assert!(after.events["kernel"] > before.events["kernel"]);
         assert_eq!(after.events["kernel"] % QUANTUM, 0);
+    }
+
+    /// The republish guard is read without the lock, so pin what it may not
+    /// cost: a single count under contention, or a refresh that comes late.
+    #[test]
+    fn contended_checks_count_exactly_and_republish_on_cadence() {
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 10_000;
+        let l = Ledger::new();
+        let secret = ObsLabel::singleton(5);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        l.count_check("read", i % 1000 != 0, &secret);
+                    }
+                });
+            }
+        });
+        let total = THREADS * PER_THREAD;
+        assert_eq!(l.events_recorded(), total);
+        let agg = l.aggregate();
+        for layer in Layer::ALL {
+            let (events, denied) = match layer {
+                Layer::Difc => (total, THREADS * PER_THREAD / 1000),
+                _ => (0, 0),
+            };
+            assert_eq!(agg.events[layer.name()], events, "{} events", layer.name());
+            assert_eq!(agg.denied[layer.name()], denied, "{} denials", layer.name());
+        }
+        // Wherever the threads left the snapshot, the next REFRESH_EVERY
+        // events must bring it to within REFRESH_EVERY of the live count.
+        for _ in 0..REFRESH_EVERY {
+            l.count_check("read", true, &secret);
+        }
+        let v = l.view(&ObsLabel::empty());
+        assert!(v.redacted, "tag 5 events are withheld from an empty clearance");
+        let (published, exact) = (v.aggregate.events["difc"], total + REFRESH_EVERY);
+        assert_eq!(published % QUANTUM, 0);
+        assert!(
+            published <= exact && exact - published <= REFRESH_EVERY,
+            "published {published} against {exact} recorded"
+        );
     }
 
     #[test]

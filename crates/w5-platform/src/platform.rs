@@ -169,7 +169,7 @@ impl Platform {
         create("CREATE TABLE w5_groups (owner TEXT, grp TEXT, member TEXT)");
         create("CREATE TABLE w5_mail (app TEXT, body TEXT, seq INTEGER)");
         // Platform queries are point lookups on these columns; the indexes
-        // turn each into a sorted-run probe per visible partition. Direct
+        // turn each into one index lookup per visible partition. Direct
         // calls (not SQL): index creation is schema metadata, not subject
         // to fault injection or label checks.
         db.create_index("w5_friends", "owner").expect("index w5_friends");

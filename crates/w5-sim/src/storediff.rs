@@ -119,7 +119,7 @@ enum Op {
     /// Owner point update of the unindexed payload column.
     Update { id: i64, v: i64 },
     /// Owner update that rewrites the indexed key column (forces a
-    /// sorted-run rebuild mid-schedule).
+    /// index rebuild mid-schedule).
     Shift { id: i64 },
     /// Stranger blanket update: write-protected rows it can *read* but
     /// not write make this surface `WriteDenied` deterministically.

@@ -11,10 +11,12 @@
 //!   yardstick for `bench_store_json`.
 //! * [`PartitionedExec`] — the production engine. Rows live in label
 //!   partitions (see [`storage`](super::storage)), so visibility is decided
-//!   **once per partition**; unreadable partitions are skipped wholesale
-//!   for a flat one-unit charge, and WHERE clauses on indexed columns are
-//!   served from sorted runs via [`plan`](super::plan) pushdown, visiting
-//!   (and charging) only candidate rows.
+//!   **once per partition**, by one call of the flow rule on the label
+//!   pair the partition holds (no id-table read, no memo); unreadable
+//!   partitions are skipped wholesale for a flat one-unit charge and never
+//!   probed, and WHERE clauses on indexed columns are served from the
+//!   readable partitions' ordered indexes via [`plan`](super::plan)
+//!   pushdown, visiting (and charging) only candidate rows.
 //!
 //! ## Label-safe cost accounting
 //!
@@ -32,14 +34,15 @@ use super::ast::{BinOp, Expr, SelectItem, Statement};
 use super::lexer::SqlError;
 use super::parser::parse;
 use super::plan;
-use super::storage::{col_index, RowLoc, StoredRow, Table};
+use super::storage::{col_index, Partition, RowLoc, StoredRow, Table};
 use super::value::{like_match, ColumnType, Value};
-use crate::subject::{FlowMemo, Subject};
+use crate::subject::Subject;
 use w5_sync::RwLock;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use w5_difc::{LabelPair, PairId, PairIdMap};
+use w5_difc::{LabelPair, PairId};
 
 /// How the engine treats rows the subject may not read. See the module docs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,14 +170,14 @@ pub trait Executor: Send + Sync {
     /// A short stable name for benches, metrics and oracle reports.
     fn name(&self) -> &'static str;
 
-    /// Visit `t`'s rows and return those that are visible under `mode`,
-    /// satisfy `filter`, and (when `write` is set) are writable by the
-    /// subject — a `WriteDenied` on any matching row aborts the scan.
-    /// Budget is charged per the executor's cost model.
+    /// Visit `t`'s rows and return those that are visible to `subject`
+    /// under `mode`, satisfy `filter`, and (when `write` is set) are
+    /// writable by the subject — a `WriteDenied` on any matching row aborts
+    /// the scan. Budget is charged per the executor's cost model.
     fn scan(
         &self,
         t: &Table,
-        memo: &mut FlowMemo<'_>,
+        subject: &Subject,
         mode: QueryMode,
         cost: QueryCost,
         filter: Option<&Expr>,
@@ -184,7 +187,7 @@ pub trait Executor: Send + Sync {
     /// All rows visible under `mode`, in insertion order. Used as the join
     /// prefilter; charges nothing (joins budget the candidate *pair* count
     /// instead).
-    fn visible(&self, t: &Table, memo: &mut FlowMemo<'_>, mode: QueryMode) -> Vec<RowLoc>;
+    fn visible(&self, t: &Table, subject: &Subject, mode: QueryMode) -> Vec<RowLoc>;
 }
 
 /// The seed engine's scan, preserved verbatim: every row in insertion
@@ -200,12 +203,14 @@ impl Executor for ReferenceExec {
     fn scan(
         &self,
         t: &Table,
-        memo: &mut FlowMemo<'_>,
+        subject: &Subject,
         mode: QueryMode,
         cost: QueryCost,
         filter: Option<&Expr>,
         write: bool,
     ) -> Result<Scan, QueryError> {
+        // Labels repeat row after row here, so verdicts are memoized.
+        let mut memo = subject.memo();
         let mut order = all_locs(t);
         order.sort_unstable_by_key(|l| l.seq);
         let mut scanned = 0u64;
@@ -216,7 +221,7 @@ impl Executor for ReferenceExec {
                 return Err(QueryError::BudgetExhausted);
             }
             let part = &t.partitions[loc.part];
-            if mode == QueryMode::Filtered && !memo.may_read(part.labels) {
+            if mode == QueryMode::Filtered && !memo.may_read(part.labels, &part.pair) {
                 continue;
             }
             if let Some(f) = filter {
@@ -224,7 +229,7 @@ impl Executor for ReferenceExec {
                     continue;
                 }
             }
-            if write && !memo.may_write(part.labels) {
+            if write && !memo.may_write(part.labels, &part.pair) {
                 return Err(QueryError::WriteDenied);
             }
             locs.push(loc);
@@ -232,11 +237,13 @@ impl Executor for ReferenceExec {
         Ok(Scan { locs, scanned })
     }
 
-    fn visible(&self, t: &Table, memo: &mut FlowMemo<'_>, mode: QueryMode) -> Vec<RowLoc> {
+    fn visible(&self, t: &Table, subject: &Subject, mode: QueryMode) -> Vec<RowLoc> {
+        let mut memo = subject.memo();
         let mut order = all_locs(t);
         order.sort_unstable_by_key(|l| l.seq);
         order.retain(|l| {
-            mode == QueryMode::Naive || memo.may_read(t.partitions[l.part].labels)
+            let part = &t.partitions[l.part];
+            mode == QueryMode::Naive || memo.may_read(part.labels, &part.pair)
         });
         order
     }
@@ -255,13 +262,16 @@ impl Executor for PartitionedExec {
     fn scan(
         &self,
         t: &Table,
-        memo: &mut FlowMemo<'_>,
+        subject: &Subject,
         mode: QueryMode,
         cost: QueryCost,
         filter: Option<&Expr>,
         write: bool,
     ) -> Result<Scan, QueryError> {
+        // A pushdown whose column has no index slot (the planner never
+        // returns one) falls through to the unindexed scan.
         let push = filter.and_then(|f| plan::pushdown(t, f));
+        let probe = push.as_ref().and_then(|p| Some((p, t.index_slot(p.col)?)));
         let mut scanned = 0u64;
         let mut locs = Vec::new();
         let mut cands: Vec<u32> = Vec::new();
@@ -271,7 +281,9 @@ impl Executor for PartitionedExec {
                 // charging nothing keeps it harmless if that ever changes.
                 continue;
             }
-            if mode == QueryMode::Filtered && !memo.may_read(part.labels) {
+            // A partition is met once per scan, so there is nothing to
+            // memoize: one call of the rule on the pair the partition holds.
+            if mode == QueryMode::Filtered && !subject.may_read(&part.pair) {
                 // The label-safe skip: one flat unit, whatever the size.
                 scanned += 1;
                 if scanned > cost.max_rows_scanned {
@@ -279,22 +291,21 @@ impl Executor for PartitionedExec {
                 }
                 continue;
             }
-            let probed: Option<&[u32]> = match &push {
-                None => None,
-                Some(p) => {
-                    cands.clear();
-                    let slot = t.run_slot(p.col).expect("pushdown targets an indexed column");
-                    let run = &part.runs[slot];
-                    match &p.eq {
-                        Some(v) => run.probe_eq(v, &mut cands),
-                        None => run.probe_range(p.lo.as_ref(), p.hi.as_ref(), &mut cands),
+            // Candidates are visited in row order so within-partition
+            // behaviour (and any eval-error surfacing) is stable: one key's
+            // rows are stored ascending, a window's are sorted here.
+            let probed: Option<&[u32]> = probe.map(|(p, slot)| {
+                let index = &part.indexes[slot];
+                match &p.eq {
+                    Some(v) => index.probe_eq(v),
+                    None => {
+                        cands.clear();
+                        index.probe_range(p.lo.as_ref(), p.hi.as_ref(), &mut cands);
+                        cands.sort_unstable();
+                        &cands
                     }
-                    // Visit candidates in row order so within-partition
-                    // behaviour (and any eval-error surfacing) is stable.
-                    cands.sort_unstable();
-                    Some(&cands)
                 }
-            };
+            });
             let mut write_ok = false;
             let n = probed.map_or(part.rows.len(), <[u32]>::len);
             for k in 0..n {
@@ -312,7 +323,7 @@ impl Executor for PartitionedExec {
                 if write && !write_ok {
                     // One write check per partition with a matching row:
                     // labels are uniform, so the verdict is too.
-                    if !memo.may_write(part.labels) {
+                    if !subject.may_write(&part.pair) {
                         return Err(QueryError::WriteDenied);
                     }
                     write_ok = true;
@@ -323,10 +334,10 @@ impl Executor for PartitionedExec {
         Ok(Scan { locs, scanned })
     }
 
-    fn visible(&self, t: &Table, memo: &mut FlowMemo<'_>, mode: QueryMode) -> Vec<RowLoc> {
+    fn visible(&self, t: &Table, subject: &Subject, mode: QueryMode) -> Vec<RowLoc> {
         let mut locs = Vec::new();
         for (pi, part) in t.partitions.iter().enumerate() {
-            if mode == QueryMode::Filtered && !memo.may_read(part.labels) {
+            if mode == QueryMode::Filtered && !subject.may_read(&part.pair) {
                 continue;
             }
             locs.extend(
@@ -463,7 +474,7 @@ impl Database {
     /// Create a secondary equality/range index on `table.column`.
     /// Idempotent. Indexes are schema metadata: like table and column
     /// names they are public, and building one never widens visibility —
-    /// runs only ever prune the rows a query *visits*, inside partitions
+    /// indexes only ever prune the rows a query *visits*, inside partitions
     /// the subject already passed the flow check for.
     pub fn create_index(&self, table: &str, column: &str) -> Result<(), QueryError> {
         let mut tables = self.tables.write();
@@ -488,7 +499,7 @@ impl Database {
                 let mut entries: Vec<(LabelPair, usize)> = t
                     .partitions
                     .iter()
-                    .map(|p| (p.labels.resolve(), p.rows.len()))
+                    .map(|p| (p.pair.clone(), p.rows.len()))
                     .collect();
                 entries.sort_by(|a, b| a.0.cmp(&b.0));
                 (name.clone(), entries)
@@ -521,8 +532,7 @@ impl Database {
         // avoid turning DROP into an existence oracle; labels are uniform
         // within a partition, so per-partition is verdict-equivalent to
         // the seed engine's per-row pass.
-        let mut memo = subject.memo();
-        if !t.partitions.iter().all(|p| memo.may_write(p.labels)) {
+        if !t.partitions.iter().all(|p| subject.may_write(&p.pair)) {
             return Err(QueryError::WriteDenied);
         }
         tables.remove(name);
@@ -540,9 +550,6 @@ impl Database {
         if !subject.may_write(insert_labels) {
             return Err(QueryError::WriteDenied);
         }
-        // Intern once; every inserted row stamps the same `Copy` id
-        // instead of cloning the label pair.
-        let insert_id = insert_labels.interned();
         let mut tables = self.tables.write();
         let t = tables
             .get_mut(table)
@@ -575,7 +582,11 @@ impl Database {
             }
             staged.push(values);
         }
-        // All rows validated: apply atomically.
+        // All rows validated: apply atomically. Only now is the label
+        // interned (the id table never shrinks, so a statement that stores
+        // nothing must not grow it) — once; every row stamps the same
+        // `Copy` id.
+        let insert_id = insert_labels.interned();
         let n = staged.len();
         for values in staged {
             t.insert_row(insert_id, values);
@@ -627,14 +638,16 @@ impl Database {
 
         validate_columns(&t.columns, filter.as_ref())?;
 
-        let mut memo = subject.memo();
         let Scan { mut locs, scanned } =
-            self.exec.scan(t, &mut memo, mode, cost, filter.as_ref(), false)?;
+            self.exec.scan(t, subject, mode, cost, filter.as_ref(), false)?;
         // Back to insertion order: the executors may visit partition-major.
         locs.sort_unstable_by_key(|l| l.seq);
-        let mut hits: Vec<(&StoredRow, PairId)> = locs
+        let mut hits: Vec<(&StoredRow, &Partition)> = locs
             .iter()
-            .map(|l| (&t.partitions[l.part].rows[l.row], t.partitions[l.part].labels))
+            .map(|l| {
+                let part = &t.partitions[l.part];
+                (&part.rows[l.row], part)
+            })
             .collect();
 
         if let Some((col, asc)) = &order_by {
@@ -652,10 +665,7 @@ impl Database {
             hits.truncate(n);
         }
 
-        // Combined labels over contributing rows: an id-level fold whose
-        // self-combine fast path makes the homogeneous-label scan free.
-        let label_id = combine_labels(hits.iter().map(|&(_, id)| id));
-        let labels = label_id.resolve();
+        let labels = combine_labels(hits.iter().map(|&(_, part)| part));
 
         let is_agg = items.iter().any(SelectItem::is_aggregate);
         if is_agg {
@@ -702,17 +712,15 @@ impl Database {
             }
         }
         let mut rows = Vec::with_capacity(hits.len());
-        let mut resolved: PairIdMap<LabelPair> = PairIdMap::default();
-        for &(r, id) in &hits {
+        for &(r, part) in &hits {
             let mut values = Vec::with_capacity(proj.len());
             for p in &proj {
                 values.push(match p {
                     Projection::Col(i) => r.values[*i].clone(),
-                    Projection::Expr(e) => eval(e, &t.columns, &r.values)?,
+                    Projection::Expr(e) => eval(e, &t.columns, &r.values)?.into_owned(),
                 });
             }
-            let labels = resolved.entry(id).or_insert_with(|| id.resolve()).clone();
-            rows.push(Row { values, labels });
+            rows.push(Row { values, labels: part.pair.clone() });
         }
         Ok(QueryOutput { columns: headers, rows, labels, affected: 0, scanned })
     }
@@ -736,9 +744,8 @@ impl Database {
             .map(|(c, e)| t.col_index(&c).map(|i| (i, e)))
             .collect::<Result<_, _>>()?;
 
-        let mut memo = subject.memo();
         let Scan { mut locs, scanned } =
-            self.exec.scan(t, &mut memo, mode, cost, filter.as_ref(), true)?;
+            self.exec.scan(t, subject, mode, cost, filter.as_ref(), true)?;
         // Stage in insertion order so SET-expression evaluation (and any
         // error it surfaces) is executor-independent; apply only once every
         // row staged cleanly — a failure aborts the whole statement.
@@ -748,7 +755,7 @@ impl Database {
             let row = &t.partitions[loc.part].rows[loc.row];
             let mut cells = Vec::with_capacity(set_idx.len());
             for (ci, e) in &set_idx {
-                let v = eval(e, &t.columns, &row.values)?;
+                let v = eval(e, &t.columns, &row.values)?.into_owned();
                 let (ref cname, cty) = t.columns[*ci];
                 if !v.fits(cty) {
                     return Err(QueryError::TypeMismatch { column: cname.clone(), expected: cty });
@@ -764,13 +771,13 @@ impl Database {
             }
         }
         // Index maintenance: rewriting an indexed column invalidates the
-        // touched partitions' runs.
-        if set_idx.iter().any(|(ci, _)| t.run_slot(*ci).is_some()) {
+        // touched partitions' indexes.
+        if set_idx.iter().any(|(ci, _)| t.index_slot(*ci).is_some()) {
             let mut parts: Vec<usize> = locs.iter().map(|l| l.part).collect();
             parts.sort_unstable();
             parts.dedup();
             for pi in parts {
-                t.rebuild_runs(pi);
+                t.rebuild_indexes(pi);
             }
         }
         Ok(QueryOutput { affected, scanned, ..empty_output() })
@@ -791,9 +798,8 @@ impl Database {
         validate_columns(&t.columns, filter.as_ref())?;
         // Mark (scan), then sweep — so WriteDenied and budget errors abort
         // the statement without partial effects.
-        let mut memo = subject.memo();
         let Scan { locs, scanned } =
-            self.exec.scan(t, &mut memo, mode, cost, filter.as_ref(), true)?;
+            self.exec.scan(t, subject, mode, cost, filter.as_ref(), true)?;
         let affected = locs.len();
         if affected > 0 {
             let mut doomed: Vec<Option<Vec<bool>>> = vec![None; t.partitions.len()];
@@ -810,8 +816,8 @@ impl Database {
                     keep
                 });
                 if !t.partitions[pi].rows.is_empty() {
-                    // Surviving rows shifted: rebuild this partition's runs.
-                    t.rebuild_runs(pi);
+                    // Surviving rows shifted: rebuild this partition's indexes.
+                    t.rebuild_indexes(pi);
                 }
             }
             t.drop_empty_partitions();
@@ -867,9 +873,8 @@ fn join_tables(
     let li = left.col_index(&lcol)?;
     let ri = right.col_index(&rcol)?;
 
-    let mut memo = subject.memo();
-    let lvis = exec.visible(left, &mut memo, mode);
-    let rvis = exec.visible(right, &mut memo, mode);
+    let lvis = exec.visible(left, subject, mode);
+    let rvis = exec.visible(right, subject, mode);
 
     // Nested-loop join with the pair count charged against the budget.
     let pairs = lvis.len() as u64 * rvis.len() as u64;
@@ -921,133 +926,136 @@ fn validate_columns(
     Ok(())
 }
 
-/// Fold the interned labels of contributing rows over their *distinct*
-/// ids, so the set algebra is bounded by partitions hit, not rows: a scan
-/// over one distinct label pair (the common case: one user's table) does
-/// none at all.
-fn combine_labels<I: Iterator<Item = PairId>>(labels: I) -> PairId {
-    let mut distinct: Vec<PairId> = labels.collect();
-    distinct.sort_unstable();
-    distinct.dedup();
-    // Reduce from the first id, not from PUBLIC: integrity combines by
-    // intersection, and an empty seed would erase every integrity claim.
-    distinct.into_iter().reduce(PairId::combine).unwrap_or(PairId::PUBLIC)
+/// Combined labels of the rows that contributed to a result, folded over
+/// the *distinct* partitions they came from, so the set algebra is bounded
+/// by partitions hit, not rows. A scan over one partition (the common case:
+/// one user's rows) clones that partition's pair and touches no table; only
+/// a genuinely combined id is resolved.
+fn combine_labels<'t>(parts: impl Iterator<Item = &'t Partition>) -> LabelPair {
+    let mut distinct: Vec<&Partition> = parts.collect();
+    distinct.sort_unstable_by_key(|p| p.labels);
+    distinct.dedup_by_key(|p| p.labels);
+    match distinct[..] {
+        [] => LabelPair::public(),
+        [only] => only.pair.clone(),
+        // Reduce from the first id, not from PUBLIC: integrity combines by
+        // intersection, and an empty seed would erase every integrity claim.
+        _ => distinct
+            .iter()
+            .map(|p| p.labels)
+            .reduce(PairId::combine)
+            .expect("two or more partitions")
+            .resolve(),
+    }
 }
 
-fn eval(
-    expr: &Expr,
+/// Evaluate `expr` against one row. Literals and column cells — the
+/// operands of nearly every comparison a filter makes — come back borrowed,
+/// so comparing them clones nothing; computed values are owned.
+fn eval<'a>(
+    expr: &'a Expr,
     cols: &[(String, ColumnType)],
-    row: &[Value],
-) -> Result<Value, QueryError> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Column(c) => {
-            let i = col_index(cols, c)?;
-            Ok(row[i].clone())
-        }
-        Expr::Not(e) => {
-            let v = eval(e, cols, row)?;
-            Ok(Value::Bool(!v.is_truthy()))
-        }
-        Expr::Neg(e) => match eval(e, cols, row)? {
-            Value::Int(i) => Ok(Value::Int(
+    row: &'a [Value],
+) -> Result<Cow<'a, Value>, QueryError> {
+    let computed = match expr {
+        Expr::Literal(v) => return Ok(Cow::Borrowed(v)),
+        Expr::Column(c) => return Ok(Cow::Borrowed(&row[col_index(cols, c)?])),
+        Expr::Not(e) => Value::Bool(!eval(e, cols, row)?.is_truthy()),
+        Expr::Neg(e) => match *eval(e, cols, row)? {
+            Value::Int(i) => Value::Int(
                 i.checked_neg().ok_or_else(|| QueryError::Eval("integer overflow".into()))?,
-            )),
-            Value::Null => Ok(Value::Null),
-            _ => Err(QueryError::Eval("cannot negate a non-integer".into())),
+            ),
+            Value::Null => Value::Null,
+            _ => return Err(QueryError::Eval("cannot negate a non-integer".into())),
         },
         Expr::IsNull { expr, negated } => {
-            let v = eval(expr, cols, row)?;
-            let isnull = matches!(v, Value::Null);
-            Ok(Value::Bool(isnull != *negated))
+            let isnull = matches!(*eval(expr, cols, row)?, Value::Null);
+            Value::Bool(isnull != *negated)
         }
+        // Short-circuit logic first.
+        Expr::Binary { op: BinOp::And, left, right } => Value::Bool(
+            eval(left, cols, row)?.is_truthy() && eval(right, cols, row)?.is_truthy(),
+        ),
+        Expr::Binary { op: BinOp::Or, left, right } => Value::Bool(
+            eval(left, cols, row)?.is_truthy() || eval(right, cols, row)?.is_truthy(),
+        ),
         Expr::Binary { op, left, right } => {
-            use BinOp::*;
-            // Short-circuit logic first.
-            if *op == And {
-                let l = eval(left, cols, row)?;
-                if !l.is_truthy() {
-                    return Ok(Value::Bool(false));
-                }
-                return Ok(Value::Bool(eval(right, cols, row)?.is_truthy()));
-            }
-            if *op == Or {
-                let l = eval(left, cols, row)?;
-                if l.is_truthy() {
-                    return Ok(Value::Bool(true));
-                }
-                return Ok(Value::Bool(eval(right, cols, row)?.is_truthy()));
-            }
-            let l = eval(left, cols, row)?;
-            let r = eval(right, cols, row)?;
-            if matches!(l, Value::Null) || matches!(r, Value::Null) {
-                return Ok(Value::Null);
-            }
-            match op {
-                Eq => Ok(l.sql_eq(&r)),
-                NotEq => match l.sql_eq(&r) {
-                    Value::Bool(b) => Ok(Value::Bool(!b)),
-                    v => Ok(v),
-                },
-                Lt | LtEq | Gt | GtEq => {
-                    let ord = match (&l, &r) {
-                        (Value::Int(a), Value::Int(b)) => a.cmp(b),
-                        (Value::Text(a), Value::Text(b)) => a.cmp(b),
-                        _ => return Err(QueryError::Eval("incomparable values".into())),
-                    };
-                    Ok(Value::Bool(match op {
-                        Lt => ord.is_lt(),
-                        LtEq => ord.is_le(),
-                        Gt => ord.is_gt(),
-                        GtEq => ord.is_ge(),
-                        _ => unreachable!(),
-                    }))
-                }
-                Like => match (&l, &r) {
-                    (Value::Text(t), Value::Text(p)) => Ok(Value::Bool(like_match(t, p))),
-                    _ => Err(QueryError::Eval("LIKE needs text operands".into())),
-                },
-                Add | Sub | Mul | Div | Mod => {
-                    let (a, b) = match (&l, &r) {
-                        (Value::Int(a), Value::Int(b)) => (*a, *b),
-                        _ => return Err(QueryError::Eval("arithmetic needs integers".into())),
-                    };
-                    let out = match op {
-                        Add => a.checked_add(b),
-                        Sub => a.checked_sub(b),
-                        Mul => a.checked_mul(b),
-                        Div => {
-                            if b == 0 {
-                                return Err(QueryError::Eval("division by zero".into()));
-                            }
-                            a.checked_div(b)
-                        }
-                        Mod => {
-                            if b == 0 {
-                                return Err(QueryError::Eval("modulo by zero".into()));
-                            }
-                            a.checked_rem(b)
-                        }
-                        _ => unreachable!(),
-                    };
-                    out.map(Value::Int)
-                        .ok_or_else(|| QueryError::Eval("integer overflow".into()))
-                }
-                And | Or => unreachable!("handled above"),
-            }
+            let (l, r) = (eval(left, cols, row)?, eval(right, cols, row)?);
+            binary(*op, &l, &r)?
         }
+    };
+    Ok(Cow::Owned(computed))
+}
+
+/// Apply a non-logical binary operator to two evaluated operands.
+fn binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, QueryError> {
+    use BinOp::*;
+    if matches!(l, Value::Null) || matches!(r, Value::Null) {
+        return Ok(Value::Null);
+    }
+    match op {
+        Eq => Ok(l.sql_eq(r)),
+        NotEq => match l.sql_eq(r) {
+            Value::Bool(b) => Ok(Value::Bool(!b)),
+            v => Ok(v),
+        },
+        Lt | LtEq | Gt | GtEq => {
+            let ord = match (l, r) {
+                (Value::Int(a), Value::Int(b)) => a.cmp(b),
+                (Value::Text(a), Value::Text(b)) => a.cmp(b),
+                _ => return Err(QueryError::Eval("incomparable values".into())),
+            };
+            Ok(Value::Bool(match op {
+                Lt => ord.is_lt(),
+                LtEq => ord.is_le(),
+                Gt => ord.is_gt(),
+                GtEq => ord.is_ge(),
+                _ => unreachable!(),
+            }))
+        }
+        Like => match (l, r) {
+            (Value::Text(t), Value::Text(p)) => Ok(Value::Bool(like_match(t, p))),
+            _ => Err(QueryError::Eval("LIKE needs text operands".into())),
+        },
+        Add | Sub | Mul | Div | Mod => {
+            let (a, b) = match (l, r) {
+                (Value::Int(a), Value::Int(b)) => (*a, *b),
+                _ => return Err(QueryError::Eval("arithmetic needs integers".into())),
+            };
+            let out = match op {
+                Add => a.checked_add(b),
+                Sub => a.checked_sub(b),
+                Mul => a.checked_mul(b),
+                Div => {
+                    if b == 0 {
+                        return Err(QueryError::Eval("division by zero".into()));
+                    }
+                    a.checked_div(b)
+                }
+                Mod => {
+                    if b == 0 {
+                        return Err(QueryError::Eval("modulo by zero".into()));
+                    }
+                    a.checked_rem(b)
+                }
+                _ => unreachable!(),
+            };
+            out.map(Value::Int)
+                .ok_or_else(|| QueryError::Eval("integer overflow".into()))
+        }
+        And | Or => unreachable!("short-circuited by eval"),
     }
 }
 
 /// Evaluate an expression with no row context (INSERT values).
 fn eval_const(expr: &Expr) -> Result<Value, QueryError> {
-    eval(expr, &[], &[])
+    eval(expr, &[], &[]).map(Cow::into_owned)
 }
 
 fn aggregate(
     item: &SelectItem,
     cols: &[(String, ColumnType)],
-    hits: &[(&StoredRow, PairId)],
+    hits: &[(&StoredRow, &Partition)],
 ) -> Result<Value, QueryError> {
     match item {
         SelectItem::CountStar => Ok(Value::Int(hits.len() as i64)),

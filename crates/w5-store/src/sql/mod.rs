@@ -33,7 +33,7 @@
 //! identical label pairs live contiguously, so the production executor
 //! ([`PartitionedExec`]) performs one flow check per partition, skips
 //! unreadable partitions wholesale at a flat label-safe cost, and serves
-//! indexed `WHERE` clauses from per-partition sorted runs. The seed-era
+//! indexed `WHERE` clauses from per-partition ordered indexes. The seed-era
 //! per-row scan survives as [`ReferenceExec`] — the baseline for the
 //! differential oracle in `w5-sim` and the store benchmarks.
 

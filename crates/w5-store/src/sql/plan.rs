@@ -2,16 +2,16 @@
 //!
 //! The planner walks the top-level `AND` conjuncts of a filter looking for
 //! comparisons of the shape `column op literal` (or the mirror image) where
-//! the column carries a secondary index. The chosen bounds drive a
-//! [`SortedRun`](super::storage::SortedRun) probe per visible partition;
+//! the column carries a secondary index. The chosen bounds drive an
+//! [`Index`](super::storage::Index) probe per visible partition;
 //! the executor then re-evaluates the **full** original filter on every
 //! candidate row, so the probe only has to produce a superset of the
 //! matching rows. Soundness of the superset claim:
 //!
 //! * `Eq` — `sql_eq` is only `TRUE` for same-variant equal values, and
-//!   [`Value::order`](super::value::Value::order) places equal values
-//!   adjacently, so the binary-search window covers every possible match.
-//!   NULL literals are never pushed (`x = NULL` is never true).
+//!   [`Value::order`](super::value::Value::order), which keys the index,
+//!   agrees with that equality, so one map lookup covers every possible
+//!   match. NULL literals are never pushed (`x = NULL` is never true).
 //! * Ranges — pushed only when the literal's type matches the declared
 //!   column type. A truthy `<`/`<=`/`>`/`>=` requires same-type operands
 //!   (anything else evaluates to an error or NULL), and on same-type values
@@ -138,7 +138,7 @@ fn normalize<'e>(t: &Table, e: &'e Expr) -> Option<Bound<'e>> {
         return None;
     }
     let col = t.col_index(col_name).ok()?;
-    t.run_slot(col)?;
+    t.index_slot(col)?;
     match op {
         BinOp::Eq => {}
         BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {

@@ -3,15 +3,17 @@
 //! A table's rows are grouped into **partitions keyed by their interned
 //! [`PairId`]**: every row in a partition carries exactly the same
 //! (secrecy, integrity) label pair. Visibility under DIFC is therefore a
-//! per-partition property — a query performs one flow check per partition
-//! and then either streams the partition wholesale or skips it wholesale,
-//! instead of probing the flow memo once per row.
+//! per-partition property — a query performs one flow check per partition,
+//! against the resolved [`LabelPair`] the partition keeps beside its id, and
+//! then either streams the partition wholesale or skips it wholesale.
 //!
-//! Each partition additionally carries one **sorted run per indexed
-//! column** (see [`SortedRun`]): a sorted main vector plus a small unsorted
-//! tail that absorbs inserts and is merged in amortized batches. Runs are
-//! maintained on the write path only — probes never mutate — so the read
-//! path stays lock-free inside the table's `RwLock` read guard.
+//! Each partition additionally carries one **ordered index per indexed
+//! column** (see [`Index`]): a map from each distinct value to the ascending
+//! row indexes holding it. Indexes are maintained on the write path only —
+//! probes never mutate — so the read path stays lock-free inside the table's
+//! `RwLock` read guard. The index is per partition, not per table, on
+//! purpose: a probe then touches only postings the subject may read, so its
+//! cost cannot depend on what unreadable partitions hold.
 //!
 //! Invariant: partitions are never empty. A partition is created by the
 //! insert of its first row and dropped by the delete of its last, so the
@@ -21,7 +23,9 @@
 use super::value::{ColumnType, Value};
 use crate::sql::exec::QueryError;
 use std::cmp::Ordering;
-use w5_difc::{PairId, PairIdMap};
+use std::collections::BTreeMap;
+use std::ops::Bound;
+use w5_difc::{LabelPair, PairId, PairIdMap};
 
 /// A stored row: cell values plus the table-wide insertion sequence number.
 /// Scans from any executor are re-sorted by `seq` before ORDER BY / LIMIT /
@@ -43,115 +47,97 @@ pub struct RowLoc {
     pub(crate) seq: u64,
 }
 
-/// One secondary index over one column of one partition: a main vector
-/// sorted by ([`Value::order`], row index) plus an unsorted insert tail.
-///
-/// Inserts append to the tail in O(1); once the tail outgrows
-/// `64 + main.len()/8` it is merged and re-sorted, so maintenance is
-/// amortized O(log n) per insert and probes touch `main` by binary search
-/// plus a short linear pass over the tail. Deletes and updates of indexed
-/// columns rebuild the affected partition's runs eagerly on the write path.
+/// One secondary index over one column of one partition: each distinct
+/// value (keys ordered by [`Value::order`]) maps to the ascending indexes of
+/// the rows holding it. A probe is one map lookup; an insert is one lookup
+/// plus a push, because a new row's index exceeds every index already
+/// stored. Deletes and updates of indexed columns rebuild the affected
+/// partition's indexes eagerly on the write path.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct SortedRun {
-    main: Vec<(Value, u32)>,
-    tail: Vec<(Value, u32)>,
-}
+pub(crate) struct Index(BTreeMap<Value, Vec<u32>>);
 
-impl SortedRun {
-    fn entry_cmp(a: &(Value, u32), b: &(Value, u32)) -> Ordering {
-        a.0.order(&b.0).then(a.1.cmp(&b.1))
+impl Index {
+    /// Build an index over `col` of every row in the partition.
+    pub(crate) fn build(rows: &[StoredRow], col: usize) -> Index {
+        let mut index = Index::default();
+        for (i, r) in rows.iter().enumerate() {
+            index.push(&r.values[col], i as u32);
+        }
+        index
     }
 
-    /// Build a run over `col` of every row in the partition.
-    pub(crate) fn build(rows: &[StoredRow], col: usize) -> SortedRun {
-        let mut main: Vec<(Value, u32)> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.values[col].clone(), i as u32))
-            .collect();
-        main.sort_by(Self::entry_cmp);
-        SortedRun { main, tail: Vec::new() }
-    }
-
-    /// Record a newly appended row's value.
-    pub(crate) fn push(&mut self, v: Value, ix: u32) {
-        self.tail.push((v, ix));
-        if self.tail.len() >= 64 + self.main.len() / 8 {
-            self.main.append(&mut self.tail);
-            self.main.sort_by(Self::entry_cmp);
+    /// Record a newly appended row's value. The key is cloned only the
+    /// first time a value is seen.
+    pub(crate) fn push(&mut self, v: &Value, ix: u32) {
+        match self.0.get_mut(v) {
+            Some(rows) => rows.push(ix),
+            None => {
+                self.0.insert(v.clone(), vec![ix]);
+            }
         }
     }
 
-    /// Row indexes whose value equals `v` under [`Value::order`]. NULL keys
-    /// never match (`sql_eq` with NULL is never true, so the caller never
-    /// probes with NULL).
-    pub(crate) fn probe_eq(&self, v: &Value, out: &mut Vec<u32>) {
-        let lo = self.main.partition_point(|e| e.0.order(v) == Ordering::Less);
-        let hi = self.main.partition_point(|e| e.0.order(v) != Ordering::Greater);
-        out.extend(self.main[lo..hi].iter().map(|e| e.1));
-        out.extend(
-            self.tail.iter().filter(|e| e.0.order(v) == Ordering::Equal).map(|e| e.1),
-        );
+    /// Ascending row indexes whose value equals `v` under [`Value::order`].
+    /// NULL keys never match (`sql_eq` with NULL is never true, so the
+    /// caller never probes with NULL).
+    pub(crate) fn probe_eq(&self, v: &Value) -> &[u32] {
+        self.0.get(v).map_or(&[], Vec::as_slice)
     }
 
-    /// Row indexes within `(lo, hi)` under [`Value::order`]; each bound is
-    /// `(value, inclusive)`. The result only needs to be a *superset* of
-    /// the rows the original predicate accepts — the executor re-evaluates
-    /// the full filter on every candidate.
+    /// Row indexes within `(lo, hi)` under [`Value::order`], grouped by key;
+    /// each bound is `(value, inclusive)`. The result only needs to be a
+    /// *superset* of the rows the original predicate accepts — the executor
+    /// re-evaluates the full filter on every candidate.
     pub(crate) fn probe_range(
         &self,
         lo: Option<&(Value, bool)>,
         hi: Option<&(Value, bool)>,
         out: &mut Vec<u32>,
     ) {
-        let below = |e: &(Value, u32), bound: &(Value, bool)| match e.0.order(&bound.0) {
-            Ordering::Less => true,
-            Ordering::Equal => !bound.1,
-            Ordering::Greater => false,
-        };
-        let start = match lo {
-            None => 0,
-            Some(b) => self.main.partition_point(|e| below(e, b)),
-        };
-        let not_past = |e: &(Value, u32), bound: &(Value, bool)| match e.0.order(&bound.0) {
-            Ordering::Less => true,
-            Ordering::Equal => bound.1,
-            Ordering::Greater => false,
-        };
-        let end = match hi {
-            None => self.main.len(),
-            Some(b) => self.main.partition_point(|e| not_past(e, b)),
-        };
-        if start < end {
-            out.extend(self.main[start..end].iter().map(|e| e.1));
+        // `BTreeMap::range` panics on an inverted or empty-and-excluded
+        // window, and hostile SQL (`id > 5 AND id < 3`) folds into exactly
+        // that: an empty window has no candidates.
+        if let (Some(l), Some(h)) = (lo, hi) {
+            match l.0.cmp(&h.0) {
+                Ordering::Greater => return,
+                Ordering::Equal if !(l.1 && h.1) => return,
+                _ => {}
+            }
         }
-        out.extend(
-            self.tail
-                .iter()
-                .filter(|e| lo.is_none_or(|b| !below(e, b)) && hi.is_none_or(|b| not_past(e, b)))
-                .map(|e| e.1),
-        );
+        fn bound(b: Option<&(Value, bool)>) -> Bound<&Value> {
+            match b {
+                None => Bound::Unbounded,
+                Some((v, true)) => Bound::Included(v),
+                Some((v, false)) => Bound::Excluded(v),
+            }
+        }
+        for (_, rows) in self.0.range::<Value, _>((bound(lo), bound(hi))) {
+            out.extend_from_slice(rows);
+        }
     }
 }
 
-/// One label partition: a contiguous run of rows sharing `labels`, plus one
-/// sorted run per indexed column (parallel to [`Table::indexed`]).
+/// One label partition: the rows sharing one label pair — kept both as the
+/// interned id the directory routes by and as the resolved pair flow checks
+/// read — plus one index per indexed column (parallel to
+/// [`Table::indexed`]).
 #[derive(Clone, Debug)]
 pub(crate) struct Partition {
     pub(crate) labels: PairId,
+    pub(crate) pair: LabelPair,
     pub(crate) rows: Vec<StoredRow>,
-    pub(crate) runs: Vec<SortedRun>,
+    pub(crate) indexes: Vec<Index>,
 }
 
-/// A table: schema plus label partitions and their index runs.
+/// A table: schema plus label partitions and their indexes.
 #[derive(Clone, Debug, Default)]
 pub struct Table {
     pub(crate) columns: Vec<(String, ColumnType)>,
     pub(crate) partitions: Vec<Partition>,
     /// Partition directory: interned label pair → index into `partitions`.
     pub(crate) by_label: PairIdMap<usize>,
-    /// Indexed column positions, in index-creation order; `Partition::runs`
-    /// is parallel to this vector.
+    /// Indexed column positions, in index-creation order;
+    /// `Partition::indexes` is parallel to this vector.
     pub(crate) indexed: Vec<usize>,
     /// Next insertion sequence number.
     pub(crate) next_seq: u64,
@@ -180,12 +166,12 @@ impl Table {
         self.partitions.iter().map(|p| p.rows.len()).sum()
     }
 
-    /// The slot in `Partition::runs` serving column `col`, if indexed.
-    pub(crate) fn run_slot(&self, col: usize) -> Option<usize> {
+    /// The slot in `Partition::indexes` serving column `col`, if indexed.
+    pub(crate) fn index_slot(&self, col: usize) -> Option<usize> {
         self.indexed.iter().position(|&c| c == col)
     }
 
-    /// Add a secondary index on `col`, building a run in every partition.
+    /// Add a secondary index on `col`, building it in every partition.
     /// Idempotent; returns whether a new index was created.
     pub(crate) fn add_index(&mut self, col: usize) -> bool {
         if self.indexed.contains(&col) {
@@ -193,14 +179,14 @@ impl Table {
         }
         self.indexed.push(col);
         for p in &mut self.partitions {
-            let run = SortedRun::build(&p.rows, col);
-            p.runs.push(run);
+            p.indexes.push(Index::build(&p.rows, col));
         }
         true
     }
 
     /// Append one row, routing it to (or creating) its label partition and
-    /// maintaining every index run.
+    /// maintaining every index. A new partition resolves its id once, here,
+    /// so no later flow check has to.
     pub(crate) fn insert_row(&mut self, labels: PairId, values: Vec<Value>) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -210,8 +196,9 @@ impl Table {
                 let i = self.partitions.len();
                 self.partitions.push(Partition {
                     labels,
+                    pair: labels.resolve(),
                     rows: Vec::new(),
-                    runs: self.indexed.iter().map(|_| SortedRun::default()).collect(),
+                    indexes: self.indexed.iter().map(|_| Index::default()).collect(),
                 });
                 self.by_label.insert(labels, i);
                 i
@@ -220,18 +207,17 @@ impl Table {
         let p = &mut self.partitions[pi];
         let ix = p.rows.len() as u32;
         for (slot, &col) in self.indexed.iter().enumerate() {
-            p.runs[slot].push(values[col].clone(), ix);
+            p.indexes[slot].push(&values[col], ix);
         }
         p.rows.push(StoredRow { seq, values });
     }
 
-    /// Rebuild every index run of partition `pi` (after deletes or updates
-    /// of indexed columns shifted or rewrote its rows).
-    pub(crate) fn rebuild_runs(&mut self, pi: usize) {
+    /// Rebuild every index of partition `pi` (after deletes or updates of
+    /// indexed columns shifted or rewrote its rows).
+    pub(crate) fn rebuild_indexes(&mut self, pi: usize) {
         let p = &mut self.partitions[pi];
         for (slot, &col) in self.indexed.iter().enumerate() {
-            let run = SortedRun::build(&p.rows, col);
-            p.runs[slot] = run;
+            p.indexes[slot] = Index::build(&p.rows, col);
         }
     }
 
@@ -259,53 +245,64 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn probe_eq_finds_all_duplicates_across_main_and_tail() {
-        let rows = rows_of(&[5, 3, 5, 1]);
-        let mut run = SortedRun::build(&rows, 0);
-        run.push(Value::Int(5), 4);
-        run.push(Value::Int(2), 5);
+    fn range(index: &Index, lo: Option<(i64, bool)>, hi: Option<(i64, bool)>) -> Vec<u32> {
+        let bound = |b: Option<(i64, bool)>| b.map(|(v, incl)| (Value::Int(v), incl));
         let mut out = Vec::new();
-        run.probe_eq(&Value::Int(5), &mut out);
+        index.probe_range(bound(lo).as_ref(), bound(hi).as_ref(), &mut out);
         out.sort_unstable();
-        assert_eq!(out, vec![0, 2, 4]);
-        out.clear();
-        run.probe_eq(&Value::Int(9), &mut out);
-        assert!(out.is_empty());
+        out
+    }
+
+    #[test]
+    fn probe_eq_finds_all_duplicates() {
+        let rows = rows_of(&[5, 3, 5, 1]);
+        let mut index = Index::build(&rows, 0);
+        index.push(&Value::Int(5), 4);
+        index.push(&Value::Int(2), 5);
+        assert_eq!(index.probe_eq(&Value::Int(5)), [0, 2, 4]);
+        assert!(index.probe_eq(&Value::Int(9)).is_empty());
     }
 
     #[test]
     fn probe_range_respects_inclusivity() {
         let rows = rows_of(&[1, 2, 3, 4, 5]);
-        let mut run = SortedRun::build(&rows, 0);
-        run.push(Value::Int(6), 5);
-        let mut out = Vec::new();
+        let mut index = Index::build(&rows, 0);
+        index.push(&Value::Int(6), 5);
         // (2, 5]: exclusive low, inclusive high.
-        run.probe_range(
-            Some(&(Value::Int(2), false)),
-            Some(&(Value::Int(5), true)),
-            &mut out,
-        );
-        out.sort_unstable();
-        assert_eq!(out, vec![2, 3, 4]);
-        out.clear();
-        // [3, ∞): tail rows included.
-        run.probe_range(Some(&(Value::Int(3), true)), None, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![2, 3, 4, 5]);
+        assert_eq!(range(&index, Some((2, false)), Some((5, true))), vec![2, 3, 4]);
+        // [3, ∞): rows pushed after the build included.
+        assert_eq!(range(&index, Some((3, true)), None), vec![2, 3, 4, 5]);
     }
 
     #[test]
-    fn tail_merges_keep_probes_exact() {
-        let mut run = SortedRun::build(&[], 0);
-        for i in 0..1000u32 {
-            run.push(Value::Int(i64::from(i % 97)), i);
-        }
+    fn probe_range_survives_hostile_windows() {
+        let index = Index::build(&rows_of(&[3, 4, 5, 5, 6]), 0);
+        // Inverted, and every way of writing an empty window around 5.
+        assert!(range(&index, Some((5, false)), Some((3, false))).is_empty());
+        assert!(range(&index, Some((5, true)), Some((3, true))).is_empty());
+        assert!(range(&index, Some((5, false)), Some((5, false))).is_empty());
+        assert!(range(&index, Some((5, true)), Some((5, false))).is_empty());
+        assert!(range(&index, Some((5, false)), Some((5, true))).is_empty());
+        // The one-point window is not empty.
+        assert_eq!(range(&index, Some((5, true)), Some((5, true))), vec![2, 3]);
+        // A window of another type than the keys is empty, not a panic.
         let mut out = Vec::new();
-        run.probe_eq(&Value::Int(13), &mut out);
+        index.probe_range(
+            Some(&(Value::Text("a".into()), false)),
+            Some(&(Value::Text("b".into()), false)),
+            &mut out,
+        );
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn probes_stay_exact_across_many_pushes() {
+        let mut index = Index::build(&[], 0);
+        for i in 0..1000u32 {
+            index.push(&Value::Int(i64::from(i % 97)), i);
+        }
         let expect: Vec<u32> = (0..1000).filter(|i| i % 97 == 13).collect();
-        out.sort_unstable();
-        assert_eq!(out, expect);
+        assert_eq!(index.probe_eq(&Value::Int(13)), expect);
     }
 
     #[test]
@@ -315,6 +312,7 @@ mod tests {
         t.insert_row(a, vec![Value::Int(1)]);
         t.insert_row(a, vec![Value::Int(2)]);
         assert_eq!(t.partitions.len(), 1);
+        assert_eq!(t.partitions[0].pair, LabelPair::public());
         assert_eq!(t.row_count(), 2);
         t.partitions[0].rows.clear();
         t.drop_empty_partitions();

@@ -39,6 +39,23 @@ pub enum Value {
     Bool(bool),
 }
 
+/// [`Value::order`] is total and agrees with the derived `PartialEq`
+/// (variants never compare equal across type groups), so values can key an
+/// ordered map — the store's per-partition indexes do.
+impl Eq for Value {}
+
+impl Ord for Value {
+    fn cmp(&self, other: &Value) -> Ordering {
+        self.order(other)
+    }
+}
+
+impl PartialOrd for Value {
+    fn partial_cmp(&self, other: &Value) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl Value {
     /// Does this value inhabit the column type? NULL inhabits every type.
     pub fn fits(&self, ty: ColumnType) -> bool {

@@ -53,8 +53,11 @@ impl Subject {
 }
 
 /// Memoized flow checks against one fixed subject, keyed by interned
-/// [`PairId`] — the per-row check on a table scan becomes a hash probe on
-/// a `Copy` key after the first row with each distinct label pair.
+/// [`PairId`] — for scans that meet the same label pair again and again
+/// (the reference executor's per-row walk), where every check after the
+/// first with each distinct pair becomes a hash probe on a `Copy` key. The
+/// partitioned executor meets a pair once per scan and asks the
+/// [`Subject`] directly.
 ///
 /// Scoped deliberately: the memo holds `&Subject`, so the borrow checker
 /// guarantees the subject's labels and capabilities cannot change while
@@ -69,32 +72,34 @@ pub struct FlowMemo<'a> {
 }
 
 impl FlowMemo<'_> {
-    /// Memoized [`Subject::may_read`] on an interned pair.
-    pub fn may_read(&mut self, id: PairId) -> bool {
+    /// Memoized [`Subject::may_read`]. `pair` is the label pair `id` was
+    /// interned from (the partition keeps both), so neither a miss nor a
+    /// hit goes back to the id table.
+    pub fn may_read(&mut self, id: PairId, pair: &LabelPair) -> bool {
         match self.read.get(&id) {
             Some(&ok) => {
                 // Memoized verdicts still tick the ledger: audit sees every
                 // per-row check; only the recomputation is skipped.
-                w5_obs::count_check("read", ok, id.secrecy.resolve().to_obs());
+                w5_obs::count_check("read", ok, pair.secrecy.to_obs());
                 ok
             }
             None => {
-                let ok = self.subject.may_read(&id.resolve());
+                let ok = self.subject.may_read(pair);
                 self.read.insert(id, ok);
                 ok
             }
         }
     }
 
-    /// Memoized [`Subject::may_write`] on an interned pair.
-    pub fn may_write(&mut self, id: PairId) -> bool {
+    /// Memoized [`Subject::may_write`]; `pair` as for [`FlowMemo::may_read`].
+    pub fn may_write(&mut self, id: PairId, pair: &LabelPair) -> bool {
         match self.write.get(&id) {
             Some(&ok) => {
                 w5_obs::count_check("write", ok, self.subject.labels.secrecy.to_obs());
                 ok
             }
             None => {
-                let ok = self.subject.may_write(&id.resolve());
+                let ok = self.subject.may_write(pair);
                 self.write.insert(id, ok);
                 ok
             }
@@ -151,8 +156,8 @@ mod tests {
         for _ in 0..2 {
             for p in &pairs {
                 let id = p.interned();
-                assert_eq!(memo.may_read(id), anon.may_read(p));
-                assert_eq!(memo.may_write(id), anon.may_write(p));
+                assert_eq!(memo.may_read(id, p), anon.may_read(p));
+                assert_eq!(memo.may_write(id, p), anon.may_write(p));
             }
         }
     }

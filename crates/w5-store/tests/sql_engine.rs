@@ -490,3 +490,156 @@ fn join_errors() {
         Err(QueryError::Eval(_))
     ));
 }
+
+/// Windows a hostile client can write — inverted, empty with either end
+/// excluded, of another type than the column, `= NULL` — fold into index
+/// probes that must come back empty, not panic with the table lock held;
+/// rows and errors must be the reference executor's.
+#[test]
+fn hostile_range_windows_match_the_reference_and_never_panic() {
+    let reg = Arc::new(TagRegistry::new());
+    let (e, _) = reg.create_tag(TagKind::ExportProtect, "export:windows");
+    let (r, _) = reg.create_tag(TagKind::ReadProtect, "read:windows");
+    let shared = LabelPair::new(Label::singleton(e), Label::empty());
+    let hidden = LabelPair::new(Label::singleton(r), Label::empty());
+    let app = Subject::new(LabelPair::public(), reg.effective(&CapSet::empty()));
+
+    let build = |db: Database| {
+        let run = |labels: &LabelPair, sql: &str| {
+            db.execute(&app, QueryMode::Filtered, QueryCost::unlimited(), labels, sql).unwrap();
+        };
+        run(&LabelPair::public(), "CREATE TABLE t (id INTEGER, s TEXT)");
+        run(&LabelPair::public(), "CREATE INDEX ON t (id)");
+        run(
+            &LabelPair::public(),
+            "INSERT INTO t VALUES (1, 'a'), (3, 'b'), (5, 'c'), (5, 'd'), (7, 'e'), (NULL, 'f')",
+        );
+        run(&shared, "INSERT INTO t VALUES (4, 'g'), (5, 'h'), (6, 'i')");
+        // One partition the app cannot read, holding every probed key.
+        run(&hidden, "INSERT INTO t VALUES (3, 'x'), (4, 'x'), (5, 'x'), (6, 'x'), (NULL, 'x')");
+        db
+    };
+    let (part, reference) = (build(Database::new()), build(Database::reference()));
+
+    // (statement, the partitioned executor's charge: candidates visited in
+    // the two readable partitions plus one unit for the hidden one).
+    let cases = [
+        ("SELECT s FROM t WHERE id > 5 AND id < 3", Some(1)),
+        ("SELECT s FROM t WHERE id > 5 AND id < 5", Some(1)),
+        ("SELECT s FROM t WHERE id >= 5 AND id < 5", Some(1)),
+        ("SELECT s FROM t WHERE id > 5 AND id <= 5", Some(1)),
+        ("SELECT s FROM t WHERE id >= 5 AND id <= 5", Some(3 + 1)),
+        ("SELECT s FROM t WHERE 3 > id AND 5 < id", Some(1)),
+        ("SELECT COUNT(*) FROM t WHERE id > 5 AND id < 3", Some(1)),
+        ("SELECT s FROM t WHERE id = NULL", Some(9 + 1)),
+        // Not pushed down (the bound does not inhabit the column type), so
+        // the comparison itself fails on the first non-NULL id.
+        ("SELECT s FROM t WHERE id > 'a' AND id < 'b'", None),
+        ("UPDATE t SET s = 'z' WHERE id > 5 AND id < 3", Some(1)),
+        ("DELETE FROM t WHERE id >= 5 AND id < 5", Some(1)),
+    ];
+    for (sql, scanned) in cases {
+        let run = |db: &Database| {
+            db.execute(&app, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(), sql)
+        };
+        match (run(&part), run(&reference)) {
+            (Ok(p), Ok(r)) => {
+                assert_eq!(p.rows, r.rows, "{sql}");
+                assert_eq!(p.affected, r.affected, "{sql}");
+                assert_eq!(Some(p.scanned), scanned, "{sql}");
+            }
+            (Err(p), Err(r)) => {
+                assert_eq!(p, r, "{sql}");
+                assert_eq!(scanned, None, "{sql}");
+            }
+            (p, r) => panic!("{sql}: partitioned {p:?} against reference {r:?}"),
+        }
+    }
+    // The one-point window is the only one above that matches anything.
+    let out = part
+        .execute(
+            &app,
+            QueryMode::Filtered,
+            QueryCost::unlimited(),
+            &LabelPair::public(),
+            "SELECT s FROM t WHERE id >= 5 AND id <= 5 ORDER BY s",
+        )
+        .unwrap();
+    let found: Vec<&Value> = out.rows.iter().map(|r| &r.values[0]).collect();
+    assert_eq!(found, [&Value::Text("c".into()), &Value::Text("d".into()), &Value::Text("h".into())]);
+}
+
+/// An indexed SELECT still asks the flow rule about every partition, once,
+/// in creation order — readable or not, holding the key or not — and tells
+/// the ledger each time. What a check costs may change; this may not.
+#[test]
+fn one_read_check_per_partition_in_creation_order() {
+    const N: usize = 40;
+    // `Ledger::count_check` rings every denial and every 16th check.
+    const CHECK_SAMPLE: usize = 16;
+    let reg = Arc::new(TagRegistry::new());
+    let db = Database::new();
+    let run_as = |subject: &Subject, labels: &LabelPair, sql: &str| {
+        db.execute(subject, QueryMode::Filtered, QueryCost::unlimited(), labels, sql).unwrap()
+    };
+    let run = |labels: &LabelPair, sql: &str| run_as(&Subject::anonymous(), labels, sql);
+    run(&LabelPair::public(), "CREATE TABLE t (k INTEGER, s TEXT)");
+    run(&LabelPair::public(), "CREATE INDEX ON t (k)");
+    // Every third partition is unreadable; every other one lacks k = 7.
+    let mut parts: Vec<(LabelPair, bool, bool)> = (0..N)
+        .map(|i| {
+            let readable = i % 3 != 1;
+            let kind = if readable { TagKind::ExportProtect } else { TagKind::ReadProtect };
+            let (tag, _) = reg.create_tag(kind, &format!("part:{i}"));
+            let pair = LabelPair::new(Label::singleton(tag), Label::empty());
+            let has_key = i % 2 == 0;
+            run(&pair, &format!("INSERT INTO t VALUES ({}, 'p{i}'), (100, 'q{i}')", if has_key { 7 } else { 8 }));
+            (pair, readable, has_key)
+        })
+        .collect();
+    let clearance = parts
+        .iter()
+        .fold(w5_obs::ObsLabel::empty(), |all, (pair, ..)| all.union(pair.secrecy.to_obs()));
+    // The global bag now holds every export tag's `t+` and no read tag's.
+    let app = Subject::new(LabelPair::public(), reg.effective(&CapSet::empty()));
+
+    let check = |parts: &[(LabelPair, bool, bool)]| {
+        let ledger = Arc::new(w5_obs::Ledger::new());
+        let out = {
+            let _scope = w5_obs::scoped(ledger.clone());
+            run_as(&app, &LabelPair::public(), "SELECT s FROM t WHERE k = 7")
+        };
+        let found = parts.iter().filter(|(_, readable, has_key)| *readable && *has_key).count();
+        let denied = parts.iter().filter(|(_, readable, _)| !readable).count();
+        assert_eq!(out.rows.len(), found);
+        assert_eq!(out.scanned, (found + denied) as u64);
+
+        assert_eq!(ledger.events_recorded(), parts.len() as u64);
+        let agg = ledger.aggregate();
+        assert_eq!(agg.events["difc"], parts.len() as u64);
+        assert_eq!(agg.denied["difc"], denied as u64);
+        let ringed: Vec<(w5_obs::ObsLabel, bool)> = ledger
+            .view(&clearance)
+            .events
+            .into_iter()
+            .map(|e| match e.kind {
+                w5_obs::EventKind::LabelCheck { op, allowed } if op == "read" => (e.secrecy, allowed),
+                other => panic!("unexpected ledger event {other:?}"),
+            })
+            .collect();
+        let expected: Vec<(w5_obs::ObsLabel, bool)> = parts
+            .iter()
+            .enumerate()
+            .filter(|(i, (_, readable, _))| !readable || i % CHECK_SAMPLE == 0)
+            .map(|(_, (pair, readable, _))| (pair.secrecy.to_obs().clone(), *readable))
+            .collect();
+        assert_eq!(ringed, expected);
+    };
+    check(&parts);
+
+    // Empty one readable partition: it is dropped, and with it its check.
+    let deleted = run_as(&app, &LabelPair::public(), "DELETE FROM t WHERE s = 'p6' OR s = 'q6'");
+    assert_eq!(deleted.affected, 2);
+    parts.remove(6);
+    check(&parts);
+}

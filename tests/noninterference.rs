@@ -218,7 +218,9 @@ mod scan_cost {
     //! partition, never a function of how many rows hide inside. These
     //! tests difference two worlds that are identical except for the
     //! *size* of a hidden partition and demand bit-identical costs and
-    //! verdicts for a subject that cannot read it.
+    //! verdicts for a subject that cannot read it — once with the hidden
+    //! rows beyond every key the stranger asks for, and once with the
+    //! hidden partition holding the very keys the stranger probes.
 
     use std::sync::Arc;
     use w5_difc::{CapSet, Label, LabelPair, TagKind, TagRegistry};
@@ -227,8 +229,20 @@ mod scan_cost {
     const VISIBLE: usize = 500;
 
     /// A world with 500 public rows and `hidden` rows in one secret
-    /// partition the returned stranger cannot read.
+    /// partition the returned stranger cannot read, with ids past every
+    /// visible one.
     fn world(hidden: usize) -> (Database, Subject) {
+        world_with(hidden, |i| VISIBLE + i)
+    }
+
+    /// The same world with the hidden partition *holding the probed keys*:
+    /// `copies` rows with `id = 7` and `copies` spread over the
+    /// `id >= 10 AND id < 20` window.
+    fn keyed_world(copies: usize) -> (Database, Subject) {
+        world_with(2 * copies, |i| if i % 2 == 0 { 7 } else { 10 + (i / 2) % 10 })
+    }
+
+    fn world_with(hidden: usize, hidden_id: fn(usize) -> usize) -> (Database, Subject) {
         let reg = Arc::new(TagRegistry::new());
         let (e, owner_caps) = reg.create_tag(TagKind::ReadProtect, "ni:hidden");
         let owner = Subject::new(LabelPair::public(), reg.effective(&owner_caps));
@@ -243,10 +257,10 @@ mod scan_cost {
         )
         .unwrap();
         db.create_index("inbox", "id").unwrap();
-        let fill = |labels: &LabelPair, n: usize, base: usize| {
+        let fill = |labels: &LabelPair, n: usize, id: fn(usize) -> usize| {
             for chunk_start in (0..n).step_by(100) {
                 let values: Vec<String> = (chunk_start..(chunk_start + 100).min(n))
-                    .map(|i| format!("({}, 'm{}')", base + i, base + i))
+                    .map(|i| format!("({}, 'm{}')", id(i), id(i)))
                     .collect();
                 db.execute(
                     &owner,
@@ -258,8 +272,8 @@ mod scan_cost {
                 .unwrap();
             }
         };
-        fill(&LabelPair::public(), VISIBLE, 0);
-        fill(&secret, hidden, VISIBLE);
+        fill(&LabelPair::public(), VISIBLE, |i| i);
+        fill(&secret, hidden, hidden_id);
         let stranger = Subject::new(LabelPair::public(), reg.effective(&CapSet::empty()));
         (db, stranger)
     }
@@ -269,8 +283,13 @@ mod scan_cost {
     /// 1-row one does, and produce the same rows.
     #[test]
     fn hidden_partition_size_never_shows_in_scan_costs() {
-        let (small, stranger_s) = world(1);
-        let (big, stranger_b) = world(20_000);
+        assert_same_costs(world(1), world(20_000));
+    }
+
+    fn assert_same_costs(
+        (small, stranger_s): (Database, Subject),
+        (big, stranger_b): (Database, Subject),
+    ) {
         // Read-only first, state-mutating last: both worlds mutate only
         // visible rows, so they stay comparable throughout.
         let queries = [
@@ -301,12 +320,12 @@ mod scan_cost {
     fn budget_exhaustion_verdicts_are_hidden_size_invariant() {
         let (small, stranger_s) = world(1);
         let (big, stranger_b) = world(20_000);
-        for budget in [1u64, 100, 499, 500, 501, 502, 600] {
-            let cost = QueryCost { max_rows_scanned: budget };
-            let a = small.execute(&stranger_s, QueryMode::Filtered, cost, &LabelPair::public(), "SELECT COUNT(*) FROM inbox");
-            let b = big.execute(&stranger_b, QueryMode::Filtered, cost, &LabelPair::public(), "SELECT COUNT(*) FROM inbox");
-            assert_eq!(a, b, "budget {budget}: verdict depends on hidden partition size");
-        }
+        assert_same_verdicts(
+            (&small, &stranger_s),
+            (&big, &stranger_b),
+            "SELECT COUNT(*) FROM inbox",
+            &[1, 100, 499, 500, 501, 502, 600],
+        );
         // Sanity: the sweep actually crosses the boundary — tight budgets
         // abort, generous ones succeed.
         let tight = QueryCost { max_rows_scanned: 1 };
@@ -314,6 +333,43 @@ mod scan_cost {
             small.execute(&stranger_s, QueryMode::Filtered, tight, &LabelPair::public(), "SELECT COUNT(*) FROM inbox"),
             Err(QueryError::BudgetExhausted),
         );
+    }
+
+    fn assert_same_verdicts(
+        (small, stranger_s): (&Database, &Subject),
+        (big, stranger_b): (&Database, &Subject),
+        sql: &str,
+        budgets: &[u64],
+    ) {
+        for &budget in budgets {
+            let cost = QueryCost { max_rows_scanned: budget };
+            let a = small.execute(stranger_s, QueryMode::Filtered, cost, &LabelPair::public(), sql);
+            let b = big.execute(stranger_b, QueryMode::Filtered, cost, &LabelPair::public(), sql);
+            assert_eq!(a, b, "{sql}, budget {budget}: verdict depends on hidden partition size");
+        }
+    }
+
+    /// The hidden partition now holds the probed keys — `id = 7` once
+    /// against 20 000 times, and as many again inside the range window. An
+    /// unreadable partition is never probed, so its postings can show
+    /// neither in rows, nor in `scanned`, nor in where the budget runs out
+    /// (one visible candidate plus the flat skip unit for the point lookup,
+    /// ten plus one for the window).
+    #[test]
+    fn hidden_partition_holding_the_probed_key_never_shows() {
+        let (small, stranger_s) = keyed_world(1);
+        let (big, stranger_b) = keyed_world(20_000);
+        for (sql, budgets) in [
+            ("SELECT id, body FROM inbox WHERE id = 7", [0u64, 1, 2, 3]),
+            ("SELECT id FROM inbox WHERE id >= 10 AND id < 20 ORDER BY id", [1, 10, 11, 12]),
+        ] {
+            assert_same_verdicts((&small, &stranger_s), (&big, &stranger_b), sql, &budgets);
+        }
+        let point = small
+            .execute(&stranger_s, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(), "SELECT id FROM inbox WHERE id = 7")
+            .unwrap();
+        assert_eq!((point.rows.len(), point.scanned), (1, 2), "one visible row, one skip unit");
+        assert_same_costs((small, stranger_s), (big, stranger_b));
     }
 
     /// Contrast: `Naive` mode *is* the covert channel (paper §3.5, E9) —

@@ -50,33 +50,45 @@ fn four_arm_differential_under_contention() {
 
 #[derive(Clone, Debug)]
 enum StoreOp {
-    /// Owner INSERT at label kind 0/1/2 (public / secret / guarded).
-    Insert { kind: u8, id: u8, v: u16 },
+    /// Owner INSERT at label kind 0/1/2 (public / secret / guarded); one
+    /// key in eight is NULL (indexed, but matched by no probe).
+    Insert { kind: u8, id: Option<u8>, v: u16 },
     /// Point lookup on the (maybe) indexed key.
     Point { stranger: bool, id: u8 },
+    /// Window on the indexed key with arbitrary ends: proper, one-point,
+    /// empty or inverted.
+    Window { stranger: bool, lo: (u8, bool), hi: (u8, bool) },
     /// Range scan on the payload column.
     Range { stranger: bool, lo: u16, span: u16 },
     /// Aggregates over everything visible.
     Agg { stranger: bool },
     /// Owner update of the payload.
     Update { id: u8, v: u16 },
-    /// Owner update that rewrites the indexed key (forces run rebuilds).
+    /// Owner update that rewrites the indexed key (forces index rebuilds).
     Shift { id: u8 },
     /// Stranger blanket write — deterministically denied once a guarded
     /// row matches.
     StrangerUpdate { v: u16 },
     /// Owner point delete (empties partitions).
     Delete { id: u8 },
+    /// Owner window delete: takes partitions down to their last row and
+    /// past it.
+    DeleteWindow { lo: u8, hi: u8 },
     /// CREATE INDEX interleaved with the DML above.
     Index { on_v: bool },
 }
 
 fn arb_op() -> impl Strategy<Value = StoreOp> {
     prop_oneof![
-        (0u8..3, any::<u8>(), 0u16..1000)
-            .prop_map(|(kind, id, v)| StoreOp::Insert { kind, id: id % 24, v }),
+        (0u8..3, any::<u8>(), 0u16..1000).prop_map(|(kind, id, v)| StoreOp::Insert {
+            kind,
+            id: (id % 8 != 7).then_some(id % 24),
+            v,
+        }),
         (any::<bool>(), any::<u8>())
             .prop_map(|(stranger, id)| StoreOp::Point { stranger, id: id % 24 }),
+        (any::<bool>(), (0u8..48, any::<bool>()), (0u8..48, any::<bool>()))
+            .prop_map(|(stranger, lo, hi)| StoreOp::Window { stranger, lo, hi }),
         (any::<bool>(), 0u16..900, 1u16..300)
             .prop_map(|(stranger, lo, span)| StoreOp::Range { stranger, lo, span }),
         any::<bool>().prop_map(|stranger| StoreOp::Agg { stranger }),
@@ -84,6 +96,7 @@ fn arb_op() -> impl Strategy<Value = StoreOp> {
         any::<u8>().prop_map(|id| StoreOp::Shift { id: id % 24 }),
         (0u16..1000).prop_map(|v| StoreOp::StrangerUpdate { v }),
         any::<u8>().prop_map(|id| StoreOp::Delete { id: id % 24 }),
+        (0u8..48, 0u8..48).prop_map(|(lo, hi)| StoreOp::DeleteWindow { lo, hi }),
         any::<bool>().prop_map(|on_v| StoreOp::Index { on_v }),
     ]
 }
@@ -155,6 +168,7 @@ fn apply(
             let public = LabelPair::public();
             let r = match op {
                 StoreOp::Insert { kind, id, v } => {
+                    let id = id.map_or("NULL".to_string(), |id| id.to_string());
                     let labels = match kind % 3 {
                         0 => public,
                         1 => w.secret.clone(),
@@ -167,6 +181,18 @@ fn apply(
                         &format!("INSERT INTO p VALUES ({id}, {v}, 'r{id}')"),
                     )
                 }
+                StoreOp::Window { stranger, lo, hi } => run(
+                    if *stranger { &w.stranger } else { &w.owner },
+                    QueryMode::Filtered,
+                    &public,
+                    &format!(
+                        "SELECT id, v FROM p WHERE id {} {} AND id {} {}",
+                        if lo.1 { ">=" } else { ">" },
+                        lo.0,
+                        if hi.1 { "<=" } else { "<" },
+                        hi.0
+                    ),
+                ),
                 StoreOp::Point { stranger, id } => run(
                     if *stranger { &w.stranger } else { &w.owner },
                     QueryMode::Filtered,
@@ -211,6 +237,12 @@ fn apply(
                     QueryMode::Filtered,
                     &public,
                     &format!("DELETE FROM p WHERE id = {id}"),
+                ),
+                StoreOp::DeleteWindow { lo, hi } => run(
+                    &w.owner,
+                    QueryMode::Filtered,
+                    &public,
+                    &format!("DELETE FROM p WHERE id >= {lo} AND id <= {hi}"),
                 ),
                 StoreOp::Index { on_v } => run(
                     &w.owner,
