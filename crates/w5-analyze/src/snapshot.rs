@@ -136,10 +136,10 @@ pub fn probe_breadth(d: &dyn Declassifier) -> Breadth {
     let owner = UserId(base);
     let ctx = |viewer: Option<u64>| ExportContext {
         owner,
-        owner_name: "~probe-owner".to_string(),
+        owner_name: "~probe-owner",
         viewer: viewer.map(UserId),
-        viewer_name: viewer.map(|_| "~probe-viewer".to_string()),
-        app: "~probe/app".to_string(),
+        viewer_name: viewer.map(|_| "~probe-viewer"),
+        app: "~probe/app",
     };
     let allow = |c: &ExportContext, friends: bool, group: bool| {
         d.authorize(c, &ProbeOracle { friends, group }) == Verdict::Allow

@@ -14,6 +14,7 @@ use w5_sync::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A published application version.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -111,8 +112,10 @@ impl std::error::Error for RegistryError {}
 
 /// The catalog of applications and modules.
 pub struct AppRegistry {
-    /// key → all published versions, ascending.
-    apps: RwLock<HashMap<String, Vec<AppManifest>>>,
+    /// key → all published versions, ascending. A published manifest never
+    /// changes, so lookups share it (source text included) rather than
+    /// copy it.
+    apps: RwLock<HashMap<String, Vec<Arc<AppManifest>>>>,
     modules: RwLock<HashMap<String, ModuleManifest>>,
 }
 
@@ -141,7 +144,7 @@ impl AppRegistry {
                 return Err(RegistryError::VersionNotMonotonic);
             }
         }
-        versions.push(manifest);
+        versions.push(Arc::new(manifest));
         Ok(())
     }
 
@@ -183,13 +186,13 @@ impl AppRegistry {
     }
 
     /// Latest version of an app.
-    pub fn latest(&self, key: &str) -> Option<AppManifest> {
+    pub fn latest(&self, key: &str) -> Option<Arc<AppManifest>> {
         self.apps.read().get(key).and_then(|v| v.last().cloned())
     }
 
     /// A specific version (paper §2: users may pin "version X.Y, not the
     /// latest").
-    pub fn version(&self, key: &str, version: u32) -> Option<AppManifest> {
+    pub fn version(&self, key: &str, version: u32) -> Option<Arc<AppManifest>> {
         self.apps
             .read()
             .get(key)
@@ -198,13 +201,15 @@ impl AppRegistry {
 
     /// All versions of an app, ascending.
     pub fn versions(&self, key: &str) -> Vec<AppManifest> {
-        self.apps.read().get(key).cloned().unwrap_or_default()
+        let apps = self.apps.read();
+        apps.get(key).into_iter().flatten().map(|m| AppManifest::clone(m)).collect()
     }
 
     /// All apps (latest versions), sorted by key.
     pub fn list(&self) -> Vec<AppManifest> {
         let apps = self.apps.read();
-        let mut v: Vec<AppManifest> = apps.values().filter_map(|vs| vs.last().cloned()).collect();
+        let mut v: Vec<AppManifest> =
+            apps.values().filter_map(|vs| vs.last()).map(|m| AppManifest::clone(m)).collect();
         v.sort_by_key(|a| a.key());
         v
     }
@@ -282,6 +287,21 @@ mod tests {
     }
 
     #[test]
+    fn lookups_share_the_stored_manifest() {
+        let r = AppRegistry::new();
+        r.publish(manifest("devA", "photos", 1)).unwrap();
+        r.publish(manifest("devA", "photos", 2)).unwrap();
+        let latest = r.latest("devA/photos").unwrap();
+        assert!(Arc::ptr_eq(&latest, &r.latest("devA/photos").unwrap()));
+        assert!(Arc::ptr_eq(&latest, &r.version("devA/photos", 2).unwrap()));
+        // A newer publish moves `latest`; the old versions stay where they were.
+        r.publish(manifest("devA", "photos", 3)).unwrap();
+        assert_eq!(r.latest("devA/photos").unwrap().version, 3);
+        assert!(Arc::ptr_eq(&latest, &r.version("devA/photos", 2).unwrap()));
+        assert_eq!(latest.version, 2);
+    }
+
+    #[test]
     fn versions_must_increase() {
         let r = AppRegistry::new();
         r.publish(manifest("devA", "photos", 3)).unwrap();
@@ -298,12 +318,17 @@ mod tests {
     #[test]
     fn forking_preserves_lineage_and_slots() {
         let r = AppRegistry::new();
-        r.publish(manifest("devA", "photos", 5)).unwrap();
+        let mut original = manifest("devA", "photos", 5);
+        original.imports = vec!["devC/imagelib".to_string()];
+        r.publish(original).unwrap();
         let fork = r.fork("devA/photos", "devB", "photos with dark mode").unwrap();
         assert_eq!(fork.key(), "devB/photos");
         assert_eq!(fork.version, 1);
         assert_eq!(fork.forked_from.as_deref(), Some("devA/photos"));
         assert_eq!(fork.module_slots, vec!["crop"]);
+        assert_eq!(fork.imports, vec!["devC/imagelib"]);
+        assert_eq!(fork.source.as_deref(), Some("fn main() {}"));
+        assert_eq!(*r.latest("devB/photos").unwrap(), fork, "what was stored is what was returned");
         // The fork shows up as its own app.
         assert_eq!(r.app_count(), 2);
         // Lineage appears in the dependency edges.

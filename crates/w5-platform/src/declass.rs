@@ -17,19 +17,20 @@ use w5_sync::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// The question a declassifier answers.
-#[derive(Clone, Debug)]
-pub struct ExportContext {
+/// The question a declassifier answers. Borrowed from the perimeter for
+/// the length of one consultation.
+#[derive(Clone, Copy, Debug)]
+pub struct ExportContext<'a> {
     /// The user whose export tag protects the data.
     pub owner: UserId,
     /// Owner's username (for relationship lookups).
-    pub owner_name: String,
+    pub owner_name: &'a str,
     /// The authenticated requester, if any.
     pub viewer: Option<UserId>,
     /// Requester's username.
-    pub viewer_name: Option<String>,
+    pub viewer_name: Option<&'a str>,
     /// The application that produced the response (`"developer/app"`).
-    pub app: String,
+    pub app: &'a str,
 }
 
 /// A declassification decision.
@@ -155,8 +156,8 @@ impl Declassifier for FriendsOnly {
         if ctx.viewer == Some(ctx.owner) {
             return Verdict::Allow;
         }
-        match &ctx.viewer_name {
-            Some(viewer) if oracle.are_friends(&ctx.owner_name, viewer) => Verdict::Allow,
+        match ctx.viewer_name {
+            Some(viewer) if oracle.are_friends(ctx.owner_name, viewer) => Verdict::Allow,
             _ => Verdict::Deny,
         }
     }
@@ -183,8 +184,8 @@ impl Declassifier for GroupOnly {
         if ctx.viewer == Some(ctx.owner) {
             return Verdict::Allow;
         }
-        match &ctx.viewer_name {
-            Some(v) if oracle.in_group(&ctx.owner_name, self.group, v) => Verdict::Allow,
+        match ctx.viewer_name {
+            Some(v) if oracle.in_group(ctx.owner_name, self.group, v) => Verdict::Allow,
             _ => Verdict::Deny,
         }
     }
@@ -373,13 +374,14 @@ impl RelationshipOracle for StaticRelations {
 mod tests {
     use super::*;
 
-    fn ctx(owner: u64, viewer: Option<u64>) -> ExportContext {
+    fn ctx(owner: u64, viewer: Option<u64>) -> ExportContext<'static> {
+        const NAMES: [&str; 5] = ["user0", "user1", "user2", "user3", "user4"];
         ExportContext {
             owner: UserId(owner),
-            owner_name: format!("user{owner}"),
+            owner_name: NAMES[owner as usize],
             viewer: viewer.map(UserId),
-            viewer_name: viewer.map(|v| format!("user{v}")),
-            app: "devA/social".to_string(),
+            viewer_name: viewer.map(|v| NAMES[v as usize]),
+            app: "devA/social",
         }
     }
 

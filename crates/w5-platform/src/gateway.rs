@@ -209,7 +209,7 @@ impl Gateway {
             return Response::error(Status::UNAUTHORIZED, "login required");
         };
         let policy = self.platform.policies.get(v.id);
-        match serde_json::to_string(&policy) {
+        match serde_json::to_string(&*policy) {
             Ok(json) => Response::json(json),
             Err(_) => Response::error(Status::INTERNAL_ERROR, "serialization failed"),
         }

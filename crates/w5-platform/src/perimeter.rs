@@ -162,17 +162,17 @@ impl Exporter {
                 let policy = policies.get(owner_id);
                 let ctx = ExportContext {
                     owner: owner_id,
-                    owner_name: owner.username.clone(),
+                    owner_name: &owner.username,
                     viewer: viewer.map(|v| v.id),
-                    viewer_name: viewer.map(|v| v.username.clone()),
-                    app: app.to_string(),
+                    viewer_name: viewer.map(|v| v.username.as_str()),
+                    app,
                 };
+                let secrecy = w5_obs::ObsLabel::singleton(tag.raw());
                 for name in policy.granted_for(app) {
-                    let secrecy = w5_obs::ObsLabel::singleton(tag.raw());
-                    if let Some(verdict) = declassifiers.consult(&name, &ctx, oracle, &secrecy) {
+                    if let Some(verdict) = declassifiers.consult(name, &ctx, oracle, &secrecy) {
                         self.stats.declassifier_calls.fetch_add(1, Ordering::Relaxed);
                         if verdict == Verdict::Allow {
-                            return Some(Clearance::Declassifier { name });
+                            return Some(Clearance::Declassifier { name: name.to_string() });
                         }
                     }
                 }

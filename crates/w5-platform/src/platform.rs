@@ -13,7 +13,7 @@ use crate::declass::{DeclassifierRegistry, RelationshipOracle};
 use crate::editors::EditorRegistry;
 use crate::faultreport::{build_report, FaultKind, FaultReport};
 use crate::perimeter::{ExportDecision, Exporter};
-use crate::policy::PolicyStore;
+use crate::policy::{PolicyStore, UserPolicy};
 use crate::principal::{Account, AccountStore};
 use crate::sanitize::{sanitize_html_labeled, SanitizeStats};
 use crate::session::SessionStore;
@@ -24,7 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use w5_difc::{CapSet, Capability, LabelPair, TagRegistry};
 use w5_kernel::{Kernel, ResourceLimits};
-use w5_store::{Database, LabeledFs, QueryCost, QueryMode, Subject};
+use w5_store::sql::{BinOp, Expr, SelectItem, Statement};
+use w5_store::{Database, LabeledFs, QueryCost, QueryError, QueryMode, Subject, Value};
 
 /// Platform-wide configuration. The `enforce_ifc` switch exists solely for
 /// the no-IFC baseline arm of the overhead experiments (E4): a production
@@ -159,7 +160,7 @@ impl Platform {
                     sql,
                 ) {
                     Ok(_) => return,
-                    Err(w5_store::QueryError::Aborted) => continue,
+                    Err(QueryError::Aborted) => continue,
                     Err(e) => panic!("create platform table: {e}"),
                 }
             }
@@ -213,14 +214,15 @@ impl Platform {
 
     /// Resolve which manifest a user actually runs: their version pin if
     /// any, else the latest.
-    pub fn resolve_manifest(&self, viewer: Option<&Account>, key: &str) -> Option<AppManifest> {
-        if let Some(v) = viewer {
-            let policy = self.policies.get(v.id);
-            if let Some(&pin) = policy.version_pins.get(key) {
-                return self.apps.version(key, pin);
-            }
+    pub fn resolve_manifest(&self, viewer: Option<&Account>, key: &str) -> Option<Arc<AppManifest>> {
+        self.pinned_or_latest(viewer.map(|v| self.policies.get(v.id)).as_deref(), key)
+    }
+
+    fn pinned_or_latest(&self, policy: Option<&UserPolicy>, key: &str) -> Option<Arc<AppManifest>> {
+        match policy.and_then(|p| p.version_pins.get(key)) {
+            Some(&pin) => self.apps.version(key, pin),
+            None => self.apps.latest(key),
         }
-        self.apps.latest(key)
     }
 
     /// The relationship oracle backed by the platform tables.
@@ -230,21 +232,28 @@ impl Platform {
 
     /// Execute a trusted platform statement, riding out transient injected
     /// aborts (`w5-chaos`). Retries are bounded; a statement that still
-    /// fails is dropped on the floor rather than panicking the provider —
-    /// degraded state, never a crash.
-    fn trusted_execute(&self, sql: &str) {
+    /// aborts is dropped on the floor, and one the store refuses outright
+    /// is dropped with a fault report — degraded state, never a crash.
+    fn trusted_execute(&self, stmt: Statement) {
         let trusted = Subject::anonymous();
         for _ in 0..16 {
-            match self.db.execute(
+            match self.db.execute_stmt(
                 &trusted,
                 QueryMode::Filtered,
                 QueryCost::unlimited(),
                 &LabelPair::public(),
-                sql,
+                stmt.clone(),
             ) {
                 Ok(_) => return,
-                Err(w5_store::QueryError::Aborted) => continue,
-                Err(e) => panic!("trusted platform statement failed: {e}"),
+                Err(QueryError::Aborted) => continue,
+                Err(e) => {
+                    // The platform tables and everything written to them
+                    // are public, so the detail carries no user secret.
+                    let public = LabelPair::public();
+                    let report =
+                        build_report("w5/platform", FaultKind::Infrastructure, &public, &e.to_string());
+                    return self.record_fault(report);
+                }
             }
         }
     }
@@ -252,20 +261,14 @@ impl Platform {
     /// Record a friendship (platform UI path; the social app also writes
     /// these rows through its own API).
     pub fn add_friend(&self, owner: &str, friend: &str) {
-        self.trusted_execute(&format!(
-            "INSERT INTO w5_friends (owner, friend) VALUES ('{}', '{}')",
-            sql_escape(owner),
-            sql_escape(friend)
-        ));
+        self.trusted_execute(insert_row("w5_friends", &[("owner", owner), ("friend", friend)]));
     }
 
     /// Record group membership.
     pub fn add_group_member(&self, owner: &str, group: &str, member: &str) {
-        self.trusted_execute(&format!(
-            "INSERT INTO w5_groups (owner, grp, member) VALUES ('{}', '{}', '{}')",
-            sql_escape(owner),
-            sql_escape(group),
-            sql_escape(member)
+        self.trusted_execute(insert_row(
+            "w5_groups",
+            &[("owner", owner), ("grp", group), ("member", member)],
         ));
     }
 
@@ -289,7 +292,14 @@ impl Platform {
             &w5_obs::ObsLabel::empty(),
         ));
 
-        let Some(manifest) = self.resolve_manifest(viewer, app_key) else {
+        // The launch decides on one snapshot of the viewer's policy: the
+        // pin, the module choices, the endorsement requirement and the
+        // delegations below are all read from it, so a concurrent policy
+        // update lands wholly before this launch or wholly after it.
+        let policy = viewer.map(|v| self.policies.get(v.id));
+        let policy = policy.as_deref();
+
+        let Some(manifest) = self.pinned_or_latest(policy, app_key) else {
             return error_result(404, "no such application");
         };
         let Some(app) = self.app_impl(app_key) else {
@@ -299,10 +309,8 @@ impl Platform {
         // Resolve module choices: the viewer's pick per slot, defaulting to
         // the app's own developer.
         let mut request = request;
-        let viewer_policy = viewer.map(|v| self.policies.get(v.id));
         for slot in &manifest.module_slots {
-            let choice = viewer_policy
-                .as_ref()
+            let choice = policy
                 .and_then(|p| p.module_choices.get(&(app_key.to_string(), slot.clone())))
                 .cloned()
                 .unwrap_or_else(|| manifest.developer.clone());
@@ -312,27 +320,23 @@ impl Platform {
         // §3.1 integrity protection: if the viewer requires endorsements,
         // the app and its whole import closure must be vouched by one of
         // their trusted editors.
-        if let Some(v) = viewer {
-            let policy = self.policies.get(v.id);
-            if policy.require_endorsement {
-                if let Err(component) = self.editors.check_integrity(
-                    &self.apps,
-                    app_key,
-                    manifest.version,
-                    &policy.trusted_editors,
-                ) {
-                    return error_result(
-                        403,
-                        &format!("launch refused: component {component} lacks a trusted endorsement"),
-                    );
-                }
+        if let Some(policy) = policy.filter(|p| p.require_endorsement) {
+            if let Err(component) = self.editors.check_integrity(
+                &self.apps,
+                app_key,
+                manifest.version,
+                &policy.trusted_editors,
+            ) {
+                return error_result(
+                    403,
+                    &format!("launch refused: component {component} lacks a trusted endorsement"),
+                );
             }
         }
 
         // Assemble the instance's capability grant from the viewer's policy.
         let mut grant = CapSet::empty();
-        if let Some(v) = viewer {
-            let policy = self.policies.get(v.id);
+        if let (Some(v), Some(policy)) = (viewer, policy) {
             if policy.write_delegations.contains(app_key) {
                 grant.insert(Capability::plus(v.write_tag));
             }
@@ -578,43 +582,75 @@ pub struct PlatformOracle<'a> {
     db: &'a Database,
 }
 
-impl RelationshipOracle for PlatformOracle<'_> {
-    fn are_friends(&self, a: &str, b: &str) -> bool {
-        let trusted = Subject::anonymous();
-        let sql = format!(
-            "SELECT COUNT(*) FROM w5_friends WHERE owner = '{}' AND friend = '{}'",
-            sql_escape(a),
-            sql_escape(b)
-        );
-        match self.db.execute(
-            &trusted,
+impl PlatformOracle<'_> {
+    /// Does `table` hold a row the platform can see with every
+    /// `(column, value)`? Any query error is a "no": the perimeter fails
+    /// closed.
+    fn holds(&self, table: &str, row: &[(&str, &str)]) -> bool {
+        match self.db.execute_stmt(
+            &Subject::anonymous(),
             QueryMode::Filtered,
             QueryCost::unlimited(),
             &LabelPair::public(),
-            &sql,
+            count_where(table, row),
         ) {
-            Ok(out) => matches!(out.rows.first().map(|r| &r.values[0]), Some(w5_store::Value::Int(n)) if *n > 0),
-            Err(_) => false,
-        }
-    }
-
-    fn in_group(&self, owner: &str, group: &str, user: &str) -> bool {
-        let trusted = Subject::anonymous();
-        let sql = format!(
-            "SELECT COUNT(*) FROM w5_groups WHERE owner = '{}' AND grp = '{}' AND member = '{}'",
-            sql_escape(owner),
-            sql_escape(group),
-            sql_escape(user)
-        );
-        match self.db.execute(
-            &trusted,
-            QueryMode::Filtered,
-            QueryCost::unlimited(),
-            &LabelPair::public(),
-            &sql,
-        ) {
-            Ok(out) => matches!(out.rows.first().map(|r| &r.values[0]), Some(w5_store::Value::Int(n)) if *n > 0),
+            Ok(out) => matches!(out.rows.first().map(|r| &r.values[0]), Some(Value::Int(n)) if *n > 0),
             Err(_) => false,
         }
     }
 }
+
+impl RelationshipOracle for PlatformOracle<'_> {
+    // The index on `owner` picks the candidate rows whichever conjunct
+    // names it, and the filter stops at the first comparison that fails:
+    // asking for the owner last means all but the matching row are decided
+    // by one comparison.
+    fn are_friends(&self, a: &str, b: &str) -> bool {
+        self.holds("w5_friends", &[("friend", b), ("owner", a)])
+    }
+
+    fn in_group(&self, owner: &str, group: &str, user: &str) -> bool {
+        self.holds("w5_groups", &[("member", user), ("grp", group), ("owner", owner)])
+    }
+}
+
+// The platform's own statements, built as the parser would build them from
+// text. The values are usernames and group names from outside; as typed
+// literals they have no quoting to get wrong. Apps, which are untrusted and
+// arrive with text, keep speaking SQL to the store.
+
+fn text(value: &str) -> Expr {
+    Expr::Literal(Value::Text(value.to_string()))
+}
+
+/// `SELECT COUNT(*) FROM table WHERE c1 = 'v1' AND c2 = 'v2' …`
+fn count_where(table: &str, row: &[(&str, &str)]) -> Statement {
+    let filter = row
+        .iter()
+        .map(|&(column, value)| Expr::Binary {
+            op: BinOp::Eq,
+            left: Box::new(Expr::Column(column.to_string())),
+            right: Box::new(text(value)),
+        })
+        .reduce(|all, eq| Expr::Binary { op: BinOp::And, left: Box::new(all), right: Box::new(eq) });
+    Statement::Select {
+        items: vec![SelectItem::CountStar],
+        table: table.to_string(),
+        join: None,
+        filter,
+        order_by: None,
+        limit: None,
+    }
+}
+
+/// `INSERT INTO table (c1, c2, …) VALUES ('v1', 'v2', …)`
+fn insert_row(table: &str, row: &[(&str, &str)]) -> Statement {
+    Statement::Insert {
+        table: table.to_string(),
+        columns: Some(row.iter().map(|&(column, _)| column.to_string()).collect()),
+        rows: vec![row.iter().map(|&(_, value)| text(value)).collect()],
+    }
+}
+
+#[cfg(test)]
+mod tests;

@@ -19,6 +19,7 @@ use crate::principal::UserId;
 use w5_sync::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Scope of a declassifier grant.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -76,22 +77,26 @@ impl UserPolicy {
         })
     }
 
-    /// All declassifiers granted for `app`.
-    pub fn granted_for(&self, app: &str) -> Vec<String> {
+    /// All declassifiers granted for `app`, in grant order.
+    pub fn granted_for<'a>(&'a self, app: &'a str) -> impl Iterator<Item = &'a str> {
         self.grants
             .iter()
-            .filter(|g| match &g.scope {
+            .filter(move |g| match &g.scope {
                 GrantScope::AllApps => true,
                 GrantScope::App(a) => a == app,
             })
-            .map(|g| g.declassifier.clone())
-            .collect()
+            .map(|g| g.declassifier.as_str())
     }
 }
 
-/// The policy database.
+/// The policy database. A stored policy is an immutable snapshot behind an
+/// `Arc`: readers share it, and an update copies it first if anyone still
+/// holds the old one, so a policy never changes under a request that is
+/// deciding on it.
 pub struct PolicyStore {
-    policies: RwLock<HashMap<UserId, UserPolicy>>,
+    policies: RwLock<HashMap<UserId, Arc<UserPolicy>>>,
+    /// What `get` hands out for a user who never set anything.
+    empty: Arc<UserPolicy>,
 }
 
 impl Default for PolicyStore {
@@ -103,18 +108,23 @@ impl Default for PolicyStore {
 impl PolicyStore {
     /// An empty store.
     pub fn new() -> PolicyStore {
-        PolicyStore { policies: RwLock::new("platform.policy", HashMap::new()) }
+        PolicyStore {
+            policies: RwLock::new("platform.policy", HashMap::new()),
+            empty: Arc::default(),
+        }
     }
 
-    /// Read a user's policy (default-empty).
-    pub fn get(&self, user: UserId) -> UserPolicy {
-        self.policies.read().get(&user).cloned().unwrap_or_default()
+    /// A snapshot of a user's policy (default-empty). Later updates do not
+    /// show through it; take a new one to see them.
+    pub fn get(&self, user: UserId) -> Arc<UserPolicy> {
+        Arc::clone(self.policies.read().get(&user).unwrap_or(&self.empty))
     }
 
-    /// Apply a mutation to a user's policy.
+    /// Apply a mutation to a user's policy (copy-on-write: snapshots
+    /// already handed out keep the old value).
     pub fn update<F: FnOnce(&mut UserPolicy)>(&self, user: UserId, f: F) {
         let mut map = self.policies.write();
-        f(map.entry(user).or_default());
+        f(Arc::make_mut(map.entry(user).or_default()));
     }
 
     /// Enroll in an app — the one-checkbox signup of §1.
@@ -234,9 +244,8 @@ mod tests {
         assert!(p.is_granted("friends-only", "devA/social"));
         assert!(!p.is_granted("friends-only", "devB/blog"));
         assert!(p.is_granted("owner-only", "devB/blog"));
-        let mut granted = p.granted_for("devA/social");
-        granted.sort();
-        assert_eq!(granted, vec!["friends-only", "owner-only"]);
+        let granted: Vec<&str> = p.granted_for("devA/social").collect();
+        assert_eq!(granted, vec!["friends-only", "owner-only"], "grant order");
     }
 
     #[test]
@@ -287,5 +296,61 @@ mod tests {
             Some(&"devB".to_string())
         );
         assert_eq!(p.version_pins.get("devA/photos"), Some(&2));
+    }
+
+    #[test]
+    fn snapshot_is_unchanged_by_a_later_update() {
+        let s = PolicyStore::new();
+        s.pin_version(U, "devA/photos", 1);
+        s.delegate_write(U, "devA/photos");
+        let before = s.get(U);
+        s.pin_version(U, "devA/photos", 2);
+        s.unenroll(U, "devA/photos");
+        // The held snapshot still pairs the old pin with the old delegation…
+        assert_eq!(before.version_pins.get("devA/photos"), Some(&1));
+        assert!(before.write_delegations.contains("devA/photos"));
+        // …and the next read sees the update whole.
+        let after = s.get(U);
+        assert!(after.version_pins.is_empty());
+        assert!(after.write_delegations.is_empty());
+    }
+
+    #[test]
+    fn reads_share_one_snapshot_until_an_update() {
+        let s = PolicyStore::new();
+        s.enroll(U, "devA/social");
+        let a = s.get(U);
+        let b = s.get(U);
+        assert!(Arc::ptr_eq(&a, &b), "a read copies nothing");
+        s.enroll(U, "devB/blog");
+        assert!(!Arc::ptr_eq(&a, &s.get(U)), "an update leaves held snapshots alone");
+    }
+
+    #[test]
+    fn missing_user_reads_the_default_policy() {
+        let s = PolicyStore::new();
+        s.enroll(U, "devA/social");
+        let nobody = s.get(UserId(99));
+        assert_eq!(*nobody, UserPolicy::default());
+        assert!(Arc::ptr_eq(&nobody, &s.get(UserId(100))));
+        // Updating a missing user starts from the default, not from what
+        // another missing user was handed.
+        s.enroll(UserId(99), "devB/blog");
+        assert_eq!(*s.get(UserId(100)), UserPolicy::default());
+        assert!(s.get(UserId(99)).enrolled.contains("devB/blog"));
+    }
+
+    #[test]
+    fn revocations_reach_the_next_read() {
+        let s = PolicyStore::new();
+        s.enroll(U, "devA/social");
+        s.grant_declassifier(U, "friends-only", GrantScope::App("devA/social".into()));
+        s.grant_declassifier(U, "public-read", GrantScope::AllApps);
+        s.revoke_declassifier(U, "public-read");
+        assert!(!s.get(U).is_granted("public-read", "devA/social"));
+        s.unenroll(U, "devA/social");
+        let now = s.get(U);
+        assert!(now.enrolled.is_empty());
+        assert_eq!(now.granted_for("devA/social").count(), 0);
     }
 }

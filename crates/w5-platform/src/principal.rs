@@ -83,11 +83,22 @@ impl fmt::Display for AccountError {
 
 impl std::error::Error for AccountError {}
 
+/// The accounts and, under the same lock, who owns each secrecy tag.
+/// Invariant: `tag_owner` holds exactly every account's `export_tag` and
+/// every enabled `read_tag`, each mapped to that account's id — the two
+/// writers (`register`, `enable_read_protection`) update both halves in
+/// one critical section, and accounts are never removed.
+#[derive(Default)]
+struct Accounts {
+    by_id: HashMap<UserId, Account>,
+    tag_owner: HashMap<Tag, UserId>,
+}
+
 /// The account database, owned by the provider.
 pub struct AccountStore {
     registry: Arc<TagRegistry>,
     by_name: RwLock<HashMap<String, UserId>>,
-    by_id: RwLock<HashMap<UserId, Account>>,
+    accounts: RwLock<Accounts>,
     next_id: std::sync::atomic::AtomicU64,
 }
 
@@ -97,7 +108,7 @@ impl AccountStore {
         AccountStore {
             registry,
             by_name: RwLock::with_index("platform.principals", 0, HashMap::new()),
-            by_id: RwLock::with_index("platform.principals", 1, HashMap::new()),
+            accounts: RwLock::with_index("platform.principals", 1, Accounts::default()),
             next_id: std::sync::atomic::AtomicU64::new(1),
         }
     }
@@ -140,7 +151,9 @@ impl AccountStore {
             pass_hash: crypto::password_hash(&salt, password),
         };
         by_name.insert(username.to_string(), id);
-        self.by_id.write().insert(id, account.clone());
+        let mut accounts = self.accounts.write();
+        accounts.tag_owner.insert(export_tag, id);
+        accounts.by_id.insert(id, account.clone());
         Ok(account)
     }
 
@@ -151,7 +164,7 @@ impl AccountStore {
             .read()
             .get(username)
             .ok_or(AccountError::BadCredentials)?;
-        let acct = self.by_id.read().get(&id).cloned().ok_or(AccountError::BadCredentials)?;
+        let acct = self.get(id).ok_or(AccountError::BadCredentials)?;
         let attempt = crypto::password_hash(&acct.salt, password);
         if crypto::ct_eq(attempt.as_bytes(), acct.pass_hash.as_bytes()) {
             Ok(acct)
@@ -164,12 +177,12 @@ impl AccountStore {
     /// components such as the net boundary's admission policy).
     pub fn find_by_username(&self, username: &str) -> Option<Account> {
         let id = *self.by_name.read().get(username)?;
-        self.by_id.read().get(&id).cloned()
+        self.get(id)
     }
 
     /// Look up by id.
     pub fn get(&self, id: UserId) -> Option<Account> {
-        self.by_id.read().get(&id).cloned()
+        self.accounts.read().by_id.get(&id).cloned()
     }
 
     /// Look up by username.
@@ -180,28 +193,23 @@ impl AccountStore {
 
     /// Which user owns this export tag?
     pub fn owner_of_export_tag(&self, tag: Tag) -> Option<UserId> {
-        self.by_id
-            .read()
-            .values()
-            .find(|a| a.export_tag == tag)
-            .map(|a| a.id)
+        let accounts = self.accounts.read();
+        let owner = *accounts.tag_owner.get(&tag)?;
+        (accounts.by_id.get(&owner)?.export_tag == tag).then_some(owner)
     }
 
     /// Which user owns this tag, as either their export tag or their
     /// read-protection tag? (The perimeter resolves owners for both.)
     pub fn owner_of_secrecy_tag(&self, tag: Tag) -> Option<UserId> {
-        self.by_id
-            .read()
-            .values()
-            .find(|a| a.export_tag == tag || a.read_tag == Some(tag))
-            .map(|a| a.id)
+        self.accounts.read().tag_owner.get(&tag).copied()
     }
 
     /// Enable the §3.1 read-protection policy for a user: allocates their
     /// `r_u` tag (both capability halves stay with the owner) and returns
     /// it. Idempotent.
     pub fn enable_read_protection(&self, id: UserId) -> Option<Tag> {
-        let mut by_id = self.by_id.write();
+        let mut accounts = self.accounts.write();
+        let Accounts { by_id, tag_owner } = &mut *accounts;
         let account = by_id.get_mut(&id)?;
         if let Some(t) = account.read_tag {
             return Some(t);
@@ -211,17 +219,18 @@ impl AccountStore {
             .create_tag(TagKind::ReadProtect, &format!("read:{}", account.username));
         account.read_tag = Some(tag);
         account.owner_caps.extend(&caps);
+        tag_owner.insert(tag, id);
         Some(tag)
     }
 
     /// Number of registered users.
     pub fn user_count(&self) -> usize {
-        self.by_id.read().len()
+        self.accounts.read().by_id.len()
     }
 
     /// All user ids (ascending).
     pub fn all_ids(&self) -> Vec<UserId> {
-        let mut v: Vec<UserId> = self.by_id.read().keys().copied().collect();
+        let mut v: Vec<UserId> = self.accounts.read().by_id.keys().copied().collect();
         v.sort();
         v
     }
@@ -289,5 +298,59 @@ mod tests {
         assert_ne!(a.write_tag, b.write_tag);
         // a cannot declassify b's data.
         assert!(!a.owner_caps.has_minus(b.export_tag));
+    }
+
+    #[test]
+    fn read_tag_resolves_only_once_enabled_and_never_as_an_export_tag() {
+        let s = store();
+        let bob = s.register("bob", "x").unwrap();
+        assert_eq!(s.get(bob.id).unwrap().read_tag, None);
+        let r = s.enable_read_protection(bob.id).unwrap();
+        assert_eq!(s.enable_read_protection(bob.id), Some(r), "idempotent");
+        assert_eq!(s.owner_of_secrecy_tag(r), Some(bob.id));
+        assert_eq!(s.owner_of_export_tag(r), None);
+        assert_eq!(s.owner_of_secrecy_tag(bob.write_tag), None, "integrity tags have no secrecy owner");
+        assert_eq!(s.enable_read_protection(UserId(99)), None);
+    }
+
+    /// The scan the tag → owner map replaced.
+    fn scan_owner(s: &AccountStore, tag: Tag, read_too: bool) -> Option<UserId> {
+        s.all_ids().into_iter().find(|id| {
+            let a = s.get(*id).unwrap();
+            a.export_tag == tag || (read_too && a.read_tag == Some(tag))
+        })
+    }
+
+    proptest::proptest! {
+        /// Over any interleaving of registrations and read-protection
+        /// requests, both lookups answer what a scan of every account
+        /// answers, for every tag the registry has issued and one it has not.
+        #[test]
+        fn tag_owner_map_agrees_with_a_scan(
+            ops in proptest::collection::vec((0usize..8, proptest::strategy::any::<bool>()), 1..24)
+        ) {
+            let registry = Arc::new(TagRegistry::new());
+            let s = AccountStore::new(Arc::clone(&registry));
+            let mut issued = Vec::new();
+            for (slot, protect) in ops {
+                let name = format!("user{slot}");
+                let id = match s.register(&name, "pw") {
+                    Ok(a) => {
+                        issued.extend([a.export_tag, a.write_tag]);
+                        a.id
+                    }
+                    Err(_) => s.get_by_name(&name).unwrap().id,
+                };
+                if protect {
+                    issued.push(s.enable_read_protection(id).unwrap());
+                }
+                let (foreign, _) = registry.create_tag(TagKind::ExportProtect, "foreign");
+                for &tag in issued.iter().chain([&foreign]) {
+                    proptest::prop_assert_eq!(s.owner_of_secrecy_tag(tag), scan_owner(&s, tag, true));
+                    proptest::prop_assert_eq!(s.owner_of_export_tag(tag), scan_owner(&s, tag, false));
+                }
+                proptest::prop_assert_eq!(s.owner_of_secrecy_tag(foreign), None);
+            }
+        }
     }
 }

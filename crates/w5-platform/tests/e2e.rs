@@ -280,9 +280,17 @@ fn version_pinning_selects_manifest() {
         })
         .unwrap();
     let bob = platform.accounts.register("bob", "pw").unwrap();
-    assert_eq!(platform.resolve_manifest(Some(&bob), "devA/notes").unwrap().version, 2);
+    let latest = platform.resolve_manifest(Some(&bob), "devA/notes").unwrap();
+    assert_eq!(latest.version, 2);
+    // A launch shares the registry's manifest; it does not copy it.
+    assert!(Arc::ptr_eq(&latest, &platform.resolve_manifest(Some(&bob), "devA/notes").unwrap()));
+    assert!(Arc::ptr_eq(&latest, &platform.resolve_manifest(None, "devA/notes").unwrap()));
     platform.policies.pin_version(bob.id, "devA/notes", 1);
     assert_eq!(platform.resolve_manifest(Some(&bob), "devA/notes").unwrap().version, 1);
+    // A newer publish moves everyone but the pinned viewer.
+    platform.apps.publish(AppManifest { version: 3, ..(*latest).clone() }).unwrap();
+    assert_eq!(platform.resolve_manifest(Some(&bob), "devA/notes").unwrap().version, 1);
+    assert_eq!(platform.resolve_manifest(None, "devA/notes").unwrap().version, 3);
 }
 
 #[test]

@@ -45,7 +45,7 @@ mod plan;
 mod storage;
 mod value;
 
-pub use ast::{Expr, SelectItem, Statement};
+pub use ast::{BinOp, Expr, SelectItem, Statement};
 pub use exec::{
     Database, Executor, PartitionedExec, QueryCost, QueryError, QueryMode, QueryOutput,
     ReferenceExec, Row, Scan,

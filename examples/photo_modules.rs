@@ -76,7 +76,7 @@ fn main() {
     println!("\nforked: {} v{} (from {})", fork.key(), fork.version, fork.forked_from.unwrap());
 
     // Version pinning: publish v2, Bob pins v1.
-    let mut v2 = p.apps.latest("devA/photos").unwrap();
+    let mut v2 = (*p.apps.latest("devA/photos").unwrap()).clone();
     v2.version = 2;
     v2.description = "photos v2 (new and questionable)".into();
     p.apps.publish(v2).unwrap();

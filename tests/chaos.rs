@@ -154,6 +154,33 @@ fn federation_survives_partitions_and_reordered_batches() {
     assert!(tallies.total_injected() > 0, "the storm never fired");
 }
 
+/// The relationship oracle and the trusted write path under a store that
+/// aborts every statement: the perimeter's question is answered "no", the
+/// write rides out its sixteen retries and is dropped without a fault
+/// report (an abort is weather, not a refusal), and both recover with it.
+#[test]
+fn platform_statements_fail_closed_and_quiet_under_sql_aborts() {
+    use w5_platform::RelationshipOracle;
+
+    let p = Platform::new_default("chaos-oracle");
+    p.add_friend("bob", "alice");
+    p.add_group_member("bob", "roommates", "alice");
+    let inj = w5_chaos::Injector::new(
+        w5_chaos::FaultPlan::new(1).with(w5_chaos::Site::SqlQuery, 1.0),
+    );
+    let guard = w5_chaos::with_injector(Arc::clone(&inj));
+    assert!(!p.oracle().are_friends("bob", "alice"));
+    assert!(!p.oracle().in_group("bob", "roommates", "alice"));
+    p.add_friend("bob", "carol");
+    drop(guard);
+
+    assert_eq!(inj.report().total_injected(), 2 + 16);
+    assert!(p.fault_reports().is_empty());
+    assert!(p.oracle().are_friends("bob", "alice"));
+    assert!(p.oracle().in_group("bob", "roommates", "alice"));
+    assert!(!p.oracle().are_friends("bob", "carol"), "the dropped write stayed dropped");
+}
+
 #[test]
 fn partitioned_sync_fails_typed_and_transient() {
     let (_a, b, server) = two_providers(1);

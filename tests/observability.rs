@@ -215,3 +215,84 @@ fn snapshot_json_roundtrips_a_clearance_gated_view() {
         .iter()
         .any(|e| matches!(&e.kind, EventKind::RouteResolve { path, .. } if path == "/ping")));
 }
+
+/// What one perimeter crossing leaves in the ledger: the friendship
+/// lookup's read check on the (public) `w5_friends` partition, the
+/// declassifier's verdict and the export decision — in that order, the
+/// last two under the owner's tag — plus the two spans and one audit entry.
+/// The launch/export fast path may change what is copied, never this.
+#[test]
+fn one_export_leaves_the_same_ledger_footprint_for_friend_and_stranger() {
+    use w5_platform::{GrantScope, Platform};
+
+    let p = Platform::new_default("obs-perimeter");
+    let bob = p.accounts.register("bob", "pw").unwrap();
+    let alice = p.accounts.register("alice", "pw").unwrap();
+    let carol = p.accounts.register("carol", "pw").unwrap();
+    p.policies.grant_declassifier(bob.id, "friends-only", GrantScope::AllApps);
+    p.add_friend("bob", "alice");
+    let bobs = ObsLabel::singleton(bob.export_tag.raw());
+
+    for (viewer, is_friend) in [(&alice, true), (&carol, false)] {
+        let ledger = Arc::new(w5_obs::Ledger::new());
+        let audited = p.exporter.audit_log().len();
+        let decision = {
+            let _scope = w5_obs::scoped(Arc::clone(&ledger));
+            p.exporter.check(
+                &bob.data_labels(),
+                Some(viewer),
+                "devA/photos",
+                &p.accounts,
+                &p.policies,
+                &p.declassifiers,
+                &p.oracle(),
+            )
+        };
+        assert_eq!(decision.allowed, is_friend);
+
+        let events: Vec<(ObsLabel, EventKind)> = ledger
+            .view(&bobs)
+            .events
+            .into_iter()
+            .map(|e| (e.secrecy, e.kind))
+            .collect();
+        assert_eq!(
+            events,
+            vec![
+                (ObsLabel::empty(), EventKind::LabelCheck { op: "read".into(), allowed: true }),
+                (
+                    bobs.clone(),
+                    EventKind::DeclassifierInvoke { name: "friends-only".into(), allowed: is_friend },
+                ),
+                (
+                    bobs.clone(),
+                    EventKind::ExportCheck {
+                        app: "devA/photos".into(),
+                        allowed: is_friend,
+                        blocked_tags: u64::from(!is_friend),
+                    },
+                ),
+            ]
+        );
+        assert_eq!(ledger.events_recorded(), 3, "nothing counted beside the ring");
+
+        let spans: Vec<(String, ObsLabel)> =
+            ledger.trace_view(&bobs).spans.into_iter().map(|s| (s.name, s.secrecy)).collect();
+        assert_eq!(
+            spans,
+            vec![
+                ("platform.declass.friends-only".to_string(), bobs.clone()),
+                ("platform.export_check".to_string(), bobs.clone()),
+            ],
+            "spans close innermost first"
+        );
+
+        let audit = p.exporter.audit_log();
+        assert_eq!(audit.len(), audited + 1);
+        let entry = audit.last().unwrap();
+        assert_eq!(
+            (entry.viewer, entry.app.as_str(), entry.allowed, &entry.secrecy_tags),
+            (Some(viewer.id), "devA/photos", is_friend, &vec![bob.export_tag])
+        );
+    }
+}
