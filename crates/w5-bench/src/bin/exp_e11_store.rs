@@ -6,12 +6,10 @@
 //! commingling everyone's data in one table — the aggregation-over-
 //! isolation bet of §5.
 //!
-//! Since the storage engine became label-partitioned, every configuration
-//! runs on both executors: **reference** (the seed per-row scan) and
-//! **partitioned** (one flow check per partition, pruning, ordered
-//! indexes). The rows/s column is the number the paper's bet depends on —
-//! partitioning is what keeps the shared table competitive with per-user
-//! silos as label diversity grows.
+//! The store is label-partitioned (one flow check per partition, pruning,
+//! ordered indexes). The rows/s column is the number the paper's bet
+//! depends on — partitioning is what keeps the shared table competitive
+//! with per-user silos as label diversity grows.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -53,41 +51,37 @@ fn main() {
     let mut table = Table::new([
         "rows",
         "distinct users",
-        "executor",
         "mode",
         "scan latency",
         "rows/s",
     ]);
 
     for &(rows, users) in &[(1_000usize, 1usize), (10_000, 1), (10_000, 10), (10_000, 100), (50_000, 100)] {
-        for (exec_name, db) in [("reference", Database::reference()), ("partitioned", Database::new())] {
-            // A fresh registry per arm keeps tag allocation identical.
-            let reg = Arc::new(TagRegistry::new());
-            build_db(&db, rows, users, &reg);
-            let reader = Subject::new(LabelPair::public(), reg.effective(&w5_difc::CapSet::empty()));
-            for (mode_name, mode) in [("w5 filtered", QueryMode::Filtered), ("naive", QueryMode::Naive)] {
-                let (iters, elapsed) = w5_bench::throughput(budget, || {
-                    let out = db
-                        .execute(&reader, mode, QueryCost::unlimited(), &LabelPair::public(),
-                            "SELECT COUNT(*) FROM items WHERE n % 2 = 0")
-                        .unwrap();
-                    std::hint::black_box(out.scanned);
-                });
-                let per_scan = elapsed.as_secs_f64() / iters as f64;
-                table.row([
-                    rows.to_string(),
-                    users.to_string(),
-                    exec_name.to_string(),
-                    mode_name.to_string(),
-                    format!("{:.2}ms", per_scan * 1e3),
-                    w5_bench::ops_per_sec(iters * rows as u64, elapsed),
-                ]);
-            }
+        let db = Database::new();
+        let reg = Arc::new(TagRegistry::new());
+        build_db(&db, rows, users, &reg);
+        let reader = Subject::new(LabelPair::public(), reg.effective(&w5_difc::CapSet::empty()));
+        for (mode_name, mode) in [("w5 filtered", QueryMode::Filtered), ("naive", QueryMode::Naive)] {
+            let (iters, elapsed) = w5_bench::throughput(budget, || {
+                let out = db
+                    .execute(&reader, mode, QueryCost::unlimited(), &LabelPair::public(),
+                        "SELECT COUNT(*) FROM items WHERE n % 2 = 0")
+                    .unwrap();
+                std::hint::black_box(out.scanned);
+            });
+            let per_scan = elapsed.as_secs_f64() / iters as f64;
+            table.row([
+                rows.to_string(),
+                users.to_string(),
+                mode_name.to_string(),
+                format!("{:.2}ms", per_scan * 1e3),
+                w5_bench::ops_per_sec(iters * rows as u64, elapsed),
+            ]);
         }
     }
     println!("{table}");
-    println!("shape check: both executors scale linearly in rows here (every partition is");
-    println!("             readable-with-taint, so nothing prunes); the partitioned engine's");
-    println!("             win is one flow check per partition instead of per row. The");
-    println!("             pruning and index wins are measured by bench_store_json.");
+    println!("shape check: both modes scale linearly in rows here (every partition is");
+    println!("             readable-with-taint, so nothing prunes); what filtering adds to the");
+    println!("             naive scan is one flow check per partition, not per row. Pruning");
+    println!("             and the indexes are measured by bench_store_json.");
 }

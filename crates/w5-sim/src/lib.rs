@@ -30,6 +30,7 @@ pub mod netdiff;
 pub mod population;
 pub mod socialgraph;
 pub mod storediff;
+pub mod storemodel;
 pub mod table;
 pub mod workload;
 
@@ -43,8 +44,7 @@ pub use netdiff::{
     NetOutcome, NetRun, NetSpec, StormReport,
 };
 pub use storediff::{
-    assert_store_differential, run_partitioned_concurrent, run_partitioned_serial, StoreOutcome,
-    StoreRun, StoreSpec,
+    assert_store_differential, run_model, run_store, StoreOutcome, StoreRun, StoreSpec,
 };
 pub use w5_obs::{histogram, Histogram};
 pub use population::{build_population, PopulationConfig, World};

@@ -30,7 +30,6 @@ pub mod subject;
 
 pub use fs::{FileMeta, FsError, LabeledFs};
 pub use sql::{
-    Database, Executor, PartitionedExec, QueryCost, QueryError, QueryMode, QueryOutput,
-    ReferenceExec, Row, SqlError, Value,
+    Database, QueryCost, QueryError, QueryMode, QueryOutput, Row, SqlError, Value,
 };
-pub use subject::{FlowMemo, Subject};
+pub use subject::Subject;

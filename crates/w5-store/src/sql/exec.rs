@@ -1,34 +1,27 @@
 //! Query execution over labeled rows.
 //!
-//! Execution is split between a shared statement pipeline (parse, validate,
-//! stage, order, project) and an [`Executor`] that decides *which rows a
-//! statement visits and what each visit costs*:
-//!
-//! * [`ReferenceExec`] — the seed engine's scan, kept verbatim: every row
-//!   in insertion order, one memoized flow check per row, one budget unit
-//!   per row. It exists as the differential baseline (`w5-sim`'s store
-//!   oracle runs every workload against both executors) and as the
-//!   yardstick for `bench_store_json`.
-//! * [`PartitionedExec`] — the production engine. Rows live in label
-//!   partitions (see [`storage`](super::storage)), so visibility is decided
-//!   **once per partition**, by one call of the flow rule on the label
-//!   pair the partition holds (no id-table read, no memo); unreadable
-//!   partitions are skipped wholesale for a flat one-unit charge and never
-//!   probed, and WHERE clauses on indexed columns are served from the
-//!   readable partitions' ordered indexes via [`plan`](super::plan)
-//!   pushdown, visiting (and charging) only candidate rows.
+//! Rows live in label partitions (see [`storage`](super::storage)), so
+//! visibility is decided **once per partition**, by one call of the flow
+//! rule on the label pair the partition holds (no id-table read, no memo);
+//! unreadable partitions are skipped wholesale for a flat one-unit charge
+//! and never probed, and WHERE clauses on indexed columns are served from
+//! the readable partitions' ordered indexes via [`plan`](super::plan)
+//! pushdown, visiting (and charging) only candidate rows. What the engine
+//! must *mean* — a flat list of labeled rows, one flow check each — is
+//! stated apart from it, in `w5_sim::storemodel`, and checked against it by
+//! `w5_sim::storediff` and `tests/store.rs`.
 //!
 //! ## Label-safe cost accounting
 //!
 //! `QueryOutput::scanned` is part of the observable surface (the platform
-//! charges CPU by it), so it must not leak hidden state. Under
-//! [`PartitionedExec`] a skipped unreadable partition costs exactly **one
-//! unit regardless of its row count**: what a subject can observe through
-//! `scanned` or a `BudgetExhausted` verdict depends only on rows it may
-//! read plus the number of distinct hidden label pairs — never on how many
-//! rows hide behind them. (`tests/noninterference.rs` proves this by
-//! differencing two worlds whose hidden partitions differ only in size.)
-//! Index-pruned rows are never visited and never charged.
+//! charges CPU by it), so it must not leak hidden state. A skipped
+//! unreadable partition costs exactly **one unit regardless of its row
+//! count**: what a subject can observe through `scanned` or a
+//! `BudgetExhausted` verdict depends only on rows it may read plus the
+//! number of distinct hidden label pairs — never on how many rows hide
+//! behind them. (`tests/noninterference.rs` proves this by differencing two
+//! worlds whose hidden partitions differ only in size.) Index-pruned rows
+//! are never visited and never charged.
 
 use super::ast::{BinOp, Expr, SelectItem, Statement};
 use super::lexer::SqlError;
@@ -39,10 +32,11 @@ use super::value::{like_match, ColumnType, Value};
 use crate::subject::Subject;
 use w5_sync::RwLock;
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use w5_difc::{LabelPair, PairId};
+use w5_difc::LabelPair;
 
 /// How the engine treats rows the subject may not read. See the module docs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,231 +139,101 @@ pub struct QueryOutput {
     /// Rows inserted/updated/deleted by DML.
     pub affected: usize,
     /// Cost units consumed (see the module docs: per row visited, plus one
-    /// per unreadable partition skipped under [`PartitionedExec`]).
+    /// per unreadable partition skipped).
     pub scanned: u64,
 }
 
 /// The rows a statement's scan matched, plus what the scan cost.
-pub struct Scan {
-    /// Matching row locations, in executor-dependent order. The pipeline
-    /// re-sorts by insertion sequence before anything observable happens.
-    pub locs: Vec<RowLoc>,
+pub(crate) struct Scan {
+    /// Matching row locations, partition-major. The pipeline re-sorts by
+    /// insertion sequence before anything observable happens.
+    pub(crate) locs: Vec<RowLoc>,
     /// Cost units consumed.
-    pub scanned: u64,
+    pub(crate) scanned: u64,
 }
 
-/// A row-visiting strategy: everything between "a statement needs rows from
-/// this table" and "these rows matched, at this cost". Implementations
-/// must agree on *which* rows match (the differential oracle enforces it);
-/// they are free to disagree on visiting order and on cost.
-///
-/// The trait is object-safe and the `Database` holds one behind an `Arc`,
-/// so a process can run reference and partitioned stores side by side over
-/// identical data — which is exactly what `w5-sim`'s store oracle does.
-pub trait Executor: Send + Sync {
-    /// A short stable name for benches, metrics and oracle reports.
-    fn name(&self) -> &'static str;
-
-    /// Visit `t`'s rows and return those that are visible to `subject`
-    /// under `mode`, satisfy `filter`, and (when `write` is set) are
-    /// writable by the subject — a `WriteDenied` on any matching row aborts
-    /// the scan. Budget is charged per the executor's cost model.
-    fn scan(
-        &self,
-        t: &Table,
-        subject: &Subject,
-        mode: QueryMode,
-        cost: QueryCost,
-        filter: Option<&Expr>,
-        write: bool,
-    ) -> Result<Scan, QueryError>;
-
-    /// All rows visible under `mode`, in insertion order. Used as the join
-    /// prefilter; charges nothing (joins budget the candidate *pair* count
-    /// instead).
-    fn visible(&self, t: &Table, subject: &Subject, mode: QueryMode) -> Vec<RowLoc>;
-}
-
-/// The seed engine's scan, preserved verbatim: every row in insertion
-/// order, one memoized per-row flow check, one budget unit per row visited.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ReferenceExec;
-
-impl Executor for ReferenceExec {
-    fn name(&self) -> &'static str {
-        "reference"
-    }
-
-    fn scan(
-        &self,
-        t: &Table,
-        subject: &Subject,
-        mode: QueryMode,
-        cost: QueryCost,
-        filter: Option<&Expr>,
-        write: bool,
-    ) -> Result<Scan, QueryError> {
-        // Labels repeat row after row here, so verdicts are memoized.
-        let mut memo = subject.memo();
-        let mut order = all_locs(t);
-        order.sort_unstable_by_key(|l| l.seq);
-        let mut scanned = 0u64;
-        let mut locs = Vec::new();
-        for loc in order {
+/// Visit `t`'s rows and return those that are visible to `subject` under
+/// `mode`, satisfy `filter`, and (when `write` is set) are writable by the
+/// subject — a `WriteDenied` on any matching row aborts the scan. Budget is
+/// charged per the module docs' cost model.
+fn scan(
+    t: &Table,
+    subject: &Subject,
+    mode: QueryMode,
+    cost: QueryCost,
+    filter: Option<&Expr>,
+    write: bool,
+) -> Result<Scan, QueryError> {
+    // A pushdown whose column has no index slot (the planner never
+    // returns one) falls through to the unindexed scan.
+    let push = filter.and_then(|f| plan::pushdown(t, f));
+    let probe = push.as_ref().and_then(|p| Some((p, t.index_slot(p.col)?)));
+    let mut scanned = 0u64;
+    let mut locs = Vec::new();
+    let mut cands: Vec<u32> = Vec::new();
+    for (pi, part) in t.partitions.iter().enumerate() {
+        if part.rows.is_empty() {
+            // Unreachable by invariant (empty partitions are dropped);
+            // charging nothing keeps it harmless if that ever changes.
+            continue;
+        }
+        // A partition is met once per scan, so there is nothing to
+        // memoize: one call of the rule on the pair the partition holds.
+        if mode == QueryMode::Filtered && !subject.may_read(&part.pair) {
+            // The label-safe skip: one flat unit, whatever the size.
             scanned += 1;
             if scanned > cost.max_rows_scanned {
                 return Err(QueryError::BudgetExhausted);
             }
-            let part = &t.partitions[loc.part];
-            if mode == QueryMode::Filtered && !memo.may_read(part.labels, &part.pair) {
-                continue;
+            continue;
+        }
+        // Candidates are visited in row order so within-partition
+        // behaviour (and any eval-error surfacing) is stable: one key's
+        // rows are stored ascending, a window's are sorted here.
+        let probed: Option<&[u32]> = probe.map(|(p, slot)| {
+            let index = &part.indexes[slot];
+            match &p.eq {
+                Some(v) => index.probe_eq(v),
+                None => {
+                    cands.clear();
+                    index.probe_range(p.lo.as_ref(), p.hi.as_ref(), &mut cands);
+                    cands.sort_unstable();
+                    &cands
+                }
             }
+        });
+        let mut write_ok = false;
+        let n = probed.map_or(part.rows.len(), <[u32]>::len);
+        for k in 0..n {
+            let ri = probed.map_or(k, |c| c[k] as usize);
+            scanned += 1;
+            if scanned > cost.max_rows_scanned {
+                return Err(QueryError::BudgetExhausted);
+            }
+            let row = &part.rows[ri];
             if let Some(f) = filter {
-                if !eval(f, &t.columns, &part.rows[loc.row].values)?.is_truthy() {
+                if !eval(f, &t.columns, &row.values)?.is_truthy() {
                     continue;
                 }
             }
-            if write && !memo.may_write(part.labels, &part.pair) {
-                return Err(QueryError::WriteDenied);
+            if write && !write_ok {
+                // One write check per partition with a matching row:
+                // labels are uniform, so the verdict is too.
+                if !subject.may_write(&part.pair) {
+                    return Err(QueryError::WriteDenied);
+                }
+                write_ok = true;
             }
-            locs.push(loc);
+            locs.push(RowLoc { part: pi, row: ri, seq: row.seq });
         }
-        Ok(Scan { locs, scanned })
     }
-
-    fn visible(&self, t: &Table, subject: &Subject, mode: QueryMode) -> Vec<RowLoc> {
-        let mut memo = subject.memo();
-        let mut order = all_locs(t);
-        order.sort_unstable_by_key(|l| l.seq);
-        order.retain(|l| {
-            let part = &t.partitions[l.part];
-            mode == QueryMode::Naive || memo.may_read(part.labels, &part.pair)
-        });
-        order
-    }
-}
-
-/// The partitioned engine: per-partition visibility, one-unit skip charges,
-/// and index-probe pushdown. See the module docs for the cost model.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PartitionedExec;
-
-impl Executor for PartitionedExec {
-    fn name(&self) -> &'static str {
-        "partitioned"
-    }
-
-    fn scan(
-        &self,
-        t: &Table,
-        subject: &Subject,
-        mode: QueryMode,
-        cost: QueryCost,
-        filter: Option<&Expr>,
-        write: bool,
-    ) -> Result<Scan, QueryError> {
-        // A pushdown whose column has no index slot (the planner never
-        // returns one) falls through to the unindexed scan.
-        let push = filter.and_then(|f| plan::pushdown(t, f));
-        let probe = push.as_ref().and_then(|p| Some((p, t.index_slot(p.col)?)));
-        let mut scanned = 0u64;
-        let mut locs = Vec::new();
-        let mut cands: Vec<u32> = Vec::new();
-        for (pi, part) in t.partitions.iter().enumerate() {
-            if part.rows.is_empty() {
-                // Unreachable by invariant (empty partitions are dropped);
-                // charging nothing keeps it harmless if that ever changes.
-                continue;
-            }
-            // A partition is met once per scan, so there is nothing to
-            // memoize: one call of the rule on the pair the partition holds.
-            if mode == QueryMode::Filtered && !subject.may_read(&part.pair) {
-                // The label-safe skip: one flat unit, whatever the size.
-                scanned += 1;
-                if scanned > cost.max_rows_scanned {
-                    return Err(QueryError::BudgetExhausted);
-                }
-                continue;
-            }
-            // Candidates are visited in row order so within-partition
-            // behaviour (and any eval-error surfacing) is stable: one key's
-            // rows are stored ascending, a window's are sorted here.
-            let probed: Option<&[u32]> = probe.map(|(p, slot)| {
-                let index = &part.indexes[slot];
-                match &p.eq {
-                    Some(v) => index.probe_eq(v),
-                    None => {
-                        cands.clear();
-                        index.probe_range(p.lo.as_ref(), p.hi.as_ref(), &mut cands);
-                        cands.sort_unstable();
-                        &cands
-                    }
-                }
-            });
-            let mut write_ok = false;
-            let n = probed.map_or(part.rows.len(), <[u32]>::len);
-            for k in 0..n {
-                let ri = probed.map_or(k, |c| c[k] as usize);
-                scanned += 1;
-                if scanned > cost.max_rows_scanned {
-                    return Err(QueryError::BudgetExhausted);
-                }
-                let row = &part.rows[ri];
-                if let Some(f) = filter {
-                    if !eval(f, &t.columns, &row.values)?.is_truthy() {
-                        continue;
-                    }
-                }
-                if write && !write_ok {
-                    // One write check per partition with a matching row:
-                    // labels are uniform, so the verdict is too.
-                    if !subject.may_write(&part.pair) {
-                        return Err(QueryError::WriteDenied);
-                    }
-                    write_ok = true;
-                }
-                locs.push(RowLoc { part: pi, row: ri, seq: row.seq });
-            }
-        }
-        Ok(Scan { locs, scanned })
-    }
-
-    fn visible(&self, t: &Table, subject: &Subject, mode: QueryMode) -> Vec<RowLoc> {
-        let mut locs = Vec::new();
-        for (pi, part) in t.partitions.iter().enumerate() {
-            if mode == QueryMode::Filtered && !subject.may_read(&part.pair) {
-                continue;
-            }
-            locs.extend(
-                part.rows
-                    .iter()
-                    .enumerate()
-                    .map(|(ri, r)| RowLoc { part: pi, row: ri, seq: r.seq }),
-            );
-        }
-        locs.sort_unstable_by_key(|l| l.seq);
-        locs
-    }
-}
-
-fn all_locs(t: &Table) -> Vec<RowLoc> {
-    let mut locs = Vec::with_capacity(t.row_count());
-    for (pi, part) in t.partitions.iter().enumerate() {
-        locs.extend(
-            part.rows
-                .iter()
-                .enumerate()
-                .map(|(ri, r)| RowLoc { part: pi, row: ri, seq: r.seq }),
-        );
-    }
-    locs
+    Ok(Scan { locs, scanned })
 }
 
 /// A labeled database. Cheap to clone (shared state).
 #[derive(Clone)]
 pub struct Database {
     tables: Arc<RwLock<HashMap<String, Table>>>,
-    exec: Arc<dyn Executor>,
 }
 
 impl Default for Database {
@@ -379,25 +243,9 @@ impl Default for Database {
 }
 
 impl Database {
-    /// An empty database on the partitioned executor (production default).
+    /// An empty database.
     pub fn new() -> Database {
-        Database::with_executor(Arc::new(PartitionedExec))
-    }
-
-    /// An empty database on the verbatim seed-era scan executor — the
-    /// differential baseline.
-    pub fn reference() -> Database {
-        Database::with_executor(Arc::new(ReferenceExec))
-    }
-
-    /// An empty database on a caller-supplied executor.
-    pub fn with_executor(exec: Arc<dyn Executor>) -> Database {
-        Database { tables: Arc::new(RwLock::new("store.partition", HashMap::new())), exec }
-    }
-
-    /// The active executor's name (benches, oracle reports).
-    pub fn executor_name(&self) -> &'static str {
-        self.exec.name()
+        Database { tables: Arc::new(RwLock::new("store.partition", HashMap::new())) }
     }
 
     /// Parse and execute one statement.
@@ -621,7 +469,6 @@ impl Database {
                     .get(&j.table)
                     .ok_or_else(|| QueryError::NoSuchTable(j.table.clone()))?;
                 Some(join_tables(
-                    self.exec.as_ref(),
                     subject,
                     mode,
                     cost,
@@ -638,9 +485,8 @@ impl Database {
 
         validate_columns(&t.columns, filter.as_ref())?;
 
-        let Scan { mut locs, scanned } =
-            self.exec.scan(t, subject, mode, cost, filter.as_ref(), false)?;
-        // Back to insertion order: the executors may visit partition-major.
+        let Scan { mut locs, scanned } = scan(t, subject, mode, cost, filter.as_ref(), false)?;
+        // Back to insertion order: the scan visits partition-major.
         locs.sort_unstable_by_key(|l| l.seq);
         let mut hits: Vec<(&StoredRow, &Partition)> = locs
             .iter()
@@ -667,25 +513,11 @@ impl Database {
 
         let labels = combine_labels(hits.iter().map(|&(_, part)| part));
 
-        let is_agg = items.iter().any(SelectItem::is_aggregate);
-        if is_agg {
-            let mut values = Vec::with_capacity(items.len());
-            let mut headers = Vec::with_capacity(items.len());
-            for item in &items {
-                headers.push(item.header());
-                values.push(aggregate(item, &t.columns, &hits)?);
-            }
-            return Ok(QueryOutput {
-                columns: headers,
-                rows: vec![Row { values, labels: labels.clone() }],
-                labels,
-                affected: 0,
-                scanned,
-            });
-        }
-
-        // Plain projection.
+        // One pass sorts the select list into aggregate values *or* row
+        // projections. The parser admits no mix of the two; a hand-built
+        // `Statement` that has one is refused below.
         let mut headers = Vec::new();
+        let mut aggregates: Vec<Value> = Vec::new();
         let mut proj: Vec<Projection> = Vec::new();
         for item in &items {
             match item {
@@ -694,23 +526,33 @@ impl Database {
                         headers.push(name.clone());
                         proj.push(Projection::Col(i));
                     }
+                    continue;
                 }
-                SelectItem::Expr(Expr::Column(c)) => {
-                    headers.push(c.clone());
-                    proj.push(Projection::Col(t.col_index(c)?));
-                }
+                SelectItem::Expr(Expr::Column(c)) => proj.push(Projection::Col(t.col_index(c)?)),
                 SelectItem::Expr(e) => {
                     let mut cols = Vec::new();
                     e.columns(&mut cols);
                     for c in &cols {
                         t.col_index(c)?;
                     }
-                    headers.push(item.header());
-                    proj.push(Projection::Expr(e.clone()));
+                    proj.push(Projection::Expr(e));
                 }
-                _ => unreachable!("aggregates handled above"),
+                SelectItem::CountStar => aggregates.push(Value::Int(hits.len() as i64)),
+                SelectItem::Count(c) => aggregates.push(count(t.col_index(c)?, &hits)),
+                SelectItem::Sum(c) => aggregates.push(sum(t.col_index(c)?, &hits)?),
+                SelectItem::Min(c) => aggregates.push(extreme(t.col_index(c)?, &hits, Ordering::is_lt)),
+                SelectItem::Max(c) => aggregates.push(extreme(t.col_index(c)?, &hits, Ordering::is_gt)),
             }
+            headers.push(item.header());
         }
+        if !aggregates.is_empty() {
+            if !proj.is_empty() {
+                return Err(QueryError::Eval("cannot mix aggregates and plain columns".into()));
+            }
+            let rows = vec![Row { values: aggregates, labels: labels.clone() }];
+            return Ok(QueryOutput { columns: headers, rows, labels, affected: 0, scanned });
+        }
+
         let mut rows = Vec::with_capacity(hits.len());
         for &(r, part) in &hits {
             let mut values = Vec::with_capacity(proj.len());
@@ -744,10 +586,9 @@ impl Database {
             .map(|(c, e)| t.col_index(&c).map(|i| (i, e)))
             .collect::<Result<_, _>>()?;
 
-        let Scan { mut locs, scanned } =
-            self.exec.scan(t, subject, mode, cost, filter.as_ref(), true)?;
+        let Scan { mut locs, scanned } = scan(t, subject, mode, cost, filter.as_ref(), true)?;
         // Stage in insertion order so SET-expression evaluation (and any
-        // error it surfaces) is executor-independent; apply only once every
+        // error it surfaces) does not depend on layout; apply only once every
         // row staged cleanly — a failure aborts the whole statement.
         locs.sort_unstable_by_key(|l| l.seq);
         let mut staged: Vec<(RowLoc, Vec<(usize, Value)>)> = Vec::with_capacity(locs.len());
@@ -798,8 +639,7 @@ impl Database {
         validate_columns(&t.columns, filter.as_ref())?;
         // Mark (scan), then sweep — so WriteDenied and budget errors abort
         // the statement without partial effects.
-        let Scan { locs, scanned } =
-            self.exec.scan(t, subject, mode, cost, filter.as_ref(), true)?;
+        let Scan { locs, scanned } = scan(t, subject, mode, cost, filter.as_ref(), true)?;
         let affected = locs.len();
         if affected > 0 {
             let mut doomed: Vec<Option<Vec<bool>>> = vec![None; t.partitions.len()];
@@ -826,20 +666,18 @@ impl Database {
     }
 }
 
-enum Projection {
+enum Projection<'a> {
     Col(usize),
-    Expr(Expr),
+    Expr(&'a Expr),
 }
 
 /// Materialize an inner equi-join as a temporary table whose columns are
 /// qualified (`left.col`, `right.col`). Row labels combine the two source
 /// rows' labels — derived data carries both provenances. Visibility
-/// filtering happens per *source* row (via the executor's prefilter, so
-/// the partitioned engine decides it per partition), and invisible rows
-/// can never influence the join output.
+/// filtering happens per *source* row (via [`scan`], so it is decided per
+/// partition), and invisible rows can never influence the join output.
 #[allow(clippy::too_many_arguments)]
 fn join_tables(
-    exec: &dyn Executor,
     subject: &Subject,
     mode: QueryMode,
     cost: QueryCost,
@@ -873,8 +711,14 @@ fn join_tables(
     let li = left.col_index(&lcol)?;
     let ri = right.col_index(&rcol)?;
 
-    let lvis = exec.visible(left, subject, mode);
-    let rvis = exec.visible(right, subject, mode);
+    // The prefilter: every visible row, in insertion order. It charges
+    // nothing — a join budgets the candidate *pair* count instead.
+    let visible = |t: &Table| -> Result<Vec<RowLoc>, QueryError> {
+        let mut locs = scan(t, subject, mode, QueryCost::unlimited(), None, false)?.locs;
+        locs.sort_unstable_by_key(|l| l.seq);
+        Ok(locs)
+    };
+    let (lvis, rvis) = (visible(left)?, visible(right)?);
 
     // Nested-loop join with the pair count charged against the budget.
     let pairs = lvis.len() as u64 * rvis.len() as u64;
@@ -928,24 +772,20 @@ fn validate_columns(
 
 /// Combined labels of the rows that contributed to a result, folded over
 /// the *distinct* partitions they came from, so the set algebra is bounded
-/// by partitions hit, not rows. A scan over one partition (the common case:
-/// one user's rows) clones that partition's pair and touches no table; only
-/// a genuinely combined id is resolved.
+/// by partitions hit, not rows. The fold is over the label *values* the
+/// partitions hold: the WHERE clause picks the subset, so interning each
+/// union would let a read-only subject grow the never-freed id table by one
+/// entry per subset of partitions it can name.
 fn combine_labels<'t>(parts: impl Iterator<Item = &'t Partition>) -> LabelPair {
     let mut distinct: Vec<&Partition> = parts.collect();
     distinct.sort_unstable_by_key(|p| p.labels);
     distinct.dedup_by_key(|p| p.labels);
-    match distinct[..] {
-        [] => LabelPair::public(),
-        [only] => only.pair.clone(),
-        // Reduce from the first id, not from PUBLIC: integrity combines by
-        // intersection, and an empty seed would erase every integrity claim.
-        _ => distinct
-            .iter()
-            .map(|p| p.labels)
-            .reduce(PairId::combine)
-            .expect("two or more partitions")
-            .resolve(),
+    let mut pairs = distinct.iter().map(|p| &p.pair);
+    // Fold from the first pair, not from PUBLIC: integrity combines by
+    // intersection, and an empty seed would erase every integrity claim.
+    match pairs.next() {
+        None => LabelPair::public(),
+        Some(first) => pairs.fold(first.clone(), |all, pair| all.combine(pair)),
     }
 }
 
@@ -972,78 +812,97 @@ fn eval<'a>(
             let isnull = matches!(*eval(expr, cols, row)?, Value::Null);
             Value::Bool(isnull != *negated)
         }
-        // Short-circuit logic first.
-        Expr::Binary { op: BinOp::And, left, right } => Value::Bool(
-            eval(left, cols, row)?.is_truthy() && eval(right, cols, row)?.is_truthy(),
-        ),
-        Expr::Binary { op: BinOp::Or, left, right } => Value::Bool(
-            eval(left, cols, row)?.is_truthy() || eval(right, cols, row)?.is_truthy(),
-        ),
-        Expr::Binary { op, left, right } => {
-            let (l, r) = (eval(left, cols, row)?, eval(right, cols, row)?);
-            binary(*op, &l, &r)?
-        }
+        Expr::Binary { op, left, right } => match OpKind::of(*op) {
+            // Logic short-circuits: the right side may never run.
+            OpKind::And => Value::Bool(
+                eval(left, cols, row)?.is_truthy() && eval(right, cols, row)?.is_truthy(),
+            ),
+            OpKind::Or => Value::Bool(
+                eval(left, cols, row)?.is_truthy() || eval(right, cols, row)?.is_truthy(),
+            ),
+            OpKind::Strict(op) => {
+                let (l, r) = (eval(left, cols, row)?, eval(right, cols, row)?);
+                strict(op, &l, &r)?
+            }
+        },
     };
     Ok(Cow::Owned(computed))
 }
 
+/// [`BinOp`] by how it is evaluated, so that [`eval`] and [`strict`] each
+/// match only the operators they can be handed.
+enum OpKind {
+    And,
+    Or,
+    Strict(Strict),
+}
+
+/// The operators that see both operand values; NULL in, NULL out.
+enum Strict {
+    Eq,
+    NotEq,
+    /// `<`, `<=`, `>`, `>=`: the test applied to how the operands order.
+    Order(fn(Ordering) -> bool),
+    Like,
+    /// Checked integer arithmetic; `/` and `%` name the error a zero
+    /// right-hand side raises.
+    Arith(fn(i64, i64) -> Option<i64>, Option<&'static str>),
+}
+
+impl OpKind {
+    fn of(op: BinOp) -> OpKind {
+        OpKind::Strict(match op {
+            BinOp::And => return OpKind::And,
+            BinOp::Or => return OpKind::Or,
+            BinOp::Eq => Strict::Eq,
+            BinOp::NotEq => Strict::NotEq,
+            BinOp::Lt => Strict::Order(Ordering::is_lt),
+            BinOp::LtEq => Strict::Order(Ordering::is_le),
+            BinOp::Gt => Strict::Order(Ordering::is_gt),
+            BinOp::GtEq => Strict::Order(Ordering::is_ge),
+            BinOp::Like => Strict::Like,
+            BinOp::Add => Strict::Arith(i64::checked_add, None),
+            BinOp::Sub => Strict::Arith(i64::checked_sub, None),
+            BinOp::Mul => Strict::Arith(i64::checked_mul, None),
+            BinOp::Div => Strict::Arith(i64::checked_div, Some("division by zero")),
+            BinOp::Mod => Strict::Arith(i64::checked_rem, Some("modulo by zero")),
+        })
+    }
+}
+
 /// Apply a non-logical binary operator to two evaluated operands.
-fn binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, QueryError> {
-    use BinOp::*;
+fn strict(op: Strict, l: &Value, r: &Value) -> Result<Value, QueryError> {
     if matches!(l, Value::Null) || matches!(r, Value::Null) {
         return Ok(Value::Null);
     }
     match op {
-        Eq => Ok(l.sql_eq(r)),
-        NotEq => match l.sql_eq(r) {
+        Strict::Eq => Ok(l.sql_eq(r)),
+        Strict::NotEq => match l.sql_eq(r) {
             Value::Bool(b) => Ok(Value::Bool(!b)),
             v => Ok(v),
         },
-        Lt | LtEq | Gt | GtEq => {
+        Strict::Order(test) => {
             let ord = match (l, r) {
                 (Value::Int(a), Value::Int(b)) => a.cmp(b),
                 (Value::Text(a), Value::Text(b)) => a.cmp(b),
                 _ => return Err(QueryError::Eval("incomparable values".into())),
             };
-            Ok(Value::Bool(match op {
-                Lt => ord.is_lt(),
-                LtEq => ord.is_le(),
-                Gt => ord.is_gt(),
-                GtEq => ord.is_ge(),
-                _ => unreachable!(),
-            }))
+            Ok(Value::Bool(test(ord)))
         }
-        Like => match (l, r) {
+        Strict::Like => match (l, r) {
             (Value::Text(t), Value::Text(p)) => Ok(Value::Bool(like_match(t, p))),
             _ => Err(QueryError::Eval("LIKE needs text operands".into())),
         },
-        Add | Sub | Mul | Div | Mod => {
+        Strict::Arith(apply, on_zero) => {
             let (a, b) = match (l, r) {
                 (Value::Int(a), Value::Int(b)) => (*a, *b),
                 _ => return Err(QueryError::Eval("arithmetic needs integers".into())),
             };
-            let out = match op {
-                Add => a.checked_add(b),
-                Sub => a.checked_sub(b),
-                Mul => a.checked_mul(b),
-                Div => {
-                    if b == 0 {
-                        return Err(QueryError::Eval("division by zero".into()));
-                    }
-                    a.checked_div(b)
-                }
-                Mod => {
-                    if b == 0 {
-                        return Err(QueryError::Eval("modulo by zero".into()));
-                    }
-                    a.checked_rem(b)
-                }
-                _ => unreachable!(),
-            };
-            out.map(Value::Int)
-                .ok_or_else(|| QueryError::Eval("integer overflow".into()))
+            if let (0, Some(msg)) = (b, on_zero) {
+                return Err(QueryError::Eval(msg.into()));
+            }
+            apply(a, b).map(Value::Int).ok_or_else(|| QueryError::Eval("integer overflow".into()))
         }
-        And | Or => unreachable!("short-circuited by eval"),
     }
 }
 
@@ -1052,64 +911,41 @@ fn eval_const(expr: &Expr) -> Result<Value, QueryError> {
     eval(expr, &[], &[]).map(Cow::into_owned)
 }
 
-fn aggregate(
-    item: &SelectItem,
-    cols: &[(String, ColumnType)],
-    hits: &[(&StoredRow, &Partition)],
-) -> Result<Value, QueryError> {
-    match item {
-        SelectItem::CountStar => Ok(Value::Int(hits.len() as i64)),
-        SelectItem::Count(c) => {
-            let i = col_index(cols, c)?;
-            Ok(Value::Int(
-                hits.iter().filter(|(r, _)| !matches!(r.values[i], Value::Null)).count() as i64,
-            ))
-        }
-        SelectItem::Sum(c) => {
-            let i = col_index(cols, c)?;
-            let mut sum = 0i64;
-            let mut any = false;
-            for (r, _) in hits {
-                match &r.values[i] {
-                    Value::Int(v) => {
-                        sum = sum
-                            .checked_add(*v)
-                            .ok_or_else(|| QueryError::Eval("SUM overflow".into()))?;
-                        any = true;
-                    }
-                    Value::Null => {}
-                    _ => return Err(QueryError::Eval("SUM needs an integer column".into())),
-                }
+type Hits<'t> = [(&'t StoredRow, &'t Partition)];
+
+/// `COUNT(col)`: the non-NULL cells.
+fn count(col: usize, hits: &Hits) -> Value {
+    Value::Int(hits.iter().filter(|(r, _)| !matches!(r.values[col], Value::Null)).count() as i64)
+}
+
+/// `SUM(col)`: NULL cells are skipped; no integer at all sums to NULL.
+fn sum(col: usize, hits: &Hits) -> Result<Value, QueryError> {
+    let mut sum = 0i64;
+    let mut any = false;
+    for (r, _) in hits {
+        match &r.values[col] {
+            Value::Int(v) => {
+                sum = sum
+                    .checked_add(*v)
+                    .ok_or_else(|| QueryError::Eval("SUM overflow".into()))?;
+                any = true;
             }
-            Ok(if any { Value::Int(sum) } else { Value::Null })
+            Value::Null => {}
+            _ => return Err(QueryError::Eval("SUM needs an integer column".into())),
         }
-        SelectItem::Min(c) | SelectItem::Max(c) => {
-            let i = col_index(cols, c)?;
-            let want_min = matches!(item, SelectItem::Min(_));
-            let mut best: Option<Value> = None;
-            for (r, _) in hits {
-                let v = &r.values[i];
-                if matches!(v, Value::Null) {
-                    continue;
-                }
-                best = Some(match best {
-                    None => v.clone(),
-                    Some(b) => {
-                        let take_new = if want_min {
-                            v.order(&b).is_lt()
-                        } else {
-                            v.order(&b).is_gt()
-                        };
-                        if take_new {
-                            v.clone()
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            Ok(best.unwrap_or(Value::Null))
-        }
-        _ => unreachable!("not an aggregate"),
     }
+    Ok(if any { Value::Int(sum) } else { Value::Null })
+}
+
+/// `MIN(col)` / `MAX(col)`: the first non-NULL cell that none `beats` under
+/// [`Value::order`].
+fn extreme(col: usize, hits: &Hits, beats: fn(Ordering) -> bool) -> Value {
+    let mut best: Option<&Value> = None;
+    for (r, _) in hits {
+        let v = &r.values[col];
+        if !matches!(v, Value::Null) && best.is_none_or(|b| beats(v.order(b))) {
+            best = Some(v);
+        }
+    }
+    best.cloned().unwrap_or(Value::Null)
 }

@@ -30,12 +30,10 @@
 //! from locking the database", §3.5).
 //!
 //! Storage is **label-partitioned** (see [`exec`]'s module docs): rows with
-//! identical label pairs live contiguously, so the production executor
-//! ([`PartitionedExec`]) performs one flow check per partition, skips
-//! unreadable partitions wholesale at a flat label-safe cost, and serves
-//! indexed `WHERE` clauses from per-partition ordered indexes. The seed-era
-//! per-row scan survives as [`ReferenceExec`] — the baseline for the
-//! differential oracle in `w5-sim` and the store benchmarks.
+//! identical label pairs live contiguously, so the engine performs one flow
+//! check per partition, skips unreadable partitions wholesale at a flat
+//! label-safe cost, and serves indexed `WHERE` clauses from per-partition
+//! ordered indexes.
 
 mod ast;
 mod exec;
@@ -46,11 +44,7 @@ mod storage;
 mod value;
 
 pub use ast::{BinOp, Expr, SelectItem, Statement};
-pub use exec::{
-    Database, Executor, PartitionedExec, QueryCost, QueryError, QueryMode, QueryOutput,
-    ReferenceExec, Row, Scan,
-};
+pub use exec::{Database, QueryCost, QueryError, QueryMode, QueryOutput, Row};
 pub use lexer::SqlError;
 pub use parser::parse;
-pub use storage::{RowLoc, Table};
 pub use value::{ColumnType, Value};

@@ -28,7 +28,7 @@ use std::ops::Bound;
 use w5_difc::{LabelPair, PairId, PairIdMap};
 
 /// A stored row: cell values plus the table-wide insertion sequence number.
-/// Scans from any executor are re-sorted by `seq` before ORDER BY / LIMIT /
+/// Scans are re-sorted by `seq` before ORDER BY / LIMIT /
 /// projection, which reproduces the flat-storage engine's insertion-order
 /// semantics exactly even though rows physically live partition-major.
 #[derive(Clone, Debug)]
@@ -41,7 +41,7 @@ pub(crate) struct StoredRow {
 /// partition, and the row's insertion sequence number (denormalized so
 /// result pipelines can order hits without chasing the partition again).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RowLoc {
+pub(crate) struct RowLoc {
     pub(crate) part: usize,
     pub(crate) row: usize,
     pub(crate) seq: u64,
@@ -131,7 +131,7 @@ pub(crate) struct Partition {
 
 /// A table: schema plus label partitions and their indexes.
 #[derive(Clone, Debug, Default)]
-pub struct Table {
+pub(crate) struct Table {
     pub(crate) columns: Vec<(String, ColumnType)>,
     pub(crate) partitions: Vec<Partition>,
     /// Partition directory: interned label pair → index into `partitions`.

@@ -1,6 +1,6 @@
 //! The acting subject of a storage operation.
 
-use w5_difc::{rules, CapSet, FlowCheck, LabelPair, PairId, PairIdMap};
+use w5_difc::{rules, CapSet, FlowCheck, LabelPair};
 
 /// A snapshot of the acting process's flow-control state: its labels and
 /// its *effective* capability set (private bag ∪ global bag).
@@ -45,66 +45,6 @@ impl Subject {
     pub fn may_write(&self, obj: &LabelPair) -> bool {
         rules::labels_for_write(&self.labels, &self.caps, obj).is_allowed()
     }
-
-    /// A per-operation flow memo over this subject. See [`FlowMemo`].
-    pub fn memo(&self) -> FlowMemo<'_> {
-        FlowMemo { subject: self, read: PairIdMap::default(), write: PairIdMap::default() }
-    }
-}
-
-/// Memoized flow checks against one fixed subject, keyed by interned
-/// [`PairId`] — for scans that meet the same label pair again and again
-/// (the reference executor's per-row walk), where every check after the
-/// first with each distinct pair becomes a hash probe on a `Copy` key. The
-/// partitioned executor meets a pair once per scan and asks the
-/// [`Subject`] directly.
-///
-/// Scoped deliberately: the memo holds `&Subject`, so the borrow checker
-/// guarantees the subject's labels and capabilities cannot change while
-/// cached verdicts are live (`Subject`'s fields are public and mutable —
-/// a longer-lived cache would be unsound). Verdicts depend only on the
-/// subject (frozen by the borrow) and on immutable interned labels, so
-/// within that scope they never stale.
-pub struct FlowMemo<'a> {
-    subject: &'a Subject,
-    read: PairIdMap<bool>,
-    write: PairIdMap<bool>,
-}
-
-impl FlowMemo<'_> {
-    /// Memoized [`Subject::may_read`]. `pair` is the label pair `id` was
-    /// interned from (the partition keeps both), so neither a miss nor a
-    /// hit goes back to the id table.
-    pub fn may_read(&mut self, id: PairId, pair: &LabelPair) -> bool {
-        match self.read.get(&id) {
-            Some(&ok) => {
-                // Memoized verdicts still tick the ledger: audit sees every
-                // per-row check; only the recomputation is skipped.
-                w5_obs::count_check("read", ok, pair.secrecy.to_obs());
-                ok
-            }
-            None => {
-                let ok = self.subject.may_read(pair);
-                self.read.insert(id, ok);
-                ok
-            }
-        }
-    }
-
-    /// Memoized [`Subject::may_write`]; `pair` as for [`FlowMemo::may_read`].
-    pub fn may_write(&mut self, id: PairId, pair: &LabelPair) -> bool {
-        match self.write.get(&id) {
-            Some(&ok) => {
-                w5_obs::count_check("write", ok, self.subject.labels.secrecy.to_obs());
-                ok
-            }
-            None => {
-                let ok = self.subject.may_write(pair);
-                self.write.insert(id, ok);
-                ok
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -134,31 +74,5 @@ mod tests {
         // Public data is both.
         assert!(anon.may_read_at_current_labels(&LabelPair::public()));
         assert!(anon.may_write(&LabelPair::public()));
-    }
-
-    #[test]
-    fn memo_agrees_with_direct_checks() {
-        let reg = Arc::new(TagRegistry::new());
-        let (e, _) = reg.create_tag(TagKind::ExportProtect, "export:m");
-        let (w, _) = reg.create_tag(TagKind::WriteProtect, "write:m");
-        let mut anon = Subject::anonymous();
-        anon.caps = reg.effective(&anon.caps);
-
-        let pairs = [
-            LabelPair::public(),
-            LabelPair::new(Label::singleton(e), Label::empty()),
-            LabelPair::new(Label::empty(), Label::singleton(w)),
-            LabelPair::new(Label::singleton(e), Label::singleton(w)),
-        ];
-        let mut memo = anon.memo();
-        // Two rounds: the second is answered entirely from the memo and
-        // must agree with the direct (uncached) checks.
-        for _ in 0..2 {
-            for p in &pairs {
-                let id = p.interned();
-                assert_eq!(memo.may_read(id, p), anon.may_read(p));
-                assert_eq!(memo.may_write(id, p), anon.may_write(p));
-            }
-        }
     }
 }
