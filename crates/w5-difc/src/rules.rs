@@ -17,12 +17,17 @@
 //!   O_p⁺` — the receiver's integrity claims must be vouchable by the
 //!   sender, modulo claims the receiver may drop and endorsements the
 //!   sender may add.
+//! * **Read** (subject `p` reads object `o`): `S_o ⊆ S_p ∪ O_p⁺` and
+//!   `I_p ⊆ I_o ∪ O_p⁻`; the reader's labels become `S_p ∪ S_o`, `I_p ∩ I_o`.
+//! * **Write** (`p` writes `o`): `S_p ⊆ S_o ∪ O_p⁻` and `I_o ⊆ I_p ∪ O_p⁺`.
 
 use crate::caps::CapSet;
 use crate::error::{DifcError, DifcResult};
 use crate::label::Label;
+use crate::tag::Tag;
 use crate::LabelPair;
 use std::sync::atomic::{AtomicU64, Ordering};
+use w5_obs::CheckOp;
 
 /// Check a label change `from → to` against the capability set `caps`
 /// (which should already include the global bag; see
@@ -32,7 +37,7 @@ pub fn safe_change(from: &Label, to: &Label, caps: &CapSet) -> DifcResult<()> {
     // The flow the check describes carries the union of both labels: a
     // denial reveals something about where the subject stood *and* where
     // it tried to go.
-    w5_obs::count_check("change", result.is_ok(), from.union(to).to_obs());
+    w5_obs::count_check(CheckOp::Change, result.is_ok(), from.union(to).to_obs());
     result
 }
 
@@ -98,7 +103,7 @@ pub fn can_flow_with(s_src: &Label, o_src: &CapSet, s_dst: &Label, o_dst: &CapSe
         .filter(|&t| !s_dst.contains(t) && !o_dst.has_plus(t))
         .collect();
     let allowed = leaked.is_empty();
-    w5_obs::count_check("flow", allowed, s_src.to_obs());
+    w5_obs::count_check(CheckOp::Flow, allowed, s_src.to_obs());
     if allowed {
         Ok(())
     } else {
@@ -152,49 +157,101 @@ impl FlowCheck {
     }
 }
 
+// ---- read and write admissibility ----
+//
+// Each rule is stated once, as the tags that block it. The verdict asks
+// whether any blocking tag exists — a walk over borrowed labels with
+// binary-searched membership, no allocation — and only a denial collects
+// them into its `DifcError`. The read's new labels are derived only when
+// the read is allowed and changes the subject.
+
+/// One subject meeting one object: the operands of both rules.
+#[derive(Clone, Copy)]
+struct Access<'a> {
+    subj: &'a LabelPair,
+    caps: &'a CapSet,
+    obj: &'a LabelPair,
+}
+
+impl<'a> Access<'a> {
+    /// Read, secrecy: tags of `S_obj` the reader neither carries nor holds
+    /// `t+` for (raising is free for export-protect tags, whose `t+ ∈ Ô`).
+    fn unraisable(self) -> impl Iterator<Item = Tag> + 'a {
+        let Access { subj, caps, obj } = self;
+        obj.secrecy.iter().filter(move |&t| !subj.secrecy.contains(t) && !caps.has_plus(t))
+    }
+
+    /// Read, integrity: the reader's claims `obj` does not carry and the
+    /// reader holds no `t-` to drop. Keeping such a claim would forge
+    /// provenance, and `t-` is public for write-protect tags, so this nearly
+    /// never blocks.
+    fn undroppable(self) -> impl Iterator<Item = Tag> + 'a {
+        let Access { subj, caps, obj } = self;
+        subj.integrity.iter().filter(move |&t| !obj.integrity.contains(t) && !caps.has_minus(t))
+    }
+
+    /// Write, secrecy: the writer's tags `obj` does not carry and the writer
+    /// holds no `t-` to declassify (no laundering secrets into less-secret
+    /// objects).
+    fn leaked(self) -> impl Iterator<Item = Tag> + 'a {
+        let Access { subj, caps, obj } = self;
+        subj.secrecy.iter().filter(move |&t| !caps.has_minus(t) && !obj.secrecy.contains(t))
+    }
+
+    /// Write, integrity: claims of `obj` the writer neither carries nor
+    /// holds `t+` to endorse (no forging endorsements).
+    fn unvouched(self) -> impl Iterator<Item = Tag> + 'a {
+        let Access { subj, caps, obj } = self;
+        obj.integrity.iter().filter(move |&t| !subj.integrity.contains(t) && !caps.has_plus(t))
+    }
+
+    /// The read predicate: `S_obj ⊆ S_subj ∪ O⁺` and `I_subj ⊆ I_obj ∪ O⁻`.
+    fn read_ok(self) -> bool {
+        self.unraisable().next().is_none() && self.undroppable().next().is_none()
+    }
+
+    /// The write predicate: `S_subj ⊆ O⁻ ∪ S_obj` and `I_obj ⊆ I_subj ∪ O⁺`.
+    fn write_ok(self) -> bool {
+        self.leaked().next().is_none() && self.unvouched().next().is_none()
+    }
+
+    fn read_denial(self) -> DifcError {
+        let tags: Label = self.unraisable().collect();
+        if tags.is_empty() {
+            DifcError::MissingMinus { tags: self.undroppable().collect() }
+        } else {
+            DifcError::MissingPlus { tags }
+        }
+    }
+
+    fn write_denial(self) -> DifcError {
+        let leaked: Label = self.leaked().collect();
+        if leaked.is_empty() {
+            DifcError::IntegrityViolation { unvouched: self.unvouched().collect() }
+        } else {
+            DifcError::SecrecyViolation { leaked }
+        }
+    }
+}
+
 /// May a subject with labels `subj` and effective capabilities `caps` *read*
 /// an object labeled `obj`? Reading requires `S_obj ⊆ S_subj` (possibly
 /// after raising, which `t+ ∈ Ô` makes free for export-protect tags) and
 /// taints the subject's integrity down to `I_subj ∩ I_obj`.
 ///
-/// Returns the label change the subject must undergo, if any.
+/// Returns the label change the subject must undergo, if any. Counted
+/// once, like [`may_read`]; use that when the change is not needed.
 pub fn labels_for_read(subj: &LabelPair, caps: &CapSet, obj: &LabelPair) -> FlowCheck {
-    let check = labels_for_read_unobserved(subj, caps, obj);
-    // Reads move the object's data toward the subject: the described flow
-    // carries the object's secrecy.
-    w5_obs::count_check("read", check.is_allowed(), obj.secrecy.to_obs());
-    check
-}
-
-fn labels_for_read_unobserved(subj: &LabelPair, caps: &CapSet, obj: &LabelPair) -> FlowCheck {
-    let need_raise = obj.secrecy.difference(&subj.secrecy);
-    let new_secrecy = if need_raise.is_empty() {
-        subj.secrecy.clone()
-    } else {
-        // Every tag we must add needs a t+ in the effective set.
-        let blocked: Label = need_raise.iter().filter(|&t| !caps.has_plus(t)).collect();
-        if !blocked.is_empty() {
-            return FlowCheck::Denied(DifcError::MissingPlus { tags: blocked });
-        }
-        subj.secrecy.union(&need_raise)
-    };
-
-    // Integrity: reading low-integrity data drops claims the object lacks,
-    // unless the subject may keep them via t- ... no: keeping a claim the
-    // data doesn't carry would forge provenance. The subject's new integrity
-    // is the intersection, and dropping tags requires t- — which is public
-    // for write-protect tags, so this nearly always succeeds.
-    let dropped = subj.integrity.difference(&obj.integrity);
-    let blocked: Label = dropped.iter().filter(|&t| !caps.has_minus(t)).collect();
-    if !blocked.is_empty() {
-        return FlowCheck::Denied(DifcError::MissingMinus { tags: blocked });
+    if !may_read(subj, caps, obj) {
+        return FlowCheck::Denied(Access { subj, caps, obj }.read_denial());
     }
-    let new_integrity = subj.integrity.intersection(&obj.integrity);
-
-    if new_secrecy == subj.secrecy && new_integrity == subj.integrity {
+    if obj.secrecy.is_subset(&subj.secrecy) && subj.integrity.is_subset(&obj.integrity) {
         FlowCheck::Allowed
     } else {
-        FlowCheck::AllowedWithChange { new_secrecy, new_integrity }
+        FlowCheck::AllowedWithChange {
+            new_secrecy: subj.secrecy.union(&obj.secrecy),
+            new_integrity: subj.integrity.intersection(&obj.integrity),
+        }
     }
 }
 
@@ -204,41 +261,72 @@ fn labels_for_read_unobserved(subj: &LabelPair, caps: &CapSet, obj: &LabelPair) 
 /// Writing requires the object to absorb the subject's secrecy
 /// (`S_subj − O⁻ ⊆ S_obj`: no laundering secrets into less-secret files) and
 /// the subject to vouch the object's integrity
-/// (`I_obj ⊆ I_subj ∪ O⁺`: no forging endorsements).
+/// (`I_obj ⊆ I_subj ∪ O⁺`: no forging endorsements). A write never changes
+/// the writer's labels, so the outcome is `Allowed` or `Denied`.
 pub fn labels_for_write(subj: &LabelPair, caps: &CapSet, obj: &LabelPair) -> FlowCheck {
-    let check = labels_for_write_unobserved(subj, caps, obj);
-    // Writes move the subject's data toward the object: the described flow
-    // carries the subject's secrecy.
-    w5_obs::count_check("write", check.is_allowed(), subj.secrecy.to_obs());
-    check
+    if may_write(subj, caps, obj) {
+        FlowCheck::Allowed
+    } else {
+        FlowCheck::Denied(Access { subj, caps, obj }.write_denial())
+    }
 }
 
-fn labels_for_write_unobserved(subj: &LabelPair, caps: &CapSet, obj: &LabelPair) -> FlowCheck {
-    let leaked: Label = subj
-        .secrecy
-        .iter()
-        .filter(|&t| !caps.has_minus(t))
-        .filter(|&t| !obj.secrecy.contains(t))
-        .collect();
-    if !leaked.is_empty() {
-        return FlowCheck::Denied(DifcError::SecrecyViolation { leaked });
+/// The verdict of [`labels_for_read`] alone, counted once: no label is
+/// derived and nothing allocates.
+pub fn may_read(subj: &LabelPair, caps: &CapSet, obj: &LabelPair) -> bool {
+    let allowed = Access { subj, caps, obj }.read_ok();
+    // Reads move the object's data toward the subject: the described flow
+    // carries the object's secrecy.
+    w5_obs::count_check(CheckOp::Read, allowed, obj.secrecy.to_obs());
+    allowed
+}
+
+/// The verdict of [`labels_for_write`], counted once; nothing allocates.
+pub fn may_write(subj: &LabelPair, caps: &CapSet, obj: &LabelPair) -> bool {
+    let allowed = Access { subj, caps, obj }.write_ok();
+    // Writes move the subject's data toward the object: the described flow
+    // carries the subject's secrecy.
+    w5_obs::count_check(CheckOp::Write, allowed, subj.secrecy.to_obs());
+    allowed
+}
+
+/// One subject's read and write verdicts over one statement, counted
+/// together: each is [`may_read`] / [`may_write`]'s predicate, and the
+/// counts reach the ledger through a [`w5_obs::CheckBatch`] — in order,
+/// exactly as one-at-a-time counting would leave it, at the latest when
+/// this drops. Borrows every label it is given, so it allocates nothing.
+pub struct Verdicts<'a> {
+    subj: &'a LabelPair,
+    caps: &'a CapSet,
+    counted: w5_obs::CheckBatch<'a>,
+}
+
+impl<'a> Verdicts<'a> {
+    /// Verdicts for a subject with labels `subj` and effective caps `caps`.
+    pub fn new(subj: &'a LabelPair, caps: &'a CapSet) -> Verdicts<'a> {
+        Verdicts { subj, caps, counted: w5_obs::CheckBatch::new() }
     }
-    let unvouched: Label = obj
-        .integrity
-        .iter()
-        .filter(|&t| !subj.integrity.contains(t) && !caps.has_plus(t))
-        .collect();
-    if !unvouched.is_empty() {
-        return FlowCheck::Denied(DifcError::IntegrityViolation { unvouched });
+
+    /// [`may_read`], counted with the rest of the batch.
+    pub fn may_read(&mut self, obj: &'a LabelPair) -> bool {
+        let allowed = Access { subj: self.subj, caps: self.caps, obj }.read_ok();
+        self.counted.push(CheckOp::Read, allowed, obj.secrecy.to_obs());
+        allowed
     }
-    FlowCheck::Allowed
+
+    /// [`may_write`], counted with the rest of the batch.
+    pub fn may_write(&mut self, obj: &'a LabelPair) -> bool {
+        let allowed = Access { subj: self.subj, caps: self.caps, obj }.write_ok();
+        self.counted.push(CheckOp::Write, allowed, self.subj.secrecy.to_obs());
+        allowed
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::TagRegistry;
-    use crate::tag::{Tag, TagKind};
+    use crate::tag::TagKind;
 
     fn l(ids: &[u64]) -> Label {
         Label::from_iter(ids.iter().map(|&i| Tag::from_raw(i)))
@@ -407,6 +495,36 @@ mod tests {
             FlowCheck::Denied(DifcError::IntegrityViolation { .. })
         ));
         assert!(labels_for_write(&clean, &reg.effective(&bob), &bob_file).is_allowed());
+    }
+
+    #[test]
+    fn verdicts_decide_like_single_checks_and_count_when_dropped() {
+        let reg = TagRegistry::new();
+        let (e, _) = reg.create_tag(TagKind::ExportProtect, "export:alice");
+        let (r, _) = reg.create_tag(TagKind::ReadProtect, "read:bob");
+        let anyone = reg.effective(&CapSet::empty());
+        let subj = LabelPair::public();
+        let objs = [
+            LabelPair::new(Label::singleton(e), Label::empty()),
+            LabelPair::new(Label::singleton(r), Label::empty()),
+            LabelPair::public(),
+        ];
+        let ledger = std::sync::Arc::new(w5_obs::Ledger::new());
+        let _scope = w5_obs::scoped(ledger.clone());
+        {
+            let mut verdicts = Verdicts::new(&subj, &anyone);
+            let reads: Vec<bool> = objs.iter().map(|o| verdicts.may_read(o)).collect();
+            let writes: Vec<bool> = objs.iter().map(|o| verdicts.may_write(o)).collect();
+            assert_eq!(reads, [true, false, true]);
+            assert_eq!(writes, [true, true, true], "a public writer may write anything");
+            assert_eq!(ledger.events_recorded(), 0, "counts wait for the batch");
+        }
+        assert_eq!(ledger.events_recorded(), 6);
+        assert_eq!(ledger.aggregate().denied["difc"], 1);
+        for o in &objs {
+            assert_eq!(may_read(&subj, &anyone, o), labels_for_read(&subj, &anyone, o).is_allowed());
+        }
+        assert_eq!(ledger.events_recorded(), 12, "single verdicts count at once");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 mod naive;
 
 use proptest::prelude::*;
-use w5_difc::{intern, rules, Label, LabelPair, PairId, Tag};
+use w5_difc::{intern, rules, CapSet, Capability, DifcError, FlowCheck, Label, LabelPair, PairId, Tag};
 
 fn arb_label() -> impl Strategy<Value = Label> {
     // Raw tag ids in a dedicated range so this test cannot collide with
@@ -26,6 +26,35 @@ fn arb_label() -> impl Strategy<Value = Label> {
 
 fn tags(label: &Label) -> Vec<Tag> {
     naive::tags_of(label)
+}
+
+/// The eight tags the rule properties draw from, so that labels and
+/// capabilities overlap often.
+const RULE_TAGS: std::ops::Range<u64> = 900_000_101..900_000_109;
+
+fn arb_small_label() -> impl Strategy<Value = Label> {
+    proptest::collection::vec(RULE_TAGS, 0..6)
+        .prop_map(|ids| Label::from_iter(ids.into_iter().map(Tag::from_raw)))
+}
+
+fn arb_pair() -> impl Strategy<Value = LabelPair> {
+    (arb_small_label(), arb_small_label()).prop_map(|(s, i)| LabelPair::new(s, i))
+}
+
+/// No capability, arbitrary plus and minus halves, or owning every tag.
+fn arb_caps() -> impl Strategy<Value = CapSet> {
+    let owner = CapSet::from_caps(RULE_TAGS.flat_map(|t| {
+        let t = Tag::from_raw(t);
+        [Capability::plus(t), Capability::minus(t)]
+    }));
+    let some = (arb_small_label(), arb_small_label()).prop_map(|(plus, minus)| {
+        CapSet::from_caps(plus.iter().map(Capability::plus).chain(minus.iter().map(Capability::minus)))
+    });
+    prop_oneof![Just(CapSet::empty()), some, Just(owner)]
+}
+
+fn naive_pair(pair: &LabelPair) -> naive::Pair {
+    (tags(&pair.secrecy), tags(&pair.integrity))
 }
 
 /// Assert every label and id-table operation against its naive
@@ -82,6 +111,64 @@ proptest! {
         // The storm was armed at rate 1.0; if the label layer had consulted
         // any site, the report would show it.
         prop_assert_eq!(injector.report().total_injected(), 0);
+    }
+
+    /// The read and write predicates — single, batched, and behind
+    /// `labels_for_*` — decide exactly the naive set formulas, and an
+    /// allowed read derives exactly the naive labels, for labels of 0–5
+    /// tags on both axes and capabilities from none through owning.
+    #[test]
+    fn read_write_predicates_agree_with_naive(
+        subj in arb_pair(),
+        obj in arb_pair(),
+        caps in arb_caps(),
+    ) {
+        let (plus, minus) = (tags(&caps.plus_label()), tags(&caps.minus_label()));
+        let (nsubj, nobj) = (naive_pair(&subj), naive_pair(&obj));
+
+        let read = rules::labels_for_read(&subj, &caps, &obj);
+        let may_read = naive::may_read(&nsubj, &plus, &minus, &nobj);
+        prop_assert_eq!(read.is_allowed(), may_read);
+        prop_assert_eq!(rules::may_read(&subj, &caps, &obj), may_read);
+        let derived = naive::read_labels(&nsubj, &nobj);
+        let expected = (derived != nsubj).then_some(derived);
+        match read {
+            FlowCheck::Allowed => prop_assert_eq!(expected, None),
+            FlowCheck::AllowedWithChange { new_secrecy, new_integrity } => {
+                prop_assert_eq!(expected, Some((tags(&new_secrecy), tags(&new_integrity))));
+            }
+            // A denial names the secrecy tags it could not raise to, or
+            // else the claims it could not drop.
+            FlowCheck::Denied(e) => {
+                let unraisable = naive::difference(&naive::difference(&nobj.0, &nsubj.0), &plus);
+                let undroppable = naive::difference(&naive::difference(&nsubj.1, &nobj.1), &minus);
+                prop_assert_eq!(e, if unraisable.is_empty() {
+                    DifcError::MissingMinus { tags: Label::from_iter(undroppable) }
+                } else {
+                    DifcError::MissingPlus { tags: Label::from_iter(unraisable) }
+                });
+            }
+        }
+
+        let write = rules::labels_for_write(&subj, &caps, &obj);
+        let may_write = naive::may_write(&nsubj, &plus, &minus, &nobj);
+        prop_assert_eq!(write.is_allowed(), may_write);
+        prop_assert_eq!(rules::may_write(&subj, &caps, &obj), may_write);
+        if let FlowCheck::Denied(e) = write {
+            let leaked = naive::difference(&naive::difference(&nsubj.0, &nobj.0), &minus);
+            let unvouched = naive::difference(&naive::difference(&nobj.1, &nsubj.1), &plus);
+            prop_assert_eq!(e, if leaked.is_empty() {
+                DifcError::IntegrityViolation { unvouched: Label::from_iter(unvouched) }
+            } else {
+                DifcError::SecrecyViolation { leaked: Label::from_iter(leaked) }
+            });
+        } else {
+            prop_assert_eq!(write, FlowCheck::Allowed, "a write changes no label");
+        }
+
+        let mut verdicts = rules::Verdicts::new(&subj, &caps);
+        prop_assert_eq!(verdicts.may_read(&obj), may_read);
+        prop_assert_eq!(verdicts.may_write(&obj), may_write);
     }
 
     /// The zero-privilege fast path may only ever *agree with* the full

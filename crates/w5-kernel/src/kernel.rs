@@ -533,7 +533,7 @@ impl Kernel {
         if let Err(e) = charged {
             drop(procs);
             if fast_ok {
-                w5_obs::count_check("flow", true, s_secrecy.to_obs());
+                w5_obs::count_check(w5_obs::CheckOp::Flow, true, s_secrecy.to_obs());
             }
             return Err(e.into());
         }
@@ -545,7 +545,7 @@ impl Kernel {
         }
         drop(procs);
         if fast_ok {
-            w5_obs::count_check("flow", true, s_secrecy.to_obs());
+            w5_obs::count_check(w5_obs::CheckOp::Flow, true, s_secrecy.to_obs());
         }
         if let Some(s) = trace_span.as_mut() {
             s.add_secrecy(s_secrecy.to_obs());
@@ -678,7 +678,7 @@ impl Kernel {
         // counts one "read" check.)
         if rules::can_flow_unprivileged(data, &p.labels) {
             drop(procs);
-            w5_obs::count_check("read", true, data.secrecy.to_obs());
+            w5_obs::count_check(w5_obs::CheckOp::Read, true, data.secrecy.to_obs());
             return Ok(());
         }
         let eff = registry.effective(&p.caps);

@@ -52,6 +52,52 @@ impl Layer {
     }
 }
 
+/// Which flow rule a [`EventKind::LabelCheck`] ran. A `Copy` tag, so a
+/// check reaches the ring without building a string.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum CheckOp {
+    /// Read admissibility (`rules::labels_for_read`).
+    Read,
+    /// Write admissibility (`rules::labels_for_write`).
+    Write,
+    /// Privileged send admissibility (`rules::can_flow_with`).
+    Flow,
+    /// Safe label change (`rules::safe_change`).
+    Change,
+}
+
+impl CheckOp {
+    const ALL: [CheckOp; 4] = [CheckOp::Read, CheckOp::Write, CheckOp::Flow, CheckOp::Change];
+
+    /// The stable lowercase name, which is also the wire form.
+    pub fn name(self) -> &'static str {
+        match self {
+            CheckOp::Read => "read",
+            CheckOp::Write => "write",
+            CheckOp::Flow => "flow",
+            CheckOp::Change => "change",
+        }
+    }
+}
+
+// Manual serde: the wire form is the bare lowercase name (`"read"`), not
+// the derive's variant name, so ledger JSON and digests keep their bytes.
+impl serde::Serialize for CheckOp {
+    fn to_json(&self) -> serde::Json {
+        serde::Json::Str(self.name().to_string())
+    }
+}
+
+impl serde::Deserialize for CheckOp {
+    fn from_json(v: &serde::Json) -> Result<CheckOp, serde::DeError> {
+        let name = v.as_str().ok_or_else(|| serde::DeError::expected("string"))?;
+        CheckOp::ALL
+            .into_iter()
+            .find(|op| op.name() == name)
+            .ok_or_else(|| serde::DeError::unknown_variant(name, "CheckOp"))
+    }
+}
+
 /// What happened. Field conventions: process ids are the kernel's raw
 /// `u64`s (0 = none/trusted), byte counts are payload sizes, `allowed`
 /// is the decision outcome.
@@ -96,8 +142,8 @@ pub enum EventKind {
     /// A flow-rule check ran (send admissibility, label change, read/write
     /// admissibility).
     LabelCheck {
-        /// Which rule: `"flow"`, `"change"`, `"read"`, `"write"`.
-        op: String,
+        /// Which rule.
+        op: CheckOp,
         /// Did the rule bless the operation?
         allowed: bool,
     },
@@ -294,7 +340,7 @@ mod tests {
     fn layer_mapping_is_total() {
         let samples = [
             EventKind::ProcSpawn { pid: 1, parent: 0, name: "x".into() },
-            EventKind::LabelCheck { op: "flow".into(), allowed: true },
+            EventKind::LabelCheck { op: CheckOp::Flow, allowed: true },
             EventKind::ExportCheck { app: "a/b".into(), allowed: false, blocked_tags: 1 },
             EventKind::HttpRequest { method: "GET".into(), path: "/".into(), status: 200, micros: 1 },
             EventKind::StoreRead { path: "/f".into(), bytes: 3, allowed: true },
@@ -321,5 +367,22 @@ mod tests {
         let s = serde_json::to_string(&e).unwrap();
         let back: Event = serde_json::from_str(&s).unwrap();
         assert_eq!(back, e);
+    }
+
+    #[test]
+    fn check_op_wire_form_is_the_bare_name() {
+        for (op, name) in [
+            (CheckOp::Read, "read"),
+            (CheckOp::Write, "write"),
+            (CheckOp::Flow, "flow"),
+            (CheckOp::Change, "change"),
+        ] {
+            let kind = EventKind::LabelCheck { op, allowed: false };
+            let json = serde_json::to_string(&kind).unwrap();
+            assert_eq!(json, format!(r#"{{"LabelCheck":{{"op":"{name}","allowed":false}}}}"#));
+            assert_eq!(serde_json::from_str::<EventKind>(&json).unwrap(), kind);
+        }
+        assert!(serde_json::from_str::<CheckOp>(r#""Read""#).is_err());
+        assert!(serde_json::from_str::<CheckOp>("3").is_err());
     }
 }

@@ -71,7 +71,7 @@ fn merge_runs(a: &[u64], b: &[u64], keep: [bool; 3], mut emit: impl FnMut(&[u64]
 
 impl ObsLabel {
     /// The empty (public) label.
-    pub fn empty() -> ObsLabel {
+    pub const fn empty() -> ObsLabel {
         ObsLabel(Repr::Inline { len: 0, tags: [0; INLINE] })
     }
 

@@ -23,7 +23,7 @@
 //! covert channel: a tainted app could modulate secret bits into event
 //! counts and an untainted reader could poll them out.
 
-use crate::event::{Event, EventKind, Layer};
+use crate::event::{CheckOp, Event, EventKind, Layer};
 use crate::histogram::{Histogram, HistogramSummary};
 use crate::label::ObsLabel;
 use crate::trace::{redact_spans, sample_decision, SpanRecord, TraceView};
@@ -48,6 +48,10 @@ pub const QUANTUM: u64 = 16;
 /// checks (denials always are).
 const CHECK_SAMPLE: u64 = 16;
 
+/// One flow verdict as the ledger counts it: the rule, whether it passed,
+/// and the secrecy label of the flow it describes.
+pub type Check<'a> = (CheckOp, bool, &'a ObsLabel);
+
 #[derive(Default)]
 struct LayerCounters {
     events: AtomicU64,
@@ -63,6 +67,20 @@ pub struct Aggregate {
     pub denied: BTreeMap<String, u64>,
 }
 
+/// Per-layer `(events, denied)` totals, in [`Layer::ALL`] order.
+type Totals = [(u64, u64); 5];
+
+impl Aggregate {
+    fn from_totals(totals: &Totals) -> Aggregate {
+        let mut agg = Aggregate::default();
+        for (layer, &(events, denied)) in Layer::ALL.iter().zip(totals) {
+            agg.events.insert(layer.name().to_string(), events);
+            agg.denied.insert(layer.name().to_string(), denied);
+        }
+        agg
+    }
+}
+
 struct LatencySeries {
     secrecy: ObsLabel,
     hist: Histogram,
@@ -76,8 +94,10 @@ pub struct Ledger {
     ring: Mutex<VecDeque<Event>>,
     ring_cap: usize,
     latencies: Mutex<BTreeMap<String, LatencySeries>>,
-    /// The published (stale, quantized) aggregate a redacted viewer sees.
-    published: Mutex<Aggregate>,
+    /// The published (stale, quantized) totals a redacted viewer sees; none
+    /// before the first republish. Kept as numbers, so republishing
+    /// allocates nothing; the viewer builds the maps.
+    published: Mutex<Option<Totals>>,
     /// Events recorded when `published` was last built (0 = never). Written
     /// only under the `published` lock; read without it, so every event but
     /// the one that republishes decides with one load. It guards no data —
@@ -123,7 +143,7 @@ impl Ledger {
             ring: Mutex::with_index("obs.ledger", 0, VecDeque::with_capacity(ring_cap.min(1024))),
             ring_cap,
             latencies: Mutex::with_index("obs.ledger", 1, BTreeMap::new()),
-            published: Mutex::with_index("obs.ledger", 2, Aggregate::default()),
+            published: Mutex::with_index("obs.ledger", 2, None),
             published_at: AtomicU64::new(0),
             spans: Mutex::with_index("obs.ledger", 3, VecDeque::with_capacity(DEFAULT_SPAN_CAP.min(1024))),
             span_cap: DEFAULT_SPAN_CAP,
@@ -139,24 +159,53 @@ impl Ledger {
     /// Record one event. Counters always tick; the event enters the ring.
     pub fn record(&self, secrecy: &ObsLabel, kind: EventKind) {
         let seq = self.count(&kind);
-        self.push_ring(Event { seq, secrecy: secrecy.clone(), kind });
+        self.push_ring([Event { seq, secrecy: secrecy.clone(), kind }]);
     }
 
-    /// Hot-path accounting for flow checks (`w5-difc::rules`). Counters
-    /// always tick; denials are always written to the ring; passes are
-    /// ring-sampled once per [`CHECK_SAMPLE`] checks so per-message rule
-    /// evaluation stays a couple of atomic ops.
-    pub fn count_check(&self, op: &'static str, allowed: bool, secrecy: &ObsLabel) {
-        let nth = self.checks.fetch_add(1, Ordering::Relaxed);
-        if allowed && !nth.is_multiple_of(CHECK_SAMPLE) {
-            // Counters only.
-            let c = &self.counters[Layer::Difc.index()];
-            c.events.fetch_add(1, Ordering::Relaxed);
-            self.seq.fetch_add(1, Ordering::Relaxed);
-            self.maybe_republish();
+    /// Hot-path accounting for one flow check (`w5-difc::rules`): a run of
+    /// one for [`Ledger::count_checks`].
+    pub fn count_check(&self, op: CheckOp, allowed: bool, secrecy: &ObsLabel) {
+        self.count_checks(&[(op, allowed, secrecy)]);
+    }
+
+    /// Hot-path accounting for a run of flow checks, in the order they
+    /// were decided. Counters always tick; denials are always written to
+    /// the ring; passes are ring-sampled once per [`CHECK_SAMPLE`] checks,
+    /// so a pass costs a share of a few atomic adds. The run leaves exactly
+    /// what [`Ledger::count_check`] one check at a time would — the same
+    /// ring entries with the same `seq`, label and op, the same totals —
+    /// but reserves its check and sequence numbers with one add each,
+    /// takes the ring lock at most once and republishes at most once.
+    pub fn count_checks(&self, checks: &[Check<'_>]) {
+        let n = checks.len() as u64;
+        if n == 0 {
             return;
         }
-        self.record(secrecy, EventKind::LabelCheck { op: op.to_string(), allowed });
+        let first = self.checks.fetch_add(n, Ordering::Relaxed);
+        let denied = checks.iter().filter(|&&(_, allowed, _)| !allowed).count() as u64;
+        let c = &self.counters[Layer::Difc.index()];
+        c.events.fetch_add(n, Ordering::Relaxed);
+        if denied > 0 {
+            c.denied.fetch_add(denied, Ordering::Relaxed);
+        }
+        let seq = self.seq.fetch_add(n, Ordering::Relaxed);
+        // Like `record`: the snapshot is brought up to date before any of
+        // the run's events can be seen in the ring.
+        self.maybe_republish();
+        // Offset of the first check in the run whose number is sampled.
+        let sampled_from = (CHECK_SAMPLE - first % CHECK_SAMPLE) % CHECK_SAMPLE;
+        if denied > 0 || sampled_from < n {
+            self.push_ring(
+                (0..n)
+                    .zip(checks)
+                    .filter(|&(i, &(_, allowed, _))| !allowed || (first + i).is_multiple_of(CHECK_SAMPLE))
+                    .map(|(i, &(op, allowed, secrecy))| Event {
+                        seq: seq + i,
+                        secrecy: secrecy.clone(),
+                        kind: EventKind::LabelCheck { op, allowed },
+                    }),
+            );
+        }
     }
 
     /// Record a latency sample for a named operation. The series' label is
@@ -188,13 +237,13 @@ impl Ledger {
     /// Exact live per-layer aggregate (trusted/test use; [`Ledger::view`]
     /// is the clearance-gated path).
     pub fn aggregate(&self) -> Aggregate {
-        let mut agg = Aggregate::default();
-        for layer in Layer::ALL {
-            let c = &self.counters[layer.index()];
-            agg.events.insert(layer.name().to_string(), c.events.load(Ordering::Relaxed));
-            agg.denied.insert(layer.name().to_string(), c.denied.load(Ordering::Relaxed));
-        }
-        agg
+        Aggregate::from_totals(&self.totals())
+    }
+
+    fn totals(&self) -> Totals {
+        self.counters
+            .each_ref()
+            .map(|c| (c.events.load(Ordering::Relaxed), c.denied.load(Ordering::Relaxed)))
     }
 
     /// Read the ledger with the given clearance. This is the **only** path
@@ -222,7 +271,8 @@ impl Ledger {
 
         let aggregate = if redacted {
             // Stale + quantized: the published snapshot, floored to QUANTUM.
-            self.published.lock().clone()
+            let published = *self.published.lock();
+            published.as_ref().map_or_else(Aggregate::default, Aggregate::from_totals)
         } else {
             self.aggregate()
         };
@@ -438,12 +488,15 @@ impl Ledger {
         seq
     }
 
-    fn push_ring(&self, event: Event) {
+    /// Append events under one take of the ring lock, evicting oldest first.
+    fn push_ring(&self, events: impl IntoIterator<Item = Event>) {
         let mut ring = self.ring.lock();
-        if ring.len() >= self.ring_cap {
-            ring.pop_front();
+        for event in events {
+            if ring.len() >= self.ring_cap {
+                ring.pop_front();
+            }
+            ring.push_back(event);
         }
-        ring.push_back(event);
     }
 
     /// Republish the quantized aggregate at most once per [`REFRESH_EVERY`]
@@ -460,14 +513,8 @@ impl Ledger {
         if fresh(self.published_at.load(Ordering::Relaxed)) {
             return;
         }
-        let mut agg = self.aggregate();
-        for v in agg.events.values_mut() {
-            *v -= *v % QUANTUM;
-        }
-        for v in agg.denied.values_mut() {
-            *v -= *v % QUANTUM;
-        }
-        *published = agg;
+        let floor = |n: u64| n - n % QUANTUM;
+        *published = Some(self.totals().map(|(events, denied)| (floor(events), floor(denied))));
         self.published_at.store(now.max(1), Ordering::Relaxed);
     }
 }
@@ -494,6 +541,7 @@ pub struct LedgerView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn spawn_kind(pid: u64) -> EventKind {
         EventKind::ProcSpawn { pid, parent: 0, name: format!("p{pid}") }
@@ -589,7 +637,7 @@ mod tests {
                 s.spawn(|| {
                     start.wait();
                     for i in 0..PER_THREAD {
-                        l.count_check("read", i % 1000 != 0, &secret);
+                        l.count_check(CheckOp::Read, i % 1000 != 0, &secret);
                     }
                 });
             }
@@ -608,7 +656,7 @@ mod tests {
         // Wherever the threads left the snapshot, the next REFRESH_EVERY
         // events must bring it to within REFRESH_EVERY of the live count.
         for _ in 0..REFRESH_EVERY {
-            l.count_check("read", true, &secret);
+            l.count_check(CheckOp::Read, true, &secret);
         }
         let v = l.view(&ObsLabel::empty());
         assert!(v.redacted, "tag 5 events are withheld from an empty clearance");
@@ -645,10 +693,10 @@ mod tests {
     fn check_sampling_always_keeps_denials() {
         let l = Ledger::new();
         for _ in 0..100 {
-            l.count_check("flow", true, &ObsLabel::empty());
+            l.count_check(CheckOp::Flow, true, &ObsLabel::empty());
         }
         for _ in 0..3 {
-            l.count_check("flow", false, &ObsLabel::singleton(2));
+            l.count_check(CheckOp::Flow, false, &ObsLabel::singleton(2));
         }
         // Counters are exact.
         let agg = l.aggregate();
@@ -668,6 +716,96 @@ mod tests {
             .count();
         assert_eq!(denials, 3);
         assert!(passes < 100 && passes >= 100 / CHECK_SAMPLE as usize, "{passes}");
+    }
+
+    /// A run of checks — handed over whole, or through a chunked
+    /// [`crate::CheckBatch`] — leaves the ledger exactly as the same checks
+    /// one at a time: totals, ring entries (seq, label, op, order) and
+    /// digest, at every phase of the 1-in-16 sample, with denials, and with
+    /// a ring small enough to evict.
+    #[test]
+    fn a_run_of_checks_leaves_what_one_at_a_time_would() {
+        const OPS: [CheckOp; 4] = [CheckOp::Read, CheckOp::Write, CheckOp::Flow, CheckOp::Change];
+        let labels: Vec<ObsLabel> = (1..=5).map(ObsLabel::singleton).collect();
+        let clearance = ObsLabel::from_tags(1..=5);
+        // A denial in every seventh check; ops and labels cycle.
+        let verdicts = |n: usize, salt: usize| -> Vec<Check<'_>> {
+            (salt..salt + n).map(|k| (OPS[k % 4], k % 7 != 3, &labels[k % 5])).collect()
+        };
+        for cap in [4, DEFAULT_RING_CAP] {
+            for size in [1, 15, 16, 17, 200] {
+                for offset in 0..CHECK_SAMPLE as usize {
+                    let ledgers: [Arc<Ledger>; 3] =
+                        std::array::from_fn(|_| Arc::new(Ledger::with_capacity(cap)));
+                    let [whole, chunked, single] = &ledgers;
+                    // Put the run at every phase of the sample, and make
+                    // `seq` and the check count disagree.
+                    for l in &ledgers {
+                        l.record(&ObsLabel::empty(), spawn_kind(0));
+                        for (op, allowed, secrecy) in verdicts(offset, 1000) {
+                            l.count_check(op, allowed, secrecy);
+                        }
+                    }
+                    let run = verdicts(size, offset);
+                    whole.count_checks(&run);
+                    {
+                        let _scope = crate::scoped(Arc::clone(chunked));
+                        let mut batch = crate::CheckBatch::new();
+                        for &(op, allowed, secrecy) in &run {
+                            batch.push(op, allowed, secrecy);
+                        }
+                    }
+                    for &(op, allowed, secrecy) in &run {
+                        single.count_check(op, allowed, secrecy);
+                    }
+                    let case = format!("cap {cap}, size {size}, offset {offset}");
+                    for l in [whole, chunked] {
+                        assert_eq!(l.digest(), single.digest(), "{case}");
+                        assert_eq!(l.aggregate(), single.aggregate(), "{case}");
+                        assert_eq!(l.events_recorded(), single.events_recorded(), "{case}");
+                        let (v, expected) = (l.view(&clearance), single.view(&clearance));
+                        assert!(!v.redacted, "{case}");
+                        assert_eq!(v.events, expected.events, "{case}");
+                        assert_eq!(v.aggregate, expected.aggregate, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs of checks republish the redacted aggregate on the same terms as
+    /// single events: quantized, no more often than every [`REFRESH_EVERY`]
+    /// events, and never staler than that.
+    #[test]
+    fn runs_of_checks_republish_on_cadence() {
+        let l = Ledger::new();
+        let secret = ObsLabel::singleton(9);
+        let mut refreshed: Option<(Aggregate, u64)> = None;
+        for &size in [1u64, 15, 16, 17, 200, 3, 64, 65].iter().cycle().take(64) {
+            // Each run opens with a denial, so the ring always withholds
+            // something from the empty clearance.
+            let run: Vec<Check<'_>> =
+                (0..size).map(|i| (CheckOp::Read, i % 5 != 0, &secret)).collect();
+            l.count_checks(&run);
+            let now = l.events_recorded();
+            let v = l.view(&ObsLabel::empty());
+            assert!(v.redacted);
+            let agg = v.aggregate;
+            assert!(agg.events.values().chain(agg.denied.values()).all(|n| n % QUANTUM == 0));
+            let published = agg.events["difc"];
+            assert!(published <= now, "{published} at {now}");
+            assert!(now - published < REFRESH_EVERY + QUANTUM, "{published} at {now}");
+            match &refreshed {
+                Some((prev, _)) if *prev == agg => {}
+                Some((_, at)) if now - at < REFRESH_EVERY => {
+                    panic!("republished at {now}, {} events after {at}", now - at)
+                }
+                _ => {
+                    assert_eq!(published, now - now % QUANTUM, "a refresh publishes the count it ran at");
+                    refreshed = Some((agg, now));
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! call sites (per-message flow checks in `w5-difc::rules`) use
 //! [`Ledger::count_check`], which only touches atomics for passes and
 //! reserves ring writes for denials plus a deterministic 1-in-16 sample
-//! of passes.
+//! of passes; a statement that decides one verdict per partition hands
+//! them over together through a [`CheckBatch`].
 
 #![forbid(unsafe_code)]
 
@@ -32,10 +33,10 @@ pub mod ledger;
 pub mod snapshot;
 pub mod trace;
 
-pub use event::{Event, EventKind, Layer};
+pub use event::{CheckOp, Event, EventKind, Layer};
 pub use histogram::{Histogram, HistogramSummary};
 pub use label::ObsLabel;
-pub use ledger::{Aggregate, Ledger, LedgerView};
+pub use ledger::{Aggregate, Check, Ledger, LedgerView};
 pub use snapshot::{snapshot_json, Snapshot};
 pub use trace::{SpanRecord, TraceContext, TraceView, TRACE_HEADER};
 
@@ -115,10 +116,68 @@ pub fn time(op: &str, secrecy: &ObsLabel, d: std::time::Duration) {
 
 /// Hot-path flow-check accounting on the current ledger (see
 /// [`Ledger::count_check`]).
-pub fn count_check(op: &'static str, allowed: bool, secrecy: &ObsLabel) {
+pub fn count_check(op: CheckOp, allowed: bool, secrecy: &ObsLabel) {
     match current() {
         Some(l) => l.count_check(op, allowed, secrecy),
         None => global().count_check(op, allowed, secrecy),
+    }
+}
+
+/// Verdicts a [`CheckBatch`] holds before it hands them on.
+const BATCH_CHUNK: usize = 64;
+
+/// Filler for a [`CheckBatch`]'s unused slots; never counted.
+static NO_LABEL: ObsLabel = ObsLabel::empty();
+
+/// One statement's flow verdicts on their way to the current ledger: they
+/// are held in order in a fixed inline chunk (no heap) and reach
+/// [`Ledger::count_checks`] together when the chunk fills and when the
+/// batch drops — so every exit of the code that made them, error or
+/// panic included, counts exactly the verdicts made before it. The ledger
+/// ends up as [`count_check`] one verdict at a time would leave it, as long
+/// as nothing else records on this thread while the batch is live.
+pub struct CheckBatch<'a> {
+    len: usize,
+    checks: [Check<'a>; BATCH_CHUNK],
+}
+
+impl<'a> CheckBatch<'a> {
+    /// An empty batch. Dropping it unused touches no ledger.
+    pub fn new() -> CheckBatch<'a> {
+        CheckBatch { len: 0, checks: [(CheckOp::Read, true, &NO_LABEL); BATCH_CHUNK] }
+    }
+
+    /// Append one verdict (see [`Check`]).
+    pub fn push(&mut self, op: CheckOp, allowed: bool, secrecy: &'a ObsLabel) {
+        self.checks[self.len] = (op, allowed, secrecy);
+        self.len += 1;
+        if self.len == BATCH_CHUNK {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        let checks = &self.checks[..self.len];
+        if checks.is_empty() {
+            return;
+        }
+        match current() {
+            Some(l) => l.count_checks(checks),
+            None => global().count_checks(checks),
+        }
+        self.len = 0;
+    }
+}
+
+impl Default for CheckBatch<'_> {
+    fn default() -> Self {
+        CheckBatch::new()
+    }
+}
+
+impl Drop for CheckBatch<'_> {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 

@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use w5_obs::ledger::QUANTUM;
-use w5_obs::{EventKind, Ledger, ObsLabel};
+use w5_obs::{CheckOp, EventKind, Ledger, ObsLabel};
 
 const SECRET_TAGS: [u64; 3] = [11, 22, 33];
 
@@ -29,7 +29,7 @@ fn storm_kind(rng: &mut StdRng) -> (ObsLabel, EventKind) {
             bytes: rng.gen_range(0..4096),
             allowed: rng.gen_bool(0.8),
         },
-        2 => EventKind::LabelCheck { op: "flow".into(), allowed: rng.gen_bool(0.7) },
+        2 => EventKind::LabelCheck { op: CheckOp::Flow, allowed: rng.gen_bool(0.7) },
         _ => EventKind::ExportCheck {
             app: "dev/app".into(),
             allowed: rng.gen_bool(0.5),

@@ -2,7 +2,8 @@
 //!
 //! Rows live in label partitions (see [`storage`](super::storage)), so
 //! visibility is decided **once per partition**, by one call of the flow
-//! rule on the label pair the partition holds (no id-table read, no memo);
+//! rule on the label pair the partition holds (no id-table read, no memo,
+//! and the scan's verdicts reach the ledger as one ordered batch);
 //! unreadable partitions are skipped wholesale for a flat one-unit charge
 //! and never probed, and WHERE clauses on indexed columns are served from
 //! the readable partitions' ordered indexes via [`plan`](super::plan)
@@ -156,6 +157,10 @@ pub(crate) struct Scan {
 /// `mode`, satisfy `filter`, and (when `write` is set) are writable by the
 /// subject — a `WriteDenied` on any matching row aborts the scan. Budget is
 /// charged per the module docs' cost model.
+///
+/// Every partition's verdict goes into one batch, which hands them to the
+/// ledger in order when it drops — on `Ok` and on every error exit alike,
+/// while the caller still holds the table guard and the ledger permit.
 fn scan(
     t: &Table,
     subject: &Subject,
@@ -168,6 +173,7 @@ fn scan(
     // returns one) falls through to the unindexed scan.
     let push = filter.and_then(|f| plan::pushdown(t, f));
     let probe = push.as_ref().and_then(|p| Some((p, t.index_slot(p.col)?)));
+    let mut verdicts = subject.verdicts();
     let mut scanned = 0u64;
     let mut locs = Vec::new();
     let mut cands: Vec<u32> = Vec::new();
@@ -178,8 +184,8 @@ fn scan(
             continue;
         }
         // A partition is met once per scan, so there is nothing to
-        // memoize: one call of the rule on the pair the partition holds.
-        if mode == QueryMode::Filtered && !subject.may_read(&part.pair) {
+        // memoize: one verdict on the pair the partition holds.
+        if mode == QueryMode::Filtered && !verdicts.may_read(&part.pair) {
             // The label-safe skip: one flat unit, whatever the size.
             scanned += 1;
             if scanned > cost.max_rows_scanned {
@@ -219,7 +225,7 @@ fn scan(
             if write && !write_ok {
                 // One write check per partition with a matching row:
                 // labels are uniform, so the verdict is too.
-                if !subject.may_write(&part.pair) {
+                if !verdicts.may_write(&part.pair) {
                     return Err(QueryError::WriteDenied);
                 }
                 write_ok = true;
@@ -379,8 +385,13 @@ impl Database {
         // The check is uniform over all partitions (visible or not) to
         // avoid turning DROP into an existence oracle; labels are uniform
         // within a partition, so per-partition is verdict-equivalent to
-        // the seed engine's per-row pass.
-        if !t.partitions.iter().all(|p| subject.may_write(&p.pair)) {
+        // the seed engine's per-row pass. The verdicts reach the ledger,
+        // as one batch, before the guard can drop.
+        let writable = {
+            let mut verdicts = subject.verdicts();
+            t.partitions.iter().all(|p| verdicts.may_write(&p.pair))
+        };
+        if !writable {
             return Err(QueryError::WriteDenied);
         }
         tables.remove(name);

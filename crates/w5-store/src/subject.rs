@@ -1,6 +1,7 @@
 //! The acting subject of a storage operation.
 
-use w5_difc::{rules, CapSet, FlowCheck, LabelPair};
+use w5_difc::rules::{self, Verdicts};
+use w5_difc::{CapSet, LabelPair};
 
 /// A snapshot of the acting process's flow-control state: its labels and
 /// its *effective* capability set (private bag ∪ global bag).
@@ -28,22 +29,21 @@ impl Subject {
     }
 
     /// Can this subject read data labeled `obj` (possibly after raising its
-    /// own labels)?
+    /// own labels)? One verdict, counted at once.
     pub fn may_read(&self, obj: &LabelPair) -> bool {
-        rules::labels_for_read(&self.labels, &self.caps, obj).is_allowed()
+        rules::may_read(&self.labels, &self.caps, obj)
     }
 
-    /// Can this subject read data labeled `obj` *without* any label change?
-    pub fn may_read_at_current_labels(&self, obj: &LabelPair) -> bool {
-        matches!(
-            rules::labels_for_read(&self.labels, &self.caps, obj),
-            FlowCheck::Allowed
-        )
-    }
-
-    /// Can this subject write data labeled `obj`?
+    /// Can this subject write data labeled `obj`? One verdict, counted at
+    /// once.
     pub fn may_write(&self, obj: &LabelPair) -> bool {
-        rules::labels_for_write(&self.labels, &self.caps, obj).is_allowed()
+        rules::may_write(&self.labels, &self.caps, obj)
+    }
+
+    /// The same verdicts for a statement that makes many: counted together,
+    /// in order, when the returned batch drops.
+    pub(crate) fn verdicts(&self) -> Verdicts<'_> {
+        Verdicts::new(&self.labels, &self.caps)
     }
 }
 
@@ -64,15 +64,13 @@ mod tests {
         let secret = LabelPair::new(Label::singleton(e), Label::empty());
         let protected = LabelPair::new(Label::empty(), Label::singleton(w));
 
-        // Export-protected data is readable (raising is free) but the read
-        // taints; it is not readable at current labels.
+        // Export-protected data is readable: raising is free.
         assert!(anon.may_read(&secret));
-        assert!(!anon.may_read_at_current_labels(&secret));
         // Write-protected data is readable but not writable.
         assert!(anon.may_read(&protected));
         assert!(!anon.may_write(&protected));
         // Public data is both.
-        assert!(anon.may_read_at_current_labels(&LabelPair::public()));
+        assert!(anon.may_read(&LabelPair::public()));
         assert!(anon.may_write(&LabelPair::public()));
     }
 }

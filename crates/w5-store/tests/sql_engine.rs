@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 use w5_difc::{CapSet, Label, LabelPair, TagKind, TagRegistry};
+use w5_obs::{CheckOp, ObsLabel};
 use w5_store::sql::{SelectItem, Statement};
 use w5_store::{Database, QueryCost, QueryError, QueryMode, Subject, Value};
 
@@ -617,7 +618,7 @@ fn one_read_check_per_partition_in_creation_order() {
             .events
             .into_iter()
             .map(|e| match e.kind {
-                w5_obs::EventKind::LabelCheck { op, allowed } if op == "read" => (e.secrecy, allowed),
+                w5_obs::EventKind::LabelCheck { op: CheckOp::Read, allowed } => (e.secrecy, allowed),
                 other => panic!("unexpected ledger event {other:?}"),
             })
             .collect();
@@ -636,4 +637,125 @@ fn one_read_check_per_partition_in_creation_order() {
     assert_eq!(deleted.affected, 2);
     parts.remove(6);
     check(&parts);
+}
+
+/// A statement's flow verdicts as the ledger should count them: the rule,
+/// the label of the flow it describes, and the outcome, in decision order.
+type Verdict = (CheckOp, ObsLabel, bool);
+
+/// Run `sql` on a fresh scoped ledger and require that the ledger holds the
+/// footprint of exactly `expected`, counted one at a time: the totals, and
+/// every denial plus every 16th check in the ring, in order.
+fn assert_footprint(
+    db: &Database,
+    subject: &Subject,
+    cost: QueryCost,
+    sql: &str,
+    expected: &[Verdict],
+    clearance: &ObsLabel,
+) -> Result<w5_store::QueryOutput, QueryError> {
+    const CHECK_SAMPLE: usize = 16;
+    let ledger = Arc::new(w5_obs::Ledger::new());
+    let out = {
+        let _scope = w5_obs::scoped(ledger.clone());
+        db.execute(subject, QueryMode::Filtered, cost, &LabelPair::public(), sql)
+    };
+    let denied = expected.iter().filter(|(_, _, allowed)| !allowed).count() as u64;
+    assert_eq!(ledger.events_recorded(), expected.len() as u64, "{sql}");
+    let agg = ledger.aggregate();
+    assert_eq!(agg.events["difc"], expected.len() as u64, "{sql}");
+    assert_eq!(agg.denied["difc"], denied, "{sql}");
+    let ringed: Vec<Verdict> = ledger
+        .view(clearance)
+        .events
+        .into_iter()
+        .map(|e| match e.kind {
+            w5_obs::EventKind::LabelCheck { op, allowed } => (op, e.secrecy, allowed),
+            other => panic!("unexpected ledger event {other:?}"),
+        })
+        .collect();
+    let sampled: Vec<Verdict> = expected
+        .iter()
+        .enumerate()
+        .filter(|(i, (_, _, allowed))| !allowed || i % CHECK_SAMPLE == 0)
+        .map(|(_, v)| v.clone())
+        .collect();
+    assert_eq!(ringed, sampled, "{sql}");
+    out
+}
+
+/// A scan's verdicts reach the ledger on every exit: a SELECT stopped by
+/// its budget mid-scan and a DELETE refused at one partition each leave
+/// exactly the verdicts made before the exit — no more, none lost.
+#[test]
+fn error_exits_count_exactly_the_verdicts_made() {
+    const N: usize = 40;
+    /// The one write-protected partition: readable, holding k = 7.
+    const GUARDED: usize = 26;
+    let reg = Arc::new(TagRegistry::new());
+    let db = Database::new();
+    let run_as = |subject: &Subject, labels: &LabelPair, sql: &str| {
+        db.execute(subject, QueryMode::Filtered, QueryCost::unlimited(), labels, sql).unwrap()
+    };
+    run_as(&Subject::anonymous(), &LabelPair::public(), "CREATE TABLE t (k INTEGER, s TEXT)");
+    // Every third partition is unreadable, every other one lacks k = 7, and
+    // each holds two rows.
+    let parts: Vec<(LabelPair, bool, bool)> = (0..N)
+        .map(|i| {
+            let readable = i % 3 != 1;
+            let kind = if readable { TagKind::ExportProtect } else { TagKind::ReadProtect };
+            let (tag, _) = reg.create_tag(kind, &format!("part:{i}"));
+            let (integrity, writer) = if i == GUARDED {
+                let (w, caps) = reg.create_tag(TagKind::WriteProtect, "write:guarded");
+                (Label::singleton(w), Subject::new(LabelPair::public(), caps))
+            } else {
+                (Label::empty(), Subject::anonymous())
+            };
+            let pair = LabelPair::new(Label::singleton(tag), integrity);
+            let has_key = i % 2 == 0;
+            let key = if has_key { 7 } else { 8 };
+            run_as(&writer, &pair, &format!("INSERT INTO t VALUES ({key}, 'p{i}'), (100, 'q{i}')"));
+            (pair, readable, has_key)
+        })
+        .collect();
+    assert!(parts[GUARDED].1 && parts[GUARDED].2);
+    let clearance =
+        parts.iter().fold(ObsLabel::empty(), |all, (pair, ..)| all.union(pair.secrecy.to_obs()));
+    let app = Subject::new(LabelPair::public(), reg.effective(&CapSet::empty()));
+    let read = |i: usize| (CheckOp::Read, parts[i].0.secrecy.to_obs().clone(), parts[i].1);
+
+    // SELECT under a budget that runs out inside partition `stop`: a
+    // readable partition charges its two rows, a skipped one one unit.
+    for budget in [0, 1, 2, 17, 50] {
+        let mut scanned = 0;
+        let stop = (0..N)
+            .find(|&i| {
+                scanned += if parts[i].1 { 2 } else { 1 };
+                scanned > budget
+            })
+            .expect("the budget runs out mid-scan");
+        let expected: Vec<Verdict> = (0..=stop).map(read).collect();
+        let cost = QueryCost { max_rows_scanned: budget };
+        let out = assert_footprint(&db, &app, cost, "SELECT s FROM t", &expected, &clearance);
+        assert_eq!(out, Err(QueryError::BudgetExhausted), "budget {budget}");
+    }
+
+    // DELETE: a read verdict per partition, and a write verdict for each
+    // readable one holding k = 7 — refused at GUARDED, which ends it.
+    let mut expected = Vec::new();
+    for (i, &(_, readable, has_key)) in parts.iter().enumerate().take(GUARDED + 1) {
+        expected.push(read(i));
+        if readable && has_key {
+            expected.push((CheckOp::Write, ObsLabel::empty(), i != GUARDED));
+        }
+    }
+    let unlimited = QueryCost::unlimited();
+    let out = assert_footprint(&db, &app, unlimited, "DELETE FROM t WHERE k = 7", &expected, &clearance);
+    assert_eq!(out, Err(QueryError::WriteDenied));
+    assert_eq!(db.total_rows(), 2 * N, "a refused DELETE removes nothing");
+
+    // An evaluation error exits the same way: the first readable
+    // partition's first row fails the comparison.
+    let out = assert_footprint(&db, &app, unlimited, "SELECT s FROM t WHERE s > 1", &[read(0)], &clearance);
+    assert!(matches!(out, Err(QueryError::Eval(_))), "{out:?}");
 }

@@ -12,7 +12,7 @@ use w5_difc::{CapSet, Label, LabelPair, TagKind, TagRegistry};
 use w5_kernel::{Delivery, Kernel, ResourceLimits};
 use w5_net::{Method, Router};
 use w5_obs::ledger::QUANTUM;
-use w5_obs::{EventKind, Layer, LedgerView, ObsLabel};
+use w5_obs::{CheckOp, EventKind, Layer, LedgerView, ObsLabel};
 use w5_platform::{
     DeclassifierRegistry, PolicyStore, StaticRelations,
 };
@@ -259,7 +259,7 @@ fn one_export_leaves_the_same_ledger_footprint_for_friend_and_stranger() {
         assert_eq!(
             events,
             vec![
-                (ObsLabel::empty(), EventKind::LabelCheck { op: "read".into(), allowed: true }),
+                (ObsLabel::empty(), EventKind::LabelCheck { op: CheckOp::Read, allowed: true }),
                 (
                     bobs.clone(),
                     EventKind::DeclassifierInvoke { name: "friends-only".into(), allowed: is_friend },
