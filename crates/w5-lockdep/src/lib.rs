@@ -30,9 +30,9 @@
 //! | W5D006 | unannotated-ledger   | warning  | an annotation-required class acquired under locks without `allow_held` |
 //!
 //! Front ends: the `w5deadlock` CLI (`--graph`/`--json`/`--deny`, CI exit
-//! codes, DOT output — `w5lint`'s shape), and the differential oracles in
-//! `w5_sim::concurrency` / `w5_sim::storediff`, which record and analyze
-//! every run so each oracle run doubles as a lockdep run.
+//! codes, DOT output — `w5lint`'s shape), and `w5_sim::harness`, the one
+//! driver under the kernel, store and net oracles, which records and
+//! analyzes every run so each oracle run doubles as a lockdep run.
 
 #![forbid(unsafe_code)]
 

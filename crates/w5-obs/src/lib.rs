@@ -72,7 +72,9 @@ impl Drop for ScopedLedger {
 }
 
 /// Install `ledger` as this thread's recording target until the returned
-/// guard drops.
+/// guard drops. The scope is thread-local: a thread spawned inside it
+/// records into the global ledger unless it installs the scope too, as
+/// `w5_sim::harness` does for every sequence thread.
 pub fn scoped(ledger: Arc<Ledger>) -> ScopedLedger {
     SCOPED.with(|s| s.borrow_mut().push(ledger));
     ScopedLedger { _private: () }
@@ -80,18 +82,6 @@ pub fn scoped(ledger: Arc<Ledger>) -> ScopedLedger {
 
 fn current() -> Option<Arc<Ledger>> {
     SCOPED.with(|s| s.borrow().last().cloned())
-}
-
-/// The innermost scoped ledger installed on *this* thread, if any.
-///
-/// Scoped ledgers are thread-local, so a worker thread spawned inside a
-/// `scoped(..)` region records into the global ledger unless it installs
-/// its own scope. Harnesses that fan work out across threads (the
-/// differential concurrency oracle in `w5-sim`, the multi-threaded
-/// kernel bench) capture the parent's ledger with this before spawning
-/// and re-install it per worker via [`scoped`].
-pub fn current_scoped() -> Option<Arc<Ledger>> {
-    current()
 }
 
 /// Record an event into the current ledger (this thread's scoped ledger if

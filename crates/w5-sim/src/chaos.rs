@@ -39,7 +39,8 @@ use w5_platform::{Account, GrantScope, Platform};
 /// cross-user reads.
 const APPS: [&str; 4] = ["devA/photos", "devB/blog", "mal/exfiltrator", "devD/recommender"];
 
-const USERS: usize = 5;
+/// Users in the chaos and static-differential worlds.
+pub(crate) const USERS: usize = 5;
 
 /// One chaos run: a workload seed, a length, and a storm rate applied to
 /// every fault site.
@@ -80,8 +81,41 @@ pub struct ChaosOutcome {
     pub spans: u64,
 }
 
-fn sentinel(u: usize) -> String {
+/// The string only user `u`'s data carries.
+pub(crate) fn sentinel(u: usize) -> String {
     format!("SENTINEL-{u}-SECRET-PAYLOAD")
+}
+
+/// A trusted subject holding `a`'s own capabilities.
+fn owner_subject(p: &Platform, a: &Account) -> w5_store::Subject {
+    w5_store::Subject::new(w5_difc::LabelPair::public(), p.registry.effective(&a.owner_caps))
+}
+
+/// The world the chaos and static-differential harnesses start from: every
+/// builtin app installed, [`USERS`] accounts that delegate writes to each of
+/// `apps`, and per user one diary post (through `devB/blog`) and one photo,
+/// both carrying the user's [`sentinel`] under the user's labels.
+pub(crate) fn sentinel_world(name: &str, apps: &[&str]) -> (Arc<Platform>, Vec<Account>) {
+    let p = Platform::new_default(name);
+    w5_apps::install_all(&p);
+    let accounts: Vec<Account> = (0..USERS)
+        .map(|i| p.accounts.register(&format!("user{i}"), "pw").unwrap())
+        .collect();
+    for a in &accounts {
+        for app in apps {
+            p.policies.delegate_write(a.id, app);
+        }
+    }
+    for (i, a) in accounts.iter().enumerate() {
+        let body = sentinel(i);
+        let post = [("title", "diary"), ("body", body.as_str())];
+        let req = Platform::make_request("POST", "post", &post, Some(a), Bytes::new());
+        assert_eq!(p.invoke(Some(a), "devB/blog", req).status, 200);
+        let path = format!("/photos/{}/x", a.username);
+        let data = Bytes::from(sentinel(i));
+        p.fs.create(&owner_subject(&p, a), &path, a.data_labels(), data).unwrap();
+    }
+    (p, accounts)
 }
 
 /// The independent policy oracle, mirroring every grant/revoke the
@@ -123,38 +157,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosOutcome {
 
     // Build the world before arming faults so every run starts from the
     // same state; the storm begins at step 0.
-    let p = Platform::new_default("chaos");
-    w5_apps::install_all(&p);
-    let accounts: Vec<Account> = (0..USERS)
-        .map(|i| p.accounts.register(&format!("user{i}"), "pw").unwrap())
-        .collect();
-    for a in &accounts {
-        for app in APPS {
-            p.policies.delegate_write(a.id, app);
-        }
-    }
-    for (i, a) in accounts.iter().enumerate() {
-        let req = Platform::make_request(
-            "POST",
-            "post",
-            &[("title", "diary"), ("body", &sentinel(i))],
-            Some(a),
-            Bytes::new(),
-        );
-        assert_eq!(p.invoke(Some(a), "devB/blog", req).status, 200);
-        let subject = w5_store::Subject::new(
-            w5_difc::LabelPair::public(),
-            p.registry.effective(&a.owner_caps),
-        );
-        p.fs
-            .create(
-                &subject,
-                &format!("/photos/{}/x", a.username),
-                a.data_labels(),
-                Bytes::from(sentinel(i)),
-            )
-            .unwrap();
-    }
+    let (p, accounts) = sentinel_world("chaos", &APPS);
 
     let injector =
         w5_chaos::Injector::new(w5_chaos::FaultPlan::storm(spec.seed, spec.fault_rate));
@@ -238,12 +241,8 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosOutcome {
                 // intact (checked globally by reads later in the run).
                 let owner = rng.gen_range(0..USERS);
                 let a = &accounts[owner];
-                let subject = w5_store::Subject::new(
-                    w5_difc::LabelPair::public(),
-                    p.registry.effective(&a.owner_caps),
-                );
                 let _ = p.fs.write(
-                    &subject,
+                    &owner_subject(&p, a),
                     &format!("/photos/{}/x", a.username),
                     Bytes::from(sentinel(owner)),
                 );

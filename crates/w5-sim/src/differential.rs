@@ -22,13 +22,12 @@
 //! (`rate-limited`): a budget makes the runtime verdict depend on probe
 //! *history*, which a static analysis cannot and should not predict.
 
+use crate::chaos::{sentinel, sentinel_world, USERS};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use w5_analyze::{Analysis, ConfigSnapshot, ExitClass};
 use w5_platform::{Account, GrantScope, Platform};
-
-const USERS: usize = 5;
 
 /// The apps probed: one honest reader, one active thief.
 const APPS: [&str; 2] = ["devB/blog", "mal/exfiltrator"];
@@ -60,47 +59,10 @@ pub struct DiffOutcome {
     pub disagreements: Vec<String>,
 }
 
-fn sentinel(u: usize) -> String {
-    format!("SENTINEL-{u}-SECRET-PAYLOAD")
-}
-
 /// Run one differential pass. Single-threaded, side-effect free outside
 /// its own platform instance, deterministic per spec.
 pub fn run_differential(spec: &DiffSpec) -> DiffOutcome {
-    let p = Platform::new_default("differential");
-    w5_apps::install_all(&p);
-    let accounts: Vec<Account> = (0..USERS)
-        .map(|i| p.accounts.register(&format!("user{i}"), "pw").unwrap())
-        .collect();
-    for a in &accounts {
-        for app in APPS {
-            p.policies.delegate_write(a.id, app);
-        }
-    }
-    // One diary post and one photo per user, both carrying the owner's
-    // sentinel under the owner's labels.
-    for (i, a) in accounts.iter().enumerate() {
-        let req = Platform::make_request(
-            "POST",
-            "post",
-            &[("title", "diary"), ("body", &sentinel(i))],
-            Some(a),
-            Bytes::new(),
-        );
-        assert_eq!(p.invoke(Some(a), "devB/blog", req).status, 200);
-        let subject = w5_store::Subject::new(
-            w5_difc::LabelPair::public(),
-            p.registry.effective(&a.owner_caps),
-        );
-        p.fs
-            .create(
-                &subject,
-                &format!("/photos/{}/x", a.username),
-                a.data_labels(),
-                Bytes::from(sentinel(i)),
-            )
-            .unwrap();
-    }
+    let (p, accounts) = sentinel_world("differential", &APPS);
 
     // ---- seeded random configuration --------------------------------
     let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x5734_4946); // "W4IF"

@@ -15,6 +15,9 @@
 //!   (promoted to `w5-obs` so the whole stack shares one implementation;
 //!   re-exported here for the experiment binaries).
 //! * [`table`] — plain-text table rendering for experiment reports.
+//! * [`harness`] — the one seeded driver under the kernel
+//!   ([`concurrency`]), store ([`storediff`]) and net ([`netdiff`])
+//!   oracles; [`chaos`] and [`differential`] check the whole platform.
 //!
 //! Everything is seeded and deterministic.
 
@@ -24,7 +27,7 @@ pub mod chaos;
 pub mod concurrency;
 pub mod depgraph;
 pub mod differential;
-mod drive;
+pub mod harness;
 pub mod lockgate;
 pub mod netdiff;
 pub mod population;
@@ -35,17 +38,11 @@ pub mod table;
 pub mod workload;
 
 pub use chaos::{run_chaos, ChaosOutcome, ChaosSpec};
-pub use concurrency::{
-    assert_differential, run_concurrent, run_serial, ConcOutcome, ConcSpec, ProcState,
-};
+pub use concurrency::{assert_differential, ConcOutcome, KernelOracle, ProcState};
 pub use differential::{run_differential, DiffOutcome, DiffSpec};
-pub use netdiff::{
-    assert_net_differential, run_pipeline_storm, run_pipelined_concurrent, run_pipelined_serial,
-    NetOutcome, NetRun, NetSpec, StormReport,
-};
-pub use storediff::{
-    assert_store_differential, run_model, run_store, StoreOutcome, StoreRun, StoreSpec,
-};
+pub use harness::{assert_arms, Mode, Oracle, Run, Spec};
+pub use netdiff::{assert_net_differential, NetOracle, NetOutcome, Storm, StormReport};
+pub use storediff::{assert_store_differential, StoreOracle, StoreOutcome};
 pub use w5_obs::{histogram, Histogram};
 pub use population::{build_population, PopulationConfig, World};
 pub use table::Table;

@@ -1,9 +1,9 @@
-//! Lock-order gate shared by the kernel, store and net harnesses.
+//! Lock-order gate under every [`crate::harness`] run.
 //!
-//! Each harness run installs a scoped [`w5_sync::lockdep::Recorder`] and
-//! `crate::drive` carries it into every worker thread (with the scoped
-//! ledger and the chaos injectors), so the run leaves behind an order
-//! graph of every classed-lock acquisition it performed. [`enforce`] then
+//! Each run installs a scoped [`w5_sync::lockdep::Recorder`] and the
+//! harness carries it into every sequence thread (with the scoped ledger
+//! and the chaos injectors), so the run leaves behind an order graph of
+//! every classed-lock acquisition it performed. [`enforce`] then
 //! replays that graph through `w5-lockdep` against the workspace manifest
 //! and panics if any finding reaches the deny threshold — a deadlock
 //! hazard observed under test is a test failure, not a log line.
@@ -11,20 +11,8 @@
 //! The threshold comes from `W5_LOCKDEP_DENY` (`info` | `warning` |
 //! `error`, default `error`); set it to `off` to record without gating.
 
-use std::sync::Arc;
 use w5_lockdep::{analyze, Manifest, Severity};
 use w5_sync::lockdep;
-
-/// A fresh recorder for one harness run, with an optional lock-free
-/// context provider (sampled once per new acquisition edge, so findings
-/// can name the operation mix that was active when the edge appeared).
-pub fn recorder(context: Option<Box<lockdep::ContextFn>>) -> Arc<lockdep::Recorder> {
-    let rec = Arc::new(lockdep::Recorder::new());
-    if let Some(ctx) = context {
-        rec.set_context_provider(ctx);
-    }
-    rec
-}
 
 /// The deny threshold from `W5_LOCKDEP_DENY`; `None` means the gate is off.
 fn deny_threshold() -> Option<Severity> {
@@ -55,10 +43,11 @@ pub fn enforce(recorder: &lockdep::Recorder, harness: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn clean_run_passes_the_gate() {
-        let rec = recorder(None);
+        let rec = Arc::new(lockdep::Recorder::new());
         {
             let _scope = lockdep::scoped(Arc::clone(&rec));
             let a = w5_sync::Mutex::with_index("difc.registry", 0, ());
@@ -72,7 +61,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "lock-order findings")]
     fn inverted_run_panics() {
-        let rec = recorder(None);
+        let rec = Arc::new(lockdep::Recorder::new());
         {
             let _scope = lockdep::scoped(Arc::clone(&rec));
             let a = w5_sync::Mutex::with_index("difc.registry", 0, ());

@@ -1,58 +1,49 @@
-//! Differential request-path oracle for the staged net pipeline.
+//! Differential request-path oracle for the staged net pipeline, as an
+//! instance of [`crate::harness`].
 //!
 //! The staged pipeline ([`w5_net::Pipeline`]) claims to preserve, response
 //! by response, the behavior of calling the handler directly — while
 //! adding bounded per-class queues, deficit-round-robin fairness and
-//! admission control in front of it. The reference arm is exactly that
-//! claim's other side: the bare [`w5_net::Handler`] behind a five-line
-//! [`w5_net::Serve`] impl (`BareHandler`). This module checks the claim
-//! the way the kernel and store oracles do: replay the *same seeded
-//! request schedule* through both — under real OS threads and serially,
-//! by the shared driver in `crate::drive` — and compare everything an
-//! HTTP client could see: status codes, bodies, and the platform's
-//! retained fault log.
+//! admission control in front of it. The bare arm is exactly that claim's
+//! other side: the [`w5_net::Handler`] behind a five-line [`w5_net::Serve`]
+//! impl (`BareHandler`). Both engines replay the same seeded request
+//! schedule, serially and under real OS threads, and must agree on
+//! everything an HTTP client could see: status codes, bodies, and the
+//! platform's retained fault log.
 //!
 //! What is deliberately **excluded** from the comparison is the queue
 //! metadata the pipeline emits into the obs ledger (`QueueAdmit`,
-//! `QueueShed`, `WorkerOccupancy`): the bare handler has no queues,
-//! so those events exist on one side by design. Serial ledger digests are
-//! therefore compared through [`w5_obs::Ledger::digest_where`] with the
-//! queue events filtered out — queue telemetry aside, both engines must
-//! drive the platform through a bit-identical event stream.
+//! `QueueShed`, `WorkerOccupancy`): the bare handler has no queues, so
+//! those events exist on one side by design. Run digests therefore go
+//! through [`w5_obs::Ledger::digest_where`] with the queue events filtered
+//! out — queue telemetry aside, both engines must drive the platform
+//! through a bit-identical event stream.
 //!
-//! # Why the schedules are interleaving-invariant
+//! Client `c` targets only its own app `nd{c}/app{c}`, which touches only
+//! its own table `ndt{c}`. Both engines run the handler on the client's
+//! own thread, under its injector, so the `SqlQuery` aborts a client sees
+//! follow it on every arm. The arms classify requests (so DRR fairness and
+//! per-class queues are really exercised) but never charge:
+//! resource-container verdicts depend on shared counters and are covered by
+//! `w5_platform::boundary` unit tests and the noninterference suite instead.
 //!
-//! * **Ownership** — client `c` targets only its own app `nd{c}/app{c}`
-//!   and that app touches only its own table `ndt{c}`, so every response
-//!   is a pure function of one client's deterministic request sequence.
-//! * **Per-client chaos** — each client carries its own
-//!   [`w5_chaos::Injector`] for `Site::SqlQuery`. Both engines run the
-//!   handler on the client's own thread, under its ambient injector, so
-//!   the abort stream a client's handlers experience depends only on
-//!   `(seed, client)` — identical across all four arms.
-//! * **Admission without charging** — the oracle arms classify requests
-//!   (so DRR fairness and per-class queues are really exercised) but
-//!   never charge: resource-container verdicts depend on shared counters
-//!   and are covered by `w5_platform::boundary` unit tests and the
-//!   noninterference suite instead.
-//!
-//! A separate storm entry point ([`run_pipeline_storm`]) arms the
-//! pipeline's *own* fault sites (`net.queue_full`, `net.slow_worker`)
-//! via [`w5_net::PipelineConfig::chaos`] and asserts graceful
-//! degradation: every shed is a well-formed 503 with a `Retry-After`
-//! header and a labeled fault-report body — never a hang, never a
-//! malformed response.
+//! A third instance, [`Storm`], arms the pipeline's *own* fault sites
+//! (`net.queue_full`, `net.slow_worker`) via [`w5_net::PipelineConfig::chaos`]
+//! and asserts graceful degradation: every shed is a well-formed 503 with a
+//! `Retry-After` header and a labeled fault-report body — never a hang,
+//! never a malformed response.
 
+use crate::harness::{self, Mode, Oracle, Run, Spec};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::thread;
+use w5_chaos::{FaultPlan, Injector, Site};
 use w5_difc::LabelPair;
 use w5_net::{
-    Admission, ChargeDenied, ChargePoint, Handler, Pipeline, PipelineConfig,
-    PipelineSnapshot, PrincipalClass, Request, Response, Serve,
+    Admission, ChargeDenied, ChargePoint, Handler, Pipeline, PipelineConfig, PipelineSnapshot,
+    PrincipalClass, Request, Response, Serve,
 };
 use w5_obs::{EventKind, Ledger};
 use w5_platform::{
@@ -60,35 +51,13 @@ use w5_platform::{
     W5App,
 };
 use w5_store::{QueryCost, QueryMode, Subject};
-use w5_sync::lockdep;
 
 /// Insert/point ids are drawn from this domain, small enough that gets,
 /// deletes and re-inserts regularly collide with live rows.
 const ID_DOMAIN: i64 = 24;
 
-/// One differential run: a schedule seed, a client count, a length, and a
-/// storm rate for the handler-stage `SqlQuery` fault site.
-#[derive(Clone, Copy, Debug)]
-pub struct NetSpec {
-    /// Seeds every client's request stream and fault plan.
-    pub seed: u64,
-    /// Concurrent clients; each owns one app and one table.
-    pub clients: usize,
-    /// Requests each client issues.
-    pub requests_per_client: usize,
-    /// Injection probability for `Site::SqlQuery` (0.0 = calm).
-    pub fault_rate: f64,
-}
-
-impl NetSpec {
-    /// A moderate default: 4 clients, 40 requests each, a light storm.
-    pub fn new(seed: u64) -> NetSpec {
-        NetSpec { seed, clients: 4, requests_per_client: 40, fault_rate: 0.05 }
-    }
-}
-
-/// The observable outcome of one run. Two arms replaying the same
-/// [`NetSpec`] must compare equal, whatever the engine or interleaving.
+/// The observable outcome of one run. Two arms replaying the same [`Spec`]
+/// must compare equal, whatever the engine or interleaving.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct NetOutcome {
     /// Per-client FNV-1a digests folded over every response (status and
@@ -102,21 +71,9 @@ pub struct NetOutcome {
     pub faults: Vec<String>,
 }
 
-/// One arm's result: the comparable outcome plus the arm's private
-/// ledger digest with the pipeline's queue-metadata events filtered out.
-#[derive(Clone, Debug)]
-pub struct NetRun {
-    /// The interleaving-invariant observable surface.
-    pub outcome: NetOutcome,
-    /// `Ledger::digest_where` over everything except `QueueAdmit` /
-    /// `QueueShed` / `WorkerOccupancy` — comparable across engines for
-    /// serial arms, and across repeated serial runs of one engine.
-    pub ledger_digest: u64,
-}
-
 /// One request of a client's schedule.
 #[derive(Clone, Debug)]
-enum Op {
+pub enum Op {
     /// `PUT`-shaped insert into the client's own table.
     Put { id: i64, v: i64 },
     /// Point lookup.
@@ -134,28 +91,16 @@ enum Op {
     Missing,
 }
 
-fn gen_ops(spec: &NetSpec, c: usize) -> Vec<Op> {
-    let mut rng = StdRng::seed_from_u64(
-        spec.seed ^ (c as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
-    (0..spec.requests_per_client)
-        .map(|_| match rng.gen_range(0..100u32) {
-            0..=29 => Op::Put { id: rng.gen_range(0..ID_DOMAIN), v: rng.gen_range(0..1000) },
-            30..=54 => Op::Get { id: rng.gen_range(0..ID_DOMAIN) },
-            55..=66 => Op::Sum,
-            67..=81 => Op::Del { id: rng.gen_range(0..ID_DOMAIN) },
-            82..=87 => Op::Boom,
-            88..=93 => Op::Registry,
-            _ => Op::Missing,
-        })
-        .collect()
-}
-
-fn injector_for(spec: &NetSpec, c: usize) -> Arc<w5_chaos::Injector> {
-    w5_chaos::Injector::new(
-        w5_chaos::FaultPlan::new(spec.seed ^ (c as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93))
-            .with(w5_chaos::Site::SqlQuery, spec.fault_rate),
-    )
+fn gen_op(rng: &mut StdRng) -> Op {
+    match rng.gen_range(0..100u32) {
+        0..=29 => Op::Put { id: rng.gen_range(0..ID_DOMAIN), v: rng.gen_range(0..1000) },
+        30..=54 => Op::Get { id: rng.gen_range(0..ID_DOMAIN) },
+        55..=66 => Op::Sum,
+        67..=81 => Op::Del { id: rng.gen_range(0..ID_DOMAIN) },
+        82..=87 => Op::Boom,
+        88..=93 => Op::Registry,
+        _ => Op::Missing,
+    }
 }
 
 /// The per-client harness application: four SQL actions on the client's
@@ -212,12 +157,13 @@ impl W5App for NdApp {
     }
 }
 
-/// Identical single-threaded setup for every arm: one table, one
-/// manifest and one installed app per client, created in client order so
-/// tag and version allocation aligns across arms.
-fn setup(platform: &Arc<Platform>, spec: &NetSpec) {
+/// A platform with one table, one manifest and one installed app per
+/// client, created in client order so tag and version allocation aligns
+/// across arms.
+fn platform(name: &str, spec: &Spec) -> Arc<Platform> {
+    let platform = Platform::new_default(name);
     let trusted = Subject::anonymous();
-    for c in 0..spec.clients {
+    for c in 0..spec.threads {
         platform
             .db
             .execute(
@@ -243,6 +189,7 @@ fn setup(platform: &Arc<Platform>, spec: &NetSpec) {
             .expect("setup: publish");
         platform.install_app(&format!("nd{c}/app{c}"), Arc::new(NdApp { table: format!("ndt{c}") }));
     }
+    platform
 }
 
 /// Classifying admission with no resource charging: requests to
@@ -334,147 +281,97 @@ fn peer(c: usize) -> SocketAddr {
     format!("127.0.0.1:{}", 40_000 + c).parse().expect("static addr")
 }
 
-/// One pass over a client's schedule: per-response digest fold plus a
-/// human-readable status tally.
-fn drive_client(engine: &dyn Serve, c: usize, ops: &[Op]) -> (u64, BTreeMap<u16, u64>) {
-    let mut h = FNV_OFFSET;
-    let mut counts = BTreeMap::new();
-    for (i, op) in ops.iter().enumerate() {
-        let resp = engine.serve(build_request(c, op), peer(c));
-        fold_response(&mut h, i, &resp);
-        *counts.entry(resp.status.0).or_insert(0) += 1;
-    }
-    (h, counts)
+/// The net oracle: which engine serves the requests.
+#[derive(Clone, Copy, Debug)]
+pub enum NetOracle {
+    /// The handler with nothing in front of it.
+    Bare,
+    /// The staged pipeline — queues, DRR rotation and slot grants all live.
+    Pipelined,
 }
 
-/// Drive one engine through the spec's schedule. `concurrent` selects
-/// real OS threads (one per client) vs. a serial replay of the same
-/// per-client sequences.
-fn run_arm(spec: &NetSpec, pipelined: bool, concurrent: bool) -> NetRun {
-    assert!(spec.clients >= 1, "need at least one client");
-    let ledger = Arc::new(Ledger::new());
-    let _obs_guard = w5_obs::scoped(Arc::clone(&ledger));
-    let recorder = crate::lockgate::recorder(None);
-    let _lock_guard = lockdep::scoped(Arc::clone(&recorder));
+/// What every client of a [`NetOracle`] run shares.
+pub struct NetWorld {
+    platform: Arc<Platform>,
+    pipeline: Option<Arc<Pipeline>>,
+    engine: Arc<dyn Serve>,
+}
 
-    let platform = Platform::new_default("netdiff");
-    setup(&platform, spec);
-    let gateway: Arc<dyn Handler> = Arc::new(Gateway::new(Arc::clone(&platform)));
-    let pipeline = if pipelined {
-        Some(Pipeline::start(
-            PipelineConfig { workers: 4, ..PipelineConfig::default() },
-            Arc::clone(&gateway),
-            Arc::new(ClassifyOnly),
-        ))
-    } else {
-        None
-    };
-    let engine: Arc<dyn Serve> = match &pipeline {
-        Some(p) => Arc::clone(p) as Arc<dyn Serve>,
-        None => Arc::new(BareHandler(gateway)),
-    };
+impl Oracle for NetOracle {
+    const NAME: &'static str = "netdiff";
+    const SITES: &'static [Site] = &[Site::SqlQuery];
+    type Op = Op;
+    type Seq = usize;
+    type Step = Response;
+    type World = NetWorld;
+    type Outcome = NetOutcome;
 
-    let mut op_lists: Vec<Vec<Op>> = (0..spec.clients).map(|c| gen_ops(spec, c)).collect();
-    let injectors: Vec<Arc<w5_chaos::Injector>> =
-        (0..spec.clients).map(|c| injector_for(spec, c)).collect();
+    fn gen_op(rng: &mut StdRng) -> Op {
+        gen_op(rng)
+    }
 
-    // Both engines run the handler on the calling thread, so each client's
-    // fault stream follows it whichever way the schedule is driven.
-    let results = crate::drive::drive(&mut op_lists, &injectors, concurrent, |c, ops| {
-        drive_client(engine.as_ref(), c, ops)
-    });
-    let mut statuses: BTreeMap<u16, u64> = BTreeMap::new();
-    let mut digests = Vec::with_capacity(results.len());
-    for (digest, counts) in results {
-        digests.push(digest);
-        for (status, n) in counts {
-            *statuses.entry(status).or_insert(0) += n;
+    fn setup(&self, spec: &Spec) -> (NetWorld, Vec<usize>) {
+        let platform = platform("netdiff", spec);
+        let gateway: Arc<dyn Handler> = Arc::new(Gateway::new(Arc::clone(&platform)));
+        let (pipeline, engine): (_, Arc<dyn Serve>) = match self {
+            NetOracle::Bare => (None, Arc::new(BareHandler(gateway))),
+            NetOracle::Pipelined => {
+                let config = PipelineConfig { workers: 4, ..PipelineConfig::default() };
+                let p = Pipeline::start(config, gateway, Arc::new(ClassifyOnly));
+                (Some(Arc::clone(&p)), p)
+            }
+        };
+        (NetWorld { platform, pipeline, engine }, (0..spec.threads).collect())
+    }
+
+    fn apply(world: &NetWorld, &mut c: &mut usize, op: &Op) -> Response {
+        world.engine.serve(build_request(c, op), peer(c))
+    }
+
+    fn observe(&self, world: NetWorld, _: Vec<usize>, steps: Vec<Vec<Response>>, _: &Ledger) -> NetOutcome {
+        let mut statuses: BTreeMap<u16, u64> = BTreeMap::new();
+        let digests = steps
+            .iter()
+            .map(|responses| {
+                let mut h = FNV_OFFSET;
+                for (i, resp) in responses.iter().enumerate() {
+                    fold_response(&mut h, i, resp);
+                    *statuses.entry(resp.status.0).or_insert(0) += 1;
+                }
+                h
+            })
+            .collect();
+        if let Some(p) = &world.pipeline {
+            p.stop();
+            let snap = p.stats.snapshot();
+            assert_eq!(snap.shed, 0, "oracle arms must never shed (queues sized for the load)");
+            assert_eq!(snap.quota_denied, 0, "ClassifyOnly never charges");
         }
+        let mut faults: Vec<String> =
+            world.platform.fault_reports().iter().map(|f| f.to_log_line()).collect();
+        faults.sort();
+        NetOutcome { digests, statuses, faults }
     }
 
-    if let Some(p) = &pipeline {
-        p.stop();
-        let snap = p.stats.snapshot();
-        assert_eq!(snap.shed, 0, "oracle arms must never shed (queues sized for the load)");
-        assert_eq!(snap.quota_denied, 0, "ClassifyOnly never charges");
-    }
-
-    let mut faults: Vec<String> =
-        platform.fault_reports().iter().map(|f| f.to_log_line()).collect();
-    faults.sort();
-
-    recorder.note("harness", "netdiff");
-    recorder.note("engine", if pipelined { "pipeline" } else { "reference" });
-    crate::lockgate::enforce(&recorder, "netdiff");
-
-    NetRun {
-        outcome: NetOutcome { digests, statuses, faults },
-        ledger_digest: ledger.digest_where(|k| !is_queue_metadata(k)),
+    fn digest(ledger: &Ledger) -> u64 {
+        ledger.digest_where(|k| !is_queue_metadata(k))
     }
 }
 
-/// Reference (seed thread-per-connection semantics), serial replay.
-pub fn run_reference_serial(spec: &NetSpec) -> NetRun {
-    run_arm(spec, false, false)
-}
-
-/// Staged pipeline, serial replay.
-pub fn run_pipelined_serial(spec: &NetSpec) -> NetRun {
-    run_arm(spec, true, false)
-}
-
-/// Reference engine under real client threads.
-pub fn run_reference_concurrent(spec: &NetSpec) -> NetRun {
-    run_arm(spec, false, true)
-}
-
-/// Staged pipeline under real client threads — queues, DRR rotation and
-/// slot grants all live.
-pub fn run_pipelined_concurrent(spec: &NetSpec) -> NetRun {
-    run_arm(spec, true, true)
-}
-
-/// The full four-arm differential check, used by tests and CI: pipelined
-/// concurrent ≡ reference concurrent ≡ reference serial ≡ pipelined
-/// serial on the whole observable surface, with serial event streams
-/// (queue metadata aside) bit-identical across engines and stable under
-/// replay. Panics with a labeled diff on the first mismatch.
-pub fn assert_net_differential(spec: &NetSpec) {
-    let ref_serial = run_reference_serial(spec);
-    let pipe_serial = run_pipelined_serial(spec);
+/// The full differential check, used by tests and CI: bare serial ≡
+/// pipelined serial ≡ pipelined under threads ≡ bare under threads on the
+/// whole observable surface, with the serial event streams (queue metadata
+/// aside) bit-identical across engines and stable under replay. Returns the
+/// runs in that order.
+pub fn assert_net_differential(spec: &Spec) -> Vec<Run<NetOutcome>> {
+    use Mode::{Serial, Threads};
+    use NetOracle::{Bare, Pipelined};
+    let runs = harness::assert_arms(spec, &[(Bare, Serial), (Pipelined, Serial), (Pipelined, Threads), (Bare, Threads)]);
     assert_eq!(
-        ref_serial.outcome, pipe_serial.outcome,
-        "serial replay diverged between reference and pipelined engines"
-    );
-    // Queue metadata aside, the pipeline must drive the platform through
-    // the same event stream the reference does.
-    assert_eq!(
-        ref_serial.ledger_digest, pipe_serial.ledger_digest,
+        runs[0].digest, runs[1].digest,
         "serial ledger streams diverged between engines (beyond queue metadata)"
     );
-    // Replay determinism: a second serial run of each engine must emit a
-    // bit-identical private event stream.
-    let ref_again = run_reference_serial(spec);
-    assert_eq!(
-        ref_serial.ledger_digest, ref_again.ledger_digest,
-        "reference serial ledger digest is not replay-deterministic"
-    );
-    let pipe_again = run_pipelined_serial(spec);
-    assert_eq!(
-        pipe_serial.ledger_digest, pipe_again.ledger_digest,
-        "pipelined serial ledger digest is not replay-deterministic"
-    );
-    let pipe_conc = run_pipelined_concurrent(spec);
-    assert_eq!(
-        ref_serial.outcome, pipe_conc.outcome,
-        "pipelined engine under threads diverged from the serial oracle"
-    );
-    let ref_conc = run_reference_concurrent(spec);
-    assert_eq!(
-        ref_serial.outcome, ref_conc.outcome,
-        "reference engine under threads diverged from its own serial replay \
-         (schedule is not interleaving-invariant — harness bug)"
-    );
+    runs
 }
 
 /// Storm verdict: the pipeline's own fault sites armed, overload forced,
@@ -483,133 +380,122 @@ pub fn assert_net_differential(spec: &NetSpec) {
 pub struct StormReport {
     /// Final pipeline counters.
     pub stats: PipelineSnapshot,
-    /// Faults the injector actually fired.
+    /// Faults the pipeline's injector actually fired.
     pub injected: u64,
     /// Responses observed, by status.
     pub statuses: BTreeMap<u16, u64>,
 }
 
-/// Drive the pipelined engine with `net.queue_full` / `net.slow_worker`
-/// armed through [`PipelineConfig::chaos`] and a deliberately tiny queue,
-/// asserting graceful degradation: every response carries a known status,
-/// and every 503 carries a positive `Retry-After` and a labeled
-/// fault-report body. Panics on the first malformed answer.
-pub fn run_pipeline_storm(spec: &NetSpec) -> StormReport {
-    let injector = w5_chaos::Injector::new(
-        w5_chaos::FaultPlan::new(spec.seed)
-            .with(w5_chaos::Site::NetQueueFull, 0.15)
-            .with(w5_chaos::Site::NetSlowWorker, 0.10),
-    );
-    let platform = Platform::new_default("netdiff-storm");
-    setup(&platform, spec);
-    let gateway: Arc<dyn Handler> = Arc::new(Gateway::new(Arc::clone(&platform)));
-    let pipeline = Pipeline::start(
-        PipelineConfig {
+/// The pipelined engine with `net.queue_full` / `net.slow_worker` armed
+/// through [`PipelineConfig::chaos`] (seeded from `Spec::seed`) in front of
+/// a deliberately tiny queue. No ambient site is armed. Every response must
+/// carry a known status, and every 503 a positive `Retry-After` and a
+/// labeled fault-report body; `apply` panics on the first that does not.
+#[derive(Clone, Copy, Debug)]
+pub struct Storm;
+
+/// The storm's pipeline and the injector its own sites roll.
+pub struct StormWorld {
+    pipeline: Arc<Pipeline>,
+    injector: Arc<Injector>,
+}
+
+impl Oracle for Storm {
+    const NAME: &'static str = "netdiff-storm";
+    const SITES: &'static [Site] = &[];
+    type Op = Op;
+    type Seq = usize;
+    type Step = u16;
+    type World = StormWorld;
+    type Outcome = StormReport;
+
+    fn gen_op(rng: &mut StdRng) -> Op {
+        gen_op(rng)
+    }
+
+    fn setup(&self, spec: &Spec) -> (StormWorld, Vec<usize>) {
+        let injector = Injector::new(
+            FaultPlan::new(spec.seed).with(Site::NetQueueFull, 0.15).with(Site::NetSlowWorker, 0.10),
+        );
+        let gateway = Arc::new(Gateway::new(platform("netdiff-storm", spec)));
+        let config = PipelineConfig {
             workers: 2,
             queue_depth: 2,
             chaos: Some(Arc::clone(&injector)),
             ..PipelineConfig::default()
-        },
-        gateway,
-        Arc::new(ClassifyOnly),
-    );
+        };
+        let pipeline = Pipeline::start(config, gateway, Arc::new(ClassifyOnly));
+        (StormWorld { pipeline, injector }, (0..spec.threads).collect())
+    }
 
-    let op_lists: Vec<Vec<Op>> = (0..spec.clients).map(|c| gen_ops(spec, c)).collect();
-    let statuses: BTreeMap<u16, u64> = thread::scope(|s| {
-        let handles: Vec<_> = op_lists
-            .iter()
-            .enumerate()
-            .map(|(c, ops)| {
-                let engine = Arc::clone(&pipeline);
-                s.spawn(move || {
-                    let mut counts = BTreeMap::new();
-                    for op in ops {
-                        let resp = engine.serve(build_request(c, op), peer(c));
-                        let status = resp.status.0;
-                        assert!(
-                            matches!(status, 200 | 400 | 404 | 429 | 500 | 503),
-                            "storm produced unexpected status {status}"
-                        );
-                        if status == 503 {
-                            let retry: u64 = resp
-                                .header("retry-after")
-                                .expect("503 must carry Retry-After")
-                                .parse()
-                                .expect("Retry-After must be integral seconds");
-                            assert!(retry >= 1, "Retry-After must be positive");
-                            let body = String::from_utf8_lossy(&resp.body);
-                            assert!(
-                                body.contains("fault app=net/pipeline"),
-                                "503 body must be a labeled fault report, got: {body}"
-                            );
-                        }
-                        *counts.entry(status).or_insert(0) += 1;
-                    }
-                    counts
-                })
-            })
-            .collect();
-        let mut total: BTreeMap<u16, u64> = BTreeMap::new();
-        for h in handles {
-            for (status, n) in h.join().expect("storm client panicked") {
-                *total.entry(status).or_insert(0) += n;
-            }
+    fn apply(world: &StormWorld, &mut c: &mut usize, op: &Op) -> u16 {
+        let resp = world.pipeline.serve(build_request(c, op), peer(c));
+        let status = resp.status.0;
+        let known = matches!(status, 200 | 400 | 404 | 429 | 500 | 503);
+        assert!(known, "storm produced unexpected status {status}");
+        if status == 503 {
+            let retry: u64 = resp
+                .header("retry-after")
+                .expect("503 must carry Retry-After")
+                .parse()
+                .expect("Retry-After must be integral seconds");
+            assert!(retry >= 1, "Retry-After must be positive");
+            let body = String::from_utf8_lossy(&resp.body);
+            let labeled = body.contains("fault app=net/pipeline");
+            assert!(labeled, "503 body must be a labeled fault report, got: {body}");
         }
-        total
-    });
-    pipeline.stop();
-    StormReport {
-        stats: pipeline.stats.snapshot(),
-        injected: injector.report().total_injected(),
-        statuses,
+        status
+    }
+
+    fn observe(&self, world: StormWorld, _: Vec<usize>, steps: Vec<Vec<u16>>, _: &Ledger) -> StormReport {
+        world.pipeline.stop();
+        let mut statuses: BTreeMap<u16, u64> = BTreeMap::new();
+        for &status in steps.iter().flatten() {
+            *statuses.entry(status).or_insert(0) += 1;
+        }
+        StormReport {
+            stats: world.pipeline.stats.snapshot(),
+            injected: world.injector.report().total_injected(),
+            statuses,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::run;
 
     #[test]
     fn four_arms_agree_on_default_spec() {
-        assert_net_differential(&NetSpec {
-            seed: 2007,
-            clients: 4,
-            requests_per_client: 30,
-            fault_rate: 0.05,
-        });
+        assert_net_differential(&Spec { seed: 2007, threads: 4, ops_per_thread: 30, fault_rate: 0.05 });
     }
 
     #[test]
     fn calm_run_agrees_without_faults() {
-        let spec = NetSpec { seed: 11, clients: 2, requests_per_client: 25, fault_rate: 0.0 };
-        assert_net_differential(&spec);
+        assert_net_differential(&Spec { seed: 11, threads: 2, ops_per_thread: 25, fault_rate: 0.0 });
     }
 
     #[test]
     fn workload_actually_exercises_the_stack() {
-        let spec = NetSpec::new(20070824);
-        let run = run_pipelined_serial(&spec);
-        assert!(run.outcome.statuses.contains_key(&200), "some requests must succeed");
-        assert!(run.outcome.statuses.contains_key(&404), "missing route must 404");
-        assert!(run.outcome.statuses.contains_key(&500), "boom must crash to 500");
+        let out = run(&NetOracle::Pipelined, &Spec::new(20070824, 40), Mode::Serial).outcome;
+        assert!(out.statuses.contains_key(&200), "some requests must succeed");
+        assert!(out.statuses.contains_key(&404), "missing route must 404");
+        assert!(out.statuses.contains_key(&500), "boom must crash to 500");
         assert!(
-            run.outcome.faults.iter().any(|f| f.contains("kind=crash")),
+            out.faults.iter().any(|f| f.contains("kind=crash")),
             "crash faults must be retained for developers"
         );
         assert!(
-            run.outcome.faults.iter().any(|f| f.contains("kind=infrastructure")),
+            out.faults.iter().any(|f| f.contains("kind=infrastructure")),
             "sql chaos must surface as infrastructure faults"
         );
     }
 
     #[test]
     fn storm_degrades_gracefully() {
-        let report = run_pipeline_storm(&NetSpec {
-            seed: 4242,
-            clients: 4,
-            requests_per_client: 40,
-            fault_rate: 0.0,
-        });
+        let spec = Spec { seed: 4242, threads: 4, ops_per_thread: 40, fault_rate: 0.0 };
+        let report = run(&Storm, &spec, Mode::Threads).outcome;
         assert!(report.injected > 0, "storm must fire");
         assert!(report.stats.shed > 0, "forced queue-full faults must shed");
         assert!(report.statuses.contains_key(&503), "sheds must surface as 503s");

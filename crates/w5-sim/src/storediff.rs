@@ -1,7 +1,8 @@
-//! Differential storage oracle for the labeled SQL store.
+//! Differential storage oracle for the labeled SQL store, as an instance of
+//! [`crate::harness`].
 //!
 //! What the store ([`w5_store::Database`]) must *mean* is stated apart from
-//! it, flat, in [`crate::storemodel`]. This module replays the *same seeded
+//! it, flat, in [`crate::storemodel`]. This oracle replays the *same seeded
 //! statement schedule* against the model (serially) and against the store
 //! (serially and under real OS-thread interleavings) and compares everything
 //! a SQL client could see — columns, rows, row labels, combined labels,
@@ -10,35 +11,21 @@
 //! delete or compaction is a disagreement, not a wrong answer given twice.
 //!
 //! `QueryOutput::scanned` is deliberately **excluded**: the store prunes and
-//! the model does not. The oracle asserts the direction instead — the store
-//! never charges *more* than the flat scan — and that the charge does not
-//! depend on interleaving.
-//!
-//! # Why the schedules are interleaving-invariant
-//!
-//! * **Ownership** — thread `t` touches only its own table `t{t}` and its
-//!   own subjects, so every statement verdict is a pure function of one
-//!   thread's deterministic op sequence.
-//! * **Per-thread chaos** — each thread carries its own
-//!   [`w5_chaos::Injector`] for `Site::SqlQuery`, so the abort stream a
-//!   sequence sees depends only on `(seed, thread)`: the same for the model,
-//!   the concurrent run and the serial replay (all driven by `crate::drive`).
-//! * **Pre-created tags** — all tags are created in single-threaded setup
-//!   on a fresh [`w5_difc::TagRegistry`] per arm, so raw tag ids align
-//!   across arms and labels compare by value.
-//!
-//! The store's serial replays also expose the run's private
-//! [`w5_obs::Ledger::digest`], compared across repeated serial runs.
+//! the model does not. It is the run's cost instead, and the oracle asserts
+//! the direction — the store never charges *more* than the flat scan — and
+//! that the charge does not depend on interleaving. Sequence `t` owns table
+//! `t{t}`; `Site::SqlQuery` is the one fault site, rolled once per statement
+//! on both sides.
 
+use crate::harness::{self, Mode, Oracle, Run, Spec};
 use crate::storemodel::Model;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use w5_chaos::Site;
 use w5_difc::{CapSet, Label, LabelPair, TagKind, TagRegistry};
 use w5_obs::Ledger;
 use w5_store::{Database, QueryCost, QueryError, QueryMode, QueryOutput, Row, Subject};
-use w5_sync::lockdep;
 
 /// Seed rows inserted per table before the op streams start.
 const SEED_ROWS: i64 = 12;
@@ -48,56 +35,14 @@ const SEED_ROWS: i64 = 12;
 /// so shifted keys stay in reach.
 pub const ID_DOMAIN: i64 = 24;
 
-/// One differential run: a schedule seed, a thread count, a length, and a
-/// storm rate for the `SqlQuery` fault site.
-#[derive(Clone, Copy, Debug)]
-pub struct StoreSpec {
-    /// Seeds every thread's op stream and fault plan.
-    pub seed: u64,
-    /// Worker threads; each owns one table.
-    pub threads: usize,
-    /// Statements each thread executes.
-    pub ops_per_thread: usize,
-    /// Injection probability for `Site::SqlQuery` (0.0 = calm).
-    pub fault_rate: f64,
-}
-
-impl StoreSpec {
-    /// A moderate default: 4 threads, 300 statements each, a light storm.
-    pub fn new(seed: u64) -> StoreSpec {
-        StoreSpec { seed, threads: 4, ops_per_thread: 300, fault_rate: 0.05 }
-    }
-}
-
-/// The observable outcome of one run. Every arm replaying the same
-/// [`StoreSpec`] must compare equal: model or store, serial or threaded.
+/// The observable outcome of one run. Every arm replaying the same [`Spec`]
+/// must compare equal: model or store, serial or threaded.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct StoreOutcome {
-    /// Per thread, what every statement returned (`scanned` zeroed).
+    /// Per sequence, what every statement returned (`scanned` zeroed).
     pub statements: Vec<Vec<Outcome>>,
-    /// Final rows of every table, oldest first (see [`dump`]).
+    /// Final rows of every table, oldest first.
     pub tables: BTreeMap<String, Vec<Row>>,
-}
-
-impl StoreOutcome {
-    /// Statements the fault injector aborted.
-    pub fn aborted(&self) -> usize {
-        let all = self.statements.iter().flatten();
-        all.filter(|r| matches!(r, Err(QueryError::Aborted))).count()
-    }
-}
-
-/// One arm's result: the comparable outcome plus two measurements that are
-/// checked directionally or against a replay, not for equality across arms.
-#[derive(Clone, Debug)]
-pub struct StoreRun {
-    /// The interleaving-invariant observable surface.
-    pub outcome: StoreOutcome,
-    /// Total cost units charged across all successful statements.
-    pub scanned: u64,
-    /// Private obs-ledger digest — deterministic for serial runs of the
-    /// store, meaningless to compare between store and model.
-    pub ledger_digest: u64,
 }
 
 /// One statement over a `(id INTEGER, v INTEGER, s TEXT)` table: the one op
@@ -134,8 +79,8 @@ pub enum StoreOp {
     DeleteWindow { lo: i64, hi: i64 },
     /// Stranger scan in `Naive` mode — the covert-channel baseline path.
     NaiveScan,
-    /// Every row, through the same path: [`dump`]'s statement, which no
-    /// generator draws.
+    /// Every row, through the same path: how a run reads each table's final
+    /// contents. No generator draws it.
     Dump,
     /// `CREATE INDEX` amid the DML (idempotent; chaos can abort it too).
     CreateIndex { on_v: bool },
@@ -198,50 +143,6 @@ impl StoreOp {
     }
 }
 
-fn gen_ops(spec: &StoreSpec, t: usize) -> Vec<StoreOp> {
-    let mut rng = StdRng::seed_from_u64(
-        spec.seed ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
-    let coin = |rng: &mut StdRng| rng.gen_range(0..2u32) == 0;
-    (0..spec.ops_per_thread)
-        .map(|_| match rng.gen_range(0..100u32) {
-            0..=22 => StoreOp::Insert {
-                kind: rng.gen_range(0..3u32) as u8,
-                id: (rng.gen_range(0..8u32) != 7).then(|| rng.gen_range(0..ID_DOMAIN)),
-                v: rng.gen_range(0..1000),
-            },
-            23..=35 => StoreOp::Point { stranger: coin(&mut rng), id: rng.gen_range(0..ID_DOMAIN) },
-            36..=41 => StoreOp::Window {
-                stranger: coin(&mut rng),
-                lo: (rng.gen_range(0..2 * ID_DOMAIN), coin(&mut rng)),
-                hi: (rng.gen_range(0..2 * ID_DOMAIN), coin(&mut rng)),
-            },
-            42..=51 => StoreOp::Range {
-                stranger: coin(&mut rng),
-                lo: rng.gen_range(0..900),
-                span: rng.gen_range(1..200),
-            },
-            52..=59 => StoreOp::Agg { stranger: coin(&mut rng) },
-            60..=67 => StoreOp::OrderLimit {
-                stranger: coin(&mut rng),
-                limit: rng.gen_range(1..8u32) as usize,
-            },
-            68..=77 => {
-                StoreOp::Update { id: rng.gen_range(0..ID_DOMAIN), v: rng.gen_range(0..1000) }
-            }
-            78..=82 => StoreOp::Shift { id: rng.gen_range(0..ID_DOMAIN) },
-            83..=86 => StoreOp::StrangerUpdate { v: rng.gen_range(0..1000) },
-            87..=91 => StoreOp::Delete { id: rng.gen_range(0..ID_DOMAIN) },
-            92..=93 => {
-                let lo = rng.gen_range(0..2 * ID_DOMAIN);
-                StoreOp::DeleteWindow { lo, hi: lo + rng.gen_range(0..4i64) }
-            }
-            94..=96 => StoreOp::NaiveScan,
-            _ => StoreOp::CreateIndex { on_v: coin(&mut rng) },
-        })
-        .collect()
-}
-
 /// One sequence's working set: its table and the two subjects that drive it.
 pub struct StoreWorld {
     /// The table every statement of the sequence names.
@@ -296,7 +197,7 @@ pub type Outcome = Result<QueryOutput, QueryError>;
 
 /// One side of the comparison, holding one sequence's table: the store, the
 /// model, or (in tests) a deliberately wrong model.
-pub trait Arm {
+pub trait Arm: Send {
     /// Execute one statement.
     fn apply(&mut self, w: &StoreWorld, op: &StoreOp) -> Outcome;
 }
@@ -308,131 +209,146 @@ impl Arm for Database {
     }
 }
 
-/// Trusted read of the table's final contents, oldest row first (Naive mode
-/// sees every row). Call it outside any armed injector.
-pub fn dump(arm: &mut impl Arm, w: &StoreWorld) -> Vec<Row> {
-    arm.apply(w, &StoreOp::Dump).expect("dump never fails").rows
+/// The store oracle. An arm names itself and gives each sequence its
+/// [`Arm`], handed the run's one fresh [`Database`].
+#[derive(Clone, Copy)]
+pub struct StoreOracle {
+    /// Names the arm in failure messages.
+    pub name: &'static str,
+    /// One sequence's side of the comparison.
+    pub arm: fn(&Database) -> Box<dyn Arm>,
 }
 
-/// Create the world's table and give it the deterministic seed population,
-/// with a key index from the start when `index_id` is set. Runs outside any
-/// armed injector: setup must never abort.
-pub fn populate(arm: &mut impl Arm, w: &StoreWorld, index_id: bool) {
-    arm.apply(w, &StoreOp::CreateTable).expect("setup: create table");
-    for i in 0..SEED_ROWS {
-        let seed = StoreOp::Insert { kind: i as u8, id: Some(i % ID_DOMAIN), v: i * 37 % 1000 };
-        arm.apply(w, &seed).expect("setup: seed row");
-    }
-    if index_id {
-        arm.apply(w, &StoreOp::CreateIndex { on_v: false }).expect("setup: index");
+impl StoreOracle {
+    /// The flat model, one per table.
+    pub const MODEL: StoreOracle = StoreOracle { name: "model", arm: |_| Box::new(Model::default()) };
+    /// The store: every sequence's table in one shared database.
+    pub const STORE: StoreOracle = StoreOracle { name: "store", arm: |db| Box::new(db.clone()) };
+}
+
+impl std::fmt::Debug for StoreOracle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name)
     }
 }
 
-/// Run `ops` in order under whatever injector the caller has scoped. Returns
-/// the per-statement outcomes with `scanned` zeroed — it is the one field the
-/// arms legitimately disagree on — and the total actually charged.
-pub fn replay(arm: &mut impl Arm, w: &StoreWorld, ops: &[StoreOp]) -> (Vec<Outcome>, u64) {
-    let mut scanned = 0u64;
-    let outcomes = ops
-        .iter()
-        .map(|op| {
-            arm.apply(w, op).map(|mut out| {
-                scanned += std::mem::take(&mut out.scanned);
-                out
+impl Oracle for StoreOracle {
+    const NAME: &'static str = "storediff";
+    const SITES: &'static [Site] = &[Site::SqlQuery];
+    type Op = StoreOp;
+    type Seq = (StoreWorld, Box<dyn Arm>);
+    type Step = Outcome;
+    type World = ();
+    type Outcome = StoreOutcome;
+
+    fn gen_op(rng: &mut StdRng) -> StoreOp {
+        let coin = |rng: &mut StdRng| rng.gen_range(0..2u32) == 0;
+        match rng.gen_range(0..100u32) {
+            0..=22 => StoreOp::Insert {
+                kind: rng.gen_range(0..3u32) as u8,
+                id: (rng.gen_range(0..8u32) != 7).then(|| rng.gen_range(0..ID_DOMAIN)),
+                v: rng.gen_range(0..1000),
+            },
+            23..=35 => StoreOp::Point { stranger: coin(rng), id: rng.gen_range(0..ID_DOMAIN) },
+            36..=41 => StoreOp::Window {
+                stranger: coin(rng),
+                lo: (rng.gen_range(0..2 * ID_DOMAIN), coin(rng)),
+                hi: (rng.gen_range(0..2 * ID_DOMAIN), coin(rng)),
+            },
+            42..=51 => StoreOp::Range {
+                stranger: coin(rng),
+                lo: rng.gen_range(0..900),
+                span: rng.gen_range(1..200),
+            },
+            52..=59 => StoreOp::Agg { stranger: coin(rng) },
+            60..=67 => {
+                StoreOp::OrderLimit { stranger: coin(rng), limit: rng.gen_range(1..8u32) as usize }
+            }
+            68..=77 => StoreOp::Update { id: rng.gen_range(0..ID_DOMAIN), v: rng.gen_range(0..1000) },
+            78..=82 => StoreOp::Shift { id: rng.gen_range(0..ID_DOMAIN) },
+            83..=86 => StoreOp::StrangerUpdate { v: rng.gen_range(0..1000) },
+            87..=91 => StoreOp::Delete { id: rng.gen_range(0..ID_DOMAIN) },
+            92..=93 => {
+                let lo = rng.gen_range(0..2 * ID_DOMAIN);
+                StoreOp::DeleteWindow { lo, hi: lo + rng.gen_range(0..4i64) }
+            }
+            94..=96 => StoreOp::NaiveScan,
+            _ => StoreOp::CreateIndex { on_v: coin(rng) },
+        }
+    }
+
+    /// Per-sequence tags on a fresh registry, one table per sequence with the
+    /// deterministic seed population, and a key index from the start on even
+    /// sequences, so the schedule meets indexed and unindexed tables.
+    fn setup(&self, spec: &Spec) -> ((), Vec<Self::Seq>) {
+        let (reg, db) = (TagRegistry::new(), Database::new());
+        let seqs = (0..spec.threads)
+            .map(|t| {
+                let w = StoreWorld::new(&reg, &format!("t{t}"));
+                let mut arm = (self.arm)(&db);
+                arm.apply(&w, &StoreOp::CreateTable).expect("setup: create table");
+                for i in 0..SEED_ROWS {
+                    let seed = StoreOp::Insert { kind: i as u8, id: Some(i % ID_DOMAIN), v: i * 37 % 1000 };
+                    arm.apply(&w, &seed).expect("setup: seed row");
+                }
+                if t % 2 == 0 {
+                    arm.apply(&w, &StoreOp::CreateIndex { on_v: false }).expect("setup: index");
+                }
+                (w, arm)
             })
-        })
-        .collect();
-    (outcomes, scanned)
-}
+            .collect();
+        ((), seqs)
+    }
 
-/// Drive one arm through the spec's schedule. `concurrent` selects real OS
-/// threads vs. a serial replay of the same per-thread sequences.
-fn run_arm<A: Arm + Send>(spec: &StoreSpec, concurrent: bool, new_arm: impl Fn() -> A) -> StoreRun {
-    assert!(spec.threads >= 1, "need at least one thread");
-    let ledger = Arc::new(Ledger::new());
-    let _obs_guard = w5_obs::scoped(Arc::clone(&ledger));
-    // Order graph for this arm: partition-lock acquisitions (and anything
-    // they nest) are recorded and gated below.
-    let recorder = crate::lockgate::recorder(None);
-    let _lock_guard = lockdep::scoped(Arc::clone(&recorder));
+    fn apply(_: &(), (w, arm): &mut Self::Seq, op: &StoreOp) -> Outcome {
+        arm.apply(w, op)
+    }
 
-    // Identical single-threaded setup for every arm: per-thread tags on a
-    // fresh registry, one table per thread, and a key index on even threads
-    // so the schedule starts with a mix of indexed and unindexed tables.
-    let reg = TagRegistry::new();
-    let mut seqs: Vec<(StoreWorld, A)> = (0..spec.threads)
-        .map(|t| {
-            let w = StoreWorld::new(&reg, &format!("t{t}"));
-            let mut arm = new_arm();
-            populate(&mut arm, &w, t % 2 == 0);
-            (w, arm)
-        })
-        .collect();
-    let op_lists: Vec<Vec<StoreOp>> = (0..spec.threads).map(|t| gen_ops(spec, t)).collect();
-    let injectors: Vec<Arc<w5_chaos::Injector>> = (0..spec.threads as u64)
-        .map(|t| {
-            let plan = w5_chaos::FaultPlan::new(spec.seed ^ (t + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93));
-            w5_chaos::Injector::new(plan.with(w5_chaos::Site::SqlQuery, spec.fault_rate))
-        })
-        .collect();
+    /// The statements, and each table's final rows through the trusted
+    /// [`StoreOp::Dump`].
+    fn observe(
+        &self,
+        _: (),
+        seqs: Vec<Self::Seq>,
+        statements: Vec<Vec<Outcome>>,
+        _: &Ledger,
+    ) -> StoreOutcome {
+        let tables = seqs
+            .into_iter()
+            .map(|(w, mut arm)| {
+                let rows = arm.apply(&w, &StoreOp::Dump).expect("dump never fails").rows;
+                (w.table, rows)
+            })
+            .collect();
+        StoreOutcome { statements, tables }
+    }
 
-    let results =
-        crate::drive::drive(&mut seqs, &injectors, concurrent, |t, (w, arm)| replay(arm, w, &op_lists[t]));
-
-    let tables: BTreeMap<String, Vec<Row>> =
-        seqs.iter_mut().map(|(w, arm)| (w.table.clone(), dump(arm, w))).collect();
-    let scanned = results.iter().map(|r| r.1).sum();
-    recorder.note("harness", "storediff");
-    recorder.note("rows_scanned", &u64::to_string(&scanned));
-    crate::lockgate::enforce(&recorder, "storediff");
-    let statements = results.into_iter().map(|r| r.0).collect();
-    StoreRun { outcome: StoreOutcome { statements, tables }, scanned, ledger_digest: ledger.digest() }
-}
-
-/// The store: serial replay, or one real OS thread per sequence.
-pub fn run_store(spec: &StoreSpec, concurrent: bool) -> StoreRun {
-    let db = Database::new();
-    run_arm(spec, concurrent, || db.clone())
-}
-
-/// The flat model, one per table, replayed serially.
-pub fn run_model(spec: &StoreSpec) -> StoreRun {
-    run_arm(spec, false, Model::default)
+    fn take_cost(step: &mut Outcome) -> u64 {
+        step.as_mut().map_or(0, |out| std::mem::take(&mut out.scanned))
+    }
 }
 
 /// The full differential check, used by tests and CI: model ≡ store serial
-/// ≡ store concurrent on the whole observable surface and the final table
+/// ≡ store under threads on the whole observable surface and the final table
 /// contents, with the store charging no more than the model's flat scan and
-/// the same under threads as serially, and its serial ledger digest stable
-/// under replay. Panics, naming the arms, on the first pair that differs.
-pub fn assert_store_differential(spec: &StoreSpec) {
-    let model = run_model(spec);
-    let serial = run_store(spec, false);
-    assert_eq!(model.outcome, serial.outcome, "the store's serial replay diverged from the model");
-    assert!(
-        serial.scanned <= model.scanned,
-        "partition pruning charged more ({}) than the flat scan ({})",
-        serial.scanned,
-        model.scanned,
-    );
-    // Replay determinism: a second serial run must emit a bit-identical
-    // private event stream.
-    assert_eq!(
-        serial.ledger_digest,
-        run_store(spec, false).ledger_digest,
-        "the store's serial ledger digest is not replay-deterministic"
-    );
-    let concurrent = run_store(spec, true);
-    assert_eq!(model.outcome, concurrent.outcome, "the store under threads diverged from the model");
-    assert_eq!(serial.scanned, concurrent.scanned, "the store's scan cost is interleaving-dependent");
+/// the same under threads as serially. Returns the runs in that order.
+pub fn assert_store_differential(spec: &Spec) -> Vec<Run<StoreOutcome>> {
+    use Mode::{Serial, Threads};
+    let (model, store) = (StoreOracle::MODEL, StoreOracle::STORE);
+    let runs = harness::assert_arms(spec, &[(model, Serial), (store, Serial), (store, Threads)]);
+    let (flat, serial, threads) = (runs[0].cost, runs[1].cost, runs[2].cost);
+    assert!(serial <= flat, "partition pruning charged more ({serial}) than the flat scan ({flat})");
+    assert_eq!(serial, threads, "the store's scan cost is interleaving-dependent");
+    runs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::run;
     use crate::storemodel::ModelRow;
 
-    const PINNED: StoreSpec = StoreSpec { seed: 2007, threads: 4, ops_per_thread: 150, fault_rate: 0.05 };
+    const PINNED: Spec = Spec { seed: 2007, threads: 4, ops_per_thread: 150, fault_rate: 0.05 };
 
     #[test]
     fn four_arms_agree_on_default_spec() {
@@ -441,28 +357,21 @@ mod tests {
 
     #[test]
     fn calm_run_agrees_without_faults() {
-        let spec = StoreSpec { seed: 11, threads: 2, ops_per_thread: 120, fault_rate: 0.0 };
-        assert_store_differential(&spec);
-        assert_eq!(run_store(&spec, false).outcome.aborted(), 0);
+        let spec = Spec { seed: 11, threads: 2, ops_per_thread: 120, fault_rate: 0.0 };
+        let runs = assert_store_differential(&spec);
+        assert_eq!(runs[1].injected(), 0);
     }
 
     #[test]
     fn workload_actually_exercises_the_store() {
-        let spec = StoreSpec::new(20070824);
-        let run = run_store(&spec, false);
-        assert!(
-            run.outcome.tables.values().any(|rows| !rows.is_empty()),
-            "tables must end non-empty"
-        );
-        assert!(run.outcome.aborted() > 0, "storm must fire");
+        let spec = Spec::new(20070824, 300);
+        let store = run(&StoreOracle::STORE, &spec, Mode::Serial);
+        assert!(store.outcome.tables.values().any(|rows| !rows.is_empty()), "tables must end non-empty");
+        assert!(store.injected() > 0, "storm must fire");
         // Pruning must actually pay off on this schedule, not merely tie.
-        let model = run_model(&spec);
-        assert!(
-            run.scanned < model.scanned,
-            "the store should visit fewer rows ({} vs {})",
-            run.scanned,
-            model.scanned,
-        );
+        let model = run(&StoreOracle::MODEL, &spec, Mode::Serial);
+        let (pruned, flat) = (store.cost, model.cost);
+        assert!(pruned < flat, "the store should visit fewer rows ({pruned} vs {flat})");
     }
 
     /// The model, except that its first DELETE to leave a row behind under a
@@ -494,8 +403,9 @@ mod tests {
 
     #[test]
     fn a_delete_that_takes_one_row_too_many_is_seen() {
-        let store = run_store(&PINNED, false).outcome;
-        let widened = run_arm(&PINNED, false, Widened::default).outcome;
+        let store = run(&StoreOracle::STORE, &PINNED, Mode::Serial).outcome;
+        let wrong = StoreOracle { name: "widened", arm: |_| Box::new(Widened::default()) };
+        let widened = run(&wrong, &PINNED, Mode::Serial).outcome;
         // The DELETE itself reports the same `affected` on both sides, so a
         // differing outcome is a *later* statement seeing the missing row. (A
         // table's final contents can converge again: a later DELETE of the

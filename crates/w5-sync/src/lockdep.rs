@@ -5,9 +5,9 @@
 //! held stack is thread-local and always maintained; the *recording* of
 //! edges into a [`Recorder`] happens only when one is reachable:
 //!
-//! * a thread-scoped recorder installed with [`scoped`] (sim runs hand the
-//!   recorder across `thread::scope` workers via [`current_scoped`],
-//!   exactly like `w5_obs::scoped`), or
+//! * a thread-scoped recorder installed with [`scoped`] (a sim harness run
+//!   installs its recorder in every worker thread it spawns, exactly like
+//!   `w5_obs::scoped`), or
 //! * the process-global recorder, when [`enable`] has switched it on
 //!   (`W5_LOCKDEP=1` in CI test jobs).
 //!
@@ -80,12 +80,6 @@ pub fn scoped(recorder: Arc<Recorder>) -> ScopedRecorder {
     ScopedRecorder { _private: () }
 }
 
-/// The innermost thread-scoped recorder, for handing off into spawned
-/// worker threads (mirror of `w5_obs::current_scoped`).
-pub fn current_scoped() -> Option<Arc<Recorder>> {
-    SCOPED.with(|s| s.borrow().last().cloned())
-}
-
 /// Guard returned by [`scoped`]; pops the recorder on drop.
 pub struct ScopedRecorder {
     _private: (),
@@ -100,7 +94,7 @@ impl Drop for ScopedRecorder {
 }
 
 fn current_recorder() -> Option<Arc<Recorder>> {
-    if let Some(r) = current_scoped() {
+    if let Some(r) = SCOPED.with(|s| s.borrow().last().cloned()) {
         return Some(r);
     }
     if enabled() {

@@ -31,7 +31,8 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use w5_difc::{CapSet, Label, LabelPair, TagKind, TagRegistry};
 use w5_kernel::{Delivery, Kernel, KernelError, ProcessId, ResourceLimits, SpawnSpec};
-use w5_sim::concurrency::{assert_differential, run_concurrent, run_serial, ConcSpec};
+use w5_sim::concurrency::{assert_differential, KernelOracle};
+use w5_sim::harness::{run, Mode, Spec};
 use w5_sim::{run_chaos, ChaosSpec};
 
 fn mk(k: &Kernel, name: &str) -> ProcessId {
@@ -45,12 +46,7 @@ fn differential_fixed_seeds_calm_and_stormy() {
     for (seed, threads, rate) in
         [(1u64, 2usize, 0.0), (42, 4, 0.05), (20070824, 8, 0.10)]
     {
-        assert_differential(&ConcSpec {
-            seed,
-            threads,
-            ops_per_thread: 200,
-            fault_rate: rate,
-        });
+        assert_differential(&Spec { seed, threads, ops_per_thread: 200, fault_rate: rate });
     }
 }
 
@@ -68,7 +64,7 @@ mod properties {
             ops in 30usize..120,
             rate_pct in 0u32..25,
         ) {
-            assert_differential(&ConcSpec {
+            assert_differential(&Spec {
                 seed,
                 threads,
                 ops_per_thread: ops,
@@ -273,7 +269,7 @@ fn exit_and_reap_race_with_senders() {
 
 #[test]
 fn serial_ledger_digest_identical_between_kernels() {
-    // Golden test. These are the `run_reference_serial` digests of the
+    // Golden test. These are the serial-run digests of the
     // single-lock reference kernel, recorded at the last commit that
     // carried it (92c06cb; EXPERIMENTS.md §P14). The surviving kernel
     // must still emit the *same event stream* — FNV digest over events,
@@ -284,8 +280,8 @@ fn serial_ledger_digest_identical_between_kernels() {
         (1007, 0x7233_f2a9_f12a_0eb9),
         (20070824, 0x209d_7eaf_6af4_a31e),
     ] {
-        let spec = ConcSpec { seed, threads: 4, ops_per_thread: 250, fault_rate: 0.08 };
-        let (_, digest) = run_serial(&spec);
+        let spec = Spec { seed, threads: 4, ops_per_thread: 250, fault_rate: 0.08 };
+        let digest = run(&KernelOracle, &spec, Mode::Serial).digest;
         assert_eq!(
             digest, golden,
             "seed {seed}: serial ledger digest {digest:#018x} left the recorded reference stream"
@@ -309,10 +305,11 @@ fn chaos_outcome_digest_replays_on_sharded_kernel() {
 fn concurrent_outcome_independent_of_run_order() {
     // Same spec, run concurrently twice plus serially once: all equal.
     // Catches timing-dependence smuggled into the outcome type itself.
-    let spec = ConcSpec { seed: 1007, threads: 6, ops_per_thread: 180, fault_rate: 0.06 };
-    let a = run_concurrent(&spec);
-    let b = run_concurrent(&spec);
-    let (c, _) = run_serial(&spec);
+    let spec = Spec { seed: 1007, threads: 6, ops_per_thread: 180, fault_rate: 0.06 };
+    let [a, b, c] = [Mode::Threads, Mode::Threads, Mode::Serial].map(|mode| {
+        let r = run(&KernelOracle, &spec, mode);
+        (r.outcome, r.faults)
+    });
     assert_eq!(a, b, "two concurrent runs of one spec diverged");
     assert_eq!(a, c, "concurrent run diverged from serial replay");
 }

@@ -407,7 +407,8 @@ mod concurrent_kernel {
     use std::sync::Arc;
     use w5_difc::{CapSet, Capability, Label, LabelPair, TagKind, TagRegistry};
     use w5_kernel::{Delivery, Kernel, ProcessId, ResourceLimits};
-    use w5_sim::concurrency::{run_concurrent, run_serial, ConcSpec};
+    use w5_sim::concurrency::assert_differential;
+    use w5_sim::harness::Spec;
 
     /// The platform-level invariant, restated for raw kernel IPC: a
     /// message from a tainted sender reaches an unlabeled receiver only
@@ -479,13 +480,10 @@ mod concurrent_kernel {
     #[test]
     fn concurrent_verdicts_match_serial_oracle() {
         for seed in [20070824u64, 5, 77] {
-            let spec = ConcSpec { seed, threads: 4, ops_per_thread: 200, fault_rate: 0.04 };
-            let (oracle, _) = run_serial(&spec);
-            let live = run_concurrent(&spec);
-            assert_eq!(
-                oracle, live,
-                "seed {seed}: concurrent noninterference verdicts diverged from the oracle"
-            );
+            // Panics, naming the arms, if the threaded run diverged from
+            // the serial oracle.
+            let spec = Spec { seed, threads: 4, ops_per_thread: 200, fault_rate: 0.04 };
+            let live = &assert_differential(&spec)[1].outcome;
             assert!(live.stats.sends_dropped > 0, "seed {seed}: workload never denied a flow");
         }
     }

@@ -6,25 +6,23 @@
 //! identical final table contents.
 //!
 //! The op vocabulary, its SQL and the model live in `w5_sim`; this file
-//! holds the seeds and the proptest strategy. `QueryOutput::scanned` is the
-//! one field the two sides legitimately disagree on (pruning is the point):
-//! `replay` zeroes it and the properties assert the direction instead.
+//! holds the seeds and the proptest strategy, and both go through the one
+//! harness. `QueryOutput::scanned` is the one field the two sides
+//! legitimately disagree on (pruning is the point): the harness moves it
+//! into the run's cost and the properties assert the direction instead.
 //! (The test names predate the model: the "executors" are now the store and
 //! the model, the "four arms" three.)
 
 use proptest::prelude::*;
-use w5_difc::TagRegistry;
-use w5_sim::storediff::{self, dump, populate, replay, Arm, Outcome, ID_DOMAIN};
-use w5_sim::storediff::{StoreOp, StoreSpec, StoreWorld};
-use w5_sim::storemodel::Model;
-use w5_store::{Database, Row};
+use w5_sim::harness::{run_ops, Mode, Spec};
+use w5_sim::storediff::{self, StoreOp, StoreOracle, ID_DOMAIN};
 
 /// The full check over several seeds, calm and stormy. This is what CI's
 /// store job runs.
 #[test]
 fn four_arm_differential_over_seeds() {
     for (seed, fault_rate) in [(20070824u64, 0.05), (5, 0.0), (77, 0.25)] {
-        storediff::assert_store_differential(&StoreSpec {
+        storediff::assert_store_differential(&Spec {
             seed,
             threads: 4,
             ops_per_thread: 120,
@@ -38,7 +36,7 @@ fn four_arm_differential_over_seeds() {
 /// production. Keep one heavier spec pinned.
 #[test]
 fn four_arm_differential_under_contention() {
-    storediff::assert_store_differential(&StoreSpec {
+    storediff::assert_store_differential(&Spec {
         seed: 424242,
         threads: 8,
         ops_per_thread: 80,
@@ -79,36 +77,19 @@ fn arb_op() -> impl Strategy<Value = StoreOp> {
     ]
 }
 
-/// Populate one arm and run the sequence on it: per-statement outcomes
-/// (`scanned` zeroed), the total cost charged, the table's final contents.
-/// Setup and the final dump run outside the injector scope (they must never
-/// abort); the ops run inside it, so both arms see one seeded fault stream.
-fn run(
-    mut arm: impl Arm,
-    ops: &[StoreOp],
-    chaos_seed: u64,
-    fault_rate: f64,
-) -> (Vec<Outcome>, u64, Vec<Row>) {
-    // A registry per arm: identical subjects, identical raw tags.
-    let w = StoreWorld::new(&TagRegistry::new(), "p");
-    populate(&mut arm, &w, true);
-    let (outcomes, scanned) = {
-        let _chaos = w5_chaos::with_injector(w5_chaos::Injector::new(
-            w5_chaos::FaultPlan::new(chaos_seed).with(w5_chaos::Site::SqlQuery, fault_rate),
-        ));
-        replay(&mut arm, &w, ops)
-    };
-    (outcomes, scanned, dump(&mut arm, &w))
-}
-
-fn check(ops: &[StoreOp], chaos_seed: u64, fault_rate: f64) -> Result<(), TestCaseError> {
-    let (model, flat_cost, model_rows) = run(Model::default(), ops, chaos_seed, fault_rate);
-    let (store, pruned_cost, store_rows) = run(Database::new(), ops, chaos_seed, fault_rate);
-    prop_assert_eq!(model, store);
-    prop_assert_eq!(model_rows, store_rows);
+/// One sequence, run on the model and on the store: same statements, same
+/// seeded fault stream. Setup and the final dump run outside the injector
+/// scope (they must never abort).
+fn check(ops: Vec<StoreOp>, chaos_seed: u64, fault_rate: f64) -> Result<(), TestCaseError> {
+    let spec = Spec { seed: chaos_seed, threads: 1, ops_per_thread: ops.len(), fault_rate };
+    let model = run_ops(&StoreOracle::MODEL, &spec, vec![ops.clone()], Mode::Serial);
+    let store = run_ops(&StoreOracle::STORE, &spec, vec![ops], Mode::Serial);
+    prop_assert_eq!(model.outcome, store.outcome);
     prop_assert!(
-        pruned_cost <= flat_cost,
-        "pruning charged more than the flat scan ({pruned_cost} vs {flat_cost})"
+        store.cost <= model.cost,
+        "pruning charged more than the flat scan ({} vs {})",
+        store.cost,
+        model.cost
     );
     Ok(())
 }
@@ -120,7 +101,7 @@ proptest! {
     fn executors_agree_on_arbitrary_sequences(
         ops in proptest::collection::vec(arb_op(), 1..60),
     ) {
-        check(&ops, 0, 0.0)?;
+        check(ops, 0, 0.0)?;
     }
 
     /// The same property under a heavy fault storm: injected aborts land
@@ -130,6 +111,6 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..60),
         chaos_seed in any::<u64>(),
     ) {
-        check(&ops, chaos_seed, 0.3)?;
+        check(ops, chaos_seed, 0.3)?;
     }
 }
