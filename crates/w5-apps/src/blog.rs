@@ -46,11 +46,16 @@ impl W5App for BlogApp {
                     ),
                     CreateLabels::Derived,
                 )?;
-                let mut html = format!("<html><body><h1>{user}'s blog</h1><ul>");
-                for row in &out.rows {
-                    if let Value::Text(t) = &row.values[0] {
-                        html.push_str(&format!("<li>{t}</li>"));
-                    }
+                let titles = out.rows.iter().filter_map(|row| match &row.values[0] {
+                    Value::Text(t) => Some(t.as_str()),
+                    _ => None,
+                });
+                // One buffer, sized for the whole page before the first row.
+                let rows: usize = titles.clone().map(|t| t.len() + "<li></li>".len()).sum();
+                let mut html = String::with_capacity(64 + user.len() + rows);
+                html.extend(["<html><body><h1>", &user, "'s blog</h1><ul>"]);
+                for t in titles {
+                    html.extend(["<li>", t, "</li>"]);
                 }
                 html.push_str("</ul></body></html>");
                 Ok(AppResponse::html(html))

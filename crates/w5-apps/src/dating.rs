@@ -11,6 +11,7 @@
 //! the viewer may see even that.
 
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 use std::sync::Arc;
 use w5_platform::{
     ApiError, AppManifest, AppRequest, AppResponse, CreateLabels, Platform, PlatformApi, W5App,
@@ -106,7 +107,8 @@ impl W5App for DatingApp {
                 results.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
                 let mut html = format!("<html><body><h1>matches for {me}</h1><ol>");
                 for (score, cand) in &results {
-                    html.push_str(&format!("<li>{cand}: {score}</li>"));
+                    // Writing into a `String` cannot fail.
+                    let _ = write!(html, "<li>{cand}: {score}</li>");
                 }
                 html.push_str("</ol></body></html>");
                 Ok(AppResponse::html(html))

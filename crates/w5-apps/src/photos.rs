@@ -9,6 +9,7 @@
 use crate::image::{CenteredCrop, CropModule, Image, TopLeftCrop};
 use bytes::Bytes;
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::Arc;
 use w5_platform::{
     ApiError, AppManifest, AppRequest, AppResponse, CreateLabels, ModuleManifest, Platform,
@@ -73,9 +74,13 @@ impl W5App for PhotoApp {
                     .or_else(|| api.viewer().map(str::to_string))
                     .ok_or(ApiError::Bad("user required".into()))?;
                 let entries = api.list_files(&format!("/photos/{user}"))?;
-                let mut html = format!("<html><body><h1>{user}'s photos</h1><ul>");
-                for e in entries {
-                    html.push_str(&format!("<li>{} ({} bytes)</li>", e.path, e.size));
+                // One buffer, sized for the whole page before the first row.
+                let rows: usize = entries.iter().map(|e| e.path.len() + 40).sum();
+                let mut html = String::with_capacity(64 + user.len() + rows);
+                html.extend(["<html><body><h1>", &user, "'s photos</h1><ul>"]);
+                for e in &entries {
+                    // Writing into a `String` cannot fail.
+                    let _ = write!(html, "<li>{} ({} bytes)</li>", e.path, e.size);
                 }
                 html.push_str("</ul></body></html>");
                 Ok(AppResponse::html(html))

@@ -11,6 +11,7 @@
 //! Scoring is keyword overlap between the viewer's stored preference list
 //! and each candidate item, which keeps the experiment deterministic.
 
+use std::fmt::Write;
 use std::sync::Arc;
 use w5_platform::{
     sql_escape, ApiError, AppManifest, AppRequest, AppResponse, CreateLabels, Platform,
@@ -99,7 +100,8 @@ impl W5App for RecommenderApp {
                 scored.truncate(n);
                 let mut html = format!("<html><body><h1>daily digest for {me}</h1><ol>");
                 for (score, friend, title) in &scored {
-                    html.push_str(&format!("<li>{title} — {friend} (score {score})</li>"));
+                    // Writing into a `String` cannot fail.
+                    let _ = write!(html, "<li>{title} — {friend} (score {score})</li>");
                 }
                 html.push_str("</ol></body></html>");
                 Ok(AppResponse::html(html))

@@ -62,14 +62,14 @@ impl SocialApp {
             })
             .collect();
         shown.sort();
-        format!(
-            "<html><body><h1>{owner}</h1><p>{}</p><ul>{}</ul></body></html>",
-            profile.bio,
-            shown
-                .iter()
-                .map(|i| format!("<li>{i}</li>"))
-                .collect::<String>()
-        )
+        let items: usize = shown.iter().map(|i| i.len() + "<li></li>".len()).sum();
+        let mut html = String::with_capacity(64 + owner.len() + profile.bio.len() + items);
+        html.extend(["<html><body><h1>", owner, "</h1><p>", &profile.bio, "</p><ul>"]);
+        for i in shown {
+            html.extend(["<li>", i, "</li>"]);
+        }
+        html.push_str("</ul></body></html>");
+        html
     }
 }
 
@@ -129,18 +129,18 @@ impl W5App for SocialApp {
                     ),
                     CreateLabels::Derived,
                 )?;
-                let mut html = format!("<html><body><h1>{me}'s feed</h1>");
+                // One buffer; a bio's length is known only once it is read.
+                let mut html = String::with_capacity(64 + me.len() + 64 * out.rows.len());
+                html.extend(["<html><body><h1>", &me, "'s feed</h1>"]);
                 for row in &out.rows {
                     if let Value::Text(friend) = &row.values[0] {
-                        match Self::load_profile(api, friend) {
-                            Ok(p) => {
-                                html.push_str(&format!("<h2>{friend}</h2><p>{}</p>", p.bio))
-                            }
-                            Err(ApiError::NotFound) => {
-                                html.push_str(&format!("<h2>{friend}</h2><p>(no profile)</p>"))
-                            }
+                        let profile = match Self::load_profile(api, friend) {
+                            Ok(p) => Some(p),
+                            Err(ApiError::NotFound) => None,
                             Err(e) => return Err(e),
-                        }
+                        };
+                        let bio = profile.as_ref().map_or("(no profile)", |p| p.bio.as_str());
+                        html.extend(["<h2>", friend, "</h2><p>", bio, "</p>"]);
                     }
                 }
                 html.push_str("</body></html>");

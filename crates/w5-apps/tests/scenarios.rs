@@ -382,3 +382,48 @@ fn attack_covert_channel_never_exports_the_count() {
     let log = w.p.exporter.audit_log();
     assert!(log.iter().any(|e| !e.allowed && e.app == "mal/covert"));
 }
+
+/// The list pages, byte for byte as they leave the perimeter: the pages'
+/// builders and the HTML filter may get faster, never different.
+#[test]
+fn list_pages_are_pinned_byte_for_byte() {
+    let w = world();
+    let page = |viewer: &Account, app: &str, action: &str, params: &[(&str, &str)]| {
+        let r = invoke(&w, Some(viewer), app, "GET", action, params);
+        assert_eq!(r.status, 200, "{app} {action}");
+        String::from_utf8(r.body.to_vec()).unwrap()
+    };
+    for title in ["zebra", "<b onclick=steal()>bold</b>", "a post"] {
+        let r = invoke(&w, Some(&w.bob), "devB/blog", "POST", "post", &[("title", title)]);
+        assert_eq!(r.status, 200);
+    }
+    assert_eq!(
+        page(&w.bob, "devB/blog", "list", &[("user", "bob")]),
+        "<html><body><h1>bob's blog</h1><ul><li><b>bold</b></li><li>a post</li>\
+         <li>zebra</li></ul></body></html>"
+    );
+
+    assert_eq!(upload_test_photo(&w.p, &w.bob, "cat", 4), 200);
+    assert_eq!(upload_test_photo(&w.p, &w.bob, "dog", 2), 200);
+    assert_eq!(
+        page(&w.bob, "devA/photos", "list", &[("user", "bob")]),
+        "<html><body><h1>bob's photos</h1><ul><li>/photos/bob/cat (26 bytes)</li>\
+         <li>/photos/bob/dog (14 bytes)</li></ul></body></html>"
+    );
+
+    let profile = [("bio", "hi"), ("interests", "scifi,cooking"), ("hide", "scifi:carol")];
+    let r = invoke(&w, Some(&w.alice), "devC/social", "POST", "set_profile", &profile);
+    assert_eq!(r.status, 200);
+    w.p.policies
+        .grant_declassifier(w.alice.id, "friends-only", GrantScope::App("devC/social".into()));
+    assert_eq!(
+        page(&w.bob, "devC/social", "view", &[("user", "alice")]),
+        "<html><body><h1>alice</h1><p>hi</p><ul><li>cooking</li><li>scifi</li></ul></body></html>"
+    );
+    w.p.add_friend("bob", "carol");
+    assert_eq!(
+        page(&w.bob, "devC/social", "feed", &[]),
+        "<html><body><h1>bob's feed</h1><h2>alice</h2><p>hi</p><h2>carol</h2>\
+         <p>(no profile)</p></body></html>"
+    );
+}

@@ -68,107 +68,88 @@ pub fn sanitize_html_labeled(
 /// Sanitize an HTML document, returning the cleaned text and statistics.
 /// Non-HTML content should bypass this (the gateway filters by content
 /// type).
+///
+/// One pass, linear in the input: every byte is looked at a bounded number
+/// of times, and the only allocation is the output buffer.
 pub fn sanitize_html(input: &str) -> (String, SanitizeStats) {
     let mut out = String::with_capacity(input.len());
     let mut stats = SanitizeStats::default();
     let bytes = input.as_bytes();
+    // A tag that opens after the page's last `>` can never close: it and
+    // everything after it are dropped (fail closed). Knowing this once
+    // keeps a page of unclosed `<` from being rescanned to its end per `<`.
+    let last_gt = input.rfind('>');
     let mut i = 0;
 
     while i < bytes.len() {
-        if bytes[i] == b'<' {
-            // Script element?
-            if has_ci_prefix(&input[i..], "<script") {
-                // Skip to the matching </script> (case-insensitive); if
-                // unterminated, drop the rest of the document — fail closed.
-                stats.scripts_removed += 1;
-                match find_ci(&input[i..], "</script") {
-                    Some(rel) => {
-                        let after = i + rel;
-                        // Skip past the closing tag's '>'.
-                        match input[after..].find('>') {
-                            Some(gt) => {
-                                i = after + gt + 1;
-                            }
-                            None => break,
-                        }
-                    }
-                    None => break,
-                }
-                continue;
-            }
-            // A normal tag: copy it, filtering dangerous attributes. If a
-            // new `<` opens before this tag closes, the markup is broken
-            // in a way attackers exploit (`<div<script>…`): drop the
-            // broken fragment and resume at the inner `<` (fail closed).
-            let rest = &input[i + 1..];
-            match (rest.find('>'), rest.find('<')) {
-                (Some(g), Some(l)) if l < g => {
-                    i += 1 + l;
-                    continue;
-                }
-                (Some(g), _) => {
-                    let tag = &input[i..i + 1 + g + 1];
-                    out.push_str(&clean_tag(tag, &mut stats));
-                    i += 1 + g + 1;
-                    continue;
-                }
-                (None, _) => {
-                    // Unterminated tag at EOF: drop it (fail closed).
-                    break;
-                }
-            }
+        if bytes[i] != b'<' {
+            // Plain text: copy up to the next '<'.
+            let next = input[i..].find('<').map_or(bytes.len(), |r| i + r);
+            out.push_str(&input[i..next]);
+            i = next;
+            continue;
         }
-        // Plain text: copy up to the next '<'.
-        let next = input[i..].find('<').map(|r| i + r).unwrap_or(bytes.len());
-        out.push_str(&input[i..next]);
-        i = next;
+        // Script element? Skip to past the matching `</script…>`
+        // (case-insensitive); if unterminated, drop the rest of the
+        // document — fail closed.
+        if has_ci_prefix(&bytes[i..], b"<script") {
+            stats.scripts_removed += 1;
+            let Some(close) = find_ci(&bytes[i..], b"</script").map(|r| i + r) else { break };
+            let Some(gt) = input[close..].find('>') else { break };
+            i = close + gt + 1;
+            continue;
+        }
+        if last_gt.is_none_or(|g| g < i) {
+            break;
+        }
+        // A normal tag: copy it, filtering dangerous attributes. If a new
+        // `<` opens before this tag closes, the markup is broken in a way
+        // attackers exploit (`<div<script>…`): drop the broken fragment
+        // and resume at the inner `<` (fail closed). The `>` at `last_gt`
+        // bounds the scan.
+        let Some(j) = bytes[i + 1..].iter().position(|&b| b == b'<' || b == b'>') else { break };
+        let j = i + 1 + j;
+        if bytes[j] == b'<' {
+            i = j;
+            continue;
+        }
+        clean_tag(&input[i..=j], &mut out, &mut stats);
+        i = j + 1;
     }
     (out, stats)
 }
 
-fn has_ci_prefix(s: &str, prefix: &str) -> bool {
-    // Byte-wise: slicing the &str could split a multi-byte character.
-    let (s, p) = (s.as_bytes(), prefix.as_bytes());
-    s.len() >= p.len() && s[..p.len()].eq_ignore_ascii_case(p)
+fn has_ci_prefix(s: &[u8], prefix: &[u8]) -> bool {
+    s.len() >= prefix.len() && s[..prefix.len()].eq_ignore_ascii_case(prefix)
 }
 
-fn find_ci(haystack: &str, needle: &str) -> Option<usize> {
-    let h = haystack.as_bytes();
-    let n = needle.as_bytes();
-    if n.is_empty() || h.len() < n.len() {
-        return None;
-    }
-    (0..=h.len() - n.len()).find(|&i| h[i..i + n.len()].eq_ignore_ascii_case(n))
+fn find_ci(haystack: &[u8], needle: &[u8]) -> Option<usize> {
+    haystack.windows(needle.len()).position(|w| w.eq_ignore_ascii_case(needle))
 }
 
-/// Rewrite one tag, dropping `on*` attributes and neutralizing
-/// `javascript:` URLs. The tag arrives as `<name attr=... >`.
-fn clean_tag(tag: &str, stats: &mut SanitizeStats) -> String {
-    let mut inner = &tag[1..tag.len() - 1];
+/// Append one tag to `out`, dropping `on*` attributes and neutralizing
+/// `javascript:` URLs. The tag arrives as `<name attr=... >`, with no `<`
+/// or `>` inside.
+fn clean_tag(tag: &str, out: &mut String, stats: &mut SanitizeStats) {
+    let inner = &tag[1..tag.len() - 1];
     // Closing tags and comments pass through.
-    if inner.starts_with('/') || inner.starts_with('!') {
-        return tag.to_string();
+    if inner.starts_with(['/', '!']) {
+        out.push_str(tag);
+        return;
     }
     // Peel a self-closing slash off the end before attribute parsing.
-    let self_closing = inner.trim_end().ends_with('/');
-    if self_closing {
-        inner = inner.trim_end().strip_suffix('/').unwrap_or(inner);
+    let (inner, self_closing) = match inner.trim_end().strip_suffix('/') {
+        Some(peeled) => (peeled, true),
+        None => (inner, false),
+    };
+    let name_end = inner.bytes().position(|b| b.is_ascii_whitespace()).unwrap_or(inner.len());
+    // A bare name (`<li>`, `<ul>`) has no attributes to rewrite.
+    if !self_closing && name_end == inner.len() {
+        out.push_str(tag);
+        return;
     }
-    let mut out = String::with_capacity(tag.len());
     out.push('<');
-    let mut chars = inner.char_indices().peekable();
-    // Copy the element name.
-    let name_end = inner
-        .find(|c: char| c.is_ascii_whitespace())
-        .unwrap_or(inner.len());
     out.push_str(&inner[..name_end]);
-    while let Some(&(pos, _)) = chars.peek() {
-        if pos < name_end {
-            chars.next();
-            continue;
-        }
-        break;
-    }
     // Attribute scanning.
     let mut rest = &inner[name_end..];
     loop {
@@ -176,58 +157,29 @@ fn clean_tag(tag: &str, stats: &mut SanitizeStats) -> String {
         if trimmed.is_empty() {
             break;
         }
-        let offset = rest.len() - trimmed.len();
-        let _ = offset;
-        // Attribute name.
         let name_len = trimmed
-            .find(|c: char| c == '=' || c.is_ascii_whitespace())
+            .bytes()
+            .position(|b| b == b'=' || b.is_ascii_whitespace())
             .unwrap_or(trimmed.len());
-        let attr_name = &trimmed[..name_len];
-        let after_name = &trimmed[name_len..];
-        let (value, after): (Option<&str>, &str) = if after_name.trim_start().starts_with('=') {
-            let eq = after_name.find('=').unwrap();
-            let v = after_name[eq + 1..].trim_start();
-            if let Some(stripped) = v.strip_prefix('"') {
-                match stripped.find('"') {
-                    Some(end) => (Some(&stripped[..end]), &stripped[end + 1..]),
-                    None => (Some(stripped), ""),
-                }
-            } else if let Some(stripped) = v.strip_prefix('\'') {
-                match stripped.find('\'') {
-                    Some(end) => (Some(&stripped[..end]), &stripped[end + 1..]),
-                    None => (Some(stripped), ""),
-                }
-            } else {
-                let end = v
-                    .find(|c: char| c.is_ascii_whitespace())
-                    .unwrap_or(v.len());
-                (Some(&v[..end]), &v[end..])
+        let (attr_name, after_name) = trimmed.split_at(name_len);
+        let (value, after) = match after_name.trim_start().strip_prefix('=') {
+            Some(v) => {
+                let (value, after) = split_value(v.trim_start());
+                (Some(value), after)
             }
-        } else {
-            (None, after_name)
+            None => (None, after_name),
         };
 
-        let lower = attr_name.to_ascii_lowercase();
-        if lower.starts_with("on") && lower.len() > 2 {
+        if attr_name.len() > 2 && has_ci_prefix(attr_name.as_bytes(), b"on") {
             stats.handlers_removed += 1;
             // Drop the attribute entirely.
         } else if let Some(v) = value {
-            let vt = v.trim();
-            // Neutralize javascript: (tolerating embedded whitespace
-            // tricks like "java\tscript:").
-            let compact: String = vt
-                .chars()
-                .filter(|c| !c.is_ascii_whitespace() && !c.is_control())
-                .collect::<String>()
-                .to_ascii_lowercase();
-            if compact.starts_with("javascript:") {
+            out.push(' ');
+            out.push_str(attr_name);
+            if is_javascript_url(v) {
                 stats.js_urls_removed += 1;
-                out.push(' ');
-                out.push_str(attr_name);
                 out.push_str("=\"#\"");
             } else {
-                out.push(' ');
-                out.push_str(attr_name);
                 out.push_str("=\"");
                 out.push_str(v);
                 out.push('"');
@@ -236,18 +188,42 @@ fn clean_tag(tag: &str, stats: &mut SanitizeStats) -> String {
             out.push(' ');
             out.push_str(attr_name);
         }
-        rest = after;
         if attr_name.is_empty() {
             // Defensive: avoid an infinite loop on pathological input.
             break;
         }
+        rest = after;
     }
     // Preserve self-closing slash.
     if self_closing {
         out.push_str(" /");
     }
     out.push('>');
-    out
+}
+
+/// Split an attribute value from what follows it: a quoted value runs to
+/// its closing quote (or the end of the tag, if there is none), a bare one
+/// to the next ASCII whitespace.
+fn split_value(v: &str) -> (&str, &str) {
+    for quote in ['"', '\''] {
+        if let Some(quoted) = v.strip_prefix(quote) {
+            return match quoted.find(quote) {
+                Some(end) => (&quoted[..end], &quoted[end + 1..]),
+                None => (quoted, ""),
+            };
+        }
+    }
+    v.split_at(v.bytes().position(|b| b.is_ascii_whitespace()).unwrap_or(v.len()))
+}
+
+/// Does the value start with `javascript:`, case-insensitively, once
+/// whitespace and control characters are ignored (so `"java\tscript:"`
+/// counts)?
+fn is_javascript_url(v: &str) -> bool {
+    let mut chars = v.trim_start().chars().filter(|c| !c.is_ascii_whitespace() && !c.is_control());
+    b"javascript:"
+        .iter()
+        .all(|&want| chars.next().is_some_and(|c| c.eq_ignore_ascii_case(&char::from(want))))
 }
 
 #[cfg(test)]

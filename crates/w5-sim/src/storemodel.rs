@@ -119,8 +119,9 @@ impl Arm for Model {
                 self.rows.push(ModelRow { labels, id, v, s });
                 dml(1, 0)
             }
-            StoreOp::Point { stranger, id } => {
-                self.answer(&["id", "v", "s"], &self.seen(w.reader(stranger), Filtered, keyed(id)), None)
+            StoreOp::Point { stranger, id, below } => {
+                let pred = |r: &ModelRow| keyed(id)(r) && below.is_none_or(|b| r.v < b);
+                self.answer(&["id", "v", "s"], &self.seen(w.reader(stranger), Filtered, pred), None)
             }
             StoreOp::Window { stranger, lo, hi } => {
                 // NULL keys are in no window; an inverted window is empty.

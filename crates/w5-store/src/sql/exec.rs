@@ -173,6 +173,9 @@ fn scan(
     // returns one) falls through to the unindexed scan.
     let push = filter.and_then(|f| plan::pushdown(t, f));
     let probe = push.as_ref().and_then(|p| Some((p, t.index_slot(p.col)?)));
+    // A probe that is the whole filter has already decided every row it
+    // returns (`Pushdown::exact`); anything else is re-checked per row.
+    let filter = filter.filter(|_| !probe.is_some_and(|(p, _)| p.exact));
     let mut verdicts = subject.verdicts();
     let mut scanned = 0u64;
     let mut locs = Vec::new();

@@ -6,7 +6,12 @@
 //! [`Index`](super::storage::Index) probe per visible partition;
 //! the executor then re-evaluates the **full** original filter on every
 //! candidate row, so the probe only has to produce a superset of the
-//! matching rows. Soundness of the superset claim:
+//! matching rows — unless the filter *is* the pushed equality (one
+//! `col = lit` or `lit = col` conjunct and nothing else, [`Pushdown::exact`]):
+//! then the probe returns exactly the matching rows (see `Eq` below: every
+//! row under the key is same-variant equal to a non-NULL literal, so the
+//! comparison is `TRUE` on each and raises no error) and re-evaluating it
+//! would only repeat the lookup's answer. Soundness of the superset claim:
 //!
 //! * `Eq` — `sql_eq` is only `TRUE` for same-variant equal values, and
 //!   [`Value::order`](super::value::Value::order), which keys the index,
@@ -42,6 +47,9 @@ pub(crate) struct Pushdown {
     pub(crate) lo: Option<(Value, bool)>,
     /// Upper bound `(value, inclusive)`.
     pub(crate) hi: Option<(Value, bool)>,
+    /// The whole filter is the `eq` comparison: every probed row matches,
+    /// and the executor need not evaluate the filter on it again.
+    pub(crate) exact: bool,
 }
 
 /// One normalized `column op literal` conjunct.
@@ -59,19 +67,20 @@ pub(crate) fn pushdown(t: &Table, filter: &Expr) -> Option<Pushdown> {
     let mut conj = Vec::new();
     conjuncts(filter, &mut conj);
     let mut bounds: Vec<Bound<'_>> = Vec::new();
-    for e in conj {
+    for &e in &conj {
         if let Some(b) = normalize(t, e) {
             bounds.push(b);
         }
     }
     // An equality probe beats any range window.
     if let Some(b) = bounds.iter().find(|b| b.op == BinOp::Eq) {
-        return Some(Pushdown { col: b.col, eq: Some(b.lit.clone()), lo: None, hi: None });
+        let exact = conj.len() == 1;
+        return Some(Pushdown { col: b.col, eq: Some(b.lit.clone()), lo: None, hi: None, exact });
     }
     // Otherwise take the first column with a range bound and fold every
     // bound on that column into the tightest window.
     let col = bounds.first()?.col;
-    let mut push = Pushdown { col, eq: None, lo: None, hi: None };
+    let mut push = Pushdown { col, eq: None, lo: None, hi: None, exact: false };
     for b in bounds.iter().filter(|b| b.col == col) {
         let (bound, is_lo) = match b.op {
             BinOp::Gt => ((b.lit.clone(), false), true),
@@ -220,6 +229,8 @@ mod tests {
         let t = table();
         assert!(pushdown(&t, &filter_of("plain = 5")).is_none());
         assert!(pushdown(&t, &filter_of("id = NULL")).is_none());
+        assert!(pushdown(&t, &filter_of("NULL = name")).is_none());
+        assert!(pushdown(&t, &filter_of("id = NULL AND name = NULL")).is_none());
         // OR is not a conjunction: nothing is pushable.
         assert!(pushdown(&t, &filter_of("id = 1 OR id = 2")).is_none());
         // Type-mismatched range bound stays un-pushed (Eval semantics).
@@ -237,5 +248,31 @@ mod tests {
         let p = pushdown(&t, &filter_of("id = 1 AND plain > 2")).unwrap();
         assert_eq!(p.col, 0);
         assert_eq!(p.eq, Some(Value::Int(1)));
+        assert!(!p.exact);
+    }
+
+    #[test]
+    fn a_lone_equality_is_exact() {
+        let t = table();
+        for sql in ["name = 'a'", "'a' = name"] {
+            let p = pushdown(&t, &filter_of(sql)).unwrap();
+            assert_eq!((p.col, p.eq, p.exact), (1, Some(Value::Text("a".into())), true), "{sql}");
+        }
+    }
+
+    #[test]
+    fn anything_beside_the_equality_is_not_exact() {
+        let t = table();
+        for sql in [
+            "name = 'a' AND plain = 2",
+            "plain = 2 AND name = 'a'",
+            "name = 'a' AND name = 'a'",
+            "id = 1 AND id > 0",
+            "id > 3",
+            "id > 3 AND id < 9",
+            "2 >= id",
+        ] {
+            assert!(!pushdown(&t, &filter_of(sql)).unwrap().exact, "{sql}");
+        }
     }
 }

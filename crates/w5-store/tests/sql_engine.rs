@@ -510,6 +510,46 @@ fn join_errors() {
 /// excluded, of another type than the column, `= NULL` — fold into index
 /// probes that must come back empty, not panic with the table lock held;
 /// rows, `affected`, errors and the charge are all pinned literally.
+/// An indexed equality decides a row on its own only when it is the whole
+/// filter: beside a second conjunct, the probed rows are still filtered on
+/// it, wherever it stands. Either way the charge is the probed rows.
+#[test]
+fn indexed_equality_with_a_second_conjunct_still_filters() {
+    let w = world();
+    run(&w, &w.bob, &LabelPair::public(), "CREATE TABLE posts (owner TEXT, title TEXT)").unwrap();
+    run(&w, &w.bob, &LabelPair::public(), "CREATE INDEX ON posts (owner)").unwrap();
+    run(
+        &w,
+        &w.bob,
+        &w.bob_rows,
+        "INSERT INTO posts VALUES ('bob', 'a'), ('amy', 'b'), ('bob', 'c'), ('bob', NULL)",
+    )
+    .unwrap();
+    let select = |sql: &str| {
+        let out = run(&w, &w.bob, &LabelPair::public(), sql).unwrap();
+        let titles: Vec<Value> = out.rows.into_iter().map(|r| r.values[0].clone()).collect();
+        (titles, out.scanned)
+    };
+    let text = |s: &str| Value::Text(s.into());
+    let cases = [
+        ("owner = 'bob'", vec![text("a"), text("c"), Value::Null]),
+        ("'bob' = owner", vec![text("a"), text("c"), Value::Null]),
+        ("owner = 'bob' AND title = 'c'", vec![text("c")]),
+        ("title = 'c' AND owner = 'bob'", vec![text("c")]),
+        ("owner = 'bob' AND title != 'a'", vec![text("c")]),
+        ("owner = 'bob' AND owner = 'amy'", vec![]),
+    ];
+    for (filter, titles) in cases {
+        let sql = format!("SELECT title FROM posts WHERE {filter}");
+        assert_eq!(select(&sql), (titles, 3), "{sql}");
+    }
+    let affected = |sql: &str| run(&w, &w.bob, &w.bob_rows, sql).unwrap().affected;
+    assert_eq!(affected("UPDATE posts SET title = 'z' WHERE owner = 'bob' AND title = 'a'"), 1);
+    assert_eq!(affected("DELETE FROM posts WHERE owner = 'bob' AND title = 'c'"), 1);
+    assert_eq!(select("SELECT title FROM posts WHERE owner = 'bob'"), (vec![text("z"), Value::Null], 2));
+    assert_eq!(select("SELECT title FROM posts WHERE owner = 'amy'"), (vec![text("b")], 1));
+}
+
 #[test]
 fn hostile_range_windows_answer_literally_and_never_panic() {
     let reg = Arc::new(TagRegistry::new());

@@ -59,7 +59,9 @@ fn arb_op() -> impl Strategy<Value = StoreOp> {
             id: (null % 8 != 7).then_some(id),
             v,
         }),
-        (any::<bool>(), key()).prop_map(|(stranger, id)| StoreOp::Point { stranger, id }),
+        (any::<bool>(), key(), any::<bool>(), 0i64..1000).prop_map(|(stranger, id, and_v, below)| {
+            StoreOp::Point { stranger, id, below: and_v.then_some(below) }
+        }),
         (any::<bool>(), end(), end())
             .prop_map(|(stranger, lo, hi)| StoreOp::Window { stranger, lo, hi }),
         (any::<bool>(), 0i64..900, 1i64..300)
