@@ -350,7 +350,7 @@ fn attack_covert_channel_never_exports_the_count() {
     // w5-store test `read_protected_rows_are_invisible_and_uncountable`.
     let w = world();
     assert_eq!(upload_test_photo(&w.p, &w.bob, "bit", 4), 200);
-    let (_, blocked_before, _) = w.p.exporter.stats();
+    let blocked_before = w.p.exporter.stats_view().blocked;
 
     // Receiver baseline: no tainted rows ⇒ plain "0".
     let r = invoke(&w, Some(&w.carol), "mal/covert", "GET", "recv", &[]);
@@ -377,7 +377,7 @@ fn attack_covert_channel_never_exports_the_count() {
     assert!(!String::from_utf8_lossy(&r.body).contains('1'), "count must not leak");
 
     // Every probe left an audit trail for the provider.
-    let (_, blocked_after, _) = w.p.exporter.stats();
+    let blocked_after = w.p.exporter.stats_view().blocked;
     assert!(blocked_after >= blocked_before + 2, "blocks are audited");
     let log = w.p.exporter.audit_log();
     assert!(log.iter().any(|e| !e.allowed && e.app == "mal/covert"));

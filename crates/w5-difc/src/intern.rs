@@ -142,7 +142,7 @@ pub fn intern(label: &Label) -> LabelId {
 }
 
 /// Counters for the id table and the zero-privilege flow test (they feed
-/// `w5bench` and the observability snapshot).
+/// `w5bench`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct InternStats {
     /// Distinct labels interned so far.

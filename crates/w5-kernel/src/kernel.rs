@@ -115,7 +115,7 @@ pub struct SpawnSpec {
 
 /// Flow-decision counters, for the evaluation harnesses. Serializable
 /// so lockdep reports can name the operation mix active when an
-/// acquisition edge was recorded (`w5_obs::Snapshot` on [`Kernel`]).
+/// acquisition edge was recorded ([`Kernel::stats`] is lock-free).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct KernelStats {
     /// Messages checked for delivery.
@@ -654,7 +654,9 @@ impl Kernel {
             .count()
     }
 
-    /// Flow-decision counters.
+    /// Flow-decision counters. Lock-free (relaxed atomics), so lockdep
+    /// context providers and sim harnesses can sample the live operation
+    /// mix while the process-table lock is held elsewhere.
     pub fn stats(&self) -> KernelStats {
         KernelStats {
             sends_checked: self.shared.sends_checked.load(Ordering::Relaxed),
@@ -712,17 +714,6 @@ impl Kernel {
     /// Does `pid` effectively hold the capability?
     pub fn holds(&self, pid: ProcessId, cap: Capability) -> KernelResult<bool> {
         self.view(pid, |p| self.shared.registry.effectively_holds(&p.caps, cap))
-    }
-}
-
-/// The kernel's counter snapshot is entirely lock-free (relaxed atomics),
-/// so lockdep context providers and sim harnesses can sample the live
-/// operation mix while the process-table lock is held elsewhere.
-impl w5_obs::Snapshot for Kernel {
-    type View = KernelStats;
-
-    fn snapshot(&self) -> KernelStats {
-        self.stats()
     }
 }
 

@@ -200,18 +200,19 @@ impl std::fmt::Debug for PipelineConfig {
 const RETRY_AFTER_FLOOR: u64 = 1;
 
 /// Counters for shed/charge decisions; cheap enough to keep always-on.
+/// Read through [`PipelineStats::snapshot`].
 #[derive(Debug, Default)]
 pub struct PipelineStats {
     /// Requests admitted (given a slot at once, or queued for one).
-    pub admitted: AtomicU64,
+    admitted: AtomicU64,
     /// Requests shed at admission (queue or class table full).
-    pub shed: AtomicU64,
+    shed: AtomicU64,
     /// Requests refused by the resource container (either charge point).
-    pub quota_denied: AtomicU64,
+    quota_denied: AtomicU64,
     /// Responses completed by handlers.
-    pub served: AtomicU64,
+    served: AtomicU64,
     /// Handler panics converted to 500s.
-    pub panics: AtomicU64,
+    panics: AtomicU64,
 }
 
 /// A point-in-time stats snapshot.

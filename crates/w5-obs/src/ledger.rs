@@ -27,6 +27,7 @@ use crate::event::{CheckOp, Event, EventKind, Layer};
 use crate::histogram::{Histogram, HistogramSummary};
 use crate::label::ObsLabel;
 use crate::trace::{redact_spans, sample_decision, SpanRecord, TraceView};
+use crate::{fnv1a, FNV_OFFSET};
 use w5_sync::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -379,49 +380,25 @@ impl Ledger {
     /// digest; the chaos harness uses this to prove that a fault schedule
     /// replays bit-identically from its seed, tracing included.
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(FNV_PRIME);
-            }
-        }
         let mut h = FNV_OFFSET;
-        mix(&mut h, &self.events_recorded().to_le_bytes());
+        fnv1a(&mut h, &self.events_recorded().to_le_bytes());
         let agg = self.aggregate();
         for (layer, count) in agg.events.iter().chain(agg.denied.iter()) {
-            mix(&mut h, layer.as_bytes());
-            mix(&mut h, &count.to_le_bytes());
+            fnv1a(&mut h, layer.as_bytes());
+            fnv1a(&mut h, &count.to_le_bytes());
         }
         let ring = self.ring.lock();
         for e in ring.iter() {
-            mix(&mut h, &e.seq.to_le_bytes());
-            for tag in e.secrecy.iter() {
-                mix(&mut h, &tag.to_le_bytes());
-            }
-            // EventKind serializes to JSON with a stable field order.
-            let kind = serde_json::to_string(&e.kind).expect("event kinds always serialize");
-            mix(&mut h, kind.as_bytes());
+            fold_event(&mut h, e.seq, e);
         }
         drop(ring);
-        mix(&mut h, &self.spans_recorded().to_le_bytes());
+        fnv1a(&mut h, &self.spans_recorded().to_le_bytes());
         for (layer, counter) in Layer::ALL.iter().zip(&self.span_counters) {
-            mix(&mut h, layer.name().as_bytes());
-            mix(&mut h, &counter.load(Ordering::Relaxed).to_le_bytes());
+            fnv1a(&mut h, layer.name().as_bytes());
+            fnv1a(&mut h, &counter.load(Ordering::Relaxed).to_le_bytes());
         }
-        let spans = self.spans.lock();
-        for s in spans.iter() {
-            mix(&mut h, &s.trace.to_le_bytes());
-            mix(&mut h, &s.id.to_le_bytes());
-            mix(&mut h, &s.parent.unwrap_or(0).to_le_bytes());
-            mix(&mut h, s.name.as_bytes());
-            mix(&mut h, s.layer.name().as_bytes());
-            for tag in s.secrecy.iter() {
-                mix(&mut h, &tag.to_le_bytes());
-            }
-            // Deliberately NOT start_us/end_us: wall time is the one
-            // thing a bit-identical replay cannot reproduce.
+        for s in self.spans.lock().iter() {
+            fold_span(&mut h, s);
         }
         h
     }
@@ -437,42 +414,16 @@ impl Ledger {
     /// thread-per-connection engine never does — while the handler-visible
     /// event stream must still match event for event.
     pub fn digest_where(&self, keep: impl Fn(&EventKind) -> bool) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(FNV_PRIME);
-            }
-        }
         let mut h = FNV_OFFSET;
         let ring = self.ring.lock();
-        let mut reissued = 0u64;
-        for e in ring.iter() {
-            if !keep(&e.kind) {
-                continue;
-            }
-            // Dense re-issue, exactly like a redacted view: the original
-            // seq would count the excluded events.
-            mix(&mut h, &reissued.to_le_bytes());
-            reissued += 1;
-            for tag in e.secrecy.iter() {
-                mix(&mut h, &tag.to_le_bytes());
-            }
-            let kind = serde_json::to_string(&e.kind).expect("event kinds always serialize");
-            mix(&mut h, kind.as_bytes());
+        // Dense re-issue, exactly like a redacted view: the original seq
+        // would count the excluded events.
+        for (reissued, e) in ring.iter().filter(|e| keep(&e.kind)).enumerate() {
+            fold_event(&mut h, reissued as u64, e);
         }
         drop(ring);
-        let spans = self.spans.lock();
-        for s in spans.iter() {
-            mix(&mut h, &s.trace.to_le_bytes());
-            mix(&mut h, &s.id.to_le_bytes());
-            mix(&mut h, &s.parent.unwrap_or(0).to_le_bytes());
-            mix(&mut h, s.name.as_bytes());
-            mix(&mut h, s.layer.name().as_bytes());
-            for tag in s.secrecy.iter() {
-                mix(&mut h, &tag.to_le_bytes());
-            }
+        for s in self.spans.lock().iter() {
+            fold_span(&mut h, s);
         }
         h
     }
@@ -516,6 +467,31 @@ impl Ledger {
         let floor = |n: u64| n - n % QUANTUM;
         *published = Some(self.totals().map(|(events, denied)| (floor(events), floor(denied))));
         self.published_at.store(now.max(1), Ordering::Relaxed);
+    }
+}
+
+/// A digest's fold of one ring event: `seq` as the caller numbers it, the
+/// secrecy tags, and the kind as JSON (stable field order).
+fn fold_event(h: &mut u64, seq: u64, e: &Event) {
+    fnv1a(h, &seq.to_le_bytes());
+    for tag in e.secrecy.iter() {
+        fnv1a(h, &tag.to_le_bytes());
+    }
+    let kind = serde_json::to_string(&e.kind).expect("event kinds always serialize");
+    fnv1a(h, kind.as_bytes());
+}
+
+/// A digest's fold of one span's structure. Deliberately NOT
+/// `start_us`/`end_us`: wall time is the one thing a bit-identical replay
+/// cannot reproduce.
+fn fold_span(h: &mut u64, s: &SpanRecord) {
+    fnv1a(h, &s.trace.to_le_bytes());
+    fnv1a(h, &s.id.to_le_bytes());
+    fnv1a(h, &s.parent.unwrap_or(0).to_le_bytes());
+    fnv1a(h, s.name.as_bytes());
+    fnv1a(h, s.layer.name().as_bytes());
+    for tag in s.secrecy.iter() {
+        fnv1a(h, &tag.to_le_bytes());
     }
 }
 

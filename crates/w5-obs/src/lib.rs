@@ -30,14 +30,12 @@ pub mod event;
 pub mod histogram;
 pub mod label;
 pub mod ledger;
-pub mod snapshot;
 pub mod trace;
 
 pub use event::{CheckOp, Event, EventKind, Layer};
 pub use histogram::{Histogram, HistogramSummary};
 pub use label::ObsLabel;
 pub use ledger::{Aggregate, Check, Ledger, LedgerView};
-pub use snapshot::{snapshot_json, Snapshot};
 pub use trace::{SpanRecord, TraceContext, TraceView, TRACE_HEADER};
 
 use std::cell::RefCell;
@@ -82,6 +80,18 @@ pub fn scoped(ledger: Arc<Ledger>) -> ScopedLedger {
 
 fn current() -> Option<Arc<Ledger>> {
     SCOPED.with(|s| s.borrow().last().cloned())
+}
+
+/// The 64-bit FNV-1a offset basis: the state before any byte is folded.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into a 64-bit FNV-1a state. The ledger digests and the
+/// trace sampler share this one mixer, so their values are pinned together.
+pub(crate) fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
 }
 
 /// Record an event into the current ledger (this thread's scoped ledger if

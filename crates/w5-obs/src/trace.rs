@@ -83,13 +83,8 @@ impl TraceContext {
 /// xor the seed, compared against a threshold (`rate * u64::MAX`). Pure,
 /// so replaying a chaos schedule replays the same decisions.
 pub fn sample_decision(trace: u64, seed: u64, threshold: u64) -> bool {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for &b in &(trace ^ seed).to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
+    let mut h = crate::FNV_OFFSET;
+    crate::fnv1a(&mut h, &(trace ^ seed).to_le_bytes());
     h <= threshold
 }
 

@@ -23,7 +23,6 @@ use w5_sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use w5_difc::{LabelPair, Tag};
-use w5_obs::Snapshot;
 
 /// How one tag was cleared.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,20 +61,9 @@ pub struct AuditEntry {
     pub secrecy_tags: Vec<Tag>,
 }
 
-/// Perimeter throughput counters.
-#[derive(Debug, Default)]
+/// Perimeter throughput counters, read through [`Exporter::stats_view`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct PerimeterStats {
-    /// Responses checked.
-    pub checked: AtomicU64,
-    /// Responses blocked.
-    pub blocked: AtomicU64,
-    /// Individual declassifier consultations.
-    pub declassifier_calls: AtomicU64,
-}
-
-/// Serializable snapshot of [`PerimeterStats`].
-#[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct PerimeterStatsView {
     /// Responses checked.
     pub checked: u64,
     /// Responses blocked.
@@ -84,20 +72,11 @@ pub struct PerimeterStatsView {
     pub declassifier_calls: u64,
 }
 
-impl Snapshot for PerimeterStats {
-    type View = PerimeterStatsView;
-    fn snapshot(&self) -> PerimeterStatsView {
-        PerimeterStatsView {
-            checked: self.checked.load(Ordering::Relaxed),
-            blocked: self.blocked.load(Ordering::Relaxed),
-            declassifier_calls: self.declassifier_calls.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// The exporter. One per platform instance.
 pub struct Exporter {
-    stats: PerimeterStats,
+    checked: AtomicU64,
+    blocked: AtomicU64,
+    declassifier_calls: AtomicU64,
     /// Audit ring: oldest entries evicted from the front in O(1).
     audit: Mutex<VecDeque<AuditEntry>>,
     /// Cap on retained audit entries (ring semantics).
@@ -114,7 +93,9 @@ impl Exporter {
     /// A fresh exporter.
     pub fn new() -> Exporter {
         Exporter {
-            stats: PerimeterStats::default(),
+            checked: AtomicU64::new(0),
+            blocked: AtomicU64::new(0),
+            declassifier_calls: AtomicU64::new(0),
             audit: Mutex::new("platform.perimeter", VecDeque::new()),
             audit_cap: 10_000,
         }
@@ -139,7 +120,7 @@ impl Exporter {
         oracle: &dyn RelationshipOracle,
     ) -> ExportDecision {
         let started = std::time::Instant::now();
-        self.stats.checked.fetch_add(1, Ordering::Relaxed);
+        self.checked.fetch_add(1, Ordering::Relaxed);
         let _span = w5_obs::span(
             "platform.export_check",
             w5_obs::Layer::Platform,
@@ -170,7 +151,7 @@ impl Exporter {
                 let secrecy = w5_obs::ObsLabel::singleton(tag.raw());
                 for name in policy.granted_for(app) {
                     if let Some(verdict) = declassifiers.consult(name, &ctx, oracle, &secrecy) {
-                        self.stats.declassifier_calls.fetch_add(1, Ordering::Relaxed);
+                        self.declassifier_calls.fetch_add(1, Ordering::Relaxed);
                         if verdict == Verdict::Allow {
                             return Some(Clearance::Declassifier { name: name.to_string() });
                         }
@@ -186,7 +167,7 @@ impl Exporter {
 
         let allowed = blocked.is_empty();
         if !allowed {
-            self.stats.blocked.fetch_add(1, Ordering::Relaxed);
+            self.blocked.fetch_add(1, Ordering::Relaxed);
         }
         {
             let mut audit = self.audit.lock();
@@ -215,18 +196,13 @@ impl Exporter {
         ExportDecision { allowed, cleared, blocked }
     }
 
-    /// Counter snapshot: (checked, blocked, declassifier calls).
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.stats.checked.load(Ordering::Relaxed),
-            self.stats.blocked.load(Ordering::Relaxed),
-            self.stats.declassifier_calls.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Serializable counter snapshot.
-    pub fn stats_view(&self) -> PerimeterStatsView {
-        self.stats.snapshot()
+    /// Counter snapshot.
+    pub fn stats_view(&self) -> PerimeterStats {
+        PerimeterStats {
+            checked: self.checked.load(Ordering::Relaxed),
+            blocked: self.blocked.load(Ordering::Relaxed),
+            declassifier_calls: self.declassifier_calls.load(Ordering::Relaxed),
+        }
     }
 
     /// Recent audit entries (most recent last).
@@ -303,8 +279,8 @@ mod tests {
         );
         assert!(!d.allowed);
         assert_eq!(d.blocked, vec![w.bob.export_tag]);
-        let (checked, blocked, _) = w.exporter.stats();
-        assert_eq!((checked, blocked), (1, 1));
+        let stats = w.exporter.stats_view();
+        assert_eq!((stats.checked, stats.blocked), (1, 1));
     }
 
     #[test]
@@ -453,7 +429,7 @@ mod tests {
         let apps: Vec<&str> = log.iter().map(|e| e.app.as_str()).collect();
         assert_eq!(apps, ["devA/app4", "devA/app5", "devA/app6"]);
         // Counters see every check despite eviction.
-        assert_eq!(exporter.stats().0, 7);
+        assert_eq!(exporter.stats_view().checked, 7);
     }
 
     #[test]
@@ -471,8 +447,8 @@ mod tests {
         let view = w.exporter.stats_view();
         assert_eq!(view.checked, 1);
         assert_eq!(view.blocked, 1);
-        let json = w5_obs::snapshot_json(&w.exporter.stats).unwrap();
-        let back: PerimeterStatsView = serde_json::from_str(&json).unwrap();
+        let json = serde_json::to_string(&w.exporter.stats_view()).unwrap();
+        let back: PerimeterStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back, view);
     }
 

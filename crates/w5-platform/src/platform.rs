@@ -73,37 +73,15 @@ pub struct InvokeResult {
     pub sanitized: Option<SanitizeStats>,
 }
 
-/// Aggregate platform counters.
-#[derive(Debug, Default)]
+/// Aggregate platform counters, read through [`Platform::stats_view`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct PlatformStats {
-    /// Application invocations.
-    pub invocations: AtomicU64,
-    /// Invocations whose export was blocked.
-    pub exports_blocked: AtomicU64,
-    /// Application faults.
-    pub faults: AtomicU64,
-}
-
-/// Serializable snapshot of [`PlatformStats`].
-#[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct PlatformStatsView {
     /// Application invocations.
     pub invocations: u64,
     /// Invocations whose export was blocked.
     pub exports_blocked: u64,
     /// Application faults.
     pub faults: u64,
-}
-
-impl w5_obs::Snapshot for PlatformStats {
-    type View = PlatformStatsView;
-    fn snapshot(&self) -> PlatformStatsView {
-        PlatformStatsView {
-            invocations: self.invocations.load(Ordering::Relaxed),
-            exports_blocked: self.exports_blocked.load(Ordering::Relaxed),
-            faults: self.faults.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// One W5 provider instance.
@@ -134,10 +112,11 @@ pub struct Platform {
     pub exporter: Exporter,
     /// Configuration.
     pub config: PlatformConfig,
-    /// Counters.
-    pub stats: PlatformStats,
+    invocations: AtomicU64,
+    exports_blocked: AtomicU64,
+    faults: AtomicU64,
     impls: RwLock<HashMap<String, Arc<dyn W5App>>>,
-    faults: Mutex<std::collections::VecDeque<FaultReport>>,
+    fault_log: Mutex<std::collections::VecDeque<FaultReport>>,
 }
 
 impl Platform {
@@ -191,9 +170,11 @@ impl Platform {
             policies: PolicyStore::new(),
             exporter: Exporter::new(),
             config,
-            stats: PlatformStats::default(),
+            invocations: AtomicU64::new(0),
+            exports_blocked: AtomicU64::new(0),
+            faults: AtomicU64::new(0),
             impls: RwLock::with_index("platform.impl", 0, HashMap::new()),
-            faults: Mutex::with_index("platform.impl", 1, std::collections::VecDeque::new()),
+            fault_log: Mutex::with_index("platform.impl", 1, std::collections::VecDeque::new()),
         })
     }
 
@@ -281,7 +262,7 @@ impl Platform {
         app_key: &str,
         request: AppRequest,
     ) -> InvokeResult {
-        self.stats.invocations.fetch_add(1, Ordering::Relaxed);
+        self.invocations.fetch_add(1, Ordering::Relaxed);
         let invoke_started = std::time::Instant::now();
         // Child of the gateway's HTTP root span when reached over the wire,
         // a fresh trace root when driven directly (benchmarks, tests). The
@@ -455,7 +436,7 @@ impl Platform {
             &oracle,
         );
         if !decision.allowed {
-            self.stats.exports_blocked.fetch_add(1, Ordering::Relaxed);
+            self.exports_blocked.fetch_add(1, Ordering::Relaxed);
             let mut r = error_result(403, "export blocked by data owner's policy");
             r.labels = labels;
             r.export = Some(decision);
@@ -484,8 +465,8 @@ impl Platform {
     }
 
     pub(crate) fn record_fault(&self, report: FaultReport) {
-        self.stats.faults.fetch_add(1, Ordering::Relaxed);
-        let mut faults = self.faults.lock();
+        self.faults.fetch_add(1, Ordering::Relaxed);
+        let mut faults = self.fault_log.lock();
         if faults.len() >= 10_000 {
             faults.pop_front();
         }
@@ -494,13 +475,16 @@ impl Platform {
 
     /// Fault reports retained for developers (already label-scrubbed).
     pub fn fault_reports(&self) -> Vec<FaultReport> {
-        self.faults.lock().iter().cloned().collect()
+        self.fault_log.lock().iter().cloned().collect()
     }
 
-    /// Serializable counter snapshot.
-    pub fn stats_view(&self) -> PlatformStatsView {
-        use w5_obs::Snapshot;
-        self.stats.snapshot()
+    /// Counter snapshot.
+    pub fn stats_view(&self) -> PlatformStats {
+        PlatformStats {
+            invocations: self.invocations.load(Ordering::Relaxed),
+            exports_blocked: self.exports_blocked.load(Ordering::Relaxed),
+            faults: self.faults.load(Ordering::Relaxed),
+        }
     }
 
     /// Build an [`AppRequest`] from decomposed parts (gateway + tests).

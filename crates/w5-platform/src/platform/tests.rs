@@ -1,4 +1,6 @@
 use super::*;
+use crate::perimeter::{Clearance, PerimeterStats};
+use crate::{ApiError, CreateLabels, GrantScope};
 use w5_store::sql::parse;
 
 #[test]
@@ -58,4 +60,100 @@ fn a_refused_trusted_statement_is_a_fault_report_not_a_panic() {
     // And the perimeter's question about a table that is gone is a "no".
     assert!(!p.oracle().are_friends("bob", "alice"));
     assert!(!p.oracle().are_friends("bob", "carol"));
+}
+
+/// Stores one note per user (`write`), renders anyone's (`read`), panics
+/// on `crash`; any other action is an error result.
+struct Notes;
+
+impl W5App for Notes {
+    fn handle(&self, req: &AppRequest, api: &mut PlatformApi<'_>) -> Result<AppResponse, ApiError> {
+        match req.action.as_str() {
+            "write" => {
+                let owner = api.viewer().ok_or(ApiError::Denied)?.to_string();
+                api.create_file(
+                    &format!("/notes/{owner}"),
+                    Bytes::from("note"),
+                    CreateLabels::ViewerData,
+                )?;
+                Ok(AppResponse::text("saved"))
+            }
+            "read" => {
+                let data = api.read_file(&format!("/notes/{}", req.param("user").unwrap_or("")))?;
+                Ok(AppResponse::text(String::from_utf8_lossy(&data).into_owned()))
+            }
+            "crash" => panic!("boom"),
+            _ => Err(ApiError::NotFound),
+        }
+    }
+
+    fn source_lines(&self) -> usize {
+        16
+    }
+}
+
+#[test]
+fn counters_match_the_invocations_they_count() {
+    let p = Platform::new_default("counters");
+    p.apps
+        .publish(AppManifest {
+            name: "notes".into(),
+            developer: "devA".into(),
+            version: 1,
+            description: "notes".into(),
+            module_slots: vec![],
+            imports: vec![],
+            forked_from: None,
+            source: None,
+        })
+        .unwrap();
+    p.install_app("devA/notes", Arc::new(Notes));
+    let bob = p.accounts.register("bob", "pw").unwrap();
+    let alice = p.accounts.register("alice", "pw").unwrap();
+    let carol = p.accounts.register("carol", "pw").unwrap();
+    p.policies.grant_declassifier(bob.id, "friends-only", GrantScope::App("devA/notes".into()));
+    p.add_friend("bob", "alice");
+
+    let call = |viewer: Option<&Account>, app: &str, action: &str, params: &[(&str, &str)]| {
+        let req = Platform::make_request("GET", action, params, viewer, Bytes::new());
+        p.invoke(viewer, app, req)
+    };
+    let bobs = [("user", "bob")];
+    // Refused inside the app (no write delegation yet): a fault, not an export block.
+    let mut results = vec![call(Some(&bob), "devA/notes", "write", &[])];
+    p.policies.delegate_write(bob.id, "devA/notes");
+    results.extend([
+        call(Some(&bob), "devA/notes", "write", &[]), // allowed, public reply
+        call(Some(&bob), "devA/notes", "read", &bobs), // owner session clears
+        call(Some(&alice), "devA/notes", "read", &bobs), // friends-only allows
+        call(Some(&carol), "devA/notes", "read", &bobs), // friends-only refuses
+        call(None, "devA/notes", "read", &bobs),      // friends-only refuses
+        call(Some(&alice), "devA/notes", "crash", &[]),
+        call(Some(&alice), "devA/notes", "nope", &[]),
+        call(Some(&alice), "devA/missing", "read", &[]), // 404 before launch
+    ]);
+
+    let count =
+        |pred: &dyn Fn(&InvokeResult) -> bool| results.iter().filter(|r| pred(r)).count() as u64;
+    let checked = count(&|r| r.export.is_some());
+    let blocked = count(&|r| r.export.as_ref().is_some_and(|d| !d.allowed));
+    let faults = count(&|r| r.fault.is_some());
+    // Bob's one grant is put to every tag the owner session does not clear.
+    let consulted: usize = results
+        .iter()
+        .filter_map(|r| r.export.as_ref())
+        .map(|d| {
+            let declassified = d.cleared.iter().filter(|(_, c)| c != &Clearance::OwnerSession);
+            d.blocked.len() + declassified.count()
+        })
+        .sum();
+    assert_eq!((checked, blocked, consulted, faults), (5, 2, 3, 3), "the mix covers every outcome");
+    assert_eq!(
+        p.stats_view(),
+        PlatformStats { invocations: results.len() as u64, exports_blocked: blocked, faults }
+    );
+    assert_eq!(
+        p.exporter.stats_view(),
+        PerimeterStats { checked, blocked, declassifier_calls: consulted as u64 }
+    );
 }

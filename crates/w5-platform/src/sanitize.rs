@@ -27,28 +27,6 @@ impl SanitizeStats {
     }
 }
 
-/// Serializable snapshot of [`SanitizeStats`].
-#[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct SanitizeStatsView {
-    /// `<script>…</script>` elements removed.
-    pub scripts_removed: u64,
-    /// `on*=` attributes removed.
-    pub handlers_removed: u64,
-    /// `javascript:` URLs neutralized.
-    pub js_urls_removed: u64,
-}
-
-impl w5_obs::Snapshot for SanitizeStats {
-    type View = SanitizeStatsView;
-    fn snapshot(&self) -> SanitizeStatsView {
-        SanitizeStatsView {
-            scripts_removed: self.scripts_removed as u64,
-            handlers_removed: self.handlers_removed as u64,
-            js_urls_removed: self.js_urls_removed as u64,
-        }
-    }
-}
-
 /// [`sanitize_html`] plus a ledger record: the run is labeled with the
 /// secrecy of the response being scrubbed, since removal counts are a
 /// function of (possibly secret) document content.

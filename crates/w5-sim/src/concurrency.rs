@@ -253,7 +253,7 @@ impl Oracle for KernelOracle {
     /// provider must be, so it can run mid-acquisition.
     fn lock_context(k: &Kernel) -> Option<Box<lockdep::ContextFn>> {
         let k = k.clone();
-        Some(Box::new(move || w5_obs::snapshot_json(&k).unwrap_or_default()))
+        Some(Box::new(move || serde_json::to_string(&k.stats()).unwrap_or_default()))
     }
 }
 

@@ -64,8 +64,8 @@ fn main() {
     let s = run(&p, &bob, "mal/exfiltrator", "steal", &secret_path);
     println!("bob using the evil app on his own data: {s} (owner session clears)");
 
-    let (checked, blocked, _) = p.exporter.stats();
-    println!("\nperimeter audit: {checked} exports checked, {blocked} blocked");
+    let stats = p.exporter.stats_view();
+    println!("\nperimeter audit: {} exports checked, {} blocked", stats.checked, stats.blocked);
     println!("every blocked attempt is in the provider's audit log:");
     for e in p.exporter.audit_log().iter().filter(|e| !e.allowed).take(5) {
         println!("  viewer={:?} app={} tags={:?}", e.viewer, e.app, e.secrecy_tags);

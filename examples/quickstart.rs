@@ -66,7 +66,10 @@ fn main() {
     let resp = client.get(addr, "/app/devB/blog/read?user=bob&title=hello").unwrap();
     println!("after public-read grant: {} ({} bytes)", resp.status.0, resp.body.len());
 
-    let (checked, blocked, calls) = platform.exporter.stats();
-    println!("\nperimeter: {checked} exports checked, {blocked} blocked, {calls} declassifier consultations");
+    let stats = platform.exporter.stats_view();
+    println!(
+        "\nperimeter: {} exports checked, {} blocked, {} declassifier consultations",
+        stats.checked, stats.blocked, stats.declassifier_calls
+    );
     server.shutdown();
 }

@@ -76,6 +76,6 @@ fn main() {
     let (s, _) = invoke(&p, &carol, "devB/blog", "GET", "read", &[("user", "alice"), ("title", "jazz night")]);
     println!("carol reads alice's post:        {s} (not her friend)");
 
-    let (checked, blocked, _) = p.exporter.stats();
-    println!("\nperimeter: {checked} checks, {blocked} blocked");
+    let stats = p.exporter.stats_view();
+    println!("\nperimeter: {} checks, {} blocked", stats.checked, stats.blocked);
 }

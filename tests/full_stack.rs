@@ -40,7 +40,7 @@ fn workload_over_http_is_consistent() {
         .map(|a| login(&client, addr, &a.username))
         .collect();
 
-    let before = platform.stats.invocations.load(std::sync::atomic::Ordering::Relaxed);
+    let before = platform.stats_view().invocations;
     let reqs = generate(&world, MixWeights::default(), 300, 5);
     let (mut ok, mut forbidden) = (0u32, 0u32);
     for r in &reqs {
@@ -71,7 +71,7 @@ fn workload_over_http_is_consistent() {
     }
     assert_eq!(ok + forbidden, 300);
     assert!(ok > 150, "most of the friendly mix should succeed: ok={ok}");
-    let after = platform.stats.invocations.load(std::sync::atomic::Ordering::Relaxed);
+    let after = platform.stats_view().invocations;
     assert_eq!(after - before, 300, "every HTTP request became exactly one app launch");
     // No kernel process leaks: every instance was reaped.
     assert_eq!(platform.kernel.live_processes(), 0);
