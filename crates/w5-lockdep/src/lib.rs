@@ -1,6 +1,6 @@
 //! # w5-lockdep — lock-order certification for the W5 synchronization layer
 //!
-//! W5's locks span every layer from the accept thread to the ledger, and
+//! W5's locks span every layer from the connection threads to the ledger, and
 //! several classes are multi-instance (registry meta/global, ledger
 //! rings) under a lower-index-first rule that
 //! nothing but review used to enforce. This crate makes the
@@ -134,7 +134,7 @@ impl Manifest {
         Manifest {
             classes: vec![
                 class!("test.fixture", 1, "test-local scaffolding (channel handles, probes)"),
-                class!("net.accept", 10, "HTTP server accept-thread join handle"),
+                class!("net.accept", 10, "HTTP server listener-closed receiver"),
                 class!("net.dns", 12, "DNS record table"),
                 class!("net.dns_thread", 13, "DNS refresher join handle"),
                 class!("net.pipeline", 14, "pipeline scheduler state — handler slots + DRR ticket queues"),

@@ -18,8 +18,9 @@
 //!   queues, a deficit-round-robin permit scheduler bounding concurrent
 //!   handlers, and an [`Admission`] hook that charges kernel resource
 //!   containers at the socket boundary.
-//! * [`server`] — the TCP front end (accept loop, keep-alive, graceful
-//!   shutdown) over the [`Serve`] trait; [`Server`] runs the pipeline.
+//! * [`server`] — the TCP front end (a self-sizing pool of connection
+//!   threads on one listener, keep-alive, graceful shutdown) over the
+//!   [`Serve`] trait; [`Server`] runs the pipeline.
 //! * [`client`] — a blocking client used by the experiment harnesses and by
 //!   provider-to-provider federation.
 //!
@@ -27,10 +28,12 @@
 //! robustness over cleverness — a small number of obvious state machines,
 //! explicit limits on every input (header count, line length, body size),
 //! and no unbounded allocation driven by peer-controlled values. There is
-//! deliberately no async runtime: a thread-per-connection front end
-//! whose handlers take one of a fixed number of slots keeps the trusted
-//! computing base legible, and the experiments measure platform overhead,
-//! not connection-scaling limits.
+//! deliberately no async runtime: each open connection has a thread of
+//! its own, drawn from a pool that reuses threads across connections and
+//! holds at most `max_connections + 1`, and handlers take one of a fixed
+//! number of slots. That keeps the trusted computing base legible, and
+//! the experiments measure platform overhead, not connection-scaling
+//! limits.
 
 #![forbid(unsafe_code)]
 

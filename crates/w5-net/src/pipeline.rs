@@ -27,7 +27,7 @@
 //! 5. **Charge (response)** — response bytes are charged before the body
 //!    is released; a denial withholds the body and answers 429.
 //!
-//! The connection front end (accept loop, keep-alive, parsing) reaches
+//! The connection front end (accepting, keep-alive, parsing) reaches
 //! the engine through the [`Serve`] trait, so a harness can put the bare
 //! handler behind the same loop: `w5_sim::netdiff` proves the pipeline
 //! request/response equivalent to that with a four-arm differential
@@ -381,16 +381,15 @@ impl Pipeline {
                 let (grant, granted) = sync_channel(1);
                 let id = st.next_ticket_id;
                 st.next_ticket_id += 1;
-                if !st.queues.contains_key(&key) {
-                    st.order.push_back(key.clone());
+                st.depth += 1;
+                let SchedState { queues, order, .. } = &mut *st;
+                let q = queues.entry(key.clone()).or_insert_with(|| {
+                    order.push_back(key.clone());
                     // A class enters holding its quantum: entering empty
                     // would send it to the back once more on its first
                     // visit, behind the flooder it was already waiting on.
-                    let deficit = self.config.quantum;
-                    st.queues.insert(key.clone(), ClassQueue { tickets: VecDeque::new(), deficit });
-                }
-                st.depth += 1;
-                let q = st.queues.get_mut(&key).expect("just inserted");
+                    ClassQueue { tickets: VecDeque::new(), deficit: self.config.quantum }
+                });
                 q.tickets.push_back(Ticket { id, grant });
                 Placement::Wait { id, granted, depth: q.tickets.len() }
             }
@@ -514,17 +513,16 @@ impl Serve for Pipeline {
 fn next_ticket(st: &mut SchedState, quantum: u64) -> Option<Ticket> {
     while let Some(key) = st.order.pop_front() {
         let Some(q) = st.queues.get_mut(&key) else { continue };
-        if q.tickets.is_empty() {
-            st.queues.remove(&key);
-            continue;
-        }
-        if q.deficit == 0 {
+        if q.deficit == 0 && !q.tickets.is_empty() {
             q.deficit = quantum;
             st.order.push_back(key);
             continue;
         }
+        let Some(ticket) = q.tickets.pop_front() else {
+            st.queues.remove(&key);
+            continue;
+        };
         q.deficit -= 1;
-        let ticket = q.tickets.pop_front().expect("checked non-empty");
         st.depth -= 1;
         if q.tickets.is_empty() {
             q.deficit = 0;

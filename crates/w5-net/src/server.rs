@@ -1,11 +1,11 @@
 //! Threaded HTTP front end with keep-alive and graceful shutdown.
 //!
-//! One OS thread per connection parses, runs the request through a
-//! [`Serve`] engine, and answers with one socket write. [`Server`] runs the
-//! staged [`Pipeline`](crate::pipeline::Pipeline) (admission, per-class
-//! queues, a bound on concurrent handlers). Shutdown flips an atomic flag
-//! and unblocks the accept loop by connecting to itself — no busy-wait, no
-//! platform-specific listener tricks.
+//! Connection threads share one listener: a thread accepts, spawns a
+//! successor only if no other thread waits in `accept`, serves the
+//! connection through a [`Serve`] engine (one socket write per response),
+//! and goes back to `accept`. [`Server`] runs the staged
+//! [`Pipeline`](crate::pipeline::Pipeline). Shutdown raises a flag and
+//! connects to itself; each woken thread wakes the next — no busy-wait.
 
 use crate::http::{buf_reader, write_once, HttpError, Limits, Request, Response, Status};
 use crate::pipeline::{fault_line, OpenAdmission, Pipeline, PipelineConfig, Serve};
@@ -13,8 +13,7 @@ use w5_sync::{lockdep, Mutex};
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Arc, Weak};
 use std::time::Duration;
 
 /// A request handler. Receives the parsed request and the peer address;
@@ -59,50 +58,37 @@ impl Default for ServerConfig {
 
 /// A running server; dropping the handle does *not* stop it — call
 /// [`ServerHandle::shutdown`].
-pub struct ServerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Mutex<Option<JoinHandle<()>>>,
-    active: Arc<AtomicUsize>,
-    served: Arc<AtomicUsize>,
-    engine: Arc<dyn Serve>,
-}
+pub struct ServerHandle(Arc<Pool>);
 
 impl ServerHandle {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr
     }
 
     /// Total requests served so far.
     pub fn requests_served(&self) -> usize {
-        self.served.load(Ordering::Relaxed)
+        self.0.served.load(Ordering::Relaxed)
     }
 
     /// Connections currently being handled.
     pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
+        self.0.active.load(Ordering::Relaxed)
     }
 
-    /// Stop accepting, wait for the accept loop to exit, then stop the
+    /// Stop accepting, wait until the listener is closed, then stop the
     /// engine (the pipeline refuses new requests; queued ones still get
     /// their slot). In-flight connections finish their current request
     /// and close.
     pub fn shutdown(&self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
+        if self.0.stop.swap(true, Ordering::SeqCst) {
             return; // already stopped
         }
-        // Unblock accept() with a wake-up connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_thread.lock().take() {
-            let _ = h.join();
-        }
-        self.engine.stop();
-    }
-
-    /// The engine serving requests (shared with the accept loop).
-    pub fn engine(&self) -> Arc<dyn Serve> {
-        Arc::clone(&self.engine)
+        // Wake one thread out of accept(); each passes the wake-up on, and
+        // `closed` disconnects when the last one lets go of the socket.
+        let _ = TcpStream::connect(self.0.addr);
+        let _ = self.0.closed.lock().recv();
+        self.0.engine.stop();
     }
 }
 
@@ -112,7 +98,7 @@ impl ServerHandle {
 pub struct Server;
 
 impl Server {
-    /// Bind and serve on a background thread through a
+    /// Bind and serve on background threads through a
     /// [`Pipeline`](crate::pipeline::Pipeline) with the default
     /// [`PipelineConfig`] and classify-only admission. `addr` may use port
     /// 0 to let the OS pick; read the effective address from the returned
@@ -132,73 +118,102 @@ impl Server {
         config: ServerConfig,
         engine: Arc<dyn Serve>,
     ) -> std::io::Result<ServerHandle> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
-        let served = Arc::new(AtomicUsize::new(0));
-
-        let accept_stop = Arc::clone(&stop);
-        let accept_active = Arc::clone(&active);
-        let accept_served = Arc::clone(&served);
-        let accept_engine = Arc::clone(&engine);
-        let accept_thread = std::thread::Builder::new()
-            .name("w5-http-accept".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if accept_stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let stream = match conn {
-                        Ok(s) => s,
-                        Err(_) => continue,
-                    };
-                    if accept_active.load(Ordering::Relaxed) >= config.max_connections {
-                        let _ = overloaded(stream);
-                        continue;
-                    }
-                    let guard = ConnGuard::new(&accept_active);
-                    let engine = Arc::clone(&accept_engine);
-                    let config = config.clone();
-                    let served = Arc::clone(&accept_served);
-                    let stop = Arc::clone(&accept_stop);
-                    // If the spawn fails the closure is dropped unrun, the
-                    // guard releases the slot, and the counter stays
-                    // balanced — an early leak here turned every later
-                    // connection into a permanent 503.
-                    let _ = std::thread::Builder::new()
-                        .name("w5-http-conn".into())
-                        .spawn(move || {
-                            let _guard = guard;
-                            let _ = serve_connection(stream, &config, &*engine, &served, &stop);
-                        });
-                }
-            })?;
-
-        Ok(ServerHandle {
-            addr: local,
-            stop,
-            accept_thread: Mutex::new("net.accept", Some(accept_thread)),
-            active,
-            served,
+        let (closed_tx, closed) = mpsc::channel();
+        let listener: Arc<Listener> = Arc::new((TcpListener::bind(addr)?, closed_tx));
+        let pool = Arc::new(Pool {
+            addr: listener.0.local_addr()?,
+            config,
             engine,
-        })
+            stop: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            served: AtomicUsize::new(0),
+            idle: AtomicUsize::new(1),
+            listener: Arc::downgrade(&listener),
+            closed: Mutex::new("net.accept", closed),
+        });
+        pool.spawn(listener)?;
+        Ok(ServerHandle(pool))
     }
 }
 
-/// An occupied connection slot. Incremented on accept; the `Drop` impl
-/// releases it, so the count balances whether the connection thread runs
-/// to completion or the spawn fails and the closure is dropped unrun.
-struct ConnGuard(Arc<AtomicUsize>);
+/// The socket, and the sender whose drop disconnects `Pool::closed`.
+type Listener = (TcpListener, mpsc::Sender<()>);
 
-impl ConnGuard {
-    fn new(active: &Arc<AtomicUsize>) -> ConnGuard {
-        active.fetch_add(1, Ordering::Relaxed);
-        ConnGuard(Arc::clone(active))
+/// What the connection threads and the handle share.
+struct Pool {
+    addr: SocketAddr,
+    config: ServerConfig,
+    engine: Arc<dyn Serve>,
+    stop: AtomicBool,
+    active: AtomicUsize,
+    served: AtomicUsize,
+    /// Threads holding `listener` to accept on it: ≥ 1 until shutdown. A
+    /// thread is idle or holds a slot, and one is spawned only when none
+    /// is idle, so there are at most `max_connections + 1`.
+    idle: AtomicUsize,
+    listener: Weak<Listener>,
+    closed: Mutex<mpsc::Receiver<()>>,
+}
+
+impl Pool {
+    /// Start a connection thread, detached: `shutdown` waits for the
+    /// socket to close, not for connections still being served.
+    fn spawn(self: &Arc<Self>, listener: Arc<Listener>) -> std::io::Result<()> {
+        let pool = Arc::clone(self);
+        std::thread::Builder::new()
+            .name("w5-http-conn".into())
+            .spawn(move || pool.run(listener))
+            .map(drop)
+    }
+
+    /// One connection thread: accept, hand its place on, serve, come back.
+    fn run(self: Arc<Self>, mut listener: Arc<Listener>) {
+        while !self.stop.load(Ordering::SeqCst) {
+            let Ok((stream, _)) = listener.0.accept() else { continue };
+            if self.stop.load(Ordering::SeqCst) {
+                break;
+            }
+            // The last idle thread hands its place on; if no thread can be
+            // spawned, the connection is shed like an overload.
+            let Some(slot) = ConnGuard::take(&self.active, self.config.max_connections)
+                .filter(|_| {
+                    let update = |n: usize| (n > 1).then(|| n - 1);
+                    self.idle.fetch_update(Ordering::SeqCst, Ordering::SeqCst, update).is_ok()
+                        || self.spawn(Arc::clone(&listener)).is_ok()
+                })
+            else {
+                let _ = overloaded(stream);
+                continue;
+            };
+            drop(listener);
+            let _ = serve_connection(stream, &self.config, &*self.engine, &self.served, &self.stop);
+            // Idle again before the slot goes back, which keeps the bound.
+            let Some(rejoined) = self.listener.upgrade() else { return }; // shut down
+            self.idle.fetch_add(1, Ordering::SeqCst);
+            listener = rejoined;
+            drop(slot);
+        }
+        // Shutdown: wake the next idle thread, then let go of the socket.
+        if self.idle.fetch_sub(1, Ordering::SeqCst) > 1 {
+            let _ = TcpStream::connect(self.addr);
+        }
     }
 }
 
-impl Drop for ConnGuard {
+/// An occupied connection slot. The `Drop` impl releases it, so the count
+/// balances on every path, an unwinding engine included.
+struct ConnGuard<'a>(&'a AtomicUsize);
+
+impl ConnGuard<'_> {
+    /// A slot, if fewer than `max` are taken.
+    fn take(active: &AtomicUsize, max: usize) -> Option<ConnGuard<'_>> {
+        let update = |n: usize| (n < max).then_some(n + 1);
+        active.fetch_update(Ordering::Relaxed, Ordering::Relaxed, update).ok()?;
+        Some(ConnGuard(active))
+    }
+}
+
+impl Drop for ConnGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::Relaxed);
     }
@@ -327,6 +342,12 @@ mod tests {
     use super::*;
     use crate::client::HttpClient;
     use crate::http::Method;
+
+    impl ConnGuard<'_> {
+        fn new(active: &AtomicUsize) -> ConnGuard<'_> {
+            ConnGuard::take(active, usize::MAX).expect("an unbounded slot")
+        }
+    }
 
     fn echo_server() -> ServerHandle {
         Server::start(
@@ -503,6 +524,59 @@ mod tests {
         drop(tx);
         let resp = HttpClient::new().get(h.addr(), "/again").unwrap();
         assert_eq!(resp.status, Status::OK);
+        h.shutdown();
+    }
+
+    #[test]
+    fn silent_clients_hold_slots_but_not_the_server() {
+        use std::io::Read;
+        let read_timeout = Duration::from_secs(5);
+        let config = ServerConfig { max_connections: 4, read_timeout, ..ServerConfig::default() };
+        let h = Server::start(
+            "127.0.0.1:0",
+            config,
+            Arc::new(|req: Request, _peer: SocketAddr| Response::text(req.path)),
+        )
+        .unwrap();
+        let settle = |n: usize| {
+            for _ in 0..2000 {
+                if h.active_connections() == n {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(h.active_connections(), n);
+        };
+
+        // Three peers connect and say nothing; each holds a slot and a
+        // thread blocked in its read.
+        let mut silent: Vec<TcpStream> =
+            (0..3).map(|_| TcpStream::connect(h.addr()).unwrap()).collect();
+        settle(3);
+        // An honest client beside them is answered at once, not after
+        // anyone's read timeout.
+        let started = std::time::Instant::now();
+        let resp = HttpClient::new().with_timeout(read_timeout).get(h.addr(), "/honest").unwrap();
+        assert_eq!(resp.status, Status::OK);
+        assert_eq!(resp.body_string(), "/honest");
+        assert!(started.elapsed() < read_timeout / 5, "took {:?}", started.elapsed());
+        settle(3);
+
+        // A fourth silent peer takes the last slot: the next client gets
+        // the 503 and then EOF.
+        silent.push(TcpStream::connect(h.addr()).unwrap());
+        settle(4);
+        let mut rejected = TcpStream::connect(h.addr()).unwrap();
+        rejected.write_all(b"GET /x HTTP/1.1\r\n\r\n").unwrap();
+        rejected.set_read_timeout(Some(read_timeout)).unwrap();
+        let mut buf = Vec::new();
+        rejected.read_to_end(&mut buf).expect("socket must reach EOF after the 503");
+        assert!(buf.starts_with(b"HTTP/1.1 503"), "got: {}", String::from_utf8_lossy(&buf));
+
+        // The silent peers leave; every slot comes back.
+        drop(silent);
+        settle(0);
+        assert_eq!(HttpClient::new().get(h.addr(), "/after").unwrap().status, Status::OK);
         h.shutdown();
     }
 
