@@ -46,7 +46,7 @@ pub mod wire;
 pub use caps::{CapSet, Capability, Privilege};
 pub use endpoint::Endpoint;
 pub use error::{DifcError, DifcResult};
-pub use intern::{InternStats, LabelId, PairId, PairIdHasher, PairIdMap};
+pub use intern::InternStats;
 pub use label::Label;
 pub use registry::{TagMeta, TagRegistry};
 pub use rules::{can_flow, can_flow_with, labels_for_read, labels_for_write, safe_change, FlowCheck};
@@ -87,13 +87,6 @@ impl LabelPair {
     /// vouches for.
     pub fn is_public(&self) -> bool {
         self.secrecy.is_empty() && self.integrity.is_empty()
-    }
-
-    /// Intern both halves; the returned [`PairId`] compares and hashes in a
-    /// few integer operations. For the store only: the id table never
-    /// shrinks (see [`intern`]).
-    pub fn interned(&self) -> PairId {
-        PairId::intern(self)
     }
 }
 

@@ -1,11 +1,10 @@
 //! Differential tests: the shipping label layer vs the naive reference.
 //!
-//! [`w5_difc::Label`] runs its set algebra on an inline/heap sorted set
-//! and [`w5_difc::intern`] hands the store opaque ids for label pairs;
-//! [`naive`] retains the plain `Vec<Tag>` implementations with neither.
-//! For arbitrary labels — generated across the inline/heap boundary — the
-//! two must agree *exactly*: a divergence means a label compared, combined
-//! or resolved to the wrong set, which is a security bug.
+//! [`w5_difc::Label`] runs its set algebra on an inline/heap sorted set;
+//! [`naive`] retains the plain `Vec<Tag>` implementations. For arbitrary
+//! labels — generated across the inline/heap boundary — the two must agree
+//! *exactly*: a divergence means a label compared or combined to the wrong
+//! set, which is a security bug.
 //!
 //! The same properties also run under an armed `w5-chaos` fault storm.
 //! The label layer deliberately fires no chaos sites (determinism — see
@@ -15,11 +14,9 @@
 mod naive;
 
 use proptest::prelude::*;
-use w5_difc::{intern, rules, CapSet, Capability, DifcError, FlowCheck, Label, LabelPair, PairId, Tag};
+use w5_difc::{rules, CapSet, Capability, DifcError, FlowCheck, Label, LabelPair, Tag};
 
 fn arb_label() -> impl Strategy<Value = Label> {
-    // Raw tag ids in a dedicated range so this test cannot collide with
-    // labels interned by other tests sharing the process-global table.
     proptest::collection::vec(900_000_001u64..900_000_064, 0..12)
         .prop_map(|ids| Label::from_iter(ids.into_iter().map(Tag::from_raw)))
 }
@@ -57,16 +54,13 @@ fn naive_pair(pair: &LabelPair) -> naive::Pair {
     (tags(&pair.secrecy), tags(&pair.integrity))
 }
 
-/// Assert every label and id-table operation against its naive
-/// counterpart for one generated triple of labels.
+/// Assert every label operation against its naive counterpart for one
+/// generated triple of labels.
 fn check_agreement(a: &Label, b: &Label, c: &Label) -> Result<(), TestCaseError> {
     let (ta, tb) = (tags(a), tags(b));
-    let (ia, ib) = (intern::intern(a), intern::intern(b));
 
-    // Interning is stable and injective on canonical sets, and resolves.
-    prop_assert_eq!(intern::intern(a), ia);
-    prop_assert_eq!(ia == ib, a == b);
-    prop_assert_eq!(ia.resolve(), a.clone());
+    // Equality is equality of the canonical sets.
+    prop_assert_eq!(a == b, ta == tb);
 
     // The label algebra, 0 to 11 tags a side.
     prop_assert_eq!(a.is_subset(b), naive::subset(&ta, &tb));
@@ -78,12 +72,10 @@ fn check_agreement(a: &Label, b: &Label, c: &Label) -> Result<(), TestCaseError>
     // can_flow (the unprivileged rule is exactly subset).
     prop_assert_eq!(w5_difc::can_flow(a, b), naive::can_flow(&ta, &tb));
 
-    // Pair combine, by id and by value: secrecy unions, integrity
-    // intersects.
+    // Pair combine: secrecy unions, integrity intersects.
     let pa = LabelPair::new(a.clone(), c.clone());
     let pb = LabelPair::new(b.clone(), a.clone());
-    let combined = PairId::intern(&pa).combine(PairId::intern(&pb)).resolve();
-    prop_assert_eq!(&combined, &pa.combine(&pb));
+    let combined = pa.combine(&pb);
     prop_assert_eq!(tags(&combined.secrecy), naive::union(&ta, &tb));
     prop_assert_eq!(tags(&combined.integrity), naive::intersect(&tags(c), &ta));
     Ok(())

@@ -1,8 +1,8 @@
 //! The retained naive reference implementation of label algebra.
 //!
 //! Plain `Vec<Tag>` sets, rebuilt and re-sorted on every operation, no
-//! inline representation, no sharing, no ids. `intern_differential.rs`
-//! checks the shipping `Label` algebra, the id table and the flow rules —
+//! inline representation, no sharing. `label_differential.rs` checks the
+//! shipping `Label` algebra and the flow rules —
 //! the read and write rules as set formulas, apart from the shipping
 //! predicates — against these functions under proptest-generated tag sets; any
 //! divergence is a soundness bug in the shipping code, full stop.

@@ -94,7 +94,7 @@ impl LabelDict {
     }
 
     /// The dictionary index for `pair`, encoding it on first sight.
-    pub fn intern(&mut self, pair: &LabelPair) -> u32 {
+    pub fn label_ref(&mut self, pair: &LabelPair) -> u32 {
         if let Some(&ix) = self.index.get(pair) {
             return ix;
         }
@@ -191,9 +191,9 @@ mod tests {
         let pa = LabelPair::new(Label::singleton(Tag::from_raw(11)), Label::singleton(Tag::from_raw(12)));
         let pb = LabelPair::public();
         let mut dict = LabelDict::new();
-        let r0 = dict.intern(&pa);
-        let r1 = dict.intern(&pb);
-        let r2 = dict.intern(&pa);
+        let r0 = dict.label_ref(&pa);
+        let r1 = dict.label_ref(&pb);
+        let r2 = dict.label_ref(&pa);
         assert_eq!(r0, r2, "same pair, same index");
         assert_ne!(r0, r1);
         let mut rec = ExportRecord::new("/x", 1, b"1");

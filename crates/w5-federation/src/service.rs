@@ -69,7 +69,7 @@ impl FederationService {
                             s.add_secrecy(meta.labels.secrecy.to_obs());
                         }
                         let mut rec = ExportRecord::new(&meta.path, meta.version, &data);
-                        rec.label_ref = Some(dict.intern(&meta.labels));
+                        rec.label_ref = Some(dict.label_ref(&meta.labels));
                         records.push(rec);
                     }
                 }

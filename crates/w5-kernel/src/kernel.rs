@@ -15,8 +15,7 @@
 //! sections are short: the dominant send shape asks the zero-privilege
 //! question of the two processes' labels as they stand
 //! ([`rules::can_flow_unprivileged`], an allocation-free merge) and defers
-//! its ledger write until the guard has dropped. The kernel never interns
-//! a label: an app chooses its labels, and the id table never shrinks.
+//! its ledger write until the guard has dropped.
 //!
 //! Flow-decision counters ([`KernelStats`]) are relaxed atomics outside
 //! the lock: exact totals, no ordering claims between counters, readable
@@ -525,11 +524,11 @@ impl Kernel {
         // Charge the sender's network/IPC budget.
         let size = payload.len() as u64;
         let s_secrecy = s_labels.secrecy.clone();
-        let charged = procs
-            .get_mut(&from)
-            .expect("sender checked above")
-            .container
-            .charge_network(size);
+        // Both were checked live above under this guard: the `else`s are unreachable.
+        let Some(sender) = procs.get_mut(&from) else {
+            return Err(KernelError::NoSuchProcess(from));
+        };
+        let charged = sender.container.charge_network(size);
         if let Err(e) = charged {
             drop(procs);
             if fast_ok {
@@ -538,7 +537,9 @@ impl Kernel {
             return Err(e.into());
         }
         let msg = Message { from, payload, labels: s_labels, grant };
-        let q = procs.get_mut(&to).expect("receiver checked above");
+        let Some(q) = procs.get_mut(&to) else {
+            return Err(KernelError::NoSuchProcess(to));
+        };
         q.mailbox.push_back(msg);
         if q.state == ProcessState::Blocked {
             q.state = ProcessState::Runnable;
@@ -863,6 +864,16 @@ mod tests {
             )
             .unwrap();
         assert_eq!(k.process_info(child).unwrap().parent, Some(a));
+        // Child under a read-protect tag: refused, only its owner holds t+.
+        let owner = mk(&k, "owner");
+        let r = k.create_tag(owner, TagKind::ReadProtect, "read:o").unwrap();
+        let locked = SpawnSpec {
+            name: "locked".into(),
+            labels: LabelPair::new(Label::from_iter([e, r]), Label::empty()),
+            grant: CapSet::empty(),
+            limits: ResourceLimits::unlimited(),
+        };
+        assert!(matches!(k.spawn(a, locked), Err(KernelError::Difc(_))));
 
         // Child granted caps the parent holds: fine.
         let mut g = CapSet::empty();
@@ -950,6 +961,7 @@ mod tests {
         assert_eq!(k.charge(a, ResourceKind::Memory, 1), dead);
         assert_eq!(k.release_memory(a, 1), dead);
         assert_eq!(k.check_write(a, &LabelPair::public()), dead);
+        assert_eq!(k.taint_for_read(a, &LabelPair::public()), dead);
 
         // The post-mortem views still answer, and nothing above moved them.
         assert_eq!(k.caps(a).unwrap(), caps);
@@ -966,8 +978,16 @@ mod tests {
         let e = k.create_tag(owner, TagKind::ExportProtect, "export:o").unwrap();
         let data = LabelPair::new(Label::singleton(e), Label::empty());
 
-        // Reading taints.
+        // Reading taints, and reading again what the label covers changes
+        // nothing.
         k.taint_for_read(app, &data).unwrap();
+        assert_eq!(k.labels(app).unwrap().secrecy, Label::singleton(e));
+        k.taint_for_read(app, &data).unwrap();
+        assert_eq!(k.labels(app).unwrap().secrecy, Label::singleton(e));
+        // Read-protected data it holds no t+ for: refused, labels kept.
+        let r = k.create_tag(owner, TagKind::ReadProtect, "read:o").unwrap();
+        let locked = LabelPair::new(Label::from_iter([e, r]), Label::empty());
+        assert!(matches!(k.taint_for_read(app, &locked), Err(KernelError::Difc(_))));
         assert_eq!(k.labels(app).unwrap().secrecy, Label::singleton(e));
         // Tainted app cannot write public objects.
         assert!(k.check_write(app, &LabelPair::public()).is_err());

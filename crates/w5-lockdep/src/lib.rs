@@ -154,7 +154,6 @@ impl Manifest {
                 class!("store.partition", 50, "SQL store label-partitioned table map"),
                 class!("store.fs", 52, "labeled in-memory filesystem tree"),
                 class!("difc.registry", 60, "tag metadata + global capability set (meta=0, global=1)"),
-                class!("difc.intern", 62, "label id table (ids handed to the store)"),
                 class!("chaos.injector", 80, "fault-injector schedule state"),
                 class!("obs.ledger", 90, "flow ledger rings (ring=0, latencies=1, published=2, spans=3)"),
             ],
@@ -716,7 +715,7 @@ mod tests {
         run.edges.push(w5_sync::lockdep::ObservedEdge {
             held: "obs.ledger".into(),
             held_index: 0,
-            acquired: "difc.intern".into(),
+            acquired: "difc.registry".into(),
             acquired_index: 0,
             site: "x.rs:1".into(),
             allowed: false,
@@ -725,7 +724,7 @@ mod tests {
         });
         let dot = to_dot(&Manifest::workspace(), &run);
         assert!(dot.contains("digraph w5locks"));
-        assert!(dot.contains("\"obs.ledger\" -> \"difc.intern\" [color=red"), "{dot}");
+        assert!(dot.contains("\"obs.ledger\" -> \"difc.registry\" [color=red"), "{dot}");
         assert!(dot.contains("\"fixture.alpha\" [style=dashed"), "{dot}");
     }
 

@@ -346,7 +346,7 @@ impl Gateway {
             .fault_reports()
             .iter()
             .filter(|r| app.is_empty() || r.app == app)
-            .map(|r| format!("\"{}\"", r.to_log_line().replace('"', "'")))
+            .map(|r| json_str(&r.to_log_line()))
             .collect();
         Response::json(format!("[{}]", lines.join(",")))
     }
@@ -366,9 +366,9 @@ impl Gateway {
             .filter(|e| e.secrecy_tags.iter().any(|t| my_tags.contains(t)))
             .map(|e| {
                 format!(
-                    "{{\"viewer\":{},\"app\":\"{}\",\"allowed\":{}}}",
+                    "{{\"viewer\":{},\"app\":{},\"allowed\":{}}}",
                     e.viewer.map(|u| u.0 as i64).unwrap_or(-1),
-                    e.app,
+                    json_str(&e.app),
                     e.allowed
                 )
             })
@@ -430,7 +430,7 @@ impl Gateway {
         let hits: Vec<String> = search
             .search(&query, limit)
             .into_iter()
-            .map(|h| format!("{{\"app\":\"{}\",\"rank\":{:.6}}}", h.name, h.score))
+            .map(|h| format!("{{\"app\":{},\"rank\":{:.6}}}", json_str(&h.name), h.score))
             .collect();
         Response::json(format!("[{}]", hits.join(",")))
     }
@@ -443,12 +443,11 @@ impl Gateway {
             self.platform.name
         );
         for a in apps {
+            let key = html_escape(&a.key());
             html.push_str(&format!(
-                "<li><a href=\"/app/{}/\">{}</a> v{} — {}</li>",
-                a.key(),
-                a.key(),
+                "<li><a href=\"/app/{key}/\">{key}</a> v{} — {}</li>",
                 a.version,
-                a.description
+                html_escape(&a.description)
             ));
         }
         html.push_str("</ul></body></html>");
@@ -502,6 +501,18 @@ impl Handler for Gateway {
     fn handle(&self, request: Request, _peer: SocketAddr) -> Response {
         self.route(&request)
     }
+}
+
+/// `s` as a JSON string literal: the gateway's JSON carries names and
+/// descriptions that developers chose.
+fn json_str(s: &str) -> String {
+    serde_json::to_string(s).unwrap_or_else(|_| "\"\"".into())
+}
+
+/// `s` as HTML text or a quoted attribute value: the home page is
+/// platform-origin HTML that never passes the perimeter's sanitizer.
+fn html_escape(s: &str) -> String {
+    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;").replace('"', "&quot;").replace('\'', "&#39;")
 }
 
 /// Parse a `Cookie` header fragment (re-exported convenience for tests).

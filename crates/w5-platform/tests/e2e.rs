@@ -530,3 +530,59 @@ fn source_audit_and_code_search_routes() {
 
     server.shutdown();
 }
+
+#[test]
+fn developer_chosen_strings_stay_data_in_gateway_json_and_html() {
+    // The registry takes any developer, app name and description; the
+    // gateway's own JSON and HTML must carry them as data, not markup.
+    let platform = platform_with_notes();
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig::default(),
+        Arc::new(Gateway::new(Arc::clone(&platform))),
+    )
+    .unwrap();
+    let addr = server.addr();
+    let manifest = AppManifest {
+        name: "<script>x".into(),
+        developer: "dev\"\\".into(),
+        version: 1,
+        description: "\"}]<script>alert(1)</script>\\".into(),
+        module_slots: vec![],
+        imports: vec![],
+        forked_from: None,
+        source: None,
+    };
+    let key = manifest.key();
+    let body = serde_json::to_string(&manifest).unwrap();
+    let client = HttpClient::new();
+    let resp = client.post(addr, "/registry/publish", "application/json", body.as_bytes()).unwrap();
+    assert_eq!(resp.status, Status::OK, "{}", resp.body_string());
+    platform.install_app(&key, Arc::new(NotesApp));
+
+    let mut bob = TestClient::new(addr);
+    bob.signup("bob");
+    bob.post("/policy/delegate-write", "app=devA/notes");
+    assert_eq!(bob.post("/app/devA/notes/write", "text=private").status, Status::OK);
+    // Carol reads Bob's note through the hostile app: blocked, and the
+    // block lands in Bob's audit view. Then she crashes it.
+    let carol = platform.accounts.register("carol", "pw").unwrap();
+    let req = Platform::make_request("GET", "read", &[("user", "bob")], Some(&carol), Bytes::new());
+    assert_eq!(platform.invoke(Some(&carol), &key, req).status, 403);
+    let req = Platform::make_request("GET", "crash", &[], Some(&carol), Bytes::new());
+    assert_eq!(platform.invoke(Some(&carol), &key, req).status, 500);
+
+    let json = |path: &str| serde_json::from_str::<serde_json::Value>(&bob.get(path).body_string()).unwrap();
+    let app_of = |v: &serde_json::Value| v.as_obj().unwrap().iter().find(|(k, _)| k == "app").unwrap().1.clone();
+    let key_json = serde_json::Value::Str(key.clone());
+    assert_eq!(app_of(&json("/search?q=script").as_arr().unwrap()[0]), key_json);
+    let audit: Vec<_> = json("/audit").as_arr().unwrap().iter().map(app_of).collect();
+    assert_eq!(audit, [key_json]);
+    let faults = json("/dev/faults");
+    assert!(faults.as_arr().unwrap().iter().any(|l| l.as_str().unwrap().contains(&format!("app={key} "))));
+    let home = bob.get("/").body_string();
+    assert!(!home.contains("<script"), "{home}");
+    assert!(home.contains("&lt;script&gt;alert(1)&lt;/script&gt;"), "{home}");
+
+    server.shutdown();
+}

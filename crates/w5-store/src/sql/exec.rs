@@ -2,8 +2,8 @@
 //!
 //! Rows live in label partitions (see [`storage`](super::storage)), so
 //! visibility is decided **once per partition**, by one call of the flow
-//! rule on the label pair the partition holds (no id-table read, no memo,
-//! and the scan's verdicts reach the ledger as one ordered batch);
+//! rule on the label pair the partition holds (no memo, and the scan's
+//! verdicts reach the ledger as one ordered batch);
 //! unreadable partitions are skipped wholesale for a flat one-unit charge
 //! and never probed, and WHERE clauses on indexed columns are served from
 //! the readable partitions' ordered indexes via [`plan`](super::plan)
@@ -444,14 +444,10 @@ impl Database {
             }
             staged.push(values);
         }
-        // All rows validated: apply atomically. Only now is the label
-        // interned (the id table never shrinks, so a statement that stores
-        // nothing must not grow it) — once; every row stamps the same
-        // `Copy` id.
-        let insert_id = insert_labels.interned();
+        // All rows validated: apply atomically.
         let n = staged.len();
         for values in staged {
-            t.insert_row(insert_id, values);
+            t.insert_row(insert_labels, values);
         }
         Ok(QueryOutput { affected: n, ..empty_output() })
     }
@@ -752,7 +748,7 @@ fn join_tables(
             let mut values = Vec::with_capacity(out.columns.len());
             values.extend(lrow.values.iter().cloned());
             values.extend(rrow.values.iter().cloned());
-            out.insert_row(lpart.labels.combine(rpart.labels), values);
+            out.insert_row(&lpart.pair.combine(&rpart.pair), values);
         }
     }
     Ok(out)
@@ -786,14 +782,12 @@ fn validate_columns(
 
 /// Combined labels of the rows that contributed to a result, folded over
 /// the *distinct* partitions they came from, so the set algebra is bounded
-/// by partitions hit, not rows. The fold is over the label *values* the
-/// partitions hold: the WHERE clause picks the subset, so interning each
-/// union would let a read-only subject grow the never-freed id table by one
-/// entry per subset of partitions it can name.
+/// by partitions hit, not rows. A table's partitions hold distinct pairs,
+/// so deduplicating them by identity deduplicates their pairs exactly.
 fn combine_labels<'t>(parts: impl Iterator<Item = &'t Partition>) -> LabelPair {
     let mut distinct: Vec<&Partition> = parts.collect();
-    distinct.sort_unstable_by_key(|p| p.labels);
-    distinct.dedup_by_key(|p| p.labels);
+    distinct.sort_unstable_by_key(|p| *p as *const Partition);
+    distinct.dedup_by(|a, b| std::ptr::eq(*a, *b));
     let mut pairs = distinct.iter().map(|p| &p.pair);
     // Fold from the first pair, not from PUBLIC: integrity combines by
     // intersection, and an empty seed would erase every integrity claim.

@@ -1,11 +1,12 @@
 //! Label-partitioned table storage.
 //!
-//! A table's rows are grouped into **partitions keyed by their interned
-//! [`PairId`]**: every row in a partition carries exactly the same
-//! (secrecy, integrity) label pair. Visibility under DIFC is therefore a
-//! per-partition property — a query performs one flow check per partition,
-//! against the resolved [`LabelPair`] the partition keeps beside its id, and
-//! then either streams the partition wholesale or skips it wholesale.
+//! A table's rows are grouped into **partitions keyed by their
+//! [`LabelPair`]**: every row in a partition carries exactly the same
+//! (secrecy, integrity) label pair, and the partition holds that pair once.
+//! Visibility under DIFC is therefore a per-partition property — a query
+//! performs one flow check per partition, against the pair the partition
+//! holds, and then either streams the partition wholesale or skips it
+//! wholesale.
 //!
 //! Each partition additionally carries one **ordered index per indexed
 //! column** (see [`Index`]): a map from each distinct value to the ascending
@@ -23,9 +24,9 @@
 use super::value::{ColumnType, Value};
 use crate::sql::exec::QueryError;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
-use w5_difc::{LabelPair, PairId, PairIdMap};
+use w5_difc::LabelPair;
 
 /// A stored row: cell values plus the table-wide insertion sequence number.
 /// Scans are re-sorted by `seq` before ORDER BY / LIMIT /
@@ -117,13 +118,10 @@ impl Index {
     }
 }
 
-/// One label partition: the rows sharing one label pair — kept both as the
-/// interned id the directory routes by and as the resolved pair flow checks
-/// read — plus one index per indexed column (parallel to
-/// [`Table::indexed`]).
+/// One label partition: the rows sharing one label pair, the pair itself,
+/// and one index per indexed column (parallel to [`Table::indexed`]).
 #[derive(Clone, Debug)]
 pub(crate) struct Partition {
-    pub(crate) labels: PairId,
     pub(crate) pair: LabelPair,
     pub(crate) rows: Vec<StoredRow>,
     pub(crate) indexes: Vec<Index>,
@@ -134,8 +132,8 @@ pub(crate) struct Partition {
 pub(crate) struct Table {
     pub(crate) columns: Vec<(String, ColumnType)>,
     pub(crate) partitions: Vec<Partition>,
-    /// Partition directory: interned label pair → index into `partitions`.
-    pub(crate) by_label: PairIdMap<usize>,
+    /// Partition directory: label pair → index into `partitions`.
+    pub(crate) by_label: HashMap<LabelPair, usize>,
     /// Indexed column positions, in index-creation order;
     /// `Partition::indexes` is parallel to this vector.
     pub(crate) indexed: Vec<usize>,
@@ -185,22 +183,20 @@ impl Table {
     }
 
     /// Append one row, routing it to (or creating) its label partition and
-    /// maintaining every index. A new partition resolves its id once, here,
-    /// so no later flow check has to.
-    pub(crate) fn insert_row(&mut self, labels: PairId, values: Vec<Value>) {
+    /// maintaining every index. Only a new partition clones the pair.
+    pub(crate) fn insert_row(&mut self, labels: &LabelPair, values: Vec<Value>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let pi = match self.by_label.get(&labels) {
+        let pi = match self.by_label.get(labels) {
             Some(&i) => i,
             None => {
                 let i = self.partitions.len();
                 self.partitions.push(Partition {
-                    labels,
-                    pair: labels.resolve(),
+                    pair: labels.clone(),
                     rows: Vec::new(),
                     indexes: self.indexed.iter().map(|_| Index::default()).collect(),
                 });
-                self.by_label.insert(labels, i);
+                self.by_label.insert(labels.clone(), i);
                 i
             }
         };
@@ -230,7 +226,7 @@ impl Table {
         }
         self.partitions.retain(|p| !p.rows.is_empty());
         self.by_label =
-            self.partitions.iter().enumerate().map(|(i, p)| (p.labels, i)).collect();
+            self.partitions.iter().enumerate().map(|(i, p)| (p.pair.clone(), i)).collect();
     }
 }
 
@@ -307,10 +303,10 @@ mod tests {
 
     #[test]
     fn partitions_route_by_label_and_drop_when_empty() {
-        let a = PairId::PUBLIC;
+        let a = LabelPair::public();
         let mut t = Table::new(vec![("n".into(), ColumnType::Integer)]);
-        t.insert_row(a, vec![Value::Int(1)]);
-        t.insert_row(a, vec![Value::Int(2)]);
+        t.insert_row(&a, vec![Value::Int(1)]);
+        t.insert_row(&a, vec![Value::Int(2)]);
         assert_eq!(t.partitions.len(), 1);
         assert_eq!(t.partitions[0].pair, LabelPair::public());
         assert_eq!(t.row_count(), 2);

@@ -305,6 +305,61 @@ fn type_checking() {
 }
 
 #[test]
+fn failed_inserts_store_nothing() {
+    // An INSERT applies all of its rows or none, under labels no earlier
+    // statement used.
+    let w = world();
+    let both = w.bob_rows.combine(&w.alice_rows);
+    run(&w, &w.bob, &LabelPair::public(), "CREATE TABLE t (n INTEGER, s TEXT)").unwrap();
+    for sql in [
+        "INSERT INTO missing VALUES (1, 'x')",
+        "INSERT INTO t VALUES (1)",
+        "INSERT INTO t (n) VALUES (1, 2)",
+        "INSERT INTO t (nope) VALUES (1)",
+        "INSERT INTO t (n, s) VALUES ('oops', 'x')",
+        "INSERT INTO t VALUES (1, 'ok'), (2, 3)",
+    ] {
+        assert!(run(&w, &w.app, &both, sql).is_err(), "{sql} should fail");
+        assert_eq!(w.db.total_rows(), 0, "{sql} stored a row");
+    }
+    run(&w, &w.app, &both, "INSERT INTO t VALUES (1, 'ok')").unwrap();
+    assert_eq!(w.db.total_rows(), 1);
+}
+
+#[test]
+fn subset_selects_carry_exactly_the_picked_tags() {
+    // A SELECT's label is the union over the partitions that gave it rows,
+    // and the WHERE clause picks those: every multi-partition subset of ten
+    // partitions, read by a subject holding no capability.
+    let reg = TagRegistry::new();
+    let db = Database::new();
+    let exec = |subject: &Subject, labels: &LabelPair, sql: &str| {
+        db.execute(subject, QueryMode::Filtered, QueryCost::unlimited(), labels, sql).unwrap()
+    };
+    exec(&Subject::anonymous(), &LabelPair::public(), "CREATE TABLE t (k INTEGER)");
+    let tags: Vec<_> = (0..10)
+        .map(|k| {
+            let (tag, _) = reg.create_tag(TagKind::ExportProtect, &format!("subset:{k}"));
+            let pair = LabelPair::new(Label::singleton(tag), Label::empty());
+            exec(&Subject::anonymous(), &pair, &format!("INSERT INTO t VALUES ({k})"));
+            tag
+        })
+        .collect();
+    let reader = Subject::new(LabelPair::public(), reg.effective(&CapSet::empty()));
+    let subsets = (1u32..1 << 10).filter(|s| s.count_ones() >= 2);
+    for subset in subsets.clone() {
+        let picked: Vec<usize> = (0..10).filter(|k| subset & (1 << k) != 0).collect();
+        let clause: Vec<String> = picked.iter().map(|k| format!("k = {k}")).collect();
+        let out = exec(&reader, &LabelPair::public(), &format!("SELECT k FROM t WHERE {}", clause.join(" OR ")));
+        let keys: Vec<Value> = picked.iter().map(|&k| Value::Int(k as i64)).collect();
+        assert_eq!(out.rows.iter().map(|r| r.values[0].clone()).collect::<Vec<_>>(), keys);
+        let expected = Label::from_iter(picked.iter().map(|&k| tags[k]));
+        assert_eq!(out.labels, LabelPair::new(expected, Label::empty()), "{subset:b}");
+    }
+    assert_eq!(subsets.count(), 1013);
+}
+
+#[test]
 fn errors_for_missing_things() {
     let w = world();
     assert!(matches!(
@@ -461,6 +516,27 @@ fn join_labels_combine_and_filter() {
     let out = db.execute(&owner, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
         "SELECT COUNT(*) FROM l JOIN r2 ON l.k = r2.k").unwrap();
     assert_eq!(out.rows[0].values, vec![Value::Int(1)]);
+
+    // Integrity degrades across a join: a joined row vouches only for the
+    // claims both of its sources carry.
+    let (w1, mut caps) = reg.create_tag(TagKind::WriteProtect, "write:1");
+    let (w2, caps2) = reg.create_tag(TagKind::WriteProtect, "write:2");
+    caps.extend(&caps2);
+    let writer = Subject::new(LabelPair::public(), reg.effective(&caps));
+    let vouched = |tags: &[w5_difc::Tag]| LabelPair::new(Label::empty(), Label::from_iter(tags.iter().copied()));
+    for (subject, labels, sql) in [
+        (&owner, LabelPair::public(), "CREATE TABLE il (k INTEGER)"),
+        (&owner, LabelPair::public(), "CREATE TABLE ir (k INTEGER)"),
+        (&writer, vouched(&[w1, w2]), "INSERT INTO il VALUES (1)"),
+        (&writer, vouched(&[w2]), "INSERT INTO ir VALUES (1)"),
+    ] {
+        db.execute(subject, QueryMode::Filtered, QueryCost::unlimited(), &labels, sql).unwrap();
+    }
+    let out = db.execute(&stranger, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
+        "SELECT il.k FROM il JOIN ir ON il.k = ir.k").unwrap();
+    assert_eq!(out.rows.len(), 1);
+    assert_eq!(out.rows[0].labels, vouched(&[w2]), "the intersection of the sources' integrity");
+    assert_eq!(out.labels, vouched(&[w2]));
 }
 
 #[test]

@@ -31,7 +31,8 @@ fn live_platform_workload_certifies_against_the_manifest() {
     let rec = Arc::new(lockdep::Recorder::new());
     let run = {
         let _scope = lockdep::scoped(Arc::clone(&rec));
-        let k = Kernel::new(Arc::new(TagRegistry::new()));
+        let registry = Arc::new(TagRegistry::new());
+        let k = Kernel::new(Arc::clone(&registry));
         let mk = |name: &str| {
             k.create_process(
                 name,
@@ -60,19 +61,26 @@ fn live_platform_workload_certifies_against_the_manifest() {
 
         let db = w5_store::Database::new();
         let subject = w5_store::Subject::anonymous();
-        let exec = |sql: &str| {
+        let exec = |labels: &LabelPair, sql: &str| {
             db.execute(
                 &subject,
                 w5_store::QueryMode::Filtered,
                 w5_store::QueryCost::unlimited(),
-                &LabelPair::public(),
+                labels,
                 sql,
             )
             .unwrap()
         };
-        exec("CREATE TABLE t (id INTEGER, body TEXT)");
-        exec("INSERT INTO t (id, body) VALUES (1, 'x'), (2, 'y')");
-        exec("SELECT * FROM t WHERE id = 1");
+        let public = LabelPair::public();
+        exec(&public, "CREATE TABLE t (id INTEGER, body TEXT)");
+        exec(&public, "INSERT INTO t (id, body) VALUES (1, 'x'), (2, 'y')");
+        exec(&public, "SELECT * FROM t WHERE id = 1");
+        // A filtered SELECT that meets a partition its subject may not
+        // read: the scan hands the ledger its verdicts under the table lock.
+        let (locked, _) = registry.create_tag(TagKind::ReadProtect, "read:t");
+        let hidden = LabelPair::new(w5_difc::Label::singleton(locked), w5_difc::Label::empty());
+        exec(&hidden, "INSERT INTO t (id, body) VALUES (3, 'z')");
+        assert_eq!(exec(&public, "SELECT * FROM t WHERE id > 0").rows.len(), 2);
         rec.snapshot()
     };
 
