@@ -281,7 +281,8 @@ impl ConfigSnapshot {
     /// Capture the live configuration of a platform. Read-only with respect
     /// to all real state; declassifier probing uses synthetic identities.
     pub fn capture(p: &Platform) -> ConfigSnapshot {
-        let global = p.registry.global_bag();
+        // `Ô` is a rule over kinds: §3.1's export policy makes `t+` global,
+        // its write policy `t-`.
         let tags = p
             .registry
             .all_meta()
@@ -294,8 +295,8 @@ impl ConfigSnapshot {
                     TagKind::ReadProtect => "read".to_string(),
                 },
                 name: m.name,
-                global_plus: global.has_plus(m.tag),
-                global_minus: global.has_minus(m.tag),
+                global_plus: m.kind.plus_is_public(),
+                global_minus: m.kind.minus_is_public(),
             })
             .collect();
 

@@ -21,7 +21,7 @@ fn codes(report: &AuditReport) -> Vec<&str> {
 fn seed_rows(p: &Platform, table: &str, labels: &LabelPair, n: usize) {
     let trusted = Subject::new(
         LabelPair::public(),
-        p.registry.effective(&w5_difc::CapSet::empty()),
+        w5_difc::CapSet::empty(),
     );
     let _ = p.db.execute(
         &trusted,
@@ -179,7 +179,7 @@ fn w5a005_silent_on_write_protect_integrity() {
     let alice = p.accounts.register("alice", "pw").unwrap();
     // The normal shape: WriteProtect tag endorses, t+ is creator-held, so
     // the insert must act with the owner's capabilities.
-    let owner = Subject::new(LabelPair::public(), p.registry.effective(&alice.owner_caps));
+    let owner = Subject::new(LabelPair::public(), alice.owner_caps.clone());
     let _ = p.db.execute(
         &owner,
         QueryMode::Filtered,

@@ -324,7 +324,7 @@ pub fn covert_clear(platform: &Arc<Platform>) {
             }
         }
     }
-    let root = w5_store::Subject::new(w5_difc::LabelPair::public(), platform.registry.effective(&caps));
+    let root = w5_store::Subject::new(w5_difc::LabelPair::public(), caps.clone());
     let _ = platform.db.execute(
         &root,
         w5_store::QueryMode::Filtered,

@@ -313,7 +313,7 @@ fn attack_misrepresentation_is_detectable() {
     assert_eq!(upload_test_photo(&w.p, &w.bob, "real", 4), 200);
     let subject = w5_store::Subject::new(
         w5_difc::LabelPair::public(),
-        w.p.registry.effective(&w5_difc::CapSet::empty()),
+        w5_difc::CapSet::empty(),
     );
     let real = w.p.fs.stat(&subject, "/photos/bob/real").unwrap();
     let fake = w.p.fs.stat(&subject, "/photos/bob/planted.img").unwrap();

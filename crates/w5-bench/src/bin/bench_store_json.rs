@@ -180,8 +180,8 @@ fn main() {
             LabelPair::new(Label::singleton(t), Label::empty())
         })
         .collect();
-    let owner0 = Subject::new(LabelPair::public(), reg.effective(&owner_caps[0]));
-    let public_reader = Subject::new(LabelPair::public(), reg.effective(&CapSet::empty()));
+    let owner0 = Subject::new(LabelPair::public(), owner_caps[0].clone());
+    let public_reader = Subject::new(LabelPair::public(), CapSet::empty());
 
     const SHAPES: [&str; 3] = ["point_lookup", "label_skew", "range_scan"];
     let sizes: [usize; 2] = if short { [1_000, 10_000] } else { [1_000, 100_000] };

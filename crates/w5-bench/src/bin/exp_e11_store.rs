@@ -57,10 +57,10 @@ fn main() {
     ]);
 
     for &(rows, users) in &[(1_000usize, 1usize), (10_000, 1), (10_000, 10), (10_000, 100), (50_000, 100)] {
-        let db = Database::new();
         let reg = Arc::new(TagRegistry::new());
+        let db = Database::new().with_global(Arc::clone(&reg));
         build_db(&db, rows, users, &reg);
-        let reader = Subject::new(LabelPair::public(), reg.effective(&w5_difc::CapSet::empty()));
+        let reader = Subject::new(LabelPair::public(), w5_difc::CapSet::empty());
         for (mode_name, mode) in [("w5 filtered", QueryMode::Filtered), ("naive", QueryMode::Naive)] {
             let (iters, elapsed) = w5_bench::throughput(budget, || {
                 let out = db

@@ -106,7 +106,7 @@ fn main() {
         // Detectable: the planted file lacks bob's integrity tag.
         let anon = w5_store::Subject::new(
             w5_difc::LabelPair::public(),
-            w.p.registry.effective(&w5_difc::CapSet::empty()),
+            w5_difc::CapSet::empty(),
         );
         let fake = w.p.fs.stat(&anon, "/photos/bob/planted.img").unwrap();
         let w5 = if fake.labels.integrity.contains(w.bob.write_tag) {

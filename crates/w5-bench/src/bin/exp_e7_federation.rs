@@ -37,7 +37,7 @@ fn main() {
         // Populate provider A.
         let subject = Subject::new(
             w5_difc::LabelPair::public(),
-            a.registry.effective(&bob_a.owner_caps),
+            bob_a.owner_caps.clone(),
         );
         for i in 0..files {
             a.fs.create(

@@ -41,11 +41,11 @@ fn main() {
     let (secret_tag, owner_caps) = reg.create_tag(TagKind::ReadProtect, "read:victim");
     let sender = Subject::new(
         LabelPair::new(Label::singleton(secret_tag), Label::empty()),
-        reg.effective(&owner_caps),
+        owner_caps.clone(),
     );
-    let receiver = Subject::new(LabelPair::public(), reg.effective(&w5_difc::CapSet::empty()));
+    let receiver = Subject::new(LabelPair::public(), w5_difc::CapSet::empty());
 
-    let db = Database::new();
+    let db = Database::new().with_global(Arc::clone(&reg));
     let trusted = Subject::anonymous();
     db.execute(&trusted, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
         "CREATE TABLE signal (x INTEGER)").unwrap();

@@ -12,8 +12,8 @@
 //! the `e_u-` it exercises for the authenticated user `u`; data for other
 //! users simply cannot reach that endpoint.
 
-use crate::caps::CapSet;
 use crate::error::{DifcError, DifcResult};
+use crate::registry::Held;
 use crate::rules;
 use crate::LabelPair;
 
@@ -25,13 +25,14 @@ pub struct Endpoint {
 
 impl Endpoint {
     /// Create an endpoint for a process whose current labels are `proc_labels`
-    /// and whose *effective* capability set is `caps`.
+    /// and whose capabilities, global bag included, are `caps`.
     ///
     /// Validity (Flume §3.4): the process must be able to safely change its
     /// secrecy label to the endpoint's secrecy, and its integrity label to
     /// the endpoint's integrity. The check happens once, here; message-time
     /// checks are raw.
-    pub fn new(proc_labels: &LabelPair, caps: &CapSet, labels: LabelPair) -> DifcResult<Endpoint> {
+    pub fn new<'c>(proc_labels: &LabelPair, caps: impl Into<Held<'c>>, labels: LabelPair) -> DifcResult<Endpoint> {
+        let caps = caps.into();
         rules::safe_change(&proc_labels.secrecy, &labels.secrecy, caps).map_err(|_| {
             DifcError::InvalidEndpoint { reason: "secrecy gap not covered by capabilities" }
         })?;
@@ -81,6 +82,7 @@ impl Endpoint {
 mod tests {
     use super::*;
     use crate::label::Label;
+    use crate::caps::CapSet;
     use crate::registry::TagRegistry;
     use crate::tag::TagKind;
 
@@ -92,12 +94,12 @@ mod tests {
 
         // The exporter process is unlabeled but (for Bob's session) wields e_bob-.
         let exporter = LabelPair::public();
-        let eff = reg.effective(&bob_caps);
+        let eff = reg.held(&bob_caps);
         // Endpoint at S = {e_bob}: reachable because t+ is global (raise) and
         // t- is held (the exporter can come back down).
         let ep = Endpoint::new(
             &exporter,
-            &eff,
+            eff,
             LabelPair::new(Label::singleton(e_bob), Label::empty()),
         )
         .expect("session endpoint must validate");
@@ -120,25 +122,26 @@ mod tests {
     fn endpoint_requires_bridgeable_gap() {
         let reg = TagRegistry::new();
         let (e, _creator) = reg.create_tag(TagKind::ExportProtect, "export:x");
-        let anyone = reg.effective(&CapSet::empty());
+        let empty_bag = CapSet::empty();
+        let anyone = reg.held(&empty_bag);
         let proc = LabelPair::new(Label::singleton(e), Label::empty());
         // An unprivileged process at S={e} cannot open an S={} endpoint:
         // that would be an export channel.
         assert!(matches!(
-            Endpoint::new(&proc, &anyone, LabelPair::public()),
+            Endpoint::new(&proc, anyone, LabelPair::public()),
             Err(DifcError::InvalidEndpoint { .. })
         ));
         // It can open an S={e} endpoint.
-        assert!(Endpoint::new(&proc, &anyone, proc.clone()).is_ok());
+        assert!(Endpoint::new(&proc, anyone, proc.clone()).is_ok());
     }
 
     #[test]
     fn integrity_endpoint_claims_require_data_to_carry_them() {
         let reg = TagRegistry::new();
         let (w, bob) = reg.create_tag(TagKind::WriteProtect, "write:bob");
-        let eff = reg.effective(&bob);
+        let eff = reg.held(&bob);
         let proc = LabelPair::public();
-        let ep = Endpoint::new(&proc, &eff, LabelPair::new(Label::empty(), Label::singleton(w)))
+        let ep = Endpoint::new(&proc, eff, LabelPair::new(Label::empty(), Label::singleton(w)))
             .expect("endorser endpoint validates");
         // Sending unvouched data through a w-claiming endpoint is refused.
         assert!(ep.may_send(&LabelPair::public()).is_err());

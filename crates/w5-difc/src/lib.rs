@@ -10,11 +10,13 @@
 //!   carries a secrecy label `S` and an integrity label `I`.
 //! * [`Capability`] — `t+` (the right to add `t` to a label) or `t-` (the
 //!   right to remove it). [`CapSet`] is a bag of capabilities.
-//! * [`TagRegistry`] — allocates tags and maintains the *global bag* `Ô` of
-//!   capabilities everyone holds. Creating an **export-protection** tag puts
-//!   `t+` in the global bag (anyone may classify data under `t`) and hands
-//!   the creator `t-` (only they may declassify). A **write-protection** tag
-//!   is the dual: `t-` is global, the creator keeps `t+`.
+//! * [`TagRegistry`] — allocates tags and answers for the *global bag* `Ô`
+//!   of capabilities everyone holds. Creating an **export-protection** tag
+//!   puts `t+` in the global bag (anyone may classify data under `t`) and
+//!   hands the creator `t-` (only they may declassify). A
+//!   **write-protection** tag is the dual: `t-` is global, the creator keeps
+//!   `t+`. `Ô` is therefore a rule over tag kinds, not a stored set;
+//!   [`Held`] reads a private bag through it.
 //! * [`rules`] — safe label changes and flow checks between labeled entities.
 //! * [`Endpoint`] — Flume-style endpoints: per-channel label adjustments that
 //!   a process's privileges could legitimize, checked once at setup so the
@@ -48,7 +50,7 @@ pub use endpoint::Endpoint;
 pub use error::{DifcError, DifcResult};
 pub use intern::InternStats;
 pub use label::Label;
-pub use registry::{TagMeta, TagRegistry};
+pub use registry::{Held, TagMeta, TagRegistry};
 pub use rules::{can_flow, can_flow_with, labels_for_read, labels_for_write, safe_change, FlowCheck};
 pub use tag::{Tag, TagKind};
 

@@ -8,6 +8,12 @@
 //! integrity label `I_p` and effective capability set `O_p` (private bag ∪
 //! global bag). `O_p⁺` is the set of tags with `t+ ∈ O_p`, `O_p⁻` likewise.
 //!
+//! The rules never build `O_p`. They take a [`Held`] — the private bag and
+//! the registry whose kind rule *is* the global bag — and ask it one
+//! capability at a time: `t+ ∈ O_p ⇔ t+ ∈ private ∨ kind(t) = Export` and
+//! `t- ∈ O_p ⇔ t- ∈ private ∨ kind(t) = Write`. A bare `&CapSet` is a
+//! `Held` with no registry: exactly the capabilities it lists.
+//!
 //! * **Safe label change** `L → L'`: requires `(L' − L) ⊆ O⁺` and
 //!   `(L − L') ⊆ O⁻`.
 //! * **Secrecy flow** `p → q`: `S_p − O_p⁻ ⊆ S_q ∪ O_q⁺` — the sender may
@@ -21,19 +27,18 @@
 //!   `I_p ⊆ I_o ∪ O_p⁻`; the reader's labels become `S_p ∪ S_o`, `I_p ∩ I_o`.
 //! * **Write** (`p` writes `o`): `S_p ⊆ S_o ∪ O_p⁻` and `I_o ⊆ I_p ∪ O_p⁺`.
 
-use crate::caps::CapSet;
 use crate::error::{DifcError, DifcResult};
 use crate::label::Label;
+use crate::registry::Held;
 use crate::tag::Tag;
 use crate::LabelPair;
 use std::sync::atomic::{AtomicU64, Ordering};
 use w5_obs::CheckOp;
 
-/// Check a label change `from → to` against the capability set `caps`
-/// (which should already include the global bag; see
-/// [`crate::TagRegistry::effective`]).
-pub fn safe_change(from: &Label, to: &Label, caps: &CapSet) -> DifcResult<()> {
-    let result = safe_change_unobserved(from, to, caps);
+/// Check a label change `from → to` against the capabilities `caps` holds
+/// (pass [`crate::TagRegistry::held`] for the global bag to count).
+pub fn safe_change<'c>(from: &Label, to: &Label, caps: impl Into<Held<'c>>) -> DifcResult<()> {
+    let result = safe_change_unobserved(from, to, caps.into());
     // The flow the check describes carries the union of both labels: a
     // denial reveals something about where the subject stood *and* where
     // it tried to go.
@@ -41,7 +46,7 @@ pub fn safe_change(from: &Label, to: &Label, caps: &CapSet) -> DifcResult<()> {
     result
 }
 
-fn safe_change_unobserved(from: &Label, to: &Label, caps: &CapSet) -> DifcResult<()> {
+fn safe_change_unobserved(from: &Label, to: &Label, caps: Held<'_>) -> DifcResult<()> {
     let added = to.difference(from);
     let missing_plus: Label = added.iter().filter(|&t| !caps.has_plus(t)).collect();
     if !missing_plus.is_empty() {
@@ -95,7 +100,13 @@ pub fn can_flow_unprivileged(src: &LabelPair, dst: &LabelPair) -> bool {
 /// Privileged secrecy flow check: sender with secrecy `s_src` and effective
 /// capabilities `o_src` sends to receiver with secrecy `s_dst`, capabilities
 /// `o_dst`.
-pub fn can_flow_with(s_src: &Label, o_src: &CapSet, s_dst: &Label, o_dst: &CapSet) -> DifcResult<()> {
+pub fn can_flow_with<'a, 'b>(
+    s_src: &Label,
+    o_src: impl Into<Held<'a>>,
+    s_dst: &Label,
+    o_dst: impl Into<Held<'b>>,
+) -> DifcResult<()> {
+    let (o_src, o_dst) = (o_src.into(), o_dst.into());
     // S_src − O_src⁻ ⊆ S_dst ∪ O_dst⁺
     let leaked: Label = s_src
         .iter()
@@ -114,12 +125,13 @@ pub fn can_flow_with(s_src: &Label, o_src: &CapSet, s_dst: &Label, o_dst: &CapSe
 /// Privileged integrity flow check for `dst` consuming data from `src`:
 /// every integrity tag `dst` keeps claiming must be present at the source
 /// or endorsable by the source.
-pub fn integrity_flow_with(
+pub fn integrity_flow_with<'a, 'b>(
     i_src: &Label,
-    o_src: &CapSet,
+    o_src: impl Into<Held<'a>>,
     i_dst: &Label,
-    o_dst: &CapSet,
+    o_dst: impl Into<Held<'b>>,
 ) -> DifcResult<()> {
+    let (o_src, o_dst) = (o_src.into(), o_dst.into());
     // I_dst − O_dst⁻ ⊆ I_src ∪ O_src⁺
     let unvouched: Label = i_dst
         .iter()
@@ -169,7 +181,7 @@ impl FlowCheck {
 #[derive(Clone, Copy)]
 struct Access<'a> {
     subj: &'a LabelPair,
-    caps: &'a CapSet,
+    caps: Held<'a>,
     obj: &'a LabelPair,
 }
 
@@ -241,7 +253,8 @@ impl<'a> Access<'a> {
 ///
 /// Returns the label change the subject must undergo, if any. Counted
 /// once, like [`may_read`]; use that when the change is not needed.
-pub fn labels_for_read(subj: &LabelPair, caps: &CapSet, obj: &LabelPair) -> FlowCheck {
+pub fn labels_for_read<'c>(subj: &LabelPair, caps: impl Into<Held<'c>>, obj: &LabelPair) -> FlowCheck {
+    let caps = caps.into();
     if !may_read(subj, caps, obj) {
         return FlowCheck::Denied(Access { subj, caps, obj }.read_denial());
     }
@@ -263,7 +276,8 @@ pub fn labels_for_read(subj: &LabelPair, caps: &CapSet, obj: &LabelPair) -> Flow
 /// the subject to vouch the object's integrity
 /// (`I_obj ⊆ I_subj ∪ O⁺`: no forging endorsements). A write never changes
 /// the writer's labels, so the outcome is `Allowed` or `Denied`.
-pub fn labels_for_write(subj: &LabelPair, caps: &CapSet, obj: &LabelPair) -> FlowCheck {
+pub fn labels_for_write<'c>(subj: &LabelPair, caps: impl Into<Held<'c>>, obj: &LabelPair) -> FlowCheck {
+    let caps = caps.into();
     if may_write(subj, caps, obj) {
         FlowCheck::Allowed
     } else {
@@ -273,8 +287,8 @@ pub fn labels_for_write(subj: &LabelPair, caps: &CapSet, obj: &LabelPair) -> Flo
 
 /// The verdict of [`labels_for_read`] alone, counted once: no label is
 /// derived and nothing allocates.
-pub fn may_read(subj: &LabelPair, caps: &CapSet, obj: &LabelPair) -> bool {
-    let allowed = Access { subj, caps, obj }.read_ok();
+pub fn may_read<'c>(subj: &LabelPair, caps: impl Into<Held<'c>>, obj: &LabelPair) -> bool {
+    let allowed = Access { subj, caps: caps.into(), obj }.read_ok();
     // Reads move the object's data toward the subject: the described flow
     // carries the object's secrecy.
     w5_obs::count_check(CheckOp::Read, allowed, obj.secrecy.to_obs());
@@ -282,8 +296,8 @@ pub fn may_read(subj: &LabelPair, caps: &CapSet, obj: &LabelPair) -> bool {
 }
 
 /// The verdict of [`labels_for_write`], counted once; nothing allocates.
-pub fn may_write(subj: &LabelPair, caps: &CapSet, obj: &LabelPair) -> bool {
-    let allowed = Access { subj, caps, obj }.write_ok();
+pub fn may_write<'c>(subj: &LabelPair, caps: impl Into<Held<'c>>, obj: &LabelPair) -> bool {
+    let allowed = Access { subj, caps: caps.into(), obj }.write_ok();
     // Writes move the subject's data toward the object: the described flow
     // carries the subject's secrecy.
     w5_obs::count_check(CheckOp::Write, allowed, subj.secrecy.to_obs());
@@ -297,14 +311,14 @@ pub fn may_write(subj: &LabelPair, caps: &CapSet, obj: &LabelPair) -> bool {
 /// this drops. Borrows every label it is given, so it allocates nothing.
 pub struct Verdicts<'a> {
     subj: &'a LabelPair,
-    caps: &'a CapSet,
+    caps: Held<'a>,
     counted: w5_obs::CheckBatch<'a>,
 }
 
 impl<'a> Verdicts<'a> {
     /// Verdicts for a subject with labels `subj` and effective caps `caps`.
-    pub fn new(subj: &'a LabelPair, caps: &'a CapSet) -> Verdicts<'a> {
-        Verdicts { subj, caps, counted: w5_obs::CheckBatch::new() }
+    pub fn new(subj: &'a LabelPair, caps: impl Into<Held<'a>>) -> Verdicts<'a> {
+        Verdicts { subj, caps: caps.into(), counted: w5_obs::CheckBatch::new() }
     }
 
     /// [`may_read`], counted with the rest of the batch.
@@ -325,6 +339,7 @@ impl<'a> Verdicts<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::caps::CapSet;
     use crate::registry::TagRegistry;
     use crate::tag::TagKind;
 
@@ -336,34 +351,36 @@ mod tests {
     fn safe_change_rules() {
         let reg = TagRegistry::new();
         let (e, alice) = reg.create_tag(TagKind::ExportProtect, "export:alice");
-        let anyone = reg.effective(&CapSet::empty());
-        let alice_eff = reg.effective(&alice);
+        let empty_bag = CapSet::empty();
+        let anyone = reg.held(&empty_bag);
+        let alice_eff = reg.held(&alice);
 
         // Anyone can raise secrecy with an export-protect tag.
-        assert!(safe_change(&Label::empty(), &Label::singleton(e), &anyone).is_ok());
+        assert!(safe_change(&Label::empty(), &Label::singleton(e), anyone).is_ok());
         // Only alice can lower it.
         assert!(matches!(
-            safe_change(&Label::singleton(e), &Label::empty(), &anyone),
+            safe_change(&Label::singleton(e), &Label::empty(), anyone),
             Err(DifcError::MissingMinus { .. })
         ));
-        assert!(safe_change(&Label::singleton(e), &Label::empty(), &alice_eff).is_ok());
+        assert!(safe_change(&Label::singleton(e), &Label::empty(), alice_eff).is_ok());
     }
 
     #[test]
     fn write_protect_change_rules() {
         let reg = TagRegistry::new();
         let (w, bob) = reg.create_tag(TagKind::WriteProtect, "write:bob");
-        let anyone = reg.effective(&CapSet::empty());
-        let bob_eff = reg.effective(&bob);
+        let empty_bag = CapSet::empty();
+        let anyone = reg.held(&empty_bag);
+        let bob_eff = reg.held(&bob);
 
         // Anyone may drop the integrity claim…
-        assert!(safe_change(&Label::singleton(w), &Label::empty(), &anyone).is_ok());
+        assert!(safe_change(&Label::singleton(w), &Label::empty(), anyone).is_ok());
         // …but only bob may claim it.
         assert!(matches!(
-            safe_change(&Label::empty(), &Label::singleton(w), &anyone),
+            safe_change(&Label::empty(), &Label::singleton(w), anyone),
             Err(DifcError::MissingPlus { .. })
         ));
-        assert!(safe_change(&Label::empty(), &Label::singleton(w), &bob_eff).is_ok());
+        assert!(safe_change(&Label::empty(), &Label::singleton(w), bob_eff).is_ok());
     }
 
     #[test]
@@ -424,10 +441,11 @@ mod tests {
     fn read_raises_secrecy_when_permitted() {
         let reg = TagRegistry::new();
         let (e, _alice) = reg.create_tag(TagKind::ExportProtect, "export:alice");
-        let anyone = reg.effective(&CapSet::empty());
+        let empty_bag = CapSet::empty();
+        let anyone = reg.held(&empty_bag);
         let subj = LabelPair::public();
         let obj = LabelPair::new(Label::singleton(e), Label::empty());
-        match labels_for_read(&subj, &anyone, &obj) {
+        match labels_for_read(&subj, anyone, &obj) {
             FlowCheck::AllowedWithChange { new_secrecy, new_integrity } => {
                 assert_eq!(new_secrecy, Label::singleton(e));
                 assert!(new_integrity.is_empty());
@@ -440,26 +458,27 @@ mod tests {
     fn read_protect_blocks_unauthorized_raise() {
         let reg = TagRegistry::new();
         let (r, owner) = reg.create_tag(TagKind::ReadProtect, "read:alice");
-        let anyone = reg.effective(&CapSet::empty());
+        let empty_bag = CapSet::empty();
+        let anyone = reg.held(&empty_bag);
         let subj = LabelPair::public();
         let obj = LabelPair::new(Label::singleton(r), Label::empty());
         assert!(matches!(
-            labels_for_read(&subj, &anyone, &obj),
+            labels_for_read(&subj, anyone, &obj),
             FlowCheck::Denied(DifcError::MissingPlus { .. })
         ));
         // With the owner's capabilities the raise succeeds.
-        assert!(labels_for_read(&subj, &reg.effective(&owner), &obj).is_allowed());
+        assert!(labels_for_read(&subj, reg.held(&owner), &obj).is_allowed());
     }
 
     #[test]
     fn read_taints_integrity() {
         let reg = TagRegistry::new();
         let (w, bob) = reg.create_tag(TagKind::WriteProtect, "write:bob");
-        let eff = reg.effective(&bob);
+        let eff = reg.held(&bob);
         // Subject currently claims w; reads an object without it.
         let subj = LabelPair::new(Label::empty(), Label::singleton(w));
         let obj = LabelPair::public();
-        match labels_for_read(&subj, &eff, &obj) {
+        match labels_for_read(&subj, eff, &obj) {
             FlowCheck::AllowedWithChange { new_integrity, .. } => {
                 assert!(new_integrity.is_empty(), "claim must drop");
             }
@@ -472,29 +491,30 @@ mod tests {
         let reg = TagRegistry::new();
         let (e, alice) = reg.create_tag(TagKind::ExportProtect, "export:alice");
         let (w, bob) = reg.create_tag(TagKind::WriteProtect, "write:bob");
-        let anyone = reg.effective(&CapSet::empty());
+        let empty_bag = CapSet::empty();
+        let anyone = reg.held(&empty_bag);
 
         // A process that has read alice's data cannot write a public file.
         let tainted = LabelPair::new(Label::singleton(e), Label::empty());
         let public_file = LabelPair::public();
         assert!(matches!(
-            labels_for_write(&tainted, &anyone, &public_file),
+            labels_for_write(&tainted, anyone, &public_file),
             FlowCheck::Denied(DifcError::SecrecyViolation { .. })
         ));
         // …but alice's declassifier can.
-        assert!(labels_for_write(&tainted, &reg.effective(&alice), &public_file).is_allowed());
+        assert!(labels_for_write(&tainted, reg.held(&alice), &public_file).is_allowed());
         // …and anyone can write a file that is itself alice-secret.
         let alice_file = LabelPair::new(Label::singleton(e), Label::empty());
-        assert!(labels_for_write(&tainted, &anyone, &alice_file).is_allowed());
+        assert!(labels_for_write(&tainted, anyone, &alice_file).is_allowed());
 
         // Writing bob's write-protected file requires endorsement.
         let bob_file = LabelPair::new(Label::empty(), Label::singleton(w));
         let clean = LabelPair::public();
         assert!(matches!(
-            labels_for_write(&clean, &anyone, &bob_file),
+            labels_for_write(&clean, anyone, &bob_file),
             FlowCheck::Denied(DifcError::IntegrityViolation { .. })
         ));
-        assert!(labels_for_write(&clean, &reg.effective(&bob), &bob_file).is_allowed());
+        assert!(labels_for_write(&clean, reg.held(&bob), &bob_file).is_allowed());
     }
 
     #[test]
@@ -502,7 +522,8 @@ mod tests {
         let reg = TagRegistry::new();
         let (e, _) = reg.create_tag(TagKind::ExportProtect, "export:alice");
         let (r, _) = reg.create_tag(TagKind::ReadProtect, "read:bob");
-        let anyone = reg.effective(&CapSet::empty());
+        let empty_bag = CapSet::empty();
+        let anyone = reg.held(&empty_bag);
         let subj = LabelPair::public();
         let objs = [
             LabelPair::new(Label::singleton(e), Label::empty()),
@@ -512,7 +533,7 @@ mod tests {
         let ledger = std::sync::Arc::new(w5_obs::Ledger::new());
         let _scope = w5_obs::scoped(ledger.clone());
         {
-            let mut verdicts = Verdicts::new(&subj, &anyone);
+            let mut verdicts = Verdicts::new(&subj, anyone);
             let reads: Vec<bool> = objs.iter().map(|o| verdicts.may_read(o)).collect();
             let writes: Vec<bool> = objs.iter().map(|o| verdicts.may_write(o)).collect();
             assert_eq!(reads, [true, false, true]);
@@ -522,7 +543,7 @@ mod tests {
         assert_eq!(ledger.events_recorded(), 6);
         assert_eq!(ledger.aggregate().denied["difc"], 1);
         for o in &objs {
-            assert_eq!(may_read(&subj, &anyone, o), labels_for_read(&subj, &anyone, o).is_allowed());
+            assert_eq!(may_read(&subj, anyone, o), labels_for_read(&subj, anyone, o).is_allowed());
         }
         assert_eq!(ledger.events_recorded(), 12, "single verdicts count at once");
     }
@@ -534,18 +555,19 @@ mod tests {
         // must stop step two.
         let reg = TagRegistry::new();
         let (e_bob, _bob) = reg.create_tag(TagKind::ExportProtect, "export:bob");
-        let anyone = reg.effective(&CapSet::empty());
+        let empty_bag = CapSet::empty();
+        let anyone = reg.held(&empty_bag);
 
         let mut app = LabelPair::public();
         let photo = LabelPair::new(Label::singleton(e_bob), Label::empty());
         // The app raises to read — allowed.
-        match labels_for_read(&app, &anyone, &photo) {
+        match labels_for_read(&app, anyone, &photo) {
             FlowCheck::AllowedWithChange { new_secrecy, new_integrity } => {
                 app = LabelPair::new(new_secrecy, new_integrity);
             }
             other => panic!("read should raise: {other:?}"),
         }
         // Now it tries to write a public file — denied.
-        assert!(!labels_for_write(&app, &anyone, &LabelPair::public()).is_allowed());
+        assert!(!labels_for_write(&app, anyone, &LabelPair::public()).is_allowed());
     }
 }

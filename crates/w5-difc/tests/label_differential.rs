@@ -14,7 +14,7 @@
 mod naive;
 
 use proptest::prelude::*;
-use w5_difc::{rules, CapSet, Capability, DifcError, FlowCheck, Label, LabelPair, Tag};
+use w5_difc::{rules, wire, CapSet, Capability, DifcError, FlowCheck, Label, LabelPair, Tag, TagKind, TagRegistry};
 
 fn arb_label() -> impl Strategy<Value = Label> {
     proptest::collection::vec(900_000_001u64..900_000_064, 0..12)
@@ -48,6 +48,19 @@ fn arb_caps() -> impl Strategy<Value = CapSet> {
         CapSet::from_caps(plus.iter().map(Capability::plus).chain(minus.iter().map(Capability::minus)))
     });
     prop_oneof![Just(CapSet::empty()), some, Just(owner)]
+}
+
+/// A label pair as it arrives over the wire from ids: tags this registry
+/// made, and ids past its last one, which it never made.
+fn wire_pair((secrecy, integrity): &(Vec<u64>, Vec<u64>)) -> LabelPair {
+    let label = |ids: &[u64]| Label::from_iter(ids.iter().map(|&i| Tag::from_raw(i)));
+    let pair = LabelPair::new(label(secrecy), label(integrity));
+    wire::pair_from_bytes(&wire::pair_to_bytes(&pair)).expect("own encoding")
+}
+
+fn arb_ids() -> impl Strategy<Value = (Vec<u64>, Vec<u64>)> {
+    let ids = || proptest::collection::vec(1u64..14, 0..5);
+    (ids(), ids())
 }
 
 fn naive_pair(pair: &LabelPair) -> naive::Pair {
@@ -177,5 +190,62 @@ proptest! {
             prop_assert!(rules::integrity_flow_with(&c, &none, &a, &none).is_ok());
             prop_assert!(naive::can_flow_with(&tags(&a), &[], &tags(&b), &[]));
         }
+    }
+
+    /// `Ô` is a rule over the registry's tag kinds. The reference keeps it
+    /// as the explicit union the registry used to store — every `t+` of an
+    /// export tag and `t-` of a write tag it created, added to the private
+    /// bag — and on random registries, with labels that arrive over the
+    /// wire (including ids the registry never made, which must gain
+    /// nothing), the rule must decide every check exactly as the union
+    /// does, and the union exactly as the naive formulas do.
+    #[test]
+    fn the_global_rule_agrees_with_the_explicit_union(
+        kinds in proptest::collection::vec(0usize..3, 1..10),
+        subj in arb_ids(),
+        obj in arb_ids(),
+        private in arb_ids(),
+    ) {
+        let reg = TagRegistry::new();
+        let mut global = Vec::new();
+        for &k in &kinds {
+            let kind = [TagKind::ExportProtect, TagKind::WriteProtect, TagKind::ReadProtect][k];
+            let (t, _) = reg.create_tag(kind, "t");
+            match kind {
+                TagKind::ExportProtect => global.push(Capability::plus(t)),
+                TagKind::WriteProtect => global.push(Capability::minus(t)),
+                TagKind::ReadProtect => {}
+            }
+        }
+        let (subj, obj) = (wire_pair(&subj), wire_pair(&obj));
+        let private = wire_pair(&private);
+        let private = CapSet::from_caps(
+            private.secrecy.iter().map(Capability::plus).chain(private.integrity.iter().map(Capability::minus)),
+        );
+        let union = private.union(&CapSet::from_caps(global));
+        let held = reg.held(&private);
+
+        for id in 1..14 {
+            let t = Tag::from_raw(id);
+            prop_assert_eq!(held.has_plus(t), union.has_plus(t), "t{}+", id);
+            prop_assert_eq!(held.has_minus(t), union.has_minus(t), "t{}-", id);
+        }
+        prop_assert_eq!(rules::labels_for_read(&subj, held, &obj), rules::labels_for_read(&subj, &union, &obj));
+        prop_assert_eq!(rules::labels_for_write(&subj, held, &obj), rules::labels_for_write(&subj, &union, &obj));
+        for (from, to) in [(&subj.secrecy, &obj.secrecy), (&subj.integrity, &obj.integrity)] {
+            prop_assert_eq!(rules::safe_change(from, to, held), rules::safe_change(from, to, &union));
+        }
+        prop_assert_eq!(
+            rules::can_flow_with(&subj.secrecy, held, &obj.secrecy, held),
+            rules::can_flow_with(&subj.secrecy, &union, &obj.secrecy, &union)
+        );
+        prop_assert_eq!(
+            rules::integrity_flow_with(&subj.integrity, held, &obj.integrity, held),
+            rules::integrity_flow_with(&subj.integrity, &union, &obj.integrity, &union)
+        );
+        let (plus, minus) = (tags(&union.plus_label()), tags(&union.minus_label()));
+        let (nsubj, nobj) = (naive_pair(&subj), naive_pair(&obj));
+        prop_assert_eq!(rules::may_read(&subj, held, &obj), naive::may_read(&nsubj, &plus, &minus, &nobj));
+        prop_assert_eq!(rules::may_write(&subj, held, &obj), naive::may_write(&nsubj, &plus, &minus, &nobj));
     }
 }

@@ -237,12 +237,12 @@ mod endpoint_laws {
             let kind = [TagKind::ExportProtect, TagKind::WriteProtect, TagKind::ReadProtect][kind_ix];
             let reg = TagRegistry::new();
             let (tag, creator) = reg.create_tag(kind, "t");
-            let global = reg.global_bag();
-            // The union of global and creator caps always covers both halves.
-            let eff = reg.effective(&creator);
-            prop_assert!(eff.owns(tag));
+            // The global bag and the creator's caps always cover both halves.
+            let held = reg.held(&creator);
+            prop_assert!(held.has_plus(tag) && held.has_minus(tag));
             // And the global bag never holds both halves.
-            prop_assert!(!(global.has_plus(tag) && global.has_minus(tag)));
+            let global = |cap| reg.is_global(cap);
+            prop_assert!(!(global(Capability::plus(tag)) && global(Capability::minus(tag))));
         }
     }
 }

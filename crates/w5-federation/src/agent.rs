@@ -129,7 +129,7 @@ impl SyncAgent {
         // Root (or child) span for the pass; its context rides the wire so
         // the peer's HTTP root span stitches under this tree.
         let _span = w5_obs::span(
-            &format!("federation.pull {}", link.remote_user),
+            format!("federation.pull {}", link.remote_user),
             w5_obs::Layer::Net,
             &w5_obs::ObsLabel::empty(),
         );
@@ -184,7 +184,7 @@ impl SyncAgent {
         // uploaded it here.
         let subject = Subject::new(
             w5_difc::LabelPair::public(),
-            self.platform.registry.effective(&local.owner_caps),
+            local.owner_caps.clone(),
         );
         let labels = local.data_labels();
 

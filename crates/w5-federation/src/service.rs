@@ -49,13 +49,13 @@ impl FederationService {
         // capabilities (the grant the user handed the declassifier).
         let subject = Subject::new(
             w5_difc::LabelPair::public(),
-            self.platform.registry.effective(&account.owner_caps),
+            account.owner_caps.clone(),
         );
         let export_secrecy = w5_difc::Label::singleton(account.export_tag);
         // Child of the server's HTTP root span (None when driven directly
         // in tests); labeled with the union of everything exported.
         let mut trace_span = w5_obs::span_if_active(
-            &format!("federation.export {username}"),
+            format!("federation.export {username}"),
             w5_obs::Layer::Net,
             &w5_obs::ObsLabel::empty(),
         );

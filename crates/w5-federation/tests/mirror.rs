@@ -27,7 +27,7 @@ impl Provider {
     fn subject_for(&self, account: &Account) -> Subject {
         Subject::new(
             w5_difc::LabelPair::public(),
-            self.platform.registry.effective(&account.owner_caps),
+            account.owner_caps.clone(),
         )
     }
 

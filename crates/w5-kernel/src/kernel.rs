@@ -30,7 +30,7 @@ use w5_sync::{lockdep, Mutex};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use w5_difc::{
     rules, CapSet, Capability, DifcError, LabelPair, Tag, TagKind, TagRegistry,
 };
@@ -82,6 +82,11 @@ impl From<QuotaExceeded> for KernelError {
         KernelError::Quota(e)
     }
 }
+
+// Span names, shared: a sampled span records them without allocating.
+static SPAN_CREATE_PROCESS: LazyLock<w5_obs::Name> = LazyLock::new(|| "kernel.create_process".into());
+static SPAN_SPAWN: LazyLock<w5_obs::Name> = LazyLock::new(|| "kernel.spawn".into());
+static SPAN_SEND: LazyLock<w5_obs::Name> = LazyLock::new(|| "kernel.send".into());
 
 /// Result alias for kernel syscalls.
 pub type KernelResult<T> = Result<T, KernelError>;
@@ -213,7 +218,7 @@ impl Kernel {
         // Child span inside an active sampled trace (e.g. an app launch
         // under `platform.invoke`); a single thread-local read otherwise.
         let mut trace_span = w5_obs::span_if_active(
-            "kernel.create_process",
+            &*SPAN_CREATE_PROCESS,
             w5_obs::Layer::Kernel,
             &w5_obs::ObsLabel::empty(),
         );
@@ -251,7 +256,7 @@ impl Kernel {
         // is a single thread-local read. The label (the child's secrecy) is
         // unioned in below, once the spawn is validated.
         let mut trace_span = w5_obs::span_if_active(
-            "kernel.spawn",
+            &*SPAN_SPAWN,
             w5_obs::Layer::Kernel,
             &w5_obs::ObsLabel::empty(),
         );
@@ -259,17 +264,17 @@ impl Kernel {
         let p = live(&procs, parent)?;
         // Fast path: a child at the parent's exact labels with no grant
         // (the dominant spawn shape) is trivially safe — `safe_change` of
-        // a label to itself always passes — so the effective-bag union
-        // and capability algebra are skipped entirely.
+        // a label to itself always passes — so the capability algebra is
+        // skipped entirely.
         if spec.labels != p.labels || !spec.grant.is_empty() {
-            let eff = self.shared.registry.effective(&p.caps);
+            let held = self.shared.registry.held(&p.caps);
             // `safe_change` counts its check in the flow ledger while the
             // process-table guard is held; intentional (the labels under
             // validation live inside the guarded table).
             let _obs_permit = lockdep::allow_held("obs.ledger");
-            rules::safe_change(&p.labels.secrecy, &spec.labels.secrecy, &eff)?;
-            rules::safe_change(&p.labels.integrity, &spec.labels.integrity, &eff)?;
-            if !spec.grant.is_subset(&eff) {
+            rules::safe_change(&p.labels.secrecy, &spec.labels.secrecy, held)?;
+            rules::safe_change(&p.labels.integrity, &spec.labels.integrity, held)?;
+            if !held.covers(&spec.grant) {
                 return Err(KernelError::GrantNotHeld);
             }
         }
@@ -317,14 +322,24 @@ impl Kernel {
         self.view(pid, |p| p.caps.clone())
     }
 
-    /// The process's effective capability set (private ∪ global bag).
+    /// The capabilities a store call should carry for the process: its
+    /// private bag, which is all a subject needs. The global bag `Ô` is
+    /// not added: the flow rules apply it themselves, as the registry's
+    /// kind rule (see [`TagRegistry::held`]).
     pub fn effective_caps(&self, pid: ProcessId) -> KernelResult<CapSet> {
-        let caps = self.caps(pid)?;
-        Ok(self.shared.registry.effective(&caps))
+        self.caps(pid)
+    }
+
+    /// The process's labels and private bag, read under one lock: what a
+    /// store call's subject carries. Neither clone allocates (labels share
+    /// their storage).
+    pub fn subject(&self, pid: ProcessId) -> KernelResult<(LabelPair, CapSet)> {
+        self.view(pid, |p| (p.labels.clone(), p.caps.clone()))
     }
 
     /// Create a tag on behalf of a process; the creator capabilities enter
-    /// the process's private bag, and the public half enters the global bag.
+    /// the process's private bag, and the public half is global by the
+    /// tag's kind.
     pub fn create_tag(&self, pid: ProcessId, kind: TagKind, name: &str) -> KernelResult<Tag> {
         // Allocate outside the process-table lock; the registry has its own.
         let (tag, creator_caps) = self.shared.registry.create_tag(kind, name);
@@ -341,12 +356,12 @@ impl Kernel {
         self.shared.label_changes.fetch_add(1, Ordering::Relaxed);
         let mut procs = self.shared.procs.lock();
         let p = live_mut(&mut procs, pid)?;
-        let eff = self.shared.registry.effective(&p.caps);
+        let held = self.shared.registry.held(&p.caps);
         // The safe-change checks ledger their verdicts under the
         // process-table guard; intentional (see `spawn`).
         let _obs_permit = lockdep::allow_held("obs.ledger");
-        let check = rules::safe_change(&p.labels.secrecy, &new.secrecy, &eff)
-            .and_then(|()| rules::safe_change(&p.labels.integrity, &new.integrity, &eff));
+        let check = rules::safe_change(&p.labels.secrecy, &new.secrecy, held)
+            .and_then(|()| rules::safe_change(&p.labels.integrity, &new.integrity, held));
         match check {
             Ok(()) => {
                 p.labels = new;
@@ -431,12 +446,12 @@ impl Kernel {
         // Child span only inside an already-sampled trace; the sender's
         // secrecy is unioned in once snapshotted (below).
         let mut trace_span = w5_obs::span_if_active(
-            "kernel.send",
+            &*SPAN_SEND,
             w5_obs::Layer::Kernel,
             &w5_obs::ObsLabel::empty(),
         );
         self.shared.sends_checked.fetch_add(1, Ordering::Relaxed);
-        let registry = Arc::clone(&self.shared.registry);
+        let registry = &*self.shared.registry;
         // One guard for the whole check-and-deliver: sender labels,
         // receiver labels, quota charge and mailbox push are one atomic
         // step, so no taint can land between the check and the delivery.
@@ -447,15 +462,9 @@ impl Kernel {
             let p = live(&procs, from)?;
             (p.labels.clone(), p.caps.clone())
         };
-        // The effective bag is a union with the global bag; compute it
-        // only when a grant must be validated (the empty grant is the
-        // common case) or the zero-privilege fast path below misses.
-        let mut s_eff = None;
-        if !grant.is_empty() {
-            let eff = s_eff.insert(registry.effective(&s_caps));
-            if !grant.is_subset(eff) {
-                return Err(KernelError::GrantNotHeld);
-            }
+        let s_held = registry.held(&s_caps);
+        if !s_held.covers(&grant) {
+            return Err(KernelError::GrantNotHeld);
         }
 
         let r_labels = &live(&procs, to)?.labels;
@@ -482,21 +491,17 @@ impl Kernel {
             // the ledger stream does not depend on which path ran.
             Ok(())
         } else {
-            let eff = match &s_eff {
-                Some(eff) => eff,
-                None => s_eff.insert(registry.effective(&s_caps)),
-            };
             // The rule evaluation ledgers its flow check while the guard
             // is held; intentional (the labels under comparison live
             // inside the guarded table).
             let _obs_permit = lockdep::allow_held("obs.ledger");
             // Secrecy: sender may shed tags it can declassify.
-            rules::can_flow_with(&s_labels.secrecy, eff, &r_labels.secrecy, &CapSet::empty())
+            rules::can_flow_with(&s_labels.secrecy, s_held, &r_labels.secrecy, &CapSet::empty())
                 // Integrity: every claim the receiver holds must be carried
                 // or endorsable by the sender.
                 .and(rules::integrity_flow_with(
                     &s_labels.integrity,
-                    eff,
+                    s_held,
                     &r_labels.integrity,
                     &CapSet::empty(),
                 ))
@@ -671,24 +676,23 @@ impl Kernel {
     /// currently be read by process `pid` (with its effective caps), and if
     /// so, raise the process's labels accordingly.
     pub fn taint_for_read(&self, pid: ProcessId, data: &LabelPair) -> KernelResult<()> {
-        let registry = Arc::clone(&self.shared.registry);
         let mut procs = self.shared.procs.lock();
         let p = live_mut(&mut procs, pid)?;
         // Fast path: already tainted at least as high as the data and the
         // data vouches every claim the process holds — `labels_for_read`
         // would return `Allowed` without consulting capabilities, so the
-        // effective-bag union is skipped. (Ledger parity: the slow path
+        // capability algebra is skipped. (Ledger parity: the slow path
         // counts one "read" check.)
         if rules::can_flow_unprivileged(data, &p.labels) {
             drop(procs);
             w5_obs::count_check(w5_obs::CheckOp::Read, true, data.secrecy.to_obs());
             return Ok(());
         }
-        let eff = registry.effective(&p.caps);
+        let held = self.shared.registry.held(&p.caps);
         // The read check ledgers its verdict under the guard; intentional
         // (taint raising must be atomic with the check).
         let _obs_permit = lockdep::allow_held("obs.ledger");
-        match rules::labels_for_read(&p.labels, &eff, data) {
+        match rules::labels_for_read(&p.labels, held, data) {
             rules::FlowCheck::Allowed => Ok(()),
             rules::FlowCheck::AllowedWithChange { new_secrecy, new_integrity } => {
                 p.labels = LabelPair::new(new_secrecy, new_integrity);
@@ -702,11 +706,11 @@ impl Kernel {
     pub fn check_write(&self, pid: ProcessId, obj: &LabelPair) -> KernelResult<()> {
         let procs = self.shared.procs.lock();
         let p = live(&procs, pid)?;
-        let eff = self.shared.registry.effective(&p.caps);
+        let held = self.shared.registry.held(&p.caps);
         // The write check ledgers its verdict under the guard; intentional
         // (the verdict must describe the labels it inspected).
         let _obs_permit = lockdep::allow_held("obs.ledger");
-        match rules::labels_for_write(&p.labels, &eff, obj) {
+        match rules::labels_for_write(&p.labels, held, obj) {
             rules::FlowCheck::Denied(e) => Err(e.into()),
             _ => Ok(()),
         }
@@ -714,7 +718,7 @@ impl Kernel {
 
     /// Does `pid` effectively hold the capability?
     pub fn holds(&self, pid: ProcessId, cap: Capability) -> KernelResult<bool> {
-        self.view(pid, |p| self.shared.registry.effectively_holds(&p.caps, cap))
+        self.view(pid, |p| self.shared.registry.held(&p.caps).contains(cap))
     }
 }
 

@@ -153,7 +153,7 @@ impl Manifest {
                 class!("kernel.procs", 40, "kernel process table (the kernel's only lock)"),
                 class!("store.partition", 50, "SQL store label-partitioned table map"),
                 class!("store.fs", 52, "labeled in-memory filesystem tree"),
-                class!("difc.registry", 60, "tag metadata + global capability set (meta=0, global=1)"),
+                class!("difc.registry", 60, "tag metadata (meta=0); the global bag is a rule, not a lock"),
                 class!("chaos.injector", 80, "fault-injector schedule state"),
                 class!("obs.ledger", 90, "flow ledger rings (ring=0, latencies=1, published=2, spans=3)"),
             ],

@@ -307,7 +307,7 @@ fn serve_stream<R: BufRead, W: Write>(
         let started = std::time::Instant::now();
         let response = {
             let _span = w5_obs::span_with_remote(
-                &format!("net.http {method} {path}"),
+                format!("net.http {method} {path}"),
                 w5_obs::Layer::Net,
                 &w5_obs::ObsLabel::empty(),
                 remote.as_ref(),

@@ -6,6 +6,78 @@
 //! (refused flows are always written to the ring, never sampled away).
 
 use crate::label::ObsLabel;
+use std::fmt;
+use std::sync::Arc;
+
+/// A name an event or span carries (an app key, a declassifier, a span
+/// name), shared rather than copied: cloning one bumps a count, so a hot
+/// path that holds its `Name` (a `static`, a map key) records without
+/// building a string. It serialises, compares and prints as the string it
+/// holds, so ledger JSON and digests read exactly as with a `String`.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Name(Arc<str>);
+
+impl Name {
+    /// The name as text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl std::ops::Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl std::borrow::Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl<S: Into<Arc<str>>> From<S> for Name {
+    fn from(s: S) -> Name {
+        Name(s.into())
+    }
+}
+
+impl From<&Name> for Name {
+    fn from(name: &Name) -> Name {
+        name.clone()
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        &*self.0 == *other
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl serde::Serialize for Name {
+    fn to_json(&self) -> serde::Json {
+        self.0.to_json()
+    }
+}
+
+impl serde::Deserialize for Name {
+    fn from_json(v: &serde::Json) -> Result<Name, serde::DeError> {
+        String::from_json(v).map(Name::from)
+    }
+}
 
 /// The stack layer an event originated from.
 #[derive(
@@ -174,7 +246,7 @@ pub enum EventKind {
     /// The export perimeter ruled on an outgoing response.
     ExportCheck {
         /// Application that produced the response.
-        app: String,
+        app: Name,
         /// Was the export permitted?
         allowed: bool,
         /// Number of secrecy tags that blocked it (0 iff allowed).
@@ -183,7 +255,7 @@ pub enum EventKind {
     /// A declassifier was consulted.
     DeclassifierInvoke {
         /// Declassifier name.
-        name: String,
+        name: Name,
         /// Its verdict.
         allowed: bool,
     },

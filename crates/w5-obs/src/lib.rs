@@ -32,7 +32,7 @@ pub mod label;
 pub mod ledger;
 pub mod trace;
 
-pub use event::{CheckOp, Event, EventKind, Layer};
+pub use event::{CheckOp, Event, EventKind, Layer, Name};
 pub use histogram::{Histogram, HistogramSummary};
 pub use label::ObsLabel;
 pub use ledger::{Aggregate, Check, Ledger, LedgerView};
@@ -242,7 +242,7 @@ struct OpenSpan {
     trace: u64,
     id: u64,
     parent: Option<u64>,
-    name: String,
+    name: Name,
     layer: Layer,
     secrecy: ObsLabel,
     start_us: u64,
@@ -297,7 +297,7 @@ fn push_span(
     trace: u64,
     parent: Option<u64>,
     sampled: bool,
-    name: &str,
+    name: impl Into<Name>,
     layer: Layer,
     secrecy: &ObsLabel,
 ) -> SpanGuard {
@@ -311,7 +311,7 @@ fn push_span(
             trace,
             id,
             parent,
-            name: name.to_string(),
+            name: name.into(),
             layer,
             secrecy: secrecy.clone(),
             start_us,
@@ -326,7 +326,9 @@ fn push_span(
 /// Open a span: a child of the innermost open span on this thread, or a
 /// fresh root (new trace id, head sampling decision) when none is open.
 /// `secrecy` is the label of the flow the span times, like [`record`].
-pub fn span(name: &str, layer: Layer, secrecy: &ObsLabel) -> SpanGuard {
+/// `name` becomes a [`Name`] only if the span is sampled: pass a `&Name`
+/// (cloned, no allocation) on a hot path, text elsewhere.
+pub fn span(name: impl Into<Name>, layer: Layer, secrecy: &ObsLabel) -> SpanGuard {
     let target = Target::capture();
     match SPAN_STACK.with(|s| s.borrow().last().copied()) {
         Some(top) => {
@@ -346,7 +348,7 @@ pub fn span(name: &str, layer: Layer, secrecy: &ObsLabel) -> SpanGuard {
 /// hop). Falls back to [`span`] semantics when `remote` is absent or the
 /// thread already has an open span.
 pub fn span_with_remote(
-    name: &str,
+    name: impl Into<Name>,
     layer: Layer,
     secrecy: &ObsLabel,
     remote: Option<&TraceContext>,
@@ -365,7 +367,7 @@ pub fn span_with_remote(
 /// trace; `None` otherwise. This is the hot-path form (kernel send/spawn):
 /// outside a sampled trace it is one thread-local read — no ids, no
 /// clocks, no allocation.
-pub fn span_if_active(name: &str, layer: Layer, secrecy: &ObsLabel) -> Option<SpanGuard> {
+pub fn span_if_active(name: impl Into<Name>, layer: Layer, secrecy: &ObsLabel) -> Option<SpanGuard> {
     let top = SPAN_STACK.with(|s| s.borrow().last().copied())?;
     if !top.sampled {
         return None;

@@ -26,7 +26,7 @@
 //! [`layer_attribution`], [`slowest_traces`]) are the whole back end of
 //! the `w5trace` CLI; the binary only parses flags and JSON.
 
-use crate::event::Layer;
+use crate::event::{Layer, Name};
 use crate::label::ObsLabel;
 use std::collections::BTreeMap;
 
@@ -104,7 +104,7 @@ pub struct SpanRecord {
     /// stitch.
     pub parent: Option<u64>,
     /// Operation name, e.g. `"platform.invoke"`.
-    pub name: String,
+    pub name: Name,
     /// Layer whose span counter this record bumped.
     pub layer: Layer,
     /// Secrecy label of the flow the span timed.
@@ -131,7 +131,7 @@ impl SpanRecord {
             trace: self.trace,
             id: self.id,
             parent: self.parent,
-            name: REDACTED_NAME.to_string(),
+            name: Name::from(REDACTED_NAME),
             layer: self.layer,
             secrecy: ObsLabel::empty(),
             start_us: start,
@@ -283,7 +283,7 @@ pub fn critical_path(spans: &[SpanRecord], trace: u64) -> Vec<CriticalPathStep> 
         let child_total: u64 =
             kids.map(|k| k.iter().map(|&c| of_trace[c].duration_us()).sum()).unwrap_or(0);
         path.push(CriticalPathStep {
-            name: s.name.clone(),
+            name: s.name.to_string(),
             layer: s.layer,
             total_us: s.duration_us(),
             self_us: s.duration_us().saturating_sub(child_total),
@@ -342,7 +342,7 @@ mod tests {
             trace,
             id,
             parent,
-            name: name.to_string(),
+            name: name.into(),
             layer,
             secrecy: ObsLabel::empty(),
             start_us: start,

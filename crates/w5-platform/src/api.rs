@@ -224,9 +224,12 @@ impl<'a> PlatformApi<'a> {
         self.viewer.map(|a| a.username.as_str())
     }
 
+    /// The store call's subject: the process's labels and private bag,
+    /// read under one kernel lock. Both share their storage with the
+    /// kernel's copy, so this allocates nothing; the store adds the global
+    /// bag as a rule, so there is no union to build either.
     fn subject(&self) -> Result<Subject, ApiError> {
-        let labels = self.kernel.labels(self.pid)?;
-        let caps = self.kernel.effective_caps(self.pid)?;
+        let (labels, caps) = self.kernel.subject(self.pid)?;
         Ok(Subject::new(labels, caps))
     }
 

@@ -244,9 +244,18 @@ impl Declassifier for RateLimited {
     }
 }
 
+/// One catalog entry: the declassifier and the names a consultation
+/// records — its own and its span's, `platform.declass.{name}` — built
+/// once at registration, so a consultation formats nothing.
+struct Entry {
+    declassifier: Arc<dyn Declassifier>,
+    name: w5_obs::Name,
+    span: w5_obs::Name,
+}
+
 /// The provider's catalog of installable declassifiers.
 pub struct DeclassifierRegistry {
-    by_name: RwLock<HashMap<&'static str, Arc<dyn Declassifier>>>,
+    by_name: RwLock<HashMap<&'static str, Entry>>,
 }
 
 impl Default for DeclassifierRegistry {
@@ -275,41 +284,50 @@ impl DeclassifierRegistry {
 
     /// Add a declassifier (replaces same-name entries).
     pub fn register(&self, d: Arc<dyn Declassifier>) {
-        self.by_name.write().insert(d.name(), d);
+        let entry = Entry {
+            name: d.name().into(),
+            span: format!("platform.declass.{}", d.name()).into(),
+            declassifier: Arc::clone(&d),
+        };
+        self.by_name.write().insert(d.name(), entry);
     }
 
     /// Look up by name.
     pub fn get(&self, name: &str) -> Option<Arc<dyn Declassifier>> {
-        self.by_name.read().get(name).cloned()
+        self.by_name.read().get(name).map(|e| Arc::clone(&e.declassifier))
     }
 
     /// Look up and consult a declassifier, recording the verdict in the
     /// flow ledger. `secrecy` is the label of the data the verdict would
     /// release; even a denial reveals that this owner's data was requested,
-    /// so the event carries the full label. Returns `None` if the
-    /// declassifier does not exist (no event: nothing was consulted).
+    /// so the event carries the full label. Returns the verdict with the
+    /// declassifier's own name, or `None` if it does not exist (no event:
+    /// nothing was consulted). Allocates nothing of its own: the names it
+    /// records were built at registration.
     pub fn consult(
         &self,
         name: &str,
         ctx: &ExportContext,
         oracle: &dyn RelationshipOracle,
         secrecy: &w5_obs::ObsLabel,
-    ) -> Option<Verdict> {
-        let d = self.get(name)?;
-        let _span = w5_obs::span(
-            &format!("platform.declass.{name}"),
-            w5_obs::Layer::Platform,
-            secrecy,
-        );
+    ) -> Option<(Verdict, &'static str)> {
+        // Shared handles out, lock released: the consultation itself may
+        // take store and declassifier locks.
+        let (d, event_name, span_name) = {
+            let by_name = self.by_name.read();
+            let e = by_name.get(name)?;
+            (Arc::clone(&e.declassifier), e.name.clone(), e.span.clone())
+        };
+        let _span = w5_obs::span(&span_name, w5_obs::Layer::Platform, secrecy);
         let verdict = d.authorize(ctx, oracle);
         w5_obs::record(
             secrecy,
             w5_obs::EventKind::DeclassifierInvoke {
-                name: name.to_string(),
+                name: event_name,
                 allowed: verdict == Verdict::Allow,
             },
         );
-        Some(verdict)
+        Some((verdict, d.name()))
     }
 
     /// Catalog listing: (name, description, audit_lines), sorted by name.
@@ -318,7 +336,7 @@ impl DeclassifierRegistry {
             .by_name
             .read()
             .values()
-            .map(|d| (d.name(), d.description(), d.audit_lines()))
+            .map(|e| (e.declassifier.name(), e.declassifier.description(), e.declassifier.audit_lines()))
             .collect();
         v.sort_by_key(|(n, _, _)| *n);
         v

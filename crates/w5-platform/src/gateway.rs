@@ -363,7 +363,7 @@ impl Gateway {
             .exporter
             .audit_log()
             .iter()
-            .filter(|e| e.secrecy_tags.iter().any(|t| my_tags.contains(t)))
+            .filter(|e| my_tags.iter().any(|&t| e.secrecy.contains(t)))
             .map(|e| {
                 format!(
                     "{{\"viewer\":{},\"app\":{},\"allowed\":{}}}",

@@ -22,7 +22,9 @@ use crate::principal::{Account, AccountStore, UserId};
 use w5_sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use w5_difc::{LabelPair, Tag};
+use std::sync::LazyLock;
+use w5_difc::{Label, LabelPair, Tag};
+use w5_obs::Name;
 
 /// How one tag was cleared.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,7 +34,7 @@ pub enum Clearance {
     /// A granted declassifier allowed it.
     Declassifier {
         /// Declassifier name.
-        name: String,
+        name: &'static str,
     },
 }
 
@@ -48,17 +50,19 @@ pub struct ExportDecision {
 }
 
 /// One audit-log entry. The provider can show users exactly which
-/// declassifier released which tag to whom.
+/// declassifier released which tag to whom. Both the app key and the label
+/// are shared with the decision's inputs, so an entry copies no string and
+/// no tag list.
 #[derive(Clone, Debug)]
 pub struct AuditEntry {
     /// Viewer (None = anonymous).
     pub viewer: Option<UserId>,
     /// Application that produced the response.
-    pub app: String,
+    pub app: Name,
     /// The decision.
     pub allowed: bool,
-    /// Tags involved.
-    pub secrecy_tags: Vec<Tag>,
+    /// Tags involved: the response's secrecy label.
+    pub secrecy: Label,
 }
 
 /// Perimeter throughput counters, read through [`Exporter::stats_view`].
@@ -119,13 +123,30 @@ impl Exporter {
         declassifiers: &DeclassifierRegistry,
         oracle: &dyn RelationshipOracle,
     ) -> ExportDecision {
+        self.decide(labels, viewer, &Name::from(app), accounts, policies, declassifiers, oracle)
+    }
+
+    /// [`Exporter::check`] for a caller that already holds the app's key as
+    /// a shared [`Name`] (the launcher). Allocates nothing it does not
+    /// return: the owner's account, policy and declassifier are shared
+    /// handles, the audit entry and the ledger event share `app` and the
+    /// label, and the only buffer built is `cleared` (plus `blocked` on a
+    /// denial).
+    #[allow(clippy::too_many_arguments)]
+    pub fn decide(
+        &self,
+        labels: &LabelPair,
+        viewer: Option<&Account>,
+        app: &Name,
+        accounts: &AccountStore,
+        policies: &PolicyStore,
+        declassifiers: &DeclassifierRegistry,
+        oracle: &dyn RelationshipOracle,
+    ) -> ExportDecision {
         let started = std::time::Instant::now();
         self.checked.fetch_add(1, Ordering::Relaxed);
-        let _span = w5_obs::span(
-            "platform.export_check",
-            w5_obs::Layer::Platform,
-            labels.secrecy.to_obs(),
-        );
+        static SPAN: LazyLock<Name> = LazyLock::new(|| "platform.export_check".into());
+        let _span = w5_obs::span(&*SPAN, w5_obs::Layer::Platform, labels.secrecy.to_obs());
         let mut cleared = Vec::new();
         let mut blocked = Vec::new();
 
@@ -138,11 +159,10 @@ impl Exporter {
                 }
             }
             // Case 2: a declassifier granted by the tag's owner.
-            let clearance = accounts.owner_of_secrecy_tag(tag).and_then(|owner_id| {
-                let owner = accounts.get(owner_id)?;
-                let policy = policies.get(owner_id);
+            let clearance = accounts.secrecy_tag_owner(tag).and_then(|owner| {
+                let policy = policies.get(owner.id);
                 let ctx = ExportContext {
-                    owner: owner_id,
+                    owner: owner.id,
                     owner_name: &owner.username,
                     viewer: viewer.map(|v| v.id),
                     viewer_name: viewer.map(|v| v.username.as_str()),
@@ -150,10 +170,10 @@ impl Exporter {
                 };
                 let secrecy = w5_obs::ObsLabel::singleton(tag.raw());
                 for name in policy.granted_for(app) {
-                    if let Some(verdict) = declassifiers.consult(name, &ctx, oracle, &secrecy) {
+                    if let Some((verdict, name)) = declassifiers.consult(name, &ctx, oracle, &secrecy) {
                         self.declassifier_calls.fetch_add(1, Ordering::Relaxed);
                         if verdict == Verdict::Allow {
-                            return Some(Clearance::Declassifier { name: name.to_string() });
+                            return Some(Clearance::Declassifier { name });
                         }
                     }
                 }
@@ -176,9 +196,9 @@ impl Exporter {
             }
             audit.push_back(AuditEntry {
                 viewer: viewer.map(|v| v.id),
-                app: app.to_string(),
+                app: app.clone(),
                 allowed,
-                secrecy_tags: labels.secrecy.iter().collect(),
+                secrecy: labels.secrecy.clone(),
             });
         }
         // The decision is labeled with the response's secrecy: a blocked
@@ -187,7 +207,7 @@ impl Exporter {
         w5_obs::record(
             labels.secrecy.to_obs(),
             w5_obs::EventKind::ExportCheck {
-                app: app.to_string(),
+                app: app.clone(),
                 allowed,
                 blocked_tags: blocked.len() as u64,
             },
@@ -303,7 +323,7 @@ mod tests {
             &w.rel,
         );
         assert!(d.allowed);
-        assert!(matches!(d.cleared[0].1, Clearance::Declassifier { ref name } if name == "friends-only"));
+        assert!(matches!(d.cleared[0].1, Clearance::Declassifier { name } if name == "friends-only"));
         // Same viewer through a different app: the grant does not travel.
         let d = w.exporter.check(
             &bob_data(&w),

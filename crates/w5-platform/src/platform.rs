@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use w5_difc::{CapSet, Capability, LabelPair, TagRegistry};
 use w5_kernel::{Kernel, ResourceLimits};
-use w5_store::sql::{BinOp, Expr, SelectItem, Statement};
+use w5_store::sql::{BinOp, Expr, Statement};
 use w5_store::{Database, LabeledFs, QueryCost, QueryError, QueryMode, Subject, Value};
 
 /// Platform-wide configuration. The `enforce_ifc` switch exists solely for
@@ -115,7 +115,9 @@ pub struct Platform {
     invocations: AtomicU64,
     exports_blocked: AtomicU64,
     faults: AtomicU64,
-    impls: RwLock<HashMap<String, Arc<dyn W5App>>>,
+    /// Installed implementations, keyed by a shared app key that the
+    /// perimeter's records reuse.
+    impls: RwLock<HashMap<w5_obs::Name, Arc<dyn W5App>>>,
     fault_log: Mutex<std::collections::VecDeque<FaultReport>>,
 }
 
@@ -124,7 +126,7 @@ impl Platform {
     pub fn new(name: &str, config: PlatformConfig) -> Arc<Platform> {
         let registry = Arc::new(TagRegistry::new());
         let kernel = Kernel::new(Arc::clone(&registry));
-        let db = Database::new();
+        let db = Database::new().with_global(Arc::clone(&registry));
         // Platform-owned relationship tables (the oracle reads these).
         // Construction may run inside an armed chaos scope; ride out
         // injected aborts the same way trusted_execute does.
@@ -149,19 +151,27 @@ impl Platform {
         create("CREATE TABLE w5_groups (owner TEXT, grp TEXT, member TEXT)");
         create("CREATE TABLE w5_mail (app TEXT, body TEXT, seq INTEGER)");
         // Platform queries are point lookups on these columns; the indexes
-        // turn each into one index lookup per visible partition. Direct
-        // calls (not SQL): index creation is schema metadata, not subject
-        // to fault injection or label checks.
-        db.create_index("w5_friends", "owner").expect("index w5_friends");
-        db.create_index("w5_groups", "owner").expect("index w5_groups");
-        db.create_index("w5_mail", "app").expect("index w5_mail");
+        // turn each into one index lookup per visible partition, and a
+        // relationship question — every column of the row pinned — into
+        // an intersection of postings. Direct calls (not SQL): index
+        // creation is schema metadata, not subject to fault injection or
+        // label checks.
+        for (table, column) in [
+            ("w5_friends", "owner"),
+            ("w5_friends", "friend"),
+            ("w5_groups", "owner"),
+            ("w5_groups", "member"),
+            ("w5_mail", "app"),
+        ] {
+            db.create_index(table, column).expect("index a platform table");
+        }
 
         Arc::new(Platform {
             name: name.to_string(),
             accounts: AccountStore::new(Arc::clone(&registry)),
-            registry,
             kernel,
-            fs: LabeledFs::new(),
+            fs: LabeledFs::new().with_global(Arc::clone(&registry)),
+            registry,
             db,
             sessions: SessionStore::new(),
             apps: AppRegistry::new(),
@@ -185,7 +195,7 @@ impl Platform {
 
     /// Install the executable implementation for a published app key.
     pub fn install_app(&self, key: &str, app: Arc<dyn W5App>) {
-        self.impls.write().insert(key.to_string(), app);
+        self.impls.write().insert(key.into(), app);
     }
 
     /// Fetch an app implementation.
@@ -268,7 +278,7 @@ impl Platform {
         // a fresh trace root when driven directly (benchmarks, tests). The
         // response labels are only known at the end — unioned in below.
         let mut trace_span = Some(w5_obs::span(
-            &format!("platform.invoke {app_key}"),
+            format!("platform.invoke {app_key}"),
             w5_obs::Layer::Platform,
             &w5_obs::ObsLabel::empty(),
         ));
@@ -283,7 +293,9 @@ impl Platform {
         let Some(manifest) = self.pinned_or_latest(policy, app_key) else {
             return error_result(404, "no such application");
         };
-        let Some(app) = self.app_impl(app_key) else {
+        let Some((app_name, app)) =
+            self.impls.read().get_key_value(app_key).map(|(k, a)| (k.clone(), Arc::clone(a)))
+        else {
             return error_result(404, "application not installed");
         };
 
@@ -388,7 +400,7 @@ impl Platform {
                 r
             }
             Ok(Ok(response)) => {
-                self.export_response(viewer, app_key, response, labels)
+                self.export_response(viewer, &app_name, response, labels)
             }
         };
 
@@ -409,7 +421,7 @@ impl Platform {
     fn export_response(
         &self,
         viewer: Option<&Account>,
-        app_key: &str,
+        app: &w5_obs::Name,
         response: AppResponse,
         labels: LabelPair,
     ) -> InvokeResult {
@@ -426,10 +438,10 @@ impl Platform {
             };
         }
         let oracle = self.oracle();
-        let decision = self.exporter.check(
+        let decision = self.exporter.decide(
             &labels,
             viewer,
-            app_key,
+            app,
             &self.accounts,
             &self.policies,
             &self.declassifiers,
@@ -445,10 +457,14 @@ impl Platform {
         let (body, sanitized) = if self.config.sanitize_html
             && response.content_type.starts_with("text/html")
         {
-            let (clean, stats) = sanitize_html_labeled(
-                &String::from_utf8_lossy(&response.body),
-                labels.secrecy.to_obs(),
-            );
+            // Valid UTF-8 is the rule, and the strict check is far cheaper
+            // than the lossy pass; the lossy pass still decides any body
+            // that fails it, so the output is the same byte for byte.
+            let text = match std::str::from_utf8(&response.body) {
+                Ok(text) => std::borrow::Cow::Borrowed(text),
+                Err(_) => String::from_utf8_lossy(&response.body),
+            };
+            let (clean, stats) = sanitize_html_labeled(&text, labels.secrecy.to_obs());
             (Bytes::from(clean), Some(stats))
         } else {
             (response.body, None)
@@ -568,31 +584,33 @@ pub struct PlatformOracle<'a> {
 
 impl PlatformOracle<'_> {
     /// Does `table` hold a row the platform can see with every
-    /// `(column, value)`? Any query error is a "no": the perimeter fails
-    /// closed.
+    /// `(column, value)`? The store answers `SELECT COUNT(*) FROM table
+    /// WHERE c1 = 'v1' AND …` as a number, with no result set. Any query
+    /// error is a "no": the perimeter fails closed.
     fn holds(&self, table: &str, row: &[(&str, &str)]) -> bool {
-        match self.db.execute_stmt(
+        let filter = all_equal(row);
+        match self.db.count(
             &Subject::anonymous(),
             QueryMode::Filtered,
             QueryCost::unlimited(),
-            &LabelPair::public(),
-            count_where(table, row),
+            table,
+            filter.as_ref(),
         ) {
-            Ok(out) => matches!(out.rows.first().map(|r| &r.values[0]), Some(Value::Int(n)) if *n > 0),
+            Ok(n) => n > 0,
             Err(_) => false,
         }
     }
 }
 
 impl RelationshipOracle for PlatformOracle<'_> {
-    // The index on `owner` picks the candidate rows whichever conjunct
-    // names it, and the filter stops at the first comparison that fails:
-    // asking for the owner last means all but the matching row are decided
-    // by one comparison.
+    // Both columns are indexed: the answer is the intersection of two
+    // postings in each readable partition, and no row is evaluated.
     fn are_friends(&self, a: &str, b: &str) -> bool {
         self.holds("w5_friends", &[("friend", b), ("owner", a)])
     }
 
+    // `member` and `owner` are indexed: their postings intersect, and only
+    // the rows in both are checked for the group.
     fn in_group(&self, owner: &str, group: &str, user: &str) -> bool {
         self.holds("w5_groups", &[("member", user), ("grp", group), ("owner", owner)])
     }
@@ -607,24 +625,15 @@ fn text(value: &str) -> Expr {
     Expr::Literal(Value::Text(value.to_string()))
 }
 
-/// `SELECT COUNT(*) FROM table WHERE c1 = 'v1' AND c2 = 'v2' …`
-fn count_where(table: &str, row: &[(&str, &str)]) -> Statement {
-    let filter = row
-        .iter()
+/// `c1 = 'v1' AND c2 = 'v2' …`: the WHERE clause of the oracle's count.
+fn all_equal(row: &[(&str, &str)]) -> Option<Expr> {
+    row.iter()
         .map(|&(column, value)| Expr::Binary {
             op: BinOp::Eq,
             left: Box::new(Expr::Column(column.to_string())),
             right: Box::new(text(value)),
         })
-        .reduce(|all, eq| Expr::Binary { op: BinOp::And, left: Box::new(all), right: Box::new(eq) });
-    Statement::Select {
-        items: vec![SelectItem::CountStar],
-        table: table.to_string(),
-        join: None,
-        filter,
-        order_by: None,
-        limit: None,
-    }
+        .reduce(|all, eq| Expr::Binary { op: BinOp::And, left: Box::new(all), right: Box::new(eq) })
 }
 
 /// `INSERT INTO table (c1, c2, …) VALUES ('v1', 'v2', …)`

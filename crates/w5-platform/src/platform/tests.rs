@@ -1,10 +1,19 @@
 use super::*;
 use crate::perimeter::{Clearance, PerimeterStats};
 use crate::{ApiError, CreateLabels, GrantScope};
-use w5_store::sql::parse;
+use w5_store::sql::{parse, SelectItem};
 
 #[test]
 fn platform_statements_are_what_the_parser_builds() {
+    // The oracle's question is this COUNT(*), asked through `Database::count`.
+    let count_where = |table: &str, row: &[(&str, &str)]| Statement::Select {
+        items: vec![SelectItem::CountStar],
+        table: table.to_string(),
+        join: None,
+        filter: all_equal(row),
+        order_by: None,
+        limit: None,
+    };
     assert_eq!(
         count_where("w5_friends", &[("friend", "alice"), ("owner", "bob")]),
         parse("SELECT COUNT(*) FROM w5_friends WHERE friend = 'alice' AND owner = 'bob'").unwrap()
@@ -156,4 +165,42 @@ fn counters_match_the_invocations_they_count() {
         p.exporter.stats_view(),
         PerimeterStats { checked, blocked, declassifier_calls: consulted as u64 }
     );
+}
+
+/// Answers every request with the same HTML body, invalid UTF-8 and all.
+struct RawHtml(&'static [u8]);
+
+impl W5App for RawHtml {
+    fn handle(&self, _req: &AppRequest, _api: &mut PlatformApi<'_>) -> Result<AppResponse, ApiError> {
+        Ok(AppResponse { content_type: "text/html; charset=utf-8".into(), body: Bytes::from_static(self.0) })
+    }
+
+    fn source_lines(&self) -> usize {
+        3
+    }
+}
+
+#[test]
+fn html_with_invalid_utf8_exports_as_it_always_did() {
+    let p = Platform::new_default("raw-html");
+    p.apps
+        .publish(AppManifest {
+            name: "raw".into(),
+            developer: "devA".into(),
+            version: 1,
+            description: "raw".into(),
+            module_slots: vec![],
+            imports: vec![],
+            forked_from: None,
+            source: None,
+        })
+        .unwrap();
+    p.install_app("devA/raw", Arc::new(RawHtml(b"<p>caf\xe9 \xf0\x9f\x98</p>\xff<b onclick=\"x\">ok</b><script>\xc3</script>\xe2\x82")));
+    let req = Platform::make_request("GET", "view", &[], None, Bytes::new());
+    let out = p.invoke(None, "devA/raw", req);
+    assert_eq!(out.status, 200);
+    // Each invalid sequence is one U+FFFD, as `String::from_utf8_lossy`
+    // decides it; the filter then runs on that text. Pinned from the
+    // lossy-only implementation.
+    assert_eq!(&out.body[..], "<p>caf\u{FFFD} \u{FFFD}</p>\u{FFFD}<b>ok</b>\u{FFFD}".as_bytes());
 }

@@ -90,7 +90,7 @@ impl std::error::Error for AccountError {}
 /// one critical section, and accounts are never removed.
 #[derive(Default)]
 struct Accounts {
-    by_id: HashMap<UserId, Account>,
+    by_id: HashMap<UserId, Arc<Account>>,
     tag_owner: HashMap<Tag, UserId>,
 }
 
@@ -153,7 +153,7 @@ impl AccountStore {
         by_name.insert(username.to_string(), id);
         let mut accounts = self.accounts.write();
         accounts.tag_owner.insert(export_tag, id);
-        accounts.by_id.insert(id, account.clone());
+        accounts.by_id.insert(id, Arc::new(account.clone()));
         Ok(account)
     }
 
@@ -182,7 +182,7 @@ impl AccountStore {
 
     /// Look up by id.
     pub fn get(&self, id: UserId) -> Option<Account> {
-        self.accounts.read().by_id.get(&id).cloned()
+        self.accounts.read().by_id.get(&id).map(|a| Account::clone(a))
     }
 
     /// Look up by username.
@@ -198,10 +198,12 @@ impl AccountStore {
         (accounts.by_id.get(&owner)?.export_tag == tag).then_some(owner)
     }
 
-    /// Which user owns this tag, as either their export tag or their
-    /// read-protection tag? (The perimeter resolves owners for both.)
-    pub fn owner_of_secrecy_tag(&self, tag: Tag) -> Option<UserId> {
-        self.accounts.read().tag_owner.get(&tag).copied()
+    /// The account owning this tag, as either its export tag or its
+    /// read-protection tag (the perimeter resolves owners for both),
+    /// shared rather than copied: one lock and no allocation.
+    pub fn secrecy_tag_owner(&self, tag: Tag) -> Option<Arc<Account>> {
+        let accounts = self.accounts.read();
+        accounts.by_id.get(accounts.tag_owner.get(&tag)?).cloned()
     }
 
     /// Enable the §3.1 read-protection policy for a user: allocates their
@@ -210,7 +212,7 @@ impl AccountStore {
     pub fn enable_read_protection(&self, id: UserId) -> Option<Tag> {
         let mut accounts = self.accounts.write();
         let Accounts { by_id, tag_owner } = &mut *accounts;
-        let account = by_id.get_mut(&id)?;
+        let account = Arc::make_mut(by_id.get_mut(&id)?);
         if let Some(t) = account.read_tag {
             return Some(t);
         }
@@ -307,9 +309,9 @@ mod tests {
         assert_eq!(s.get(bob.id).unwrap().read_tag, None);
         let r = s.enable_read_protection(bob.id).unwrap();
         assert_eq!(s.enable_read_protection(bob.id), Some(r), "idempotent");
-        assert_eq!(s.owner_of_secrecy_tag(r), Some(bob.id));
+        assert_eq!(s.secrecy_tag_owner(r).map(|a| a.id), Some(bob.id));
         assert_eq!(s.owner_of_export_tag(r), None);
-        assert_eq!(s.owner_of_secrecy_tag(bob.write_tag), None, "integrity tags have no secrecy owner");
+        assert_eq!(s.secrecy_tag_owner(bob.write_tag).map(|a| a.id), None, "integrity tags have no secrecy owner");
         assert_eq!(s.enable_read_protection(UserId(99)), None);
     }
 
@@ -346,10 +348,10 @@ mod tests {
                 }
                 let (foreign, _) = registry.create_tag(TagKind::ExportProtect, "foreign");
                 for &tag in issued.iter().chain([&foreign]) {
-                    proptest::prop_assert_eq!(s.owner_of_secrecy_tag(tag), scan_owner(&s, tag, true));
+                    proptest::prop_assert_eq!(s.secrecy_tag_owner(tag).map(|a| a.id), scan_owner(&s, tag, true));
                     proptest::prop_assert_eq!(s.owner_of_export_tag(tag), scan_owner(&s, tag, false));
                 }
-                proptest::prop_assert_eq!(s.owner_of_secrecy_tag(foreign), None);
+                proptest::prop_assert_eq!(s.secrecy_tag_owner(foreign).map(|a| a.id), None);
             }
         }
     }

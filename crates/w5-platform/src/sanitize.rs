@@ -34,7 +34,8 @@ pub fn sanitize_html_labeled(
     input: &str,
     secrecy: &w5_obs::ObsLabel,
 ) -> (String, SanitizeStats) {
-    let _span = w5_obs::span("platform.sanitize", w5_obs::Layer::Platform, secrecy);
+    static SPAN: std::sync::LazyLock<w5_obs::Name> = std::sync::LazyLock::new(|| "platform.sanitize".into());
+    let _span = w5_obs::span(&*SPAN, w5_obs::Layer::Platform, secrecy);
     let (out, stats) = sanitize_html(input);
     w5_obs::record(
         secrecy,

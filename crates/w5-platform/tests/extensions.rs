@@ -209,7 +209,7 @@ fn inter_app_messages_carry_labels() {
     // Bob stores a secret file the tainted sender will read.
     let subject = w5_store::Subject::new(
         w5_difc::LabelPair::public(),
-        p.registry.effective(&bob.owner_caps),
+        bob.owner_caps.clone(),
     );
     p.fs.create(&subject, "/files/bob", bob.data_labels(), Bytes::from_static(b"SECRET"))
         .unwrap();

@@ -87,8 +87,8 @@ pub(crate) fn sentinel(u: usize) -> String {
 }
 
 /// A trusted subject holding `a`'s own capabilities.
-fn owner_subject(p: &Platform, a: &Account) -> w5_store::Subject {
-    w5_store::Subject::new(w5_difc::LabelPair::public(), p.registry.effective(&a.owner_caps))
+fn owner_subject(a: &Account) -> w5_store::Subject {
+    w5_store::Subject::new(w5_difc::LabelPair::public(), a.owner_caps.clone())
 }
 
 /// The world the chaos and static-differential harnesses start from: every
@@ -113,7 +113,7 @@ pub(crate) fn sentinel_world(name: &str, apps: &[&str]) -> (Arc<Platform>, Vec<A
         assert_eq!(p.invoke(Some(a), "devB/blog", req).status, 200);
         let path = format!("/photos/{}/x", a.username);
         let data = Bytes::from(sentinel(i));
-        p.fs.create(&owner_subject(&p, a), &path, a.data_labels(), data).unwrap();
+        p.fs.create(&owner_subject(a), &path, a.data_labels(), data).unwrap();
     }
     (p, accounts)
 }
@@ -242,7 +242,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosOutcome {
                 let owner = rng.gen_range(0..USERS);
                 let a = &accounts[owner];
                 let _ = p.fs.write(
-                    &owner_subject(&p, a),
+                    &owner_subject(a),
                     &format!("/photos/{}/x", a.username),
                     Bytes::from(sentinel(owner)),
                 );

@@ -22,6 +22,7 @@ use crate::storemodel::Model;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use w5_chaos::Site;
 use w5_difc::{CapSet, Label, LabelPair, TagKind, TagRegistry};
 use w5_obs::Ledger;
@@ -86,6 +87,34 @@ pub enum StoreOp {
     Dump,
     /// `CREATE INDEX` amid the DML (idempotent; chaos can abort it too).
     CreateIndex { on_v: bool },
+    /// `id = k` and one or two more equalities: the conjunctions the store
+    /// answers by intersecting index postings when every column is
+    /// indexed. Only the proptest strategy and hand-written lists draw it.
+    Meet { stranger: bool, id: i64, also: EqTerm, then: Option<EqTerm> },
+}
+
+/// One more equality conjunct of a [`StoreOp::Meet`].
+#[derive(Clone, Copy, Debug)]
+pub enum EqTerm {
+    /// `id = m`: the key column again, the same key or another.
+    Id(i64),
+    /// `v = n`: the payload column, indexed once `CREATE INDEX ON (v)` ran.
+    V(i64),
+    /// `v = 'n'`: a literal of another type than the column; never true.
+    VText(i64),
+    /// `id = NULL`: never true, and never pushed to an index.
+    IdNull,
+}
+
+impl EqTerm {
+    fn sql(self) -> String {
+        match self {
+            EqTerm::Id(m) => format!("id = {m}"),
+            EqTerm::V(n) => format!("v = {n}"),
+            EqTerm::VText(n) => format!("v = '{n}'"),
+            EqTerm::IdNull => "id = NULL".to_string(),
+        }
+    }
 }
 
 impl StoreOp {
@@ -108,6 +137,10 @@ impl StoreOp {
             StoreOp::Point { stranger, id, below } => {
                 let and = below.map_or(String::new(), |b| format!(" AND v < {b}"));
                 (w.reader(stranger), format!("SELECT id, v, s FROM {t} WHERE id = {id}{and}"))
+            }
+            StoreOp::Meet { stranger, id, also, then } => {
+                let then = then.map_or(String::new(), |e| format!(" AND {}", e.sql()));
+                (w.reader(stranger), format!("SELECT id, v, s FROM {t} WHERE id = {id} AND {}{then}", also.sql()))
             }
             StoreOp::Window { stranger, lo, hi } => (
                 w.reader(stranger),
@@ -160,13 +193,16 @@ pub struct StoreWorld {
     /// invisible to the stranger); guarded (`S={}, I={w}`, stranger-visible,
     /// owner-only writable).
     kinds: [LabelPair; 3],
+    /// The registry the tags came from: its kind rule is the global bag
+    /// both arms apply.
+    pub global: Arc<TagRegistry>,
 }
 
 impl StoreWorld {
     /// A world over `table` with two fresh tags from `reg`. Arms that are to
     /// be compared create their worlds in the same order on registries of
     /// their own, so raw tag ids line up.
-    pub fn new(reg: &TagRegistry, table: &str) -> StoreWorld {
+    pub fn new(reg: &Arc<TagRegistry>, table: &str) -> StoreWorld {
         let (e, mut caps) = reg.create_tag(TagKind::ReadProtect, &format!("store:r:{table}"));
         let (w, wc) = reg.create_tag(TagKind::WriteProtect, &format!("store:w:{table}"));
         caps.extend(&wc);
@@ -174,9 +210,10 @@ impl StoreWorld {
         let guarded = LabelPair::new(Label::empty(), Label::singleton(w));
         StoreWorld {
             table: table.to_string(),
-            owner: Subject::new(guarded.clone(), reg.effective(&caps)),
-            stranger: Subject::new(LabelPair::public(), reg.effective(&CapSet::empty())),
+            owner: Subject::new(guarded.clone(), caps.clone()),
+            stranger: Subject::new(LabelPair::public(), CapSet::empty()),
             kinds: [LabelPair::public(), secret, guarded],
+            global: Arc::clone(reg),
         }
     }
 
@@ -288,7 +325,8 @@ impl Oracle for StoreOracle {
     /// deterministic seed population, and a key index from the start on even
     /// sequences, so the schedule meets indexed and unindexed tables.
     fn setup(&self, spec: &Spec) -> ((), Vec<Self::Seq>) {
-        let (reg, db) = (TagRegistry::new(), Database::new());
+        let reg = Arc::new(TagRegistry::new());
+        let db = Database::new().with_global(Arc::clone(&reg));
         let seqs = (0..spec.threads)
             .map(|t| {
                 let w = StoreWorld::new(&reg, &format!("t{t}"));
@@ -421,5 +459,47 @@ mod tests {
             assert_ne!(store.statements[t], widened.statements[t], "thread {t}: nothing saw the lost row");
         }
         assert_ne!(store.tables, widened.tables, "final contents agree");
+    }
+
+    /// Conjunctions of indexed equalities on both columns, a repeated
+    /// column, a literal of the wrong type and a NULL literal, over rows
+    /// that match them, before and after both columns are indexed: the
+    /// store's intersections answer as the flat model does.
+    #[test]
+    fn intersected_equalities_agree_with_the_model() {
+        let insert = |kind, id, v| StoreOp::Insert { kind, id, v };
+        let meet = |stranger, id, also, then| StoreOp::Meet { stranger, id, also, then };
+        let mut ops = Vec::new();
+        for round in 0..3 {
+            for i in 0..8 {
+                ops.push(insert((i % 3) as u8, Some(i % 4), i % 2));
+            }
+            ops.push(insert(0, None, 1));
+            for stranger in [false, true] {
+                for id in 0..4 {
+                    ops.extend([
+                        meet(stranger, id, EqTerm::V(1), None),
+                        meet(stranger, id, EqTerm::Id(id), None),
+                        meet(stranger, id, EqTerm::Id(id + 1), None),
+                        meet(stranger, id, EqTerm::VText(1), None),
+                        meet(stranger, id, EqTerm::IdNull, None),
+                        meet(stranger, id, EqTerm::V(0), Some(EqTerm::Id(id))),
+                        meet(stranger, id, EqTerm::V(1), Some(EqTerm::IdNull)),
+                        meet(stranger, id, EqTerm::Id(id), Some(EqTerm::VText(0))),
+                    ]);
+                }
+            }
+            // Unindexed, then the key, then both columns.
+            if round < 2 {
+                ops.push(StoreOp::CreateIndex { on_v: round == 1 });
+            }
+            ops.push(StoreOp::Delete { id: round });
+        }
+        let spec = Spec { seed: 5, threads: 1, ops_per_thread: ops.len(), fault_rate: 0.0 };
+        let model = crate::harness::run_ops(&StoreOracle::MODEL, &spec, vec![ops.clone()], Mode::Serial);
+        let store = crate::harness::run_ops(&StoreOracle::STORE, &spec, vec![ops], Mode::Serial);
+        assert_eq!(model.outcome, store.outcome);
+        let hits = store.outcome.statements[0].iter().filter(|o| o.as_ref().is_ok_and(|q| !q.rows.is_empty()));
+        assert!(hits.count() > 20, "the conjunctions must match rows, not only miss");
     }
 }

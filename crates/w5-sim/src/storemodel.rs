@@ -15,7 +15,7 @@
 //! or not — the flat scan's price, and the ceiling the store's pruned
 //! `scanned` is compared against.
 
-use crate::storediff::{Arm, Outcome, StoreOp, StoreWorld, ID_DOMAIN};
+use crate::storediff::{Arm, EqTerm, Outcome, StoreOp, StoreWorld, ID_DOMAIN};
 use std::cmp::Reverse;
 use w5_difc::LabelPair;
 use w5_store::QueryMode::{Filtered, Naive};
@@ -41,14 +41,14 @@ fn int(v: Option<i64>) -> Value {
 
 impl Model {
     /// Indexes of the rows `subject` sees under `mode` that satisfy `pred`.
-    fn hits(&self, subject: &Subject, mode: QueryMode, pred: impl Fn(&ModelRow) -> bool) -> Vec<usize> {
-        let sees = |r: &ModelRow| mode == Naive || subject.may_read(&r.labels);
+    fn hits(&self, w: &StoreWorld, subject: &Subject, mode: QueryMode, pred: impl Fn(&ModelRow) -> bool) -> Vec<usize> {
+        let sees = |r: &ModelRow| mode == Naive || subject.may_read(Some(&w.global), &r.labels);
         (0..self.rows.len()).filter(|&i| sees(&self.rows[i]) && pred(&self.rows[i])).collect()
     }
 
     /// The same rows, for a SELECT to order and cut.
-    fn seen(&self, subject: &Subject, mode: QueryMode, pred: impl Fn(&ModelRow) -> bool) -> Vec<&ModelRow> {
-        self.hits(subject, mode, pred).into_iter().map(|i| &self.rows[i]).collect()
+    fn seen(&self, w: &StoreWorld, subject: &Subject, mode: QueryMode, pred: impl Fn(&ModelRow) -> bool) -> Vec<&ModelRow> {
+        self.hits(w, subject, mode, pred).into_iter().map(|i| &self.rows[i]).collect()
     }
 
     /// A SELECT's answer: `values` of each hit (of all of them at once for an
@@ -78,12 +78,13 @@ impl Model {
     /// statement fails whole; `change` returns whether the row stays.
     fn write(
         &mut self,
+        w: &StoreWorld,
         subject: &Subject,
         pred: impl Fn(&ModelRow) -> bool,
         change: impl Fn(&mut ModelRow) -> bool,
     ) -> Outcome {
-        let hits = self.hits(subject, Filtered, pred);
-        if hits.iter().any(|&i| !subject.may_write(&self.rows[i].labels)) {
+        let hits = self.hits(w, subject, Filtered, pred);
+        if hits.iter().any(|&i| !subject.may_write(Some(&w.global), &self.rows[i].labels)) {
             return Err(QueryError::WriteDenied);
         }
         let scanned = self.rows.len();
@@ -112,7 +113,7 @@ impl Arm for Model {
         match *op {
             StoreOp::Insert { kind, id, v } => {
                 let labels = w.insert_label(kind);
-                if !w.owner.may_write(&labels) {
+                if !w.owner.may_write(Some(&w.global), &labels) {
                     return Err(QueryError::WriteDenied);
                 }
                 let s = id.map_or("rNULL".to_string(), |id| format!("r{id}"));
@@ -121,7 +122,18 @@ impl Arm for Model {
             }
             StoreOp::Point { stranger, id, below } => {
                 let pred = |r: &ModelRow| keyed(id)(r) && below.is_none_or(|b| r.v < b);
-                self.answer(&["id", "v", "s"], &self.seen(w.reader(stranger), Filtered, pred), None)
+                self.answer(&["id", "v", "s"], &self.seen(w, w.reader(stranger), Filtered, pred), None)
+            }
+            StoreOp::Meet { stranger, id, also, then } => {
+                // A NULL literal and a literal of another type never
+                // compare equal; `v` is never NULL.
+                let holds = |r: &ModelRow, e: EqTerm| match e {
+                    EqTerm::Id(m) => r.id == Some(m),
+                    EqTerm::V(n) => r.v == n,
+                    EqTerm::VText(_) | EqTerm::IdNull => false,
+                };
+                let pred = |r: &ModelRow| keyed(id)(r) && holds(r, also) && then.is_none_or(|e| holds(r, e));
+                self.answer(&["id", "v", "s"], &self.seen(w, w.reader(stranger), Filtered, pred), None)
             }
             StoreOp::Window { stranger, lo, hi } => {
                 // NULL keys are in no window; an inverted window is empty.
@@ -130,17 +142,17 @@ impl Arm for Model {
                         (id > lo.0 || (lo.1 && id == lo.0)) && (id < hi.0 || (hi.1 && id == hi.0))
                     })
                 };
-                self.answer(&["id", "v"], &self.seen(w.reader(stranger), Filtered, inside), None)
+                self.answer(&["id", "v"], &self.seen(w, w.reader(stranger), Filtered, inside), None)
             }
             StoreOp::Range { stranger, lo, span } => {
-                let mut hits = self.seen(w.reader(stranger), Filtered, |r| r.v >= lo && r.v < lo + span);
+                let mut hits = self.seen(w, w.reader(stranger), Filtered, |r| r.v >= lo && r.v < lo + span);
                 // ORDER BY id: NULL first, as `Option` orders; ties keep
                 // insertion order (the sort is stable).
                 hits.sort_by_key(|r| r.id);
                 self.answer(&["id", "v"], &hits, None)
             }
             StoreOp::Agg { stranger } => {
-                let hits = self.seen(w.reader(stranger), Filtered, |_| true);
+                let hits = self.seen(w, w.reader(stranger), Filtered, |_| true);
                 let ids = hits.iter().filter_map(|r| r.id);
                 let vs = hits.iter().map(|r| r.v);
                 let values = vec![
@@ -154,33 +166,33 @@ impl Arm for Model {
                 self.answer(&names, &hits, Some(values))
             }
             StoreOp::OrderLimit { stranger, limit } => {
-                let mut hits = self.seen(w.reader(stranger), Filtered, |_| true);
+                let mut hits = self.seen(w, w.reader(stranger), Filtered, |_| true);
                 hits.sort_by_key(|r| Reverse(r.v));
                 hits.truncate(limit);
                 self.answer(&["id", "v"], &hits, None)
             }
             StoreOp::NaiveScan => {
-                let mut hits = self.seen(&w.stranger, Naive, |_| true);
+                let mut hits = self.seen(w, &w.stranger, Naive, |_| true);
                 hits.sort_by_key(|r| r.id);
                 hits.truncate(20);
                 self.answer(&["id", "v", "s"], &hits, None)
             }
-            StoreOp::Dump => self.answer(&["id", "v", "s"], &self.seen(&w.stranger, Naive, |_| true), None),
-            StoreOp::Update { id, v } => self.write(&w.owner, keyed(id), |r| {
+            StoreOp::Dump => self.answer(&["id", "v", "s"], &self.seen(w, &w.stranger, Naive, |_| true), None),
+            StoreOp::Update { id, v } => self.write(w, &w.owner, keyed(id), |r| {
                 r.v = v;
                 true
             }),
-            StoreOp::Shift { id } => self.write(&w.owner, keyed(id), |r| {
+            StoreOp::Shift { id } => self.write(w, &w.owner, keyed(id), |r| {
                 r.id = Some(id + ID_DOMAIN);
                 true
             }),
-            StoreOp::StrangerUpdate { v } => self.write(&w.stranger, |r| r.v >= v, |r| {
+            StoreOp::StrangerUpdate { v } => self.write(w, &w.stranger, |r| r.v >= v, |r| {
                 r.s = "x".to_string();
                 true
             }),
-            StoreOp::Delete { id } => self.write(&w.owner, keyed(id), |_| false),
+            StoreOp::Delete { id } => self.write(w, &w.owner, keyed(id), |_| false),
             StoreOp::DeleteWindow { lo, hi } => {
-                self.write(&w.owner, |r| r.id.is_some_and(|id| id >= lo && id <= hi), |_| false)
+                self.write(w, &w.owner, |r| r.id.is_some_and(|id| id >= lo && id <= hi), |_| false)
             }
             StoreOp::CreateTable | StoreOp::CreateIndex { .. } => dml(0, 0),
         }

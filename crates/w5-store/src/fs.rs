@@ -17,7 +17,7 @@ use bytes::Bytes;
 use w5_sync::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
-use w5_difc::LabelPair;
+use w5_difc::{LabelPair, TagRegistry};
 
 /// Ledger a store access. The event is labeled with the *file's* secrecy:
 /// even a denied access leaks which file was probed, so only viewers
@@ -97,6 +97,9 @@ pub struct LabeledFs {
     inner: std::sync::Arc<RwLock<BTreeMap<String, FileEntry>>>,
     /// Total bytes allowed across the filesystem; `usize::MAX` = unlimited.
     capacity: usize,
+    /// The provider's tag registry, whose kind rule is the global bag
+    /// every subject holds; `None` holds subjects to their own bags.
+    global: Option<std::sync::Arc<TagRegistry>>,
 }
 
 fn validate(path: &str) -> Result<(), FsError> {
@@ -127,7 +130,14 @@ impl LabeledFs {
         LabeledFs {
             inner: std::sync::Arc::new(RwLock::new("store.fs", BTreeMap::new())),
             capacity,
+            global: None,
         }
+    }
+
+    /// This filesystem, checking every subject with `registry`'s global bag
+    /// `Ô` as well as the subject's own capabilities.
+    pub fn with_global(self, registry: std::sync::Arc<TagRegistry>) -> LabeledFs {
+        LabeledFs { global: Some(registry), ..self }
     }
 
     /// Create a file. Fails if it exists. The file's labels are chosen by
@@ -141,7 +151,7 @@ impl LabeledFs {
         data: Bytes,
     ) -> Result<(), FsError> {
         validate(path)?;
-        if !subject.may_write(&labels) {
+        if !subject.may_write(self.global.as_deref(), &labels) {
             ledger_access(path, data.len() as u64, &labels, true, false);
             return Err(FsError::WriteDenied);
         }
@@ -172,7 +182,7 @@ impl LabeledFs {
         validate(path)?;
         let inner = self.inner.read();
         let f = inner.get(path).ok_or(FsError::NotFound)?;
-        if !subject.may_read(&f.labels) {
+        if !subject.may_read(self.global.as_deref(), &f.labels) {
             let labels = f.labels.clone();
             drop(inner);
             ledger_access(path, 0, &labels, false, false);
@@ -189,7 +199,7 @@ impl LabeledFs {
         validate(path)?;
         let inner = self.inner.read();
         let f = inner.get(path).ok_or(FsError::NotFound)?;
-        if !subject.may_read(&f.labels) {
+        if !subject.may_read(self.global.as_deref(), &f.labels) {
             return Err(FsError::NotFound);
         }
         Ok(FileMeta {
@@ -208,11 +218,11 @@ impl LabeledFs {
         // Quota check against the delta.
         let used: usize = inner.values().map(|f| f.data.len()).sum();
         let f = inner.get_mut(path).ok_or(FsError::NotFound)?;
-        if !subject.may_read(&f.labels) {
+        if !subject.may_read(self.global.as_deref(), &f.labels) {
             // Invisible file: same error as absence.
             return Err(FsError::NotFound);
         }
-        if !subject.may_write(&f.labels) {
+        if !subject.may_write(self.global.as_deref(), &f.labels) {
             let labels = f.labels.clone();
             drop(inner);
             ledger_access(path, data.len() as u64, &labels, true, false);
@@ -242,10 +252,10 @@ impl LabeledFs {
         validate(path)?;
         let mut inner = self.inner.write();
         let f = inner.get(path).ok_or(FsError::NotFound)?;
-        if !subject.may_read(&f.labels) {
+        if !subject.may_read(self.global.as_deref(), &f.labels) {
             return Err(FsError::NotFound);
         }
-        if !subject.may_write(&f.labels) {
+        if !subject.may_write(self.global.as_deref(), &f.labels) {
             let labels = f.labels.clone();
             drop(inner);
             ledger_access(path, 0, &labels, true, false);
@@ -271,7 +281,7 @@ impl LabeledFs {
             .range(prefix.clone()..)
             .take_while(|(p, _)| p.starts_with(&prefix))
             .filter(|(p, _)| !p[prefix.len()..].contains('/'))
-            .filter(|(_, f)| subject.may_read(&f.labels))
+            .filter(|(_, f)| subject.may_read(self.global.as_deref(), &f.labels))
             .map(|(p, f)| FileMeta {
                 path: p.clone(),
                 size: f.data.len(),
@@ -291,7 +301,7 @@ impl LabeledFs {
         Ok(inner
             .range(prefix.clone()..)
             .take_while(|(p, _)| p.starts_with(&prefix))
-            .filter(|(_, f)| subject.may_read(&f.labels))
+            .filter(|(_, f)| subject.may_read(self.global.as_deref(), &f.labels))
             .map(|(p, f)| FileMeta {
                 path: p.clone(),
                 size: f.data.len(),
@@ -349,11 +359,12 @@ mod tests {
         bob_caps.extend(&w_caps);
         let bob = Subject::new(
             LabelPair::new(Label::empty(), Label::singleton(w)),
-            reg.effective(&bob_caps),
+            bob_caps.clone(),
         );
-        let app = Subject::new(LabelPair::public(), reg.effective(&CapSet::empty()));
+        let app = Subject::new(LabelPair::public(), CapSet::empty());
         let bob_data = LabelPair::new(Label::singleton(e), Label::singleton(w));
-        World { reg, fs: LabeledFs::new(), bob, bob_data, app }
+        let fs = LabeledFs::new().with_global(Arc::clone(&reg));
+        World { reg, fs, bob, bob_data, app }
     }
 
     #[test]
@@ -398,7 +409,7 @@ mod tests {
             w.app.caps.clone(),
         );
         // It may not launder into a public file…
-        assert!(!tainted.may_write(&LabelPair::public()));
+        assert!(!tainted.may_write(Some(&w.reg), &LabelPair::public()));
         assert_eq!(
             w.fs.create(&tainted, "/public/loot.bin", LabelPair::public(), Bytes::from_static(b"x")),
             Err(FsError::WriteDenied)
@@ -412,13 +423,13 @@ mod tests {
     fn invisible_files_look_absent() {
         let reg = Arc::new(TagRegistry::new());
         let (r, owner_caps) = reg.create_tag(TagKind::ReadProtect, "read:alice");
-        let alice = Subject::new(LabelPair::public(), reg.effective(&owner_caps));
-        let fs = LabeledFs::new();
+        let alice = Subject::new(LabelPair::public(), owner_caps.clone());
+        let fs = LabeledFs::new().with_global(Arc::clone(&reg));
         let secret = LabelPair::new(Label::singleton(r), Label::empty());
         fs.create(&alice, "/diary/alice.txt", secret, Bytes::from_static(b"dear diary"))
             .unwrap();
 
-        let stranger = Subject::new(LabelPair::public(), reg.effective(&CapSet::empty()));
+        let stranger = Subject::new(LabelPair::public(), CapSet::empty());
         // Read-protected file: the stranger cannot even raise to read it, so
         // it must appear not to exist.
         assert_eq!(fs.read(&stranger, "/diary/alice.txt"), Err(FsError::NotFound));
@@ -467,7 +478,7 @@ mod tests {
     #[test]
     fn capacity_enforced() {
         let w = world();
-        let fs = LabeledFs::with_capacity(10);
+        let fs = LabeledFs::with_capacity(10).with_global(Arc::clone(&w.reg));
         fs.create(&w.bob, "/a", w.bob_data.clone(), Bytes::from(vec![0; 8])).unwrap();
         assert_eq!(
             fs.create(&w.bob, "/b", w.bob_data.clone(), Bytes::from(vec![0; 3])),

@@ -37,7 +37,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use w5_difc::LabelPair;
+use w5_difc::{LabelPair, TagRegistry};
 
 /// How the engine treats rows the subject may not read. See the module docs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -144,41 +144,32 @@ pub struct QueryOutput {
     pub scanned: u64,
 }
 
-/// The rows a statement's scan matched, plus what the scan cost.
-pub(crate) struct Scan {
-    /// Matching row locations, partition-major. The pipeline re-sorts by
-    /// insertion sequence before anything observable happens.
-    pub(crate) locs: Vec<RowLoc>,
-    /// Cost units consumed.
-    pub(crate) scanned: u64,
-}
-
-/// Visit `t`'s rows and return those that are visible to `subject` under
+/// Visit `t`'s rows and hand those that are visible to `subject` under
 /// `mode`, satisfy `filter`, and (when `write` is set) are writable by the
-/// subject — a `WriteDenied` on any matching row aborts the scan. Budget is
-/// charged per the module docs' cost model.
+/// subject to `on_match` — partition-major, ascending row order within a
+/// partition. A `WriteDenied` on any matching row aborts the scan. Budget
+/// is charged per the module docs' cost model; returns the units consumed.
 ///
 /// Every partition's verdict goes into one batch, which hands them to the
 /// ledger in order when it drops — on `Ok` and on every error exit alike,
 /// while the caller still holds the table guard and the ledger permit.
+#[allow(clippy::too_many_arguments)]
 fn scan(
     t: &Table,
     subject: &Subject,
+    global: Option<&TagRegistry>,
     mode: QueryMode,
     cost: QueryCost,
     filter: Option<&Expr>,
     write: bool,
-) -> Result<Scan, QueryError> {
-    // A pushdown whose column has no index slot (the planner never
-    // returns one) falls through to the unindexed scan.
+    on_match: &mut impl FnMut(RowLoc),
+) -> Result<u64, QueryError> {
     let push = filter.and_then(|f| plan::pushdown(t, f));
-    let probe = push.as_ref().and_then(|p| Some((p, t.index_slot(p.col)?)));
-    // A probe that is the whole filter has already decided every row it
-    // returns (`Pushdown::exact`); anything else is re-checked per row.
-    let filter = filter.filter(|_| !probe.is_some_and(|(p, _)| p.exact));
-    let mut verdicts = subject.verdicts();
+    // Probes that are the whole filter have already decided every row they
+    // return (`Pushdown::exact`); anything else is re-checked per row.
+    let filter = filter.filter(|_| !push.is_some_and(|p| p.exact));
+    let mut verdicts = subject.verdicts(global);
     let mut scanned = 0u64;
-    let mut locs = Vec::new();
     let mut cands: Vec<u32> = Vec::new();
     for (pi, part) in t.partitions.iter().enumerate() {
         if part.rows.is_empty() {
@@ -196,25 +187,8 @@ fn scan(
             }
             continue;
         }
-        // Candidates are visited in row order so within-partition
-        // behaviour (and any eval-error surfacing) is stable: one key's
-        // rows are stored ascending, a window's are sorted here.
-        let probed: Option<&[u32]> = probe.map(|(p, slot)| {
-            let index = &part.indexes[slot];
-            match &p.eq {
-                Some(v) => index.probe_eq(v),
-                None => {
-                    cands.clear();
-                    index.probe_range(p.lo.as_ref(), p.hi.as_ref(), &mut cands);
-                    cands.sort_unstable();
-                    &cands
-                }
-            }
-        });
         let mut write_ok = false;
-        let n = probed.map_or(part.rows.len(), <[u32]>::len);
-        for k in 0..n {
-            let ri = probed.map_or(k, |c| c[k] as usize);
+        let mut visit = |ri: usize| -> Result<(), QueryError> {
             scanned += 1;
             if scanned > cost.max_rows_scanned {
                 return Err(QueryError::BudgetExhausted);
@@ -222,7 +196,7 @@ fn scan(
             let row = &part.rows[ri];
             if let Some(f) = filter {
                 if !eval(f, &t.columns, &row.values)?.is_truthy() {
-                    continue;
+                    return Ok(());
                 }
             }
             if write && !write_ok {
@@ -233,16 +207,74 @@ fn scan(
                 }
                 write_ok = true;
             }
-            locs.push(RowLoc { part: pi, row: ri, seq: row.seq });
+            on_match(RowLoc { part: pi, row: ri, seq: row.seq });
+            Ok(())
+        };
+        // Candidates are visited in row order so within-partition
+        // behaviour (and any eval-error surfacing) is stable: one key's
+        // rows are stored ascending, an intersection of keys keeps that
+        // order, and a window's are sorted here.
+        match push {
+            None => (0..part.rows.len()).try_for_each(visit)?,
+            Some(p) if p.eq().is_some() => {
+                let mut postings: [&[u32]; plan::MAX_KEYS] = [&[]; plan::MAX_KEYS];
+                let mut n = 0;
+                for k in p.keys() {
+                    postings[n] = part.indexes[k.slot].probe_eq(k.value);
+                    n += 1;
+                }
+                each_common(&postings[..n], &mut |ri| visit(ri as usize))?;
+            }
+            Some(p) => {
+                cands.clear();
+                part.indexes[p.slot].probe_range(p.lo, p.hi, &mut cands);
+                cands.sort_unstable();
+                cands.iter().try_for_each(|&ri| visit(ri as usize))?;
+            }
         }
     }
-    Ok(Scan { locs, scanned })
+    Ok(scanned)
+}
+
+/// Call `f` on every row index present in all of `lists`, ascending. Each
+/// list is ascending; the shortest drives, and every other list keeps a
+/// cursor that only moves forward, so the walk costs at most the lists'
+/// total length and allocates nothing.
+fn each_common(
+    lists: &[&[u32]],
+    f: &mut impl FnMut(u32) -> Result<(), QueryError>,
+) -> Result<(), QueryError> {
+    let Some(shortest) = (0..lists.len()).min_by_key(|&i| lists[i].len()) else {
+        return Ok(());
+    };
+    let mut cursors = [0usize; plan::MAX_KEYS];
+    'rows: for &ri in lists[shortest] {
+        for (j, list) in lists.iter().enumerate() {
+            if j == shortest {
+                continue;
+            }
+            let c = &mut cursors[j];
+            while list.get(*c).is_some_and(|&x| x < ri) {
+                *c += 1;
+            }
+            match list.get(*c) {
+                None => return Ok(()),
+                Some(&x) if x != ri => continue 'rows,
+                Some(_) => {}
+            }
+        }
+        f(ri)?;
+    }
+    Ok(())
 }
 
 /// A labeled database. Cheap to clone (shared state).
 #[derive(Clone)]
 pub struct Database {
     tables: Arc<RwLock<HashMap<String, Table>>>,
+    /// The provider's tag registry, whose kind rule is the global bag
+    /// every subject holds; `None` holds subjects to their own bags.
+    global: Option<Arc<TagRegistry>>,
 }
 
 impl Default for Database {
@@ -254,7 +286,13 @@ impl Default for Database {
 impl Database {
     /// An empty database.
     pub fn new() -> Database {
-        Database { tables: Arc::new(RwLock::new("store.partition", HashMap::new())) }
+        Database { tables: Arc::new(RwLock::new("store.partition", HashMap::new())), global: None }
+    }
+
+    /// This database, checking every subject with `registry`'s global bag
+    /// `Ô` as well as the subject's own capabilities.
+    pub fn with_global(self, registry: Arc<TagRegistry>) -> Database {
+        Database { global: Some(registry), ..self }
     }
 
     /// Parse and execute one statement.
@@ -314,6 +352,37 @@ impl Database {
                 self.delete(subject, mode, cost, &table, filter)
             }
         }
+    }
+
+    /// `SELECT COUNT(*) FROM table WHERE filter`, answered as a number
+    /// without a result set: no statement to build, no row list, header or
+    /// row to materialise. The statement's semantics otherwise — fault
+    /// site, column validation, verdicts, budget — are
+    /// [`Database::execute_stmt`]'s. It returns no labels, so it is for
+    /// trusted callers reading public tables (the platform's relationship
+    /// oracle); code that would release a count of labeled rows uses
+    /// `execute`, whose output carries them.
+    pub fn count(
+        &self,
+        subject: &Subject,
+        mode: QueryMode,
+        cost: QueryCost,
+        table: &str,
+        filter: Option<&Expr>,
+    ) -> Result<u64, QueryError> {
+        if w5_chaos::inject(w5_chaos::Site::SqlQuery).is_some() {
+            return Err(QueryError::Aborted);
+        }
+        // As in `execute_stmt`: verdicts are ledgered under the table lock.
+        let _obs_permit = w5_sync::lockdep::allow_held("obs.ledger");
+        let tables = self.tables.read();
+        let t = tables
+            .get(table)
+            .ok_or_else(|| QueryError::NoSuchTable(table.to_string()))?;
+        validate_columns(&t.columns, filter)?;
+        let mut n = 0;
+        scan(t, subject, self.global.as_deref(), mode, cost, filter, false, &mut |_| n += 1)?;
+        Ok(n)
     }
 
     /// Names of all tables (schema metadata is public).
@@ -391,7 +460,7 @@ impl Database {
         // the seed engine's per-row pass. The verdicts reach the ledger,
         // as one batch, before the guard can drop.
         let writable = {
-            let mut verdicts = subject.verdicts();
+            let mut verdicts = subject.verdicts(self.global.as_deref());
             t.partitions.iter().all(|p| verdicts.may_write(&p.pair))
         };
         if !writable {
@@ -409,7 +478,7 @@ impl Database {
         columns: Option<Vec<String>>,
         rows: Vec<Vec<Expr>>,
     ) -> Result<QueryOutput, QueryError> {
-        if !subject.may_write(insert_labels) {
+        if !subject.may_write(self.global.as_deref(), insert_labels) {
             return Err(QueryError::WriteDenied);
         }
         let mut tables = self.tables.write();
@@ -480,6 +549,7 @@ impl Database {
                     .ok_or_else(|| QueryError::NoSuchTable(j.table.clone()))?;
                 Some(join_tables(
                     subject,
+                    self.global.as_deref(),
                     mode,
                     cost,
                     table,
@@ -495,7 +565,9 @@ impl Database {
 
         validate_columns(&t.columns, filter.as_ref())?;
 
-        let Scan { mut locs, scanned } = scan(t, subject, mode, cost, filter.as_ref(), false)?;
+        let mut locs = Vec::new();
+        let scanned =
+            scan(t, subject, self.global.as_deref(), mode, cost, filter.as_ref(), false, &mut |l| locs.push(l))?;
         // Back to insertion order: the scan visits partition-major.
         locs.sort_unstable_by_key(|l| l.seq);
         let mut hits: Vec<(&StoredRow, &Partition)> = locs
@@ -596,7 +668,9 @@ impl Database {
             .map(|(c, e)| t.col_index(&c).map(|i| (i, e)))
             .collect::<Result<_, _>>()?;
 
-        let Scan { mut locs, scanned } = scan(t, subject, mode, cost, filter.as_ref(), true)?;
+        let mut locs = Vec::new();
+        let scanned =
+            scan(t, subject, self.global.as_deref(), mode, cost, filter.as_ref(), true, &mut |l| locs.push(l))?;
         // Stage in insertion order so SET-expression evaluation (and any
         // error it surfaces) does not depend on layout; apply only once every
         // row staged cleanly — a failure aborts the whole statement.
@@ -649,7 +723,9 @@ impl Database {
         validate_columns(&t.columns, filter.as_ref())?;
         // Mark (scan), then sweep — so WriteDenied and budget errors abort
         // the statement without partial effects.
-        let Scan { locs, scanned } = scan(t, subject, mode, cost, filter.as_ref(), true)?;
+        let mut locs = Vec::new();
+        let scanned =
+            scan(t, subject, self.global.as_deref(), mode, cost, filter.as_ref(), true, &mut |l| locs.push(l))?;
         let affected = locs.len();
         if affected > 0 {
             let mut doomed: Vec<Option<Vec<bool>>> = vec![None; t.partitions.len()];
@@ -689,6 +765,7 @@ enum Projection<'a> {
 #[allow(clippy::too_many_arguments)]
 fn join_tables(
     subject: &Subject,
+    global: Option<&TagRegistry>,
     mode: QueryMode,
     cost: QueryCost,
     lname: &str,
@@ -724,7 +801,8 @@ fn join_tables(
     // The prefilter: every visible row, in insertion order. It charges
     // nothing — a join budgets the candidate *pair* count instead.
     let visible = |t: &Table| -> Result<Vec<RowLoc>, QueryError> {
-        let mut locs = scan(t, subject, mode, QueryCost::unlimited(), None, false)?.locs;
+        let mut locs = Vec::new();
+        scan(t, subject, global, mode, QueryCost::unlimited(), None, false, &mut |l| locs.push(l))?;
         locs.sort_unstable_by_key(|l| l.seq);
         Ok(locs)
     };
@@ -770,14 +848,16 @@ fn validate_columns(
     cols: &[(String, ColumnType)],
     filter: Option<&Expr>,
 ) -> Result<(), QueryError> {
-    if let Some(f) = filter {
-        let mut names = Vec::new();
-        f.columns(&mut names);
-        for c in &names {
-            col_index(cols, c)?;
+    // Left to right, as `Expr::columns` lists them, without collecting.
+    fn walk(cols: &[(String, ColumnType)], e: &Expr) -> Result<(), QueryError> {
+        match e {
+            Expr::Literal(_) => Ok(()),
+            Expr::Column(c) => col_index(cols, c).map(drop),
+            Expr::Binary { left, right, .. } => walk(cols, left).and_then(|()| walk(cols, right)),
+            Expr::Not(e) | Expr::Neg(e) | Expr::IsNull { expr: e, .. } => walk(cols, e),
         }
     }
-    Ok(())
+    filter.map_or(Ok(()), |f| walk(cols, f))
 }
 
 /// Combined labels of the rows that contributed to a result, folded over

@@ -2,21 +2,28 @@
 //!
 //! The planner walks the top-level `AND` conjuncts of a filter looking for
 //! comparisons of the shape `column op literal` (or the mirror image) where
-//! the column carries a secondary index. The chosen bounds drive an
-//! [`Index`](super::storage::Index) probe per visible partition;
-//! the executor then re-evaluates the **full** original filter on every
-//! candidate row, so the probe only has to produce a superset of the
-//! matching rows — unless the filter *is* the pushed equality (one
-//! `col = lit` or `lit = col` conjunct and nothing else, [`Pushdown::exact`]):
-//! then the probe returns exactly the matching rows (see `Eq` below: every
-//! row under the key is same-variant equal to a non-NULL literal, so the
-//! comparison is `TRUE` on each and raises no error) and re-evaluating it
-//! would only repeat the lookup's answer. Soundness of the superset claim:
+//! the column carries a secondary index. The chosen bounds drive
+//! [`Index`](super::storage::Index) probes per visible partition: every
+//! indexed equality conjunct is probed and their ascending postings are
+//! intersected; with no equality, one column's range window is probed. The
+//! executor then re-evaluates the **full** original filter on every
+//! candidate row, so the probes only have to produce a superset of the
+//! matching rows — unless every conjunct *is* a pushed equality
+//! ([`Pushdown::exact`]): then the intersection is exactly the matching
+//! rows (see `Eq` below: every row under a key is same-variant equal to
+//! that non-NULL literal, so each conjunct is `TRUE` on each row of the
+//! intersection and raises no error, and a row outside it fails some
+//! conjunct), and re-evaluating the filter would only repeat the lookups'
+//! answer. Soundness of the superset claim:
 //!
 //! * `Eq` — `sql_eq` is only `TRUE` for same-variant equal values, and
 //!   [`Value::order`](super::value::Value::order), which keys the index,
 //!   agrees with that equality, so one map lookup covers every possible
-//!   match. NULL literals are never pushed (`x = NULL` is never true).
+//!   match of one conjunct, and the intersection of the lookups every
+//!   possible match of all of them. NULL literals are never pushed
+//!   (`x = NULL` is never true); a literal of another type than the column
+//!   is pushed and finds no key, as `sql_eq` finds no match; a column named
+//!   twice intersects with itself.
 //! * Ranges — pushed only when the literal's type matches the declared
 //!   column type. A truthy `<`/`<=`/`>`/`>=` requires same-type operands
 //!   (anything else evaluates to an error or NULL), and on same-type values
@@ -29,78 +36,119 @@
 //! a division by zero) do not surface. Like any real planner, error
 //! surfacing for rows the plan never touches is plan-dependent; the
 //! differential oracle keeps its workloads evaluation-error-free.
+//!
+//! Planning allocates nothing: bounds borrow their literals from the
+//! filter, and the equality keys sit in a fixed array.
 
 use super::ast::{BinOp, Expr};
 use super::storage::Table;
 use super::value::Value;
 use std::cmp::Ordering;
 
-/// Bounds extracted from a filter for one indexed column. `eq` takes
-/// precedence over the range pair.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct Pushdown {
-    /// Column index the probe runs against.
+/// Most equality conjuncts one probe intersects. A filter with more keeps
+/// the first ones as its probe and is re-checked per row.
+pub(crate) const MAX_KEYS: usize = 4;
+
+/// One pushed equality: the column, its index slot, and the key.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Key<'e> {
     pub(crate) col: usize,
-    /// Equality probe key.
-    pub(crate) eq: Option<Value>,
+    pub(crate) slot: usize,
+    pub(crate) value: &'e Value,
+}
+
+/// The probes extracted from a filter. Equality keys take precedence over
+/// the range window.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Pushdown<'e> {
+    /// Column the range window (or the first equality key) is on.
+    pub(crate) col: usize,
+    /// Index slot of `col`.
+    pub(crate) slot: usize,
+    /// Equality keys, in conjunct order; `keys[..nkeys]` are set.
+    pub(crate) keys: [Option<Key<'e>>; MAX_KEYS],
     /// Lower bound `(value, inclusive)`.
-    pub(crate) lo: Option<(Value, bool)>,
+    pub(crate) lo: Option<(&'e Value, bool)>,
     /// Upper bound `(value, inclusive)`.
-    pub(crate) hi: Option<(Value, bool)>,
-    /// The whole filter is the `eq` comparison: every probed row matches,
-    /// and the executor need not evaluate the filter on it again.
+    pub(crate) hi: Option<(&'e Value, bool)>,
+    /// Every conjunct of the filter is one of `keys`: every row of the
+    /// intersection matches, and the executor need not evaluate the filter
+    /// on it again.
     pub(crate) exact: bool,
+}
+
+impl<'e> Pushdown<'e> {
+    /// The equality keys.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = Key<'e>> + '_ {
+        self.keys.iter().map_while(|k| *k)
+    }
+
+    /// The first equality key's value, if the probe is by equality.
+    pub(crate) fn eq(&self) -> Option<&'e Value> {
+        self.keys[0].map(|k| k.value)
+    }
 }
 
 /// One normalized `column op literal` conjunct.
 struct Bound<'e> {
     col: usize,
+    slot: usize,
     op: BinOp,
     lit: &'e Value,
 }
 
-/// Extract the best index probe for `filter` against `t`, if any.
-pub(crate) fn pushdown(t: &Table, filter: &Expr) -> Option<Pushdown> {
+/// Extract the index probes for `filter` against `t`, if any.
+pub(crate) fn pushdown<'e>(t: &Table, filter: &'e Expr) -> Option<Pushdown<'e>> {
     if t.indexed.is_empty() {
         return None;
     }
-    let mut conj = Vec::new();
-    conjuncts(filter, &mut conj);
-    let mut bounds: Vec<Bound<'_>> = Vec::new();
-    for &e in &conj {
-        if let Some(b) = normalize(t, e) {
-            bounds.push(b);
+    let mut push =
+        Pushdown { col: 0, slot: 0, keys: [None; MAX_KEYS], lo: None, hi: None, exact: false };
+    let (mut conjuncts, mut nkeys, mut range) = (0usize, 0usize, None);
+    each_conjunct(filter, &mut |e| {
+        conjuncts += 1;
+        match normalize(t, e) {
+            Some(b) if b.op == BinOp::Eq && nkeys < MAX_KEYS => {
+                push.keys[nkeys] = Some(Key { col: b.col, slot: b.slot, value: b.lit });
+                nkeys += 1;
+            }
+            Some(b) if b.op != BinOp::Eq => {
+                range.get_or_insert((b.col, b.slot));
+            }
+            _ => {}
         }
-    }
-    // An equality probe beats any range window.
-    if let Some(b) = bounds.iter().find(|b| b.op == BinOp::Eq) {
-        let exact = conj.len() == 1;
-        return Some(Pushdown { col: b.col, eq: Some(b.lit.clone()), lo: None, hi: None, exact });
+    });
+    // Equality probes beat any range window.
+    if let Some(first) = push.keys[0] {
+        push.col = first.col;
+        push.slot = first.slot;
+        push.exact = nkeys == conjuncts;
+        return Some(push);
     }
     // Otherwise take the first column with a range bound and fold every
     // bound on that column into the tightest window.
-    let col = bounds.first()?.col;
-    let mut push = Pushdown { col, eq: None, lo: None, hi: None, exact: false };
-    for b in bounds.iter().filter(|b| b.col == col) {
+    (push.col, push.slot) = range?;
+    each_conjunct(filter, &mut |e| {
+        let Some(b) = normalize(t, e).filter(|b| b.col == push.col) else { return };
         let (bound, is_lo) = match b.op {
-            BinOp::Gt => ((b.lit.clone(), false), true),
-            BinOp::GtEq => ((b.lit.clone(), true), true),
-            BinOp::Lt => ((b.lit.clone(), false), false),
-            BinOp::LtEq => ((b.lit.clone(), true), false),
-            _ => continue,
+            BinOp::Gt => ((b.lit, false), true),
+            BinOp::GtEq => ((b.lit, true), true),
+            BinOp::Lt => ((b.lit, false), false),
+            BinOp::LtEq => ((b.lit, true), false),
+            _ => return,
         };
         let slot = if is_lo { &mut push.lo } else { &mut push.hi };
         *slot = Some(match slot.take() {
             None => bound,
             Some(old) => tighter(old, bound, is_lo),
         });
-    }
-    (push.lo.is_some() || push.hi.is_some()).then_some(push)
+    });
+    Some(push)
 }
 
 /// Of two bounds on the same side, the one that admits fewer values.
-fn tighter(a: (Value, bool), b: (Value, bool), is_lo: bool) -> (Value, bool) {
-    match a.0.order(&b.0) {
+fn tighter<'e>(a: (&'e Value, bool), b: (&'e Value, bool), is_lo: bool) -> (&'e Value, bool) {
+    match a.0.order(b.0) {
         Ordering::Equal => {
             // Exclusive is tighter than inclusive.
             if a.1 { b } else { a }
@@ -122,14 +170,14 @@ fn tighter(a: (Value, bool), b: (Value, bool), is_lo: bool) -> (Value, bool) {
     }
 }
 
-/// Flatten nested `AND`s; every collected expression must be truthy for the
-/// whole filter to be truthy.
-fn conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+/// Visit the flattened `AND` conjuncts in order; every one must be truthy
+/// for the whole filter to be truthy.
+fn each_conjunct<'e>(e: &'e Expr, f: &mut impl FnMut(&'e Expr)) {
     if let Expr::Binary { op: BinOp::And, left, right } = e {
-        conjuncts(left, out);
-        conjuncts(right, out);
+        each_conjunct(left, f);
+        each_conjunct(right, f);
     } else {
-        out.push(e);
+        f(e);
     }
 }
 
@@ -147,7 +195,7 @@ fn normalize<'e>(t: &Table, e: &'e Expr) -> Option<Bound<'e>> {
         return None;
     }
     let col = t.col_index(col_name).ok()?;
-    t.index_slot(col)?;
+    let slot = t.index_slot(col)?;
     match op {
         BinOp::Eq => {}
         BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
@@ -159,7 +207,7 @@ fn normalize<'e>(t: &Table, e: &'e Expr) -> Option<Bound<'e>> {
         }
         _ => return None,
     }
-    Some(Bound { col, op, lit })
+    Some(Bound { col, slot, op, lit })
 }
 
 /// `lit op col` rewritten as `col op' lit`.
@@ -201,26 +249,29 @@ mod tests {
     #[test]
     fn equality_beats_range() {
         let t = table();
-        let p = pushdown(&t, &filter_of("id > 3 AND name = 'x'")).unwrap();
+        let f = filter_of("id > 3 AND name = 'x'");
+        let p = pushdown(&t, &f).unwrap();
         assert_eq!(p.col, 1);
-        assert_eq!(p.eq, Some(Value::Text("x".into())));
+        assert_eq!(p.eq(), Some(&Value::Text("x".into())));
     }
 
     #[test]
     fn range_bounds_fold_to_tightest_window() {
         let t = table();
-        let p = pushdown(&t, &filter_of("id > 3 AND id >= 5 AND id < 10 AND id <= 20")).unwrap();
+        let f = filter_of("id > 3 AND id >= 5 AND id < 10 AND id <= 20");
+        let p = pushdown(&t, &f).unwrap();
         assert_eq!(p.col, 0);
-        assert_eq!(p.lo, Some((Value::Int(5), true)));
-        assert_eq!(p.hi, Some((Value::Int(10), false)));
+        assert_eq!(p.lo, Some((&Value::Int(5), true)));
+        assert_eq!(p.hi, Some((&Value::Int(10), false)));
     }
 
     #[test]
     fn mirrored_literal_comparisons_flip() {
         let t = table();
-        let p = pushdown(&t, &filter_of("10 > id")).unwrap();
+        let f = filter_of("10 > id");
+        let p = pushdown(&t, &f).unwrap();
         assert_eq!(p.col, 0);
-        assert_eq!(p.hi, Some((Value::Int(10), false)));
+        assert_eq!(p.hi, Some((&Value::Int(10), false)));
         assert_eq!(p.lo, None);
     }
 
@@ -245,9 +296,10 @@ mod tests {
         // `id = 1 AND plain > 2`: probing id is sound because the probe is
         // a superset and the executor re-checks the full filter.
         let t = table();
-        let p = pushdown(&t, &filter_of("id = 1 AND plain > 2")).unwrap();
+        let f = filter_of("id = 1 AND plain > 2");
+        let p = pushdown(&t, &f).unwrap();
         assert_eq!(p.col, 0);
-        assert_eq!(p.eq, Some(Value::Int(1)));
+        assert_eq!(p.eq(), Some(&Value::Int(1)));
         assert!(!p.exact);
     }
 
@@ -255,8 +307,9 @@ mod tests {
     fn a_lone_equality_is_exact() {
         let t = table();
         for sql in ["name = 'a'", "'a' = name"] {
-            let p = pushdown(&t, &filter_of(sql)).unwrap();
-            assert_eq!((p.col, p.eq, p.exact), (1, Some(Value::Text("a".into())), true), "{sql}");
+            let f = filter_of(sql);
+            let p = pushdown(&t, &f).unwrap();
+            assert_eq!((p.col, p.eq(), p.exact), (1, Some(&Value::Text("a".into())), true), "{sql}");
         }
     }
 
@@ -266,7 +319,7 @@ mod tests {
         for sql in [
             "name = 'a' AND plain = 2",
             "plain = 2 AND name = 'a'",
-            "name = 'a' AND name = 'a'",
+            "name = 'a' AND id = NULL",
             "id = 1 AND id > 0",
             "id > 3",
             "id > 3 AND id < 9",
@@ -274,5 +327,36 @@ mod tests {
         ] {
             assert!(!pushdown(&t, &filter_of(sql)).unwrap().exact, "{sql}");
         }
+    }
+
+    #[test]
+    fn indexed_equalities_intersect_and_are_exact_together() {
+        let t = table();
+        for (sql, keys) in [
+            ("name = 'a' AND id = 1", vec![(1, Value::Text("a".into())), (0, Value::Int(1))]),
+            // A column named twice is two keys on one index.
+            ("name = 'a' AND name = 'a'", vec![(1, Value::Text("a".into())), (1, Value::Text("a".into()))]),
+            ("name = 'a' AND name = 'b'", vec![(1, Value::Text("a".into())), (1, Value::Text("b".into()))]),
+            // A literal of another type is pushed; it matches no key.
+            ("id = 'x' AND 'a' = name", vec![(0, Value::Text("x".into())), (1, Value::Text("a".into()))]),
+            ("id = 1 AND name = 'a' AND id = 2", vec![
+                (0, Value::Int(1)),
+                (1, Value::Text("a".into())),
+                (0, Value::Int(2)),
+            ]),
+        ] {
+            let f = filter_of(sql);
+            let p = pushdown(&t, &f).unwrap();
+            let got: Vec<(usize, Value)> = p.keys().map(|k| (k.col, k.value.clone())).collect();
+            assert_eq!(got, keys, "{sql}");
+            assert!(p.exact, "{sql}");
+            for k in p.keys() {
+                assert_eq!(t.index_slot(k.col), Some(k.slot), "{sql}");
+            }
+        }
+        // Past the fixed key array, the extra keys are re-checked per row.
+        let f = filter_of("id = 1 AND id = 1 AND id = 1 AND id = 1 AND id = 1");
+        let p = pushdown(&t, &f).unwrap();
+        assert_eq!((p.keys().count(), p.exact), (MAX_KEYS, false));
     }
 }

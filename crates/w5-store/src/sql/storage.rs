@@ -91,21 +91,21 @@ impl Index {
     /// re-evaluates the full filter on every candidate.
     pub(crate) fn probe_range(
         &self,
-        lo: Option<&(Value, bool)>,
-        hi: Option<&(Value, bool)>,
+        lo: Option<(&Value, bool)>,
+        hi: Option<(&Value, bool)>,
         out: &mut Vec<u32>,
     ) {
         // `BTreeMap::range` panics on an inverted or empty-and-excluded
         // window, and hostile SQL (`id > 5 AND id < 3`) folds into exactly
         // that: an empty window has no candidates.
         if let (Some(l), Some(h)) = (lo, hi) {
-            match l.0.cmp(&h.0) {
+            match l.0.cmp(h.0) {
                 Ordering::Greater => return,
                 Ordering::Equal if !(l.1 && h.1) => return,
                 _ => {}
             }
         }
-        fn bound(b: Option<&(Value, bool)>) -> Bound<&Value> {
+        fn bound(b: Option<(&Value, bool)>) -> Bound<&Value> {
             match b {
                 None => Bound::Unbounded,
                 Some((v, true)) => Bound::Included(v),
@@ -242,9 +242,12 @@ mod tests {
     }
 
     fn range(index: &Index, lo: Option<(i64, bool)>, hi: Option<(i64, bool)>) -> Vec<u32> {
-        let bound = |b: Option<(i64, bool)>| b.map(|(v, incl)| (Value::Int(v), incl));
+        let (lo, hi) = (lo.map(|(v, incl)| (Value::Int(v), incl)), hi.map(|(v, incl)| (Value::Int(v), incl)));
+        fn bound(b: &Option<(Value, bool)>) -> Option<(&Value, bool)> {
+            b.as_ref().map(|(v, incl)| (v, *incl))
+        }
         let mut out = Vec::new();
-        index.probe_range(bound(lo).as_ref(), bound(hi).as_ref(), &mut out);
+        index.probe_range(bound(&lo), bound(&hi), &mut out);
         out.sort_unstable();
         out
     }
@@ -284,8 +287,8 @@ mod tests {
         // A window of another type than the keys is empty, not a panic.
         let mut out = Vec::new();
         index.probe_range(
-            Some(&(Value::Text("a".into()), false)),
-            Some(&(Value::Text("b".into()), false)),
+            Some((&Value::Text("a".into()), false)),
+            Some((&Value::Text("b".into()), false)),
             &mut out,
         );
         assert!(out.is_empty());

@@ -1,19 +1,22 @@
 //! The acting subject of a storage operation.
 
 use w5_difc::rules::{self, Verdicts};
-use w5_difc::{CapSet, LabelPair};
+use w5_difc::{CapSet, Held, LabelPair, TagRegistry};
 
 /// A snapshot of the acting process's flow-control state: its labels and
-/// its *effective* capability set (private bag ∪ global bag).
+/// its private capability bag.
 ///
 /// The platform constructs a `Subject` from kernel state just before each
-/// storage call; the store trusts it the way a kernel trusts the current
-/// process context.
+/// storage call (both fields share their storage with the kernel's copy, so
+/// this allocates nothing); the store trusts it the way a kernel trusts the
+/// current process context. The global bag `Ô` is not in `caps`: a store
+/// built [`with_global`](crate::Database::with_global) reads it from the
+/// provider's registry as a rule.
 #[derive(Clone, Debug)]
 pub struct Subject {
     /// The process's current labels.
     pub labels: LabelPair,
-    /// The process's effective capabilities.
+    /// The process's private capability bag.
     pub caps: CapSet,
 }
 
@@ -28,49 +31,56 @@ impl Subject {
         Subject { labels: LabelPair::public(), caps: CapSet::empty() }
     }
 
+    /// The subject's capabilities as the flow rules read them: its bag,
+    /// plus `global`'s global bag when a registry is given.
+    fn held<'a>(&'a self, global: Option<&'a TagRegistry>) -> Held<'a> {
+        Held::new(&self.caps, global)
+    }
+
     /// Can this subject read data labeled `obj` (possibly after raising its
     /// own labels)? One verdict, counted at once.
-    pub fn may_read(&self, obj: &LabelPair) -> bool {
-        rules::may_read(&self.labels, &self.caps, obj)
+    pub fn may_read(&self, global: Option<&TagRegistry>, obj: &LabelPair) -> bool {
+        rules::may_read(&self.labels, self.held(global), obj)
     }
 
     /// Can this subject write data labeled `obj`? One verdict, counted at
     /// once.
-    pub fn may_write(&self, obj: &LabelPair) -> bool {
-        rules::may_write(&self.labels, &self.caps, obj)
+    pub fn may_write(&self, global: Option<&TagRegistry>, obj: &LabelPair) -> bool {
+        rules::may_write(&self.labels, self.held(global), obj)
     }
 
     /// The same verdicts for a statement that makes many: counted together,
     /// in order, when the returned batch drops.
-    pub(crate) fn verdicts(&self) -> Verdicts<'_> {
-        Verdicts::new(&self.labels, &self.caps)
+    pub(crate) fn verdicts<'a>(&'a self, global: Option<&'a TagRegistry>) -> Verdicts<'a> {
+        Verdicts::new(&self.labels, self.held(global))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use w5_difc::{Label, TagKind, TagRegistry};
+    use w5_difc::{Label, TagKind};
 
     #[test]
     fn anonymous_reads_public_only_writes_unprotected() {
-        let reg = Arc::new(TagRegistry::new());
+        let reg = TagRegistry::new();
         let (e, _) = reg.create_tag(TagKind::ExportProtect, "export:u");
         let (w, _) = reg.create_tag(TagKind::WriteProtect, "write:u");
-        let mut anon = Subject::anonymous();
-        anon.caps = reg.effective(&anon.caps);
+        let anon = Subject::anonymous();
+        let global = Some(&reg);
 
         let secret = LabelPair::new(Label::singleton(e), Label::empty());
         let protected = LabelPair::new(Label::empty(), Label::singleton(w));
 
         // Export-protected data is readable: raising is free.
-        assert!(anon.may_read(&secret));
+        assert!(anon.may_read(global, &secret));
         // Write-protected data is readable but not writable.
-        assert!(anon.may_read(&protected));
-        assert!(!anon.may_write(&protected));
+        assert!(anon.may_read(global, &protected));
+        assert!(!anon.may_write(global, &protected));
         // Public data is both.
-        assert!(anon.may_read(&LabelPair::public()));
-        assert!(anon.may_write(&LabelPair::public()));
+        assert!(anon.may_read(global, &LabelPair::public()));
+        assert!(anon.may_write(global, &LabelPair::public()));
+        // Without the registry, raising to the export tag is not free.
+        assert!(!anon.may_read(None, &secret));
     }
 }

@@ -30,16 +30,16 @@ fn world() -> World {
 
     let bob = Subject::new(
         LabelPair::new(Label::empty(), Label::singleton(w_bob)),
-        reg.effective(&bob_caps),
+        bob_caps.clone(),
     );
     let alice = Subject::new(
         LabelPair::new(Label::empty(), Label::singleton(w_alice)),
-        reg.effective(&alice_caps),
+        alice_caps.clone(),
     );
-    let app = Subject::new(LabelPair::public(), reg.effective(&CapSet::empty()));
+    let app = Subject::new(LabelPair::public(), CapSet::empty());
 
     World {
-        db: Database::new(),
+        db: Database::new().with_global(Arc::clone(&reg)),
         bob,
         bob_rows: LabelPair::new(Label::singleton(e_bob), Label::singleton(w_bob)),
         app,
@@ -165,9 +165,9 @@ fn filtered_mode_hides_other_users_rows() {
 fn read_protected_rows_are_invisible_and_uncountable() {
     let reg = Arc::new(TagRegistry::new());
     let (r, owner_caps) = reg.create_tag(TagKind::ReadProtect, "read:alice");
-    let alice = Subject::new(LabelPair::public(), reg.effective(&owner_caps));
-    let stranger = Subject::new(LabelPair::public(), reg.effective(&CapSet::empty()));
-    let db = Database::new();
+    let alice = Subject::new(LabelPair::public(), owner_caps.clone());
+    let stranger = Subject::new(LabelPair::public(), CapSet::empty());
+    let db = Database::new().with_global(Arc::clone(&reg));
     let secret = LabelPair::new(Label::singleton(r), Label::empty());
 
     db.execute(&alice, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
@@ -226,9 +226,9 @@ fn update_delete_respect_write_protection() {
 fn update_skips_invisible_rows_silently() {
     let reg = Arc::new(TagRegistry::new());
     let (r, owner_caps) = reg.create_tag(TagKind::ReadProtect, "read:alice");
-    let alice = Subject::new(LabelPair::public(), reg.effective(&owner_caps));
-    let stranger = Subject::new(LabelPair::public(), reg.effective(&CapSet::empty()));
-    let db = Database::new();
+    let alice = Subject::new(LabelPair::public(), owner_caps.clone());
+    let stranger = Subject::new(LabelPair::public(), CapSet::empty());
+    let db = Database::new().with_global(Arc::clone(&reg));
     let secret = LabelPair::new(Label::singleton(r), Label::empty());
     db.execute(&alice, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
         "CREATE TABLE t (n INTEGER)").unwrap();
@@ -331,8 +331,8 @@ fn subset_selects_carry_exactly_the_picked_tags() {
     // A SELECT's label is the union over the partitions that gave it rows,
     // and the WHERE clause picks those: every multi-partition subset of ten
     // partitions, read by a subject holding no capability.
-    let reg = TagRegistry::new();
-    let db = Database::new();
+    let reg = Arc::new(TagRegistry::new());
+    let db = Database::new().with_global(Arc::clone(&reg));
     let exec = |subject: &Subject, labels: &LabelPair, sql: &str| {
         db.execute(subject, QueryMode::Filtered, QueryCost::unlimited(), labels, sql).unwrap()
     };
@@ -345,7 +345,7 @@ fn subset_selects_carry_exactly_the_picked_tags() {
             tag
         })
         .collect();
-    let reader = Subject::new(LabelPair::public(), reg.effective(&CapSet::empty()));
+    let reader = Subject::new(LabelPair::public(), CapSet::empty());
     let subsets = (1u32..1 << 10).filter(|s| s.count_ones() >= 2);
     for subset in subsets.clone() {
         let picked: Vec<usize> = (0..10).filter(|k| subset & (1 << k) != 0).collect();
@@ -498,9 +498,9 @@ fn join_labels_combine_and_filter() {
     // Under read-protection, invisible rows cannot join at all.
     let reg = std::sync::Arc::new(w5_difc::TagRegistry::new());
     let (r, owner_caps) = reg.create_tag(w5_difc::TagKind::ReadProtect, "read:x");
-    let owner = Subject::new(LabelPair::public(), reg.effective(&owner_caps));
-    let stranger = Subject::new(LabelPair::public(), reg.effective(&w5_difc::CapSet::empty()));
-    let db = w5_store::Database::new();
+    let owner = Subject::new(LabelPair::public(), owner_caps.clone());
+    let stranger = Subject::new(LabelPair::public(), w5_difc::CapSet::empty());
+    let db = w5_store::Database::new().with_global(std::sync::Arc::clone(&reg));
     let secret = LabelPair::new(w5_difc::Label::singleton(r), w5_difc::Label::empty());
     db.execute(&owner, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
         "CREATE TABLE l (k INTEGER)").unwrap();
@@ -522,7 +522,7 @@ fn join_labels_combine_and_filter() {
     let (w1, mut caps) = reg.create_tag(TagKind::WriteProtect, "write:1");
     let (w2, caps2) = reg.create_tag(TagKind::WriteProtect, "write:2");
     caps.extend(&caps2);
-    let writer = Subject::new(LabelPair::public(), reg.effective(&caps));
+    let writer = Subject::new(LabelPair::public(), caps.clone());
     let vouched = |tags: &[w5_difc::Tag]| LabelPair::new(Label::empty(), Label::from_iter(tags.iter().copied()));
     for (subject, labels, sql) in [
         (&owner, LabelPair::public(), "CREATE TABLE il (k INTEGER)"),
@@ -586,9 +586,10 @@ fn join_errors() {
 /// excluded, of another type than the column, `= NULL` — fold into index
 /// probes that must come back empty, not panic with the table lock held;
 /// rows, `affected`, errors and the charge are all pinned literally.
-/// An indexed equality decides a row on its own only when it is the whole
-/// filter: beside a second conjunct, the probed rows are still filtered on
-/// it, wherever it stands. Either way the charge is the probed rows.
+/// Indexed equalities decide a row on their own only when they are the
+/// whole filter: beside another conjunct, the probed rows are still
+/// filtered on it, wherever it stands. Either way the charge is the probed
+/// rows — with two indexed equalities, the rows under both keys.
 #[test]
 fn indexed_equality_with_a_second_conjunct_still_filters() {
     let w = world();
@@ -608,16 +609,17 @@ fn indexed_equality_with_a_second_conjunct_still_filters() {
     };
     let text = |s: &str| Value::Text(s.into());
     let cases = [
-        ("owner = 'bob'", vec![text("a"), text("c"), Value::Null]),
-        ("'bob' = owner", vec![text("a"), text("c"), Value::Null]),
-        ("owner = 'bob' AND title = 'c'", vec![text("c")]),
-        ("title = 'c' AND owner = 'bob'", vec![text("c")]),
-        ("owner = 'bob' AND title != 'a'", vec![text("c")]),
-        ("owner = 'bob' AND owner = 'amy'", vec![]),
+        ("owner = 'bob'", vec![text("a"), text("c"), Value::Null], 3),
+        ("'bob' = owner", vec![text("a"), text("c"), Value::Null], 3),
+        ("owner = 'bob' AND title = 'c'", vec![text("c")], 3),
+        ("title = 'c' AND owner = 'bob'", vec![text("c")], 3),
+        ("owner = 'bob' AND title != 'a'", vec![text("c")], 3),
+        ("owner = 'bob' AND owner = 'amy'", vec![], 0),
+        ("owner = 'bob' AND owner = 'bob'", vec![text("a"), text("c"), Value::Null], 3),
     ];
-    for (filter, titles) in cases {
+    for (filter, titles, charge) in cases {
         let sql = format!("SELECT title FROM posts WHERE {filter}");
-        assert_eq!(select(&sql), (titles, 3), "{sql}");
+        assert_eq!(select(&sql), (titles, charge), "{sql}");
     }
     let affected = |sql: &str| run(&w, &w.bob, &w.bob_rows, sql).unwrap().affected;
     assert_eq!(affected("UPDATE posts SET title = 'z' WHERE owner = 'bob' AND title = 'a'"), 1);
@@ -633,9 +635,9 @@ fn hostile_range_windows_answer_literally_and_never_panic() {
     let (r, _) = reg.create_tag(TagKind::ReadProtect, "read:windows");
     let shared = LabelPair::new(Label::singleton(e), Label::empty());
     let hidden = LabelPair::new(Label::singleton(r), Label::empty());
-    let app = Subject::new(LabelPair::public(), reg.effective(&CapSet::empty()));
+    let app = Subject::new(LabelPair::public(), CapSet::empty());
 
-    let db = Database::new();
+    let db = Database::new().with_global(Arc::clone(&reg));
     let run = |labels: &LabelPair, sql: &str| {
         db.execute(&app, QueryMode::Filtered, QueryCost::unlimited(), labels, sql)
     };
@@ -689,7 +691,7 @@ fn one_read_check_per_partition_in_creation_order() {
     // `Ledger::count_check` rings every denial and every 16th check.
     const CHECK_SAMPLE: usize = 16;
     let reg = Arc::new(TagRegistry::new());
-    let db = Database::new();
+    let db = Database::new().with_global(Arc::clone(&reg));
     let run_as = |subject: &Subject, labels: &LabelPair, sql: &str| {
         db.execute(subject, QueryMode::Filtered, QueryCost::unlimited(), labels, sql).unwrap()
     };
@@ -712,7 +714,7 @@ fn one_read_check_per_partition_in_creation_order() {
         .iter()
         .fold(w5_obs::ObsLabel::empty(), |all, (pair, ..)| all.union(pair.secrecy.to_obs()));
     // The global bag now holds every export tag's `t+` and no read tag's.
-    let app = Subject::new(LabelPair::public(), reg.effective(&CapSet::empty()));
+    let app = Subject::new(LabelPair::public(), CapSet::empty());
 
     let check = |parts: &[(LabelPair, bool, bool)]| {
         let ledger = Arc::new(w5_obs::Ledger::new());
@@ -809,7 +811,7 @@ fn error_exits_count_exactly_the_verdicts_made() {
     /// The one write-protected partition: readable, holding k = 7.
     const GUARDED: usize = 26;
     let reg = Arc::new(TagRegistry::new());
-    let db = Database::new();
+    let db = Database::new().with_global(Arc::clone(&reg));
     let run_as = |subject: &Subject, labels: &LabelPair, sql: &str| {
         db.execute(subject, QueryMode::Filtered, QueryCost::unlimited(), labels, sql).unwrap()
     };
@@ -837,7 +839,7 @@ fn error_exits_count_exactly_the_verdicts_made() {
     assert!(parts[GUARDED].1 && parts[GUARDED].2);
     let clearance =
         parts.iter().fold(ObsLabel::empty(), |all, (pair, ..)| all.union(pair.secrecy.to_obs()));
-    let app = Subject::new(LabelPair::public(), reg.effective(&CapSet::empty()));
+    let app = Subject::new(LabelPair::public(), CapSet::empty());
     let read = |i: usize| (CheckOp::Read, parts[i].0.secrecy.to_obs().clone(), parts[i].1);
 
     // SELECT under a budget that runs out inside partition `stop`: a

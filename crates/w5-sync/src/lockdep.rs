@@ -153,14 +153,19 @@ impl Drop for HeldToken {
 pub fn acquire(class: &'static str, index: u32) -> HeldToken {
     let site = Location::caller();
     let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
-    let held_now: Vec<Held> = HELD.with(|h| {
+    let nested = HELD.with(|h| {
         let mut h = h.borrow_mut();
-        let snapshot = h.clone();
         h.push(Held { class, index, token });
-        snapshot
+        h.len() > 1
     });
-    if !held_now.is_empty() {
+    // The held set is copied out only for a recorder to read: an
+    // unrecorded acquisition is one push on this thread's stack.
+    if nested {
         if let Some(rec) = current_recorder() {
+            let held_now: Vec<Held> = HELD.with(|h| {
+                let h = h.borrow();
+                h[..h.len() - 1].to_vec()
+            });
             let allowed = ALLOW.with(|a| a.borrow().contains(&class));
             record_guarded(|| {
                 rec.record_acquisition(&held_now, class, index, site, allowed);
@@ -177,11 +182,11 @@ pub fn acquire(class: &'static str, index: u32) -> HeldToken {
 #[track_caller]
 pub fn blocking(site: &'static str) {
     let location = Location::caller();
-    let held_now: Vec<Held> = HELD.with(|h| h.borrow().clone());
-    if held_now.is_empty() {
+    if HELD.with(|h| h.borrow().is_empty()) {
         return;
     }
     if let Some(rec) = current_recorder() {
+        let held_now: Vec<Held> = HELD.with(|h| h.borrow().clone());
         let allowed = ALLOW.with(|a| a.borrow().contains(&site));
         record_guarded(|| {
             rec.record_blocking(site, &held_now, location, allowed);

@@ -68,6 +68,6 @@ fn main() {
     println!("\nperimeter audit: {} exports checked, {} blocked", stats.checked, stats.blocked);
     println!("every blocked attempt is in the provider's audit log:");
     for e in p.exporter.audit_log().iter().filter(|e| !e.allowed).take(5) {
-        println!("  viewer={:?} app={} tags={:?}", e.viewer, e.app, e.secrecy_tags);
+        println!("  viewer={:?} app={} tags={:?}", e.viewer, e.app, e.secrecy.iter().collect::<Vec<_>>());
     }
 }

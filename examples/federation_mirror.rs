@@ -28,7 +28,7 @@ fn main() {
     // Bob uploads a photo on A.
     let subject_a = Subject::new(
         w5_difc::LabelPair::public(),
-        a.registry.effective(&bob_a.owner_caps),
+        bob_a.owner_caps.clone(),
     );
     a.fs.create(&subject_a, "/photos/bob/cat.img", bob_a.data_labels(), Bytes::from_static(b"MEOW-V1"))
         .unwrap();
@@ -55,7 +55,7 @@ fn main() {
     // The mirrored file exists on B, under B's labels.
     let subject_b = Subject::new(
         w5_difc::LabelPair::public(),
-        b.registry.effective(&bob_b.owner_caps),
+        bob_b.owner_caps.clone(),
     );
     let (data, labels) = b.fs.read(&subject_b, "/photos/bob/cat.img").unwrap();
     println!(

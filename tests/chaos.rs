@@ -93,7 +93,7 @@ fn two_providers(files: usize) -> (Arc<Platform>, Arc<Platform>, w5_net::ServerH
     b.accounts.register("bob", "pw").unwrap();
     opt_in(&a, bob_a.id);
     let subject =
-        Subject::new(w5_difc::LabelPair::public(), a.registry.effective(&bob_a.owner_caps));
+        Subject::new(w5_difc::LabelPair::public(), bob_a.owner_caps.clone());
     for i in 0..files {
         a.fs.create(
             &subject,
@@ -111,7 +111,7 @@ fn two_providers(files: usize) -> (Arc<Platform>, Arc<Platform>, w5_net::ServerH
 fn mirrored_state(p: &Platform, files: usize) -> Vec<(String, Bytes)> {
     let bob = p.accounts.get_by_name("bob").unwrap();
     let subject =
-        Subject::new(w5_difc::LabelPair::public(), p.registry.effective(&bob.owner_caps));
+        Subject::new(w5_difc::LabelPair::public(), bob.owner_caps.clone());
     (0..files)
         .map(|i| {
             let path = format!("/photos/bob/img{i}");

@@ -81,7 +81,7 @@ fn randomized_noninterference() {
         // A sentinel-bearing file too, for the exfiltrator to aim at.
         let subject = w5_store::Subject::new(
             w5_difc::LabelPair::public(),
-            p.registry.effective(&a.owner_caps),
+            a.owner_caps.clone(),
         );
         p.fs.create(
             &subject,
@@ -245,7 +245,7 @@ mod scan_cost {
     fn world_with(hidden: usize, hidden_id: fn(usize) -> usize) -> (Database, Subject) {
         let reg = Arc::new(TagRegistry::new());
         let (e, owner_caps) = reg.create_tag(TagKind::ReadProtect, "ni:hidden");
-        let owner = Subject::new(LabelPair::public(), reg.effective(&owner_caps));
+        let owner = Subject::new(LabelPair::public(), owner_caps.clone());
         let secret = LabelPair::new(Label::singleton(e), Label::empty());
         let db = Database::new();
         db.execute(
@@ -274,7 +274,7 @@ mod scan_cost {
         };
         fill(&LabelPair::public(), VISIBLE, |i| i);
         fill(&secret, hidden, hidden_id);
-        let stranger = Subject::new(LabelPair::public(), reg.effective(&CapSet::empty()));
+        let stranger = Subject::new(LabelPair::public(), CapSet::empty());
         (db, stranger)
     }
 
@@ -370,6 +370,33 @@ mod scan_cost {
             .unwrap();
         assert_eq!((point.rows.len(), point.scanned), (1, 2), "one visible row, one skip unit");
         assert_same_costs((small, stranger_s), (big, stranger_b));
+    }
+
+    /// Two indexed equalities meet in an intersection of postings, and the
+    /// intersection is taken only inside partitions the subject may read:
+    /// a hidden partition holding rows under *both* probed keys shows in
+    /// neither the rows, nor `scanned`, nor where the budget runs out (one
+    /// visible row under both keys, plus the flat skip unit).
+    #[test]
+    fn hidden_partition_holding_both_probed_keys_never_shows() {
+        let both_indexed = |copies| {
+            let (db, stranger) = keyed_world(copies);
+            db.create_index("inbox", "body").unwrap();
+            (db, stranger)
+        };
+        let (small, stranger_s) = both_indexed(1);
+        let (big, stranger_b) = both_indexed(20_000);
+        let sql = "SELECT id, body FROM inbox WHERE id = 7 AND body = 'm7'";
+        assert_same_verdicts((&small, &stranger_s), (&big, &stranger_b), sql, &[0, 1, 2, 3]);
+        let run = |db: &Database, stranger: &Subject| {
+            let out = db
+                .execute(stranger, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(), sql)
+                .unwrap();
+            (out.rows, out.scanned)
+        };
+        let (a, b) = (run(&small, &stranger_s), run(&big, &stranger_b));
+        assert_eq!((a.0.len(), a.1), (1, 2), "one visible row, one skip unit");
+        assert_eq!(a, b, "the hidden partition's postings showed");
     }
 
     /// Contrast: `Naive` mode *is* the covert channel (paper §3.5, E9) —

@@ -71,11 +71,11 @@ fn drive_all_layers() -> Vec<u64> {
     secret_tags.push(r.raw());
     let fs = LabeledFs::new();
     let secret = LabelPair::new(Label::singleton(r), Label::empty());
-    let owner = Subject::new(LabelPair::public(), registry.effective(&r_caps));
+    let owner = Subject::new(LabelPair::public(), r_caps.clone());
     fs.create(&owner, SECRET_MARKER, secret, Bytes::from_static(b"classified"))
         .unwrap();
     assert!(fs.read(&owner, SECRET_MARKER).is_ok());
-    let stranger = Subject::new(LabelPair::public(), registry.effective(&CapSet::empty()));
+    let stranger = Subject::new(LabelPair::public(), CapSet::empty());
     assert!(fs.read(&stranger, SECRET_MARKER).is_err());
 
     // ---- platform (+ difc declassifiers): the export perimeter blocks a
@@ -277,7 +277,7 @@ fn one_export_leaves_the_same_ledger_footprint_for_friend_and_stranger() {
         assert_eq!(ledger.events_recorded(), 3, "nothing counted beside the ring");
 
         let spans: Vec<(String, ObsLabel)> =
-            ledger.trace_view(&bobs).spans.into_iter().map(|s| (s.name, s.secrecy)).collect();
+            ledger.trace_view(&bobs).spans.into_iter().map(|s| (s.name.to_string(), s.secrecy)).collect();
         assert_eq!(
             spans,
             vec![
@@ -291,8 +291,8 @@ fn one_export_leaves_the_same_ledger_footprint_for_friend_and_stranger() {
         assert_eq!(audit.len(), audited + 1);
         let entry = audit.last().unwrap();
         assert_eq!(
-            (entry.viewer, entry.app.as_str(), entry.allowed, &entry.secrecy_tags),
-            (Some(viewer.id), "devA/photos", is_friend, &vec![bob.export_tag])
+            (entry.viewer, entry.app.as_str(), entry.allowed, &entry.secrecy),
+            (Some(viewer.id), "devA/photos", is_friend, &Label::singleton(bob.export_tag))
         );
     }
 }

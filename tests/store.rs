@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use w5_sim::harness::{run_ops, Mode, Spec};
-use w5_sim::storediff::{self, StoreOp, StoreOracle, ID_DOMAIN};
+use w5_sim::storediff::{self, EqTerm, StoreOp, StoreOracle, ID_DOMAIN};
 
 /// The full check over several seeds, calm and stormy. This is what CI's
 /// store job runs.
@@ -76,6 +76,20 @@ fn arb_op() -> impl Strategy<Value = StoreOp> {
         (0..2 * ID_DOMAIN, 0..2 * ID_DOMAIN).prop_map(|(lo, hi)| StoreOp::DeleteWindow { lo, hi }),
         Just(StoreOp::NaiveScan),
         any::<bool>().prop_map(|on_v| StoreOp::CreateIndex { on_v }),
+        // Two and three equalities: indexed on both columns or not, the
+        // key repeated, a literal of the wrong type, a NULL literal.
+        (any::<bool>(), key(), eq_term(), any::<bool>(), eq_term()).prop_map(
+            |(stranger, id, also, three, then)| StoreOp::Meet { stranger, id, also, then: three.then_some(then) }
+        ),
+    ]
+}
+
+fn eq_term() -> impl Strategy<Value = EqTerm> {
+    prop_oneof![
+        (0..ID_DOMAIN).prop_map(EqTerm::Id),
+        (0i64..1000).prop_map(EqTerm::V),
+        (0i64..1000).prop_map(EqTerm::VText),
+        Just(EqTerm::IdNull),
     ]
 }
 

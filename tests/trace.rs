@@ -236,7 +236,7 @@ mod properties {
                 trace: 0x7ace,
                 id: 3 + i as u64,
                 parent: Some(1),
-                name: format!("platform.declass.secret-{i}"),
+                name: format!("platform.declass.secret-{i}").into(),
                 layer: Layer::Platform,
                 secrecy: secret.clone(),
                 start_us: start,
