@@ -189,7 +189,7 @@ fn main() {
     for (si, &rows) in sizes.iter().enumerate() {
         // --- Indexed point lookups by one owner among 100, rotating over
         // owner 0's own ids (i ≡ 0 mod OWNERS). ---
-        let db = Database::new();
+        let db = Database::new(Arc::clone(&reg));
         build(&db, rows, &owner_labels);
         let mut k = 0usize;
         ns[0][si] = h.bench(&format!("point_lookup_{rows}"), || {
@@ -206,7 +206,7 @@ fn main() {
 
         // --- Indexed range scan over an all-public table: the index
         // alone, no label skew at all. ---
-        let public = Database::new();
+        let public = Database::new(Arc::clone(&reg));
         build(&public, rows, std::slice::from_ref(&LabelPair::public()));
         let mut a = 0usize;
         ns[2][si] = h.bench(&format!("range_scan_{rows}"), || {
@@ -243,7 +243,7 @@ fn main() {
             let (t, _) = reg.create_tag(TagKind::ReadProtect, &format!("bench:u{i}"));
             labels.push(LabelPair::new(Label::singleton(t), Label::empty()));
         }
-        let db = Database::new();
+        let db = Database::new(Arc::clone(&reg));
         build(&db, rows, &labels[..parts]);
         let name = format!("point_lookup_parts_{parts}");
         let mut k = 0usize;

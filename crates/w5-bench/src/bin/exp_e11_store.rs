@@ -58,7 +58,7 @@ fn main() {
 
     for &(rows, users) in &[(1_000usize, 1usize), (10_000, 1), (10_000, 10), (10_000, 100), (50_000, 100)] {
         let reg = Arc::new(TagRegistry::new());
-        let db = Database::new().with_global(Arc::clone(&reg));
+        let db = Database::new(Arc::clone(&reg));
         build_db(&db, rows, users, &reg);
         let reader = Subject::new(LabelPair::public(), w5_difc::CapSet::empty());
         for (mode_name, mode) in [("w5 filtered", QueryMode::Filtered), ("naive", QueryMode::Naive)] {

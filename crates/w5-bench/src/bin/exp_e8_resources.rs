@@ -83,7 +83,7 @@ fn main() {
     println!("{cpu}");
 
     // --- SQL budget containment.
-    let db = Database::new();
+    let db = Database::new(Arc::new(TagRegistry::new()));
     let trusted = Subject::anonymous();
     db.execute(&trusted, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
         "CREATE TABLE big (n INTEGER)").unwrap();

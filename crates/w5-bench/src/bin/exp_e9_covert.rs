@@ -45,7 +45,7 @@ fn main() {
     );
     let receiver = Subject::new(LabelPair::public(), w5_difc::CapSet::empty());
 
-    let db = Database::new().with_global(Arc::clone(&reg));
+    let db = Database::new(Arc::clone(&reg));
     let trusted = Subject::anonymous();
     db.execute(&trusted, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
         "CREATE TABLE signal (x INTEGER)").unwrap();

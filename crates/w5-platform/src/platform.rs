@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use w5_difc::{CapSet, Capability, LabelPair, TagRegistry};
 use w5_kernel::{Kernel, ResourceLimits};
-use w5_store::sql::{BinOp, Expr, Statement};
+use w5_store::sql::{BinOp, Expr, SelectItem, Statement};
 use w5_store::{Database, LabeledFs, QueryCost, QueryError, QueryMode, Subject, Value};
 
 /// Platform-wide configuration. The `enforce_ifc` switch exists solely for
@@ -126,7 +126,7 @@ impl Platform {
     pub fn new(name: &str, config: PlatformConfig) -> Arc<Platform> {
         let registry = Arc::new(TagRegistry::new());
         let kernel = Kernel::new(Arc::clone(&registry));
-        let db = Database::new().with_global(Arc::clone(&registry));
+        let db = Database::new(Arc::clone(&registry));
         // Platform-owned relationship tables (the oracle reads these).
         // Construction may run inside an armed chaos scope; ride out
         // injected aborts the same way trusted_execute does.
@@ -170,7 +170,7 @@ impl Platform {
             name: name.to_string(),
             accounts: AccountStore::new(Arc::clone(&registry)),
             kernel,
-            fs: LabeledFs::new().with_global(Arc::clone(&registry)),
+            fs: LabeledFs::new(Arc::clone(&registry)),
             registry,
             db,
             sessions: SessionStore::new(),
@@ -584,19 +584,19 @@ pub struct PlatformOracle<'a> {
 
 impl PlatformOracle<'_> {
     /// Does `table` hold a row the platform can see with every
-    /// `(column, value)`? The store answers `SELECT COUNT(*) FROM table
-    /// WHERE c1 = 'v1' AND …` as a number, with no result set. Any query
-    /// error is a "no": the perimeter fails closed.
+    /// `(column, value)`? The answer leaves without labels, so the count
+    /// is unprivileged: only rows that flow to a public reader as they
+    /// stand, never one that a raise to an export tag would reveal. Any
+    /// query error is a "no": the perimeter fails closed.
     fn holds(&self, table: &str, row: &[(&str, &str)]) -> bool {
-        let filter = all_equal(row);
-        match self.db.count(
+        match self.db.execute_stmt(
             &Subject::anonymous(),
-            QueryMode::Filtered,
+            QueryMode::Unprivileged,
             QueryCost::unlimited(),
-            table,
-            filter.as_ref(),
+            &LabelPair::public(),
+            count_where(table, row),
         ) {
-            Ok(n) => n > 0,
+            Ok(out) => matches!(out.rows.first().map(|r| &r.values[0]), Some(Value::Int(n)) if *n > 0),
             Err(_) => false,
         }
     }
@@ -625,15 +625,24 @@ fn text(value: &str) -> Expr {
     Expr::Literal(Value::Text(value.to_string()))
 }
 
-/// `c1 = 'v1' AND c2 = 'v2' …`: the WHERE clause of the oracle's count.
-fn all_equal(row: &[(&str, &str)]) -> Option<Expr> {
-    row.iter()
+/// `SELECT COUNT(*) FROM table WHERE c1 = 'v1' AND c2 = 'v2' …`
+fn count_where(table: &str, row: &[(&str, &str)]) -> Statement {
+    let filter = row
+        .iter()
         .map(|&(column, value)| Expr::Binary {
             op: BinOp::Eq,
             left: Box::new(Expr::Column(column.to_string())),
             right: Box::new(text(value)),
         })
-        .reduce(|all, eq| Expr::Binary { op: BinOp::And, left: Box::new(all), right: Box::new(eq) })
+        .reduce(|all, eq| Expr::Binary { op: BinOp::And, left: Box::new(all), right: Box::new(eq) });
+    Statement::Select {
+        items: vec![SelectItem::CountStar],
+        table: table.to_string(),
+        join: None,
+        filter,
+        order_by: None,
+        limit: None,
+    }
 }
 
 /// `INSERT INTO table (c1, c2, …) VALUES ('v1', 'v2', …)`

@@ -1,19 +1,10 @@
 use super::*;
 use crate::perimeter::{Clearance, PerimeterStats};
 use crate::{ApiError, CreateLabels, GrantScope};
-use w5_store::sql::{parse, SelectItem};
+use w5_store::sql::parse;
 
 #[test]
 fn platform_statements_are_what_the_parser_builds() {
-    // The oracle's question is this COUNT(*), asked through `Database::count`.
-    let count_where = |table: &str, row: &[(&str, &str)]| Statement::Select {
-        items: vec![SelectItem::CountStar],
-        table: table.to_string(),
-        join: None,
-        filter: all_equal(row),
-        order_by: None,
-        limit: None,
-    };
     assert_eq!(
         count_where("w5_friends", &[("friend", "alice"), ("owner", "bob")]),
         parse("SELECT COUNT(*) FROM w5_friends WHERE friend = 'alice' AND owner = 'bob'").unwrap()
@@ -203,4 +194,71 @@ fn html_with_invalid_utf8_exports_as_it_always_did() {
     // decides it; the filter then runs on that text. Pinned from the
     // lossy-only implementation.
     assert_eq!(&out.body[..], "<p>caf\u{FFFD} \u{FFFD}</p>\u{FFFD}<b>ok</b>\u{FFFD}".as_bytes());
+}
+
+/// Reads alice's note, then writes a friendship row under the taint that
+/// read left: the row exists only because of what alice's data says.
+struct Smuggler;
+
+impl W5App for Smuggler {
+    fn handle(&self, _req: &AppRequest, api: &mut PlatformApi<'_>) -> Result<AppResponse, ApiError> {
+        api.read_file("/notes/alice")?;
+        api.query("INSERT INTO w5_friends (owner, friend) VALUES ('carol', 'mallory')", CreateLabels::Derived)?;
+        Ok(AppResponse::text("done"))
+    }
+
+    fn source_lines(&self) -> usize {
+        5
+    }
+}
+
+#[test]
+fn a_tainted_friendship_row_decides_no_export() {
+    let p = Platform::new_default("tainted-friends");
+    for name in ["notes", "smuggler"] {
+        p.apps
+            .publish(AppManifest {
+                name: name.into(),
+                developer: "devA".into(),
+                version: 1,
+                description: name.into(),
+                module_slots: vec![],
+                imports: vec![],
+                forked_from: None,
+                source: None,
+            })
+            .unwrap();
+    }
+    p.install_app("devA/notes", Arc::new(Notes));
+    p.install_app("devA/smuggler", Arc::new(Smuggler));
+    let alice = p.accounts.register("alice", "pw").unwrap();
+    let carol = p.accounts.register("carol", "pw").unwrap();
+    let mallory = p.accounts.register("mallory", "pw").unwrap();
+    let call = |viewer: Option<&Account>, app: &str, action: &str, params: &[(&str, &str)]| {
+        let req = Platform::make_request("GET", action, params, viewer, Bytes::new());
+        p.invoke(viewer, app, req)
+    };
+    for owner in [&alice, &carol] {
+        p.policies.delegate_write(owner.id, "devA/notes");
+        assert_eq!(call(Some(owner), "devA/notes", "write", &[]).status, 200);
+    }
+    p.policies.grant_declassifier(carol.id, "friends-only", GrantScope::App("devA/notes".into()));
+
+    let smuggled = call(Some(&mallory), "devA/smuggler", "run", &[]);
+    assert!(smuggled.export.is_some_and(|d| !d.allowed), "the smuggler's own reply is alice's");
+    // The row is there, under alice's export tag, and a reader that raises
+    // (as every process may) counts it.
+    let e_alice = LabelPair::new(w5_difc::Label::singleton(alice.export_tag), w5_difc::Label::empty());
+    let count = "SELECT COUNT(*) FROM w5_friends WHERE owner = 'carol' AND friend = 'mallory'";
+    let raised = p
+        .db
+        .execute(&Subject::anonymous(), QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(), count)
+        .unwrap();
+    assert_eq!((&raised.rows[0].values[0], &raised.labels), (&Value::Int(1), &e_alice));
+
+    // The oracle does not: its answer leaves unlabeled, so alice's data
+    // decides nothing about carol's.
+    assert!(!p.oracle().are_friends("carol", "mallory"));
+    let read = call(Some(&mallory), "devA/notes", "read", &[("user", "carol")]);
+    assert!(read.export.is_some_and(|d| !d.allowed), "carol's note stays with carol's friends");
 }

@@ -91,6 +91,10 @@ pub enum StoreOp {
     /// answers by intersecting index postings when every column is
     /// indexed. Only the proptest strategy and hand-written lists draw it.
     Meet { stranger: bool, id: i64, also: EqTerm, then: Option<EqTerm> },
+    /// `COUNT(*)` of one key, alone in its statement (the store counts
+    /// without a row list), in `Filtered` or `Unprivileged` mode. Only the
+    /// proptest strategy draws it.
+    Count { stranger: bool, id: i64, unprivileged: bool },
 }
 
 /// One more equality conjunct of a [`StoreOp::Meet`].
@@ -134,6 +138,11 @@ impl StoreOp {
             }
             StoreOp::NaiveScan => return naive(format!("SELECT id, v, s FROM {t} ORDER BY id LIMIT 20")),
             StoreOp::Dump => return naive(format!("SELECT id, v, s FROM {t}")),
+            StoreOp::Count { stranger, id, unprivileged } => {
+                let mode = if unprivileged { QueryMode::Unprivileged } else { QueryMode::Filtered };
+                let sql = format!("SELECT COUNT(*) FROM {t} WHERE id = {id}");
+                return (w.reader(stranger), mode, LabelPair::public(), sql);
+            }
             StoreOp::Point { stranger, id, below } => {
                 let and = below.map_or(String::new(), |b| format!(" AND v < {b}"));
                 (w.reader(stranger), format!("SELECT id, v, s FROM {t} WHERE id = {id}{and}"))
@@ -326,7 +335,7 @@ impl Oracle for StoreOracle {
     /// sequences, so the schedule meets indexed and unindexed tables.
     fn setup(&self, spec: &Spec) -> ((), Vec<Self::Seq>) {
         let reg = Arc::new(TagRegistry::new());
-        let db = Database::new().with_global(Arc::clone(&reg));
+        let db = Database::new(Arc::clone(&reg));
         let seqs = (0..spec.threads)
             .map(|t| {
                 let w = StoreWorld::new(&reg, &format!("t{t}"));
@@ -501,5 +510,36 @@ mod tests {
         assert_eq!(model.outcome, store.outcome);
         let hits = store.outcome.statements[0].iter().filter(|o| o.as_ref().is_ok_and(|q| !q.rows.is_empty()));
         assert!(hits.count() > 20, "the conjunctions must match rows, not only miss");
+    }
+
+    /// A lone `COUNT(*)`, which the store counts without a row list, in
+    /// both modes, over rows of every label kind, unindexed and indexed:
+    /// the store's number and labels are the model's, and the owner's
+    /// unprivileged count misses the rows only its capabilities reveal.
+    #[test]
+    fn counts_agree_with_the_model_in_both_modes() {
+        let mut ops: Vec<StoreOp> =
+            (0..12).map(|i| StoreOp::Insert { kind: (i % 3) as u8, id: Some(i % 4), v: i }).collect();
+        for round in 0..2 {
+            for stranger in [false, true] {
+                for id in 0..4 {
+                    for unprivileged in [false, true] {
+                        ops.push(StoreOp::Count { stranger, id, unprivileged });
+                    }
+                }
+            }
+            if round == 0 {
+                ops.push(StoreOp::CreateIndex { on_v: false });
+            }
+        }
+        let spec = Spec { seed: 5, threads: 1, ops_per_thread: ops.len(), fault_rate: 0.0 };
+        let model = crate::harness::run_ops(&StoreOracle::MODEL, &spec, vec![ops.clone()], Mode::Serial);
+        let store = crate::harness::run_ops(&StoreOracle::STORE, &spec, vec![ops.clone()], Mode::Serial);
+        assert_eq!(model.outcome, store.outcome);
+        let count = |i: usize| store.outcome.statements[0][i].as_ref().map(|q| q.rows[0].values[0].clone()).ok();
+        let owner_differs = (0..ops.len())
+            .filter(|&i| matches!(ops[i], StoreOp::Count { stranger: false, unprivileged: false, .. }))
+            .any(|i| count(i) != count(i + 1));
+        assert!(owner_differs, "the owner's capabilities must show in some filtered count");
     }
 }

@@ -17,8 +17,8 @@
 
 use crate::storediff::{Arm, EqTerm, Outcome, StoreOp, StoreWorld, ID_DOMAIN};
 use std::cmp::Reverse;
-use w5_difc::LabelPair;
-use w5_store::QueryMode::{Filtered, Naive};
+use w5_difc::{rules, CapSet, LabelPair};
+use w5_store::QueryMode::{Filtered, Naive, Unprivileged};
 use w5_store::{QueryError, QueryMode, QueryOutput, Row, Subject, Value};
 
 #[derive(Clone, Debug)]
@@ -42,7 +42,12 @@ fn int(v: Option<i64>) -> Value {
 impl Model {
     /// Indexes of the rows `subject` sees under `mode` that satisfy `pred`.
     fn hits(&self, w: &StoreWorld, subject: &Subject, mode: QueryMode, pred: impl Fn(&ModelRow) -> bool) -> Vec<usize> {
-        let sees = |r: &ModelRow| mode == Naive || subject.may_read(Some(&w.global), &r.labels);
+        let sees = |r: &ModelRow| match mode {
+            Naive => true,
+            Filtered => subject.may_read(&w.global, &r.labels),
+            // No capability at all: not the subject's, not the global bag's.
+            Unprivileged => rules::may_read(&subject.labels, &CapSet::empty(), &r.labels),
+        };
         (0..self.rows.len()).filter(|&i| sees(&self.rows[i]) && pred(&self.rows[i])).collect()
     }
 
@@ -84,7 +89,7 @@ impl Model {
         change: impl Fn(&mut ModelRow) -> bool,
     ) -> Outcome {
         let hits = self.hits(w, subject, Filtered, pred);
-        if hits.iter().any(|&i| !subject.may_write(Some(&w.global), &self.rows[i].labels)) {
+        if hits.iter().any(|&i| !subject.may_write(&w.global, &self.rows[i].labels)) {
             return Err(QueryError::WriteDenied);
         }
         let scanned = self.rows.len();
@@ -113,7 +118,7 @@ impl Arm for Model {
         match *op {
             StoreOp::Insert { kind, id, v } => {
                 let labels = w.insert_label(kind);
-                if !w.owner.may_write(Some(&w.global), &labels) {
+                if !w.owner.may_write(&w.global, &labels) {
                     return Err(QueryError::WriteDenied);
                 }
                 let s = id.map_or("rNULL".to_string(), |id| format!("r{id}"));
@@ -176,6 +181,11 @@ impl Arm for Model {
                 hits.sort_by_key(|r| r.id);
                 hits.truncate(20);
                 self.answer(&["id", "v", "s"], &hits, None)
+            }
+            StoreOp::Count { stranger, id, unprivileged } => {
+                let mode = if unprivileged { Unprivileged } else { Filtered };
+                let hits = self.seen(w, w.reader(stranger), mode, keyed(id));
+                self.answer(&["COUNT(*)"], &hits, Some(vec![Value::Int(hits.len() as i64)]))
             }
             StoreOp::Dump => self.answer(&["id", "v", "s"], &self.seen(w, &w.stranger, Naive, |_| true), None),
             StoreOp::Update { id, v } => self.write(w, &w.owner, keyed(id), |r| {

@@ -98,8 +98,8 @@ pub struct LabeledFs {
     /// Total bytes allowed across the filesystem; `usize::MAX` = unlimited.
     capacity: usize,
     /// The provider's tag registry, whose kind rule is the global bag
-    /// every subject holds; `None` holds subjects to their own bags.
-    global: Option<std::sync::Arc<TagRegistry>>,
+    /// every subject holds.
+    global: std::sync::Arc<TagRegistry>,
 }
 
 fn validate(path: &str) -> Result<(), FsError> {
@@ -113,31 +113,20 @@ fn validate(path: &str) -> Result<(), FsError> {
     Ok(())
 }
 
-impl Default for LabeledFs {
-    fn default() -> LabeledFs {
-        LabeledFs::new()
-    }
-}
-
 impl LabeledFs {
-    /// An empty filesystem with unlimited capacity.
-    pub fn new() -> LabeledFs {
-        LabeledFs::with_capacity(usize::MAX)
+    /// An empty filesystem with unlimited capacity, whose subjects hold
+    /// `registry`'s global bag `Ô` as well as their own capabilities.
+    pub fn new(registry: std::sync::Arc<TagRegistry>) -> LabeledFs {
+        LabeledFs::with_capacity(usize::MAX, registry)
     }
 
-    /// An empty filesystem that refuses writes beyond `capacity` total bytes.
-    pub fn with_capacity(capacity: usize) -> LabeledFs {
+    /// The same, refusing writes beyond `capacity` total bytes.
+    pub fn with_capacity(capacity: usize, registry: std::sync::Arc<TagRegistry>) -> LabeledFs {
         LabeledFs {
             inner: std::sync::Arc::new(RwLock::new("store.fs", BTreeMap::new())),
             capacity,
-            global: None,
+            global: registry,
         }
-    }
-
-    /// This filesystem, checking every subject with `registry`'s global bag
-    /// `Ô` as well as the subject's own capabilities.
-    pub fn with_global(self, registry: std::sync::Arc<TagRegistry>) -> LabeledFs {
-        LabeledFs { global: Some(registry), ..self }
     }
 
     /// Create a file. Fails if it exists. The file's labels are chosen by
@@ -151,7 +140,7 @@ impl LabeledFs {
         data: Bytes,
     ) -> Result<(), FsError> {
         validate(path)?;
-        if !subject.may_write(self.global.as_deref(), &labels) {
+        if !subject.may_write(&self.global, &labels) {
             ledger_access(path, data.len() as u64, &labels, true, false);
             return Err(FsError::WriteDenied);
         }
@@ -182,7 +171,7 @@ impl LabeledFs {
         validate(path)?;
         let inner = self.inner.read();
         let f = inner.get(path).ok_or(FsError::NotFound)?;
-        if !subject.may_read(self.global.as_deref(), &f.labels) {
+        if !subject.may_read(&self.global, &f.labels) {
             let labels = f.labels.clone();
             drop(inner);
             ledger_access(path, 0, &labels, false, false);
@@ -199,7 +188,7 @@ impl LabeledFs {
         validate(path)?;
         let inner = self.inner.read();
         let f = inner.get(path).ok_or(FsError::NotFound)?;
-        if !subject.may_read(self.global.as_deref(), &f.labels) {
+        if !subject.may_read(&self.global, &f.labels) {
             return Err(FsError::NotFound);
         }
         Ok(FileMeta {
@@ -218,11 +207,11 @@ impl LabeledFs {
         // Quota check against the delta.
         let used: usize = inner.values().map(|f| f.data.len()).sum();
         let f = inner.get_mut(path).ok_or(FsError::NotFound)?;
-        if !subject.may_read(self.global.as_deref(), &f.labels) {
+        if !subject.may_read(&self.global, &f.labels) {
             // Invisible file: same error as absence.
             return Err(FsError::NotFound);
         }
-        if !subject.may_write(self.global.as_deref(), &f.labels) {
+        if !subject.may_write(&self.global, &f.labels) {
             let labels = f.labels.clone();
             drop(inner);
             ledger_access(path, data.len() as u64, &labels, true, false);
@@ -252,10 +241,10 @@ impl LabeledFs {
         validate(path)?;
         let mut inner = self.inner.write();
         let f = inner.get(path).ok_or(FsError::NotFound)?;
-        if !subject.may_read(self.global.as_deref(), &f.labels) {
+        if !subject.may_read(&self.global, &f.labels) {
             return Err(FsError::NotFound);
         }
-        if !subject.may_write(self.global.as_deref(), &f.labels) {
+        if !subject.may_write(&self.global, &f.labels) {
             let labels = f.labels.clone();
             drop(inner);
             ledger_access(path, 0, &labels, true, false);
@@ -281,7 +270,7 @@ impl LabeledFs {
             .range(prefix.clone()..)
             .take_while(|(p, _)| p.starts_with(&prefix))
             .filter(|(p, _)| !p[prefix.len()..].contains('/'))
-            .filter(|(_, f)| subject.may_read(self.global.as_deref(), &f.labels))
+            .filter(|(_, f)| subject.may_read(&self.global, &f.labels))
             .map(|(p, f)| FileMeta {
                 path: p.clone(),
                 size: f.data.len(),
@@ -301,7 +290,7 @@ impl LabeledFs {
         Ok(inner
             .range(prefix.clone()..)
             .take_while(|(p, _)| p.starts_with(&prefix))
-            .filter(|(_, f)| subject.may_read(self.global.as_deref(), &f.labels))
+            .filter(|(_, f)| subject.may_read(&self.global, &f.labels))
             .map(|(p, f)| FileMeta {
                 path: p.clone(),
                 size: f.data.len(),
@@ -363,7 +352,7 @@ mod tests {
         );
         let app = Subject::new(LabelPair::public(), CapSet::empty());
         let bob_data = LabelPair::new(Label::singleton(e), Label::singleton(w));
-        let fs = LabeledFs::new().with_global(Arc::clone(&reg));
+        let fs = LabeledFs::new(Arc::clone(&reg));
         World { reg, fs, bob, bob_data, app }
     }
 
@@ -409,7 +398,7 @@ mod tests {
             w.app.caps.clone(),
         );
         // It may not launder into a public file…
-        assert!(!tainted.may_write(Some(&w.reg), &LabelPair::public()));
+        assert!(!tainted.may_write(&w.reg, &LabelPair::public()));
         assert_eq!(
             w.fs.create(&tainted, "/public/loot.bin", LabelPair::public(), Bytes::from_static(b"x")),
             Err(FsError::WriteDenied)
@@ -424,7 +413,7 @@ mod tests {
         let reg = Arc::new(TagRegistry::new());
         let (r, owner_caps) = reg.create_tag(TagKind::ReadProtect, "read:alice");
         let alice = Subject::new(LabelPair::public(), owner_caps.clone());
-        let fs = LabeledFs::new().with_global(Arc::clone(&reg));
+        let fs = LabeledFs::new(Arc::clone(&reg));
         let secret = LabelPair::new(Label::singleton(r), Label::empty());
         fs.create(&alice, "/diary/alice.txt", secret, Bytes::from_static(b"dear diary"))
             .unwrap();
@@ -478,7 +467,7 @@ mod tests {
     #[test]
     fn capacity_enforced() {
         let w = world();
-        let fs = LabeledFs::with_capacity(10).with_global(Arc::clone(&w.reg));
+        let fs = LabeledFs::with_capacity(10, Arc::clone(&w.reg));
         fs.create(&w.bob, "/a", w.bob_data.clone(), Bytes::from(vec![0; 8])).unwrap();
         assert_eq!(
             fs.create(&w.bob, "/b", w.bob_data.clone(), Bytes::from(vec![0; 3])),

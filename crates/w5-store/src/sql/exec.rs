@@ -27,7 +27,7 @@
 use super::ast::{BinOp, Expr, SelectItem, Statement};
 use super::lexer::SqlError;
 use super::parser::parse;
-use super::plan;
+use super::plan::{self, Pushdown};
 use super::storage::{col_index, Partition, RowLoc, StoredRow, Table};
 use super::value::{like_match, ColumnType, Value};
 use crate::subject::Subject;
@@ -37,7 +37,8 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use w5_difc::{LabelPair, TagRegistry};
+use w5_difc::rules::Verdicts;
+use w5_difc::{CapSet, LabelPair, TagRegistry};
 
 /// How the engine treats rows the subject may not read. See the module docs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,6 +47,12 @@ pub enum QueryMode {
     Filtered,
     /// Status-quo shared database: all rows visible to application SQL.
     Naive,
+    /// As `Filtered`, but the scan's verdicts exercise no capability —
+    /// neither the subject's bag nor the global bag `Ô` — so a row is
+    /// visible only if it flows to the subject as its labels stand. For
+    /// trusted readers whose answers leave without labels (the platform's
+    /// relationship oracle): they must not see what only a raise reveals.
+    Unprivileged,
 }
 
 /// Per-query resource budget (§3.5: the database must survive malicious
@@ -157,7 +164,7 @@ pub struct QueryOutput {
 fn scan(
     t: &Table,
     subject: &Subject,
-    global: Option<&TagRegistry>,
+    global: &TagRegistry,
     mode: QueryMode,
     cost: QueryCost,
     filter: Option<&Expr>,
@@ -167,8 +174,12 @@ fn scan(
     let push = filter.and_then(|f| plan::pushdown(t, f));
     // Probes that are the whole filter have already decided every row they
     // return (`Pushdown::exact`); anything else is re-checked per row.
-    let filter = filter.filter(|_| !push.is_some_and(|p| p.exact));
-    let mut verdicts = subject.verdicts(global);
+    let filter = filter.filter(|_| !push.is_some_and(|p| p.exact()));
+    let none = CapSet::empty();
+    let mut verdicts = match mode {
+        QueryMode::Unprivileged => Verdicts::new(&subject.labels, &none),
+        _ => subject.verdicts(global),
+    };
     let mut scanned = 0u64;
     let mut cands: Vec<u32> = Vec::new();
     for (pi, part) in t.partitions.iter().enumerate() {
@@ -179,7 +190,7 @@ fn scan(
         }
         // A partition is met once per scan, so there is nothing to
         // memoize: one verdict on the pair the partition holds.
-        if mode == QueryMode::Filtered && !verdicts.may_read(&part.pair) {
+        if mode != QueryMode::Naive && !verdicts.may_read(&part.pair) {
             // The label-safe skip: one flat unit, whatever the size.
             scanned += 1;
             if scanned > cost.max_rows_scanned {
@@ -216,7 +227,7 @@ fn scan(
         // order, and a window's are sorted here.
         match push {
             None => (0..part.rows.len()).try_for_each(visit)?,
-            Some(p) if p.eq().is_some() => {
+            Some(p @ Pushdown::Keys { .. }) => {
                 let mut postings: [&[u32]; plan::MAX_KEYS] = [&[]; plan::MAX_KEYS];
                 let mut n = 0;
                 for k in p.keys() {
@@ -225,9 +236,9 @@ fn scan(
                 }
                 each_common(&postings[..n], &mut |ri| visit(ri as usize))?;
             }
-            Some(p) => {
+            Some(Pushdown::Range { slot, lo, hi, .. }) => {
                 cands.clear();
-                part.indexes[p.slot].probe_range(p.lo, p.hi, &mut cands);
+                part.indexes[slot].probe_range(lo, hi, &mut cands);
                 cands.sort_unstable();
                 cands.iter().try_for_each(|&ri| visit(ri as usize))?;
             }
@@ -273,26 +284,15 @@ fn each_common(
 pub struct Database {
     tables: Arc<RwLock<HashMap<String, Table>>>,
     /// The provider's tag registry, whose kind rule is the global bag
-    /// every subject holds; `None` holds subjects to their own bags.
-    global: Option<Arc<TagRegistry>>,
-}
-
-impl Default for Database {
-    fn default() -> Database {
-        Database::new()
-    }
+    /// every subject holds.
+    global: Arc<TagRegistry>,
 }
 
 impl Database {
-    /// An empty database.
-    pub fn new() -> Database {
-        Database { tables: Arc::new(RwLock::new("store.partition", HashMap::new())), global: None }
-    }
-
-    /// This database, checking every subject with `registry`'s global bag
-    /// `Ô` as well as the subject's own capabilities.
-    pub fn with_global(self, registry: Arc<TagRegistry>) -> Database {
-        Database { global: Some(registry), ..self }
+    /// An empty database whose subjects hold `registry`'s global bag `Ô`
+    /// as well as their own capabilities.
+    pub fn new(registry: Arc<TagRegistry>) -> Database {
+        Database { tables: Arc::new(RwLock::new("store.partition", HashMap::new())), global: registry }
     }
 
     /// Parse and execute one statement.
@@ -352,37 +352,6 @@ impl Database {
                 self.delete(subject, mode, cost, &table, filter)
             }
         }
-    }
-
-    /// `SELECT COUNT(*) FROM table WHERE filter`, answered as a number
-    /// without a result set: no statement to build, no row list, header or
-    /// row to materialise. The statement's semantics otherwise — fault
-    /// site, column validation, verdicts, budget — are
-    /// [`Database::execute_stmt`]'s. It returns no labels, so it is for
-    /// trusted callers reading public tables (the platform's relationship
-    /// oracle); code that would release a count of labeled rows uses
-    /// `execute`, whose output carries them.
-    pub fn count(
-        &self,
-        subject: &Subject,
-        mode: QueryMode,
-        cost: QueryCost,
-        table: &str,
-        filter: Option<&Expr>,
-    ) -> Result<u64, QueryError> {
-        if w5_chaos::inject(w5_chaos::Site::SqlQuery).is_some() {
-            return Err(QueryError::Aborted);
-        }
-        // As in `execute_stmt`: verdicts are ledgered under the table lock.
-        let _obs_permit = w5_sync::lockdep::allow_held("obs.ledger");
-        let tables = self.tables.read();
-        let t = tables
-            .get(table)
-            .ok_or_else(|| QueryError::NoSuchTable(table.to_string()))?;
-        validate_columns(&t.columns, filter)?;
-        let mut n = 0;
-        scan(t, subject, self.global.as_deref(), mode, cost, filter, false, &mut |_| n += 1)?;
-        Ok(n)
     }
 
     /// Names of all tables (schema metadata is public).
@@ -460,7 +429,7 @@ impl Database {
         // the seed engine's per-row pass. The verdicts reach the ledger,
         // as one batch, before the guard can drop.
         let writable = {
-            let mut verdicts = subject.verdicts(self.global.as_deref());
+            let mut verdicts = subject.verdicts(&self.global);
             t.partitions.iter().all(|p| verdicts.may_write(&p.pair))
         };
         if !writable {
@@ -478,7 +447,7 @@ impl Database {
         columns: Option<Vec<String>>,
         rows: Vec<Vec<Expr>>,
     ) -> Result<QueryOutput, QueryError> {
-        if !subject.may_write(self.global.as_deref(), insert_labels) {
+        if !subject.may_write(&self.global, insert_labels) {
             return Err(QueryError::WriteDenied);
         }
         let mut tables = self.tables.write();
@@ -549,7 +518,7 @@ impl Database {
                     .ok_or_else(|| QueryError::NoSuchTable(j.table.clone()))?;
                 Some(join_tables(
                     subject,
-                    self.global.as_deref(),
+                    &self.global,
                     mode,
                     cost,
                     table,
@@ -565,9 +534,27 @@ impl Database {
 
         validate_columns(&t.columns, filter.as_ref())?;
 
+        // `COUNT(*)` alone, unordered and unlimited, needs no row list: the
+        // scan counts its matches and folds in the pair of each partition
+        // they come from (a partition's matches arrive together).
+        if let ([SelectItem::CountStar], None, None) = (items.as_slice(), &order_by, limit) {
+            let (mut n, mut labels, mut last) = (0, None::<LabelPair>, usize::MAX);
+            let scanned = scan(t, subject, &self.global, mode, cost, filter.as_ref(), false, &mut |l| {
+                n += 1;
+                if l.part != last {
+                    last = l.part;
+                    let pair = &t.partitions[l.part].pair;
+                    labels = Some(labels.take().map_or_else(|| pair.clone(), |all| all.combine(pair)));
+                }
+            })?;
+            let labels = labels.unwrap_or_else(LabelPair::public);
+            let rows = vec![Row { values: vec![Value::Int(n)], labels: labels.clone() }];
+            return Ok(QueryOutput { columns: vec![items[0].header()], rows, labels, affected: 0, scanned });
+        }
+
         let mut locs = Vec::new();
         let scanned =
-            scan(t, subject, self.global.as_deref(), mode, cost, filter.as_ref(), false, &mut |l| locs.push(l))?;
+            scan(t, subject, &self.global, mode, cost, filter.as_ref(), false, &mut |l| locs.push(l))?;
         // Back to insertion order: the scan visits partition-major.
         locs.sort_unstable_by_key(|l| l.seq);
         let mut hits: Vec<(&StoredRow, &Partition)> = locs
@@ -670,7 +657,7 @@ impl Database {
 
         let mut locs = Vec::new();
         let scanned =
-            scan(t, subject, self.global.as_deref(), mode, cost, filter.as_ref(), true, &mut |l| locs.push(l))?;
+            scan(t, subject, &self.global, mode, cost, filter.as_ref(), true, &mut |l| locs.push(l))?;
         // Stage in insertion order so SET-expression evaluation (and any
         // error it surfaces) does not depend on layout; apply only once every
         // row staged cleanly — a failure aborts the whole statement.
@@ -725,7 +712,7 @@ impl Database {
         // the statement without partial effects.
         let mut locs = Vec::new();
         let scanned =
-            scan(t, subject, self.global.as_deref(), mode, cost, filter.as_ref(), true, &mut |l| locs.push(l))?;
+            scan(t, subject, &self.global, mode, cost, filter.as_ref(), true, &mut |l| locs.push(l))?;
         let affected = locs.len();
         if affected > 0 {
             let mut doomed: Vec<Option<Vec<bool>>> = vec![None; t.partitions.len()];
@@ -765,7 +752,7 @@ enum Projection<'a> {
 #[allow(clippy::too_many_arguments)]
 fn join_tables(
     subject: &Subject,
-    global: Option<&TagRegistry>,
+    global: &TagRegistry,
     mode: QueryMode,
     cost: QueryCost,
     lname: &str,

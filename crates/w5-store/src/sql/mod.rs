@@ -24,6 +24,10 @@
 //! * [`QueryMode::Naive`] — the status-quo shared database: scans and
 //!   aggregates see all rows. This is the covert channel of paper §3.5,
 //!   kept so experiment E9 can measure its bandwidth.
+//! * [`QueryMode::Unprivileged`] — `Filtered` with no capability
+//!   exercised, not even the global bag: only rows that flow to the
+//!   subject as its labels stand. For trusted readers whose answers leave
+//!   unlabeled (the platform's relationship oracle).
 //!
 //! Every query runs under a [`QueryCost`] budget; a pathological query is
 //! aborted once it has visited its row budget ("prevent malicious queries

@@ -58,34 +58,32 @@ pub(crate) struct Key<'e> {
 }
 
 /// The probes extracted from a filter. Equality keys take precedence over
-/// the range window.
+/// a range window.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct Pushdown<'e> {
-    /// Column the range window (or the first equality key) is on.
-    pub(crate) col: usize,
-    /// Index slot of `col`.
-    pub(crate) slot: usize,
-    /// Equality keys, in conjunct order; `keys[..nkeys]` are set.
-    pub(crate) keys: [Option<Key<'e>>; MAX_KEYS],
-    /// Lower bound `(value, inclusive)`.
-    pub(crate) lo: Option<(&'e Value, bool)>,
-    /// Upper bound `(value, inclusive)`.
-    pub(crate) hi: Option<(&'e Value, bool)>,
-    /// Every conjunct of the filter is one of `keys`: every row of the
-    /// intersection matches, and the executor need not evaluate the filter
-    /// on it again.
-    pub(crate) exact: bool,
+pub(crate) enum Pushdown<'e> {
+    /// The indexed equality conjuncts, in conjunct order, the first set:
+    /// their postings intersect. `exact`: every conjunct of the filter is
+    /// one of them, so every row of the intersection matches and the
+    /// executor need not evaluate the filter on it again.
+    Keys { keys: [Option<Key<'e>>; MAX_KEYS], exact: bool },
+    /// The tightest window the bounds on one indexed column allow, each
+    /// bound `(value, inclusive)`.
+    Range { col: usize, slot: usize, lo: Option<(&'e Value, bool)>, hi: Option<(&'e Value, bool)> },
 }
 
 impl<'e> Pushdown<'e> {
-    /// The equality keys.
+    /// The equality keys (none for a window).
     pub(crate) fn keys(&self) -> impl Iterator<Item = Key<'e>> + '_ {
-        self.keys.iter().map_while(|k| *k)
+        let keys: &[Option<Key<'e>>] = match self {
+            Pushdown::Keys { keys, .. } => keys,
+            Pushdown::Range { .. } => &[],
+        };
+        keys.iter().map_while(|k| *k)
     }
 
-    /// The first equality key's value, if the probe is by equality.
-    pub(crate) fn eq(&self) -> Option<&'e Value> {
-        self.keys[0].map(|k| k.value)
+    /// Does the probe decide every row it returns?
+    pub(crate) fn exact(&self) -> bool {
+        matches!(self, Pushdown::Keys { exact: true, .. })
     }
 }
 
@@ -102,14 +100,12 @@ pub(crate) fn pushdown<'e>(t: &Table, filter: &'e Expr) -> Option<Pushdown<'e>> 
     if t.indexed.is_empty() {
         return None;
     }
-    let mut push =
-        Pushdown { col: 0, slot: 0, keys: [None; MAX_KEYS], lo: None, hi: None, exact: false };
-    let (mut conjuncts, mut nkeys, mut range) = (0usize, 0usize, None);
+    let (mut keys, mut nkeys, mut conjuncts, mut range) = ([None; MAX_KEYS], 0, 0, None);
     each_conjunct(filter, &mut |e| {
         conjuncts += 1;
         match normalize(t, e) {
             Some(b) if b.op == BinOp::Eq && nkeys < MAX_KEYS => {
-                push.keys[nkeys] = Some(Key { col: b.col, slot: b.slot, value: b.lit });
+                keys[nkeys] = Some(Key { col: b.col, slot: b.slot, value: b.lit });
                 nkeys += 1;
             }
             Some(b) if b.op != BinOp::Eq => {
@@ -119,17 +115,15 @@ pub(crate) fn pushdown<'e>(t: &Table, filter: &'e Expr) -> Option<Pushdown<'e>> 
         }
     });
     // Equality probes beat any range window.
-    if let Some(first) = push.keys[0] {
-        push.col = first.col;
-        push.slot = first.slot;
-        push.exact = nkeys == conjuncts;
-        return Some(push);
+    if nkeys > 0 {
+        return Some(Pushdown::Keys { keys, exact: nkeys == conjuncts });
     }
     // Otherwise take the first column with a range bound and fold every
     // bound on that column into the tightest window.
-    (push.col, push.slot) = range?;
+    let (col, slot) = range?;
+    let (mut lo, mut hi) = (None, None);
     each_conjunct(filter, &mut |e| {
-        let Some(b) = normalize(t, e).filter(|b| b.col == push.col) else { return };
+        let Some(b) = normalize(t, e).filter(|b| b.col == col) else { return };
         let (bound, is_lo) = match b.op {
             BinOp::Gt => ((b.lit, false), true),
             BinOp::GtEq => ((b.lit, true), true),
@@ -137,13 +131,13 @@ pub(crate) fn pushdown<'e>(t: &Table, filter: &'e Expr) -> Option<Pushdown<'e>> 
             BinOp::LtEq => ((b.lit, true), false),
             _ => return,
         };
-        let slot = if is_lo { &mut push.lo } else { &mut push.hi };
-        *slot = Some(match slot.take() {
+        let side = if is_lo { &mut lo } else { &mut hi };
+        *side = Some(match side.take() {
             None => bound,
             Some(old) => tighter(old, bound, is_lo),
         });
     });
-    Some(push)
+    Some(Pushdown::Range { col, slot, lo, hi })
 }
 
 /// Of two bounds on the same side, the one that admits fewer values.
@@ -239,6 +233,11 @@ mod tests {
         t
     }
 
+    /// The equality keys' columns and values.
+    fn keys(p: &Pushdown) -> Vec<(usize, Value)> {
+        p.keys().map(|k| (k.col, k.value.clone())).collect()
+    }
+
     fn filter_of(sql: &str) -> Expr {
         match parse(&format!("SELECT * FROM t WHERE {sql}")).unwrap() {
             super::super::ast::Statement::Select { filter: Some(f), .. } => f,
@@ -251,28 +250,27 @@ mod tests {
         let t = table();
         let f = filter_of("id > 3 AND name = 'x'");
         let p = pushdown(&t, &f).unwrap();
-        assert_eq!(p.col, 1);
-        assert_eq!(p.eq(), Some(&Value::Text("x".into())));
+        assert_eq!(keys(&p), [(1, Value::Text("x".into()))]);
     }
 
     #[test]
     fn range_bounds_fold_to_tightest_window() {
         let t = table();
         let f = filter_of("id > 3 AND id >= 5 AND id < 10 AND id <= 20");
-        let p = pushdown(&t, &f).unwrap();
-        assert_eq!(p.col, 0);
-        assert_eq!(p.lo, Some((&Value::Int(5), true)));
-        assert_eq!(p.hi, Some((&Value::Int(10), false)));
+        let Some(Pushdown::Range { col, lo, hi, .. }) = pushdown(&t, &f) else { panic!("a window") };
+        assert_eq!(col, 0);
+        assert_eq!(lo, Some((&Value::Int(5), true)));
+        assert_eq!(hi, Some((&Value::Int(10), false)));
     }
 
     #[test]
     fn mirrored_literal_comparisons_flip() {
         let t = table();
         let f = filter_of("10 > id");
-        let p = pushdown(&t, &f).unwrap();
-        assert_eq!(p.col, 0);
-        assert_eq!(p.hi, Some((&Value::Int(10), false)));
-        assert_eq!(p.lo, None);
+        let Some(Pushdown::Range { col, lo, hi, .. }) = pushdown(&t, &f) else { panic!("a window") };
+        assert_eq!(col, 0);
+        assert_eq!(hi, Some((&Value::Int(10), false)));
+        assert_eq!(lo, None);
     }
 
     #[test]
@@ -298,9 +296,8 @@ mod tests {
         let t = table();
         let f = filter_of("id = 1 AND plain > 2");
         let p = pushdown(&t, &f).unwrap();
-        assert_eq!(p.col, 0);
-        assert_eq!(p.eq(), Some(&Value::Int(1)));
-        assert!(!p.exact);
+        assert_eq!(keys(&p), [(0, Value::Int(1))]);
+        assert!(!p.exact());
     }
 
     #[test]
@@ -309,7 +306,7 @@ mod tests {
         for sql in ["name = 'a'", "'a' = name"] {
             let f = filter_of(sql);
             let p = pushdown(&t, &f).unwrap();
-            assert_eq!((p.col, p.eq(), p.exact), (1, Some(&Value::Text("a".into())), true), "{sql}");
+            assert_eq!((keys(&p), p.exact()), (vec![(1, Value::Text("a".into()))], true), "{sql}");
         }
     }
 
@@ -325,14 +322,14 @@ mod tests {
             "id > 3 AND id < 9",
             "2 >= id",
         ] {
-            assert!(!pushdown(&t, &filter_of(sql)).unwrap().exact, "{sql}");
+            assert!(!pushdown(&t, &filter_of(sql)).unwrap().exact(), "{sql}");
         }
     }
 
     #[test]
     fn indexed_equalities_intersect_and_are_exact_together() {
         let t = table();
-        for (sql, keys) in [
+        for (sql, want) in [
             ("name = 'a' AND id = 1", vec![(1, Value::Text("a".into())), (0, Value::Int(1))]),
             // A column named twice is two keys on one index.
             ("name = 'a' AND name = 'a'", vec![(1, Value::Text("a".into())), (1, Value::Text("a".into()))]),
@@ -347,9 +344,8 @@ mod tests {
         ] {
             let f = filter_of(sql);
             let p = pushdown(&t, &f).unwrap();
-            let got: Vec<(usize, Value)> = p.keys().map(|k| (k.col, k.value.clone())).collect();
-            assert_eq!(got, keys, "{sql}");
-            assert!(p.exact, "{sql}");
+            assert_eq!(keys(&p), want, "{sql}");
+            assert!(p.exact(), "{sql}");
             for k in p.keys() {
                 assert_eq!(t.index_slot(k.col), Some(k.slot), "{sql}");
             }
@@ -357,6 +353,6 @@ mod tests {
         // Past the fixed key array, the extra keys are re-checked per row.
         let f = filter_of("id = 1 AND id = 1 AND id = 1 AND id = 1 AND id = 1");
         let p = pushdown(&t, &f).unwrap();
-        assert_eq!((p.keys().count(), p.exact), (MAX_KEYS, false));
+        assert_eq!((p.keys().count(), p.exact()), (MAX_KEYS, false));
     }
 }

@@ -1,7 +1,7 @@
 //! The acting subject of a storage operation.
 
 use w5_difc::rules::{self, Verdicts};
-use w5_difc::{CapSet, Held, LabelPair, TagRegistry};
+use w5_difc::{CapSet, LabelPair, TagRegistry};
 
 /// A snapshot of the acting process's flow-control state: its labels and
 /// its private capability bag.
@@ -9,9 +9,8 @@ use w5_difc::{CapSet, Held, LabelPair, TagRegistry};
 /// The platform constructs a `Subject` from kernel state just before each
 /// storage call (both fields share their storage with the kernel's copy, so
 /// this allocates nothing); the store trusts it the way a kernel trusts the
-/// current process context. The global bag `Ô` is not in `caps`: a store
-/// built [`with_global`](crate::Database::with_global) reads it from the
-/// provider's registry as a rule.
+/// current process context. The global bag `Ô` is not in `caps`: the
+/// store reads it from the provider's registry as a rule.
 #[derive(Clone, Debug)]
 pub struct Subject {
     /// The process's current labels.
@@ -26,33 +25,29 @@ impl Subject {
         Subject { labels, caps }
     }
 
-    /// An unlabeled, unprivileged subject — an anonymous external client.
+    /// An unlabeled subject with an empty bag — an anonymous external
+    /// client. Like every subject, it holds the global bag in a store.
     pub fn anonymous() -> Subject {
         Subject { labels: LabelPair::public(), caps: CapSet::empty() }
     }
 
-    /// The subject's capabilities as the flow rules read them: its bag,
-    /// plus `global`'s global bag when a registry is given.
-    fn held<'a>(&'a self, global: Option<&'a TagRegistry>) -> Held<'a> {
-        Held::new(&self.caps, global)
+    /// Can this subject, holding its bag and `global`'s global bag, read
+    /// data labeled `obj` (possibly after raising its own labels)? One
+    /// verdict, counted at once.
+    pub fn may_read(&self, global: &TagRegistry, obj: &LabelPair) -> bool {
+        rules::may_read(&self.labels, global.held(&self.caps), obj)
     }
 
-    /// Can this subject read data labeled `obj` (possibly after raising its
-    /// own labels)? One verdict, counted at once.
-    pub fn may_read(&self, global: Option<&TagRegistry>, obj: &LabelPair) -> bool {
-        rules::may_read(&self.labels, self.held(global), obj)
-    }
-
-    /// Can this subject write data labeled `obj`? One verdict, counted at
-    /// once.
-    pub fn may_write(&self, global: Option<&TagRegistry>, obj: &LabelPair) -> bool {
-        rules::may_write(&self.labels, self.held(global), obj)
+    /// Can this subject, holding its bag and `global`'s global bag, write
+    /// data labeled `obj`? One verdict, counted at once.
+    pub fn may_write(&self, global: &TagRegistry, obj: &LabelPair) -> bool {
+        rules::may_write(&self.labels, global.held(&self.caps), obj)
     }
 
     /// The same verdicts for a statement that makes many: counted together,
     /// in order, when the returned batch drops.
-    pub(crate) fn verdicts<'a>(&'a self, global: Option<&'a TagRegistry>) -> Verdicts<'a> {
-        Verdicts::new(&self.labels, self.held(global))
+    pub(crate) fn verdicts<'a>(&'a self, global: &'a TagRegistry) -> Verdicts<'a> {
+        Verdicts::new(&self.labels, global.held(&self.caps))
     }
 }
 
@@ -67,7 +62,7 @@ mod tests {
         let (e, _) = reg.create_tag(TagKind::ExportProtect, "export:u");
         let (w, _) = reg.create_tag(TagKind::WriteProtect, "write:u");
         let anon = Subject::anonymous();
-        let global = Some(&reg);
+        let global = &reg;
 
         let secret = LabelPair::new(Label::singleton(e), Label::empty());
         let protected = LabelPair::new(Label::empty(), Label::singleton(w));
@@ -80,7 +75,5 @@ mod tests {
         // Public data is both.
         assert!(anon.may_read(global, &LabelPair::public()));
         assert!(anon.may_write(global, &LabelPair::public()));
-        // Without the registry, raising to the export tag is not free.
-        assert!(!anon.may_read(None, &secret));
     }
 }

@@ -30,7 +30,7 @@ fn owner(tag: u64) -> Subject {
 
 #[test]
 fn aborted_write_leaves_old_state_fully_intact() {
-    let fs = LabeledFs::new();
+    let fs = LabeledFs::new(Arc::new(w5_difc::TagRegistry::new()));
     let subject = owner(7);
     let labels = secret_pair(7);
     fs.create(&subject, "/f", labels.clone(), Bytes::from_static(b"v1")).unwrap();
@@ -52,7 +52,7 @@ fn aborted_write_leaves_old_state_fully_intact() {
 
 #[test]
 fn aborted_create_leaves_no_file_behind() {
-    let fs = LabeledFs::new();
+    let fs = LabeledFs::new(Arc::new(w5_difc::TagRegistry::new()));
     let subject = owner(7);
 
     let inj = Injector::new(FaultPlan::new(1).with(Site::FsWrite, 1.0));
@@ -78,7 +78,7 @@ fn labels_never_downgrade_across_a_fault_storm() {
     // every attempt the file's secrecy must still be exactly the original
     // label. A single missing tag after any fault would be a
     // declassification performed by the failure path.
-    let fs = LabeledFs::new();
+    let fs = LabeledFs::new(Arc::new(w5_difc::TagRegistry::new()));
     let subject = owner(9);
     let labels = secret_pair(9);
     fs.create(&subject, "/s", labels.clone(), Bytes::from_static(b"seed")).unwrap();

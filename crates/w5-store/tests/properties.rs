@@ -8,6 +8,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 use w5_difc::LabelPair;
 use w5_store::{FsError, LabeledFs, QueryCost, QueryMode, Subject};
 
@@ -40,7 +41,7 @@ proptest! {
     /// exactly like a HashMap<path, bytes> model.
     #[test]
     fn fs_matches_model(ops in proptest::collection::vec(arb_op(), 1..60)) {
-        let fs = LabeledFs::new();
+        let fs = LabeledFs::new(Arc::new(w5_difc::TagRegistry::new()));
         let subject = Subject::anonymous();
         let mut model: HashMap<String, Vec<u8>> = HashMap::new();
 
@@ -98,7 +99,7 @@ proptest! {
     /// arbitrary text.)
     #[test]
     fn sql_never_panics_on_arbitrary_input(input in ".{0,200}") {
-        let db = w5_store::Database::new();
+        let db = w5_store::Database::new(Arc::new(w5_difc::TagRegistry::new()));
         let subject = Subject::anonymous();
         let _ = db.execute(
             &subject,
@@ -123,7 +124,7 @@ proptest! {
         )
     ) {
         let sql = parts.join(" ");
-        let db = w5_store::Database::new();
+        let db = w5_store::Database::new(Arc::new(w5_difc::TagRegistry::new()));
         let subject = Subject::anonymous();
         let _ = db.execute(
             &subject,
@@ -137,7 +138,7 @@ proptest! {
     /// Statement atomicity: a failed multi-row INSERT leaves no rows.
     #[test]
     fn failed_insert_is_atomic(good in 1usize..6, typed_bad in any::<bool>()) {
-        let db = w5_store::Database::new();
+        let db = w5_store::Database::new(Arc::new(w5_difc::TagRegistry::new()));
         let subject = Subject::anonymous();
         db.execute(&subject, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
             "CREATE TABLE t (n INTEGER)").unwrap();

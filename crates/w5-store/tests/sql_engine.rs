@@ -39,7 +39,7 @@ fn world() -> World {
     let app = Subject::new(LabelPair::public(), CapSet::empty());
 
     World {
-        db: Database::new().with_global(Arc::clone(&reg)),
+        db: Database::new(Arc::clone(&reg)),
         bob,
         bob_rows: LabelPair::new(Label::singleton(e_bob), Label::singleton(w_bob)),
         app,
@@ -167,7 +167,7 @@ fn read_protected_rows_are_invisible_and_uncountable() {
     let (r, owner_caps) = reg.create_tag(TagKind::ReadProtect, "read:alice");
     let alice = Subject::new(LabelPair::public(), owner_caps.clone());
     let stranger = Subject::new(LabelPair::public(), CapSet::empty());
-    let db = Database::new().with_global(Arc::clone(&reg));
+    let db = Database::new(Arc::clone(&reg));
     let secret = LabelPair::new(Label::singleton(r), Label::empty());
 
     db.execute(&alice, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
@@ -228,7 +228,7 @@ fn update_skips_invisible_rows_silently() {
     let (r, owner_caps) = reg.create_tag(TagKind::ReadProtect, "read:alice");
     let alice = Subject::new(LabelPair::public(), owner_caps.clone());
     let stranger = Subject::new(LabelPair::public(), CapSet::empty());
-    let db = Database::new().with_global(Arc::clone(&reg));
+    let db = Database::new(Arc::clone(&reg));
     let secret = LabelPair::new(Label::singleton(r), Label::empty());
     db.execute(&alice, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
         "CREATE TABLE t (n INTEGER)").unwrap();
@@ -332,7 +332,7 @@ fn subset_selects_carry_exactly_the_picked_tags() {
     // and the WHERE clause picks those: every multi-partition subset of ten
     // partitions, read by a subject holding no capability.
     let reg = Arc::new(TagRegistry::new());
-    let db = Database::new().with_global(Arc::clone(&reg));
+    let db = Database::new(Arc::clone(&reg));
     let exec = |subject: &Subject, labels: &LabelPair, sql: &str| {
         db.execute(subject, QueryMode::Filtered, QueryCost::unlimited(), labels, sql).unwrap()
     };
@@ -500,7 +500,7 @@ fn join_labels_combine_and_filter() {
     let (r, owner_caps) = reg.create_tag(w5_difc::TagKind::ReadProtect, "read:x");
     let owner = Subject::new(LabelPair::public(), owner_caps.clone());
     let stranger = Subject::new(LabelPair::public(), w5_difc::CapSet::empty());
-    let db = w5_store::Database::new().with_global(std::sync::Arc::clone(&reg));
+    let db = w5_store::Database::new(std::sync::Arc::clone(&reg));
     let secret = LabelPair::new(w5_difc::Label::singleton(r), w5_difc::Label::empty());
     db.execute(&owner, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
         "CREATE TABLE l (k INTEGER)").unwrap();
@@ -637,7 +637,7 @@ fn hostile_range_windows_answer_literally_and_never_panic() {
     let hidden = LabelPair::new(Label::singleton(r), Label::empty());
     let app = Subject::new(LabelPair::public(), CapSet::empty());
 
-    let db = Database::new().with_global(Arc::clone(&reg));
+    let db = Database::new(Arc::clone(&reg));
     let run = |labels: &LabelPair, sql: &str| {
         db.execute(&app, QueryMode::Filtered, QueryCost::unlimited(), labels, sql)
     };
@@ -691,7 +691,7 @@ fn one_read_check_per_partition_in_creation_order() {
     // `Ledger::count_check` rings every denial and every 16th check.
     const CHECK_SAMPLE: usize = 16;
     let reg = Arc::new(TagRegistry::new());
-    let db = Database::new().with_global(Arc::clone(&reg));
+    let db = Database::new(Arc::clone(&reg));
     let run_as = |subject: &Subject, labels: &LabelPair, sql: &str| {
         db.execute(subject, QueryMode::Filtered, QueryCost::unlimited(), labels, sql).unwrap()
     };
@@ -811,7 +811,7 @@ fn error_exits_count_exactly_the_verdicts_made() {
     /// The one write-protected partition: readable, holding k = 7.
     const GUARDED: usize = 26;
     let reg = Arc::new(TagRegistry::new());
-    let db = Database::new().with_global(Arc::clone(&reg));
+    let db = Database::new(Arc::clone(&reg));
     let run_as = |subject: &Subject, labels: &LabelPair, sql: &str| {
         db.execute(subject, QueryMode::Filtered, QueryCost::unlimited(), labels, sql).unwrap()
     };

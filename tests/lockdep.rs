@@ -59,7 +59,7 @@ fn live_platform_workload_certifies_against_the_manifest() {
         )
         .unwrap();
 
-        let db = w5_store::Database::new();
+        let db = w5_store::Database::new(Arc::clone(&registry));
         let subject = w5_store::Subject::anonymous();
         let exec = |labels: &LabelPair, sql: &str| {
             db.execute(

@@ -247,7 +247,7 @@ mod scan_cost {
         let (e, owner_caps) = reg.create_tag(TagKind::ReadProtect, "ni:hidden");
         let owner = Subject::new(LabelPair::public(), owner_caps.clone());
         let secret = LabelPair::new(Label::singleton(e), Label::empty());
-        let db = Database::new();
+        let db = Database::new(Arc::clone(&reg));
         db.execute(
             &owner,
             QueryMode::Filtered,

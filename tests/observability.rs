@@ -69,7 +69,7 @@ fn drive_all_layers() -> Vec<u64> {
     // stranger is refused (and the refusal is itself secret-labeled).
     let (r, r_caps) = registry.create_tag(TagKind::ReadProtect, "read:obs-itest");
     secret_tags.push(r.raw());
-    let fs = LabeledFs::new();
+    let fs = LabeledFs::new(Arc::clone(&registry));
     let secret = LabelPair::new(Label::singleton(r), Label::empty());
     let owner = Subject::new(LabelPair::public(), r_caps.clone());
     fs.create(&owner, SECRET_MARKER, secret, Bytes::from_static(b"classified"))

@@ -81,6 +81,8 @@ fn arb_op() -> impl Strategy<Value = StoreOp> {
         (any::<bool>(), key(), eq_term(), any::<bool>(), eq_term()).prop_map(
             |(stranger, id, also, three, then)| StoreOp::Meet { stranger, id, also, then: three.then_some(then) }
         ),
+        (any::<bool>(), key(), any::<bool>())
+            .prop_map(|(stranger, id, unprivileged)| StoreOp::Count { stranger, id, unprivileged }),
     ]
 }
 
