@@ -304,32 +304,3 @@ pub fn install(platform: &Arc<Platform>) {
         platform.install_app(&format!("mal/{name}"), app);
     }
 }
-
-/// Clear the covert-channel table between symbols (harness helper; uses
-/// provider authority, which the attacking apps do not have).
-pub fn covert_clear(platform: &Arc<Platform>) {
-    // The rows carry user taint; clearing requires provider authority. We
-    // rebuild the table, which the engine permits for a subject that can
-    // write all rows — so instead of DELETE (blocked), drop and recreate
-    // with a subject holding every capability. Simplest correct tool: a
-    // subject with the global bag plus every owner's caps is not available
-    // here, so we recreate the table outright via the engine's owner — the
-    // platform — by dropping with an all-powerful subject.
-    let mut caps = w5_difc::CapSet::empty();
-    // Provider root: owns every tag ever created. Experiments only.
-    for raw in 1..=platform.registry.tag_count() as u64 {
-        if let Some(tag) = w5_difc::Tag::try_from_raw(raw) {
-            if platform.registry.exists(tag) {
-                caps.insert_ownership(tag);
-            }
-        }
-    }
-    let root = w5_store::Subject::new(w5_difc::LabelPair::public(), caps.clone());
-    let _ = platform.db.execute(
-        &root,
-        w5_store::QueryMode::Filtered,
-        w5_store::QueryCost::unlimited(),
-        &w5_difc::LabelPair::public(),
-        "DELETE FROM covert_signal",
-    );
-}

@@ -144,8 +144,8 @@ impl Manifest {
                 class!("platform.policy", 23, "per-user declassification policies"),
                 class!("platform.declass", 24, "declassifier catalog, rate counters, audiences"),
                 class!("platform.editors", 25, "editor endorsement table"),
-                class!("platform.perimeter", 26, "perimeter audit ring"),
-                class!("platform.impl", 27, "platform implementation/fault tables"),
+                class!("platform.perimeter", 26, "perimeter audit, one bounded queue per label"),
+                class!("platform.impl", 27, "app implementations (impls=0), per-app fault log (faults=1)"),
                 class!("platform.boundary", 28, "net-boundary principal-class → kernel process map"),
                 class!("baseline.silo", 30, "siloed-deployment baseline state"),
                 class!("baseline.mashup", 31, "mashup baseline received-data log"),
@@ -155,7 +155,7 @@ impl Manifest {
                 class!("store.fs", 52, "labeled in-memory filesystem tree"),
                 class!("difc.registry", 60, "tag metadata (meta=0); the global bag is a rule, not a lock"),
                 class!("chaos.injector", 80, "fault-injector schedule state"),
-                class!("obs.ledger", 90, "flow ledger rings (ring=0, latencies=1, published=2, spans=3)"),
+                class!("obs.ledger", 90, "flow ledger (event ring=0, published aggregate=1, span ring=2)"),
             ],
             allow_held: Vec::new(),
             require_annotation: vec!["obs.ledger".to_string()],

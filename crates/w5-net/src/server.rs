@@ -326,7 +326,6 @@ fn serve_stream<R: BufRead, W: Write>(
                 micros: elapsed.as_micros() as u64,
             },
         );
-        w5_obs::time("net.http", &w5_obs::ObsLabel::empty(), elapsed);
         served.fetch_add(1, Ordering::Relaxed);
         lockdep::blocking("net.socket.write");
         write_once(writer, &mut out, |buf| response.write_to(buf, keep))?;

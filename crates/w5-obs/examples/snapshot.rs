@@ -25,9 +25,8 @@ fn main() {
     );
     ledger.record(
         &secret,
-        EventKind::ExportCheck { app: "devA/photos".into(), allowed: false, blocked_tags: 1 },
+        EventKind::DeclassifierInvoke { name: "friends-only".into(), allowed: false },
     );
-    ledger.time("platform.export_check", &secret, std::time::Duration::from_micros(42));
 
     println!("=== cleared auditor (tag 7) ===");
     println!("{}", ledger.snapshot_json(&secret).unwrap());

@@ -243,15 +243,8 @@ pub enum EventKind {
         count: u64,
     },
     // ---- platform ----
-    /// The export perimeter ruled on an outgoing response.
-    ExportCheck {
-        /// Application that produced the response.
-        app: Name,
-        /// Was the export permitted?
-        allowed: bool,
-        /// Number of secrecy tags that blocked it (0 iff allowed).
-        blocked_tags: u64,
-    },
+    // The perimeter's decision itself is recorded once, in the platform's
+    // per-label audit log, not here.
     /// A declassifier was consulted.
     DeclassifierInvoke {
         /// Declassifier name.
@@ -357,8 +350,7 @@ impl EventKind {
             | EventKind::TagCreate { .. }
             | EventKind::TagGrant { .. }
             | EventKind::CapabilityUse { .. } => Layer::Difc,
-            EventKind::ExportCheck { .. }
-            | EventKind::DeclassifierInvoke { .. }
+            EventKind::DeclassifierInvoke { .. }
             | EventKind::SanitizerRun { .. }
             | EventKind::AuditFinding { .. } => Layer::Platform,
             EventKind::HttpRequest { .. }
@@ -376,7 +368,6 @@ impl EventKind {
         match self {
             EventKind::IpcSend { delivered, .. } => !delivered,
             EventKind::LabelCheck { allowed, .. }
-            | EventKind::ExportCheck { allowed, .. }
             | EventKind::DeclassifierInvoke { allowed, .. }
             | EventKind::StoreRead { allowed, .. }
             | EventKind::StoreWrite { allowed, .. } => !allowed,
@@ -413,7 +404,7 @@ mod tests {
         let samples = [
             EventKind::ProcSpawn { pid: 1, parent: 0, name: "x".into() },
             EventKind::LabelCheck { op: CheckOp::Flow, allowed: true },
-            EventKind::ExportCheck { app: "a/b".into(), allowed: false, blocked_tags: 1 },
+            EventKind::DeclassifierInvoke { name: "friends-only".into(), allowed: false },
             EventKind::HttpRequest { method: "GET".into(), path: "/".into(), status: 200, micros: 1 },
             EventKind::StoreRead { path: "/f".into(), bytes: 3, allowed: true },
         ];
@@ -434,7 +425,7 @@ mod tests {
         let e = Event {
             seq: 42,
             secrecy: ObsLabel::from_tags([3]),
-            kind: EventKind::ExportCheck { app: "devA/photos".into(), allowed: false, blocked_tags: 1 },
+            kind: EventKind::DeclassifierInvoke { name: "friends-only".into(), allowed: false },
         };
         let s = serde_json::to_string(&e).unwrap();
         let back: Event = serde_json::from_str(&s).unwrap();

@@ -1,7 +1,8 @@
 //! Log-bucketed latency histograms.
 //!
-//! Promoted from `w5-sim` (which now re-exports this module) so the ledger
-//! and the experiment harnesses share one implementation. Buckets are
+//! Promoted from `w5-sim` (which now re-exports this module) so the
+//! benchmarks and the experiment harnesses share one implementation. The
+//! ledger keeps no histograms: its timing record is the span. Buckets are
 //! powers of two subdivided 16 ways, giving ~4% worst-case resolution from
 //! nanoseconds to minutes.
 
@@ -143,38 +144,6 @@ impl Histogram {
             self.max_ns as f64 / 1e3,
         )
     }
-
-    /// A serializable point-in-time digest (what ledger views export).
-    pub fn digest(&self) -> HistogramSummary {
-        HistogramSummary {
-            count: self.total,
-            mean_ns: self.mean_ns(),
-            p50_ns: self.percentile_ns(0.50),
-            p90_ns: self.percentile_ns(0.90),
-            p99_ns: self.percentile_ns(0.99),
-            min_ns: self.min_ns(),
-            max_ns: self.max_ns(),
-        }
-    }
-}
-
-/// Plain-struct digest of a [`Histogram`], for JSON snapshots.
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct HistogramSummary {
-    /// Number of samples.
-    pub count: u64,
-    /// Mean in nanoseconds.
-    pub mean_ns: f64,
-    /// Median (lower bucket bound).
-    pub p50_ns: u64,
-    /// 90th percentile.
-    pub p90_ns: u64,
-    /// 99th percentile.
-    pub p99_ns: u64,
-    /// Minimum sample.
-    pub min_ns: u64,
-    /// Maximum sample.
-    pub max_ns: u64,
 }
 
 #[cfg(test)]
@@ -275,18 +244,5 @@ mod tests {
         h.record(Duration::from_micros(50));
         let s = h.summary();
         assert!(s.contains("n=1"), "{s}");
-    }
-
-    #[test]
-    fn digest_roundtrips_through_json() {
-        let mut h = Histogram::new();
-        for i in 1..=100u64 {
-            h.record_ns(i * 10);
-        }
-        let d = h.digest();
-        let s = serde_json::to_string(&d).unwrap();
-        let back: HistogramSummary = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, d);
-        assert_eq!(back.count, 100);
     }
 }

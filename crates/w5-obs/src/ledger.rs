@@ -1,11 +1,12 @@
-//! The flow ledger: event ring, counters, latency registry and
-//! clearance-gated views.
+//! The flow ledger: event ring, counters, span ring and clearance-gated
+//! views.
 //!
 //! Writes are cheap: per-layer counters are lock-free atomics; the bounded
-//! event ring and the latency registry take one short `obs.ledger`-classed
-//! `w5_sync` mutex each (instances ring=0, latencies=1, published=2,
-//! spans=3; never nested), and the published aggregate's mutex is taken
-//! only by the one event in [`REFRESH_EVERY`] that republishes it. Reads
+//! event ring and span ring take one short `obs.ledger`-classed `w5_sync`
+//! mutex each (instances ring=0, published=1, spans=2; never nested), and
+//! the published aggregate's mutex is taken only by the one event in
+//! [`REFRESH_EVERY`] that republishes it. Timing is recorded once, as a
+//! span (see `crate::trace`); there is no second latency registry. Reads
 //! are **labeled operations**: [`Ledger::view`] takes the viewer's
 //! clearance (their secrecy label, as an [`ObsLabel`]) and
 //!
@@ -24,7 +25,6 @@
 //! counts and an untainted reader could poll them out.
 
 use crate::event::{CheckOp, Event, EventKind, Layer};
-use crate::histogram::{Histogram, HistogramSummary};
 use crate::label::ObsLabel;
 use crate::trace::{redact_spans, sample_decision, SpanRecord, TraceView};
 use crate::{fnv1a, FNV_OFFSET};
@@ -82,11 +82,6 @@ impl Aggregate {
     }
 }
 
-struct LatencySeries {
-    secrecy: ObsLabel,
-    hist: Histogram,
-}
-
 /// The label-aware flow ledger.
 pub struct Ledger {
     seq: AtomicU64,
@@ -94,7 +89,6 @@ pub struct Ledger {
     checks: AtomicU64,
     ring: Mutex<VecDeque<Event>>,
     ring_cap: usize,
-    latencies: Mutex<BTreeMap<String, LatencySeries>>,
     /// The published (stale, quantized) totals a redacted viewer sees; none
     /// before the first republish. Kept as numbers, so republishing
     /// allocates nothing; the viewer builds the maps.
@@ -143,10 +137,9 @@ impl Ledger {
             checks: AtomicU64::new(0),
             ring: Mutex::with_index("obs.ledger", 0, VecDeque::with_capacity(ring_cap.min(1024))),
             ring_cap,
-            latencies: Mutex::with_index("obs.ledger", 1, BTreeMap::new()),
-            published: Mutex::with_index("obs.ledger", 2, None),
+            published: Mutex::with_index("obs.ledger", 1, None),
             published_at: AtomicU64::new(0),
-            spans: Mutex::with_index("obs.ledger", 3, VecDeque::with_capacity(DEFAULT_SPAN_CAP.min(1024))),
+            spans: Mutex::with_index("obs.ledger", 2, VecDeque::with_capacity(DEFAULT_SPAN_CAP.min(1024))),
             span_cap: DEFAULT_SPAN_CAP,
             span_counters: Default::default(),
             spans_recorded: AtomicU64::new(0),
@@ -209,27 +202,6 @@ impl Ledger {
         }
     }
 
-    /// Record a latency sample for a named operation. The series' label is
-    /// the union of every sample's label: a viewer may see the histogram
-    /// only if cleared for everything that flowed through it (timing is a
-    /// side channel).
-    pub fn time(&self, op: &str, secrecy: &ObsLabel, d: std::time::Duration) {
-        let mut lat = self.latencies.lock();
-        match lat.get_mut(op) {
-            Some(series) => {
-                if !secrecy.is_subset(&series.secrecy) {
-                    series.secrecy = series.secrecy.union(secrecy);
-                }
-                series.hist.record(d);
-            }
-            None => {
-                let mut hist = Histogram::new();
-                hist.record(d);
-                lat.insert(op.to_string(), LatencySeries { secrecy: secrecy.clone(), hist });
-            }
-        }
-    }
-
     /// Total events recorded (all layers, including ring-sampled checks).
     pub fn events_recorded(&self) -> u64 {
         self.seq.load(Ordering::Relaxed)
@@ -278,26 +250,7 @@ impl Ledger {
             self.aggregate()
         };
 
-        let lat = self.latencies.lock();
-        let mut latencies = BTreeMap::new();
-        let mut latencies_withheld = 0u64;
-        for (name, series) in lat.iter() {
-            if series.secrecy.is_subset(clearance) {
-                latencies.insert(name.clone(), series.hist.digest());
-            } else {
-                latencies_withheld += 1;
-            }
-        }
-        drop(lat);
-
-        LedgerView {
-            clearance: clearance.clone(),
-            events,
-            redacted,
-            aggregate,
-            latencies,
-            latencies_withheld,
-        }
+        LedgerView { clearance: clearance.clone(), events, redacted, aggregate }
     }
 
     /// JSON snapshot of a clearance-gated view (the exporter).
@@ -477,7 +430,7 @@ fn fold_event(h: &mut u64, seq: u64, e: &Event) {
     for tag in e.secrecy.iter() {
         fnv1a(h, &tag.to_le_bytes());
     }
-    let kind = serde_json::to_string(&e.kind).expect("event kinds always serialize");
+    let kind = serde::render_json(&serde::Serialize::to_json(&e.kind));
     fnv1a(h, kind.as_bytes());
 }
 
@@ -503,15 +456,11 @@ pub struct LedgerView {
     /// Events the clearance covers, oldest first. When `redacted`, `seq`
     /// is re-issued densely.
     pub events: Vec<Event>,
-    /// True when any event or series was withheld; the aggregate is then
-    /// the stale quantized snapshot rather than live counters.
+    /// True when any event was withheld; the aggregate is then the stale
+    /// quantized snapshot rather than live counters.
     pub redacted: bool,
     /// Per-layer counts (live and exact iff `redacted == false`).
     pub aggregate: Aggregate,
-    /// Latency digests for series whose label the clearance covers.
-    pub latencies: BTreeMap<String, HistogramSummary>,
-    /// Number of latency series withheld.
-    pub latencies_withheld: u64,
 }
 
 #[cfg(test)]
@@ -785,24 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_series_gated_by_union_label() {
-        let l = Ledger::new();
-        let d = std::time::Duration::from_micros(10);
-        l.time("net.http", &ObsLabel::empty(), d);
-        l.time("platform.export_check", &ObsLabel::singleton(4), d);
-        l.time("platform.export_check", &ObsLabel::empty(), d);
-        let low = l.view(&ObsLabel::empty());
-        assert!(low.latencies.contains_key("net.http"));
-        assert!(
-            !low.latencies.contains_key("platform.export_check"),
-            "series that ever carried tag 4 is hidden from empty clearance"
-        );
-        assert_eq!(low.latencies_withheld, 1);
-        let high = l.view(&ObsLabel::singleton(4));
-        assert_eq!(high.latencies["platform.export_check"].count, 2);
-    }
-
-    #[test]
     fn snapshot_json_roundtrips() {
         let l = Ledger::new();
         l.record(&ObsLabel::empty(), EventKind::HttpRequest {
@@ -811,11 +742,9 @@ mod tests {
             status: 200,
             micros: 123,
         });
-        l.time("net.http", &ObsLabel::empty(), std::time::Duration::from_micros(123));
         let json = l.snapshot_json(&ObsLabel::empty()).unwrap();
         let back: LedgerView = serde_json::from_str(&json).unwrap();
         assert_eq!(back.events.len(), 1);
-        assert_eq!(back.latencies["net.http"].count, 1);
         assert!(!back.redacted);
     }
 }

@@ -17,7 +17,7 @@
 //! exactly the no-privilege secrecy-flow rule (`S_event ⊆ S_viewer`).
 //!
 //! Cost model: counters are lock-free atomics on every path; the bounded
-//! event ring and the latency registry take a short mutex. The hottest
+//! event ring and span ring take a short mutex. The hottest
 //! call sites (per-message flow checks in `w5-difc::rules`) use
 //! [`Ledger::count_check`], which only touches atomics for passes and
 //! reserves ring writes for denials plus a deterministic 1-in-16 sample
@@ -33,7 +33,7 @@ pub mod ledger;
 pub mod trace;
 
 pub use event::{CheckOp, Event, EventKind, Layer, Name};
-pub use histogram::{Histogram, HistogramSummary};
+pub use histogram::Histogram;
 pub use label::ObsLabel;
 pub use ledger::{Aggregate, Check, Ledger, LedgerView};
 pub use trace::{SpanRecord, TraceContext, TraceView, TRACE_HEADER};
@@ -52,7 +52,7 @@ pub fn global() -> &'static Ledger {
     GLOBAL.get_or_init(Ledger::new)
 }
 
-/// Redirects this thread's [`record`]/[`time`]/[`count_check`] calls into a
+/// Redirects this thread's [`record`]/[`count_check`]/[`span`] calls into a
 /// private ledger for the guard's lifetime. Guards nest; the innermost
 /// ledger wins. The chaos harness uses this to collect a per-run event
 /// stream whose [`Ledger::digest`] is unpolluted by concurrently running
@@ -103,14 +103,6 @@ pub fn record(secrecy: &ObsLabel, kind: EventKind) {
     match current() {
         Some(l) => l.record(secrecy, kind),
         None => global().record(secrecy, kind),
-    }
-}
-
-/// Record a latency sample for a named operation into the current ledger.
-pub fn time(op: &str, secrecy: &ObsLabel, d: std::time::Duration) {
-    match current() {
-        Some(l) => l.time(op, secrecy, d),
-        None => global().time(op, secrecy, d),
     }
 }
 

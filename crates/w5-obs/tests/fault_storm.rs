@@ -30,11 +30,7 @@ fn storm_kind(rng: &mut StdRng) -> (ObsLabel, EventKind) {
             allowed: rng.gen_bool(0.8),
         },
         2 => EventKind::LabelCheck { op: CheckOp::Flow, allowed: rng.gen_bool(0.7) },
-        _ => EventKind::ExportCheck {
-            app: "dev/app".into(),
-            allowed: rng.gen_bool(0.5),
-            blocked_tags: rng.gen_range(0..3),
-        },
+        _ => EventKind::DeclassifierInvoke { name: "friends-only".into(), allowed: rng.gen_bool(0.5) },
     };
     (secrecy, kind)
 }

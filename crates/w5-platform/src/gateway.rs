@@ -338,32 +338,30 @@ impl Gateway {
 
     /// The developer dashboard (§3.5 "developers need to get some
     /// information when their applications malfunction"): fault reports
-    /// for one app, already label-scrubbed by the platform.
+    /// for one app, already label-scrubbed by the platform — read from that
+    /// app's own partition, so other apps' faults neither show nor evict.
+    /// Without `app`, every app's (the union of what each `app` shows).
     fn dev_faults(&self, req: &Request) -> Response {
-        let app = req.query_param("app").unwrap_or_default();
-        let lines: Vec<String> = self
-            .platform
-            .fault_reports()
-            .iter()
-            .filter(|r| app.is_empty() || r.app == app)
-            .map(|r| json_str(&r.to_log_line()))
-            .collect();
+        let reports = match req.query_param("app").filter(|app| !app.is_empty()) {
+            Some(app) => self.platform.fault_reports_for(&app),
+            None => self.platform.fault_reports(),
+        };
+        let lines: Vec<String> = reports.iter().map(|r| json_str(&r.to_log_line())).collect();
         Response::json(format!("[{}]", lines.join(",")))
     }
 
-    /// The viewer's export audit: every perimeter decision that involved
-    /// one of their tags — who asked, through which app, allowed or not.
+    /// The viewer's export audit: the retained perimeter decisions on data
+    /// labeled with their own tags only — who asked, through which app,
+    /// allowed or not (see [`crate::Exporter::audit_for`]).
     fn audit(&self, viewer: Option<&Account>) -> Response {
         let Some(v) = viewer else {
             return Response::error(Status::UNAUTHORIZED, "login required");
         };
-        let my_tags: Vec<w5_difc::Tag> = [Some(v.export_tag), v.read_tag].into_iter().flatten().collect();
         let lines: Vec<String> = self
             .platform
             .exporter
-            .audit_log()
+            .audit_for(v)
             .iter()
-            .filter(|e| my_tags.iter().any(|&t| e.secrecy.contains(t)))
             .map(|e| {
                 format!(
                     "{{\"viewer\":{},\"app\":{},\"allowed\":{}}}",

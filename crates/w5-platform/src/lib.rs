@@ -43,6 +43,7 @@ pub mod principal;
 pub mod sanitize;
 pub mod session;
 
+mod partlog;
 mod platform;
 
 pub use api::{ApiError, AppRequest, AppResponse, CreateLabels, PlatformApi, W5App};

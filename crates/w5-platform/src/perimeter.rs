@@ -17,10 +17,10 @@
 //! endorsements); the integrity label is reported for audit.
 
 use crate::declass::{DeclassifierRegistry, ExportContext, RelationshipOracle, Verdict};
+use crate::partlog::PartitionedLog;
 use crate::policy::PolicyStore;
 use crate::principal::{Account, AccountStore, UserId};
 use w5_sync::Mutex;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::LazyLock;
 use w5_difc::{Label, LabelPair, Tag};
@@ -49,10 +49,10 @@ pub struct ExportDecision {
     pub blocked: Vec<Tag>,
 }
 
-/// One audit-log entry. The provider can show users exactly which
-/// declassifier released which tag to whom. Both the app key and the label
-/// are shared with the decision's inputs, so an entry copies no string and
-/// no tag list.
+/// One audit-log entry: the perimeter's one record of a decision. The
+/// provider can show users exactly which declassifier released which tag
+/// to whom. Both the app key and the label are shared with the decision's
+/// inputs, so an entry copies no string and no tag list.
 #[derive(Clone, Debug)]
 pub struct AuditEntry {
     /// Viewer (None = anonymous).
@@ -81,10 +81,9 @@ pub struct Exporter {
     checked: AtomicU64,
     blocked: AtomicU64,
     declassifier_calls: AtomicU64,
-    /// Audit ring: oldest entries evicted from the front in O(1).
-    audit: Mutex<VecDeque<AuditEntry>>,
-    /// Cap on retained audit entries (ring semantics).
-    audit_cap: usize,
+    /// The audit, one bounded queue per decision's secrecy label: an entry
+    /// is evicted only by a newer decision on the same label.
+    audit: Mutex<PartitionedLog<Label, AuditEntry>>,
 }
 
 impl Default for Exporter {
@@ -100,14 +99,8 @@ impl Exporter {
             checked: AtomicU64::new(0),
             blocked: AtomicU64::new(0),
             declassifier_calls: AtomicU64::new(0),
-            audit: Mutex::new("platform.perimeter", VecDeque::new()),
-            audit_cap: 10_000,
+            audit: Mutex::new("platform.perimeter", PartitionedLog::new()),
         }
-    }
-
-    /// An exporter retaining at most `cap` audit entries (test/tuning use).
-    pub fn with_audit_cap(cap: usize) -> Exporter {
-        Exporter { audit_cap: cap.max(1), ..Exporter::new() }
     }
 
     /// Decide whether `labels` may be exported to `viewer` for a response
@@ -129,9 +122,8 @@ impl Exporter {
     /// [`Exporter::check`] for a caller that already holds the app's key as
     /// a shared [`Name`] (the launcher). Allocates nothing it does not
     /// return: the owner's account, policy and declassifier are shared
-    /// handles, the audit entry and the ledger event share `app` and the
-    /// label, and the only buffer built is `cleared` (plus `blocked` on a
-    /// denial).
+    /// handles, the audit entry shares `app` and the label, and the only
+    /// buffer built is `cleared` (plus `blocked` on a denial).
     #[allow(clippy::too_many_arguments)]
     pub fn decide(
         &self,
@@ -143,7 +135,6 @@ impl Exporter {
         declassifiers: &DeclassifierRegistry,
         oracle: &dyn RelationshipOracle,
     ) -> ExportDecision {
-        let started = std::time::Instant::now();
         self.checked.fetch_add(1, Ordering::Relaxed);
         static SPAN: LazyLock<Name> = LazyLock::new(|| "platform.export_check".into());
         let _span = w5_obs::span(&*SPAN, w5_obs::Layer::Platform, labels.secrecy.to_obs());
@@ -189,30 +180,13 @@ impl Exporter {
         if !allowed {
             self.blocked.fetch_add(1, Ordering::Relaxed);
         }
-        {
-            let mut audit = self.audit.lock();
-            if audit.len() >= self.audit_cap {
-                audit.pop_front();
-            }
-            audit.push_back(AuditEntry {
-                viewer: viewer.map(|v| v.id),
-                app: app.clone(),
-                allowed,
-                secrecy: labels.secrecy.clone(),
-            });
-        }
-        // The decision is labeled with the response's secrecy: a blocked
-        // export names the tags that blocked it, which is exactly the data
-        // the perimeter refused to release.
-        w5_obs::record(
-            labels.secrecy.to_obs(),
-            w5_obs::EventKind::ExportCheck {
-                app: app.clone(),
-                allowed,
-                blocked_tags: blocked.len() as u64,
-            },
-        );
-        w5_obs::time("platform.export_check", labels.secrecy.to_obs(), started.elapsed());
+        let entry = AuditEntry {
+            viewer: viewer.map(|v| v.id),
+            app: app.clone(),
+            allowed,
+            secrecy: labels.secrecy.clone(),
+        };
+        self.audit.lock().push(labels.secrecy.clone(), entry);
         ExportDecision { allowed, cleared, blocked }
     }
 
@@ -225,9 +199,23 @@ impl Exporter {
         }
     }
 
-    /// Recent audit entries (most recent last).
+    /// `account`'s audit: the retained decisions on data labeled with
+    /// nothing but the account's own secrecy tags, oldest first. Data
+    /// commingled with another owner's tag is not shown, because whether
+    /// it left depended on that owner's declassifier too.
+    pub fn audit_for(&self, account: &Account) -> Vec<AuditEntry> {
+        let e = account.export_tag;
+        // The non-empty subsets of the account's tags, `{e}` or `{e, r}`.
+        let keys = match account.read_tag {
+            None => vec![Label::singleton(e)],
+            Some(r) => vec![Label::singleton(e), Label::singleton(r), Label::from_iter([e, r])],
+        };
+        self.audit.lock().read(&keys)
+    }
+
+    /// Every retained audit entry, oldest first (operator and test use).
     pub fn audit_log(&self) -> Vec<AuditEntry> {
-        self.audit.lock().iter().cloned().collect()
+        self.audit.lock().all()
     }
 }
 
@@ -429,13 +417,56 @@ mod tests {
     }
 
     #[test]
-    fn audit_ring_evicts_oldest_first() {
+    fn audit_partitions_evict_oldest_first_and_merge_in_decision_order() {
+        use crate::partlog::CAP;
         let w = world();
-        let exporter = Exporter::with_audit_cap(3);
-        for i in 0..7 {
-            let _ = exporter.check(
-                &bob_data(&w),
-                Some(&w.bob),
+        let export = |data: &Account, viewer: &Account, app: &str| {
+            let labels = LabelPair::new(Label::singleton(data.export_tag), Label::empty());
+            let _ = w.exporter.check(
+                &labels,
+                Some(viewer),
+                app,
+                &w.accounts,
+                &w.policies,
+                &w.declass,
+                &w.rel,
+            );
+        };
+        // Bob's partition overflows by one; Alice's one decision lands in
+        // the middle of his.
+        for i in 0..=CAP {
+            if i == CAP / 2 {
+                export(&w.alice, &w.alice, "devA/alice");
+            }
+            export(&w.bob, &w.bob, &format!("devA/app{i}"));
+        }
+        let apps = |log: Vec<AuditEntry>| -> Vec<String> {
+            log.iter().map(|e| e.app.to_string()).collect()
+        };
+        let bobs = apps(w.exporter.audit_for(&w.bob));
+        let survivors: Vec<String> = (1..=CAP).map(|i| format!("devA/app{i}")).collect();
+        assert_eq!(bobs, survivors, "oldest evicted, order kept");
+        let alices = apps(w.exporter.audit_for(&w.alice));
+        assert_eq!(alices, ["devA/alice"], "bob's volume evicts nothing of alice's");
+        // The operator's log merges both partitions in decision order.
+        let mut merged = bobs.clone();
+        merged.insert(CAP / 2 - 1, "devA/alice".to_string());
+        assert_eq!(apps(w.exporter.audit_log()), merged);
+        // Counters see every check despite eviction.
+        assert_eq!(w.exporter.stats_view().checked, CAP as u64 + 2);
+    }
+
+    #[test]
+    fn an_audit_reads_the_labels_made_of_its_owners_tags_only() {
+        let w = world();
+        let r = w.accounts.enable_read_protection(w.bob.id).unwrap();
+        let bob = w.accounts.get(w.bob.id).unwrap();
+        let e = bob.export_tag;
+        let labels = [vec![e], vec![r], vec![e, r], vec![e, w.alice.export_tag], vec![]];
+        for (i, tags) in labels.into_iter().enumerate() {
+            let _ = w.exporter.check(
+                &LabelPair::new(Label::from_iter(tags), Label::empty()),
+                Some(&bob),
                 &format!("devA/app{i}"),
                 &w.accounts,
                 &w.policies,
@@ -443,13 +474,9 @@ mod tests {
                 &w.rel,
             );
         }
-        let log = exporter.audit_log();
-        assert_eq!(log.len(), 3, "ring capped");
-        // Oldest entries gone, survivors in arrival order.
-        let apps: Vec<&str> = log.iter().map(|e| e.app.as_str()).collect();
-        assert_eq!(apps, ["devA/app4", "devA/app5", "devA/app6"]);
-        // Counters see every check despite eviction.
-        assert_eq!(exporter.stats_view().checked, 7);
+        let apps: Vec<String> = w.exporter.audit_for(&bob).iter().map(|e| e.app.to_string()).collect();
+        assert_eq!(apps, ["devA/app0", "devA/app1", "devA/app2"]);
+        assert_eq!(w.exporter.audit_log().len(), 5, "the operator's log has every decision");
     }
 
     #[test]

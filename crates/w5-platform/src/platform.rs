@@ -12,6 +12,7 @@ use crate::appreg::{AppManifest, AppRegistry};
 use crate::declass::{DeclassifierRegistry, RelationshipOracle};
 use crate::editors::EditorRegistry;
 use crate::faultreport::{build_report, FaultKind, FaultReport};
+use crate::partlog::PartitionedLog;
 use crate::perimeter::{ExportDecision, Exporter};
 use crate::policy::{PolicyStore, UserPolicy};
 use crate::principal::{Account, AccountStore};
@@ -118,7 +119,9 @@ pub struct Platform {
     /// Installed implementations, keyed by a shared app key that the
     /// perimeter's records reuse.
     impls: RwLock<HashMap<w5_obs::Name, Arc<dyn W5App>>>,
-    fault_log: Mutex<std::collections::VecDeque<FaultReport>>,
+    /// Fault reports, one bounded queue per app key: an app's faults are
+    /// evicted only by that app's newer faults.
+    fault_log: Mutex<PartitionedLog<String, FaultReport>>,
 }
 
 impl Platform {
@@ -184,7 +187,7 @@ impl Platform {
             exports_blocked: AtomicU64::new(0),
             faults: AtomicU64::new(0),
             impls: RwLock::with_index("platform.impl", 0, HashMap::new()),
-            fault_log: Mutex::with_index("platform.impl", 1, std::collections::VecDeque::new()),
+            fault_log: Mutex::with_index("platform.impl", 1, PartitionedLog::new()),
         })
     }
 
@@ -273,15 +276,14 @@ impl Platform {
         request: AppRequest,
     ) -> InvokeResult {
         self.invocations.fetch_add(1, Ordering::Relaxed);
-        let invoke_started = std::time::Instant::now();
         // Child of the gateway's HTTP root span when reached over the wire,
         // a fresh trace root when driven directly (benchmarks, tests). The
         // response labels are only known at the end — unioned in below.
-        let mut trace_span = Some(w5_obs::span(
+        let mut trace_span = w5_obs::span(
             format!("platform.invoke {app_key}"),
             w5_obs::Layer::Platform,
             &w5_obs::ObsLabel::empty(),
-        ));
+        );
 
         // The launch decides on one snapshot of the viewer's policy: the
         // pin, the module choices, the endorsement requirement and the
@@ -406,15 +408,9 @@ impl Platform {
 
         let _ = self.kernel.exit(pid);
         let _ = self.kernel.reap(pid);
-        // Invocation latency is labeled with the labels the instance ended
-        // with: a tainted app's timing profile is tainted data. The span
-        // carries the same label before it closes.
-        let result_secrecy = result.labels.secrecy.to_obs();
-        if let Some(s) = trace_span.as_mut() {
-            s.add_secrecy(result_secrecy);
-        }
-        drop(trace_span.take());
-        w5_obs::time("platform.invoke", result_secrecy, invoke_started.elapsed());
+        // The invocation's span is labeled with the labels the instance
+        // ended with: a tainted app's timing profile is tainted data.
+        trace_span.add_secrecy(result.labels.secrecy.to_obs());
         result
     }
 
@@ -482,16 +478,18 @@ impl Platform {
 
     pub(crate) fn record_fault(&self, report: FaultReport) {
         self.faults.fetch_add(1, Ordering::Relaxed);
-        let mut faults = self.fault_log.lock();
-        if faults.len() >= 10_000 {
-            faults.pop_front();
-        }
-        faults.push_back(report);
+        self.fault_log.lock().push(report.app.clone(), report);
     }
 
-    /// Fault reports retained for developers (already label-scrubbed).
+    /// Fault reports retained for developers (already label-scrubbed),
+    /// every app's, oldest first.
     pub fn fault_reports(&self) -> Vec<FaultReport> {
-        self.fault_log.lock().iter().cloned().collect()
+        self.fault_log.lock().all()
+    }
+
+    /// The retained fault reports of one app, oldest first.
+    pub fn fault_reports_for(&self, app: &str) -> Vec<FaultReport> {
+        self.fault_log.lock().read([app])
     }
 
     /// Counter snapshot.

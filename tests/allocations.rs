@@ -57,8 +57,8 @@ static COUNTING: Counting = Counting;
 
 /// Run `f` once to warm up, `WARM` more times, then once more, counted.
 fn allocations<T>(mut f: impl FnMut() -> T) -> u64 {
-    // More calls than the largest ring the path writes (the perimeter's
-    // 10,000-entry audit ring) holds.
+    // More calls than the largest ring the path writes holds (the ledger's
+    // 4,096 events; the perimeter's audit keeps 64 per label).
     const WARM: usize = 10_001;
     for _ in 0..WARM {
         drop(f());

@@ -737,3 +737,136 @@ mod net_admission {
         );
     }
 }
+
+mod user_logs {
+    //! Noninterference on the two logs a user reaches over HTTP: the
+    //! perimeter's audit (`/audit`) and the developer fault log
+    //! (`/dev/faults?app=`). Each is differenced across two worlds that
+    //! disagree only about other principals' volume — 0 or 100,000
+    //! entries, ten times the shared ring these logs once were — and the
+    //! reader's answer must be byte-identical.
+
+    use bytes::Bytes;
+    use std::sync::Arc;
+    use w5_difc::{Label, LabelPair};
+    use w5_net::{Handler, Request};
+    use w5_platform::{
+        Account, ApiError, AppManifest, AppRequest, AppResponse, Gateway, Platform, PlatformApi,
+        W5App, SESSION_COOKIE,
+    };
+
+    const NOISE: usize = 100_000;
+
+    /// One GET through the gateway, as `viewer` when given.
+    fn get(gateway: &Gateway, viewer: Option<&Account>, path: &str, query: &str) -> String {
+        let mut req = Request::get(path);
+        req.query_raw = query.to_string();
+        if let Some(v) = viewer {
+            let token = gateway.platform().sessions.create(v.id);
+            req.headers.insert("cookie".into(), format!("{SESSION_COOKIE}={token}"));
+        }
+        let resp = gateway.handle(req, "127.0.0.1:4200".parse().unwrap());
+        assert_eq!(resp.status.0, 200, "{path}?{query}");
+        resp.body_string()
+    }
+
+    fn export(p: &Platform, labels: &LabelPair, viewer: &Account, app: &str) -> bool {
+        let oracle = p.oracle();
+        p.exporter
+            .check(labels, Some(viewer), app, &p.accounts, &p.policies, &p.declassifiers, &oracle)
+            .allowed
+    }
+
+    /// Bob's `/audit` in a world where his data was exported twice, then
+    /// other users' data `noise` times, then his once more.
+    fn bobs_audit(noise: usize) -> String {
+        let p = Platform::new_default("ni-audit");
+        let bob = p.accounts.register("bob", "pw").unwrap();
+        let carol = p.accounts.register("carol", "pw").unwrap();
+        let dave = p.accounts.register("dave", "pw").unwrap();
+        assert!(export(&p, &bob.data_labels(), &bob, "devA/photos"));
+        assert!(!export(&p, &bob.data_labels(), &carol, "devA/photos"));
+        for i in 0..noise {
+            let owner = if i % 2 == 0 { &carol } else { &dave };
+            export(&p, &owner.data_labels(), &carol, "devA/photos");
+        }
+        assert!(!export(&p, &bob.data_labels(), &dave, "devA/blog"));
+        get(&Gateway::new(p), Some(&bob), "/audit", "")
+    }
+
+    #[test]
+    fn other_users_exports_never_show_in_a_viewers_audit() {
+        let quiet = bobs_audit(0);
+        assert_eq!(quiet.matches("\"app\"").count(), 3, "{quiet}");
+        assert_eq!(bobs_audit(NOISE), quiet);
+    }
+
+    /// An app whose every request fails with a data-free error.
+    struct Failing;
+
+    impl W5App for Failing {
+        fn handle(&self, req: &AppRequest, _api: &mut PlatformApi<'_>) -> Result<AppResponse, ApiError> {
+            Err(ApiError::Bad(format!("no action {}", req.action)))
+        }
+        fn source_lines(&self) -> usize {
+            3
+        }
+    }
+
+    /// App A's `/dev/faults` in a world where A failed once, then app B
+    /// `noise` times, then A once more.
+    fn app_as_faults(noise: usize) -> String {
+        let p = Platform::new_default("ni-faults");
+        for developer in ["devA", "devB"] {
+            p.apps
+                .publish(AppManifest {
+                    name: "app".into(),
+                    developer: developer.into(),
+                    version: 1,
+                    description: "fails".into(),
+                    module_slots: vec![],
+                    imports: vec![],
+                    forked_from: None,
+                    source: None,
+                })
+                .unwrap();
+            p.install_app(&format!("{developer}/app"), Arc::new(Failing));
+        }
+        let fail = |app: &str, action: &str| {
+            let req = Platform::make_request("GET", action, &[], None, Bytes::new());
+            assert_eq!(p.invoke(None, app, req).status, 400);
+        };
+        fail("devA/app", "first");
+        for _ in 0..noise {
+            fail("devB/app", "noise");
+        }
+        fail("devA/app", "last");
+        get(&Gateway::new(p), None, "/dev/faults", "app=devA/app")
+    }
+
+    #[test]
+    fn other_apps_faults_never_show_in_an_apps_fault_log() {
+        let quiet = app_as_faults(0);
+        assert!(quiet.contains("first") && quiet.contains("last"), "{quiet}");
+        assert_eq!(app_as_faults(NOISE), quiet);
+    }
+
+    /// A decision on data two owners' tags commingle depends on both
+    /// owners' declassifiers, so neither owner's audit shows it; the
+    /// operator's log does.
+    #[test]
+    fn commingled_decisions_show_in_no_owners_audit() {
+        let p = Platform::new_default("ni-commingled");
+        let bob = p.accounts.register("bob", "pw").unwrap();
+        let alice = p.accounts.register("alice", "pw").unwrap();
+        let tags = [bob.export_tag, alice.export_tag];
+        let both = LabelPair::new(Label::from_iter(tags), Label::empty());
+        assert!(!export(&p, &both, &bob, "devA/mashup"), "alice's tag is not bob's to clear");
+        let gateway = Gateway::new(Arc::clone(&p));
+        for owner in [&bob, &alice] {
+            assert_eq!(get(&gateway, Some(owner), "/audit", ""), "[]", "{}", owner.username);
+        }
+        let log = p.exporter.audit_log();
+        assert!(log.iter().any(|e| e.secrecy == both.secrecy && e.app == "devA/mashup"));
+    }
+}
