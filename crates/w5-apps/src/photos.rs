@@ -109,7 +109,6 @@ impl W5App for PhotoApp {
                 let data = api.read_file(&Self::photo_path(user, name)?)?;
                 let img = Image::decode(&data).map_err(ApiError::Bad)?;
                 let out = cropper.crop(&img, w, h);
-                api.log(format!("cropped {user}/{name} via {dev}"));
                 Ok(AppResponse {
                     content_type: "image/x-w5img".into(),
                     body: out.encode(),

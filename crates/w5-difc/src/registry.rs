@@ -252,11 +252,6 @@ pub struct Held<'a> {
 }
 
 impl<'a> Held<'a> {
-    /// `private`, plus `registry`'s global bag when one is given.
-    pub fn new(private: &'a CapSet, registry: Option<&'a TagRegistry>) -> Held<'a> {
-        Held { private, registry }
-    }
-
     /// Is the capability held, privately or through `Ô`?
     pub fn contains(self, cap: Capability) -> bool {
         self.private.contains(cap) || self.registry.is_some_and(|r| r.is_global(cap))

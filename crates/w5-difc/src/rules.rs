@@ -78,10 +78,9 @@ pub(crate) fn unprivileged_tests_run() -> u64 {
 /// The zero-privilege flow question, on both axes: may data labeled `src`
 /// reach an entity labeled `dst` as the labels stand — `S_src ⊆ S_dst` and
 /// `I_dst ⊆ I_src` — with no capability consulted? This is the fast path
-/// of the kernel's send (`src` the sender, `dst` the receiver) and of its
-/// read taint (`src` the data, `dst` the reader): privileges only ever
-/// relax a rule, so `true` implies the privileged rule passes and the
-/// capability algebra can be skipped. `false` decides nothing — the caller
+/// of the kernel's read taint (`src` the data, `dst` the reader):
+/// privileges only ever relax a rule, so `true` implies the privileged
+/// rule passes and the capability algebra can be skipped. `false` decides nothing — the caller
 /// must fall through to the full rule; a fast path never denies. Writes no
 /// ledger event: callers run it under their own guard and count the check
 /// once the guard has dropped.

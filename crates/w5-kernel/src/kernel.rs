@@ -12,10 +12,10 @@
 //! (`kernel.procs`). Every syscall takes it at most once and never
 //! nests it, so the kernel has no internal lock order to get wrong, and
 //! a send's check-charge-deliver is atomic by construction. Critical
-//! sections are short: the dominant send shape asks the zero-privilege
-//! question of the two processes' labels as they stand
-//! ([`rules::can_flow_unprivileged`], an allocation-free merge) and defers
-//! its ledger write until the guard has dropped.
+//! sections are short: a read taint whose data is already covered asks
+//! only the zero-privilege question of the labels as they stand
+//! ([`rules::can_flow_unprivileged`], an allocation-free merge) and
+//! defers its ledger write until the guard has dropped.
 //!
 //! Flow-decision counters ([`KernelStats`]) are relaxed atomics outside
 //! the lock: exact totals, no ordering claims between counters, readable
@@ -475,25 +475,10 @@ impl Kernel {
         // the comparison — if the receiver's effective `t+` were consulted
         // here, any process could absorb export-protected data while staying
         // unlabeled, which is exactly the laundering W5 must prevent.
-        //
-        // Fast path: if the zero-privilege flow already holds — sender
-        // secrecy ⊆ receiver secrecy and receiver integrity ⊆ sender
-        // integrity — the privileged rule holds a fortiori (privileges
-        // only ever relax it), so the capability algebra is skipped.
-        let fast_ok = rules::can_flow_unprivileged(&s_labels, r_labels);
-        let flow = if fast_ok {
-            // Ledger parity with the slow path, which counts one "flow"
-            // check inside `can_flow_with` — but emitted only after the
-            // guard drops, so the common send never takes the ledger lock
-            // inside the process-table critical section. Every return
-            // path below emits the deferred check exactly once, before the
-            // IpcSend event, which is where the slow path's count lands:
-            // the ledger stream does not depend on which path ran.
-            Ok(())
-        } else {
-            // The rule evaluation ledgers its flow check while the guard
-            // is held; intentional (the labels under comparison live
-            // inside the guarded table).
+        let flow = {
+            // The rule evaluation ledgers its flow check while the guard is
+            // held; intentional (the labels under comparison live inside
+            // the guarded table).
             let _obs_permit = lockdep::allow_held("obs.ledger");
             // Secrecy: sender may shed tags it can declassify.
             rules::can_flow_with(&s_labels.secrecy, s_held, &r_labels.secrecy, &CapSet::empty())
@@ -533,14 +518,7 @@ impl Kernel {
         let Some(sender) = procs.get_mut(&from) else {
             return Err(KernelError::NoSuchProcess(from));
         };
-        let charged = sender.container.charge_network(size);
-        if let Err(e) = charged {
-            drop(procs);
-            if fast_ok {
-                w5_obs::count_check(w5_obs::CheckOp::Flow, true, s_secrecy.to_obs());
-            }
-            return Err(e.into());
-        }
+        sender.container.charge_network(size)?;
         let msg = Message { from, payload, labels: s_labels, grant };
         let Some(q) = procs.get_mut(&to) else {
             return Err(KernelError::NoSuchProcess(to));
@@ -550,9 +528,6 @@ impl Kernel {
             q.state = ProcessState::Runnable;
         }
         drop(procs);
-        if fast_ok {
-            w5_obs::count_check(w5_obs::CheckOp::Flow, true, s_secrecy.to_obs());
-        }
         if let Some(s) = trace_span.as_mut() {
             s.add_secrecy(s_secrecy.to_obs());
         }

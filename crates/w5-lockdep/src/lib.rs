@@ -155,7 +155,7 @@ impl Manifest {
                 class!("store.fs", 52, "labeled in-memory filesystem tree"),
                 class!("difc.registry", 60, "tag metadata (meta=0); the global bag is a rule, not a lock"),
                 class!("chaos.injector", 80, "fault-injector schedule state"),
-                class!("obs.ledger", 90, "flow ledger (event ring=0, published aggregate=1, span ring=2)"),
+                class!("obs.ledger", 90, "flow ledger (event ring=0, span ring=1)"),
             ],
             allow_held: Vec::new(),
             require_annotation: vec!["obs.ledger".to_string()],

@@ -12,8 +12,6 @@
 //!   `application/x-www-form-urlencoded` forms.
 //! * [`cookie`] — cookie parsing and `Set-Cookie` serialization (the
 //!   platform authenticates users from cookies, §2).
-//! * [`router`] — a small path router with `:param` captures and a
-//!   405-aware [`router::RouteOutcome`].
 //! * [`pipeline`] — the staged request engine: bounded per-principal-class
 //!   queues, a deficit-round-robin permit scheduler bounding concurrent
 //!   handlers, and an [`Admission`] hook that charges kernel resource
@@ -43,7 +41,6 @@ pub mod dns;
 pub mod encoding;
 pub mod http;
 pub mod pipeline;
-pub mod router;
 pub mod server;
 
 /// The session cookie name the platform issues and the pipeline's
@@ -59,5 +56,4 @@ pub use pipeline::{
     Admission, ChargeDenied, ChargePoint, OpenAdmission, Pipeline, PipelineConfig,
     PipelineSnapshot, PipelineStats, PrincipalClass, Serve,
 };
-pub use router::{allow_header, RouteMatch, RouteOutcome, Router};
 pub use server::{Handler, Server, ServerConfig, ServerHandle};

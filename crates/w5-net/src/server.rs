@@ -304,7 +304,6 @@ fn serve_stream<R: BufRead, W: Write>(
         let remote = request
             .header(w5_obs::TRACE_HEADER)
             .and_then(w5_obs::TraceContext::parse);
-        let started = std::time::Instant::now();
         let response = {
             let _span = w5_obs::span_with_remote(
                 format!("net.http {method} {path}"),
@@ -314,16 +313,15 @@ fn serve_stream<R: BufRead, W: Write>(
             );
             engine.serve(request, peer)
         };
-        let elapsed = started.elapsed();
         // The HTTP front end sees only the wire: request spans are public
         // (any label-bearing data is the platform's concern downstream).
+        // Its timing is the `net.http` span's alone.
         w5_obs::record(
             &w5_obs::ObsLabel::empty(),
             w5_obs::EventKind::HttpRequest {
                 method: format!("{method}"),
                 path,
                 status: response.status.0,
-                micros: elapsed.as_micros() as u64,
             },
         );
         served.fetch_add(1, Ordering::Relaxed);

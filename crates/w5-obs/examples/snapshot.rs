@@ -2,8 +2,8 @@
 //!
 //! Records a handful of public and secret-labeled events, then prints the
 //! JSON snapshot for a fully-cleared auditor next to the one for an
-//! empty-clearance viewer — the latter gets only public events, dense
-//! seqs, and quantized aggregates.
+//! empty-clearance viewer — the latter gets only the public events,
+//! numbered densely.
 //!
 //! Run with: `cargo run -p w5-obs --example snapshot`
 
@@ -16,7 +16,7 @@ fn main() {
     for i in 0..3 {
         ledger.record(
             &ObsLabel::empty(),
-            EventKind::RouteResolve { path: format!("/app/photos/{i}"), matched: true },
+            EventKind::HttpRequest { method: "GET".into(), path: format!("/app/photos/{i}"), status: 200 },
         );
     }
     ledger.record(

@@ -90,7 +90,7 @@ pub enum Layer {
     Difc,
     /// Perimeter, declassifiers, sanitizer, launcher (`w5-platform`).
     Platform,
-    /// HTTP server and router (`w5-net`).
+    /// HTTP server and request pipeline (`w5-net`).
     Net,
     /// Labeled filesystem and database (`w5-store`).
     Store,
@@ -278,15 +278,6 @@ pub enum EventKind {
         path: String,
         /// Response status code.
         status: u16,
-        /// Wall-clock handling time in microseconds.
-        micros: u64,
-    },
-    /// The router resolved (or failed to resolve) a path.
-    RouteResolve {
-        /// The path looked up.
-        path: String,
-        /// Did any route match?
-        matched: bool,
     },
     /// The request pipeline admitted a request: straight into a handler
     /// slot, or into its principal-class queue to wait for one. Recorded
@@ -354,7 +345,6 @@ impl EventKind {
             | EventKind::SanitizerRun { .. }
             | EventKind::AuditFinding { .. } => Layer::Platform,
             EventKind::HttpRequest { .. }
-            | EventKind::RouteResolve { .. }
             | EventKind::QueueAdmit { .. }
             | EventKind::QueueShed { .. }
             | EventKind::WorkerOccupancy { .. } => Layer::Net,
@@ -385,9 +375,9 @@ impl EventKind {
 /// event describes, and the typed payload.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Event {
-    /// Monotone sequence number. In a view where any event was withheld,
-    /// sequence numbers are re-issued densely so that gaps cannot leak the
-    /// count of hidden events (see `DESIGN.md` §9).
+    /// Monotone sequence number. A view re-issues sequence numbers densely
+    /// over the events it returns, so that gaps cannot leak the count of
+    /// hidden events (see `DESIGN.md` §9).
     pub seq: u64,
     /// Secrecy label of the described flow.
     pub secrecy: ObsLabel,
@@ -405,7 +395,7 @@ mod tests {
             EventKind::ProcSpawn { pid: 1, parent: 0, name: "x".into() },
             EventKind::LabelCheck { op: CheckOp::Flow, allowed: true },
             EventKind::DeclassifierInvoke { name: "friends-only".into(), allowed: false },
-            EventKind::HttpRequest { method: "GET".into(), path: "/".into(), status: 200, micros: 1 },
+            EventKind::HttpRequest { method: "GET".into(), path: "/".into(), status: 200 },
             EventKind::StoreRead { path: "/f".into(), bytes: 3, allowed: true },
         ];
         let layers: Vec<Layer> = samples.iter().map(EventKind::layer).collect();

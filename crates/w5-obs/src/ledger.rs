@@ -3,26 +3,20 @@
 //!
 //! Writes are cheap: per-layer counters are lock-free atomics; the bounded
 //! event ring and span ring take one short `obs.ledger`-classed `w5_sync`
-//! mutex each (instances ring=0, published=1, spans=2; never nested), and
-//! the published aggregate's mutex is taken only by the one event in
-//! [`REFRESH_EVERY`] that republishes it. Timing is recorded once, as a
-//! span (see `crate::trace`); there is no second latency registry. Reads
-//! are **labeled operations**: [`Ledger::view`] takes the viewer's
-//! clearance (their secrecy label, as an [`ObsLabel`]) and
-//!
-//! * returns verbatim only events whose secrecy label is a subset of the
-//!   clearance (the no-privilege secrecy-flow rule);
-//! * replaces everything else with label-aggregated per-layer counts that
-//!   are **quantized** (floored to a coarse granularity) and
-//!   **rate-limited** (republished only every [`REFRESH_EVERY`] recorded
-//!   events, so a low-clearance poller sees a stale snapshot, not a live
-//!   signal);
-//! * re-issues sequence numbers densely whenever anything was withheld,
-//!   so gaps in `seq` cannot leak the exact count of hidden events.
-//!
-//! Without those three measures the ledger would be precisely the §3.5
-//! covert channel: a tainted app could modulate secret bits into event
-//! counts and an untainted reader could poll them out.
+//! mutex each (instances ring=0, spans=1; never nested). Timing is
+//! recorded once, as a span (see `crate::trace`); there is no second
+//! latency registry. Reads are **labeled operations**: [`Ledger::view`]
+//! takes the viewer's clearance (their secrecy label, as an [`ObsLabel`])
+//! and returns the retained events whose secrecy label is a subset of the
+//! clearance (the no-privilege secrecy-flow rule), numbered densely in
+//! ring order — nothing else, so neither a `seq` gap nor a count tells a
+//! reader how many events it was not shown. The exact per-layer counters
+//! ([`Ledger::aggregate`]) count every label and are for trusted callers
+//! only. Without that rule the ledger would be precisely the §3.5 covert
+//! channel: a tainted app could modulate secret bits into event counts and
+//! an untainted reader could poll them out. What remains is the shared
+//! ring's eviction (hidden events still push public ones out) and the
+//! check sample's phase, which hidden checks advance.
 
 use crate::event::{CheckOp, Event, EventKind, Layer};
 use crate::label::ObsLabel;
@@ -38,12 +32,6 @@ const DEFAULT_RING_CAP: usize = 4096;
 
 /// Span ring capacity (completed spans retained for trace viewers).
 const DEFAULT_SPAN_CAP: usize = 4096;
-
-/// Redacted aggregates are republished every this many recorded events.
-pub const REFRESH_EVERY: u64 = 64;
-
-/// Redacted counts are floored to a multiple of this.
-pub const QUANTUM: u64 = 16;
 
 /// Pass-outcome flow checks are written to the ring once per this many
 /// checks (denials always are).
@@ -68,20 +56,6 @@ pub struct Aggregate {
     pub denied: BTreeMap<String, u64>,
 }
 
-/// Per-layer `(events, denied)` totals, in [`Layer::ALL`] order.
-type Totals = [(u64, u64); 5];
-
-impl Aggregate {
-    fn from_totals(totals: &Totals) -> Aggregate {
-        let mut agg = Aggregate::default();
-        for (layer, &(events, denied)) in Layer::ALL.iter().zip(totals) {
-            agg.events.insert(layer.name().to_string(), events);
-            agg.denied.insert(layer.name().to_string(), denied);
-        }
-        agg
-    }
-}
-
 /// The label-aware flow ledger.
 pub struct Ledger {
     seq: AtomicU64,
@@ -89,16 +63,6 @@ pub struct Ledger {
     checks: AtomicU64,
     ring: Mutex<VecDeque<Event>>,
     ring_cap: usize,
-    /// The published (stale, quantized) totals a redacted viewer sees; none
-    /// before the first republish. Kept as numbers, so republishing
-    /// allocates nothing; the viewer builds the maps.
-    published: Mutex<Option<Totals>>,
-    /// Events recorded when `published` was last built (0 = never). Written
-    /// only under the `published` lock; read without it, so every event but
-    /// the one that republishes decides with one load. It guards no data —
-    /// the aggregate is read under the mutex — hence `Relaxed`: a stale read
-    /// can only send a thread to the lock, where it looks again.
-    published_at: AtomicU64,
     /// Completed spans, oldest first (see `crate::trace`).
     spans: Mutex<VecDeque<SpanRecord>>,
     span_cap: usize,
@@ -137,9 +101,7 @@ impl Ledger {
             checks: AtomicU64::new(0),
             ring: Mutex::with_index("obs.ledger", 0, VecDeque::with_capacity(ring_cap.min(1024))),
             ring_cap,
-            published: Mutex::with_index("obs.ledger", 1, None),
-            published_at: AtomicU64::new(0),
-            spans: Mutex::with_index("obs.ledger", 2, VecDeque::with_capacity(DEFAULT_SPAN_CAP.min(1024))),
+            spans: Mutex::with_index("obs.ledger", 1, VecDeque::with_capacity(DEFAULT_SPAN_CAP.min(1024))),
             span_cap: DEFAULT_SPAN_CAP,
             span_counters: Default::default(),
             spans_recorded: AtomicU64::new(0),
@@ -168,8 +130,8 @@ impl Ledger {
     /// so a pass costs a share of a few atomic adds. The run leaves exactly
     /// what [`Ledger::count_check`] one check at a time would — the same
     /// ring entries with the same `seq`, label and op, the same totals —
-    /// but reserves its check and sequence numbers with one add each,
-    /// takes the ring lock at most once and republishes at most once.
+    /// but reserves its check and sequence numbers with one add each and
+    /// takes the ring lock at most once.
     pub fn count_checks(&self, checks: &[Check<'_>]) {
         let n = checks.len() as u64;
         if n == 0 {
@@ -183,9 +145,6 @@ impl Ledger {
             c.denied.fetch_add(denied, Ordering::Relaxed);
         }
         let seq = self.seq.fetch_add(n, Ordering::Relaxed);
-        // Like `record`: the snapshot is brought up to date before any of
-        // the run's events can be seen in the ring.
-        self.maybe_republish();
         // Offset of the first check in the run whose number is sampled.
         let sampled_from = (CHECK_SAMPLE - first % CHECK_SAMPLE) % CHECK_SAMPLE;
         if denied > 0 || sampled_from < n {
@@ -207,50 +166,30 @@ impl Ledger {
         self.seq.load(Ordering::Relaxed)
     }
 
-    /// Exact live per-layer aggregate (trusted/test use; [`Ledger::view`]
-    /// is the clearance-gated path).
+    /// Exact live per-layer aggregate over every label (trusted callers
+    /// only; [`Ledger::view`] is the clearance-gated path).
     pub fn aggregate(&self) -> Aggregate {
-        Aggregate::from_totals(&self.totals())
+        let mut agg = Aggregate::default();
+        for (layer, c) in Layer::ALL.iter().zip(&self.counters) {
+            agg.events.insert(layer.name().to_string(), c.events.load(Ordering::Relaxed));
+            agg.denied.insert(layer.name().to_string(), c.denied.load(Ordering::Relaxed));
+        }
+        agg
     }
 
-    fn totals(&self) -> Totals {
-        self.counters
-            .each_ref()
-            .map(|c| (c.events.load(Ordering::Relaxed), c.denied.load(Ordering::Relaxed)))
-    }
-
-    /// Read the ledger with the given clearance. This is the **only** path
-    /// untrusted viewers get.
+    /// Read the ledger with the given clearance: the retained events the
+    /// clearance covers, with `seq` re-issued densely in ring order (the
+    /// recorded `seq` would count the events withheld). This is the
+    /// **only** path untrusted viewers get.
     pub fn view(&self, clearance: &ObsLabel) -> LedgerView {
         let ring = self.ring.lock();
-        let mut events = Vec::new();
-        let mut withheld = 0u64;
-        for e in ring.iter() {
-            if e.secrecy.is_subset(clearance) {
-                events.push(e.clone());
-            } else {
-                withheld += 1;
-            }
-        }
-        drop(ring);
-
-        let redacted = withheld > 0;
-        if redacted {
-            // Dense re-issue: seq gaps would count hidden events exactly.
-            for (i, e) in events.iter_mut().enumerate() {
-                e.seq = i as u64;
-            }
-        }
-
-        let aggregate = if redacted {
-            // Stale + quantized: the published snapshot, floored to QUANTUM.
-            let published = *self.published.lock();
-            published.as_ref().map_or_else(Aggregate::default, Aggregate::from_totals)
-        } else {
-            self.aggregate()
-        };
-
-        LedgerView { clearance: clearance.clone(), events, redacted, aggregate }
+        let events = ring
+            .iter()
+            .filter(|e| e.secrecy.is_subset(clearance))
+            .enumerate()
+            .map(|(i, e)| Event { seq: i as u64, ..e.clone() })
+            .collect();
+        LedgerView { clearance: clearance.clone(), events }
     }
 
     /// JSON snapshot of a clearance-gated view (the exporter).
@@ -362,15 +301,16 @@ impl Ledger {
     /// excluded events). Span structure is folded as in `digest`.
     ///
     /// This exists for differential oracles whose two arms legitimately
-    /// differ in *executor-dependent metadata* — e.g. the pipelined HTTP
-    /// engine emits `QueueAdmit`/`WorkerOccupancy` gauges the reference
-    /// thread-per-connection engine never does — while the handler-visible
-    /// event stream must still match event for event.
+    /// differ in *executor-dependent metadata* — e.g. the staged pipeline
+    /// emits `QueueAdmit`/`WorkerOccupancy` gauges that the bare arm
+    /// (`w5_sim::netdiff::BareHandler`, the handler with nothing in front
+    /// of it) never does — while the handler-visible event stream must
+    /// still match event for event.
     pub fn digest_where(&self, keep: impl Fn(&EventKind) -> bool) -> u64 {
         let mut h = FNV_OFFSET;
         let ring = self.ring.lock();
-        // Dense re-issue, exactly like a redacted view: the original seq
-        // would count the excluded events.
+        // Dense re-issue, exactly like a view: the original seq would
+        // count the excluded events.
         for (reissued, e) in ring.iter().filter(|e| keep(&e.kind)).enumerate() {
             fold_event(&mut h, reissued as u64, e);
         }
@@ -387,9 +327,7 @@ impl Ledger {
         if kind.denied() {
             c.denied.fetch_add(1, Ordering::Relaxed);
         }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.maybe_republish();
-        seq
+        self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Append events under one take of the ring lock, evicting oldest first.
@@ -401,25 +339,6 @@ impl Ledger {
             }
             ring.push_back(event);
         }
-    }
-
-    /// Republish the quantized aggregate at most once per [`REFRESH_EVERY`]
-    /// recorded events. Between refreshes, redacted viewers read a stale
-    /// snapshot — that staleness *is* the rate limit.
-    fn maybe_republish(&self) {
-        let now = self.seq.load(Ordering::Relaxed);
-        let fresh = |at: u64| at != 0 && now < at + REFRESH_EVERY;
-        if fresh(self.published_at.load(Ordering::Relaxed)) {
-            return;
-        }
-        let mut published = self.published.lock();
-        // Another thread may have republished while this one waited.
-        if fresh(self.published_at.load(Ordering::Relaxed)) {
-            return;
-        }
-        let floor = |n: u64| n - n % QUANTUM;
-        *published = Some(self.totals().map(|(events, denied)| (floor(events), floor(denied))));
-        self.published_at.store(now.max(1), Ordering::Relaxed);
     }
 }
 
@@ -453,14 +372,9 @@ fn fold_span(h: &mut u64, s: &SpanRecord) {
 pub struct LedgerView {
     /// The clearance this view was computed for.
     pub clearance: ObsLabel,
-    /// Events the clearance covers, oldest first. When `redacted`, `seq`
-    /// is re-issued densely.
+    /// Events the clearance covers, oldest first, `seq` numbered densely
+    /// from 0.
     pub events: Vec<Event>,
-    /// True when any event was withheld; the aggregate is then the stale
-    /// quantized snapshot rather than live counters.
-    pub redacted: bool,
-    /// Per-layer counts (live and exact iff `redacted == false`).
-    pub aggregate: Aggregate,
 }
 
 #[cfg(test)]
@@ -483,11 +397,9 @@ mod tests {
         });
         let omniscient = ObsLabel::from_tags([7]);
         let v = l.view(&omniscient);
-        assert!(!v.redacted);
         assert_eq!(v.events.len(), 2);
-        assert_eq!(v.aggregate.events["kernel"], 1);
-        assert_eq!(v.aggregate.events["store"], 1);
-        // Full views keep original sequence numbers.
+        assert_eq!(l.aggregate().events["kernel"], 1);
+        assert_eq!(l.aggregate().events["store"], 1);
         assert_eq!(v.events[0].seq, 0);
         assert_eq!(v.events[1].seq, 1);
     }
@@ -507,7 +419,6 @@ mod tests {
             });
         }
         let v = l.view(&ObsLabel::empty());
-        assert!(v.redacted);
         assert_eq!(v.events.len(), 5, "only public events visible");
         assert!(v.events.iter().all(|e| e.secrecy.is_empty()));
         assert!(
@@ -518,40 +429,40 @@ mod tests {
         for (i, e) in v.events.iter().enumerate() {
             assert_eq!(e.seq, i as u64);
         }
-        // The aggregate is quantized: 8 total events floored to QUANTUM.
-        let store = v.aggregate.events.get("store").copied().unwrap_or(0);
-        assert_eq!(store % QUANTUM, 0, "redacted counts must be quantized");
         // The cleared viewer, by contrast, sees everything.
         let v9 = l.view(&ObsLabel::singleton(9));
-        assert!(!v9.redacted);
         assert_eq!(v9.events.len(), 8);
-        assert_eq!(v9.aggregate.events["store"], 3);
     }
 
+    /// Two worlds that differ only in 1,000 hidden-label events, recorded
+    /// between the same public events, give an empty clearance the same
+    /// bytes: no count, flag or `seq` gap says how many events it was not
+    /// shown. Both worlds stay inside the ring; eviction past its 4,096
+    /// entries (hidden events pushing public ones out) is not covered
+    /// here and stays an open channel, as does the phase of the 1-in-16
+    /// check sample, which hidden checks advance.
     #[test]
-    fn redacted_aggregate_is_rate_limited() {
-        let l = Ledger::new();
-        l.record(&ObsLabel::singleton(5), spawn_kind(0));
-        let before = l.view(&ObsLabel::empty()).aggregate.clone();
-        // Record fewer than REFRESH_EVERY further events: the published
-        // snapshot must not move, no matter how often we poll.
-        for i in 0..(REFRESH_EVERY - 2) {
-            l.record(&ObsLabel::singleton(5), spawn_kind(i));
-            assert_eq!(l.view(&ObsLabel::empty()).aggregate, before, "snapshot moved early");
-        }
-        // Crossing the refresh boundary (plus quantization slack) updates it.
-        for i in 0..(REFRESH_EVERY + QUANTUM) {
-            l.record(&ObsLabel::singleton(5), spawn_kind(i));
-        }
-        let after = l.view(&ObsLabel::empty()).aggregate;
-        assert!(after.events["kernel"] > before.events["kernel"]);
-        assert_eq!(after.events["kernel"] % QUANTUM, 0);
+    fn a_low_snapshot_is_the_same_beside_any_number_of_hidden_events() {
+        let world = |hidden_per_public: u64| {
+            let l = Ledger::new();
+            for i in 0..50 {
+                l.record(&ObsLabel::empty(), spawn_kind(i));
+                for _ in 0..hidden_per_public {
+                    l.record(&ObsLabel::singleton(9), EventKind::StoreRead {
+                        path: "/diary/alice.txt".into(),
+                        bytes: 10,
+                        allowed: false,
+                    });
+                }
+            }
+            l.snapshot_json(&ObsLabel::empty()).unwrap()
+        };
+        assert_eq!(world(0), world(20));
     }
 
-    /// The republish guard is read without the lock, so pin what it may not
-    /// cost: a single count under contention, or a refresh that comes late.
+    /// Checks counted from many threads at once are each counted once.
     #[test]
-    fn contended_checks_count_exactly_and_republish_on_cadence() {
+    fn contended_checks_count_exactly() {
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 10_000;
         let l = Ledger::new();
@@ -578,19 +489,6 @@ mod tests {
             assert_eq!(agg.events[layer.name()], events, "{} events", layer.name());
             assert_eq!(agg.denied[layer.name()], denied, "{} denials", layer.name());
         }
-        // Wherever the threads left the snapshot, the next REFRESH_EVERY
-        // events must bring it to within REFRESH_EVERY of the live count.
-        for _ in 0..REFRESH_EVERY {
-            l.count_check(CheckOp::Read, true, &secret);
-        }
-        let v = l.view(&ObsLabel::empty());
-        assert!(v.redacted, "tag 5 events are withheld from an empty clearance");
-        let (published, exact) = (v.aggregate.events["difc"], total + REFRESH_EVERY);
-        assert_eq!(published % QUANTUM, 0);
-        assert!(
-            published <= exact && exact - published <= REFRESH_EVERY,
-            "published {published} against {exact} recorded"
-        );
     }
 
     #[test]
@@ -611,7 +509,7 @@ mod tests {
             .collect();
         assert_eq!(pids, vec![6, 7, 8, 9], "oldest entries evicted, order kept");
         // Counters survive eviction.
-        assert_eq!(v.aggregate.events["kernel"], 10);
+        assert_eq!(l.aggregate().events["kernel"], 10);
     }
 
     #[test]
@@ -688,46 +586,8 @@ mod tests {
                         assert_eq!(l.digest(), single.digest(), "{case}");
                         assert_eq!(l.aggregate(), single.aggregate(), "{case}");
                         assert_eq!(l.events_recorded(), single.events_recorded(), "{case}");
-                        let (v, expected) = (l.view(&clearance), single.view(&clearance));
-                        assert!(!v.redacted, "{case}");
-                        assert_eq!(v.events, expected.events, "{case}");
-                        assert_eq!(v.aggregate, expected.aggregate, "{case}");
+                        assert_eq!(l.view(&clearance).events, single.view(&clearance).events, "{case}");
                     }
-                }
-            }
-        }
-    }
-
-    /// Runs of checks republish the redacted aggregate on the same terms as
-    /// single events: quantized, no more often than every [`REFRESH_EVERY`]
-    /// events, and never staler than that.
-    #[test]
-    fn runs_of_checks_republish_on_cadence() {
-        let l = Ledger::new();
-        let secret = ObsLabel::singleton(9);
-        let mut refreshed: Option<(Aggregate, u64)> = None;
-        for &size in [1u64, 15, 16, 17, 200, 3, 64, 65].iter().cycle().take(64) {
-            // Each run opens with a denial, so the ring always withholds
-            // something from the empty clearance.
-            let run: Vec<Check<'_>> =
-                (0..size).map(|i| (CheckOp::Read, i % 5 != 0, &secret)).collect();
-            l.count_checks(&run);
-            let now = l.events_recorded();
-            let v = l.view(&ObsLabel::empty());
-            assert!(v.redacted);
-            let agg = v.aggregate;
-            assert!(agg.events.values().chain(agg.denied.values()).all(|n| n % QUANTUM == 0));
-            let published = agg.events["difc"];
-            assert!(published <= now, "{published} at {now}");
-            assert!(now - published < REFRESH_EVERY + QUANTUM, "{published} at {now}");
-            match &refreshed {
-                Some((prev, _)) if *prev == agg => {}
-                Some((_, at)) if now - at < REFRESH_EVERY => {
-                    panic!("republished at {now}, {} events after {at}", now - at)
-                }
-                _ => {
-                    assert_eq!(published, now - now % QUANTUM, "a refresh publishes the count it ran at");
-                    refreshed = Some((agg, now));
                 }
             }
         }
@@ -740,11 +600,9 @@ mod tests {
             method: "GET".into(),
             path: "/app/photos".into(),
             status: 200,
-            micros: 123,
         });
         let json = l.snapshot_json(&ObsLabel::empty()).unwrap();
         let back: LedgerView = serde_json::from_str(&json).unwrap();
         assert_eq!(back.events.len(), 1);
-        assert!(!back.redacted);
     }
 }

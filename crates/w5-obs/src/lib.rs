@@ -4,10 +4,10 @@
 //! (kernel, DIFC rules, platform, net, store) records typed [`Event`]s into
 //! one process-wide [`Ledger`]; each event carries the **secrecy label of
 //! the flow it describes**, and reading the ledger is itself a labeled
-//! operation: [`Ledger::view`] takes the viewer's clearance, returns the
-//! events that clearance covers verbatim, and collapses everything else
-//! into rate-limited, quantized, label-aggregated counts. Observability
-//! must not become the §3.5 covert channel it exists to watch for.
+//! operation: [`Ledger::view`] takes the viewer's clearance and returns
+//! the events that clearance covers, numbered densely, and no count of
+//! the rest. Observability must not become the §3.5 covert channel it
+//! exists to watch for.
 //!
 //! Layering: this crate sits *below* `w5-difc` so that even the flow rules
 //! themselves can be instrumented. That makes it the lowest crate that

@@ -6,12 +6,12 @@
 //! federation protocol forwards a compact [`TraceContext`] (trace id,
 //! parent span id, sampling decision) in the [`TRACE_HEADER`] request
 //! header. Every span carries the secrecy [`ObsLabel`] of the flow it
-//! timed, and reading traces is clearance-gated exactly like
-//! `Ledger::view`: [`redact_spans`] keeps the *structure* of spans the
-//! viewer is not cleared for (tree shape is treated like the ledger's
-//! quantized aggregates) but replaces their names with
-//! [`REDACTED_NAME`], hides their labels, and floors their start and
-//! duration to [`SPAN_QUANTUM_US`]. Without the flooring, span timings
+//! timed, and reading traces is clearance-gated like `Ledger::view`,
+//! except that [`redact_spans`] keeps the *structure* of spans the viewer
+//! is not cleared for (tree shape is already visible to a network
+//! observer) but replaces their names with [`REDACTED_NAME`], hides
+//! their labels, and floors their start and duration to
+//! [`SPAN_QUANTUM_US`]. Without the flooring, span timings
 //! would be the §3.5 covert channel in its purest form: a tainted app
 //! could modulate secret bits into microsecond durations that any
 //! low-clearance trace reader could poll out.
@@ -34,7 +34,7 @@ use std::collections::BTreeMap;
 pub const TRACE_HEADER: &str = "x-w5-trace";
 
 /// Redacted span starts and durations are floored to this many
-/// microseconds (10ms), the trace analogue of the ledger's `QUANTUM`.
+/// microseconds (10ms).
 pub const SPAN_QUANTUM_US: u64 = 10_000;
 
 /// Name substituted for spans the viewer is not cleared for.

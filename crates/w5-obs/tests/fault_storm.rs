@@ -4,15 +4,13 @@
 //! contention exactly as they do single-threaded:
 //!
 //! * no panics, no deadlocks (the test finishing is the assertion);
-//! * every redacted view's aggregate is floored to [`QUANTUM`];
-//! * every redacted view's sequence numbers are dense from zero;
+//! * every view's sequence numbers are dense from zero;
 //! * no view ever contains an event its clearance does not cover.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use w5_obs::ledger::QUANTUM;
 use w5_obs::{CheckOp, EventKind, Ledger, ObsLabel};
 
 const SECRET_TAGS: [u64; 3] = [11, 22, 33];
@@ -82,14 +80,8 @@ fn concurrent_storm_upholds_redaction_invariants() {
                             "view leaked an event above its clearance"
                         );
                     }
-                    if v.redacted {
-                        for (layer, n) in v.aggregate.events.iter().chain(v.aggregate.denied.iter())
-                        {
-                            assert_eq!(n % QUANTUM, 0, "unquantized {layer} count {n} in redacted view");
-                        }
-                        for (ix, e) in v.events.iter().enumerate() {
-                            assert_eq!(e.seq, ix as u64, "redacted view seqs must be dense");
-                        }
+                    for (ix, e) in v.events.iter().enumerate() {
+                        assert_eq!(e.seq, ix as u64, "view seqs must be dense");
                     }
                     views += 1;
                     if stop.load(Ordering::Relaxed) {
@@ -113,9 +105,9 @@ fn concurrent_storm_upholds_redaction_invariants() {
     // Steady state after the storm: counters account for every event.
     assert_eq!(ledger.events_recorded(), 4 * 4000);
     let full = ledger.view(&ObsLabel::from_tags(SECRET_TAGS));
-    assert!(!full.redacted, "full clearance must see everything");
+    assert_eq!(full.events.len(), 512, "full clearance must see the whole ring");
     let zero = ledger.view(&ObsLabel::empty());
-    assert!(zero.redacted, "a storm with labeled events must redact the empty view");
+    assert!(zero.events.len() < full.events.len(), "a storm with labeled events must withhold some");
     assert!(
         zero.events.iter().all(|e| e.secrecy.is_subset(&ObsLabel::empty())),
         "zero clearance recovered a labeled event"

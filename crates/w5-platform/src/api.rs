@@ -184,8 +184,6 @@ pub struct PlatformApi<'a> {
     app_key: String,
     query_cost: QueryCost,
     query_mode: QueryMode,
-    /// App-visible log; folded into fault reports (label-scrubbed) on crash.
-    log: Vec<String>,
 }
 
 impl<'a> PlatformApi<'a> {
@@ -210,7 +208,6 @@ impl<'a> PlatformApi<'a> {
             app_key: app_key.to_string(),
             query_cost,
             query_mode,
-            log: Vec::new(),
         }
     }
 
@@ -357,24 +354,6 @@ impl<'a> PlatformApi<'a> {
                 _ => None,
             })
             .collect())
-    }
-
-    /// Append to the instance log (label-scrubbed before any developer
-    /// sees it; see `faultreport`).
-    pub fn log(&mut self, message: impl Into<String>) {
-        if self.log.len() < 1000 {
-            self.log.push(message.into());
-        }
-    }
-
-    /// The instance log (platform-internal).
-    pub(crate) fn take_log(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.log)
-    }
-
-    /// The instance's current labels (apps may inspect their own taint).
-    pub fn my_labels(&self) -> Result<LabelPair, ApiError> {
-        Ok(self.kernel.labels(self.pid)?)
     }
 
     fn resolve_labels(&self, policy: CreateLabels, subject: &Subject) -> Result<LabelPair, ApiError> {

@@ -367,7 +367,6 @@ impl Platform {
                 app.handle(&request, &mut api)
             }))
         });
-        let _log = api.take_log();
         let labels = self.kernel.labels(pid).unwrap_or_default();
 
         let result = match outcome {

@@ -23,8 +23,8 @@
 //!    sentinel only if the oracle says the viewer is cleared for it at
 //!    this moment; denial and degradation bodies carry no sentinel ever.
 //! 2. **Zero-clearance observers recover nothing** — after the storm, an
-//!    empty-clearance ledger view contains only unlabeled events and
-//!    (when redacted) only quantized aggregates.
+//!    empty-clearance ledger view contains only unlabeled events, numbered
+//!    densely.
 //! 3. **Fail closed** — a fault may turn success into refusal or a 503
 //!    fault report, never refusal into disclosure.
 
@@ -312,8 +312,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosOutcome {
     }
 
     // Zero-clearance observer: after the storm, an empty clearance must
-    // see only unlabeled events, and (once anything was withheld) only
-    // quantized aggregates.
+    // see only unlabeled events, numbered densely.
     let zero = ledger.view(&ObsLabel::empty());
     for e in &zero.events {
         if !e.secrecy.is_subset(&ObsLabel::empty()) {
@@ -324,23 +323,8 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosOutcome {
             violations.push(format!("zero-clearance view leaked a sentinel: {kind}"));
         }
     }
-    if zero.redacted {
-        for (layer, v) in zero.aggregate.events.iter().chain(zero.aggregate.denied.iter()) {
-            if v % 16 != 0 {
-                violations.push(format!(
-                    "zero-clearance aggregate for {layer} is unquantized: {v}"
-                ));
-            }
-        }
-    }
-    for (i, e) in zero.events.iter().enumerate() {
-        if zero.redacted && e.seq != i as u64 {
-            violations.push(format!(
-                "redacted view has non-dense seq {} at index {i}",
-                e.seq
-            ));
-            break;
-        }
+    if let Some((i, e)) = zero.events.iter().enumerate().find(|(i, e)| e.seq != *i as u64) {
+        violations.push(format!("zero-clearance view has non-dense seq {} at index {i}", e.seq));
     }
 
     let faults = injector.report();

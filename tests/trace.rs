@@ -262,7 +262,7 @@ mod properties {
         /// took (within one timing quantum) are indistinguishable to a
         /// viewer without clearance — byte-identical w5trace output. The
         /// trace-timing covert channel carries at most log2(quantum
-        /// buckets) bits, exactly like the ledger's quantized aggregates.
+        /// buckets) bits.
         #[test]
         fn secret_durations_are_invisible_at_low_clearance(
             durs_a in proptest::collection::vec(0u64..SPAN_QUANTUM_US, 1..6),
