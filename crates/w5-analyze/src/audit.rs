@@ -201,14 +201,11 @@ mod tests {
         };
         assert!(report.with_code("W5A001").len() == 1);
         assert!(report.with_code("W5A007").len() == 1);
-        let view = ledger.view(&ObsLabel::empty());
-        let audit_events: Vec<_> = view
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::AuditFinding { code, severity, .. } => {
-                    Some((code.clone(), severity.clone()))
-                }
+        let audit_events: Vec<_> = ledger
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::AuditFinding { code, severity, .. } => Some((code, severity)),
                 _ => None,
             })
             .collect();

@@ -76,7 +76,7 @@ fn escalation_chain_is_flagged_w5a003() {
 #[test]
 fn both_attacks_distinct_codes_and_ledger_events() {
     use std::sync::Arc;
-    use w5_obs::{EventKind, Ledger, ObsLabel};
+    use w5_obs::{EventKind, Ledger};
 
     let ledger = Arc::new(Ledger::new());
     let platform = Platform::new_default("malice-both");
@@ -96,12 +96,11 @@ fn both_attacks_distinct_codes_and_ledger_events() {
     assert_eq!(report.worst(), Some(Severity::Error));
     assert!(!report.passes(Severity::Error));
 
-    let view = ledger.view(&ObsLabel::empty());
-    let codes: Vec<String> = view
-        .events
-        .iter()
-        .filter_map(|e| match &e.kind {
-            EventKind::AuditFinding { code, .. } => Some(code.clone()),
+    let codes: Vec<String> = ledger
+        .events()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::AuditFinding { code, .. } => Some(code),
             _ => None,
         })
         .collect();

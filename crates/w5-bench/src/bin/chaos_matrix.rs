@@ -4,7 +4,7 @@
 //! matrix of seeds, each seed **twice**, and fails (exit 1) if:
 //!
 //! * any run reports an invariant violation (noninterference, sentinel in
-//!   a denial/degradation body, zero-clearance ledger leak), or
+//!   a denial/degradation body, a sentinel in the ledger), or
 //! * the two runs of any seed disagree — different ledger digests, fault
 //!   tallies or response counts mean the fault schedule did not replay
 //!   bit-identically, and every bug the harness finds would be

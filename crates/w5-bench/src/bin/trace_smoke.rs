@@ -1,7 +1,7 @@
 //! trace_smoke — seed a two-provider world with tracing at full sampling,
 //! drive one federation pull and one app invocation end to end, and
-//! export the global ledger's clearance-gated trace view as JSON for
-//! `w5trace` to query.
+//! export the global ledger's spans as JSON for `w5trace` to query — an
+//! operator's artifact: every span with its name, label and timing.
 //!
 //! CI runs this, then `w5trace --critical-path` over the artifact; the
 //! assertions here are the smoke gate (a complete cross-federation tree
@@ -15,7 +15,6 @@ use std::sync::Arc;
 use w5_federation::service::opt_in;
 use w5_federation::{AccountLink, FederationService, SyncAgent};
 use w5_net::{Server, ServerConfig};
-use w5_obs::ObsLabel;
 use w5_platform::Platform;
 use w5_sim::{build_population, PopulationConfig};
 
@@ -63,13 +62,10 @@ fn main() {
     );
     assert_eq!(b.invoke(Some(&u0_b), "devA/photos", req).status, 200);
 
-    // Export with broad clearance so CI sees real names; `w5trace`
-    // re-redacts per its own --clearance flag.
-    let broad = ObsLabel::from_tags(1..=4096);
-    let view = w5_obs::global().trace_view(&broad);
-    assert!(!view.spans.is_empty(), "tracing recorded no spans");
+    let spans = w5_obs::global().spans();
+    assert!(!spans.is_empty(), "tracing recorded no spans");
 
-    let names: Vec<&str> = view.spans.iter().map(|s| s.name.as_str()).collect();
+    let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
     for expect in ["federation.pull", "net.http", "federation.export", "platform.invoke"] {
         assert!(
             names.iter().any(|n| n.starts_with(expect)),
@@ -79,15 +75,15 @@ fn main() {
 
     // The pull and the peer's HTTP handling must share one trace id: that
     // is the wire-propagated context doing its job.
-    let pull = view.spans.iter().find(|s| s.name.starts_with("federation.pull")).unwrap();
-    let http = view.spans.iter().find(|s| s.name.starts_with("net.http")).unwrap();
+    let pull = spans.iter().find(|s| s.name.starts_with("federation.pull")).unwrap();
+    let http = spans.iter().find(|s| s.name.starts_with("net.http")).unwrap();
     assert_eq!(pull.trace, http.trace, "wire context did not stitch the federation trace");
 
-    let path = w5_bench::metrics::write_metrics("TRACES_smoke", &view).unwrap();
+    let path = w5_bench::metrics::write_metrics("TRACES_smoke", &spans).unwrap();
     println!(
         "{} spans across {} trace(s); stitched federation trace {:016x}",
-        view.spans.len(),
-        w5_obs::trace::trace_ids(&view.spans).len(),
+        spans.len(),
+        w5_obs::trace::trace_ids(&spans).len(),
         pull.trace,
     );
     println!("wrote {}", path.display());

@@ -702,8 +702,7 @@ mod tests {
             let _scope = w5_obs::scoped(Arc::clone(&ledger));
             report.record_to_ledger();
         }
-        let view = ledger.view(&w5_obs::ObsLabel::empty());
-        assert!(view.events.iter().any(|e| matches!(
+        assert!(ledger.events().iter().any(|e| matches!(
             &e.kind,
             w5_obs::EventKind::AuditFinding { code, .. } if code == "W5D001"
         )));

@@ -114,9 +114,9 @@ pub trait Admission: Send + Sync + 'static {
         point: ChargePoint,
         bytes: u64,
     ) -> Result<(), ChargeDenied>;
-    /// Secrecy label for the class's queue telemetry; events recorded
-    /// under it are clearance-gated in ledger views, so a hidden
-    /// principal's queue activity stays hidden.
+    /// Secrecy label for the class's queue telemetry: the label of the
+    /// principal whose queue the events describe, so the operator's
+    /// ledger says whose activity it was.
     fn telemetry_label(&self, class: &PrincipalClass) -> w5_obs::ObsLabel {
         let _ = class;
         w5_obs::ObsLabel::empty()

@@ -1,77 +1,38 @@
-//! w5trace — causal-trace query CLI.
+//! w5trace — causal-trace query CLI for the operator.
 //!
-//! Reads one or more `TraceView` JSON exports (produced by
-//! `Ledger::traces_json`, e.g. via the `trace_smoke` harness), merges
-//! their spans — exports from different providers stitch into one tree
-//! when a trace crossed the federation wire — and answers queries:
+//! Reads one or more span-list JSON exports (`Ledger::traces_json`, e.g.
+//! from the `trace_smoke` harness), merges their spans — exports from
+//! different providers stitch into one tree when a trace crossed the
+//! federation wire — and answers queries:
 //!
 //! ```text
-//! w5trace [--tree] [--critical-path] [--slowest N] [--json]
-//!         [--clearance empty|all|T1,T2,...] TRACES.json...
+//! w5trace [--tree] [--critical-path] [--slowest N] [--json] TRACES.json...
 //! ```
 //!
-//! Clearance is fail-closed: without `--clearance` the CLI re-redacts
-//! every labeled span exactly as `Ledger::trace_view` would for an
-//! empty-clearance viewer (names hidden, timings floored). `--clearance
-//! all` trusts the export's own gate and passes spans through; a comma
-//! list of tag ids grants exactly those tags. Redaction composes — a
-//! span the export already redacted is empty-labeled and passes any
-//! clearance unchanged.
+//! An export is the ledger's operator record (DESIGN §9): every span with
+//! its name, label and exact timing. The CLI reports what the exports
+//! hold and changes none of it.
 //!
 //! Exit codes: `0` = ok, `2` = usage or input error.
 
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
-use w5_obs::trace::{
-    critical_path, layer_attribution, redact_spans, render_tree, slowest_traces, trace_ids,
-};
-use w5_obs::{ObsLabel, SpanRecord, TraceView};
+use w5_obs::trace::{critical_path, layer_attribution, render_tree, slowest_traces, trace_ids};
+use w5_obs::SpanRecord;
 
-const USAGE: &str = "usage: w5trace [--tree] [--critical-path] [--slowest N] [--json]
-               [--clearance empty|all|T1,T2,...] TRACES.json...
+const USAGE: &str = "usage: w5trace [--tree] [--critical-path] [--slowest N] [--json] TRACES.json...
 
   --tree           render each trace as an indented span tree
   --critical-path  per trace: the slowest root-to-leaf chain and per-layer self time
   --slowest N      rank the N slowest traces by root span duration
-  --json           emit the clearance-gated span list as JSON
-  --clearance C    viewer clearance: 'empty' (default, fail closed), 'all'
-                   (trust the export's gate), or comma-separated tag ids";
-
-enum Clearance {
-    /// Re-redact with this label (default: empty).
-    Label(ObsLabel),
-    /// Pass spans through as the export gated them.
-    All,
-}
-
-fn parse_clearance(s: &str) -> Result<Clearance, String> {
-    match s {
-        "empty" => Ok(Clearance::Label(ObsLabel::empty())),
-        "all" => Ok(Clearance::All),
-        list => {
-            let mut tags = Vec::new();
-            for part in list.split(',') {
-                let part = part.trim();
-                if part.is_empty() {
-                    continue;
-                }
-                tags.push(
-                    part.parse::<u64>()
-                        .map_err(|_| format!("bad tag id {part:?} in clearance"))?,
-                );
-            }
-            Ok(Clearance::Label(ObsLabel::from_tags(tags)))
-        }
-    }
-}
+  --json           emit the merged span list as JSON";
 
 fn main() -> ExitCode {
     let mut tree = false;
     let mut crit = false;
     let mut json = false;
     let mut slowest: Option<usize> = None;
-    let mut clearance = Clearance::Label(ObsLabel::empty());
     let mut files: Vec<String> = Vec::new();
 
     let mut argv = std::env::args().skip(1);
@@ -89,19 +50,6 @@ fn main() -> ExitCode {
                     Ok(n) => slowest = Some(n),
                     Err(_) => {
                         eprintln!("w5trace: bad count {v:?}\n{USAGE}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--clearance" => {
-                let Some(v) = argv.next() else {
-                    eprintln!("w5trace: --clearance requires a value\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                match parse_clearance(&v) {
-                    Ok(c) => clearance = c,
-                    Err(e) => {
-                        eprintln!("w5trace: {e}\n{USAGE}");
                         return ExitCode::from(2);
                     }
                 }
@@ -127,7 +75,6 @@ fn main() -> ExitCode {
     // disjoint span ids within a shared trace id, so stitching is a
     // plain concatenation.
     let mut spans: Vec<SpanRecord> = Vec::new();
-    let mut export_redacted = 0u64;
     for file in &files {
         let raw = match std::fs::read_to_string(file) {
             Ok(r) => r,
@@ -136,33 +83,17 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let view: TraceView = match serde_json::from_str(&raw) {
-            Ok(v) => v,
+        match serde_json::from_str::<Vec<SpanRecord>>(&raw) {
+            Ok(export) => spans.extend(export),
             Err(e) => {
-                eprintln!("w5trace: {file}: not a TraceView export: {e}");
+                eprintln!("w5trace: {file}: not a span-list export: {e}");
                 return ExitCode::from(2);
             }
-        };
-        export_redacted += view.redacted_spans;
-        spans.extend(view.spans);
+        }
     }
 
-    let (spans, cli_redacted) = match &clearance {
-        Clearance::All => (spans, 0),
-        Clearance::Label(label) => redact_spans(&spans, label),
-    };
-
     if json {
-        let gate = match &clearance {
-            Clearance::All => None,
-            Clearance::Label(l) => Some(l.clone()),
-        };
-        let view = TraceView {
-            clearance: gate.unwrap_or_else(ObsLabel::empty),
-            spans,
-            redacted_spans: export_redacted + cli_redacted,
-        };
-        match serde_json::to_string_pretty(&view) {
+        match serde_json::to_string_pretty(&spans) {
             Ok(s) => println!("{s}"),
             Err(e) => {
                 eprintln!("w5trace: serialize failed: {e}");
@@ -173,14 +104,7 @@ fn main() -> ExitCode {
     }
 
     let traces = trace_ids(&spans);
-    println!(
-        "{} trace(s), {} span(s), {} redacted ({} by export, {} by clearance gate)",
-        traces.len(),
-        spans.len(),
-        export_redacted + cli_redacted,
-        export_redacted,
-        cli_redacted,
-    );
+    println!("{} trace(s), {} span(s)", traces.len(), spans.len());
 
     if let Some(n) = slowest {
         println!("\nslowest {n} trace(s) by root duration:");

@@ -281,8 +281,8 @@ pub enum EventKind {
     },
     /// The request pipeline admitted a request: straight into a handler
     /// slot, or into its principal-class queue to wait for one. Recorded
-    /// under the principal's secrecy label, so a hidden principal's queue
-    /// activity is clearance-gated in ledger views.
+    /// under the principal's secrecy label, like every ledger event; only
+    /// the operator reads it.
     QueueAdmit {
         /// Principal-class key (`"anon"`, `"session:<user>"`, `"app:<key>"`).
         class: String,
@@ -375,9 +375,9 @@ impl EventKind {
 /// event describes, and the typed payload.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Event {
-    /// Monotone sequence number. A view re-issues sequence numbers densely
-    /// over the events it returns, so that gaps cannot leak the count of
-    /// hidden events (see `DESIGN.md` §9).
+    /// Sequence number, taken when the event was counted. Two recorders
+    /// may reach the ring in the other order, so the ring need not be in
+    /// `seq` order; no two retained events share one.
     pub seq: u64,
     /// Secrecy label of the described flow.
     pub secrecy: ObsLabel,

@@ -138,10 +138,9 @@ impl ObsLabel {
         self.as_slice().iter().copied()
     }
 
-    /// `self ⊆ other` by linear merge, no allocation. This is both the
-    /// no-privilege flow rule and the ledger's clearance test: an event
-    /// labeled `self` may flow to a viewer cleared for `other` exactly when
-    /// `S_event ⊆ S_viewer` holds.
+    /// `self ⊆ other` by linear merge, no allocation. This is the
+    /// no-privilege flow rule: data labeled `self` may flow to a reader
+    /// labeled `other` exactly when `S_data ⊆ S_reader` holds.
     pub fn is_subset(&self, other: &ObsLabel) -> bool {
         let (a, b) = (self.as_slice(), other.as_slice());
         if a.len() > b.len() {

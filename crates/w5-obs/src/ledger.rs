@@ -1,40 +1,39 @@
-//! The flow ledger: event ring, counters, span ring and clearance-gated
-//! views.
+//! The flow ledger: event ring, counters and span ring — the operator's
+//! record of what every layer did.
 //!
 //! Writes are cheap: per-layer counters are lock-free atomics; the bounded
 //! event ring and span ring take one short `obs.ledger`-classed `w5_sync`
 //! mutex each (instances ring=0, spans=1; never nested). Timing is
 //! recorded once, as a span (see `crate::trace`); there is no second
-//! latency registry. Reads are **labeled operations**: [`Ledger::view`]
-//! takes the viewer's clearance (their secrecy label, as an [`ObsLabel`])
-//! and returns the retained events whose secrecy label is a subset of the
-//! clearance (the no-privilege secrecy-flow rule), numbered densely in
-//! ring order — nothing else, so neither a `seq` gap nor a count tells a
-//! reader how many events it was not shown. The exact per-layer counters
-//! ([`Ledger::aggregate`]) count every label and are for trusted callers
-//! only. Without that rule the ledger would be precisely the §3.5 covert
-//! channel: a tainted app could modulate secret bits into event counts and
-//! an untainted reader could poll them out. What remains is the shared
-//! ring's eviction (hidden events still push public ones out) and the
-//! check sample's phase, which hidden checks advance.
+//! latency registry. Every event and span keeps the secrecy label of the
+//! flow it describes, and the reads ([`Ledger::events`], [`Ledger::spans`],
+//! [`Ledger::aggregate`]) return all of it: the ledger has one reader,
+//! the operator. Both rings are bounded and shared across every label, so
+//! what one label records decides what survives of another's — which is
+//! why nothing below the operator may read them. A user or developer reads
+//! only a log partitioned by what they own (`/audit`, `/dev/faults`;
+//! DESIGN §9), never this one.
 
 use crate::event::{CheckOp, Event, EventKind, Layer};
 use crate::label::ObsLabel;
-use crate::trace::{redact_spans, sample_decision, SpanRecord, TraceView};
+use crate::trace::{sample_decision, SpanRecord};
 use crate::{fnv1a, FNV_OFFSET};
 use w5_sync::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Ring capacity (events retained for cleared viewers).
+/// Ring capacity (events retained).
 const DEFAULT_RING_CAP: usize = 4096;
 
-/// Span ring capacity (completed spans retained for trace viewers).
+/// Span ring capacity (completed spans retained).
 const DEFAULT_SPAN_CAP: usize = 4096;
 
 /// Pass-outcome flow checks are written to the ring once per this many
-/// checks (denials always are).
+/// checks (denials always are). The sampled passes show the operator
+/// which labels a scan passed, in decision order. The sample's phase
+/// counts checks across all labels, which would matter only to a reader
+/// below the operator, and the ledger has none (DESIGN §9).
 const CHECK_SAMPLE: u64 = 16;
 
 /// One flow verdict as the ledger counts it: the rule, whether it passed,
@@ -166,8 +165,7 @@ impl Ledger {
         self.seq.load(Ordering::Relaxed)
     }
 
-    /// Exact live per-layer aggregate over every label (trusted callers
-    /// only; [`Ledger::view`] is the clearance-gated path).
+    /// Exact live per-layer aggregate over every label.
     pub fn aggregate(&self) -> Aggregate {
         let mut agg = Aggregate::default();
         for (layer, c) in Layer::ALL.iter().zip(&self.counters) {
@@ -177,24 +175,15 @@ impl Ledger {
         agg
     }
 
-    /// Read the ledger with the given clearance: the retained events the
-    /// clearance covers, with `seq` re-issued densely in ring order (the
-    /// recorded `seq` would count the events withheld). This is the
-    /// **only** path untrusted viewers get.
-    pub fn view(&self, clearance: &ObsLabel) -> LedgerView {
-        let ring = self.ring.lock();
-        let events = ring
-            .iter()
-            .filter(|e| e.secrecy.is_subset(clearance))
-            .enumerate()
-            .map(|(i, e)| Event { seq: i as u64, ..e.clone() })
-            .collect();
-        LedgerView { clearance: clearance.clone(), events }
+    /// The retained events in the order they entered the ring, each with
+    /// its recorded `seq` and its label.
+    pub fn events(&self) -> Vec<Event> {
+        self.ring.lock().iter().cloned().collect()
     }
 
-    /// JSON snapshot of a clearance-gated view (the exporter).
-    pub fn snapshot_json(&self, clearance: &ObsLabel) -> serde_json::Result<String> {
-        serde_json::to_string_pretty(&self.view(clearance))
+    /// JSON export of [`Ledger::events`].
+    pub fn snapshot_json(&self) -> serde_json::Result<String> {
+        serde_json::to_string_pretty(&self.events())
     }
 
     // ---- causal tracing (see `crate::trace`) ----
@@ -247,20 +236,15 @@ impl Ledger {
         self.spans_recorded.load(Ordering::Relaxed)
     }
 
-    /// Read the span ring with the given clearance: spans the clearance
-    /// covers come back verbatim, everything else in redacted form (name
-    /// hidden, label hidden, timings floored — see
-    /// [`SpanRecord::redacted`]). This is the only trace path untrusted
-    /// viewers get.
-    pub fn trace_view(&self, clearance: &ObsLabel) -> TraceView {
-        let spans: Vec<SpanRecord> = self.spans.lock().iter().cloned().collect();
-        let (spans, redacted_spans) = redact_spans(&spans, clearance);
-        TraceView { clearance: clearance.clone(), spans, redacted_spans }
+    /// The retained spans in the order they closed, each with its label
+    /// and exact timestamps.
+    pub fn spans(&self) -> Vec<SpanRecord> {
+        self.spans.lock().iter().cloned().collect()
     }
 
-    /// JSON export of a clearance-gated trace view (what `w5trace` reads).
-    pub fn traces_json(&self, clearance: &ObsLabel) -> serde_json::Result<String> {
-        serde_json::to_string_pretty(&self.trace_view(clearance))
+    /// JSON export of [`Ledger::spans`] (what `w5trace` reads).
+    pub fn traces_json(&self) -> serde_json::Result<String> {
+        serde_json::to_string_pretty(&self.spans())
     }
 
     /// A stable 64-bit digest (FNV-1a) over the ledger's observable state:
@@ -309,8 +293,8 @@ impl Ledger {
     pub fn digest_where(&self, keep: impl Fn(&EventKind) -> bool) -> u64 {
         let mut h = FNV_OFFSET;
         let ring = self.ring.lock();
-        // Dense re-issue, exactly like a view: the original seq would
-        // count the excluded events.
+        // Dense renumbering: the original seq would count the excluded
+        // events, which one arm records and the other does not.
         for (reissued, e) in ring.iter().filter(|e| keep(&e.kind)).enumerate() {
             fold_event(&mut h, reissued as u64, e);
         }
@@ -367,16 +351,6 @@ fn fold_span(h: &mut u64, s: &SpanRecord) {
     }
 }
 
-/// What a viewer with some clearance gets back.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub struct LedgerView {
-    /// The clearance this view was computed for.
-    pub clearance: ObsLabel,
-    /// Events the clearance covers, oldest first, `seq` numbered densely
-    /// from 0.
-    pub events: Vec<Event>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,69 +369,12 @@ mod tests {
             bytes: 4,
             allowed: true,
         });
-        let omniscient = ObsLabel::from_tags([7]);
-        let v = l.view(&omniscient);
-        assert_eq!(v.events.len(), 2);
+        let v = l.events();
+        assert_eq!(v.len(), 2);
         assert_eq!(l.aggregate().events["kernel"], 1);
         assert_eq!(l.aggregate().events["store"], 1);
-        assert_eq!(v.events[0].seq, 0);
-        assert_eq!(v.events[1].seq, 1);
-    }
-
-    #[test]
-    fn low_clearance_cannot_recover_labeled_events() {
-        let l = Ledger::new();
-        // 5 public events, 3 secret ones (tag 9).
-        for i in 0..5 {
-            l.record(&ObsLabel::empty(), spawn_kind(i));
-        }
-        for _ in 0..3 {
-            l.record(&ObsLabel::singleton(9), EventKind::StoreRead {
-                path: "/diary/alice.txt".into(),
-                bytes: 10,
-                allowed: true,
-            });
-        }
-        let v = l.view(&ObsLabel::empty());
-        assert_eq!(v.events.len(), 5, "only public events visible");
-        assert!(v.events.iter().all(|e| e.secrecy.is_empty()));
-        assert!(
-            v.events.iter().all(|e| !format!("{:?}", e.kind).contains("diary")),
-            "no secret payload may appear"
-        );
-        // Sequence numbers are dense — gaps cannot count hidden events.
-        for (i, e) in v.events.iter().enumerate() {
-            assert_eq!(e.seq, i as u64);
-        }
-        // The cleared viewer, by contrast, sees everything.
-        let v9 = l.view(&ObsLabel::singleton(9));
-        assert_eq!(v9.events.len(), 8);
-    }
-
-    /// Two worlds that differ only in 1,000 hidden-label events, recorded
-    /// between the same public events, give an empty clearance the same
-    /// bytes: no count, flag or `seq` gap says how many events it was not
-    /// shown. Both worlds stay inside the ring; eviction past its 4,096
-    /// entries (hidden events pushing public ones out) is not covered
-    /// here and stays an open channel, as does the phase of the 1-in-16
-    /// check sample, which hidden checks advance.
-    #[test]
-    fn a_low_snapshot_is_the_same_beside_any_number_of_hidden_events() {
-        let world = |hidden_per_public: u64| {
-            let l = Ledger::new();
-            for i in 0..50 {
-                l.record(&ObsLabel::empty(), spawn_kind(i));
-                for _ in 0..hidden_per_public {
-                    l.record(&ObsLabel::singleton(9), EventKind::StoreRead {
-                        path: "/diary/alice.txt".into(),
-                        bytes: 10,
-                        allowed: false,
-                    });
-                }
-            }
-            l.snapshot_json(&ObsLabel::empty()).unwrap()
-        };
-        assert_eq!(world(0), world(20));
+        assert_eq!((v[0].seq, &v[0].secrecy), (0, &ObsLabel::empty()));
+        assert_eq!((v[1].seq, &v[1].secrecy), (1, &ObsLabel::singleton(7)));
     }
 
     /// Checks counted from many threads at once are each counted once.
@@ -497,10 +414,9 @@ mod tests {
         for i in 0..10 {
             l.record(&ObsLabel::empty(), spawn_kind(i));
         }
-        let v = l.view(&ObsLabel::empty());
-        assert_eq!(v.events.len(), 4);
+        let v = l.events();
+        assert_eq!(v.len(), 4);
         let pids: Vec<u64> = v
-            .events
             .iter()
             .map(|e| match &e.kind {
                 EventKind::ProcSpawn { pid, .. } => *pid,
@@ -508,6 +424,8 @@ mod tests {
             })
             .collect();
         assert_eq!(pids, vec![6, 7, 8, 9], "oldest entries evicted, order kept");
+        let seqs: Vec<u64> = v.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![6, 7, 8, 9], "each event keeps its recorded seq");
         // Counters survive eviction.
         assert_eq!(l.aggregate().events["kernel"], 10);
     }
@@ -526,14 +444,12 @@ mod tests {
         assert_eq!(agg.events["difc"], 103);
         assert_eq!(agg.denied["difc"], 3);
         // Ring holds all denials but only sampled passes.
-        let v = l.view(&ObsLabel::from_tags([2]));
+        let v = l.events();
         let denials = v
-            .events
             .iter()
             .filter(|e| matches!(&e.kind, EventKind::LabelCheck { allowed: false, .. }))
             .count();
         let passes = v
-            .events
             .iter()
             .filter(|e| matches!(&e.kind, EventKind::LabelCheck { allowed: true, .. }))
             .count();
@@ -550,7 +466,6 @@ mod tests {
     fn a_run_of_checks_leaves_what_one_at_a_time_would() {
         const OPS: [CheckOp; 4] = [CheckOp::Read, CheckOp::Write, CheckOp::Flow, CheckOp::Change];
         let labels: Vec<ObsLabel> = (1..=5).map(ObsLabel::singleton).collect();
-        let clearance = ObsLabel::from_tags(1..=5);
         // A denial in every seventh check; ops and labels cycle.
         let verdicts = |n: usize, salt: usize| -> Vec<Check<'_>> {
             (salt..salt + n).map(|k| (OPS[k % 4], k % 7 != 3, &labels[k % 5])).collect()
@@ -586,7 +501,7 @@ mod tests {
                         assert_eq!(l.digest(), single.digest(), "{case}");
                         assert_eq!(l.aggregate(), single.aggregate(), "{case}");
                         assert_eq!(l.events_recorded(), single.events_recorded(), "{case}");
-                        assert_eq!(l.view(&clearance).events, single.view(&clearance).events, "{case}");
+                        assert_eq!(l.events(), single.events(), "{case}");
                     }
                 }
             }
@@ -601,8 +516,8 @@ mod tests {
             path: "/app/photos".into(),
             status: 200,
         });
-        let json = l.snapshot_json(&ObsLabel::empty()).unwrap();
-        let back: LedgerView = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.events.len(), 1);
+        let json = l.snapshot_json().unwrap();
+        let back: Vec<Event> = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, l.events());
     }
 }

@@ -1,20 +1,22 @@
 //! # w5-obs — the label-aware flow ledger
 //!
 //! Unified tracing, metrics and audit for the whole W5 stack. Every layer
-//! (kernel, DIFC rules, platform, net, store) records typed [`Event`]s into
-//! one process-wide [`Ledger`]; each event carries the **secrecy label of
-//! the flow it describes**, and reading the ledger is itself a labeled
-//! operation: [`Ledger::view`] takes the viewer's clearance and returns
-//! the events that clearance covers, numbered densely, and no count of
-//! the rest. Observability must not become the §3.5 covert channel it
-//! exists to watch for.
+//! (kernel, DIFC rules, platform, net, store) records typed [`Event`]s and
+//! timed [`SpanRecord`]s into one process-wide [`Ledger`]; each carries
+//! the **secrecy label of the flow it describes**. The ledger is the
+//! operator's record and has no other reader: [`Ledger::events`],
+//! [`Ledger::spans`] and [`Ledger::aggregate`] return everything, labels
+//! and exact timings included. Its rings are bounded and shared across
+//! labels, so what a hidden flow records decides what survives of a
+//! public one — the §3.5 covert channel, were anyone below the operator
+//! to read them. Users and developers see observations only through logs
+//! partitioned by what they own (`/audit`, `/dev/faults`; DESIGN §9).
 //!
 //! Layering: this crate sits *below* `w5-difc` so that even the flow rules
 //! themselves can be instrumented. That makes it the lowest crate that
 //! needs a tag set, so the workspace's one sorted-set implementation lives
-//! here: [`ObsLabel`] is the set over raw tag ids, `w5_difc::Label` is a
-//! typed view over it, and clearance checks are plain subset tests —
-//! exactly the no-privilege secrecy-flow rule (`S_event ⊆ S_viewer`).
+//! here: [`ObsLabel`] is the set over raw tag ids, and `w5_difc::Label` is
+//! a typed view over it.
 //!
 //! Cost model: counters are lock-free atomics on every path; the bounded
 //! event ring and span ring take a short mutex. The hottest
@@ -35,8 +37,8 @@ pub mod trace;
 pub use event::{CheckOp, Event, EventKind, Layer, Name};
 pub use histogram::Histogram;
 pub use label::ObsLabel;
-pub use ledger::{Aggregate, Check, Ledger, LedgerView};
-pub use trace::{SpanRecord, TraceContext, TraceView, TRACE_HEADER};
+pub use ledger::{Aggregate, Check, Ledger};
+pub use trace::{SpanRecord, TraceContext, TRACE_HEADER};
 
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};

@@ -1,20 +1,14 @@
-//! Label-aware causal tracing: spans, wire context, redaction and
-//! critical-path analysis.
+//! Causal tracing: spans, wire context and critical-path analysis.
 //!
 //! A [`SpanRecord`] is one timed operation with a parent edge, so a whole
 //! request reconstructs as a tree — across instances too, because the
 //! federation protocol forwards a compact [`TraceContext`] (trace id,
 //! parent span id, sampling decision) in the [`TRACE_HEADER`] request
 //! header. Every span carries the secrecy [`ObsLabel`] of the flow it
-//! timed, and reading traces is clearance-gated like `Ledger::view`,
-//! except that [`redact_spans`] keeps the *structure* of spans the viewer
-//! is not cleared for (tree shape is already visible to a network
-//! observer) but replaces their names with [`REDACTED_NAME`], hides
-//! their labels, and floors their start and duration to
-//! [`SPAN_QUANTUM_US`]. Without the flooring, span timings
-//! would be the §3.5 covert channel in its purest form: a tainted app
-//! could modulate secret bits into microsecond durations that any
-//! low-clearance trace reader could poll out.
+//! timed and its exact timestamps; `Ledger::spans` returns them as they
+//! were recorded, to the ledger's one reader, the operator. A span's
+//! name is its operation plus routing metadata (an HTTP method and path,
+//! an app, a federation link), never a row or a body.
 //!
 //! Sampling is head-based and deterministic: the decision is a pure
 //! function of the trace id and a seed ([`sample_decision`]), made once
@@ -32,13 +26,6 @@ use std::collections::BTreeMap;
 
 /// HTTP header that carries a [`TraceContext`] between instances.
 pub const TRACE_HEADER: &str = "x-w5-trace";
-
-/// Redacted span starts and durations are floored to this many
-/// microseconds (10ms).
-pub const SPAN_QUANTUM_US: u64 = 10_000;
-
-/// Name substituted for spans the viewer is not cleared for.
-pub const REDACTED_NAME: &str = "[redacted]";
 
 /// The compact trace context propagated on the wire.
 ///
@@ -120,62 +107,12 @@ impl SpanRecord {
     pub fn duration_us(&self) -> u64 {
         self.end_us.saturating_sub(self.start_us)
     }
-
-    /// The redacted form a viewer without clearance sees: structure
-    /// kept, name and label hidden, start and duration floored to
-    /// [`SPAN_QUANTUM_US`].
-    pub fn redacted(&self) -> SpanRecord {
-        let start = self.start_us - self.start_us % SPAN_QUANTUM_US;
-        let dur = self.duration_us();
-        SpanRecord {
-            trace: self.trace,
-            id: self.id,
-            parent: self.parent,
-            name: Name::from(REDACTED_NAME),
-            layer: self.layer,
-            secrecy: ObsLabel::empty(),
-            start_us: start,
-            end_us: start + (dur - dur % SPAN_QUANTUM_US),
-        }
-    }
-}
-
-/// What a viewer with some clearance gets back from `Ledger::trace_view`.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub struct TraceView {
-    /// The clearance this view was computed for.
-    pub clearance: ObsLabel,
-    /// All retained spans, oldest first; spans the clearance does not
-    /// cover appear in [`SpanRecord::redacted`] form.
-    pub spans: Vec<SpanRecord>,
-    /// Number of spans that were redacted.
-    pub redacted_spans: u64,
-}
-
-/// Apply the clearance gate to a span list: spans whose secrecy is a
-/// subset of `clearance` pass verbatim, everything else is
-/// [`SpanRecord::redacted`]. Returns the gated list and the redaction
-/// count. The `w5trace` CLI applies this again on top of whatever the
-/// export already hid — redaction composes (a redacted span is empty-
-/// labeled, so it passes any clearance unchanged).
-pub fn redact_spans(spans: &[SpanRecord], clearance: &ObsLabel) -> (Vec<SpanRecord>, u64) {
-    let mut out = Vec::with_capacity(spans.len());
-    let mut redacted = 0u64;
-    for s in spans {
-        if s.secrecy.is_subset(clearance) {
-            out.push(s.clone());
-        } else {
-            redacted += 1;
-            out.push(s.redacted());
-        }
-    }
-    (out, redacted)
 }
 
 /// One step on a trace's critical path.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CriticalPathStep {
-    /// Span name (possibly [`REDACTED_NAME`]).
+    /// Span name.
     pub name: String,
     /// Layer the span ran in.
     pub layer: Layer,
@@ -194,7 +131,7 @@ pub fn trace_ids(spans: &[SpanRecord]) -> Vec<u64> {
 }
 
 /// Spans of one trace in stable tree order: siblings sorted by
-/// `(start_us, id)` so redacted views (where quantized starts tie) order
+/// `(start_us, id)`, so siblings that start in the same microsecond order
 /// identically across runs.
 fn children_of(spans: &[SpanRecord]) -> BTreeMap<Option<u64>, Vec<usize>> {
     let have: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.id).collect();
@@ -370,37 +307,6 @@ mod tests {
         }
         let hits = (0..1000u64).filter(|&t| sample_decision(t, 42, u64::MAX / 2)).count();
         assert!((300..700).contains(&hits), "rate 0.5 sampled {hits}/1000");
-    }
-
-    #[test]
-    fn redaction_hides_name_label_and_fine_timing() {
-        let mut s = span(1, 2, Some(1), "platform.export_check", Layer::Platform, 12_345, 15_432);
-        s.secrecy = ObsLabel::singleton(9);
-        let r = s.redacted();
-        assert_eq!(r.name, REDACTED_NAME);
-        assert!(r.secrecy.is_empty());
-        assert_eq!(r.start_us % SPAN_QUANTUM_US, 0);
-        assert_eq!(r.duration_us() % SPAN_QUANTUM_US, 0);
-        // Structure survives.
-        assert_eq!((r.trace, r.id, r.parent, r.layer), (1, 2, Some(1), Layer::Platform));
-        // Two durations in the same quantum bucket redact identically.
-        let mut s2 = s.clone();
-        s2.end_us = s.start_us + 9_999;
-        assert_eq!(s.redacted(), s2.redacted());
-    }
-
-    #[test]
-    fn redact_spans_gates_by_subset() {
-        let mut secret = span(1, 2, Some(1), "secret-op", Layer::Store, 0, 10);
-        secret.secrecy = ObsLabel::singleton(4);
-        let public = span(1, 1, None, "net.http", Layer::Net, 0, 20);
-        let (low, n) = redact_spans(&[public.clone(), secret.clone()], &ObsLabel::empty());
-        assert_eq!(n, 1);
-        assert_eq!(low[0], public);
-        assert_eq!(low[1].name, REDACTED_NAME);
-        let (high, n) = redact_spans(&[public.clone(), secret.clone()], &ObsLabel::singleton(4));
-        assert_eq!(n, 0);
-        assert_eq!(high[1], secret);
     }
 
     #[test]

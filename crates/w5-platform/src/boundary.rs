@@ -251,7 +251,7 @@ mod tests {
         assert_eq!(fault.detail, None);
 
         // The session class's queue telemetry carries the user's export
-        // tag, so it is clearance-gated in ledger views.
+        // tag: the ledger labels it as that user's activity.
         assert!(!adm.telemetry_label(&class).is_empty());
         assert!(adm.telemetry_label(&PrincipalClass::Anonymous).is_empty());
     }

@@ -22,9 +22,9 @@
 //! 1. **Noninterference** — a delivered body may contain user U's
 //!    sentinel only if the oracle says the viewer is cleared for it at
 //!    this moment; denial and degradation bodies carry no sentinel ever.
-//! 2. **Zero-clearance observers recover nothing** — after the storm, an
-//!    empty-clearance ledger view contains only unlabeled events, numbered
-//!    densely.
+//! 2. **The ledger holds no user content** — after the storm, no retained
+//!    event or span, at any label, carries a sentinel: the operator's
+//!    record is metadata.
 //! 3. **Fail closed** — a fault may turn success into refusal or a 503
 //!    fault report, never refusal into disclosure.
 
@@ -32,7 +32,7 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use w5_obs::{Ledger, ObsLabel};
+use w5_obs::Ledger;
 use w5_platform::{Account, GrantScope, Platform};
 
 /// Applications in the workload; `mal/exfiltrator` actively attempts
@@ -311,20 +311,19 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosOutcome {
         }
     }
 
-    // Zero-clearance observer: after the storm, an empty clearance must
-    // see only unlabeled events, numbered densely.
-    let zero = ledger.view(&ObsLabel::empty());
-    for e in &zero.events {
-        if !e.secrecy.is_subset(&ObsLabel::empty()) {
-            violations.push(format!("zero-clearance view exposed labeled event seq {}", e.seq));
-        }
+    // The ledger records metadata, never user content: no retained event
+    // or span, at any label, carries a sentinel — not even for the
+    // operator, its one reader.
+    for e in ledger.events() {
         let kind = serde_json::to_string(&e.kind).unwrap_or_default();
         if kind.contains("SENTINEL") {
-            violations.push(format!("zero-clearance view leaked a sentinel: {kind}"));
+            violations.push(format!("ledger event seq {} carries a sentinel: {kind}", e.seq));
         }
     }
-    if let Some((i, e)) = zero.events.iter().enumerate().find(|(i, e)| e.seq != *i as u64) {
-        violations.push(format!("zero-clearance view has non-dense seq {} at index {i}", e.seq));
+    for s in ledger.spans() {
+        if s.name.contains("SENTINEL") {
+            violations.push(format!("ledger span {} carries a sentinel: {}", s.id, s.name));
+        }
     }
 
     let faults = injector.report();

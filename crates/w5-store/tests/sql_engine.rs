@@ -710,9 +710,6 @@ fn one_read_check_per_partition_in_creation_order() {
             (pair, readable, has_key)
         })
         .collect();
-    let clearance = parts
-        .iter()
-        .fold(w5_obs::ObsLabel::empty(), |all, (pair, ..)| all.union(pair.secrecy.to_obs()));
     // The global bag now holds every export tag's `t+` and no read tag's.
     let app = Subject::new(LabelPair::public(), CapSet::empty());
 
@@ -732,8 +729,7 @@ fn one_read_check_per_partition_in_creation_order() {
         assert_eq!(agg.events["difc"], parts.len() as u64);
         assert_eq!(agg.denied["difc"], denied as u64);
         let ringed: Vec<(w5_obs::ObsLabel, bool)> = ledger
-            .view(&clearance)
-            .events
+            .events()
             .into_iter()
             .map(|e| match e.kind {
                 w5_obs::EventKind::LabelCheck { op: CheckOp::Read, allowed } => (e.secrecy, allowed),
@@ -770,7 +766,6 @@ fn assert_footprint(
     cost: QueryCost,
     sql: &str,
     expected: &[Verdict],
-    clearance: &ObsLabel,
 ) -> Result<w5_store::QueryOutput, QueryError> {
     const CHECK_SAMPLE: usize = 16;
     let ledger = Arc::new(w5_obs::Ledger::new());
@@ -784,8 +779,7 @@ fn assert_footprint(
     assert_eq!(agg.events["difc"], expected.len() as u64, "{sql}");
     assert_eq!(agg.denied["difc"], denied, "{sql}");
     let ringed: Vec<Verdict> = ledger
-        .view(clearance)
-        .events
+        .events()
         .into_iter()
         .map(|e| match e.kind {
             w5_obs::EventKind::LabelCheck { op, allowed } => (op, e.secrecy, allowed),
@@ -837,8 +831,6 @@ fn error_exits_count_exactly_the_verdicts_made() {
         })
         .collect();
     assert!(parts[GUARDED].1 && parts[GUARDED].2);
-    let clearance =
-        parts.iter().fold(ObsLabel::empty(), |all, (pair, ..)| all.union(pair.secrecy.to_obs()));
     let app = Subject::new(LabelPair::public(), CapSet::empty());
     let read = |i: usize| (CheckOp::Read, parts[i].0.secrecy.to_obs().clone(), parts[i].1);
 
@@ -854,7 +846,7 @@ fn error_exits_count_exactly_the_verdicts_made() {
             .expect("the budget runs out mid-scan");
         let expected: Vec<Verdict> = (0..=stop).map(read).collect();
         let cost = QueryCost { max_rows_scanned: budget };
-        let out = assert_footprint(&db, &app, cost, "SELECT s FROM t", &expected, &clearance);
+        let out = assert_footprint(&db, &app, cost, "SELECT s FROM t", &expected);
         assert_eq!(out, Err(QueryError::BudgetExhausted), "budget {budget}");
     }
 
@@ -868,12 +860,18 @@ fn error_exits_count_exactly_the_verdicts_made() {
         }
     }
     let unlimited = QueryCost::unlimited();
-    let out = assert_footprint(&db, &app, unlimited, "DELETE FROM t WHERE k = 7", &expected, &clearance);
+    let out = assert_footprint(&db, &app, unlimited, "DELETE FROM t WHERE k = 7", &expected);
     assert_eq!(out, Err(QueryError::WriteDenied));
     assert_eq!(db.total_rows(), 2 * N, "a refused DELETE removes nothing");
 
     // An evaluation error exits the same way: the first readable
     // partition's first row fails the comparison.
-    let out = assert_footprint(&db, &app, unlimited, "SELECT s FROM t WHERE s > 1", &[read(0)], &clearance);
+    let out = assert_footprint(
+        &db,
+        &app,
+        unlimited,
+        "SELECT s FROM t WHERE s > 1",
+        &[read(0)],
+    );
     assert!(matches!(out, Err(QueryError::Eval(_))), "{out:?}");
 }

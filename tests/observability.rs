@@ -1,6 +1,6 @@
 //! Cross-layer ledger integration: every W5 layer records into the one
-//! global flow ledger, and a low-clearance reader provably cannot recover
-//! per-event secret-labeled data from it (the §3.5 covert-channel defence).
+//! global flow ledger, each event under the label of the flow it
+//! describes, and the operator reads all of it back.
 //!
 //! The global ledger is shared by every test in this binary, so all
 //! assertions are presence-based or relative — never exact global counts.
@@ -11,7 +11,7 @@ use std::sync::Arc;
 use w5_difc::{CapSet, Label, LabelPair, TagKind, TagRegistry};
 use w5_kernel::{Delivery, Kernel, ResourceLimits};
 use w5_net::{HttpClient, Request, Response, Server, ServerConfig};
-use w5_obs::{CheckOp, EventKind, Layer, LedgerView, ObsLabel};
+use w5_obs::{CheckOp, Event, EventKind, Layer, ObsLabel};
 use w5_platform::{
     DeclassifierRegistry, GrantScope, PolicyStore, StaticRelations,
 };
@@ -19,8 +19,7 @@ use w5_platform::perimeter::Exporter;
 use w5_platform::principal::AccountStore;
 use w5_store::{LabeledFs, Subject};
 
-/// A path string that exists only inside secret-labeled events; the low
-/// view must never contain it anywhere.
+/// A path string that exists only inside secret-labeled events.
 const SECRET_MARKER: &str = "/vault/observability-secret-marker";
 
 /// Drive all five layers against one registry, returning the tag ids that
@@ -133,8 +132,8 @@ fn get_over_loopback(path: &str) {
     server.shutdown();
 }
 
-fn layers_of(view: &LedgerView) -> BTreeSet<Layer> {
-    view.events.iter().map(|e| e.kind.layer()).collect()
+fn layers_of(events: &[Event]) -> BTreeSet<Layer> {
+    events.iter().map(|e| e.kind.layer()).collect()
 }
 
 fn event_mentions_marker(kind: &EventKind) -> bool {
@@ -145,49 +144,26 @@ fn event_mentions_marker(kind: &EventKind) -> bool {
 fn ledger_spans_all_layers_and_resists_low_clearance_readers() {
     let secret_tags = drive_all_layers();
 
-    // A fully-cleared auditor sees events from every layer, including the
-    // secret store accesses verbatim.
-    let broad = ObsLabel::from_tags(1..=4096);
-    let full = w5_obs::global().view(&broad);
+    // The operator sees events from every layer, including the secret
+    // store accesses verbatim, each under its flow's label.
+    let full = w5_obs::global().events();
     assert_eq!(
         layers_of(&full),
         Layer::ALL.iter().copied().collect::<BTreeSet<_>>(),
         "the ledger must record events from all five layers"
     );
     assert!(
-        full.events.iter().any(|e| event_mentions_marker(&e.kind)),
-        "a cleared auditor sees the secret store path verbatim"
+        full.iter().any(|e| event_mentions_marker(&e.kind)
+            && secret_tags.iter().any(|&t| e.secrecy.contains(t))),
+        "the operator sees the secret store path verbatim, under its secret label"
     );
     assert!(
-        full.events.iter().any(|e| {
+        full.iter().any(|e| {
             matches!(e.kind, EventKind::IpcSend { delivered: false, .. })
                 && !e.secrecy.is_empty()
         }),
         "the dropped tainted send must appear, labeled with the sender's secrecy"
     );
-
-    // A viewer with no clearance gets only public events...
-    let low = w5_obs::global().view(&ObsLabel::empty());
-    for e in &low.events {
-        assert!(e.secrecy.is_empty(), "no secret-labeled event may leak into the low view");
-        assert!(
-            !event_mentions_marker(&e.kind),
-            "the secret path must be unrecoverable at low clearance"
-        );
-        for tag in &secret_tags {
-            assert!(!e.secrecy.contains(*tag));
-        }
-    }
-    assert!(
-        low.events.len() < full.events.len(),
-        "the low view must be a strict subset of the cleared view"
-    );
-
-    // ...with sequence numbers re-issued densely, so seq gaps cannot count
-    // hidden events.
-    for (i, e) in low.events.iter().enumerate() {
-        assert_eq!(e.seq, i as u64, "views must re-issue seq densely");
-    }
 }
 
 #[test]
@@ -196,14 +172,10 @@ fn snapshot_json_roundtrips_a_clearance_gated_view() {
     // test runs first.
     get_over_loopback("/ping");
 
-    let clearance = ObsLabel::empty();
-    let json = w5_obs::global().snapshot_json(&clearance).unwrap();
-    let back: LedgerView = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.clearance, clearance);
-    assert!(!back.events.is_empty());
-    assert!(back.events.iter().all(|e| e.secrecy.is_empty()));
+    let json = w5_obs::global().snapshot_json().unwrap();
+    let back: Vec<Event> = serde_json::from_str(&json).unwrap();
+    assert!(!back.is_empty());
     assert!(back
-        .events
         .iter()
         .any(|e| matches!(&e.kind, EventKind::HttpRequest { path, .. } if path == "/ping")));
 }
@@ -243,8 +215,7 @@ fn one_export_leaves_the_same_ledger_footprint_for_friend_and_stranger() {
         assert_eq!(decision.allowed, is_friend);
 
         let events: Vec<(ObsLabel, EventKind)> = ledger
-            .view(&bobs)
-            .events
+            .events()
             .into_iter()
             .map(|e| (e.secrecy, e.kind))
             .collect();
@@ -261,7 +232,7 @@ fn one_export_leaves_the_same_ledger_footprint_for_friend_and_stranger() {
         assert_eq!(ledger.events_recorded(), 2, "nothing counted beside the ring");
 
         let spans: Vec<(String, ObsLabel)> =
-            ledger.trace_view(&bobs).spans.into_iter().map(|s| (s.name.to_string(), s.secrecy)).collect();
+            ledger.spans().into_iter().map(|s| (s.name.to_string(), s.secrecy)).collect();
         assert_eq!(
             spans,
             vec![
