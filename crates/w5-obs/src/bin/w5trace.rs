@@ -13,10 +13,13 @@
 //! its name, label and exact timing. The CLI reports what the exports
 //! hold and changes none of it.
 //!
-//! Exit codes: `0` = ok, `2` = usage or input error.
+//! Exit codes: `0` = ok, `2` = usage or input error. A reader that stops
+//! early (`w5trace … | head -1`) closes the pipe; the report then simply
+//! ends, with exit code `0`.
 
 #![forbid(unsafe_code)]
 
+use std::io::{self, ErrorKind, Write};
 use std::process::ExitCode;
 use w5_obs::trace::{critical_path, layer_attribution, render_tree, slowest_traces, trace_ids};
 use w5_obs::SpanRecord;
@@ -54,10 +57,7 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
+            "--help" | "-h" => return finish(writeln!(io::stdout().lock(), "{USAGE}")),
             other if other.starts_with('-') => {
                 eprintln!("w5trace: unknown flag {other:?}\n{USAGE}");
                 return ExitCode::from(2);
@@ -92,47 +92,69 @@ fn main() -> ExitCode {
         }
     }
 
+    let mut out = io::stdout().lock();
     if json {
-        match serde_json::to_string_pretty(&spans) {
-            Ok(s) => println!("{s}"),
+        return match serde_json::to_string_pretty(&spans) {
+            Ok(s) => finish(writeln!(out, "{s}").and_then(|()| out.flush())),
             Err(e) => {
                 eprintln!("w5trace: serialize failed: {e}");
-                return ExitCode::from(2);
+                ExitCode::from(2)
             }
-        }
-        return ExitCode::SUCCESS;
+        };
     }
+    finish(report(&mut out, &spans, slowest, tree, crit).and_then(|()| out.flush()))
+}
 
-    let traces = trace_ids(&spans);
-    println!("{} trace(s), {} span(s)", traces.len(), spans.len());
+/// The text report: the counts, then each query asked for.
+fn report(
+    out: &mut impl Write,
+    spans: &[SpanRecord],
+    slowest: Option<usize>,
+    tree: bool,
+    crit: bool,
+) -> io::Result<()> {
+    let traces = trace_ids(spans);
+    writeln!(out, "{} trace(s), {} span(s)", traces.len(), spans.len())?;
 
     if let Some(n) = slowest {
-        println!("\nslowest {n} trace(s) by root duration:");
-        for (trace, dur) in slowest_traces(&spans, n) {
-            println!("  trace {trace:016x}  {dur}µs");
+        writeln!(out, "\nslowest {n} trace(s) by root duration:")?;
+        for (trace, dur) in slowest_traces(spans, n) {
+            writeln!(out, "  trace {trace:016x}  {dur}µs")?;
         }
     }
 
     if tree {
-        println!();
-        print!("{}", render_tree(&spans));
+        writeln!(out)?;
+        write!(out, "{}", render_tree(spans))?;
     }
 
     if crit {
         for trace in &traces {
-            println!("\ncritical path, trace {trace:016x}:");
-            for step in critical_path(&spans, *trace) {
-                println!(
+            writeln!(out, "\ncritical path, trace {trace:016x}:")?;
+            for step in critical_path(spans, *trace) {
+                writeln!(
+                    out,
                     "  {:<40} [{:?}] total {}µs  self {}µs",
                     step.name, step.layer, step.total_us, step.self_us
-                );
+                )?;
             }
-            println!("  per-layer self time:");
-            for (layer, us) in layer_attribution(&spans, *trace) {
-                println!("    {layer:<10} {us}µs");
+            writeln!(out, "  per-layer self time:")?;
+            for (layer, us) in layer_attribution(spans, *trace) {
+                writeln!(out, "    {layer:<10} {us}µs")?;
             }
         }
     }
+    Ok(())
+}
 
-    ExitCode::SUCCESS
+/// The exit code once the report is written: a closed pipe is a reader
+/// that has read enough, any other write error is an error.
+fn finish(written: io::Result<()>) -> ExitCode {
+    match written {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("w5trace: write failed: {e}");
+            ExitCode::from(2)
+        }
+        _ => ExitCode::SUCCESS,
+    }
 }

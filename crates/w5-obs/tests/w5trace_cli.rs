@@ -2,8 +2,9 @@
 //! export, renders the tree and critical path, and exits 2 on usage and
 //! input errors.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::sync::Arc;
 use w5_obs::{Layer, Ledger, ObsLabel};
 
@@ -91,4 +92,33 @@ fn usage_and_input_errors_exit_2() {
         assert_eq!(out.status.code(), Some(2), "w5trace {args:?}");
         assert!(out.stdout.is_empty(), "w5trace {args:?} printed a report");
     }
+}
+
+/// A reader that takes one line and closes the pipe (`| head -1`) ends
+/// the report: exit 0, no panic. The tree is far larger than a pipe's
+/// buffer, so the binary is still writing when the pipe closes.
+#[test]
+fn a_reader_that_stops_early_ends_the_report_quietly() {
+    let ledger = Arc::new(Ledger::new());
+    {
+        let _scope = w5_obs::scoped(Arc::clone(&ledger));
+        let _root = w5_obs::span("net.http GET /app/blog", Layer::Net, &ObsLabel::empty());
+        for i in 0..4000 {
+            let _step = w5_obs::span(format!("store.sql_select step {i}"), Layer::Store, &ObsLabel::singleton(7));
+        }
+    }
+    let export = scratch_file("w5trace_cli_pipe.json", &ledger.traces_json().unwrap());
+    let mut child = Command::new(env!("CARGO_BIN_EXE_w5trace"))
+        .args(["--tree", "--critical-path", export.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(first.starts_with("1 trace(s), 4001 span(s)"), "{first}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }

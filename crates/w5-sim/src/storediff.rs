@@ -54,8 +54,9 @@ pub struct StoreOutcome {
 pub enum StoreOp {
     /// `CREATE TABLE`, once, in setup; schema means nothing to the model.
     CreateTable,
-    /// Owner INSERT at label kind public / secret / guarded-integrity. A
-    /// NULL key is indexed but matched by no probe.
+    /// Owner INSERT at label kind public / secret / guarded-integrity /
+    /// claimed (see [`StoreWorld`]). A NULL key is indexed but matched by
+    /// no probe. The seeded schedules draw the first three kinds only.
     Insert { kind: u8, id: Option<i64>, v: i64 },
     /// Point lookup on the (sometimes) indexed key, as owner or stranger,
     /// alone or beside a second conjunct `v < below` — which an index probe
@@ -95,6 +96,11 @@ pub enum StoreOp {
     /// without a row list), in `Filtered` or `Unprivileged` mode. Only the
     /// proptest strategy draws it.
     Count { stranger: bool, id: i64, unprivileged: bool },
+    /// Point lookup as the claimant, which carries an integrity claim it
+    /// cannot drop: it reads only rows that carry the claim, and no index
+    /// directory may spare it a partition. Only the proptest strategy and
+    /// hand-written lists draw it.
+    Claimed { id: i64 },
 }
 
 /// One more equality conjunct of a [`StoreOp::Meet`].
@@ -147,6 +153,7 @@ impl StoreOp {
                 let and = below.map_or(String::new(), |b| format!(" AND v < {b}"));
                 (w.reader(stranger), format!("SELECT id, v, s FROM {t} WHERE id = {id}{and}"))
             }
+            StoreOp::Claimed { id } => (&w.claimant, format!("SELECT id, v, s FROM {t} WHERE id = {id}")),
             StoreOp::Meet { stranger, id, also, then } => {
                 let then = then.map_or(String::new(), |e| format!(" AND {}", e.sql()));
                 (w.reader(stranger), format!("SELECT id, v, s FROM {t} WHERE id = {id} AND {}{then}", also.sql()))
@@ -198,10 +205,13 @@ pub struct StoreWorld {
     /// Public labels, no capabilities: secret rows are invisible,
     /// guarded rows are readable but unwritable.
     pub stranger: Subject,
+    /// Carries the claim `I={c}` of an export-protect tag `c`, whose `c-`
+    /// is in no bag: it reads only claimed rows.
+    pub claimant: Subject,
     /// What an INSERT stamps, by kind: public; secret (`S={e}, I={w}`,
     /// invisible to the stranger); guarded (`S={}, I={w}`, stranger-visible,
-    /// owner-only writable).
-    kinds: [LabelPair; 3],
+    /// owner-only writable); claimed (`S={}, I={c}`, visible to all three).
+    kinds: [LabelPair; 4],
     /// The registry the tags came from: its kind rule is the global bag
     /// both arms apply.
     pub global: Arc<TagRegistry>,
@@ -215,20 +225,23 @@ impl StoreWorld {
         let (e, mut caps) = reg.create_tag(TagKind::ReadProtect, &format!("store:r:{table}"));
         let (w, wc) = reg.create_tag(TagKind::WriteProtect, &format!("store:w:{table}"));
         caps.extend(&wc);
+        let (c, _) = reg.create_tag(TagKind::ExportProtect, &format!("store:c:{table}"));
         let secret = LabelPair::new(Label::singleton(e), Label::singleton(w));
         let guarded = LabelPair::new(Label::empty(), Label::singleton(w));
+        let claimed = LabelPair::new(Label::empty(), Label::singleton(c));
         StoreWorld {
             table: table.to_string(),
             owner: Subject::new(guarded.clone(), caps.clone()),
             stranger: Subject::new(LabelPair::public(), CapSet::empty()),
-            kinds: [LabelPair::public(), secret, guarded],
+            claimant: Subject::new(claimed.clone(), CapSet::empty()),
+            kinds: [LabelPair::public(), secret, guarded, claimed],
             global: Arc::clone(reg),
         }
     }
 
     /// The label an INSERT of `kind` stamps.
     pub fn insert_label(&self, kind: u8) -> LabelPair {
-        self.kinds[usize::from(kind) % 3].clone()
+        self.kinds[usize::from(kind) % 4].clone()
     }
 
     /// The subject a read runs as.
@@ -342,7 +355,7 @@ impl Oracle for StoreOracle {
                 let mut arm = (self.arm)(&db);
                 arm.apply(&w, &StoreOp::CreateTable).expect("setup: create table");
                 for i in 0..SEED_ROWS {
-                    let seed = StoreOp::Insert { kind: i as u8, id: Some(i % ID_DOMAIN), v: i * 37 % 1000 };
+                    let seed = StoreOp::Insert { kind: (i % 3) as u8, id: Some(i % ID_DOMAIN), v: i * 37 % 1000 };
                     arm.apply(&w, &seed).expect("setup: seed row");
                 }
                 if t % 2 == 0 {
@@ -510,6 +523,75 @@ mod tests {
         assert_eq!(model.outcome, store.outcome);
         let hits = store.outcome.statements[0].iter().filter(|o| o.as_ref().is_ok_and(|q| !q.rows.is_empty()));
         assert!(hits.count() > 20, "the conjunctions must match rows, not only miss");
+    }
+
+    /// What the store's open directory (per indexed column, the open
+    /// partitions holding each key) must follow, in one list: open and
+    /// read-protected partitions under the same indexed key, a mid-stream
+    /// CREATE INDEX, a new key filed between two partitions, UPDATEs that
+    /// move open partitions out of one key's posting and into another's,
+    /// the DELETE of a partition's last row in front of open partitions
+    /// with higher indexes, and a reader whose integrity claim cannot be
+    /// dropped. The store answers every read as the flat model does.
+    #[test]
+    fn the_open_directory_follows_every_write_the_model_sees() {
+        let insert = |kind, id: i64| StoreOp::Insert { kind, id: Some(id), v: id };
+        let reads = |ids: &[i64]| -> Vec<StoreOp> {
+            ids.iter()
+                .flat_map(|&id| {
+                    [
+                        StoreOp::Point { stranger: false, id, below: None },
+                        StoreOp::Point { stranger: true, id, below: None },
+                        StoreOp::Claimed { id },
+                        StoreOp::Count { stranger: true, id, unprivileged: true },
+                    ]
+                })
+                .collect()
+        };
+        // The second sequence's table starts unindexed; its seed rows go
+        // first, and with them every partition. Then, in creation order:
+        // public 0 (keys 20 and 21 only), secret 1, guarded 2, claimed 3.
+        let mut ops = vec![StoreOp::DeleteWindow { lo: 0, hi: SEED_ROWS }];
+        ops.extend([insert(0, 20), insert(1, 1), insert(2, 1), insert(3, 1), insert(0, 21), insert(1, 2)]);
+        ops.push(insert(3, 2));
+        ops.extend(reads(&[1, 2, 20]));
+        ops.push(StoreOp::CreateIndex { on_v: false });
+        ops.extend(reads(&[1, 2, 20, 21]));
+        // Guarded gains key 2, filed ahead of claimed.
+        ops.push(insert(2, 2));
+        ops.extend(reads(&[2]));
+        // Every row under key 1 moves to 25: guarded and claimed leave
+        // key 1's posting and join key 25's.
+        ops.push(StoreOp::Shift { id: 1 });
+        ops.extend(reads(&[1, 25]));
+        // On the payload column too: a row's v moves to 7.
+        ops.push(StoreOp::CreateIndex { on_v: true });
+        ops.push(StoreOp::Update { id: 2, v: 7 });
+        for stranger in [false, true] {
+            ops.push(StoreOp::Meet { stranger, id: 2, also: EqTerm::V(7), then: None });
+            ops.push(StoreOp::Meet { stranger, id: 25, also: EqTerm::V(1), then: None });
+        }
+        // Partition 0 loses its last row: the others move down.
+        ops.extend([StoreOp::Delete { id: 20 }, StoreOp::Delete { id: 21 }]);
+        ops.extend(reads(&[2, 20, 25]));
+        // And a public partition comes back, last.
+        ops.push(insert(0, 2));
+        ops.extend(reads(&[2, 25]));
+        let spec = Spec { seed: 5, threads: 2, ops_per_thread: ops.len(), fault_rate: 0.0 };
+        let lists = vec![Vec::new(), ops.clone()];
+        let model = crate::harness::run_ops(&StoreOracle::MODEL, &spec, lists.clone(), Mode::Serial);
+        let store = crate::harness::run_ops(&StoreOracle::STORE, &spec, lists, Mode::Serial);
+        assert_eq!(model.outcome, store.outcome);
+        assert_eq!(store.outcome.statements[1][0].as_ref().map(|q| q.affected), Ok(SEED_ROWS as usize));
+        let rows = |pick: fn(&StoreOp) -> bool| {
+            (0..ops.len())
+                .filter(|&i| pick(&ops[i]))
+                .map(|i| store.outcome.statements[1][i].as_ref().map_or(0, |q| q.rows.len()))
+                .sum::<usize>()
+        };
+        assert!(rows(|op| matches!(op, StoreOp::Claimed { .. })) > 0, "the claimant must read claimed rows");
+        let stranger = rows(|op| matches!(op, StoreOp::Point { stranger: true, .. }));
+        assert!(stranger > 10, "the stranger must read open rows");
     }
 
     /// A lone `COUNT(*)`, which the store counts without a row list, in

@@ -129,6 +129,9 @@ impl Arm for Model {
                 let pred = |r: &ModelRow| keyed(id)(r) && below.is_none_or(|b| r.v < b);
                 self.answer(&["id", "v", "s"], &self.seen(w, w.reader(stranger), Filtered, pred), None)
             }
+            StoreOp::Claimed { id } => {
+                self.answer(&["id", "v", "s"], &self.seen(w, &w.claimant, Filtered, keyed(id)), None)
+            }
             StoreOp::Meet { stranger, id, also, then } => {
                 // A NULL literal and a literal of another type never
                 // compare equal; `v` is never NULL.

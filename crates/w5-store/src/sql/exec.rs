@@ -1,13 +1,17 @@
 //! Query execution over labeled rows.
 //!
 //! Rows live in label partitions (see [`storage`](super::storage)), so
-//! visibility is decided **once per partition**, by one call of the flow
-//! rule on the label pair the partition holds (no memo, and the scan's
+//! visibility is decided **once per partition met**, by one call of the
+//! flow rule on the label pair the partition holds (no memo, and the scan's
 //! verdicts reach the ledger as one ordered batch);
 //! unreadable partitions are skipped wholesale for a flat one-unit charge
 //! and never probed, and WHERE clauses on indexed columns are served from
 //! the readable partitions' ordered indexes via [`plan`](super::plan)
-//! pushdown, visiting (and charging) only candidate rows. What the engine
+//! pushdown, visiting (and charging) only candidate rows. A keyed scan
+//! whose subject may read every open partition meets only the closed
+//! partitions and the open ones the table's directory files under its key;
+//! an open partition without the key would have passed its verdict and
+//! yielded nothing, so only that verdict is no longer made. What the engine
 //! must *mean* — a flat list of labeled rows, one flow check each — is
 //! stated apart from it, in `w5_sim::storemodel`, and checked against it by
 //! `w5_sim::storediff` and `tests/store.rs`.
@@ -157,9 +161,11 @@ pub struct QueryOutput {
 /// partition. A `WriteDenied` on any matching row aborts the scan. Budget
 /// is charged per the module docs' cost model; returns the units consumed.
 ///
-/// Every partition's verdict goes into one batch, which hands them to the
-/// ledger in order when it drops — on `Ok` and on every error exit alike,
-/// while the caller still holds the table guard and the ledger permit.
+/// The partitions met are every partition, in creation order, unless the
+/// open directory serves the scan (see [`Met`]). Every met partition's
+/// verdict goes into one batch, which hands them to the ledger in order
+/// when it drops — on `Ok` and on every error exit alike, while the caller
+/// still holds the table guard and the ledger permit.
 #[allow(clippy::too_many_arguments)]
 fn scan(
     t: &Table,
@@ -180,9 +186,16 @@ fn scan(
         QueryMode::Unprivileged => Verdicts::new(&subject.labels, &none),
         _ => subject.verdicts(global),
     };
+    let met = match push {
+        Some(p @ Pushdown::Keys { .. }) if reads_every_open_partition(subject, global, mode) => {
+            Met::Merge { open: t.open_posting(p.keys().map(|k| (k.slot, k.value))), closed: &t.closed }
+        }
+        _ => Met::All(0..t.partitions.len()),
+    };
     let mut scanned = 0u64;
     let mut cands: Vec<u32> = Vec::new();
-    for (pi, part) in t.partitions.iter().enumerate() {
+    for pi in met {
+        let part = &t.partitions[pi];
         if part.rows.is_empty() {
             // Unreachable by invariant (empty partitions are dropped);
             // charging nothing keeps it harmless if that ever changes.
@@ -245,6 +258,51 @@ fn scan(
         }
     }
     Ok(scanned)
+}
+
+/// Does `mode` let `subject` read every open partition, so that a keyed
+/// scan need meet only the open partitions that hold its key? `Naive` reads
+/// everything; under `Filtered`, `Ô` raises every export tag, and the
+/// subject passes as long as it can drop each of its integrity claims.
+/// `Unprivileged` exercises no capability. Asks no verdict: nothing counted.
+fn reads_every_open_partition(subject: &Subject, global: &TagRegistry, mode: QueryMode) -> bool {
+    match mode {
+        QueryMode::Naive => true,
+        QueryMode::Filtered => {
+            let held = global.held(&subject.caps);
+            subject.labels.integrity.iter().all(|t| held.has_minus(t))
+        }
+        QueryMode::Unprivileged => false,
+    }
+}
+
+/// The partitions one scan meets, ascending: all of them, or — for a keyed
+/// scan whose subject reads every open partition — the closed partitions
+/// merged with the open ones filed under the key.
+enum Met<'t> {
+    All(std::ops::Range<usize>),
+    Merge { open: &'t [u32], closed: &'t [u32] },
+}
+
+impl Iterator for Met<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Met::All(all) => all.next(),
+            Met::Merge { open, closed } => {
+                // The two lists are disjoint and each ascending.
+                let side = match (open.first(), closed.first()) {
+                    (Some(o), Some(c)) if o > c => closed,
+                    (Some(_), _) => open,
+                    (None, _) => closed,
+                };
+                let (&pi, rest) = side.split_first()?;
+                *side = rest;
+                Some(pi as usize)
+            }
+        }
+    }
 }
 
 /// Call `f` on every row index present in all of `lists`, ascending. Each
@@ -485,7 +543,7 @@ impl Database {
         // All rows validated: apply atomically.
         let n = staged.len();
         for values in staged {
-            t.insert_row(insert_labels, values);
+            t.insert_row(&self.global, insert_labels, values);
         }
         Ok(QueryOutput { affected: n, ..empty_output() })
     }
@@ -813,7 +871,7 @@ fn join_tables(
             let mut values = Vec::with_capacity(out.columns.len());
             values.extend(lrow.values.iter().cloned());
             values.extend(rrow.values.iter().cloned());
-            out.insert_row(&lpart.pair.combine(&rpart.pair), values);
+            out.insert_row(global, &lpart.pair.combine(&rpart.pair), values);
         }
     }
     Ok(out)

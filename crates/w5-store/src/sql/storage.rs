@@ -4,17 +4,24 @@
 //! [`LabelPair`]**: every row in a partition carries exactly the same
 //! (secrecy, integrity) label pair, and the partition holds that pair once.
 //! Visibility under DIFC is therefore a per-partition property — a query
-//! performs one flow check per partition, against the pair the partition
-//! holds, and then either streams the partition wholesale or skips it
-//! wholesale.
+//! performs one flow check per partition it meets, against the pair the
+//! partition holds, and then either streams the partition wholesale or
+//! skips it wholesale.
 //!
 //! Each partition additionally carries one **ordered index per indexed
 //! column** (see [`Index`]): a map from each distinct value to the ascending
 //! row indexes holding it. Indexes are maintained on the write path only —
 //! probes never mutate — so the read path stays lock-free inside the table's
-//! `RwLock` read guard. The index is per partition, not per table, on
-//! purpose: a probe then touches only postings the subject may read, so its
-//! cost cannot depend on what unreadable partitions hold.
+//! `RwLock` read guard.
+//!
+//! Beside them the table keeps the **open directory**: per indexed column,
+//! each value maps to the ascending indexes of the *open* partitions whose
+//! own index holds it. A partition is open when every tag of its secrecy is
+//! export-protect, so under the global bag `Ô` every subject that can drop
+//! its integrity claims may read it. Only open partitions are ever filed, so
+//! a probe of the directory lists partitions its reader could read anyway;
+//! the closed ones are listed apart ([`Table::closed`]) and walked one
+//! verdict each, as a scan walks every partition (DESIGN §15).
 //!
 //! Invariant: partitions are never empty. A partition is created by the
 //! insert of its first row and dropped by the delete of its last, so the
@@ -26,7 +33,7 @@ use crate::sql::exec::QueryError;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
-use w5_difc::LabelPair;
+use w5_difc::{LabelPair, TagKind, TagRegistry};
 
 /// A stored row: cell values plus the table-wide insertion sequence number.
 /// Scans are re-sorted by `seq` before ORDER BY / LIMIT /
@@ -67,13 +74,18 @@ impl Index {
         index
     }
 
-    /// Record a newly appended row's value. The key is cloned only the
-    /// first time a value is seen.
-    pub(crate) fn push(&mut self, v: &Value, ix: u32) {
+    /// Record a newly appended row's value; returns whether the value is
+    /// new to the partition. The key is cloned only the first time a value
+    /// is seen.
+    pub(crate) fn push(&mut self, v: &Value, ix: u32) -> bool {
         match self.0.get_mut(v) {
-            Some(rows) => rows.push(ix),
+            Some(rows) => {
+                rows.push(ix);
+                false
+            }
             None => {
                 self.0.insert(v.clone(), vec![ix]);
+                true
             }
         }
     }
@@ -123,6 +135,9 @@ impl Index {
 #[derive(Clone, Debug)]
 pub(crate) struct Partition {
     pub(crate) pair: LabelPair,
+    /// Every secrecy tag is export-protect (see the module docs). Fixed at
+    /// creation: a pair never changes, and neither does a tag's kind.
+    pub(crate) open: bool,
     pub(crate) rows: Vec<StoredRow>,
     pub(crate) indexes: Vec<Index>,
 }
@@ -132,11 +147,16 @@ pub(crate) struct Partition {
 pub(crate) struct Table {
     pub(crate) columns: Vec<(String, ColumnType)>,
     pub(crate) partitions: Vec<Partition>,
-    /// Partition directory: label pair → index into `partitions`.
+    /// Label pair → index into `partitions`: routes INSERTs.
     pub(crate) by_label: HashMap<LabelPair, usize>,
     /// Indexed column positions, in index-creation order;
-    /// `Partition::indexes` is parallel to this vector.
+    /// `Partition::indexes` and `directory` are parallel to this vector.
     pub(crate) indexed: Vec<usize>,
+    /// The open directory, per indexed column: each value → the ascending
+    /// indexes of the open partitions whose own index holds it.
+    pub(crate) directory: Vec<BTreeMap<Value, Vec<u32>>>,
+    /// Ascending indexes of the partitions that are not open.
+    pub(crate) closed: Vec<u32>,
     /// Next insertion sequence number.
     pub(crate) next_seq: u64,
 }
@@ -169,8 +189,9 @@ impl Table {
         self.indexed.iter().position(|&c| c == col)
     }
 
-    /// Add a secondary index on `col`, building it in every partition.
-    /// Idempotent; returns whether a new index was created.
+    /// Add a secondary index on `col`, building it in every partition and
+    /// in the open directory. Idempotent; returns whether a new index was
+    /// created.
     pub(crate) fn add_index(&mut self, col: usize) -> bool {
         if self.indexed.contains(&col) {
             return false;
@@ -179,20 +200,27 @@ impl Table {
         for p in &mut self.partitions {
             p.indexes.push(Index::build(&p.rows, col));
         }
+        self.rebuild_directory();
         true
     }
 
     /// Append one row, routing it to (or creating) its label partition and
-    /// maintaining every index. Only a new partition clones the pair.
-    pub(crate) fn insert_row(&mut self, labels: &LabelPair, values: Vec<Value>) {
+    /// maintaining every index and the open directory. Only a new partition
+    /// clones the pair and asks `registry` for its tags' kinds.
+    pub(crate) fn insert_row(&mut self, registry: &TagRegistry, labels: &LabelPair, values: Vec<Value>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let pi = match self.by_label.get(labels) {
             Some(&i) => i,
             None => {
                 let i = self.partitions.len();
+                let open = labels.secrecy.iter().all(|t| registry.kind(t) == Some(TagKind::ExportProtect));
+                if !open {
+                    self.closed.push(i as u32);
+                }
                 self.partitions.push(Partition {
                     pair: labels.clone(),
+                    open,
                     rows: Vec::new(),
                     indexes: self.indexed.iter().map(|_| Index::default()).collect(),
                 });
@@ -203,23 +231,37 @@ impl Table {
         let p = &mut self.partitions[pi];
         let ix = p.rows.len() as u32;
         for (slot, &col) in self.indexed.iter().enumerate() {
-            p.indexes[slot].push(&values[col], ix);
+            if p.indexes[slot].push(&values[col], ix) && p.open {
+                file(&mut self.directory[slot], &values[col], pi as u32);
+            }
         }
         p.rows.push(StoredRow { seq, values });
     }
 
     /// Rebuild every index of partition `pi` (after deletes or updates of
-    /// indexed columns shifted or rewrote its rows).
+    /// indexed columns shifted or rewrote its rows), and move an open
+    /// partition out of the directory postings of the keys it lost and into
+    /// those of the keys it gained.
     pub(crate) fn rebuild_indexes(&mut self, pi: usize) {
         let p = &mut self.partitions[pi];
         for (slot, &col) in self.indexed.iter().enumerate() {
-            p.indexes[slot] = Index::build(&p.rows, col);
+            let index = Index::build(&p.rows, col);
+            if p.open {
+                let (dir, old, new) = (&mut self.directory[slot], &p.indexes[slot].0, &index.0);
+                for v in old.keys().filter(|v| !new.contains_key(*v)) {
+                    unfile(dir, v, pi as u32);
+                }
+                for v in new.keys().filter(|v| !old.contains_key(*v)) {
+                    file(dir, v, pi as u32);
+                }
+            }
+            p.indexes[slot] = index;
         }
     }
 
     /// Drop partitions whose last row was deleted, restoring the non-empty
     /// invariant (and with it, label-safe skip accounting) and rebuilding
-    /// the partition directory.
+    /// the label map and the open directory, whose indexes shifted.
     pub(crate) fn drop_empty_partitions(&mut self) {
         if self.partitions.iter().all(|p| !p.rows.is_empty()) {
             return;
@@ -227,6 +269,56 @@ impl Table {
         self.partitions.retain(|p| !p.rows.is_empty());
         self.by_label =
             self.partitions.iter().enumerate().map(|(i, p)| (p.pair.clone(), i)).collect();
+        self.rebuild_directory();
+    }
+
+    /// Rebuild the open directory and the closed list from the partitions'
+    /// own indexes.
+    fn rebuild_directory(&mut self) {
+        self.directory = self.indexed.iter().map(|_| BTreeMap::new()).collect();
+        self.closed.clear();
+        for (pi, p) in self.partitions.iter().enumerate() {
+            if !p.open {
+                self.closed.push(pi as u32);
+                continue;
+            }
+            for (dir, index) in self.directory.iter_mut().zip(&p.indexes) {
+                for v in index.0.keys() {
+                    dir.entry(v.clone()).or_default().push(pi as u32);
+                }
+            }
+        }
+    }
+
+    /// The open partitions a scan keyed on `keys` (their slots and values)
+    /// has to meet: the shortest of the keys' directory postings, ascending.
+    /// A partition must hold every key to match, so any one posting covers
+    /// them all.
+    pub(crate) fn open_posting<'v>(&self, keys: impl Iterator<Item = (usize, &'v Value)>) -> &[u32] {
+        keys.map(|(slot, v)| self.directory[slot].get(v).map_or(&[][..], Vec::as_slice))
+            .min_by_key(|posting| posting.len())
+            .unwrap_or(&[])
+    }
+}
+
+/// File open partition `pi` under `v`, keeping the posting ascending.
+fn file(dir: &mut BTreeMap<Value, Vec<u32>>, v: &Value, pi: u32) {
+    let posting = dir.entry(v.clone()).or_default();
+    if let Err(at) = posting.binary_search(&pi) {
+        posting.insert(at, pi);
+    }
+}
+
+/// Take partition `pi` out of `v`'s posting, and the posting out of the
+/// directory once it is empty.
+fn unfile(dir: &mut BTreeMap<Value, Vec<u32>>, v: &Value, pi: u32) {
+    if let Some(posting) = dir.get_mut(v) {
+        if let Ok(at) = posting.binary_search(&pi) {
+            posting.remove(at);
+        }
+        if posting.is_empty() {
+            dir.remove(v);
+        }
     }
 }
 
@@ -308,8 +400,8 @@ mod tests {
     fn partitions_route_by_label_and_drop_when_empty() {
         let a = LabelPair::public();
         let mut t = Table::new(vec![("n".into(), ColumnType::Integer)]);
-        t.insert_row(&a, vec![Value::Int(1)]);
-        t.insert_row(&a, vec![Value::Int(2)]);
+        t.insert_row(&TagRegistry::new(), &a, vec![Value::Int(1)]);
+        t.insert_row(&TagRegistry::new(), &a, vec![Value::Int(2)]);
         assert_eq!(t.partitions.len(), 1);
         assert_eq!(t.partitions[0].pair, LabelPair::public());
         assert_eq!(t.row_count(), 2);
@@ -317,5 +409,36 @@ mod tests {
         t.drop_empty_partitions();
         assert!(t.partitions.is_empty());
         assert!(t.by_label.is_empty());
+    }
+
+    /// The directory files exactly the open partitions under the keys
+    /// their own indexes hold, through inserts, rebuilds and drops.
+    #[test]
+    fn the_directory_follows_the_open_partitions_indexes() {
+        use w5_difc::Label;
+        let reg = TagRegistry::new();
+        let pair = |kind| LabelPair::new(Label::singleton(reg.create_tag(kind, "t").0), Label::empty());
+        let (e1, r, e2) = (pair(TagKind::ExportProtect), pair(TagKind::ReadProtect), pair(TagKind::ExportProtect));
+        let mut t = Table::new(vec![("n".into(), ColumnType::Integer)]);
+        for (labels, n) in [(&e1, 1), (&r, 1), (&e2, 2), (&e2, 1)] {
+            t.insert_row(&reg, labels, vec![Value::Int(n)]);
+        }
+        assert!(t.add_index(0));
+        let posting = |t: &Table, n| t.open_posting([(0, &Value::Int(n))].into_iter()).to_vec();
+        assert_eq!((posting(&t, 1), posting(&t, 2), t.closed.clone()), (vec![0, 2], vec![2], vec![1]));
+        // A new key of an open partition is filed in order; a closed one's never.
+        t.insert_row(&reg, &e1, vec![Value::Int(2)]);
+        t.insert_row(&reg, &r, vec![Value::Int(3)]);
+        assert_eq!((posting(&t, 2), posting(&t, 3)), (vec![0, 2], vec![]));
+        // A rewritten partition is refiled under what it holds now.
+        for row in &mut t.partitions[2].rows {
+            row.values[0] = Value::Int(3);
+        }
+        t.rebuild_indexes(2);
+        assert_eq!((posting(&t, 1), posting(&t, 2), posting(&t, 3)), (vec![0], vec![0], vec![2]));
+        // Dropping partition 0 shifts the others down.
+        t.partitions[0].rows.clear();
+        t.drop_empty_partitions();
+        assert_eq!((posting(&t, 1), posting(&t, 3), t.closed.clone()), (vec![], vec![1], vec![0]));
     }
 }

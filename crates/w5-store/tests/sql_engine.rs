@@ -682,9 +682,27 @@ fn hostile_range_windows_answer_literally_and_never_panic() {
     assert_eq!(db.total_rows(), 14, "no hostile UPDATE or DELETE touched a row");
 }
 
-/// An indexed SELECT still asks the flow rule about every partition, once,
-/// in creation order — readable or not, holding the key or not — and tells
-/// the ledger each time. What a check costs may change; this may not.
+/// How a partition of the check-order tests is labelled.
+#[derive(Clone, Copy, PartialEq)]
+enum Secrecy {
+    Public,
+    Export,
+    /// Read-protected, and the reading app holds the tag's `t+`.
+    ReadHeld,
+    Read,
+}
+
+/// One partition of the check-order tests: its pair, how its secrecy is
+/// made, whether its integrity carries the claim, whether it holds k = 7.
+type Part = (LabelPair, Secrecy, bool, bool);
+
+/// A keyed SELECT asks the flow rule once, in creation order, about each
+/// partition it meets, and tells the ledger each time. A subject that may
+/// read every open partition (every secrecy tag export-protect) meets every
+/// closed partition — readable or not — and only those open partitions that
+/// hold the key. `Unprivileged`, and a subject with an integrity claim it
+/// cannot drop, still meet every partition. What a check costs may change;
+/// this may not.
 #[test]
 fn one_read_check_per_partition_in_creation_order() {
     const N: usize = 40;
@@ -692,41 +710,66 @@ fn one_read_check_per_partition_in_creation_order() {
     const CHECK_SAMPLE: usize = 16;
     let reg = Arc::new(TagRegistry::new());
     let db = Database::new(Arc::clone(&reg));
-    let run_as = |subject: &Subject, labels: &LabelPair, sql: &str| {
-        db.execute(subject, QueryMode::Filtered, QueryCost::unlimited(), labels, sql).unwrap()
+    let run_as = |subject: &Subject, mode, labels: &LabelPair, sql: &str| {
+        db.execute(subject, mode, QueryCost::unlimited(), labels, sql).unwrap()
     };
-    let run = |labels: &LabelPair, sql: &str| run_as(&Subject::anonymous(), labels, sql);
+    let run = |labels: &LabelPair, sql: &str| run_as(&Subject::anonymous(), QueryMode::Filtered, labels, sql);
     run(&LabelPair::public(), "CREATE TABLE t (k INTEGER, s TEXT)");
     run(&LabelPair::public(), "CREATE INDEX ON t (k)");
-    // Every third partition is unreadable; every other one lacks k = 7.
-    let mut parts: Vec<(LabelPair, bool, bool)> = (0..N)
+    // The claim: an export tag, so its `t+` is global and its `t-` is not.
+    let (claim, _) = reg.create_tag(TagKind::ExportProtect, "claim");
+    // Every third partition is unreadable, every fifth other one is
+    // read-protected under a tag the app holds, one is public; every
+    // other one lacks k = 7, and every fourth carries the claim.
+    let mut app_caps = CapSet::empty();
+    let mut parts: Vec<Part> = (0..N)
         .map(|i| {
-            let readable = i % 3 != 1;
-            let kind = if readable { TagKind::ExportProtect } else { TagKind::ReadProtect };
-            let (tag, _) = reg.create_tag(kind, &format!("part:{i}"));
-            let pair = LabelPair::new(Label::singleton(tag), Label::empty());
+            let secrecy = match i {
+                4 => Secrecy::Public,
+                _ if i % 3 == 1 => Secrecy::Read,
+                _ if i % 5 == 0 => Secrecy::ReadHeld,
+                _ => Secrecy::Export,
+            };
+            let tags = match secrecy {
+                Secrecy::Public => Label::empty(),
+                Secrecy::Export => Label::singleton(reg.create_tag(TagKind::ExportProtect, &format!("part:{i}")).0),
+                Secrecy::Read | Secrecy::ReadHeld => {
+                    let (tag, caps) = reg.create_tag(TagKind::ReadProtect, &format!("part:{i}"));
+                    if secrecy == Secrecy::ReadHeld {
+                        app_caps.extend(&caps);
+                    }
+                    Label::singleton(tag)
+                }
+            };
+            let claimed = i % 4 == 2;
+            let pair = LabelPair::new(tags, if claimed { Label::singleton(claim) } else { Label::empty() });
             let has_key = i % 2 == 0;
             run(&pair, &format!("INSERT INTO t VALUES ({}, 'p{i}'), (100, 'q{i}')", if has_key { 7 } else { 8 }));
-            (pair, readable, has_key)
+            (pair, secrecy, claimed, has_key)
         })
         .collect();
     // The global bag now holds every export tag's `t+` and no read tag's.
-    let app = Subject::new(LabelPair::public(), CapSet::empty());
+    let app = Subject::new(LabelPair::public(), app_caps);
+    let claimant = Subject::new(LabelPair::new(Label::empty(), Label::singleton(claim)), CapSet::empty());
+    let open = |s: Secrecy| matches!(s, Secrecy::Public | Secrecy::Export);
 
-    let check = |parts: &[(LabelPair, bool, bool)]| {
+    // Which partitions `subject` meets under `mode`, and which it reads.
+    type Pick<'a> = &'a dyn Fn(&Part) -> bool;
+    let check = |parts: &[Part], subject: &Subject, mode, meets: Pick, reads: Pick| {
         let ledger = Arc::new(w5_obs::Ledger::new());
         let out = {
             let _scope = w5_obs::scoped(ledger.clone());
-            run_as(&app, &LabelPair::public(), "SELECT s FROM t WHERE k = 7")
+            run_as(subject, mode, &LabelPair::public(), "SELECT s FROM t WHERE k = 7")
         };
-        let found = parts.iter().filter(|(_, readable, has_key)| *readable && *has_key).count();
-        let denied = parts.iter().filter(|(_, readable, _)| !readable).count();
+        let met: Vec<&Part> = parts.iter().filter(|p| meets(p)).collect();
+        let found = met.iter().filter(|p| reads(p) && p.3).count();
+        let denied = met.iter().filter(|p| !reads(p)).count();
         assert_eq!(out.rows.len(), found);
         assert_eq!(out.scanned, (found + denied) as u64);
 
-        assert_eq!(ledger.events_recorded(), parts.len() as u64);
+        assert_eq!(ledger.events_recorded(), met.len() as u64);
         let agg = ledger.aggregate();
-        assert_eq!(agg.events["difc"], parts.len() as u64);
+        assert_eq!(agg.events["difc"], met.len() as u64);
         assert_eq!(agg.denied["difc"], denied as u64);
         let ringed: Vec<(w5_obs::ObsLabel, bool)> = ledger
             .events()
@@ -736,21 +779,74 @@ fn one_read_check_per_partition_in_creation_order() {
                 other => panic!("unexpected ledger event {other:?}"),
             })
             .collect();
-        let expected: Vec<(w5_obs::ObsLabel, bool)> = parts
+        let expected: Vec<(w5_obs::ObsLabel, bool)> = met
             .iter()
             .enumerate()
-            .filter(|(i, (_, readable, _))| !readable || i % CHECK_SAMPLE == 0)
-            .map(|(_, (pair, readable, _))| (pair.secrecy.to_obs().clone(), *readable))
+            .filter(|(j, p)| !reads(p) || j % CHECK_SAMPLE == 0)
+            .map(|(_, p)| (p.0.secrecy.to_obs().clone(), reads(p)))
             .collect();
         assert_eq!(ringed, expected);
+        met.len()
     };
-    check(&parts);
+    let every = |_: &Part| true;
+    let check_all = |parts: &[Part]| {
+        // The app: every closed partition, and the open ones holding k = 7.
+        let served = check(parts, &app, QueryMode::Filtered, &|p| !open(p.1) || p.3, &|p| p.1 != Secrecy::Read);
+        assert!(served < parts.len(), "the directory must spare the open partitions without the key");
+        // Unprivileged: every partition; only public data flows as it stands.
+        check(parts, &app, QueryMode::Unprivileged, &every, &|p| p.1 == Secrecy::Public);
+        // The claimant cannot drop its claim: every partition; it reads the
+        // open ones that carry the claim.
+        check(parts, &claimant, QueryMode::Filtered, &every, &|p| open(p.1) && p.2);
+    };
+    check_all(&parts);
 
-    // Empty one readable partition: it is dropped, and with it its check.
-    let deleted = run_as(&app, &LabelPair::public(), "DELETE FROM t WHERE s = 'p6' OR s = 'q6'");
+    // Empty one open partition holding the key: it is dropped, and with it
+    // its check; the partitions after it move down in the directory.
+    let deleted = run_as(&app, QueryMode::Filtered, &LabelPair::public(), "DELETE FROM t WHERE s = 'p6' OR s = 'q6'");
     assert_eq!(deleted.affected, 2);
     parts.remove(6);
-    check(&parts);
+    check_all(&parts);
+}
+
+/// The directory bounds a keyed SELECT by what its subject may read: over
+/// 200 open partitions and over 20,000 — one row each, the key in one of
+/// them, plus five read-protected partitions that all hold it — the
+/// statement records the same events and returns the same `scanned` and
+/// rows.
+#[test]
+fn a_keyed_select_costs_the_same_over_200_and_20000_open_partitions() {
+    const HIDDEN: usize = 5;
+    let select = |users: usize| {
+        let reg = Arc::new(TagRegistry::new());
+        let db = Database::new(Arc::clone(&reg));
+        let run = |labels: &LabelPair, sql: &str| {
+            db.execute(&Subject::anonymous(), QueryMode::Filtered, QueryCost::unlimited(), labels, sql).unwrap()
+        };
+        run(&LabelPair::public(), "CREATE TABLE t (k INTEGER, s TEXT)");
+        run(&LabelPair::public(), "CREATE INDEX ON t (k)");
+        let hidden_at = users / (HIDDEN + 1);
+        for i in 0..users {
+            if i % hidden_at == hidden_at / 2 && i / hidden_at < HIDDEN {
+                let (tag, _) = reg.create_tag(TagKind::ReadProtect, "hidden");
+                run(&LabelPair::new(Label::singleton(tag), Label::empty()), "INSERT INTO t VALUES (7, 'hidden')");
+            }
+            let (tag, _) = reg.create_tag(TagKind::ExportProtect, "user");
+            run(&LabelPair::new(Label::singleton(tag), Label::empty()), &format!("INSERT INTO t VALUES ({i}, 'u{i}')"));
+        }
+        let ledger = Arc::new(w5_obs::Ledger::new());
+        let out = {
+            let _scope = w5_obs::scoped(ledger.clone());
+            let app = Subject::new(LabelPair::public(), CapSet::empty());
+            let sql = "SELECT s FROM t WHERE k = 7";
+            db.execute(&app, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(), sql).unwrap()
+        };
+        let rows: Vec<Value> = out.rows.into_iter().flat_map(|r| r.values).collect();
+        (ledger.events_recorded(), out.scanned, rows)
+    };
+    let small = select(200);
+    assert_eq!(small, (1 + HIDDEN as u64, 1 + HIDDEN as u64, vec![Value::Text("u7".into())]));
+    assert_eq!(select(20_000), small);
 }
 
 /// A statement's flow verdicts as the ledger should count them: the rule,

@@ -51,15 +51,17 @@ fn four_arm_differential_under_contention() {
 
 fn arb_op() -> impl Strategy<Value = StoreOp> {
     let key = || 0..ID_DOMAIN;
+    // Lookups also reach the keys a shift moves rows to.
+    let probe = || 0..2 * ID_DOMAIN;
     let end = || (0..2 * ID_DOMAIN, any::<bool>());
     prop_oneof![
-        // One key in eight is NULL.
-        (0u8..3, any::<u8>(), key(), 0i64..1000).prop_map(|(kind, null, id, v)| StoreOp::Insert {
+        // One key in eight is NULL; every label kind, the claimed one too.
+        (0u8..4, any::<u8>(), key(), 0i64..1000).prop_map(|(kind, null, id, v)| StoreOp::Insert {
             kind,
             id: (null % 8 != 7).then_some(id),
             v,
         }),
-        (any::<bool>(), key(), any::<bool>(), 0i64..1000).prop_map(|(stranger, id, and_v, below)| {
+        (any::<bool>(), probe(), any::<bool>(), 0i64..1000).prop_map(|(stranger, id, and_v, below)| {
             StoreOp::Point { stranger, id, below: and_v.then_some(below) }
         }),
         (any::<bool>(), end(), end())
@@ -81,8 +83,10 @@ fn arb_op() -> impl Strategy<Value = StoreOp> {
         (any::<bool>(), key(), eq_term(), any::<bool>(), eq_term()).prop_map(
             |(stranger, id, also, three, then)| StoreOp::Meet { stranger, id, also, then: three.then_some(then) }
         ),
-        (any::<bool>(), key(), any::<bool>())
+        (any::<bool>(), probe(), any::<bool>())
             .prop_map(|(stranger, id, unprivileged)| StoreOp::Count { stranger, id, unprivileged }),
+        // A reader with an integrity claim it cannot drop.
+        probe().prop_map(|id| StoreOp::Claimed { id }),
     ]
 }
 
