@@ -36,10 +36,6 @@ use std::sync::Arc;
 /// failure a component volunteers to suffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Site {
-    /// `Kernel::spawn` fails before creating the child.
-    KernelSpawn,
-    /// `Kernel::send_strict` fails transiently before enqueueing.
-    KernelSend,
     /// The scheduler preempts the running task after a single tick
     /// (preemption storm).
     SchedPreempt,
@@ -69,9 +65,7 @@ pub enum Site {
 
 impl Site {
     /// Every site, in `Ord` order.
-    pub const ALL: [Site; 11] = [
-        Site::KernelSpawn,
-        Site::KernelSend,
+    pub const ALL: [Site; 9] = [
         Site::SchedPreempt,
         Site::FsWrite,
         Site::SqlQuery,
@@ -86,8 +80,6 @@ impl Site {
     /// Stable lowercase name (reports, fault details, CI logs).
     pub fn as_str(self) -> &'static str {
         match self {
-            Site::KernelSpawn => "kernel.spawn",
-            Site::KernelSend => "kernel.send",
             Site::SchedPreempt => "sched.preempt",
             Site::FsWrite => "fs.write",
             Site::SqlQuery => "sql.query",
@@ -278,9 +270,9 @@ mod tests {
 
     #[test]
     fn same_seed_replays_identically() {
-        let plan = FaultPlan::new(42).with(Site::FsWrite, 0.5).with(Site::KernelSend, 0.3);
+        let plan = FaultPlan::new(42).with(Site::FsWrite, 0.5).with(Site::SqlQuery, 0.3);
         let visits: Vec<Site> = (0..200)
-            .map(|i| if i % 3 == 0 { Site::KernelSend } else { Site::FsWrite })
+            .map(|i| if i % 3 == 0 { Site::SqlQuery } else { Site::FsWrite })
             .collect();
         let a = roll_sequence(&Injector::new(plan.clone()), &visits);
         let b = roll_sequence(&Injector::new(plan), &visits);

@@ -3,9 +3,9 @@
 //! Denials carry enough structure for trusted code (the kernel, the
 //! perimeter, experiment harnesses) to explain *why* a flow was refused.
 //! Untrusted code must usually not see these details — surfacing "which tag
-//! blocked you" is itself an information channel — so the kernel converts
-//! them to silent failures where the covert-channel analysis requires it
-//! (paper §3.5; see `w5-kernel`).
+//! blocked you" is itself an information channel — so the platform's API
+//! hands applications a bare denial and the store filters unreadable rows
+//! silently (paper §3.5).
 
 use crate::label::Label;
 use crate::tag::Tag;
@@ -32,20 +32,8 @@ pub enum DifcError {
         /// Tags present at the source that the destination cannot accept.
         leaked: Label,
     },
-    /// An integrity flow would let a low-integrity writer taint
-    /// high-integrity data.
-    IntegrityViolation {
-        /// Integrity tags the writer cannot vouch for.
-        unvouched: Label,
-    },
     /// The tag is not known to the registry.
     UnknownTag(Tag),
-    /// An endpoint's labels are not reachable from its owner's labels given
-    /// the owner's capabilities.
-    InvalidEndpoint {
-        /// Human-readable reason (stable across releases only informally).
-        reason: &'static str,
-    },
 }
 
 impl fmt::Display for DifcError {
@@ -60,11 +48,7 @@ impl fmt::Display for DifcError {
             DifcError::SecrecyViolation { leaked } => {
                 write!(f, "flow would leak secrecy tags {leaked:?}")
             }
-            DifcError::IntegrityViolation { unvouched } => {
-                write!(f, "flow would forge integrity tags {unvouched:?}")
-            }
             DifcError::UnknownTag(t) => write!(f, "tag {t} is not registered"),
-            DifcError::InvalidEndpoint { reason } => write!(f, "invalid endpoint: {reason}"),
         }
     }
 }

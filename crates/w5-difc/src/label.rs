@@ -1,6 +1,6 @@
 //! Labels: sorted sets of tags with cheap set algebra.
 //!
-//! Labels are the hot data structure of the whole platform — every IPC send,
+//! Labels are the hot data structure of the whole platform — every label change,
 //! file access and database row visit performs label comparisons. A
 //! [`Label`] is a typed view over the workspace's one sorted tag-set
 //! implementation, [`w5_obs::ObsLabel`]: it takes and yields [`Tag`]s

@@ -6,7 +6,7 @@
 //! sufficient substrate:
 //!
 //! * [`Tag`] — an opaque identifier for one category of secrecy or integrity.
-//! * [`Label`] — a set of tags. Every process, file, database row and message
+//! * [`Label`] — a set of tags. Every process, file and database row
 //!   carries a secrecy label `S` and an integrity label `I`.
 //! * [`Capability`] — `t+` (the right to add `t` to a label) or `t-` (the
 //!   right to remove it). [`CapSet`] is a bag of capabilities.
@@ -18,9 +18,6 @@
 //!   `t+`. `Ô` is therefore a rule over tag kinds, not a stored set;
 //!   [`Held`] reads a private bag through it.
 //! * [`rules`] — safe label changes and flow checks between labeled entities.
-//! * [`Endpoint`] — Flume-style endpoints: per-channel label adjustments that
-//!   a process's privileges could legitimize, checked once at setup so the
-//!   per-message check is a raw subset test.
 //!
 //! The W5 mapping (paper §3.1): each user `u` owns an export-protection tag
 //! `e_u` and a write-protection tag `w_u`; all of `u`'s data defaults to
@@ -36,7 +33,6 @@
 #![forbid(unsafe_code)]
 
 pub mod caps;
-pub mod endpoint;
 pub mod error;
 pub mod intern;
 pub mod label;
@@ -46,12 +42,11 @@ pub mod tag;
 pub mod wire;
 
 pub use caps::{CapSet, Capability, Privilege};
-pub use endpoint::Endpoint;
 pub use error::{DifcError, DifcResult};
 pub use intern::InternStats;
 pub use label::Label;
 pub use registry::{Held, TagMeta, TagRegistry};
-pub use rules::{can_flow, can_flow_with, labels_for_read, labels_for_write, safe_change, FlowCheck};
+pub use rules::{can_flow, can_flow_with, labels_for_read, safe_change, FlowCheck};
 pub use tag::{Tag, TagKind};
 
 /// A secrecy/integrity label pair, the complete flow-control state of a

@@ -19,10 +19,6 @@
 //! * **Secrecy flow** `p → q`: `S_p − O_p⁻ ⊆ S_q ∪ O_q⁺` — the sender may
 //!   declassify what it owns minuses for, the receiver may raise for what it
 //!   holds pluses on; everything else must already be ⊆.
-//! * **Integrity flow** `p → q` (q consumes p's data): `I_q − O_q⁻ ⊆ I_p ∪
-//!   O_p⁺` — the receiver's integrity claims must be vouchable by the
-//!   sender, modulo claims the receiver may drop and endorsements the
-//!   sender may add.
 //! * **Read** (subject `p` reads object `o`): `S_o ⊆ S_p ∪ O_p⁺` and
 //!   `I_p ⊆ I_o ∪ O_p⁻`; the reader's labels become `S_p ∪ S_o`, `I_p ∩ I_o`.
 //! * **Write** (`p` writes `o`): `S_p ⊆ S_o ∪ O_p⁻` and `I_o ⊆ I_p ∪ O_p⁺`.
@@ -121,30 +117,7 @@ pub fn can_flow_with<'a, 'b>(
     }
 }
 
-/// Privileged integrity flow check for `dst` consuming data from `src`:
-/// every integrity tag `dst` keeps claiming must be present at the source
-/// or endorsable by the source.
-pub fn integrity_flow_with<'a, 'b>(
-    i_src: &Label,
-    o_src: impl Into<Held<'a>>,
-    i_dst: &Label,
-    o_dst: impl Into<Held<'b>>,
-) -> DifcResult<()> {
-    let (o_src, o_dst) = (o_src.into(), o_dst.into());
-    // I_dst − O_dst⁻ ⊆ I_src ∪ O_src⁺
-    let unvouched: Label = i_dst
-        .iter()
-        .filter(|&t| !o_dst.has_minus(t))
-        .filter(|&t| !i_src.contains(t) && !o_src.has_plus(t))
-        .collect();
-    if unvouched.is_empty() {
-        Ok(())
-    } else {
-        Err(DifcError::IntegrityViolation { unvouched })
-    }
-}
-
-/// Outcome of a full read/write admissibility check.
+/// Outcome of a full read admissibility check ([`labels_for_read`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FlowCheck {
     /// The access is admissible with the labels as they stand.
@@ -172,9 +145,9 @@ impl FlowCheck {
 //
 // Each rule is stated once, as the tags that block it. The verdict asks
 // whether any blocking tag exists — a walk over borrowed labels with
-// binary-searched membership, no allocation — and only a denial collects
-// them into its `DifcError`. The read's new labels are derived only when
-// the read is allowed and changes the subject.
+// binary-searched membership, no allocation — and only a read denial
+// collects them into its `DifcError`. The read's new labels are derived
+// only when the read is allowed and changes the subject.
 
 /// One subject meeting one object: the operands of both rules.
 #[derive(Clone, Copy)]
@@ -234,15 +207,6 @@ impl<'a> Access<'a> {
             DifcError::MissingPlus { tags }
         }
     }
-
-    fn write_denial(self) -> DifcError {
-        let leaked: Label = self.leaked().collect();
-        if leaked.is_empty() {
-            DifcError::IntegrityViolation { unvouched: self.unvouched().collect() }
-        } else {
-            DifcError::SecrecyViolation { leaked }
-        }
-    }
 }
 
 /// May a subject with labels `subj` and effective capabilities `caps` *read*
@@ -267,23 +231,6 @@ pub fn labels_for_read<'c>(subj: &LabelPair, caps: impl Into<Held<'c>>, obj: &La
     }
 }
 
-/// May a subject with labels `subj` and effective capabilities `caps`
-/// *write* an object labeled `obj`?
-///
-/// Writing requires the object to absorb the subject's secrecy
-/// (`S_subj − O⁻ ⊆ S_obj`: no laundering secrets into less-secret files) and
-/// the subject to vouch the object's integrity
-/// (`I_obj ⊆ I_subj ∪ O⁺`: no forging endorsements). A write never changes
-/// the writer's labels, so the outcome is `Allowed` or `Denied`.
-pub fn labels_for_write<'c>(subj: &LabelPair, caps: impl Into<Held<'c>>, obj: &LabelPair) -> FlowCheck {
-    let caps = caps.into();
-    if may_write(subj, caps, obj) {
-        FlowCheck::Allowed
-    } else {
-        FlowCheck::Denied(Access { subj, caps, obj }.write_denial())
-    }
-}
-
 /// The verdict of [`labels_for_read`] alone, counted once: no label is
 /// derived and nothing allocates.
 pub fn may_read<'c>(subj: &LabelPair, caps: impl Into<Held<'c>>, obj: &LabelPair) -> bool {
@@ -294,7 +241,12 @@ pub fn may_read<'c>(subj: &LabelPair, caps: impl Into<Held<'c>>, obj: &LabelPair
     allowed
 }
 
-/// The verdict of [`labels_for_write`], counted once; nothing allocates.
+/// May a subject with labels `subj` and effective capabilities `caps`
+/// *write* an object labeled `obj`? Writing requires the object to absorb
+/// the subject's secrecy (`S_subj − O⁻ ⊆ S_obj`: no laundering secrets into
+/// less-secret files) and the subject to vouch the object's integrity
+/// (`I_obj ⊆ I_subj ∪ O⁺`: no forging endorsements); it never changes the
+/// writer's labels. Counted once; nothing allocates.
 pub fn may_write<'c>(subj: &LabelPair, caps: impl Into<Held<'c>>, obj: &LabelPair) -> bool {
     let allowed = Access { subj, caps: caps.into(), obj }.write_ok();
     // Writes move the subject's data toward the object: the described flow
@@ -402,7 +354,7 @@ mod tests {
         let none = CapSet::empty();
         let (src, dst) = (pair(&[1], &[8, 9]), pair(&[1, 2], &[9]));
         assert!(can_flow_with(&src.secrecy, &none, &dst.secrecy, &none).is_ok());
-        assert!(integrity_flow_with(&src.integrity, &none, &dst.integrity, &none).is_ok());
+        assert_eq!(labels_for_read(&dst, &none, &src), FlowCheck::Allowed);
     }
 
     #[test]
@@ -417,23 +369,6 @@ mod tests {
         let mut raiser = CapSet::empty();
         raiser.insert(crate::caps::Capability::plus(t));
         assert!(can_flow_with(&l(&[1]), &CapSet::empty(), &l(&[]), &raiser).is_ok());
-    }
-
-    #[test]
-    fn integrity_flow_needs_vouching() {
-        let w = Tag::from_raw(9);
-        // dst claims w, src doesn't carry it and can't endorse: refused.
-        assert!(integrity_flow_with(&l(&[]), &CapSet::empty(), &l(&[9]), &CapSet::empty()).is_err());
-        // src carries the claim: ok.
-        assert!(integrity_flow_with(&l(&[9]), &CapSet::empty(), &l(&[9]), &CapSet::empty()).is_ok());
-        // src can endorse: ok.
-        let mut endorser = CapSet::empty();
-        endorser.insert(crate::caps::Capability::plus(w));
-        assert!(integrity_flow_with(&l(&[]), &endorser, &l(&[9]), &CapSet::empty()).is_ok());
-        // dst may drop the claim: ok.
-        let mut dropper = CapSet::empty();
-        dropper.insert(crate::caps::Capability::minus(w));
-        assert!(integrity_flow_with(&l(&[]), &CapSet::empty(), &l(&[9]), &dropper).is_ok());
     }
 
     #[test]
@@ -496,24 +431,18 @@ mod tests {
         // A process that has read alice's data cannot write a public file.
         let tainted = LabelPair::new(Label::singleton(e), Label::empty());
         let public_file = LabelPair::public();
-        assert!(matches!(
-            labels_for_write(&tainted, anyone, &public_file),
-            FlowCheck::Denied(DifcError::SecrecyViolation { .. })
-        ));
+        assert!(!may_write(&tainted, anyone, &public_file));
         // …but alice's declassifier can.
-        assert!(labels_for_write(&tainted, reg.held(&alice), &public_file).is_allowed());
+        assert!(may_write(&tainted, reg.held(&alice), &public_file));
         // …and anyone can write a file that is itself alice-secret.
         let alice_file = LabelPair::new(Label::singleton(e), Label::empty());
-        assert!(labels_for_write(&tainted, anyone, &alice_file).is_allowed());
+        assert!(may_write(&tainted, anyone, &alice_file));
 
         // Writing bob's write-protected file requires endorsement.
         let bob_file = LabelPair::new(Label::empty(), Label::singleton(w));
         let clean = LabelPair::public();
-        assert!(matches!(
-            labels_for_write(&clean, anyone, &bob_file),
-            FlowCheck::Denied(DifcError::IntegrityViolation { .. })
-        ));
-        assert!(labels_for_write(&clean, reg.held(&bob), &bob_file).is_allowed());
+        assert!(!may_write(&clean, anyone, &bob_file));
+        assert!(may_write(&clean, reg.held(&bob), &bob_file));
     }
 
     #[test]
@@ -567,6 +496,6 @@ mod tests {
             other => panic!("read should raise: {other:?}"),
         }
         // Now it tries to write a public file — denied.
-        assert!(!labels_for_write(&app, anyone, &LabelPair::public()).is_allowed());
+        assert!(!may_write(&app, anyone, &LabelPair::public()));
     }
 }

@@ -118,8 +118,8 @@ proptest! {
         prop_assert_eq!(injector.report().total_injected(), 0);
     }
 
-    /// The read and write predicates — single, batched, and behind
-    /// `labels_for_*` — decide exactly the naive set formulas, and an
+    /// The read and write predicates — single, batched, and (for reads)
+    /// behind `labels_for_read` — decide exactly the naive set formulas, and an
     /// allowed read derives exactly the naive labels, for labels of 0–5
     /// tags on both axes and capabilities from none through owning.
     #[test]
@@ -155,21 +155,8 @@ proptest! {
             }
         }
 
-        let write = rules::labels_for_write(&subj, &caps, &obj);
         let may_write = naive::may_write(&nsubj, &plus, &minus, &nobj);
-        prop_assert_eq!(write.is_allowed(), may_write);
         prop_assert_eq!(rules::may_write(&subj, &caps, &obj), may_write);
-        if let FlowCheck::Denied(e) = write {
-            let leaked = naive::difference(&naive::difference(&nsubj.0, &nobj.0), &minus);
-            let unvouched = naive::difference(&naive::difference(&nobj.1, &nsubj.1), &plus);
-            prop_assert_eq!(e, if leaked.is_empty() {
-                DifcError::IntegrityViolation { unvouched: Label::from_iter(unvouched) }
-            } else {
-                DifcError::SecrecyViolation { leaked: Label::from_iter(leaked) }
-            });
-        } else {
-            prop_assert_eq!(write, FlowCheck::Allowed, "a write changes no label");
-        }
 
         let mut verdicts = rules::Verdicts::new(&subj, &caps);
         prop_assert_eq!(verdicts.may_read(&obj), may_read);
@@ -187,7 +174,7 @@ proptest! {
         prop_assert_eq!(fast, naive::subset(&tags(&a), &tags(&b)) && naive::subset(&tags(&a), &tags(&c)));
         if fast {
             prop_assert!(w5_difc::can_flow_with(&a, &none, &b, &none).is_ok());
-            prop_assert!(rules::integrity_flow_with(&c, &none, &a, &none).is_ok());
+            prop_assert_eq!(rules::labels_for_read(&dst, &none, &src), FlowCheck::Allowed);
             prop_assert!(naive::can_flow_with(&tags(&a), &[], &tags(&b), &[]));
         }
     }
@@ -231,17 +218,12 @@ proptest! {
             prop_assert_eq!(held.has_minus(t), union.has_minus(t), "t{}-", id);
         }
         prop_assert_eq!(rules::labels_for_read(&subj, held, &obj), rules::labels_for_read(&subj, &union, &obj));
-        prop_assert_eq!(rules::labels_for_write(&subj, held, &obj), rules::labels_for_write(&subj, &union, &obj));
         for (from, to) in [(&subj.secrecy, &obj.secrecy), (&subj.integrity, &obj.integrity)] {
             prop_assert_eq!(rules::safe_change(from, to, held), rules::safe_change(from, to, &union));
         }
         prop_assert_eq!(
             rules::can_flow_with(&subj.secrecy, held, &obj.secrecy, held),
             rules::can_flow_with(&subj.secrecy, &union, &obj.secrecy, &union)
-        );
-        prop_assert_eq!(
-            rules::integrity_flow_with(&subj.integrity, held, &obj.integrity, held),
-            rules::integrity_flow_with(&subj.integrity, &union, &obj.integrity, &union)
         );
         let (plus, minus) = (tags(&union.plus_label()), tags(&union.minus_label()));
         let (nsubj, nobj) = (naive_pair(&subj), naive_pair(&obj));

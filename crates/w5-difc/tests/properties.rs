@@ -198,37 +198,11 @@ mod lattice_laws {
     }
 }
 
-mod endpoint_laws {
+mod registry_laws {
     use super::*;
-    use w5_difc::{Endpoint, TagKind, TagRegistry};
+    use w5_difc::{TagKind, TagRegistry};
 
     proptest! {
-        /// An endpoint that mirrors the process labels is always valid and
-        /// passes exactly the data a raw flow check would.
-        #[test]
-        fn mirror_endpoint_equals_raw_flow(s in super::arb_label(), d in super::arb_label()) {
-            let proc_labels = LabelPair::new(s.clone(), Label::empty());
-            let ep = Endpoint::mirror(&proc_labels);
-            let data = LabelPair::new(d.clone(), Label::empty());
-            prop_assert_eq!(ep.may_send(&data).is_ok(), can_flow(&d, &s));
-        }
-
-        /// Endpoint validity is monotone in capabilities: adding caps never
-        /// invalidates an endpoint.
-        #[test]
-        fn endpoint_validity_monotone(
-            s in super::arb_label(),
-            target in super::arb_label(),
-            caps in super::arb_capset(),
-            extra in super::arb_capset(),
-        ) {
-            let proc_labels = LabelPair::new(s, Label::empty());
-            let target_labels = LabelPair::new(target, Label::empty());
-            if Endpoint::new(&proc_labels, &caps, target_labels.clone()).is_ok() {
-                prop_assert!(Endpoint::new(&proc_labels, &caps.union(&extra), target_labels).is_ok());
-            }
-        }
-
         /// The registry's capability distribution invariants hold for every
         /// kind: exactly one half is public except ReadProtect (none), and
         /// the creator always holds the complement.

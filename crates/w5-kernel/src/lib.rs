@@ -5,8 +5,10 @@
 //! scoped to one deterministic in-process "machine":
 //!
 //! * [`Kernel`] — the system-call surface: labeled [`process`]es, tag
-//!   creation, safe label changes, capability grants, message-passing IPC
-//!   with flow checks, and labeled spawn.
+//!   creation, safe label changes, read taint and capability grants.
+//!   Processes do not message each other through the kernel: modules talk
+//!   through labeled rows in the store (DESIGN.md §7), so every message
+//!   passes the same read check as any other datum.
 //! * [`resource`] — resource containers (paper §3.5): CPU / memory / disk /
 //!   network budgets per process, enforced at the syscall boundary so a
 //!   rogue application cannot degrade the cluster.
@@ -19,15 +21,6 @@
 //! mutex that no syscall nests. See the module docs in [`kernel`] and
 //! DESIGN.md §14.
 //!
-//! ## Covert-channel hygiene
-//!
-//! A flow denial is itself a bit of information. Following Flume, the
-//! kernel offers two send flavors: [`Kernel::send`] *silently drops*
-//! messages whose delivery would violate flow rules (the sender learns
-//! nothing), while [`Kernel::send_strict`] surfaces the denial and is only
-//! exposed to trusted platform components. The same discipline appears in
-//! `w5-store`, where unreadable rows are silently filtered.
-//!
 //! Nothing here uses wall-clock time or OS randomness: experiments are
 //! bit-for-bit reproducible.
 
@@ -35,14 +28,12 @@
 
 pub mod ids;
 pub mod kernel;
-pub mod message;
 pub mod process;
 pub mod resource;
 pub mod sched;
 
 pub use ids::ProcessId;
-pub use kernel::{Delivery, Kernel, KernelError, KernelResult, KernelStats, SpawnSpec};
-pub use message::Message;
+pub use kernel::{Kernel, KernelError, KernelResult, KernelStats};
 pub use process::{ProcessInfo, ProcessState};
 pub use resource::{ResourceContainer, ResourceKind, ResourceLimits, ResourceUsage};
 pub use resource::QuotaExceeded;

@@ -1,9 +1,7 @@
 //! Process objects: the unit of labeled execution.
 
 use crate::ids::ProcessId;
-use crate::message::Message;
 use crate::resource::ResourceContainer;
-use std::collections::VecDeque;
 use w5_difc::{CapSet, LabelPair};
 
 /// Lifecycle state of a process.
@@ -11,8 +9,6 @@ use w5_difc::{CapSet, LabelPair};
 pub enum ProcessState {
     /// Eligible to run / perform syscalls.
     Runnable,
-    /// Waiting on a mailbox receive.
-    Blocked,
     /// Exited; the slot is retained for audit but refuses syscalls.
     Dead,
 }
@@ -28,10 +24,7 @@ pub(crate) struct Process {
     /// Private capability bag `D` (the global bag lives in the registry).
     pub caps: CapSet,
     pub state: ProcessState,
-    pub mailbox: VecDeque<Message>,
     pub container: ResourceContainer,
-    /// Parent process, if spawned rather than created by the platform.
-    pub parent: Option<ProcessId>,
 }
 
 /// Public, copyable snapshot of process metadata, returned by
@@ -46,10 +39,6 @@ pub struct ProcessInfo {
     pub labels: LabelPair,
     /// Lifecycle state.
     pub state: ProcessState,
-    /// Queued messages.
-    pub mailbox_len: usize,
-    /// Parent, if any.
-    pub parent: Option<ProcessId>,
 }
 
 impl Process {
@@ -59,8 +48,6 @@ impl Process {
             name: self.name.clone(),
             labels: self.labels.clone(),
             state: self.state,
-            mailbox_len: self.mailbox.len(),
-            parent: self.parent,
         }
     }
 }

@@ -1,40 +1,44 @@
 //! Property tests for the kernel: label-state soundness under random
 //! operation sequences, and scheduler determinism.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 use std::sync::Arc;
-use w5_difc::{CapSet, Label, LabelPair, Tag, TagKind, TagRegistry};
+use w5_difc::{CapSet, Capability, Label, LabelPair, Tag, TagKind, TagRegistry};
 use w5_kernel::{Kernel, ProcessId, ResourceLimits, Scheduler, Step};
 
-#[derive(Clone, Debug)]
-enum Op {
-    CreateTag(u8),         // which process creates an export tag
-    Raise(u8, u8),         // process raises to include tag #k (if exists)
-    Send(u8, u8),          // a → b
-    Recv(u8),
+/// One syscall of a random schedule, applied as `(act, process, tag #)`.
+#[derive(Clone, Copy, Debug)]
+enum Act {
+    /// Create an export tag (the creator holds its `t-`).
+    CreateTag,
+    /// Add the tag to the process's secrecy.
+    Raise,
+    /// Remove the tag from the process's secrecy.
+    Lower,
+    /// Read data labeled with the tag.
+    Taint,
+    /// Shed the tag's `t-`.
+    DropMinus,
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u8..4).prop_map(Op::CreateTag),
-        (0u8..4, 0u8..6).prop_map(|(p, t)| Op::Raise(p, t)),
-        (0u8..4, 0u8..4).prop_map(|(a, b)| Op::Send(a, b)),
-        (0u8..4).prop_map(Op::Recv),
-    ]
+fn arb_op() -> impl Strategy<Value = (Act, usize, usize)> {
+    let act = prop_oneof![
+        Just(Act::CreateTag),
+        Just(Act::Raise),
+        Just(Act::Lower),
+        Just(Act::Taint),
+        Just(Act::DropMinus),
+    ];
+    (act, 0usize..4, 0usize..6)
 }
 
 proptest! {
-    /// Soundness invariant under random operations: whenever a message is
-    /// *delivered*, its secrecy (the sender's at send time, minus what the
-    /// sender owned) was a subset of the receiver's labels. We verify the
-    /// weaker but directly observable form: every message sitting in a
-    /// mailbox has secrecy ⊆ the receiver's labels *at delivery*, which we
-    /// check at recv time against a receiver whose labels only grow.
+    /// Soundness of label state under random syscalls: a process's
+    /// secrecy loses a tag only if the process held that tag's `t-` when
+    /// the tag went. Raising and read taint only ever add.
     #[test]
-    fn delivered_messages_respect_receiver_labels(ops in proptest::collection::vec(arb_op(), 0..60)) {
-        let registry = Arc::new(TagRegistry::new());
-        let kernel = Kernel::new(Arc::clone(&registry));
+    fn secrecy_sheds_only_tags_the_process_may_declassify(ops in proptest::collection::vec(arb_op(), 0..60)) {
+        let kernel = Kernel::new(Arc::new(TagRegistry::new()));
         let pids: Vec<ProcessId> = (0..4)
             .map(|i| {
                 kernel.create_process(
@@ -47,53 +51,29 @@ proptest! {
             .collect();
         let mut tags: Vec<Tag> = Vec::new();
 
-        for op in ops {
-            match op {
-                Op::CreateTag(p) => {
-                    let t = kernel
-                        .create_tag(pids[p as usize], TagKind::ExportProtect, "t")
-                        .unwrap();
-                    tags.push(t);
+        for (act, p, k) in ops {
+            let pid = pids[p];
+            let before = kernel.labels(pid).unwrap();
+            let minus = kernel.caps(pid).unwrap().minus_label();
+            let with_secrecy = |s: Label| LabelPair::new(s, before.integrity.clone());
+            match (act, tags.get(k).copied()) {
+                (Act::CreateTag, _) => tags.push(kernel.create_tag(pid, TagKind::ExportProtect, "t").unwrap()),
+                (_, None) => {}
+                (Act::Raise, Some(t)) => {
+                    let _ = kernel.change_labels(pid, with_secrecy(before.secrecy.with(t)));
                 }
-                Op::Raise(p, k) => {
-                    if let Some(&t) = tags.get(k as usize) {
-                        let pid = pids[p as usize];
-                        let cur = kernel.labels(pid).unwrap();
-                        let _ = kernel.change_labels(
-                            pid,
-                            LabelPair::new(cur.secrecy.with(t), cur.integrity),
-                        );
-                    }
+                (Act::Lower, Some(t)) => {
+                    let _ = kernel.change_labels(pid, with_secrecy(before.secrecy.without(t)));
                 }
-                Op::Send(a, b) => {
-                    let _ = kernel.send(
-                        pids[a as usize],
-                        pids[b as usize],
-                        Bytes::from_static(b"m"),
-                        CapSet::empty(),
-                    );
+                (Act::Taint, Some(t)) => {
+                    let _ = kernel.taint_for_read(pid, &with_secrecy(Label::singleton(t)));
                 }
-                Op::Recv(p) => {
-                    let pid = pids[p as usize];
-                    if let Ok(Some(msg)) = kernel.recv(pid) {
-                        let my = kernel.labels(pid).unwrap();
-                        // The *non-declassifiable* part of the message's
-                        // secrecy must be within my labels: senders in this
-                        // model own the tags they created, so subtract the
-                        // sender-owned tags before comparing.
-                        let sender_caps = kernel
-                            .caps(msg.from)
-                            .map(|c| c.minus_label())
-                            .unwrap_or_else(|_| Label::empty());
-                        let hard = msg.labels.secrecy.difference(&sender_caps);
-                        prop_assert!(
-                            hard.is_subset(&my.secrecy),
-                            "delivered {hard:?} to process at {:?}",
-                            my.secrecy
-                        );
-                    }
+                (Act::DropMinus, Some(t)) => {
+                    kernel.drop_caps(pid, &CapSet::from_caps([Capability::minus(t)])).unwrap();
                 }
             }
+            let shed = before.secrecy.difference(&kernel.labels(pid).unwrap().secrecy);
+            prop_assert!(shed.is_subset(&minus), "{pid} shed {shed:?} holding only {minus:?}");
         }
     }
 

@@ -84,7 +84,7 @@ impl serde::Deserialize for Name {
     Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
 )]
 pub enum Layer {
-    /// Process table, IPC, scheduler (`w5-kernel`).
+    /// Process table, scheduler (`w5-kernel`).
     Kernel,
     /// Flow rules and tag registry (`w5-difc`).
     Difc,
@@ -130,9 +130,9 @@ impl Layer {
 pub enum CheckOp {
     /// Read admissibility (`rules::labels_for_read`).
     Read,
-    /// Write admissibility (`rules::labels_for_write`).
+    /// Write admissibility (`rules::may_write`).
     Write,
-    /// Privileged send admissibility (`rules::can_flow_with`).
+    /// Privileged secrecy flow (`rules::can_flow_with`).
     Flow,
     /// Safe label change (`rules::safe_change`).
     Change,
@@ -176,32 +176,15 @@ impl serde::Deserialize for CheckOp {
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum EventKind {
     // ---- kernel ----
-    /// A process was created (trusted create or checked spawn).
+    /// The platform created a process (`Kernel::create_process`).
     ProcSpawn {
         /// New process id.
         pid: u64,
-        /// Parent process id (0 for trusted creation).
+        /// Always 0: no process creates another. Kept so the event's wire
+        /// form, and every ledger digest folding it, stays as it was.
         parent: u64,
         /// Audit name.
         name: String,
-    },
-    /// An IPC send was checked for delivery.
-    IpcSend {
-        /// Sender pid.
-        from: u64,
-        /// Receiver pid.
-        to: u64,
-        /// Payload bytes.
-        bytes: u64,
-        /// False when the flow rules dropped the message.
-        delivered: bool,
-    },
-    /// A message was dequeued from a mailbox.
-    IpcRecv {
-        /// Receiving pid.
-        pid: u64,
-        /// Payload bytes.
-        bytes: u64,
     },
     /// The scheduler granted a task a slice of virtual time.
     ScheduleQuantum {
@@ -211,7 +194,7 @@ pub enum EventKind {
         ticks: u64,
     },
     // ---- difc ----
-    /// A flow-rule check ran (send admissibility, label change, read/write
+    /// A flow-rule check ran (privileged flow, label change, read/write
     /// admissibility).
     LabelCheck {
         /// Which rule.
@@ -333,10 +316,7 @@ impl EventKind {
     /// The layer whose counters this event bumps.
     pub fn layer(&self) -> Layer {
         match self {
-            EventKind::ProcSpawn { .. }
-            | EventKind::IpcSend { .. }
-            | EventKind::IpcRecv { .. }
-            | EventKind::ScheduleQuantum { .. } => Layer::Kernel,
+            EventKind::ProcSpawn { .. } | EventKind::ScheduleQuantum { .. } => Layer::Kernel,
             EventKind::LabelCheck { .. }
             | EventKind::TagCreate { .. }
             | EventKind::TagGrant { .. }
@@ -356,7 +336,6 @@ impl EventKind {
     /// written to the ring).
     pub fn denied(&self) -> bool {
         match self {
-            EventKind::IpcSend { delivered, .. } => !delivered,
             EventKind::LabelCheck { allowed, .. }
             | EventKind::DeclassifierInvoke { allowed, .. }
             | EventKind::StoreRead { allowed, .. }
@@ -404,8 +383,8 @@ mod tests {
 
     #[test]
     fn denial_flags() {
-        assert!(EventKind::IpcSend { from: 1, to: 2, bytes: 0, delivered: false }.denied());
-        assert!(!EventKind::IpcSend { from: 1, to: 2, bytes: 0, delivered: true }.denied());
+        assert!(EventKind::LabelCheck { op: CheckOp::Change, allowed: false }.denied());
+        assert!(!EventKind::LabelCheck { op: CheckOp::Change, allowed: true }.denied());
         assert!(EventKind::StoreWrite { path: "/x".into(), bytes: 0, allowed: false }.denied());
         assert!(!EventKind::ScheduleQuantum { pid: 1, ticks: 5 }.denied());
     }

@@ -335,11 +335,11 @@ mod tests {
             span(1, 1, None, "net.http", Layer::Net, 0, 1000),
             span(1, 2, Some(1), "platform.invoke", Layer::Platform, 100, 900),
             span(1, 3, Some(2), "platform.export_check", Layer::Platform, 150, 250),
-            span(1, 4, Some(2), "kernel.send", Layer::Kernel, 300, 800),
+            span(1, 4, Some(2), "kernel.create_process", Layer::Kernel, 300, 800),
         ];
         let path = critical_path(&spans, 1);
         let names: Vec<&str> = path.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["net.http", "platform.invoke", "kernel.send"]);
+        assert_eq!(names, ["net.http", "platform.invoke", "kernel.create_process"]);
         assert_eq!(path[0].total_us, 1000);
         assert_eq!(path[0].self_us, 200, "root self = 1000 - 800 child");
         assert_eq!(path[1].self_us, 200, "invoke self = 800 - (100 + 500)");
@@ -363,7 +363,7 @@ mod tests {
 
     #[test]
     fn span_record_json_roundtrips() {
-        let mut s = span(3, 4, Some(2), "kernel.send", Layer::Kernel, 10, 20);
+        let mut s = span(3, 4, Some(2), "kernel.create_process", Layer::Kernel, 10, 20);
         s.secrecy = ObsLabel::from_tags([7, 9]);
         let j = serde_json::to_string(&s).unwrap();
         let back: SpanRecord = serde_json::from_str(&j).unwrap();

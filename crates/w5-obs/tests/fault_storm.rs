@@ -41,7 +41,7 @@ fn storm_kind(rng: &mut StdRng) -> (ObsLabel, EventKind) {
 }
 
 #[test]
-fn concurrent_storm_upholds_redaction_invariants() {
+fn concurrent_storm_keeps_the_ring_bounded_and_seqs_unique() {
     let ledger = Arc::new(Ledger::with_capacity(CAP));
     let stop = Arc::new(AtomicBool::new(false));
 

@@ -34,7 +34,7 @@ pub enum ApiError {
     /// Malformed input (bad path, bad SQL, type error). The message is the
     /// app's own fault to see.
     Bad(String),
-    /// Transient infrastructure failure (aborted write, dropped IPC,
+    /// Transient infrastructure failure (aborted write or query,
     /// injected fault). The operation had no effect; retrying is safe.
     Unavailable(String),
 }
@@ -82,7 +82,6 @@ impl From<KernelError> for ApiError {
         match e {
             KernelError::Quota(_) => ApiError::Quota,
             KernelError::Difc(_) => ApiError::Denied,
-            KernelError::Injected(site) => ApiError::Unavailable(format!("kernel fault at {site}")),
             _ => ApiError::Bad(e.to_string()),
         }
     }

@@ -26,7 +26,7 @@ pub enum FaultKind {
     /// The app produced a malformed response.
     BadResponse,
     /// The platform's own infrastructure failed underneath the app
-    /// (aborted storage commit, dropped IPC, injected chaos fault). Not
+    /// (aborted storage commit or query, injected chaos fault). Not
     /// the app's fault; safe to retry.
     Infrastructure,
 }

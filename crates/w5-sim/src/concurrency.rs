@@ -5,40 +5,42 @@
 //! This oracle checks that threads change nothing an observer can see: the
 //! same seeded schedule runs serially and under real OS-thread
 //! interleavings, and the two must agree on everything a syscall client or
-//! an auditor could see — per-process labels, capability bags, mailbox
-//! depths, lifecycle states, flow-decision counters, obs-ledger aggregates,
-//! and (compared by the harness) per-thread fault tallies.
+//! an auditor could see — per-process labels, capability bags, lifecycle
+//! states, launch tallies, flow-decision counters and obs-ledger
+//! aggregates.
 //!
-//! Beyond the harness's ownership rule (thread `t` changes labels, taints,
-//! edits capabilities, receives and spawns only on its own processes), the
-//! one cross-thread traffic is sends to per-thread **hub** processes whose
-//! labels never change (public, never tainted, never drained). A send
-//! verdict depends on the sender's labels and the hub's constant ones, so
-//! every delivery or drop — and thus every counter — is fixed before the
-//! threads start; only the *order* of a hub's mailbox is timing-dependent,
-//! so the oracle compares mailbox depths, not contents. Process *ids* are
-//! racy too, which is why state is keyed by process *name*.
+//! Beyond the harness's ownership rule (thread `t` taints, changes labels
+//! and edits capabilities only on its own processes), the cross-thread
+//! traffic is the launch cycle every `Platform::invoke` makes: create an
+//! app process, charge it, exit it and reap it. Every thread's launches
+//! allocate pids from the one counter and insert into and remove from the
+//! one process table, so the table lock sees the launch path's own
+//! contention; a launched process is the launching thread's alone, so its
+//! quota verdict and its labels are fixed before the threads start.
+//! Process *ids* are racy, which is why state is keyed by process *name*.
 //!
-//! With one thread at a time the event stream itself is deterministic, so
-//! a serial run's digest is a pure function of the spec —
-//! `tests/concurrency.rs` pins it to golden values.
+//! The kernel volunteers no fault site, so a stormy spec fires nothing
+//! here. With one thread at a time the event stream itself is
+//! deterministic, so a serial run's digest is a pure function of the spec
+//! — `tests/concurrency.rs` pins it to golden values.
 
 use crate::harness::{self, Mode, Oracle, Run, Spec};
-use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::sync::Arc;
 use w5_chaos::Site;
 use w5_difc::{CapSet, Capability, Label, LabelPair, Privilege, Tag, TagKind, TagRegistry};
-use w5_kernel::{Kernel, KernelStats, ProcessId, ResourceLimits, SpawnSpec};
+use w5_kernel::{Kernel, KernelStats, ProcessId, ResourceKind, ResourceLimits};
 use w5_obs::Ledger;
 use w5_sync::lockdep;
 
-/// Per-thread process count at setup; op indices are taken modulo the
-/// live list, which grows as the thread spawns children.
+/// Long-lived processes per thread; op indices are taken modulo this.
 const PROCS_PER_THREAD: usize = 4;
+
+/// The CPU quota of a launched process: a launch charges up to twice
+/// this, so about half of them are refused.
+const LAUNCH_CPU: u64 = 50;
 
 /// Everything observable about one process at the end of a run, keyed by
 /// audit name (pids are interleaving-dependent; names are not).
@@ -52,18 +54,29 @@ pub struct ProcState {
     pub caps: Vec<(u64, bool)>,
     /// Lifecycle state, `Debug`-rendered.
     pub state: String,
-    /// Queued messages.
-    pub mailbox_len: usize,
-    /// Parent's audit name, if spawned.
-    pub parent: Option<String>,
+}
+
+/// What one thread's launches came to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub struct Launches {
+    /// Processes created, charged, exited and reaped.
+    pub launched: u64,
+    /// Launches whose CPU charge the quota refused.
+    pub over_quota: u64,
+    /// Launches that ended tainted.
+    pub tainted: u64,
 }
 
 /// The observable outcome of one run. Both arms replaying the same
 /// [`Spec`] must compare equal, whatever the interleaving.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct ConcOutcome {
-    /// Final state of every process, by name.
+    /// Final state of every long-lived process, by name.
     pub procs: BTreeMap<String, ProcState>,
+    /// Each thread's launch tally, in thread order.
+    pub launches: Vec<Launches>,
+    /// Live processes at the end: launches leave none behind.
+    pub live_processes: usize,
     /// Kernel flow-decision counters.
     pub stats: KernelStats,
     /// Obs-ledger events recorded per layer (exact atomics).
@@ -73,39 +86,32 @@ pub struct ConcOutcome {
 }
 
 /// One step of a thread's schedule. All indices are taken modulo the
-/// thread's live process list at execution time.
+/// thread's process list.
 #[derive(Clone, Copy, Debug)]
 pub enum Op {
-    /// Send between two of the thread's own processes (flow verdict
-    /// depends on both ends — both own-thread-deterministic).
-    SendOwn { from: usize, to: usize },
-    /// Send to another thread's hub (the only cross-thread traffic).
-    SendHub { from: usize, hub: usize },
-    /// Drain one message from an own process.
-    Recv { who: usize },
+    /// The launch cycle of `Platform::invoke`: create a public process
+    /// with a [`LAUNCH_CPU`] quota, charge it `ticks`, taint it with the
+    /// thread's tag if `taint`, read its labels, exit and reap it.
+    Launch { ticks: u64, taint: bool },
     /// Taint an own process with the thread's tag (`t+` is global for
     /// `ExportProtect`).
     Taint { who: usize },
     /// Attempt declassification back to public; succeeds only while the
     /// process holds the thread's `t-`.
     Declass { who: usize },
-    /// Spawn a child at the parent's current labels; the child joins the
-    /// thread's process list.
-    Spawn { from: usize },
     /// Shed the thread tag's `t-` from an own process.
     DropMinus { who: usize },
     /// Grant the thread tag's `t-` to an own process.
     GrantMinus { who: usize },
 }
 
-/// One thread's working set: its tag, the global hub list, and its own
-/// (name, pid) process list, which grows as it spawns.
+/// One thread's working set: its tag, its own (name, pid) process list,
+/// and its launch tally.
 pub struct ThreadCtx {
     t: usize,
     tag: Tag,
-    hubs: Vec<ProcessId>,
     procs: Vec<(String, ProcessId)>,
-    spawned: usize,
+    launches: Launches,
 }
 
 impl ThreadCtx {
@@ -114,9 +120,11 @@ impl ThreadCtx {
     }
 
     fn minus(&self) -> CapSet {
-        let mut c = CapSet::empty();
-        c.insert(Capability::minus(self.tag));
-        c
+        CapSet::from_caps([Capability::minus(self.tag)])
+    }
+
+    fn tag_data(&self) -> LabelPair {
+        LabelPair::new(Label::singleton(self.tag), Label::empty())
     }
 }
 
@@ -127,7 +135,7 @@ pub struct KernelOracle;
 
 impl Oracle for KernelOracle {
     const NAME: &'static str = "concurrency";
-    const SITES: &'static [Site] = &[Site::KernelSend, Site::KernelSpawn];
+    const SITES: &'static [Site] = &[];
     type Op = Op;
     type Seq = ThreadCtx;
     type Step = ();
@@ -136,31 +144,31 @@ impl Oracle for KernelOracle {
 
     fn gen_op(rng: &mut StdRng) -> Op {
         match rng.gen_range(0..100u32) {
-            0..=49 => Op::SendOwn { from: rng.gen_range(0..64), to: rng.gen_range(0..64) },
-            50..=64 => Op::SendHub { from: rng.gen_range(0..64), hub: rng.gen_range(0..64) },
-            65..=74 => Op::Recv { who: rng.gen_range(0..64) },
-            75..=81 => Op::Taint { who: rng.gen_range(0..64) },
-            82..=86 => Op::Declass { who: rng.gen_range(0..64) },
-            87..=91 => Op::Spawn { from: rng.gen_range(0..64) },
-            92..=95 => Op::DropMinus { who: rng.gen_range(0..64) },
+            0..=39 => {
+                Op::Launch { ticks: rng.gen_range(0..2 * LAUNCH_CPU), taint: rng.gen_bool(0.5) }
+            }
+            40..=59 => Op::Taint { who: rng.gen_range(0..64) },
+            60..=74 => Op::Declass { who: rng.gen_range(0..64) },
+            75..=86 => Op::DropMinus { who: rng.gen_range(0..64) },
             _ => Op::GrantMinus { who: rng.gen_range(0..64) },
         }
     }
 
-    /// Hubs, per-thread processes and per-thread tags, in one order on every
-    /// arm, so pid streams and registry tag ids start out aligned.
+    /// Per-thread processes and per-thread tags, in one order on every arm,
+    /// so pid streams and registry tag ids start out aligned.
     fn setup(&self, spec: &Spec) -> (Kernel, Vec<ThreadCtx>) {
         let k = Kernel::new(Arc::new(TagRegistry::new()));
-        let public = |name: &str| {
-            k.create_process(name, LabelPair::public(), CapSet::empty(), ResourceLimits::unlimited())
-        };
-        let hubs: Vec<ProcessId> = (0..spec.threads).map(|t| public(&format!("hub{t}"))).collect();
         let ctxs = (0..spec.threads)
             .map(|t| {
                 let procs: Vec<(String, ProcessId)> = (0..PROCS_PER_THREAD)
                     .map(|i| {
                         let name = format!("t{t}.p{i}");
-                        let pid = public(&name);
+                        let pid = k.create_process(
+                            &name,
+                            LabelPair::public(),
+                            CapSet::empty(),
+                            ResourceLimits::unlimited(),
+                        );
                         (name, pid)
                     })
                     .collect();
@@ -169,46 +177,37 @@ impl Oracle for KernelOracle {
                 let tag = k
                     .create_tag(procs[0].1, TagKind::ExportProtect, &format!("conc:t{t}"))
                     .expect("fresh process can create a tag");
-                ThreadCtx { t, tag, hubs: hubs.clone(), procs, spawned: 0 }
+                ThreadCtx { t, tag, procs, launches: Launches::default() }
             })
             .collect();
         (k, ctxs)
     }
 
     fn apply(k: &Kernel, ctx: &mut ThreadCtx, op: &Op) {
-        let payload = Bytes::from_static(b"conc");
         match *op {
-            Op::SendOwn { from, to } => {
-                let _ = k.send(ctx.proc(from), ctx.proc(to), payload, CapSet::empty());
-            }
-            Op::SendHub { from, hub } => {
-                let h = ctx.hubs[hub % ctx.hubs.len()];
-                let _ = k.send(ctx.proc(from), h, payload, CapSet::empty());
-            }
-            Op::Recv { who } => {
-                let _ = k.recv(ctx.proc(who));
+            Op::Launch { ticks, taint } => {
+                let limits =
+                    ResourceLimits { cpu_per_epoch: LAUNCH_CPU, ..ResourceLimits::sandbox_default() };
+                let name = format!("t{}.app", ctx.t);
+                let pid = k.create_process(&name, LabelPair::public(), CapSet::empty(), limits);
+                if k.charge(pid, ResourceKind::Cpu, ticks).is_err() {
+                    ctx.launches.over_quota += 1;
+                }
+                if taint {
+                    let _ = k.taint_for_read(pid, &ctx.tag_data());
+                }
+                if k.labels(pid).is_ok_and(|l| !l.secrecy.is_empty()) {
+                    ctx.launches.tainted += 1;
+                }
+                let _ = k.exit(pid);
+                let _ = k.reap(pid);
+                ctx.launches.launched += 1;
             }
             Op::Taint { who } => {
-                let data = LabelPair::new(Label::singleton(ctx.tag), Label::empty());
-                let _ = k.taint_for_read(ctx.proc(who), &data);
+                let _ = k.taint_for_read(ctx.proc(who), &ctx.tag_data());
             }
             Op::Declass { who } => {
                 let _ = k.change_labels(ctx.proc(who), LabelPair::public());
-            }
-            Op::Spawn { from } => {
-                let parent = ctx.proc(from);
-                let Ok(labels) = k.labels(parent) else { return };
-                let name = format!("t{}.c{}", ctx.t, ctx.spawned);
-                let spec = SpawnSpec {
-                    name: name.clone(),
-                    labels,
-                    grant: CapSet::empty(),
-                    limits: ResourceLimits::sandbox_default(),
-                };
-                if let Ok(pid) = k.spawn(parent, spec) {
-                    ctx.procs.push((name, pid));
-                    ctx.spawned += 1;
-                }
             }
             Op::DropMinus { who } => {
                 let _ = k.drop_caps(ctx.proc(who), &ctx.minus());
@@ -220,17 +219,13 @@ impl Oracle for KernelOracle {
     }
 
     fn observe(&self, k: Kernel, ctxs: Vec<ThreadCtx>, _: Vec<Vec<()>>, ledger: &Ledger) -> ConcOutcome {
-        let mut all: Vec<(String, ProcessId)> = Vec::new();
-        for (t, ctx) in ctxs.into_iter().enumerate() {
-            all.push((format!("hub{t}"), ctx.hubs[t]));
-            all.extend(ctx.procs);
-        }
-        let names: HashMap<ProcessId, String> = all.iter().map(|(n, p)| (*p, n.clone())).collect();
-        let procs = all
-            .iter()
+        let launches = ctxs.iter().map(|ctx| ctx.launches).collect();
+        let procs = ctxs
+            .into_iter()
+            .flat_map(|ctx| ctx.procs)
             .map(|(name, pid)| {
-                let info = k.process_info(*pid).expect("workload never reaps");
-                let caps = k.caps(*pid).expect("workload never reaps");
+                let info = k.process_info(pid).expect("long-lived processes are never reaped");
+                let caps = k.caps(pid).expect("long-lived processes are never reaped");
                 let mut bag: Vec<(u64, bool)> =
                     caps.iter().map(|c| (c.tag.raw(), c.privilege == Privilege::Minus)).collect();
                 bag.sort_unstable();
@@ -239,14 +234,19 @@ impl Oracle for KernelOracle {
                     integrity: info.labels.integrity.iter().map(Tag::raw).collect(),
                     caps: bag,
                     state: format!("{:?}", info.state),
-                    mailbox_len: info.mailbox_len,
-                    parent: info.parent.map(|p| names[&p].clone()),
                 };
-                (name.clone(), state)
+                (name, state)
             })
             .collect();
         let agg = ledger.aggregate();
-        ConcOutcome { procs, stats: k.stats(), ledger_events: agg.events, ledger_denied: agg.denied }
+        ConcOutcome {
+            procs,
+            launches,
+            live_processes: k.live_processes(),
+            stats: k.stats(),
+            ledger_events: agg.events,
+            ledger_denied: agg.denied,
+        }
     }
 
     /// The kernel's relaxed-atomic counters: lock-free, as a context
@@ -283,10 +283,12 @@ mod tests {
     fn workload_actually_exercises_flow_machinery() {
         let run = run(&KernelOracle, &Spec::new(20070824, 400), Mode::Serial);
         let out = &run.outcome;
-        assert!(out.stats.sends_checked > 0);
-        assert!(out.stats.sends_dropped > 0, "taint must force some drops");
         assert!(out.stats.label_changes_denied > 0, "declass without t- must be denied");
         assert!(out.procs.values().any(|p| !p.secrecy.is_empty()), "some process must end tainted");
-        assert!(run.injected() > 0, "storm must fire");
+        for l in &out.launches {
+            assert!(l.over_quota > 0 && l.over_quota < l.launched, "some, not all, over quota: {l:?}");
+            assert!(l.tainted > 0 && l.tainted < l.launched, "some, not all, tainted: {l:?}");
+        }
+        assert_eq!(out.live_processes, 4 * PROCS_PER_THREAD, "every launch is reaped");
     }
 }

@@ -304,7 +304,7 @@ mod tests {
             if w5_chaos::inject(Site::SqlQuery).is_some() {
                 return (*sum, 0);
             }
-            w5_obs::record(&ObsLabel::empty(), EventKind::IpcRecv { pid: *sum, bytes: op });
+            w5_obs::record(&ObsLabel::empty(), EventKind::ScheduleQuantum { pid: *sum, ticks: op });
             *sum += op + skew;
             (*sum, op)
         }
@@ -313,7 +313,7 @@ mod tests {
             assert!(steps.iter().flatten().all(|&(_, cost)| cost == 0), "cost is taken before observe");
             if let Tally::Unreplayable = self {
                 let run = RUNS.fetch_add(1, Ordering::Relaxed);
-                w5_obs::record(&ObsLabel::empty(), EventKind::IpcRecv { pid: run, bytes: 0 });
+                w5_obs::record(&ObsLabel::empty(), EventKind::ScheduleQuantum { pid: run, ticks: 0 });
             }
             sums
         }

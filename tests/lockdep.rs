@@ -20,13 +20,13 @@ fn workspace_manifest_is_clean() {
 
 #[test]
 fn live_platform_workload_certifies_against_the_manifest() {
-    // Drive a real multi-layer workload — kernel spawns and sends, store
-    // queries, tag creation — under a scoped recorder, then require the
-    // observed acquisition graph to certify at `warning`: not even an
-    // unannotated-ledger or undeclared-class finding may appear.
-    use bytes::Bytes;
-    use w5_difc::{CapSet, LabelPair, TagKind, TagRegistry};
-    use w5_kernel::{Kernel, ResourceLimits, SpawnSpec};
+    // Drive a real multi-layer workload — label changes and read taints in
+    // the kernel, store queries, tag creation — under a scoped recorder,
+    // then require the observed acquisition graph to certify at
+    // `warning`: not even an unannotated-ledger or undeclared-class
+    // finding may appear.
+    use w5_difc::{CapSet, Label, LabelPair, TagKind, TagRegistry};
+    use w5_kernel::{Kernel, ResourceLimits};
 
     let rec = Arc::new(lockdep::Recorder::new());
     let run = {
@@ -43,21 +43,19 @@ fn live_platform_workload_certifies_against_the_manifest() {
         };
         let a = mk("a");
         let b = mk("b");
-        k.create_tag(a, TagKind::ExportProtect, "export:a").unwrap();
+        let e = k.create_tag(a, TagKind::ExportProtect, "export:a").unwrap();
+        let (r, _) = registry.create_tag(TagKind::ReadProtect, "read:k");
+        let at = |t| LabelPair::new(Label::singleton(t), Label::empty());
         for _ in 0..16 {
-            k.send_strict(a, b, Bytes::from_static(b"m"), CapSet::empty()).unwrap();
-            k.send_strict(b, a, Bytes::from_static(b"r"), CapSet::empty()).unwrap();
+            // Both syscalls ledger their verdicts under the process table's
+            // guard: a raise and a refused declassification, then a read
+            // taint that raises and one that is refused.
+            k.change_labels(b, at(e)).unwrap();
+            assert!(k.change_labels(b, LabelPair::public()).is_err());
+            k.taint_for_read(a, &at(e)).unwrap();
+            assert!(k.taint_for_read(a, &at(r)).is_err());
+            k.change_labels(a, LabelPair::public()).unwrap();
         }
-        k.spawn(
-            a,
-            SpawnSpec {
-                name: "child".into(),
-                labels: LabelPair::public(),
-                grant: CapSet::empty(),
-                limits: ResourceLimits::sandbox_default(),
-            },
-        )
-        .unwrap();
 
         let db = w5_store::Database::new(Arc::clone(&registry));
         let subject = w5_store::Subject::anonymous();
@@ -84,7 +82,10 @@ fn live_platform_workload_certifies_against_the_manifest() {
         rec.snapshot()
     };
 
-    assert!(!run.edges.is_empty() || !run.same_class.is_empty(), "workload recorded nothing");
+    assert!(
+        run.edges.iter().any(|e| e.held == "kernel.procs" && e.acquired == "obs.ledger" && e.allowed),
+        "the kernel's ledgered verdicts must show as an annotated kernel.procs → obs.ledger edge"
+    );
     let report = analyze(&Manifest::workspace(), &run);
     assert!(
         report.passes(Severity::Warning),

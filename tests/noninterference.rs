@@ -430,79 +430,12 @@ mod concurrent_kernel {
     //! pure function of the literal seeds — worker counts and schedules
     //! come from the spec, never from how the test binary is scheduled.
 
-    use bytes::Bytes;
-    use std::sync::Arc;
-    use w5_difc::{CapSet, Capability, Label, LabelPair, TagKind, TagRegistry};
-    use w5_kernel::{Delivery, Kernel, ProcessId, ResourceLimits};
     use w5_sim::concurrency::assert_differential;
     use w5_sim::harness::Spec;
 
-    /// The platform-level invariant, restated for raw kernel IPC: a
-    /// message from a tainted sender reaches an unlabeled receiver only
-    /// if the sender holds the declassification privilege. Hammered from
-    /// many threads at once, the kernel must never deliver one.
-    #[test]
-    fn tainted_sends_never_reach_public_sinks_under_contention() {
-        let k = Kernel::new(Arc::new(TagRegistry::new()));
-        let owner = k.create_process(
-            "owner",
-            LabelPair::public(),
-            CapSet::empty(),
-            ResourceLimits::unlimited(),
-        );
-        let e = k.create_tag(owner, TagKind::ExportProtect, "ni:conc").unwrap();
-        let secret = LabelPair::new(Label::singleton(e), Label::empty());
-
-        const THREADS: usize = 8;
-        const SENDS: usize = 500;
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let k = k.clone();
-                let secret = secret.clone();
-                s.spawn(move || {
-                    // Each worker owns one tainted source (no `e-`) and
-                    // one public sink; the only cross-worker pressure is
-                    // contention on the process-table lock — which must
-                    // not change a single verdict.
-                    let src = k.create_process(
-                        &format!("src{t}"),
-                        secret.clone(),
-                        CapSet::empty(),
-                        ResourceLimits::unlimited(),
-                    );
-                    let sink: ProcessId = k.create_process(
-                        &format!("sink{t}"),
-                        LabelPair::public(),
-                        CapSet::empty(),
-                        ResourceLimits::unlimited(),
-                    );
-                    for i in 0..SENDS {
-                        let d = k
-                            .send(src, sink, Bytes::from_static(b"SENTINEL"), CapSet::empty())
-                            .unwrap();
-                        assert_eq!(d, Delivery::Dropped, "worker {t} send {i} leaked");
-                    }
-                    assert!(k.recv(sink).unwrap().is_none(), "sink {t} mailbox not empty");
-                    // Grant the declassifier and the same flow opens —
-                    // the drops above were policy, not lossage.
-                    let mut minus = CapSet::empty();
-                    minus.insert(Capability::minus(e));
-                    k.grant_caps(src, &minus).unwrap();
-                    let d = k
-                        .send(src, sink, Bytes::from_static(b"ok"), CapSet::empty())
-                        .unwrap();
-                    assert_eq!(d, Delivery::Delivered, "worker {t}: declassified send dropped");
-                });
-            }
-        });
-        let stats = k.stats();
-        assert_eq!(stats.sends_dropped, (THREADS * SENDS) as u64);
-        assert_eq!(stats.sends_checked, (THREADS * (SENDS + 1)) as u64);
-    }
-
     /// The randomized differential workload's verdicts — which processes
-    /// ended tainted, which declassifications were denied, which flows
-    /// were dropped — must match the serial oracle for fixed seeds,
+    /// ended tainted, which declassifications were denied, which launches
+    /// ran over quota — must match the serial oracle for fixed seeds,
     /// however the OS schedules the workers.
     #[test]
     fn concurrent_verdicts_match_serial_oracle() {
@@ -511,7 +444,8 @@ mod concurrent_kernel {
             // the serial oracle.
             let spec = Spec { seed, threads: 4, ops_per_thread: 200, fault_rate: 0.04 };
             let live = &assert_differential(&spec)[1].outcome;
-            assert!(live.stats.sends_dropped > 0, "seed {seed}: workload never denied a flow");
+            let denied = live.stats.label_changes_denied;
+            assert!(denied > 0, "seed {seed}: workload never denied a declassification");
         }
     }
 }
