@@ -2,12 +2,12 @@
 //!
 //! The cost of the primitive operations everything else pays for: tag
 //! creation, label set algebra at growing label sizes, flow checks,
-//! privileged flow checks, and wire encoding. Criterion variants live in
+//! privileged read checks, and wire encoding. Criterion variants live in
 //! `benches/bench_difc.rs`; this binary prints the summary table.
 
 use std::sync::Arc;
 use std::time::Duration;
-use w5_difc::{can_flow, can_flow_with, wire, CapSet, Label, LabelPair, Tag, TagKind, TagRegistry};
+use w5_difc::{can_flow, rules, wire, CapSet, Label, LabelPair, Tag, TagKind, TagRegistry};
 use w5_sim::Table;
 
 fn label(n: usize, offset: u64) -> Label {
@@ -81,16 +81,16 @@ fn main() {
         }
     }
 
-    // Privileged flow with a capability set.
+    // A read that needs a raise: the reader holds t+ for each tag.
     {
         let a = label(16, 1);
-        let caps = CapSet::from_caps(a.iter().map(w5_difc::Capability::minus));
-        let empty = CapSet::empty();
+        let caps = CapSet::from_caps(a.iter().map(w5_difc::Capability::plus));
+        let (reader, data) = (LabelPair::public(), LabelPair::new(a, Label::empty()));
         let (iters, elapsed) = w5_bench::throughput(budget, || {
-            let _ = std::hint::black_box(can_flow_with(&a, &caps, &Label::empty(), &empty));
+            std::hint::black_box(rules::may_read(&reader, &caps, &data));
         });
         table.row([
-            "flow check (privileged)".to_string(),
+            "read check (privileged)".to_string(),
             "16".to_string(),
             w5_bench::ops_per_sec(iters, elapsed),
             format!("{:.0}", elapsed.as_nanos() as f64 / iters as f64),

@@ -27,11 +27,6 @@ pub enum DifcError {
         /// Tags that would be removed without authority.
         tags: Label,
     },
-    /// A secrecy flow `src → dst` would leak the given tags.
-    SecrecyViolation {
-        /// Tags present at the source that the destination cannot accept.
-        leaked: Label,
-    },
     /// The tag is not known to the registry.
     UnknownTag(Tag),
 }
@@ -44,9 +39,6 @@ impl fmt::Display for DifcError {
             }
             DifcError::MissingMinus { tags } => {
                 write!(f, "label change removes {tags:?} without the t- capabilities")
-            }
-            DifcError::SecrecyViolation { leaked } => {
-                write!(f, "flow would leak secrecy tags {leaked:?}")
             }
             DifcError::UnknownTag(t) => write!(f, "tag {t} is not registered"),
         }
@@ -61,11 +53,11 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = DifcError::SecrecyViolation {
-            leaked: Label::singleton(Tag::from_raw(7)),
+        let e = DifcError::MissingPlus {
+            tags: Label::singleton(Tag::from_raw(7)),
         };
         let s = format!("{e}");
-        assert!(s.contains("leak"), "{s}");
+        assert!(s.contains("t+"), "{s}");
         assert!(s.contains("t7"), "{s}");
     }
 

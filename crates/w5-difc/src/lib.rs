@@ -46,7 +46,7 @@ pub use error::{DifcError, DifcResult};
 pub use intern::InternStats;
 pub use label::Label;
 pub use registry::{Held, TagMeta, TagRegistry};
-pub use rules::{can_flow, can_flow_with, labels_for_read, safe_change, FlowCheck};
+pub use rules::{can_flow, labels_for_read, safe_change, FlowCheck};
 pub use tag::{Tag, TagKind};
 
 /// A secrecy/integrity label pair, the complete flow-control state of a

@@ -16,9 +16,6 @@
 //!
 //! * **Safe label change** `L → L'`: requires `(L' − L) ⊆ O⁺` and
 //!   `(L − L') ⊆ O⁻`.
-//! * **Secrecy flow** `p → q`: `S_p − O_p⁻ ⊆ S_q ∪ O_q⁺` — the sender may
-//!   declassify what it owns minuses for, the receiver may raise for what it
-//!   holds pluses on; everything else must already be ⊆.
 //! * **Read** (subject `p` reads object `o`): `S_o ⊆ S_p ∪ O_p⁺` and
 //!   `I_p ⊆ I_o ∪ O_p⁻`; the reader's labels become `S_p ∪ S_o`, `I_p ∩ I_o`.
 //! * **Write** (`p` writes `o`): `S_p ⊆ S_o ∪ O_p⁻` and `I_o ⊆ I_p ∪ O_p⁺`.
@@ -90,31 +87,6 @@ pub fn can_flow_unprivileged(src: &LabelPair, dst: &LabelPair) -> bool {
         a.is_subset(b)
     }
     subset(&src.secrecy, &dst.secrecy) && subset(&dst.integrity, &src.integrity)
-}
-
-/// Privileged secrecy flow check: sender with secrecy `s_src` and effective
-/// capabilities `o_src` sends to receiver with secrecy `s_dst`, capabilities
-/// `o_dst`.
-pub fn can_flow_with<'a, 'b>(
-    s_src: &Label,
-    o_src: impl Into<Held<'a>>,
-    s_dst: &Label,
-    o_dst: impl Into<Held<'b>>,
-) -> DifcResult<()> {
-    let (o_src, o_dst) = (o_src.into(), o_dst.into());
-    // S_src − O_src⁻ ⊆ S_dst ∪ O_dst⁺
-    let leaked: Label = s_src
-        .iter()
-        .filter(|&t| !o_src.has_minus(t))
-        .filter(|&t| !s_dst.contains(t) && !o_dst.has_plus(t))
-        .collect();
-    let allowed = leaked.is_empty();
-    w5_obs::count_check(CheckOp::Flow, allowed, s_src.to_obs());
-    if allowed {
-        Ok(())
-    } else {
-        Err(DifcError::SecrecyViolation { leaked })
-    }
 }
 
 /// Outcome of a full read admissibility check ([`labels_for_read`]).
@@ -349,11 +321,10 @@ mod tests {
         assert!(!can_flow_unprivileged(&pair(&[1, 2], &[9]), &pair(&[1], &[9])));
         assert!(!can_flow_unprivileged(&pair(&[1], &[9]), &pair(&[1], &[8, 9])));
         assert!(can_flow_unprivileged(&LabelPair::public(), &pair(&[1], &[])));
-        // Whenever it says yes, the privileged rules agree with no
-        // capabilities at all: the fast path can only skip work.
+        // Whenever it says yes, the read rule agrees with no capabilities
+        // at all: the fast path can only skip work.
         let none = CapSet::empty();
         let (src, dst) = (pair(&[1], &[8, 9]), pair(&[1, 2], &[9]));
-        assert!(can_flow_with(&src.secrecy, &none, &dst.secrecy, &none).is_ok());
         assert_eq!(labels_for_read(&dst, &none, &src), FlowCheck::Allowed);
     }
 
@@ -362,13 +333,15 @@ mod tests {
         let t = Tag::from_raw(1);
         let mut owner = CapSet::empty();
         owner.insert(crate::caps::Capability::minus(t));
-        // Tagged data to an untagged sink: only the owner can send it.
-        assert!(can_flow_with(&l(&[1]), &CapSet::empty(), &l(&[]), &CapSet::empty()).is_err());
-        assert!(can_flow_with(&l(&[1]), &owner, &l(&[]), &CapSet::empty()).is_ok());
-        // A receiver holding t+ can accept by raising.
+        // Tagged data to an untagged sink: only the owner can drop the tag.
+        assert!(safe_change(&l(&[1]), &l(&[]), &CapSet::empty()).is_err());
+        assert!(safe_change(&l(&[1]), &l(&[]), &owner).is_ok());
+        // An untagged reader holding t+ can accept it by raising.
         let mut raiser = CapSet::empty();
         raiser.insert(crate::caps::Capability::plus(t));
-        assert!(can_flow_with(&l(&[1]), &CapSet::empty(), &l(&[]), &raiser).is_ok());
+        let (reader, data) = (LabelPair::public(), LabelPair::new(l(&[1]), l(&[])));
+        assert!(!may_read(&reader, &CapSet::empty(), &data));
+        assert!(may_read(&reader, &raiser, &data));
     }
 
     #[test]

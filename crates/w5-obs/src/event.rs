@@ -132,21 +132,18 @@ pub enum CheckOp {
     Read,
     /// Write admissibility (`rules::may_write`).
     Write,
-    /// Privileged secrecy flow (`rules::can_flow_with`).
-    Flow,
     /// Safe label change (`rules::safe_change`).
     Change,
 }
 
 impl CheckOp {
-    const ALL: [CheckOp; 4] = [CheckOp::Read, CheckOp::Write, CheckOp::Flow, CheckOp::Change];
+    const ALL: [CheckOp; 3] = [CheckOp::Read, CheckOp::Write, CheckOp::Change];
 
     /// The stable lowercase name, which is also the wire form.
     pub fn name(self) -> &'static str {
         match self {
             CheckOp::Read => "read",
             CheckOp::Write => "write",
-            CheckOp::Flow => "flow",
             CheckOp::Change => "change",
         }
     }
@@ -372,7 +369,7 @@ mod tests {
     fn layer_mapping_is_total() {
         let samples = [
             EventKind::ProcSpawn { pid: 1, parent: 0, name: "x".into() },
-            EventKind::LabelCheck { op: CheckOp::Flow, allowed: true },
+            EventKind::LabelCheck { op: CheckOp::Read, allowed: true },
             EventKind::DeclassifierInvoke { name: "friends-only".into(), allowed: false },
             EventKind::HttpRequest { method: "GET".into(), path: "/".into(), status: 200 },
             EventKind::StoreRead { path: "/f".into(), bytes: 3, allowed: true },
@@ -406,7 +403,6 @@ mod tests {
         for (op, name) in [
             (CheckOp::Read, "read"),
             (CheckOp::Write, "write"),
-            (CheckOp::Flow, "flow"),
             (CheckOp::Change, "change"),
         ] {
             let kind = EventKind::LabelCheck { op, allowed: false };

@@ -434,10 +434,10 @@ mod tests {
     fn check_sampling_always_keeps_denials() {
         let l = Ledger::new();
         for _ in 0..100 {
-            l.count_check(CheckOp::Flow, true, &ObsLabel::empty());
+            l.count_check(CheckOp::Read, true, &ObsLabel::empty());
         }
         for _ in 0..3 {
-            l.count_check(CheckOp::Flow, false, &ObsLabel::singleton(2));
+            l.count_check(CheckOp::Read, false, &ObsLabel::singleton(2));
         }
         // Counters are exact.
         let agg = l.aggregate();
@@ -464,11 +464,11 @@ mod tests {
     /// a ring small enough to evict.
     #[test]
     fn a_run_of_checks_leaves_what_one_at_a_time_would() {
-        const OPS: [CheckOp; 4] = [CheckOp::Read, CheckOp::Write, CheckOp::Flow, CheckOp::Change];
+        const OPS: [CheckOp; 3] = [CheckOp::Read, CheckOp::Write, CheckOp::Change];
         let labels: Vec<ObsLabel> = (1..=5).map(ObsLabel::singleton).collect();
         // A denial in every seventh check; ops and labels cycle.
         let verdicts = |n: usize, salt: usize| -> Vec<Check<'_>> {
-            (salt..salt + n).map(|k| (OPS[k % 4], k % 7 != 3, &labels[k % 5])).collect()
+            (salt..salt + n).map(|k| (OPS[k % 3], k % 7 != 3, &labels[k % 5])).collect()
         };
         for cap in [4, DEFAULT_RING_CAP] {
             for size in [1, 15, 16, 17, 200] {

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use w5_difc::{CapSet, Capability, LabelPair, TagRegistry};
 use w5_kernel::{Kernel, ResourceLimits};
-use w5_store::sql::{BinOp, Expr, SelectItem, Statement};
+use w5_store::sql::{Expr, Statement};
 use w5_store::{Database, LabeledFs, QueryCost, QueryError, QueryMode, Subject, Value};
 
 /// Platform-wide configuration. The `enforce_ifc` switch exists solely for
@@ -118,7 +118,7 @@ pub struct Platform {
     faults: AtomicU64,
     /// Installed implementations, keyed by a shared app key that the
     /// perimeter's records reuse.
-    impls: RwLock<HashMap<w5_obs::Name, Arc<dyn W5App>>>,
+    impls: RwLock<HashMap<w5_obs::Name, Installed>>,
     /// Fault reports, one bounded queue per app key: an app's faults are
     /// evicted only by that app's newer faults.
     fault_log: Mutex<PartitionedLog<String, FaultReport>>,
@@ -155,14 +155,16 @@ impl Platform {
         create("CREATE TABLE w5_mail (app TEXT, body TEXT, seq INTEGER)");
         // Platform queries are point lookups on these columns; the indexes
         // turn each into one index lookup per visible partition, and a
-        // relationship question — every column of the row pinned — into
-        // an intersection of postings. Direct calls (not SQL): index
-        // creation is schema metadata, not subject to fault injection or
-        // label checks.
+        // relationship question — every column of the row pinned, so every
+        // column of the two relationship tables is indexed — into an
+        // intersection of postings. Direct calls (not SQL): index creation
+        // is schema metadata, not subject to fault injection or label
+        // checks.
         for (table, column) in [
             ("w5_friends", "owner"),
             ("w5_friends", "friend"),
             ("w5_groups", "owner"),
+            ("w5_groups", "grp"),
             ("w5_groups", "member"),
             ("w5_mail", "app"),
         ] {
@@ -198,12 +200,13 @@ impl Platform {
 
     /// Install the executable implementation for a published app key.
     pub fn install_app(&self, key: &str, app: Arc<dyn W5App>) {
-        self.impls.write().insert(key.into(), app);
+        let span = format!("platform.invoke {key}").into();
+        self.impls.write().insert(key.into(), Installed { app, span });
     }
 
     /// Fetch an app implementation.
     pub fn app_impl(&self, key: &str) -> Option<Arc<dyn W5App>> {
-        self.impls.read().get(key).cloned()
+        self.impls.read().get(key).map(|i| Arc::clone(&i.app))
     }
 
     /// Resolve which manifest a user actually runs: their version pin if
@@ -276,11 +279,15 @@ impl Platform {
         request: AppRequest,
     ) -> InvokeResult {
         self.invocations.fetch_add(1, Ordering::Relaxed);
+        let installed = self.impls.read().get_key_value(app_key).map(|(k, i)| (k.clone(), i.clone()));
         // Child of the gateway's HTTP root span when reached over the wire,
         // a fresh trace root when driven directly (benchmarks, tests). The
         // response labels are only known at the end — unioned in below.
         let mut trace_span = w5_obs::span(
-            format!("platform.invoke {app_key}"),
+            installed.as_ref().map_or_else(
+                || w5_obs::Name::from(format!("platform.invoke {app_key}")),
+                |(_, i)| i.span.clone(),
+            ),
             w5_obs::Layer::Platform,
             &w5_obs::ObsLabel::empty(),
         );
@@ -295,9 +302,7 @@ impl Platform {
         let Some(manifest) = self.pinned_or_latest(policy, app_key) else {
             return error_result(404, "no such application");
         };
-        let Some((app_name, app)) =
-            self.impls.read().get_key_value(app_key).map(|(k, a)| (k.clone(), Arc::clone(a)))
-        else {
+        let Some((app_name, Installed { app, .. })) = installed else {
             return error_result(404, "application not installed");
         };
 
@@ -574,6 +579,14 @@ pub fn sql_escape(s: &str) -> String {
     s.replace('\'', "''")
 }
 
+/// An installed implementation, with the name of its invocations' span,
+/// built once here rather than on every invoke.
+#[derive(Clone)]
+struct Installed {
+    app: Arc<dyn W5App>,
+    span: w5_obs::Name,
+}
+
 /// The relationship oracle over the platform's tables.
 pub struct PlatformOracle<'a> {
     db: &'a Database,
@@ -581,65 +594,34 @@ pub struct PlatformOracle<'a> {
 
 impl PlatformOracle<'_> {
     /// Does `table` hold a row the platform can see with every
-    /// `(column, value)`? The answer leaves without labels, so the count
-    /// is unprivileged: only rows that flow to a public reader as they
+    /// `(column, value)`? The answer leaves without labels, so the store
+    /// asks unprivileged: only rows that flow to a public reader as they
     /// stand, never one that a raise to an export tag would reveal. Any
-    /// query error is a "no": the perimeter fails closed.
+    /// error is a "no": the perimeter fails closed.
     fn holds(&self, table: &str, row: &[(&str, &str)]) -> bool {
-        match self.db.execute_stmt(
-            &Subject::anonymous(),
-            QueryMode::Unprivileged,
-            QueryCost::unlimited(),
-            &LabelPair::public(),
-            count_where(table, row),
-        ) {
-            Ok(out) => matches!(out.rows.first().map(|r| &r.values[0]), Some(Value::Int(n)) if *n > 0),
-            Err(_) => false,
-        }
+        self.db.holds(table, row).unwrap_or(false)
     }
 }
 
+// Every column of both tables is indexed: an answer is the intersection of
+// the columns' postings in each readable partition, and no row is evaluated.
 impl RelationshipOracle for PlatformOracle<'_> {
-    // Both columns are indexed: the answer is the intersection of two
-    // postings in each readable partition, and no row is evaluated.
     fn are_friends(&self, a: &str, b: &str) -> bool {
         self.holds("w5_friends", &[("friend", b), ("owner", a)])
     }
 
-    // `member` and `owner` are indexed: their postings intersect, and only
-    // the rows in both are checked for the group.
     fn in_group(&self, owner: &str, group: &str, user: &str) -> bool {
         self.holds("w5_groups", &[("member", user), ("grp", group), ("owner", owner)])
     }
 }
 
-// The platform's own statements, built as the parser would build them from
+// The platform's own writes, built as the parser would build them from
 // text. The values are usernames and group names from outside; as typed
 // literals they have no quoting to get wrong. Apps, which are untrusted and
 // arrive with text, keep speaking SQL to the store.
 
 fn text(value: &str) -> Expr {
     Expr::Literal(Value::Text(value.to_string()))
-}
-
-/// `SELECT COUNT(*) FROM table WHERE c1 = 'v1' AND c2 = 'v2' …`
-fn count_where(table: &str, row: &[(&str, &str)]) -> Statement {
-    let filter = row
-        .iter()
-        .map(|&(column, value)| Expr::Binary {
-            op: BinOp::Eq,
-            left: Box::new(Expr::Column(column.to_string())),
-            right: Box::new(text(value)),
-        })
-        .reduce(|all, eq| Expr::Binary { op: BinOp::And, left: Box::new(all), right: Box::new(eq) });
-    Statement::Select {
-        items: vec![SelectItem::CountStar],
-        table: table.to_string(),
-        join: None,
-        filter,
-        order_by: None,
-        limit: None,
-    }
 }
 
 /// `INSERT INTO table (c1, c2, …) VALUES ('v1', 'v2', …)`

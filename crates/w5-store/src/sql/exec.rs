@@ -31,7 +31,7 @@
 use super::ast::{BinOp, Expr, SelectItem, Statement};
 use super::lexer::SqlError;
 use super::parser::parse;
-use super::plan::{self, Pushdown};
+use super::plan::{self, Key, Probe, Pushdown};
 use super::storage::{col_index, Partition, RowLoc, StoredRow, Table};
 use super::value::{like_match, ColumnType, Value};
 use crate::subject::Subject;
@@ -156,7 +156,7 @@ pub struct QueryOutput {
 }
 
 /// Visit `t`'s rows and hand those that are visible to `subject` under
-/// `mode`, satisfy `filter`, and (when `write` is set) are writable by the
+/// `mode`, satisfy `probe`, and (when `write` is set) are writable by the
 /// subject to `on_match` — partition-major, ascending row order within a
 /// partition. A `WriteDenied` on any matching row aborts the scan. Budget
 /// is charged per the module docs' cost model; returns the units consumed.
@@ -173,14 +173,11 @@ fn scan(
     global: &TagRegistry,
     mode: QueryMode,
     cost: QueryCost,
-    filter: Option<&Expr>,
+    probe: Probe<'_>,
     write: bool,
     on_match: &mut impl FnMut(RowLoc),
 ) -> Result<u64, QueryError> {
-    let push = filter.and_then(|f| plan::pushdown(t, f));
-    // Probes that are the whole filter have already decided every row they
-    // return (`Pushdown::exact`); anything else is re-checked per row.
-    let filter = filter.filter(|_| !push.is_some_and(|p| p.exact()));
+    let Probe { push, filter } = probe;
     let none = CapSet::empty();
     let mut verdicts = match mode {
         QueryMode::Unprivileged => Verdicts::new(&subject.labels, &none),
@@ -381,15 +378,7 @@ impl Database {
         insert_labels: &LabelPair,
         stmt: Statement,
     ) -> Result<QueryOutput, QueryError> {
-        // Statements execute all-or-nothing: an injected abort fires before
-        // any row is visited, so there is never a half-applied write.
-        if w5_chaos::inject(w5_chaos::Site::SqlQuery).is_some() {
-            return Err(QueryError::Aborted);
-        }
-        // Per-row flow verdicts are ledgered while the table lock is held;
-        // intentional (the verdict must describe the partition it filtered,
-        // and the scan cannot release the lock row by row).
-        let _obs_permit = w5_sync::lockdep::allow_held("obs.ledger");
+        let _obs_permit = admit()?;
         match stmt {
             Statement::CreateTable { name, columns } => self.create_table(&name, columns),
             Statement::DropTable { name } => self.drop_table(subject, &name),
@@ -410,6 +399,42 @@ impl Database {
                 self.delete(subject, mode, cost, &table, filter)
             }
         }
+    }
+
+    /// Does `table` hold a row with every `(column, value)` text pair, among
+    /// the rows a public reader may read as their labels stand
+    /// ([`QueryMode::Unprivileged`])? The question of trusted code whose
+    /// answer leaves without labels — the platform's relationship oracle —
+    /// asked without a statement: the pairs are the probe, so every column
+    /// must be indexed, and an unindexed one (or more pairs than one probe
+    /// intersects) answers `false`. The scan meets every partition and
+    /// counts one verdict each, as `SELECT COUNT(*) FROM table WHERE c1 =
+    /// 'v1' AND …` would; it rolls the same fault site.
+    pub fn holds(&self, table: &str, row: &[(&str, &str)]) -> Result<bool, QueryError> {
+        let _obs_permit = admit()?;
+        let tables = self.tables.read();
+        let t = tables
+            .get(table)
+            .ok_or_else(|| QueryError::NoSuchTable(table.to_string()))?;
+        if row.is_empty() || row.len() > plan::MAX_KEYS {
+            return Ok(false);
+        }
+        let mut slots = [(0, 0); plan::MAX_KEYS];
+        for (at, &(column, _)) in slots.iter_mut().zip(row) {
+            let col = t.col_index(column)?;
+            let Some(slot) = t.index_slot(col) else { return Ok(false) };
+            *at = (col, slot);
+        }
+        let values: [Value; plan::MAX_KEYS] =
+            std::array::from_fn(|i| row.get(i).map_or(Value::Null, |&(_, v)| Value::Text(v.to_string())));
+        let keys = std::array::from_fn(|i| {
+            (i < row.len()).then(|| Key { col: slots[i].0, slot: slots[i].1, value: &values[i] })
+        });
+        let probe = Probe { push: Some(Pushdown::Keys { keys, exact: true }), filter: None };
+        let (subject, mode, cost) = (Subject::anonymous(), QueryMode::Unprivileged, QueryCost::unlimited());
+        let mut found = false;
+        scan(t, &subject, &self.global, mode, cost, probe, false, &mut |_| found = true)?;
+        Ok(found)
     }
 
     /// Names of all tables (schema metadata is public).
@@ -597,7 +622,8 @@ impl Database {
         // they come from (a partition's matches arrive together).
         if let ([SelectItem::CountStar], None, None) = (items.as_slice(), &order_by, limit) {
             let (mut n, mut labels, mut last) = (0, None::<LabelPair>, usize::MAX);
-            let scanned = scan(t, subject, &self.global, mode, cost, filter.as_ref(), false, &mut |l| {
+            let probe = Probe::plan(t, filter.as_ref());
+            let scanned = scan(t, subject, &self.global, mode, cost, probe, false, &mut |l| {
                 n += 1;
                 if l.part != last {
                     last = l.part;
@@ -611,8 +637,8 @@ impl Database {
         }
 
         let mut locs = Vec::new();
-        let scanned =
-            scan(t, subject, &self.global, mode, cost, filter.as_ref(), false, &mut |l| locs.push(l))?;
+        let probe = Probe::plan(t, filter.as_ref());
+        let scanned = scan(t, subject, &self.global, mode, cost, probe, false, &mut |l| locs.push(l))?;
         // Back to insertion order: the scan visits partition-major.
         locs.sort_unstable_by_key(|l| l.seq);
         let mut hits: Vec<(&StoredRow, &Partition)> = locs
@@ -714,8 +740,8 @@ impl Database {
             .collect::<Result<_, _>>()?;
 
         let mut locs = Vec::new();
-        let scanned =
-            scan(t, subject, &self.global, mode, cost, filter.as_ref(), true, &mut |l| locs.push(l))?;
+        let probe = Probe::plan(t, filter.as_ref());
+        let scanned = scan(t, subject, &self.global, mode, cost, probe, true, &mut |l| locs.push(l))?;
         // Stage in insertion order so SET-expression evaluation (and any
         // error it surfaces) does not depend on layout; apply only once every
         // row staged cleanly — a failure aborts the whole statement.
@@ -769,8 +795,8 @@ impl Database {
         // Mark (scan), then sweep — so WriteDenied and budget errors abort
         // the statement without partial effects.
         let mut locs = Vec::new();
-        let scanned =
-            scan(t, subject, &self.global, mode, cost, filter.as_ref(), true, &mut |l| locs.push(l))?;
+        let probe = Probe::plan(t, filter.as_ref());
+        let scanned = scan(t, subject, &self.global, mode, cost, probe, true, &mut |l| locs.push(l))?;
         let affected = locs.len();
         if affected > 0 {
             let mut doomed: Vec<Option<Vec<bool>>> = vec![None; t.partitions.len()];
@@ -800,6 +826,19 @@ impl Database {
 enum Projection<'a> {
     Col(usize),
     Expr(&'a Expr),
+}
+
+/// What every entry into the store does first. Statements execute
+/// all-or-nothing: an injected `sql.query` abort fires before any row is
+/// visited, so there is never a half-applied write. Then the permit: flow
+/// verdicts are ledgered while the table lock is held; intentional (the
+/// verdict must describe the partition it filtered, and the scan cannot
+/// release the lock row by row).
+fn admit() -> Result<w5_sync::lockdep::AllowHeldGuard, QueryError> {
+    if w5_chaos::inject(w5_chaos::Site::SqlQuery).is_some() {
+        return Err(QueryError::Aborted);
+    }
+    Ok(w5_sync::lockdep::allow_held("obs.ledger"))
 }
 
 /// Materialize an inner equi-join as a temporary table whose columns are
@@ -847,7 +886,8 @@ fn join_tables(
     // nothing — a join budgets the candidate *pair* count instead.
     let visible = |t: &Table| -> Result<Vec<RowLoc>, QueryError> {
         let mut locs = Vec::new();
-        scan(t, subject, global, mode, QueryCost::unlimited(), None, false, &mut |l| locs.push(l))?;
+        let all = Probe { push: None, filter: None };
+        scan(t, subject, global, mode, QueryCost::unlimited(), all, false, &mut |l| locs.push(l))?;
         locs.sort_unstable_by_key(|l| l.seq);
         Ok(locs)
     };

@@ -25,25 +25,26 @@ impl fmt::Display for SqlError {
 
 impl std::error::Error for SqlError {}
 
-/// One token, with its source offset.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Token {
-    pub kind: TokenKind,
+/// One token, with its source offset. It borrows the query text.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Token<'a> {
+    pub kind: TokenKind<'a>,
     pub offset: usize,
 }
 
 /// Token kinds. Keywords are case-insensitive and lexed as [`TokenKind::Word`]
-/// then matched upward by the parser; operators and punctuation get their own
-/// variants.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TokenKind {
-    /// Identifier or keyword (stored uppercased for keywords comparison,
-    /// original in `.1` for identifiers).
-    Word(String, String),
+/// then matched by the parser; operators and punctuation get their own
+/// variants. Nothing is copied out of the query text: a token is a slice
+/// of it, a number or a mark.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum TokenKind<'a> {
+    /// Identifier or keyword, as written.
+    Word(&'a str),
     /// Integer literal.
     Number(i64),
-    /// String literal (quotes removed, `''` unescaped).
-    Str(String),
+    /// String literal: the text between the quotes, each `''` still
+    /// doubled (see [`unescape`]).
+    Str(&'a str),
     LParen,
     RParen,
     Comma,
@@ -64,178 +65,105 @@ pub enum TokenKind {
     Eof,
 }
 
+/// The text of a [`TokenKind::Str`] literal, `''` unescaped: the one
+/// allocation a string literal costs.
+pub fn unescape(raw: &str) -> String {
+    raw.replace("''", "'")
+}
+
 /// Tokenize a query string.
-pub fn lex(input: &str) -> Result<Vec<Token>, SqlError> {
+pub fn lex(input: &str) -> Result<Vec<Token<'_>>, SqlError> {
     let bytes = input.as_bytes();
-    let mut out = Vec::new();
+    // A token and the blank after it take four bytes or more in the
+    // statements the workspace sends, so their tokens fit one allocation.
+    let mut out = Vec::with_capacity(input.len() / 4 + 2);
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;
         let start = i;
-        match c {
+        let (kind, len) = match c {
             ' ' | '\t' | '\r' | '\n' => {
                 i += 1;
+                continue;
             }
-            '(' => {
-                out.push(Token { kind: TokenKind::LParen, offset: start });
-                i += 1;
-            }
-            ')' => {
-                out.push(Token { kind: TokenKind::RParen, offset: start });
-                i += 1;
-            }
-            ',' => {
-                out.push(Token { kind: TokenKind::Comma, offset: start });
-                i += 1;
-            }
-            '.' => {
-                out.push(Token { kind: TokenKind::Dot, offset: start });
-                i += 1;
-            }
-            '*' => {
-                out.push(Token { kind: TokenKind::Star, offset: start });
-                i += 1;
-            }
-            '+' => {
-                out.push(Token { kind: TokenKind::Plus, offset: start });
-                i += 1;
-            }
-            '-' => {
+            '-' if bytes.get(i + 1) == Some(&b'-') => {
                 // `--` starts a comment to end of line.
-                if bytes.get(i + 1) == Some(&b'-') {
-                    while i < bytes.len() && bytes[i] != b'\n' {
-                        i += 1;
-                    }
-                } else {
-                    out.push(Token { kind: TokenKind::Minus, offset: start });
+                while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
+                continue;
             }
-            '/' => {
-                out.push(Token { kind: TokenKind::Slash, offset: start });
-                i += 1;
-            }
-            '%' => {
-                out.push(Token { kind: TokenKind::Percent, offset: start });
-                i += 1;
-            }
-            '=' => {
-                out.push(Token { kind: TokenKind::Eq, offset: start });
-                i += 1;
-            }
-            '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token { kind: TokenKind::NotEq, offset: start });
-                    i += 2;
-                } else {
-                    return Err(SqlError::new("expected '=' after '!'", start));
-                }
-            }
+            '(' => (TokenKind::LParen, 1),
+            ')' => (TokenKind::RParen, 1),
+            ',' => (TokenKind::Comma, 1),
+            '.' => (TokenKind::Dot, 1),
+            '*' => (TokenKind::Star, 1),
+            '+' => (TokenKind::Plus, 1),
+            '-' => (TokenKind::Minus, 1),
+            '/' => (TokenKind::Slash, 1),
+            '%' => (TokenKind::Percent, 1),
+            '=' => (TokenKind::Eq, 1),
+            '!' if bytes.get(i + 1) == Some(&b'=') => (TokenKind::NotEq, 2),
+            '!' => return Err(SqlError::new("expected '=' after '!'", start)),
             '<' => match bytes.get(i + 1) {
-                Some(&b'=') => {
-                    out.push(Token { kind: TokenKind::LtEq, offset: start });
-                    i += 2;
-                }
-                Some(&b'>') => {
-                    out.push(Token { kind: TokenKind::NotEq, offset: start });
-                    i += 2;
-                }
-                _ => {
-                    out.push(Token { kind: TokenKind::Lt, offset: start });
-                    i += 1;
-                }
+                Some(&b'=') => (TokenKind::LtEq, 2),
+                Some(&b'>') => (TokenKind::NotEq, 2),
+                _ => (TokenKind::Lt, 1),
             },
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token { kind: TokenKind::GtEq, offset: start });
-                    i += 2;
-                } else {
-                    out.push(Token { kind: TokenKind::Gt, offset: start });
-                    i += 1;
-                }
-            }
+            '>' if bytes.get(i + 1) == Some(&b'=') => (TokenKind::GtEq, 2),
+            '>' => (TokenKind::Gt, 1),
             '\'' => {
-                i += 1;
-                let mut s = String::new();
+                // A quote byte is never part of a multi-byte character, so
+                // the literal ends at the first quote that is not doubled.
+                let mut j = i + 1;
                 loop {
-                    match bytes.get(i) {
+                    match bytes.get(j) {
                         None => return Err(SqlError::new("unterminated string literal", start)),
-                        Some(&b'\'') => {
-                            if bytes.get(i + 1) == Some(&b'\'') {
-                                s.push('\'');
-                                i += 2;
-                            } else {
-                                i += 1;
-                                break;
-                            }
-                        }
-                        Some(&b) => {
-                            // Keep multi-byte UTF-8 intact by copying bytes;
-                            // validity is guaranteed because input is &str.
-                            let ch_len = utf8_len(b);
-                            s.push_str(&input[i..i + ch_len]);
-                            i += ch_len;
-                        }
+                        Some(&b'\'') if bytes.get(j + 1) == Some(&b'\'') => j += 2,
+                        Some(&b'\'') => break,
+                        Some(_) => j += 1,
                     }
                 }
-                out.push(Token { kind: TokenKind::Str(s), offset: start });
+                (TokenKind::Str(&input[i + 1..j]), j + 1 - i)
             }
             '0'..='9' => {
-                let mut j = i;
-                while j < bytes.len() && bytes[j].is_ascii_digit() {
-                    j += 1;
-                }
-                let n: i64 = input[i..j]
+                let len = bytes[i..].iter().take_while(|b| b.is_ascii_digit()).count();
+                let n: i64 = input[i..i + len]
                     .parse()
                     .map_err(|_| SqlError::new("integer literal out of range", start))?;
-                out.push(Token { kind: TokenKind::Number(n), offset: start });
-                i = j;
+                (TokenKind::Number(n), len)
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut j = i;
-                while j < bytes.len()
-                    && ((bytes[j] as char).is_ascii_alphanumeric() || bytes[j] == b'_')
-                {
-                    j += 1;
-                }
-                let word = &input[i..j];
-                out.push(Token {
-                    kind: TokenKind::Word(word.to_ascii_uppercase(), word.to_string()),
-                    offset: start,
-                });
-                i = j;
+                let len = bytes[i..]
+                    .iter()
+                    .take_while(|&&b| b.is_ascii_alphanumeric() || b == b'_')
+                    .count();
+                (TokenKind::Word(&input[i..i + len]), len)
             }
             other => {
                 return Err(SqlError::new(format!("unexpected character {other:?}"), start));
             }
-        }
+        };
+        out.push(Token { kind, offset: start });
+        i += len;
     }
     out.push(Token { kind: TokenKind::Eof, offset: input.len() });
     Ok(out)
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(s: &str) -> Vec<TokenKind> {
+    fn kinds(s: &str) -> Vec<TokenKind<'_>> {
         lex(s).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
     fn words_and_numbers() {
         let k = kinds("SELECT x FROM t WHERE x >= 10");
-        assert_eq!(k[0], TokenKind::Word("SELECT".into(), "SELECT".into()));
-        assert_eq!(k[1], TokenKind::Word("X".into(), "x".into()));
+        assert_eq!(k[0], TokenKind::Word("SELECT"));
+        assert_eq!(k[1], TokenKind::Word("x"));
         assert!(k.contains(&TokenKind::GtEq));
         assert!(k.contains(&TokenKind::Number(10)));
         assert_eq!(*k.last().unwrap(), TokenKind::Eof);
@@ -243,14 +171,17 @@ mod tests {
 
     #[test]
     fn strings_with_escapes() {
-        let k = kinds("'it''s'");
-        assert_eq!(k[0], TokenKind::Str("it's".into()));
+        let k = kinds("'it''s' ''''");
+        assert_eq!(k[0], TokenKind::Str("it''s"));
+        assert_eq!(unescape("it''s"), "it's");
+        assert_eq!(k[1], TokenKind::Str("''"));
+        assert_eq!(unescape("''"), "'");
     }
 
     #[test]
     fn unicode_strings() {
         let k = kinds("'héllo✓'");
-        assert_eq!(k[0], TokenKind::Str("héllo✓".into()));
+        assert_eq!(k[0], TokenKind::Str("héllo✓"));
     }
 
     #[test]
@@ -285,6 +216,7 @@ mod tests {
     #[test]
     fn errors() {
         assert!(lex("'unterminated").is_err());
+        assert!(lex("'unterminated''").is_err());
         assert!(lex("!x").is_err());
         assert!(lex("99999999999999999999999").is_err());
         assert!(lex("@").is_err());

@@ -1,7 +1,7 @@
 //! Recursive-descent parser for the SQL subset.
 
 use super::ast::{BinOp, Expr, Join, SelectItem, Statement};
-use super::lexer::{lex, SqlError, Token, TokenKind};
+use super::lexer::{lex, unescape, SqlError, Token, TokenKind};
 use super::value::{ColumnType, Value};
 
 /// Parse one statement.
@@ -13,26 +13,34 @@ pub fn parse(input: &str) -> Result<Statement, SqlError> {
     Ok(stmt)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// The tokens borrow the query text, so reading one is a small copy that
+/// allocates nothing; only the statement's own names and string literals
+/// are allocated, once each, as the AST takes them.
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+impl<'a> Parser<'a> {
+    fn peek(&self) -> TokenKind<'a> {
+        self.tokens[self.pos].kind
     }
 
     fn offset(&self) -> usize {
         self.tokens[self.pos].offset
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
+    fn bump(&mut self) -> TokenKind<'a> {
+        let t = self.peek();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
         t
+    }
+
+    /// Is the next token the keyword `kw` (any case)?
+    fn at_kw(&self, kw: &str) -> bool {
+        matches!(self.peek(), TokenKind::Word(w) if w.eq_ignore_ascii_case(kw))
     }
 
     fn err(&self, msg: impl Into<String>) -> SqlError {
@@ -41,13 +49,11 @@ impl Parser {
 
     /// Match a keyword (case-insensitive) and consume it.
     fn eat_kw(&mut self, kw: &str) -> bool {
-        if let TokenKind::Word(upper, _) = self.peek() {
-            if upper == kw {
-                self.bump();
-                return true;
-            }
+        let at = self.at_kw(kw);
+        if at {
+            self.bump();
         }
-        false
+        at
     }
 
     fn expect_kw(&mut self, kw: &str) -> Result<(), SqlError> {
@@ -58,8 +64,8 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: TokenKind, what: &str) -> Result<(), SqlError> {
-        if *self.peek() == kind {
+    fn expect(&mut self, kind: TokenKind<'a>, what: &str) -> Result<(), SqlError> {
+        if self.peek() == kind {
             self.bump();
             Ok(())
         } else {
@@ -83,13 +89,13 @@ impl Parser {
             "FALSE", "NULL", "LIKE", "ASC", "DESC", "IS", "COUNT", "SUM", "MIN", "MAX",
             "JOIN", "INNER", "ON", "INDEX",
         ];
-        match self.peek().clone() {
-            TokenKind::Word(upper, orig) => {
-                if RESERVED.contains(&upper.as_str()) {
-                    Err(self.err(format!("{orig:?} is a reserved word")))
+        match self.peek() {
+            TokenKind::Word(word) => {
+                if RESERVED.iter().any(|kw| kw.eq_ignore_ascii_case(word)) {
+                    Err(self.err(format!("{word:?} is a reserved word")))
                 } else {
                     self.bump();
-                    Ok(orig)
+                    Ok(word.to_string())
                 }
             }
             _ => Err(self.err("expected identifier")),
@@ -112,7 +118,7 @@ impl Parser {
         if self.eat_kw("CREATE") {
             if self.eat_kw("INDEX") {
                 // Optional index name before ON; single-column indexes only.
-                if !matches!(self.peek(), TokenKind::Word(w, _) if w.as_str() == "ON") {
+                if !self.at_kw("ON") {
                     self.ident()?;
                 }
                 self.expect_kw("ON")?;
@@ -290,23 +296,21 @@ impl Parser {
             ("MIN", Some(SelectItem::Min as fn(String) -> SelectItem)),
             ("MAX", Some(SelectItem::Max as fn(String) -> SelectItem)),
         ] {
-            if let TokenKind::Word(upper, _) = self.peek() {
-                if upper == kw && matches!(self.tokens[self.pos + 1].kind, TokenKind::LParen) {
-                    self.bump(); // keyword
-                    self.bump(); // (
-                    let item = if kw == "COUNT" && matches!(self.peek(), TokenKind::Star) {
-                        self.bump();
-                        SelectItem::CountStar
-                    } else {
-                        let col = self.column_ref()?;
-                        match mk {
-                            Some(f) => f(col),
-                            None => SelectItem::Count(col),
-                        }
-                    };
-                    self.expect(TokenKind::RParen, ")")?;
-                    return Ok(item);
-                }
+            if self.at_kw(kw) && matches!(self.tokens[self.pos + 1].kind, TokenKind::LParen) {
+                self.bump(); // keyword
+                self.bump(); // (
+                let item = if kw == "COUNT" && matches!(self.peek(), TokenKind::Star) {
+                    self.bump();
+                    SelectItem::CountStar
+                } else {
+                    let col = self.column_ref()?;
+                    match mk {
+                        Some(f) => f(col),
+                        None => SelectItem::Count(col),
+                    }
+                };
+                self.expect(TokenKind::RParen, ")")?;
+                return Ok(item);
             }
         }
         Ok(SelectItem::Expr(self.expr()?))
@@ -358,7 +362,7 @@ impl Parser {
             TokenKind::LtEq => Some(BinOp::LtEq),
             TokenKind::Gt => Some(BinOp::Gt),
             TokenKind::GtEq => Some(BinOp::GtEq),
-            TokenKind::Word(w, _) if w == "LIKE" => Some(BinOp::Like),
+            TokenKind::Word(w) if w.eq_ignore_ascii_case("LIKE") => Some(BinOp::Like),
             _ => None,
         };
         if let Some(op) = op {
@@ -410,14 +414,14 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, SqlError> {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Number(n) => {
                 self.bump();
                 Ok(Expr::Literal(Value::Int(n)))
             }
-            TokenKind::Str(s) => {
+            TokenKind::Str(raw) => {
                 self.bump();
-                Ok(Expr::Literal(Value::Text(s)))
+                Ok(Expr::Literal(Value::Text(unescape(raw))))
             }
             TokenKind::LParen => {
                 self.bump();
@@ -425,25 +429,21 @@ impl Parser {
                 self.expect(TokenKind::RParen, ")")?;
                 Ok(e)
             }
-            TokenKind::Word(upper, _) => match upper.as_str() {
-                "TRUE" => {
-                    self.bump();
-                    Ok(Expr::Literal(Value::Bool(true)))
-                }
-                "FALSE" => {
-                    self.bump();
-                    Ok(Expr::Literal(Value::Bool(false)))
-                }
-                "NULL" => {
-                    self.bump();
-                    Ok(Expr::Literal(Value::Null))
-                }
-                _ => {
-                    // Could be a qualified column (the keyword word was
-                    // already rejected by ident()).
-                    Ok(Expr::Column(self.column_ref()?))
-                }
-            },
+            TokenKind::Word(_) => {
+                let literal = if self.at_kw("TRUE") {
+                    Value::Bool(true)
+                } else if self.at_kw("FALSE") {
+                    Value::Bool(false)
+                } else if self.at_kw("NULL") {
+                    Value::Null
+                } else {
+                    // Could be a qualified column (a keyword is rejected
+                    // by ident()).
+                    return Ok(Expr::Column(self.column_ref()?));
+                };
+                self.bump();
+                Ok(Expr::Literal(literal))
+            }
             _ => Err(self.err("expected an expression")),
         }
     }

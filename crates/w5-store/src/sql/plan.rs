@@ -87,6 +87,24 @@ impl<'e> Pushdown<'e> {
     }
 }
 
+/// What a scan asks of each partition it reads: the index probe, if any,
+/// and the part of the filter the probe has not already decided.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Probe<'e> {
+    pub(crate) push: Option<Pushdown<'e>>,
+    pub(crate) filter: Option<&'e Expr>,
+}
+
+impl<'e> Probe<'e> {
+    /// Plan `filter` against `t`. Probes that are the whole filter have
+    /// already decided every row they return ([`Pushdown::exact`]);
+    /// anything else is re-checked per row.
+    pub(crate) fn plan(t: &Table, filter: Option<&'e Expr>) -> Probe<'e> {
+        let push = filter.and_then(|f| pushdown(t, f));
+        Probe { push, filter: filter.filter(|_| !push.is_some_and(|p| p.exact())) }
+    }
+}
+
 /// One normalized `column op literal` conjunct.
 struct Bound<'e> {
     col: usize,

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 use w5_difc::LabelPair;
-use w5_store::{FsError, LabeledFs, QueryCost, QueryMode, Subject};
+use w5_store::{FsError, LabeledFs, QueryCost, QueryError, QueryMode, Subject};
 
 /// Operations the fs model understands.
 #[derive(Clone, Debug)]
@@ -95,19 +95,23 @@ proptest! {
     }
 
     /// The SQL front end must never panic, whatever string arrives —
-    /// parse errors are fine, crashes are not. (Applications feed it
+    /// parse errors are fine, crashes are not — and a parse error points
+    /// into the input or just past its end. (Applications feed it
     /// arbitrary text.)
     #[test]
     fn sql_never_panics_on_arbitrary_input(input in ".{0,200}") {
         let db = w5_store::Database::new(Arc::new(w5_difc::TagRegistry::new()));
         let subject = Subject::anonymous();
-        let _ = db.execute(
+        let out = db.execute(
             &subject,
             QueryMode::Filtered,
             QueryCost::sandbox_default(),
             &LabelPair::public(),
             &input,
         );
+        if let Err(QueryError::Sql(e)) = out {
+            prop_assert!(e.offset <= input.len(), "offset {} past {} bytes", e.offset, input.len());
+        }
     }
 
     /// Nor on structured-ish garbage built from SQL fragments.
@@ -118,7 +122,8 @@ proptest! {
                 Just("SELECT"), Just("FROM"), Just("WHERE"), Just("*"), Just("("), Just(")"),
                 Just("'a'"), Just("1"), Just(","), Just("="), Just("t"), Just("JOIN"),
                 Just("ON"), Just("ORDER"), Just("BY"), Just("LIMIT"), Just("COUNT"),
-                Just("NULL"), Just("--x"), Just("t.c"), Just("%"), Just("+")
+                Just("NULL"), Just("--x"), Just("t.c"), Just("%"), Just("+"),
+                Just("'o''b'"), Just("'é✓"), Just("😀"), Just("!"), Just("from")
             ],
             0..24,
         )
@@ -126,13 +131,16 @@ proptest! {
         let sql = parts.join(" ");
         let db = w5_store::Database::new(Arc::new(w5_difc::TagRegistry::new()));
         let subject = Subject::anonymous();
-        let _ = db.execute(
+        let out = db.execute(
             &subject,
             QueryMode::Filtered,
             QueryCost::sandbox_default(),
             &LabelPair::public(),
             &sql,
         );
+        if let Err(QueryError::Sql(e)) = out {
+            prop_assert!(e.offset <= sql.len(), "offset {} past {} bytes", e.offset, sql.len());
+        }
     }
 
     /// Statement atomicity: a failed multi-row INSERT leaves no rows.

@@ -971,3 +971,61 @@ fn error_exits_count_exactly_the_verdicts_made() {
     );
     assert!(matches!(out, Err(QueryError::Eval(_))), "{out:?}");
 }
+
+/// `Database::holds` is `SELECT COUNT(*) … WHERE a = 'x' AND b = 'y'` run
+/// unprivileged, answered without a statement: the same yes or no, the
+/// same verdicts in the ledger, in the same order — over public, export-
+/// and read-protected partitions and hostile values. An unindexed column
+/// answers no; an unknown table or column is an error.
+#[test]
+fn holds_answers_as_an_unprivileged_count_and_counts_the_same_verdicts() {
+    let reg = Arc::new(TagRegistry::new());
+    let db = Database::new(Arc::clone(&reg));
+    let run = |mode, labels: &LabelPair, sql: &str| {
+        db.execute(&Subject::anonymous(), mode, QueryCost::unlimited(), labels, sql)
+    };
+    run(QueryMode::Filtered, &LabelPair::public(), "CREATE TABLE t (a TEXT, b TEXT, c TEXT)").unwrap();
+    db.create_index("t", "a").unwrap();
+    db.create_index("t", "b").unwrap();
+    let values = ["al", "bo", "o'brien", "' OR '1'='1", "é✓", ""];
+    let quote = |v: &str| v.replace('\'', "''");
+    for (i, kind) in [None, Some(TagKind::ExportProtect), Some(TagKind::ReadProtect), None].into_iter().enumerate() {
+        let pair = match kind {
+            None => LabelPair::public(),
+            Some(kind) => LabelPair::new(Label::singleton(reg.create_tag(kind, &format!("part:{i}")).0), Label::empty()),
+        };
+        for (j, x) in values.iter().enumerate() {
+            let y = values[(i + 2 * j) % values.len()];
+            let sql = format!("INSERT INTO t VALUES ('{}', '{}', 'c')", quote(x), quote(y));
+            run(QueryMode::Filtered, &pair, &sql).unwrap();
+        }
+    }
+    let footprint = |ask: &dyn Fn() -> bool| {
+        let ledger = Arc::new(w5_obs::Ledger::new());
+        let answer = {
+            let _scope = w5_obs::scoped(ledger.clone());
+            ask()
+        };
+        let ringed: Vec<String> = ledger.events().iter().map(|e| format!("{:?} {:?}", e.kind, e.secrecy)).collect();
+        (answer, ledger.events_recorded(), ringed)
+    };
+    let mut yes = 0;
+    for x in values {
+        for y in values {
+            let direct = footprint(&|| db.holds("t", &[("a", x), ("b", y)]).unwrap());
+            let sql = format!("SELECT COUNT(*) FROM t WHERE a = '{}' AND b = '{}'", quote(x), quote(y));
+            let counted = footprint(&|| {
+                let out = run(QueryMode::Unprivileged, &LabelPair::public(), &sql).unwrap();
+                out.rows[0].values[0] != Value::Int(0)
+            });
+            assert_eq!(direct, counted, "{x:?} {y:?}");
+            yes += usize::from(direct.0);
+        }
+    }
+    // Only the public partitions' rows answer yes.
+    assert_eq!(yes, 2 * values.len());
+    assert_eq!(db.holds("t", &[("a", "al"), ("c", "c")]), Ok(false));
+    assert_eq!(db.holds("t", &[]), Ok(false));
+    assert_eq!(db.holds("t", &[("a", "al"), ("zz", "c")]), Err(QueryError::NoSuchColumn("zz".into())));
+    assert_eq!(db.holds("nope", &[("a", "al")]), Err(QueryError::NoSuchTable("nope".into())));
+}

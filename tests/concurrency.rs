@@ -4,16 +4,18 @@
 //! Two claims:
 //!
 //! 1. **Serial ≡ concurrent** (property) — for any seeded schedule
-//!    (2–8 threads, mixed launch/taint/declass/cap traffic, with or
-//!    without a `w5-chaos` fault storm spec), the kernel's final
-//!    observable state — labels, capability bags, launch tallies,
-//!    counters, ledger aggregates, per-thread fault tallies — is identical
-//!    whether the schedule ran on real threads or was replayed serially.
+//!    (2–8 threads, mixed launch/taint/declass/cap traffic), the kernel's
+//!    final observable state — labels, capability bags, launch tallies,
+//!    counters, ledger aggregates — is identical whether the schedule ran
+//!    on real threads or was replayed serially.
 //! 2. **Digest regression** — for fixed seeds, the serial replay digest
 //!    of the private obs ledger equals golden values (the same event
 //!    stream, not merely the same counts), and the platform-level
 //!    `ChaosOutcome` digest still replays bit-identically.
 //!
+//! The kernel arms no fault site, so the kernel schedules here run
+//! without a fault storm (`fault_rate: 0.0`); faults are exercised by
+//! the platform-level chaos run, which rolls `fs.write` and `sql.query`.
 //! Seeding is explicit everywhere: outcomes depend only on the specs
 //! below, never on `RUST_TEST_THREADS` or scheduler timing.
 
@@ -24,34 +26,26 @@ use w5_sim::{run_chaos, ChaosSpec};
 // ---- 1. serial ≡ concurrent ----
 
 #[test]
-fn differential_fixed_seeds_calm_and_stormy() {
-    for (seed, threads, rate) in
-        [(1u64, 2usize, 0.0), (42, 4, 0.05), (20070824, 8, 0.10)]
-    {
-        assert_differential(&Spec { seed, threads, ops_per_thread: 200, fault_rate: rate });
+fn threads_agree_with_serial_replay_on_fixed_seeds() {
+    for (seed, threads) in [(1u64, 2usize), (42, 4), (20070824, 8)] {
+        assert_differential(&Spec { seed, threads, ops_per_thread: 200, fault_rate: 0.0 });
     }
 }
 
 mod properties {
     //! Random schedules: proptest picks the shape, every shape must
-    //! agree across both arms — including under fault storms.
+    //! agree between its threaded run and its serial replay.
     use super::*;
     use proptest::prelude::*;
 
     proptest! {
         #[test]
-        fn any_schedule_agrees_across_kernels(
+        fn any_schedule_agrees_threaded_and_serial(
             seed in any::<u64>(),
             threads in 2usize..=8,
             ops in 30usize..120,
-            rate_pct in 0u32..25,
         ) {
-            assert_differential(&Spec {
-                seed,
-                threads,
-                ops_per_thread: ops,
-                fault_rate: rate_pct as f64 / 100.0,
-            });
+            assert_differential(&Spec { seed, threads, ops_per_thread: ops, fault_rate: 0.0 });
         }
     }
 }
@@ -59,7 +53,7 @@ mod properties {
 // ---- 2. digest regressions ----
 
 #[test]
-fn serial_ledger_digest_identical_between_kernels() {
+fn serial_ledger_digest_matches_the_recorded_stream() {
     // Golden test. These are the serial-run digests of the launch,
     // taint, declassify and capability schedule (EXPERIMENTS.md §P44).
     // The kernel must keep emitting the *same event stream* — FNV digest
@@ -70,7 +64,7 @@ fn serial_ledger_digest_identical_between_kernels() {
         (1007, 0xa59a_63a1_b123_cf06),
         (20070824, 0xdd82_98a9_51d6_c20c),
     ] {
-        let spec = Spec { seed, threads: 4, ops_per_thread: 250, fault_rate: 0.08 };
+        let spec = Spec { seed, threads: 4, ops_per_thread: 250, fault_rate: 0.0 };
         let digest = run(&KernelOracle, &spec, Mode::Serial).digest;
         assert_eq!(
             digest, golden,
@@ -95,7 +89,7 @@ fn chaos_outcome_digest_replays_on_sharded_kernel() {
 fn concurrent_outcome_independent_of_run_order() {
     // Same spec, run concurrently twice plus serially once: all equal.
     // Catches timing-dependence smuggled into the outcome type itself.
-    let spec = Spec { seed: 1007, threads: 6, ops_per_thread: 180, fault_rate: 0.06 };
+    let spec = Spec { seed: 1007, threads: 6, ops_per_thread: 180, fault_rate: 0.0 };
     let [a, b, c] = [Mode::Threads, Mode::Threads, Mode::Serial].map(|mode| {
         let r = run(&KernelOracle, &spec, mode);
         (r.outcome, r.faults)
