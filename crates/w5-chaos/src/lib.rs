@@ -36,9 +36,6 @@ use std::sync::Arc;
 /// failure a component volunteers to suffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Site {
-    /// The scheduler preempts the running task after a single tick
-    /// (preemption storm).
-    SchedPreempt,
     /// A labeled filesystem write/create aborts before commit (torn write:
     /// the old state must remain fully intact).
     FsWrite,
@@ -65,8 +62,7 @@ pub enum Site {
 
 impl Site {
     /// Every site, in `Ord` order.
-    pub const ALL: [Site; 9] = [
-        Site::SchedPreempt,
+    pub const ALL: [Site; 8] = [
         Site::FsWrite,
         Site::SqlQuery,
         Site::NetConnect,
@@ -80,7 +76,6 @@ impl Site {
     /// Stable lowercase name (reports, fault details, CI logs).
     pub fn as_str(self) -> &'static str {
         match self {
-            Site::SchedPreempt => "sched.preempt",
             Site::FsWrite => "fs.write",
             Site::SqlQuery => "sql.query",
             Site::NetConnect => "net.connect",

@@ -17,7 +17,7 @@
 //!   **write-protection** tag is the dual: `t-` is global, the creator keeps
 //!   `t+`. `Ô` is therefore a rule over tag kinds, not a stored set;
 //!   [`Held`] reads a private bag through it.
-//! * [`rules`] — safe label changes and flow checks between labeled entities.
+//! * [`rules`] — read and write checks between labeled entities.
 //!
 //! The W5 mapping (paper §3.1): each user `u` owns an export-protection tag
 //! `e_u` and a write-protection tag `w_u`; all of `u`'s data defaults to
@@ -46,7 +46,7 @@ pub use error::{DifcError, DifcResult};
 pub use intern::InternStats;
 pub use label::Label;
 pub use registry::{Held, TagMeta, TagRegistry};
-pub use rules::{can_flow, labels_for_read, safe_change, FlowCheck};
+pub use rules::{can_flow, labels_for_read, FlowCheck};
 pub use tag::{Tag, TagKind};
 
 /// A secrecy/integrity label pair, the complete flow-control state of a

@@ -1,4 +1,4 @@
-//! The flow rules: safe label changes and permitted communication.
+//! The flow rules: permitted reads and writes.
 //!
 //! These few functions are the entire security argument of W5. The kernel,
 //! the store and the perimeter refuse any data movement these functions do
@@ -14,44 +14,17 @@
 //! `t- ∈ O_p ⇔ t- ∈ private ∨ kind(t) = Write`. A bare `&CapSet` is a
 //! `Held` with no registry: exactly the capabilities it lists.
 //!
-//! * **Safe label change** `L → L'`: requires `(L' − L) ⊆ O⁺` and
-//!   `(L − L') ⊆ O⁻`.
 //! * **Read** (subject `p` reads object `o`): `S_o ⊆ S_p ∪ O_p⁺` and
 //!   `I_p ⊆ I_o ∪ O_p⁻`; the reader's labels become `S_p ∪ S_o`, `I_p ∩ I_o`.
 //! * **Write** (`p` writes `o`): `S_p ⊆ S_o ∪ O_p⁻` and `I_o ⊆ I_p ∪ O_p⁺`.
 
-use crate::error::{DifcError, DifcResult};
+use crate::error::DifcError;
 use crate::label::Label;
 use crate::registry::Held;
 use crate::tag::Tag;
 use crate::LabelPair;
 use std::sync::atomic::{AtomicU64, Ordering};
 use w5_obs::CheckOp;
-
-/// Check a label change `from → to` against the capabilities `caps` holds
-/// (pass [`crate::TagRegistry::held`] for the global bag to count).
-pub fn safe_change<'c>(from: &Label, to: &Label, caps: impl Into<Held<'c>>) -> DifcResult<()> {
-    let result = safe_change_unobserved(from, to, caps.into());
-    // The flow the check describes carries the union of both labels: a
-    // denial reveals something about where the subject stood *and* where
-    // it tried to go.
-    w5_obs::count_check(CheckOp::Change, result.is_ok(), from.union(to).to_obs());
-    result
-}
-
-fn safe_change_unobserved(from: &Label, to: &Label, caps: Held<'_>) -> DifcResult<()> {
-    let added = to.difference(from);
-    let missing_plus: Label = added.iter().filter(|&t| !caps.has_plus(t)).collect();
-    if !missing_plus.is_empty() {
-        return Err(DifcError::MissingPlus { tags: missing_plus });
-    }
-    let removed = from.difference(to);
-    let missing_minus: Label = removed.iter().filter(|&t| !caps.has_minus(t)).collect();
-    if !missing_minus.is_empty() {
-        return Err(DifcError::MissingMinus { tags: missing_minus });
-    }
-    Ok(())
-}
 
 /// Raw flow check: may data with secrecy `s_src` flow to a sink with
 /// secrecy `s_dst`, with no privilege exercised? This is the per-message
@@ -271,42 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn safe_change_rules() {
-        let reg = TagRegistry::new();
-        let (e, alice) = reg.create_tag(TagKind::ExportProtect, "export:alice");
-        let empty_bag = CapSet::empty();
-        let anyone = reg.held(&empty_bag);
-        let alice_eff = reg.held(&alice);
-
-        // Anyone can raise secrecy with an export-protect tag.
-        assert!(safe_change(&Label::empty(), &Label::singleton(e), anyone).is_ok());
-        // Only alice can lower it.
-        assert!(matches!(
-            safe_change(&Label::singleton(e), &Label::empty(), anyone),
-            Err(DifcError::MissingMinus { .. })
-        ));
-        assert!(safe_change(&Label::singleton(e), &Label::empty(), alice_eff).is_ok());
-    }
-
-    #[test]
-    fn write_protect_change_rules() {
-        let reg = TagRegistry::new();
-        let (w, bob) = reg.create_tag(TagKind::WriteProtect, "write:bob");
-        let empty_bag = CapSet::empty();
-        let anyone = reg.held(&empty_bag);
-        let bob_eff = reg.held(&bob);
-
-        // Anyone may drop the integrity claim…
-        assert!(safe_change(&Label::singleton(w), &Label::empty(), anyone).is_ok());
-        // …but only bob may claim it.
-        assert!(matches!(
-            safe_change(&Label::empty(), &Label::singleton(w), anyone),
-            Err(DifcError::MissingPlus { .. })
-        ));
-        assert!(safe_change(&Label::empty(), &Label::singleton(w), bob_eff).is_ok());
-    }
-
-    #[test]
     fn raw_flow_is_subset() {
         assert!(can_flow(&l(&[]), &l(&[])));
         assert!(can_flow(&l(&[1]), &l(&[1, 2])));
@@ -333,9 +270,11 @@ mod tests {
         let t = Tag::from_raw(1);
         let mut owner = CapSet::empty();
         owner.insert(crate::caps::Capability::minus(t));
-        // Tagged data to an untagged sink: only the owner can drop the tag.
-        assert!(safe_change(&l(&[1]), &l(&[]), &CapSet::empty()).is_err());
-        assert!(safe_change(&l(&[1]), &l(&[]), &owner).is_ok());
+        // A tagged writer to an untagged object: only the owner, holding
+        // `t-`, may drop the tag on the way out.
+        let (writer, sink) = (LabelPair::new(l(&[1]), l(&[])), LabelPair::public());
+        assert!(!may_write(&writer, &CapSet::empty(), &sink));
+        assert!(may_write(&writer, &owner, &sink));
         // An untagged reader holding t+ can accept it by raising.
         let mut raiser = CapSet::empty();
         raiser.insert(crate::caps::Capability::plus(t));

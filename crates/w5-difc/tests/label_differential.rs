@@ -217,9 +217,6 @@ proptest! {
             prop_assert_eq!(held.has_minus(t), union.has_minus(t), "t{}-", id);
         }
         prop_assert_eq!(rules::labels_for_read(&subj, held, &obj), rules::labels_for_read(&subj, &union, &obj));
-        for (from, to) in [(&subj.secrecy, &obj.secrecy), (&subj.integrity, &obj.integrity)] {
-            prop_assert_eq!(rules::safe_change(from, to, held), rules::safe_change(from, to, &union));
-        }
         let (plus, minus) = (tags(&union.plus_label()), tags(&union.minus_label()));
         let (nsubj, nobj) = (naive_pair(&subj), naive_pair(&obj));
         prop_assert_eq!(rules::may_read(&subj, held, &obj), naive::may_read(&nsubj, &plus, &minus, &nobj));

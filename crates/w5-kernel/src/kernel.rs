@@ -11,25 +11,24 @@
 //! The process table is one `HashMap` behind one classed mutex
 //! (`kernel.procs`). Every syscall takes it at most once and never
 //! nests it, so the kernel has no internal lock order to get wrong, and
-//! a label change's check-and-set is atomic by construction. Critical
-//! sections are short: a read taint whose data is already covered asks
-//! only the zero-privilege question of the labels as they stand
-//! ([`rules::can_flow_unprivileged`], an allocation-free merge) and
-//! defers its ledger write until the guard has dropped.
-//!
-//! Flow-decision counters ([`KernelStats`]) are relaxed atomics outside
-//! the lock: exact totals, no ordering claims between counters, readable
-//! while the table is locked elsewhere.
+//! a read taint's check-and-raise is atomic by construction. The taint is
+//! the only way a process's labels change after creation: its
+//! capabilities are fixed by [`Kernel::create_process`], and tags come
+//! from the [`TagRegistry`]. Critical sections are short: a read taint
+//! whose data is already covered asks only the zero-privilege question
+//! of the labels as they stand ([`rules::can_flow_unprivileged`], an
+//! allocation-free merge) and defers its ledger write until the guard
+//! has dropped.
 
 use crate::ids::ProcessId;
-use crate::process::{Process, ProcessInfo, ProcessState};
+use crate::process::{Process, ProcessState};
 use crate::resource::{QuotaExceeded, ResourceContainer, ResourceKind, ResourceLimits, ResourceUsage};
 use w5_sync::{lockdep, Mutex};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock};
-use w5_difc::{rules, CapSet, DifcError, LabelPair, Tag, TagKind, TagRegistry};
+use w5_difc::{rules, CapSet, DifcError, LabelPair, TagRegistry};
 
 /// Errors surfaced by kernel syscalls.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -75,15 +74,13 @@ static SPAN_CREATE_PROCESS: LazyLock<w5_obs::Name> = LazyLock::new(|| "kernel.cr
 /// Result alias for kernel syscalls.
 pub type KernelResult<T> = Result<T, KernelError>;
 
-/// Flow-decision counters, for the evaluation harnesses. Serializable
-/// so lockdep reports can name the operation mix active when an
-/// acquisition edge was recorded ([`Kernel::stats`] is lock-free).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// Kernel counters, read by the socket-to-store benchmark.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Label changes attempted.
+    /// Always 0: the kernel has no label-change syscall (a read taint is
+    /// the one way labels move). Kept because `w5bench` reports it as
+    /// `kernel.label_changes_per_req`.
     pub label_changes: u64,
-    /// Label changes refused.
-    pub label_changes_denied: u64,
 }
 
 type ProcMap = HashMap<ProcessId, Process>;
@@ -92,8 +89,6 @@ struct Shared {
     registry: Arc<TagRegistry>,
     procs: Mutex<ProcMap>,
     next_pid: AtomicU64,
-    label_changes: AtomicU64,
-    label_changes_denied: AtomicU64,
 }
 
 /// The liveness gate every mutating or deciding syscall goes through:
@@ -121,8 +116,6 @@ impl Kernel {
                 registry,
                 procs: Mutex::new("kernel.procs", HashMap::new()),
                 next_pid: AtomicU64::new(1),
-                label_changes: AtomicU64::new(0),
-                label_changes_denied: AtomicU64::new(0),
             }),
         }
     }
@@ -139,15 +132,11 @@ impl Kernel {
             .ok_or(KernelError::NoSuchProcess(pid))
     }
 
-    /// The shared tag registry.
-    pub fn registry(&self) -> &Arc<TagRegistry> {
-        &self.shared.registry
-    }
-
     /// Trusted process creation, the kernel's only way to start a process
     /// (used by the platform for launchers, exporters and app instances).
-    /// No reachability check: the platform decides initial labels per user
-    /// policy.
+    /// No reachability check: the platform decides initial labels and the
+    /// capability bag per user policy, and no syscall changes the bag
+    /// afterwards.
     pub fn create_process(
         &self,
         name: &str,
@@ -168,8 +157,6 @@ impl Kernel {
             s.add_secrecy(secrecy.to_obs());
         }
         let proc = Process {
-            id,
-            name: name.to_string(),
             labels,
             caps,
             state: ProcessState::Runnable,
@@ -183,19 +170,9 @@ impl Kernel {
         id
     }
 
-    /// Snapshot of a process's public metadata.
-    pub fn process_info(&self, pid: ProcessId) -> KernelResult<ProcessInfo> {
-        self.view(pid, Process::info)
-    }
-
     /// Current labels of a process.
     pub fn labels(&self, pid: ProcessId) -> KernelResult<LabelPair> {
         self.view(pid, |p| p.labels.clone())
-    }
-
-    /// The process's *private* capability bag.
-    pub fn caps(&self, pid: ProcessId) -> KernelResult<CapSet> {
-        self.view(pid, |p| p.caps.clone())
     }
 
     /// The capabilities a store call should carry for the process: its
@@ -203,7 +180,7 @@ impl Kernel {
     /// not added: the flow rules apply it themselves, as the registry's
     /// kind rule (see [`TagRegistry::held`]).
     pub fn effective_caps(&self, pid: ProcessId) -> KernelResult<CapSet> {
-        self.caps(pid)
+        self.view(pid, |p| p.caps.clone())
     }
 
     /// The process's labels and private bag, read under one lock: what a
@@ -211,81 +188,6 @@ impl Kernel {
     /// their storage).
     pub fn subject(&self, pid: ProcessId) -> KernelResult<(LabelPair, CapSet)> {
         self.view(pid, |p| (p.labels.clone(), p.caps.clone()))
-    }
-
-    /// Create a tag on behalf of a process; the creator capabilities enter
-    /// the process's private bag, and the public half is global by the
-    /// tag's kind.
-    pub fn create_tag(&self, pid: ProcessId, kind: TagKind, name: &str) -> KernelResult<Tag> {
-        // Allocate outside the process-table lock; the registry has its own.
-        let (tag, creator_caps) = self.shared.registry.create_tag(kind, name);
-        live_mut(&mut self.shared.procs.lock(), pid)?.caps.extend(&creator_caps);
-        w5_obs::record(
-            &w5_obs::ObsLabel::empty(),
-            w5_obs::EventKind::TagGrant { pid: pid.0, tag: tag.raw() },
-        );
-        Ok(tag)
-    }
-
-    /// Change a process's own labels, subject to the safe-change rule.
-    pub fn change_labels(&self, pid: ProcessId, new: LabelPair) -> KernelResult<()> {
-        self.shared.label_changes.fetch_add(1, Ordering::Relaxed);
-        let mut procs = self.shared.procs.lock();
-        let p = live_mut(&mut procs, pid)?;
-        let held = self.shared.registry.held(&p.caps);
-        // The safe-change checks ledger their verdicts under the
-        // process-table guard; intentional (the labels under validation
-        // live inside the guarded table).
-        let _obs_permit = lockdep::allow_held("obs.ledger");
-        let check = rules::safe_change(&p.labels.secrecy, &new.secrecy, held)
-            .and_then(|()| rules::safe_change(&p.labels.integrity, &new.integrity, held));
-        match check {
-            Ok(()) => {
-                p.labels = new;
-                Ok(())
-            }
-            Err(e) => {
-                self.shared.label_changes_denied.fetch_add(1, Ordering::Relaxed);
-                Err(e.into())
-            }
-        }
-    }
-
-    /// Permanently drop capabilities from a process's private bag
-    /// (privilege shedding before running untrusted code).
-    pub fn drop_caps(&self, pid: ProcessId, caps: &CapSet) -> KernelResult<()> {
-        {
-            let mut procs = self.shared.procs.lock();
-            let p = live_mut(&mut procs, pid)?;
-            for c in caps.iter() {
-                p.caps.remove(c);
-            }
-        }
-        w5_obs::record(
-            &w5_obs::ObsLabel::empty(),
-            w5_obs::EventKind::CapabilityUse {
-                pid: pid.0,
-                op: "drop".to_string(),
-                count: caps.len() as u64,
-            },
-        );
-        Ok(())
-    }
-
-    /// Add capabilities to a process's private bag. Trusted (platform)
-    /// entry point, used when a user's policy grants a declassifier
-    /// privileges over the user's tags.
-    pub fn grant_caps(&self, pid: ProcessId, caps: &CapSet) -> KernelResult<()> {
-        live_mut(&mut self.shared.procs.lock(), pid)?.caps.extend(caps);
-        w5_obs::record(
-            &w5_obs::ObsLabel::empty(),
-            w5_obs::EventKind::CapabilityUse {
-                pid: pid.0,
-                op: "grant".to_string(),
-                count: caps.len() as u64,
-            },
-        );
-        Ok(())
     }
 
     /// Charge a resource against a process's container.
@@ -306,12 +208,8 @@ impl Kernel {
         self.view(pid, |p| p.container.usage())
     }
 
-    /// CPU tokens remaining this epoch for a process.
-    pub fn cpu_tokens(&self, pid: ProcessId) -> KernelResult<u64> {
-        self.view(pid, |p| p.container.cpu_tokens())
-    }
-
-    /// Refill every live process's CPU bucket — the scheduler epoch boundary.
+    /// Refill every live process's CPU bucket: an epoch boundary of the
+    /// request-counted [`crate::EpochPacer`].
     pub fn refill_epoch(&self) {
         for p in self.shared.procs.lock().values_mut() {
             if p.state != ProcessState::Dead {
@@ -321,9 +219,9 @@ impl Kernel {
     }
 
     /// Terminate a process. Further syscalls fail with
-    /// [`KernelError::ProcessDead`]; only the read-only views
-    /// (`process_info`, `labels`, `caps`, `effective_caps`, `subject`,
-    /// `usage`, `cpu_tokens`) keep answering until [`Kernel::reap`].
+    /// [`KernelError::ProcessDead`]; only the read-only views (`labels`,
+    /// `effective_caps`, `subject`, `usage`) keep answering until
+    /// [`Kernel::reap`].
     /// Idempotent on an already-dead process.
     pub fn exit(&self, pid: ProcessId) -> KernelResult<()> {
         let mut procs = self.shared.procs.lock();
@@ -355,14 +253,9 @@ impl Kernel {
             .count()
     }
 
-    /// Flow-decision counters. Lock-free (relaxed atomics), so lockdep
-    /// context providers and sim harnesses can sample the live operation
-    /// mix while the process-table lock is held elsewhere.
+    /// Kernel counters (see [`KernelStats`]).
     pub fn stats(&self) -> KernelStats {
-        KernelStats {
-            label_changes: self.shared.label_changes.load(Ordering::Relaxed),
-            label_changes_denied: self.shared.label_changes_denied.load(Ordering::Relaxed),
-        }
+        KernelStats::default()
     }
 
     /// Convenience used throughout the platform: can data labeled `data`
@@ -400,10 +293,16 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use w5_difc::{Capability, Label};
+    use w5_difc::{Capability, Label, Tag, TagKind};
 
     fn kernel() -> Kernel {
         Kernel::new(Arc::new(TagRegistry::new()))
+    }
+
+    /// A kernel and the registry it reads tag kinds from.
+    fn kernel_and_registry() -> (Kernel, Arc<TagRegistry>) {
+        let registry = Arc::new(TagRegistry::new());
+        (Kernel::new(Arc::clone(&registry)), registry)
     }
 
     fn mk(k: &Kernel, name: &str) -> ProcessId {
@@ -413,40 +312,14 @@ mod tests {
     #[test]
     fn create_and_info() {
         let k = kernel();
-        let pid = mk(&k, "a");
-        let info = k.process_info(pid).unwrap();
-        assert_eq!(info.name, "a");
-        assert_eq!(info.state, ProcessState::Runnable);
+        let caps = CapSet::from_caps([Capability::plus(Tag::from_raw(7))]);
+        let pid = k.create_process("a", LabelPair::public(), caps.clone(), ResourceLimits::unlimited());
+        assert_eq!(k.labels(pid).unwrap(), LabelPair::public());
+        assert_eq!(k.effective_caps(pid).unwrap(), caps);
+        assert_eq!(k.subject(pid).unwrap(), (LabelPair::public(), caps));
+        assert_eq!(k.usage(pid).unwrap(), ResourceUsage::default());
         assert_eq!(k.live_processes(), 1);
-    }
-
-    #[test]
-    fn change_labels_follows_the_safe_change_rule() {
-        let k = kernel();
-        let owner = mk(&k, "owner");
-        let app = mk(&k, "app");
-        let e = k.create_tag(owner, TagKind::ExportProtect, "export:o").unwrap();
-        let r = k.create_tag(owner, TagKind::ReadProtect, "read:o").unwrap();
-        let at = |t: Tag| LabelPair::new(Label::singleton(t), Label::empty());
-
-        // Raising to an export tag is free (`t+` is global); coming back
-        // down needs the `t-` only its creator holds.
-        k.change_labels(app, at(e)).unwrap();
-        assert!(matches!(k.change_labels(app, LabelPair::public()), Err(KernelError::Difc(_))));
-        assert_eq!(k.labels(app).unwrap(), at(e), "a refused change leaves the labels");
-        // A read-protect tag keeps its `t+` private until granted.
-        assert!(k.change_labels(app, at(r)).is_err());
-        k.grant_caps(app, &CapSet::from_caps([Capability::plus(r)])).unwrap();
-        k.change_labels(app, LabelPair::new(Label::from_iter([e, r]), Label::empty())).unwrap();
-        // The creator declassifies until it sheds its `t-`.
-        k.change_labels(owner, at(e)).unwrap();
-        k.change_labels(owner, LabelPair::public()).unwrap();
-        k.change_labels(owner, at(e)).unwrap();
-        k.drop_caps(owner, &CapSet::from_caps([Capability::minus(e)])).unwrap();
-        assert!(k.change_labels(owner, LabelPair::public()).is_err());
-
-        let stats = k.stats();
-        assert_eq!((stats.label_changes, stats.label_changes_denied), (8, 3));
+        assert_eq!(k.stats(), KernelStats::default());
     }
 
     #[test]
@@ -458,46 +331,43 @@ mod tests {
         assert_eq!(k.charge(b, ResourceKind::Network, 1), Err(KernelError::ProcessDead(b)));
         assert!(matches!(k.reap(a), Err(KernelError::ProcessDead(_))), "cannot reap live process");
         k.reap(b).unwrap();
-        assert!(matches!(
-            k.process_info(b),
-            Err(KernelError::NoSuchProcess(_))
-        ));
+        assert_eq!(k.labels(b), Err(KernelError::NoSuchProcess(b)));
         assert_eq!(k.live_processes(), 1);
     }
 
     #[test]
     fn dead_process_refuses_mutating_and_deciding_syscalls() {
-        let k = kernel();
-        let a = mk(&k, "a");
-        let t = k.create_tag(a, TagKind::ExportProtect, "export:a").unwrap();
+        let (k, registry) = kernel_and_registry();
+        let (r, r_caps) = registry.create_tag(TagKind::ReadProtect, "read:a");
+        let a = k.create_process("a", LabelPair::public(), r_caps.clone(), ResourceLimits::unlimited());
         k.charge(a, ResourceKind::Memory, 7).unwrap();
-        let (caps, usage) = (k.caps(a).unwrap(), k.usage(a).unwrap());
+        let usage = k.usage(a).unwrap();
         k.exit(a).unwrap();
 
+        // Neither a charge nor a read taint reaches a dead process, not
+        // even one its capabilities would allow.
         let dead = Err(KernelError::ProcessDead(a));
-        let mut minus = CapSet::empty();
-        minus.insert(Capability::minus(t));
-        let mut foreign = CapSet::empty();
-        foreign.insert(Capability::minus(Tag::from_raw(4321)));
-        assert_eq!(k.drop_caps(a, &minus), dead);
-        assert_eq!(k.grant_caps(a, &foreign), dead);
-        assert_eq!(k.charge(a, ResourceKind::Memory, 1), dead);
-        assert_eq!(k.change_labels(a, LabelPair::public()), dead);
+        let secret = LabelPair::new(Label::singleton(r), Label::empty());
+        for kind in [ResourceKind::Cpu, ResourceKind::Memory, ResourceKind::Disk, ResourceKind::Network] {
+            assert_eq!(k.charge(a, kind, 1), dead);
+        }
         assert_eq!(k.taint_for_read(a, &LabelPair::public()), dead);
+        assert_eq!(k.taint_for_read(a, &secret), dead);
 
         // The post-mortem views still answer, and nothing above moved them.
-        assert_eq!(k.caps(a).unwrap(), caps);
+        assert_eq!(k.labels(a).unwrap(), LabelPair::public());
+        assert_eq!(k.effective_caps(a).unwrap(), r_caps);
         assert_eq!(k.usage(a).unwrap(), usage);
-        assert_eq!(k.process_info(a).unwrap().state, ProcessState::Dead);
-        assert!(k.caps(a).unwrap().has_minus(t));
+        assert_eq!(k.live_processes(), 0);
     }
 
     #[test]
     fn taint_for_read_raises_and_refuses() {
-        let k = kernel();
+        let (k, registry) = kernel_and_registry();
+        let (e, _) = registry.create_tag(TagKind::ExportProtect, "export:o");
+        let (r, r_caps) = registry.create_tag(TagKind::ReadProtect, "read:o");
         let app = mk(&k, "app");
-        let owner = mk(&k, "owner");
-        let e = k.create_tag(owner, TagKind::ExportProtect, "export:o").unwrap();
+        let owner = k.create_process("owner", LabelPair::public(), r_caps, ResourceLimits::unlimited());
         let data = LabelPair::new(Label::singleton(e), Label::empty());
 
         // Reading taints, and reading again what the label covers changes
@@ -507,7 +377,6 @@ mod tests {
         k.taint_for_read(app, &data).unwrap();
         assert_eq!(k.labels(app).unwrap().secrecy, Label::singleton(e));
         // Read-protected data it holds no t+ for: refused, labels kept.
-        let r = k.create_tag(owner, TagKind::ReadProtect, "read:o").unwrap();
         let locked = LabelPair::new(Label::from_iter([e, r]), Label::empty());
         assert!(matches!(k.taint_for_read(app, &locked), Err(KernelError::Difc(_))));
         assert_eq!(k.labels(app).unwrap().secrecy, Label::singleton(e));
@@ -528,7 +397,8 @@ mod tests {
         k.charge(a, ResourceKind::Cpu, 5).unwrap();
         assert!(k.charge(a, ResourceKind::Cpu, 1).is_err());
         k.refill_epoch();
-        assert!(k.charge(a, ResourceKind::Cpu, 1).is_ok());
-        assert_eq!(k.cpu_tokens(a).unwrap(), 4);
+        k.charge(a, ResourceKind::Cpu, 4).unwrap();
+        assert!(k.charge(a, ResourceKind::Cpu, 2).is_err(), "one token left after the refill");
+        assert_eq!(k.usage(a).unwrap().cpu_ticks, 9);
     }
 }

@@ -1,19 +1,21 @@
 //! # w5-kernel — the simulated operating-system substrate
 //!
 //! The W5 paper assumes a DIFC operating system (Asbestos, HiStar, or Flume
-//! on Linux) underneath the meta-application. This crate is that substrate,
-//! scoped to one deterministic in-process "machine":
+//! on Linux) underneath the meta-application. This crate is the part of
+//! that substrate a request reaches:
 //!
-//! * [`Kernel`] — the system-call surface: labeled [`process`]es, tag
-//!   creation, safe label changes, read taint and capability grants.
-//!   Processes do not message each other through the kernel: modules talk
-//!   through labeled rows in the store (DESIGN.md §7), so every message
-//!   passes the same read check as any other datum.
+//! * [`Kernel`] — labeled processes in one table: creation with fixed
+//!   labels and capabilities, read taint (the one way a process's labels
+//!   change), resource charges, exit and reap. Tags come from the
+//!   platform's [`w5_difc::TagRegistry`]. Processes do not message each
+//!   other through the kernel: modules talk through labeled rows in the
+//!   store (DESIGN.md §7), so every message passes the same read check as
+//!   any other datum.
 //! * [`resource`] — resource containers (paper §3.5): CPU / memory / disk /
-//!   network budgets per process, enforced at the syscall boundary so a
-//!   rogue application cannot degrade the cluster.
-//! * [`sched`] — a deterministic round-robin scheduler driving cooperative
-//!   tasks, used by the resource-allocation and covert-channel experiments.
+//!   network budgets per process, enforced at the syscall boundary, and
+//!   the request-counted [`EpochPacer`] that refills the CPU buckets. The
+//!   HTTP pipeline's admission stage charges them, so a rogue principal
+//!   cannot degrade the cluster.
 //!
 //! ## Concurrency
 //!
@@ -28,13 +30,10 @@
 
 pub mod ids;
 pub mod kernel;
-pub mod process;
+mod process;
 pub mod resource;
-pub mod sched;
 
 pub use ids::ProcessId;
 pub use kernel::{Kernel, KernelError, KernelResult, KernelStats};
-pub use process::{ProcessInfo, ProcessState};
-pub use resource::{ResourceContainer, ResourceKind, ResourceLimits, ResourceUsage};
+pub use resource::{EpochPacer, ResourceContainer, ResourceKind, ResourceLimits, ResourceUsage};
 pub use resource::QuotaExceeded;
-pub use sched::{EpochPacer, Scheduler, SchedulerReport, Step, Task};

@@ -7,17 +7,19 @@
 //! charges the container and fails with [`QuotaExceeded`] once the budget
 //! is gone.
 //!
-//! CPU is a *rate*: a token bucket refilled each scheduler epoch, so a
-//! spinning process is throttled rather than killed. Memory is a *level*:
+//! CPU is a *rate*: a token bucket refilled each epoch of an
+//! [`EpochPacer`], so a flooding principal is throttled rather than
+//! killed. Memory is a *level*:
 //! charges and releases move a gauge. Disk and network are *cumulative*
 //! within an accounting period.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The four resource axes of §3.5.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
-    /// CPU ticks per scheduler epoch (token bucket).
+    /// CPU ticks per epoch (token bucket).
     Cpu,
     /// Resident bytes (gauge).
     Memory,
@@ -76,8 +78,7 @@ pub struct ResourceLimits {
 }
 
 impl ResourceLimits {
-    /// No limits — used for trusted platform components and for the
-    /// "containers disabled" arm of experiment E8.
+    /// No limits — used for trusted platform components.
     pub fn unlimited() -> ResourceLimits {
         ResourceLimits {
             cpu_per_epoch: u64::MAX,
@@ -145,22 +146,12 @@ impl ResourceContainer {
         }
     }
 
-    /// The configured limits.
-    pub fn limits(&self) -> ResourceLimits {
-        self.limits
-    }
-
     /// Consumption so far.
     pub fn usage(&self) -> ResourceUsage {
         self.usage
     }
 
-    /// CPU tokens left this epoch.
-    pub fn cpu_tokens(&self) -> u64 {
-        self.cpu_tokens
-    }
-
-    /// Refill the CPU bucket; called by the scheduler at each epoch start.
+    /// Refill the CPU bucket; called at each epoch boundary.
     pub fn refill_epoch(&mut self) {
         self.cpu_tokens = self.limits.cpu_per_epoch;
     }
@@ -236,6 +227,42 @@ impl ResourceContainer {
 impl Default for ResourceContainer {
     fn default() -> Self {
         ResourceContainer::new(ResourceLimits::unlimited())
+    }
+}
+
+/// A deterministic epoch clock for the CPU token buckets: the HTTP
+/// request pipeline's admission stage (`w5_platform::NetAdmission`)
+/// charges each admitted request against its principal's container and
+/// ticks the pacer on every charge. Virtual time is counted in charges,
+/// not wall-clock time: every `period` ticks the caller is told to run
+/// [`crate::Kernel::refill_epoch`], so throttling replays exactly.
+#[derive(Debug)]
+pub struct EpochPacer {
+    period: u64,
+    count: AtomicU64,
+}
+
+impl EpochPacer {
+    /// A pacer that completes an epoch every `period` ticks. A period of
+    /// zero never completes an epoch (token buckets are then cumulative
+    /// over the process lifetime).
+    pub fn new(period: u64) -> EpochPacer {
+        EpochPacer { period, count: AtomicU64::new(0) }
+    }
+
+    /// Count one tick; true when this tick closes an epoch and the caller
+    /// should refill the kernel's token buckets.
+    pub fn tick(&self) -> bool {
+        if self.period == 0 {
+            return false;
+        }
+        let n = self.count.fetch_add(1, Ordering::Relaxed) + 1;
+        n.is_multiple_of(self.period)
+    }
+
+    /// The configured epoch length (0 = epochs never complete).
+    pub fn period(&self) -> u64 {
+        self.period
     }
 }
 

@@ -1,144 +1,88 @@
 //! Property tests for the kernel: label-state soundness under random
-//! operation sequences, and scheduler determinism.
+//! sequences of the calls a request makes.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use w5_difc::{CapSet, Capability, Label, LabelPair, Tag, TagKind, TagRegistry};
-use w5_kernel::{Kernel, ProcessId, ResourceLimits, Scheduler, Step};
+use w5_kernel::{Kernel, ProcessId, ResourceLimits};
 
-/// One syscall of a random schedule, applied as `(act, process, tag #)`.
+/// One call of a random schedule, applied as `(act, process #, tag mask)`.
 #[derive(Clone, Copy, Debug)]
 enum Act {
-    /// Create an export tag (the creator holds its `t-`).
-    CreateTag,
-    /// Add the tag to the process's secrecy.
-    Raise,
-    /// Remove the tag from the process's secrecy.
-    Lower,
-    /// Read data labeled with the tag.
+    /// Create a process holding the `t+` of the read-protect tags in the
+    /// mask.
+    Launch,
+    /// Read data labeled with the tags in the mask.
     Taint,
-    /// Shed the tag's `t-`.
-    DropMinus,
+    /// Exit the process.
+    Exit,
+    /// Reap the process (refused while it is alive).
+    Reap,
 }
 
-fn arb_op() -> impl Strategy<Value = (Act, usize, usize)> {
+fn arb_op() -> impl Strategy<Value = (Act, usize, u8)> {
     let act = prop_oneof![
-        Just(Act::CreateTag),
-        Just(Act::Raise),
-        Just(Act::Lower),
+        Just(Act::Launch),
         Just(Act::Taint),
-        Just(Act::DropMinus),
+        Just(Act::Taint),
+        Just(Act::Exit),
+        Just(Act::Reap),
     ];
-    (act, 0usize..4, 0usize..6)
+    (act, 0usize..8, any::<u8>())
+}
+
+/// The tags of `tags` whose bit is set in `mask`.
+fn pick(tags: &[Tag], mask: u8) -> Label {
+    Label::from_iter(tags.iter().enumerate().filter(|(i, _)| mask >> i & 1 == 1).map(|(_, &t)| t))
 }
 
 proptest! {
-    /// Soundness of label state under random syscalls: a process's
-    /// secrecy loses a tag only if the process held that tag's `t-` when
-    /// the tag went. Raising and read taint only ever add.
+    /// Soundness of label state under random launch, taint, exit and
+    /// reap: a process's secrecy only grows, and a read-protected tag
+    /// enters it only if the process was created holding that tag's `t+`.
     #[test]
-    fn secrecy_sheds_only_tags_the_process_may_declassify(ops in proptest::collection::vec(arb_op(), 0..60)) {
-        let kernel = Kernel::new(Arc::new(TagRegistry::new()));
-        let pids: Vec<ProcessId> = (0..4)
-            .map(|i| {
-                kernel.create_process(
-                    &format!("p{i}"),
-                    LabelPair::public(),
-                    CapSet::empty(),
-                    ResourceLimits::unlimited(),
-                )
-            })
-            .collect();
-        let mut tags: Vec<Tag> = Vec::new();
+    fn secrecy_only_grows_and_read_protected_tags_need_their_plus(
+        ops in proptest::collection::vec(arb_op(), 0..60),
+    ) {
+        let registry = Arc::new(TagRegistry::new());
+        let kernel = Kernel::new(Arc::clone(&registry));
+        let export: Vec<Tag> = (0..3).map(|_| registry.create_tag(TagKind::ExportProtect, "e").0).collect();
+        let read: Vec<Tag> = (0..3).map(|_| registry.create_tag(TagKind::ReadProtect, "r").0).collect();
+        let all = [export, read.clone()].concat();
+        // Each process with the read-protect tags it may read.
+        let mut procs: Vec<(ProcessId, Label)> = Vec::new();
 
-        for (act, p, k) in ops {
-            let pid = pids[p];
-            let before = kernel.labels(pid).unwrap();
-            let minus = kernel.caps(pid).unwrap().minus_label();
-            let with_secrecy = |s: Label| LabelPair::new(s, before.integrity.clone());
-            match (act, tags.get(k).copied()) {
-                (Act::CreateTag, _) => tags.push(kernel.create_tag(pid, TagKind::ExportProtect, "t").unwrap()),
+        for (act, p, mask) in ops {
+            let before: Vec<Option<LabelPair>> =
+                procs.iter().map(|&(pid, _)| kernel.labels(pid).ok()).collect();
+            let target = (!procs.is_empty()).then(|| procs[p % procs.len()].0);
+            match (act, target) {
+                (Act::Launch, _) => {
+                    let plus = pick(&read, mask);
+                    let caps = CapSet::from_caps(plus.iter().map(Capability::plus));
+                    let pid = kernel.create_process("p", LabelPair::public(), caps, ResourceLimits::unlimited());
+                    procs.push((pid, plus));
+                }
                 (_, None) => {}
-                (Act::Raise, Some(t)) => {
-                    let _ = kernel.change_labels(pid, with_secrecy(before.secrecy.with(t)));
+                (Act::Taint, Some(pid)) => {
+                    let _ = kernel.taint_for_read(pid, &LabelPair::new(pick(&all, mask), Label::empty()));
                 }
-                (Act::Lower, Some(t)) => {
-                    let _ = kernel.change_labels(pid, with_secrecy(before.secrecy.without(t)));
+                (Act::Exit, Some(pid)) => {
+                    let _ = kernel.exit(pid);
                 }
-                (Act::Taint, Some(t)) => {
-                    let _ = kernel.taint_for_read(pid, &with_secrecy(Label::singleton(t)));
-                }
-                (Act::DropMinus, Some(t)) => {
-                    kernel.drop_caps(pid, &CapSet::from_caps([Capability::minus(t)])).unwrap();
+                (Act::Reap, Some(pid)) => {
+                    let _ = kernel.reap(pid);
                 }
             }
-            let shed = before.secrecy.difference(&kernel.labels(pid).unwrap().secrecy);
-            prop_assert!(shed.is_subset(&minus), "{pid} shed {shed:?} holding only {minus:?}");
-        }
-    }
-
-    /// Scheduler determinism: identical task sets produce identical
-    /// reports.
-    #[test]
-    fn scheduler_is_deterministic(
-        works in proptest::collection::vec((1u64..500, 1u64..50), 1..6),
-        epoch in 10u64..200,
-    ) {
-        let run = || {
-            let kernel = Kernel::new(Arc::new(TagRegistry::new()));
-            let mut sched = Scheduler::new(kernel.clone(), epoch, true);
-            for (i, &(total, slice)) in works.iter().enumerate() {
-                let pid = kernel.create_process(
-                    &format!("w{i}"),
-                    LabelPair::public(),
-                    CapSet::empty(),
-                    ResourceLimits { cpu_per_epoch: 50, ..ResourceLimits::unlimited() },
-                );
-                let mut left = total;
-                sched.add(pid, Box::new(move |_k: &Kernel, _p: ProcessId| {
-                    if left == 0 {
-                        return Step::Done;
-                    }
-                    let c = slice.min(left);
-                    left -= c;
-                    Step::Yield { cost: c }
-                }));
-            }
-            let r = sched.run(100_000);
-            (r.total_ticks, r.finished_at, r.executed)
-        };
-        prop_assert_eq!(run(), run());
-    }
-
-    /// All work completes when capacity allows, regardless of shape.
-    #[test]
-    fn all_tasks_finish_given_time(
-        works in proptest::collection::vec((1u64..200, 1u64..20), 1..5),
-    ) {
-        let kernel = Kernel::new(Arc::new(TagRegistry::new()));
-        let mut sched = Scheduler::new(kernel.clone(), 100, true);
-        let mut pids = Vec::new();
-        for (i, &(total, slice)) in works.iter().enumerate() {
-            let pid = kernel.create_process(
-                &format!("w{i}"),
-                LabelPair::public(),
-                CapSet::empty(),
-                ResourceLimits { cpu_per_epoch: 30, ..ResourceLimits::unlimited() },
-            );
-            pids.push(pid);
-            let mut left = total;
-            sched.add(pid, Box::new(move |_k: &Kernel, _p: ProcessId| {
-                if left == 0 {
-                    return Step::Done;
+            for (i, (pid, plus)) in procs.iter().enumerate() {
+                let Ok(after) = kernel.labels(*pid) else { continue };
+                if let Some(Some(b)) = before.get(i) {
+                    prop_assert!(b.secrecy.is_subset(&after.secrecy), "{pid} lost secrecy: {b:?} → {after:?}");
                 }
-                let c = slice.min(left);
-                left -= c;
-                Step::Yield { cost: c }
-            }));
-        }
-        let r = sched.run(1_000_000);
-        for pid in pids {
-            prop_assert!(r.finished_at.contains_key(&pid), "{pid} unfinished: {r:?}");
+                for t in after.secrecy.iter().filter(|t| read.contains(t)) {
+                    prop_assert!(plus.contains(t), "{pid} read {t:?} holding only {plus:?}");
+                }
+            }
         }
     }
 }

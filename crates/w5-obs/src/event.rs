@@ -132,19 +132,16 @@ pub enum CheckOp {
     Read,
     /// Write admissibility (`rules::may_write`).
     Write,
-    /// Safe label change (`rules::safe_change`).
-    Change,
 }
 
 impl CheckOp {
-    const ALL: [CheckOp; 3] = [CheckOp::Read, CheckOp::Write, CheckOp::Change];
+    const ALL: [CheckOp; 2] = [CheckOp::Read, CheckOp::Write];
 
     /// The stable lowercase name, which is also the wire form.
     pub fn name(self) -> &'static str {
         match self {
             CheckOp::Read => "read",
             CheckOp::Write => "write",
-            CheckOp::Change => "change",
         }
     }
 }
@@ -183,7 +180,9 @@ pub enum EventKind {
         /// Audit name.
         name: String,
     },
-    /// The scheduler granted a task a slice of virtual time.
+    /// A slice of virtual time. No kernel code records it: it is the
+    /// fixed-size event that `w5bench`'s record-cost probe and the
+    /// `w5_sim::harness` tests write.
     ScheduleQuantum {
         /// The scheduled pid.
         pid: u64,
@@ -191,8 +190,7 @@ pub enum EventKind {
         ticks: u64,
     },
     // ---- difc ----
-    /// A flow-rule check ran (privileged flow, label change, read/write
-    /// admissibility).
+    /// A flow-rule check ran (read or write admissibility).
     LabelCheck {
         /// Which rule.
         op: CheckOp,
@@ -205,22 +203,6 @@ pub enum EventKind {
         tag: u64,
         /// Distribution kind (`"export"`, `"write"`, `"read"`).
         kind: String,
-    },
-    /// A process received creator capabilities for a tag.
-    TagGrant {
-        /// The receiving pid.
-        pid: u64,
-        /// Raw tag id.
-        tag: u64,
-    },
-    /// Capabilities moved in or out of a process's private bag.
-    CapabilityUse {
-        /// The pid whose bag changed.
-        pid: u64,
-        /// `"grant"` or `"drop"`.
-        op: String,
-        /// Number of capabilities moved.
-        count: u64,
     },
     // ---- platform ----
     // The perimeter's decision itself is recorded once, in the platform's
@@ -314,10 +296,7 @@ impl EventKind {
     pub fn layer(&self) -> Layer {
         match self {
             EventKind::ProcSpawn { .. } | EventKind::ScheduleQuantum { .. } => Layer::Kernel,
-            EventKind::LabelCheck { .. }
-            | EventKind::TagCreate { .. }
-            | EventKind::TagGrant { .. }
-            | EventKind::CapabilityUse { .. } => Layer::Difc,
+            EventKind::LabelCheck { .. } | EventKind::TagCreate { .. } => Layer::Difc,
             EventKind::DeclassifierInvoke { .. }
             | EventKind::SanitizerRun { .. }
             | EventKind::AuditFinding { .. } => Layer::Platform,
@@ -380,8 +359,8 @@ mod tests {
 
     #[test]
     fn denial_flags() {
-        assert!(EventKind::LabelCheck { op: CheckOp::Change, allowed: false }.denied());
-        assert!(!EventKind::LabelCheck { op: CheckOp::Change, allowed: true }.denied());
+        assert!(EventKind::LabelCheck { op: CheckOp::Read, allowed: false }.denied());
+        assert!(!EventKind::LabelCheck { op: CheckOp::Write, allowed: true }.denied());
         assert!(EventKind::StoreWrite { path: "/x".into(), bytes: 0, allowed: false }.denied());
         assert!(!EventKind::ScheduleQuantum { pid: 1, ticks: 5 }.denied());
     }
@@ -403,7 +382,6 @@ mod tests {
         for (op, name) in [
             (CheckOp::Read, "read"),
             (CheckOp::Write, "write"),
-            (CheckOp::Change, "change"),
         ] {
             let kind = EventKind::LabelCheck { op, allowed: false };
             let json = serde_json::to_string(&kind).unwrap();

@@ -34,7 +34,7 @@ fn storm_kind(rng: &mut StdRng) -> (ObsLabel, EventKind) {
             bytes: rng.gen_range(0..4096),
             allowed: rng.gen_bool(0.8),
         },
-        2 => EventKind::LabelCheck { op: CheckOp::Change, allowed: rng.gen_bool(0.7) },
+        2 => EventKind::LabelCheck { op: CheckOp::Read, allowed: rng.gen_bool(0.7) },
         _ => EventKind::DeclassifierInvoke { name: "friends-only".into(), allowed: rng.gen_bool(0.5) },
     };
     (secrecy, kind)

@@ -210,11 +210,6 @@ impl<'a> PlatformApi<'a> {
         }
     }
 
-    /// The instance's kernel process id (for diagnostics).
-    pub fn pid(&self) -> ProcessId {
-        self.pid
-    }
-
     /// The authenticated viewer's username.
     pub fn viewer(&self) -> Option<&str> {
         self.viewer.map(|a| a.username.as_str())

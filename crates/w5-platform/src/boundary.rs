@@ -11,10 +11,11 @@
 //! exactly as `faultreport.rs` prescribes, and the same report is retained
 //! for developers via the platform's fault log.
 //!
-//! CPU epochs are counted in admitted requests (not wall clock, which
-//! would break replay determinism): every `epoch_period` charges the
-//! pacer triggers [`Kernel::refill_epoch`], so token buckets refill and a
-//! throttled principal recovers after `Retry-After` worth of traffic.
+//! CPU epochs are counted in charges (not wall clock, which would break
+//! replay determinism): every `epoch_period` charges, refused ones
+//! included, the pacer triggers [`Kernel::refill_epoch`], so token buckets
+//! refill and a throttled principal recovers after `Retry-After` worth of
+//! traffic. Experiment E8 measures what this holds a flooding class to.
 
 use crate::faultreport::{build_report, FaultKind};
 use crate::platform::Platform;
@@ -279,6 +280,29 @@ mod tests {
                 paced.charge(&class, ChargePoint::Request, 1).is_ok(),
                 "charge {i} refused despite epoch refills"
             );
+        }
+    }
+
+    #[test]
+    fn a_flooding_class_is_held_to_its_share() {
+        // One CPU token per class per epoch, and an epoch as long as a
+        // round: the flood's 64 request charges, its one response and the
+        // honest request's two.
+        let limits = ResourceLimits { cpu_per_epoch: 1, ..ResourceLimits::unlimited() };
+        let adm = NetAdmission::new(platform(), limits, 67);
+        let rogue = PrincipalClass::App("rogue/spin".into());
+        let honest = PrincipalClass::App("honest/blog".into());
+        let serve = |class: &PrincipalClass| {
+            let admitted = adm.charge(class, ChargePoint::Request, 1).is_ok();
+            if admitted {
+                adm.charge(class, ChargePoint::Response, 1).unwrap();
+            }
+            admitted
+        };
+        for round in 0..10 {
+            let runs = (0..64).filter(|_| serve(&rogue)).count();
+            assert_eq!(runs, 1, "round {round}: the flood runs once per epoch");
+            assert!(serve(&honest), "round {round}: the honest request is refused");
         }
     }
 

@@ -224,8 +224,11 @@ impl<'a> Parser<'a> {
                 None
             };
             let limit = if self.eat_kw("LIMIT") {
-                match self.bump() {
-                    TokenKind::Number(n) if n >= 0 => Some(n as usize),
+                match self.peek() {
+                    TokenKind::Number(n) if n >= 0 => {
+                        self.bump();
+                        Some(n as usize)
+                    }
                     _ => return Err(self.err("LIMIT needs a non-negative integer")),
                 }
             } else {
@@ -573,5 +576,10 @@ mod tests {
     fn error_offsets_point_at_problem() {
         let err = parse("SELECT * FROM").unwrap_err();
         assert_eq!(err.offset, 13);
+        // A bad LIMIT is reported where its token starts.
+        for bad in ["SELECT * FROM t LIMIT x", "SELECT * FROM t LIMIT -5"] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!((err.message.as_str(), err.offset), ("LIMIT needs a non-negative integer", 22), "{bad}");
+        }
     }
 }

@@ -175,9 +175,10 @@ fn fold(mut h: u64, s: &str) -> u64 {
     h
 }
 
-/// The digest of the corpus's parses, as the front end answered before it
-/// stopped copying its input.
-const PINNED: u64 = 0xefc4_02dd_76e3_a82f;
+/// The digest of the corpus's parses. Recorded once more when a bad
+/// `LIMIT` began to report the offset of its own token rather than the
+/// next one's (96 answers moved by one byte, nothing else).
+const PINNED: u64 = 0x8aca_687c_7618_ec77;
 
 #[test]
 fn the_corpus_parses_as_pinned() {

@@ -20,11 +20,10 @@ fn workspace_manifest_is_clean() {
 
 #[test]
 fn live_platform_workload_certifies_against_the_manifest() {
-    // Drive a real multi-layer workload — label changes and read taints in
-    // the kernel, store queries, tag creation — under a scoped recorder,
-    // then require the observed acquisition graph to certify at
-    // `warning`: not even an unannotated-ledger or undeclared-class
-    // finding may appear.
+    // Drive a real multi-layer workload — launches and read taints in the
+    // kernel, store queries, tag creation — under a scoped recorder, then
+    // require the observed acquisition graph to certify at `warning`: not
+    // even an unannotated-ledger or undeclared-class finding may appear.
     use w5_difc::{CapSet, Label, LabelPair, TagKind, TagRegistry};
     use w5_kernel::{Kernel, ResourceLimits};
 
@@ -33,28 +32,24 @@ fn live_platform_workload_certifies_against_the_manifest() {
         let _scope = lockdep::scoped(Arc::clone(&rec));
         let registry = Arc::new(TagRegistry::new());
         let k = Kernel::new(Arc::clone(&registry));
-        let mk = |name: &str| {
-            k.create_process(
-                name,
-                LabelPair::public(),
-                CapSet::empty(),
-                ResourceLimits::unlimited(),
-            )
+        let (e, _) = registry.create_tag(TagKind::ExportProtect, "export:a");
+        let (r, r_caps) = registry.create_tag(TagKind::ReadProtect, "read:k");
+        let mk = |name: &str, caps: &CapSet| {
+            k.create_process(name, LabelPair::public(), caps.clone(), ResourceLimits::unlimited())
         };
-        let a = mk("a");
-        let b = mk("b");
-        let e = k.create_tag(a, TagKind::ExportProtect, "export:a").unwrap();
-        let (r, _) = registry.create_tag(TagKind::ReadProtect, "read:k");
         let at = |t| LabelPair::new(Label::singleton(t), Label::empty());
+        let b = mk("b", &CapSet::empty());
         for _ in 0..16 {
-            // Both syscalls ledger their verdicts under the process table's
-            // guard: a raise and a refused declassification, then a read
-            // taint that raises and one that is refused.
-            k.change_labels(b, at(e)).unwrap();
-            assert!(k.change_labels(b, LabelPair::public()).is_err());
+            // Read taints ledger their verdicts under the process table's
+            // guard: a launch raised to an export tag, then to a
+            // read-protect tag it was created holding the `t+` of, and
+            // the same read refused to a process without it.
+            let a = mk("a", &r_caps);
             k.taint_for_read(a, &at(e)).unwrap();
-            assert!(k.taint_for_read(a, &at(r)).is_err());
-            k.change_labels(a, LabelPair::public()).unwrap();
+            k.taint_for_read(a, &at(r)).unwrap();
+            assert!(k.taint_for_read(b, &at(r)).is_err());
+            k.exit(a).unwrap();
+            k.reap(a).unwrap();
         }
 
         let db = w5_store::Database::new(Arc::clone(&registry));

@@ -28,37 +28,23 @@ fn drive_all_layers() -> Vec<u64> {
     let registry = Arc::new(TagRegistry::new());
     let mut secret_tags = Vec::new();
 
-    // ---- kernel (+ difc): two processes, a tag, a raise, and a refused
-    // declassification.
+    // ---- kernel (+ difc): an export tag and a read-protect tag from the
+    // registry, a process that holds the latter's `t+` from its creation
+    // and one that does not; a read taint raises the first and the same
+    // read is refused to the second.
     let kernel = Kernel::new(Arc::clone(&registry));
-    let a = kernel.create_process(
-        "obs-a",
-        LabelPair::public(),
-        CapSet::empty(),
-        ResourceLimits::unlimited(),
-    );
-    kernel.create_process(
-        "obs-b",
-        LabelPair::public(),
-        CapSet::empty(),
-        ResourceLimits::unlimited(),
-    );
-
-    // Taint `a` with a fresh export tag, discard its capabilities, and
-    // watch the safe-change rule refuse its way back to public.
-    let t = kernel.create_tag(a, TagKind::ExportProtect, "export:obs-itest").unwrap();
-    secret_tags.push(t.raw());
-    kernel
-        .change_labels(a, LabelPair::new(Label::singleton(t), Label::empty()))
-        .unwrap();
-    let caps = kernel.caps(a).unwrap();
-    kernel.drop_caps(a, &caps).unwrap();
-    assert!(kernel.change_labels(a, LabelPair::public()).is_err());
+    let (t, _) = registry.create_tag(TagKind::ExportProtect, "export:obs-itest");
+    let (r, r_caps) = registry.create_tag(TagKind::ReadProtect, "read:obs-itest");
+    secret_tags.extend([t.raw(), r.raw()]);
+    let a = kernel.create_process("obs-a", LabelPair::public(), r_caps.clone(), ResourceLimits::unlimited());
+    let b = kernel.create_process("obs-b", LabelPair::public(), CapSet::empty(), ResourceLimits::unlimited());
+    let secret = LabelPair::new(Label::from_iter([t, r]), Label::empty());
+    kernel.taint_for_read(a, &secret).unwrap();
+    assert_eq!(kernel.labels(a).unwrap(), secret);
+    assert!(kernel.taint_for_read(b, &secret).is_err());
 
     // ---- store: a read-protected secret file; the owner reads it, a
     // stranger is refused (and the refusal is itself secret-labeled).
-    let (r, r_caps) = registry.create_tag(TagKind::ReadProtect, "read:obs-itest");
-    secret_tags.push(r.raw());
     let fs = LabeledFs::new(Arc::clone(&registry));
     let secret = LabelPair::new(Label::singleton(r), Label::empty());
     let owner = Subject::new(LabelPair::public(), r_caps.clone());
@@ -151,10 +137,10 @@ fn ledger_records_all_layers_under_their_flow_labels() {
     );
     assert!(
         full.iter().any(|e| {
-            e.kind == EventKind::LabelCheck { op: CheckOp::Change, allowed: false }
+            e.kind == EventKind::LabelCheck { op: CheckOp::Read, allowed: false }
                 && secret_tags.iter().any(|&t| e.secrecy.contains(t))
         }),
-        "the refused declassification must appear, under the secret label"
+        "the refused read must appear, under the secret label"
     );
 }
 
