@@ -46,7 +46,7 @@ impl W5App for BlogApp {
                     ),
                     CreateLabels::Derived,
                 )?;
-                let titles = out.rows.iter().filter_map(|row| match &row.values[0] {
+                let titles = out.rows().iter().filter_map(|row| match &row.values[0] {
                     Value::Text(t) => Some(t.as_str()),
                     _ => None,
                 });
@@ -72,7 +72,7 @@ impl W5App for BlogApp {
                     ),
                     CreateLabels::Derived,
                 )?;
-                match out.rows.first() {
+                match out.rows().first() {
                     Some(row) => {
                         let body = row.values[0].render();
                         Ok(AppResponse::html(format!(

@@ -158,7 +158,7 @@ impl W5App for CovertChannel {
             // recv — read the count as an untainted instance.
             "recv" => {
                 let out = api.query("SELECT COUNT(*) FROM covert_signal", CreateLabels::Derived)?;
-                let n = match out.rows.first().map(|r| &r.values[0]) {
+                let n = match out.rows().first().map(|r| &r.values[0]) {
                     Some(Value::Int(n)) => *n,
                     _ => 0,
                 };

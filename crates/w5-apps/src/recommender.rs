@@ -80,7 +80,7 @@ impl W5App for RecommenderApp {
                 // instance with each friend's tag — exactly the paper's
                 // "read everything, export only what policy allows".
                 let mut scored: Vec<(usize, String, String)> = Vec::new();
-                for row in &friends.rows {
+                for row in friends.rows() {
                     let Value::Text(friend) = &row.values[0] else { continue };
                     let posts = api.query(
                         &format!(
@@ -89,7 +89,7 @@ impl W5App for RecommenderApp {
                         ),
                         CreateLabels::Derived,
                     )?;
-                    for post in &posts.rows {
+                    for post in posts.rows() {
                         let title = post.values[0].render();
                         let body = post.values[1].render();
                         let s = Self::score(&keywords, &body) + Self::score(&keywords, &title) * 2;

@@ -130,9 +130,9 @@ impl W5App for SocialApp {
                     CreateLabels::Derived,
                 )?;
                 // One buffer; a bio's length is known only once it is read.
-                let mut html = String::with_capacity(64 + me.len() + 64 * out.rows.len());
+                let mut html = String::with_capacity(64 + me.len() + 64 * out.rows().len());
                 html.extend(["<html><body><h1>", &me, "'s feed</h1>"]);
-                for row in &out.rows {
+                for row in out.rows() {
                     if let Value::Text(friend) = &row.values[0] {
                         let profile = match Self::load_profile(api, friend) {
                             Ok(p) => Some(p),

@@ -26,7 +26,7 @@ fn count(db: &Database, subject: &Subject, mode: QueryMode) -> i64 {
         .execute(subject, mode, QueryCost::unlimited(), &LabelPair::public(),
             "SELECT COUNT(*) FROM signal")
         .unwrap();
-    match out.rows.first().map(|r| &r.values[0]) {
+    match out.rows().first().map(|r| &r.values[0]) {
         Some(Value::Int(n)) => *n,
         _ => 0,
     }

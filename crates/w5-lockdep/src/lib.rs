@@ -147,6 +147,7 @@ impl Manifest {
                 class!("platform.perimeter", 26, "perimeter audit, one bounded queue per label"),
                 class!("platform.impl", 27, "app implementations (impls=0), per-app fault log (faults=1)"),
                 class!("platform.boundary", 28, "net-boundary principal-class → kernel process map"),
+                class!("platform.mail", 29, "inter-app mail seq counters, one per message label pair"),
                 class!("baseline.silo", 30, "siloed-deployment baseline state"),
                 class!("baseline.mashup", 31, "mashup baseline received-data log"),
                 class!("baseline.thirdparty", 32, "third-party-hosting baseline state"),

@@ -10,14 +10,17 @@
 
 use crate::principal::Account;
 use bytes::Bytes;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use w5_difc::LabelPair;
 use w5_kernel::{Kernel, KernelError, ProcessId, ResourceKind};
 use w5_store::{Database, FsError, LabeledFs, QueryCost, QueryError, QueryMode, QueryOutput, Subject};
+use w5_sync::Mutex;
 
-/// Global sequence for inter-app mail ordering.
-static NEXT_MAIL_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+/// Inter-app mail `seq` counters, one per label pair a message row is
+/// stamped with: a sender's `seq` counts only messages whose rows it could
+/// read anyway (DESIGN §7).
+pub(crate) type MailSeqs = Mutex<HashMap<LabelPair, i64>>;
 
 /// Errors surfaced to application code.
 ///
@@ -177,6 +180,7 @@ pub struct PlatformApi<'a> {
     kernel: &'a Kernel,
     fs: &'a LabeledFs,
     db: &'a Database,
+    mail_seqs: &'a MailSeqs,
     pid: ProcessId,
     viewer: Option<&'a Account>,
     /// The running app's key — the address of its own mailbox.
@@ -192,6 +196,7 @@ impl<'a> PlatformApi<'a> {
         kernel: &'a Kernel,
         fs: &'a LabeledFs,
         db: &'a Database,
+        mail_seqs: &'a MailSeqs,
         pid: ProcessId,
         viewer: Option<&'a Account>,
         app_key: &str,
@@ -202,6 +207,7 @@ impl<'a> PlatformApi<'a> {
             kernel,
             fs,
             db,
+            mail_seqs,
             pid,
             viewer,
             app_key: app_key.to_string(),
@@ -310,12 +316,19 @@ impl<'a> PlatformApi<'a> {
     /// with other modules" of paper §2, built on the labeled store so flow
     /// control applies automatically: the message row carries this
     /// instance's secrecy, and whoever reads it is tainted accordingly.
-    /// Returns the message's sequence number.
+    /// Returns the message's sequence number among the messages whose rows
+    /// carry the same labels.
     pub fn send_message(&mut self, to_app: &str, body: &str) -> Result<i64, ApiError> {
         if to_app.is_empty() || to_app.contains('\'') {
             return Err(ApiError::Bad("bad app key".into()));
         }
-        let seq = NEXT_MAIL_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed) as i64;
+        let labels = self.resolve_labels(CreateLabels::Derived, &self.subject()?)?;
+        let seq = {
+            let mut seqs = self.mail_seqs.lock();
+            let last = seqs.entry(labels).or_insert(0);
+            *last += 1;
+            *last
+        };
         let sql = format!(
             "INSERT INTO w5_mail (app, body, seq) VALUES ('{}', '{}', {})",
             crate::platform::sql_escape(to_app),
@@ -326,11 +339,13 @@ impl<'a> PlatformApi<'a> {
         Ok(seq)
     }
 
-    /// Read this app's mailbox: messages with `seq > since`, oldest first.
-    /// Reading taints the instance with every message's labels (exactly
-    /// like any other read); messages this instance may not read are
-    /// silently absent. Consumption is cursor-based — instances persist
-    /// their cursor wherever suits them.
+    /// Read this app's mailbox: messages with `seq > since`, in `seq`
+    /// order (arrival order among equal numbers). Reading taints the
+    /// instance with every message's labels (exactly like any other read);
+    /// messages this instance may not read are silently absent.
+    /// Consumption is cursor-based — instances persist their cursor
+    /// wherever suits them. Each label pair numbers its messages on its
+    /// own, so a cursor is exact for the mail of one label.
     pub fn recv_messages(&mut self, since: i64) -> Result<Vec<(i64, String)>, ApiError> {
         let sql = format!(
             "SELECT seq, body FROM w5_mail WHERE app = '{}' AND seq > {} ORDER BY seq",
@@ -339,7 +354,7 @@ impl<'a> PlatformApi<'a> {
         );
         let out = self.query(&sql, CreateLabels::Derived)?;
         Ok(out
-            .rows
+            .rows()
             .iter()
             .filter_map(|r| match (&r.values[0], &r.values[1]) {
                 (w5_store::Value::Int(seq), w5_store::Value::Text(body)) => {

@@ -7,7 +7,7 @@
 //! application, launch it with the privileges the user's policy grants,
 //! and pass its output through the perimeter.
 
-use crate::api::{AppRequest, AppResponse, PlatformApi, W5App};
+use crate::api::{AppRequest, AppResponse, MailSeqs, PlatformApi, W5App};
 use crate::appreg::{AppManifest, AppRegistry};
 use crate::declass::{DeclassifierRegistry, RelationshipOracle};
 use crate::editors::EditorRegistry;
@@ -122,6 +122,8 @@ pub struct Platform {
     /// Fault reports, one bounded queue per app key: an app's faults are
     /// evicted only by that app's newer faults.
     fault_log: Mutex<PartitionedLog<String, FaultReport>>,
+    /// The next mail `seq` per message label pair (DESIGN §7).
+    mail_seqs: MailSeqs,
 }
 
 impl Platform {
@@ -190,6 +192,7 @@ impl Platform {
             faults: AtomicU64::new(0),
             impls: RwLock::with_index("platform.impl", 0, HashMap::new()),
             fault_log: Mutex::with_index("platform.impl", 1, PartitionedLog::new()),
+            mail_seqs: Mutex::new("platform.mail", HashMap::new()),
         })
     }
 
@@ -360,6 +363,7 @@ impl Platform {
             &self.kernel,
             &self.fs,
             &self.db,
+            &self.mail_seqs,
             pid,
             viewer,
             app_key,

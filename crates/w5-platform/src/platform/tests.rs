@@ -245,7 +245,7 @@ fn a_tainted_friendship_row_decides_no_export() {
         .db
         .execute(&Subject::anonymous(), QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(), count)
         .unwrap();
-    assert_eq!((&raised.rows[0].values[0], &raised.labels), (&Value::Int(1), &e_alice));
+    assert_eq!((&raised.row(0).values[0], &raised.labels), (&Value::Int(1), &e_alice));
 
     // The oracle does not: its answer leaves unlabeled, so alice's data
     // decides nothing about carol's.

@@ -49,7 +49,11 @@ pub fn sanitize_html_labeled(
 /// type).
 ///
 /// One pass, linear in the input: every byte is looked at a bounded number
-/// of times, and the only allocation is the output buffer.
+/// of times, and the only allocation is the output buffer. What passes as
+/// it stands — text, closing tags, comments, tags without attributes — is
+/// not copied piece by piece: it is copied as one range, when a tag is
+/// rewritten, when something is dropped, and at the end. A clean page is
+/// one copy.
 pub fn sanitize_html(input: &str) -> (String, SanitizeStats) {
     let mut out = String::with_capacity(input.len());
     let mut stats = SanitizeStats::default();
@@ -58,14 +62,14 @@ pub fn sanitize_html(input: &str) -> (String, SanitizeStats) {
     // everything after it are dropped (fail closed). Knowing this once
     // keeps a page of unclosed `<` from being rescanned to its end per `<`.
     let last_gt = input.rfind('>');
+    // `input[kept..i]` passes as it stands and is not yet in `out`.
+    let mut kept = 0;
     let mut i = 0;
 
     while i < bytes.len() {
         if bytes[i] != b'<' {
-            // Plain text: copy up to the next '<'.
-            let next = input[i..].find('<').map_or(bytes.len(), |r| i + r);
-            out.push_str(&input[i..next]);
-            i = next;
+            // Plain text passes: on to the next '<'.
+            i = input[i..].find('<').map_or(bytes.len(), |r| i + r);
             continue;
         }
         // Script element? Skip to past the matching `</script…>`
@@ -75,13 +79,15 @@ pub fn sanitize_html(input: &str) -> (String, SanitizeStats) {
             stats.scripts_removed += 1;
             let Some(close) = find_ci(&bytes[i..], b"</script").map(|r| i + r) else { break };
             let Some(gt) = input[close..].find('>') else { break };
+            out.push_str(&input[kept..i]);
             i = close + gt + 1;
+            kept = i;
             continue;
         }
         if last_gt.is_none_or(|g| g < i) {
             break;
         }
-        // A normal tag: copy it, filtering dangerous attributes. If a new
+        // A normal tag: keep it, filtering dangerous attributes. If a new
         // `<` opens before this tag closes, the markup is broken in a way
         // attackers exploit (`<div<script>…`): drop the broken fragment
         // and resume at the inner `<` (fail closed). The `>` at `last_gt`
@@ -89,12 +95,17 @@ pub fn sanitize_html(input: &str) -> (String, SanitizeStats) {
         let Some(j) = bytes[i + 1..].iter().position(|&b| b == b'<' || b == b'>') else { break };
         let j = i + 1 + j;
         if bytes[j] == b'<' {
-            i = j;
+            out.push_str(&input[kept..i]);
+            (kept, i) = (j, j);
             continue;
         }
-        clean_tag(&input[i..=j], &mut out, &mut stats);
+        if clean_tag(&input[i..=j], &input[kept..i], &mut out, &mut stats) {
+            kept = j + 1;
+        }
         i = j + 1;
     }
+    // What passed since the last rewrite; anything from `i` on is dropped.
+    out.push_str(&input[kept..i]);
     (out, stats)
 }
 
@@ -106,15 +117,15 @@ fn find_ci(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     haystack.windows(needle.len()).position(|w| w.eq_ignore_ascii_case(needle))
 }
 
-/// Append one tag to `out`, dropping `on*` attributes and neutralizing
-/// `javascript:` URLs. The tag arrives as `<name attr=... >`, with no `<`
-/// or `>` inside.
-fn clean_tag(tag: &str, out: &mut String, stats: &mut SanitizeStats) {
+/// Rewrite one tag into `out`, dropping `on*` attributes and neutralizing
+/// `javascript:` URLs, after `kept` (the input that passed before it).
+/// The tag arrives as `<name attr=... >`, with no `<` or `>` inside.
+/// Returns `false`, writing nothing, when the tag passes as it stands.
+fn clean_tag(tag: &str, kept: &str, out: &mut String, stats: &mut SanitizeStats) -> bool {
     let inner = &tag[1..tag.len() - 1];
     // Closing tags and comments pass through.
     if inner.starts_with(['/', '!']) {
-        out.push_str(tag);
-        return;
+        return false;
     }
     // Peel a self-closing slash off the end before attribute parsing.
     let (inner, self_closing) = match inner.trim_end().strip_suffix('/') {
@@ -124,11 +135,9 @@ fn clean_tag(tag: &str, out: &mut String, stats: &mut SanitizeStats) {
     let name_end = inner.bytes().position(|b| b.is_ascii_whitespace()).unwrap_or(inner.len());
     // A bare name (`<li>`, `<ul>`) has no attributes to rewrite.
     if !self_closing && name_end == inner.len() {
-        out.push_str(tag);
-        return;
+        return false;
     }
-    out.push('<');
-    out.push_str(&inner[..name_end]);
+    out.extend([kept, "<", &inner[..name_end]]);
     // Attribute scanning.
     let mut rest = &inner[name_end..];
     loop {
@@ -152,20 +161,13 @@ fn clean_tag(tag: &str, out: &mut String, stats: &mut SanitizeStats) {
         if attr_name.len() > 2 && has_ci_prefix(attr_name.as_bytes(), b"on") {
             stats.handlers_removed += 1;
             // Drop the attribute entirely.
-        } else if let Some(v) = value {
-            out.push(' ');
-            out.push_str(attr_name);
-            if is_javascript_url(v) {
-                stats.js_urls_removed += 1;
-                out.push_str("=\"#\"");
-            } else {
-                out.push_str("=\"");
-                out.push_str(v);
-                out.push('"');
+        } else if value.is_some() || !attr_name.is_empty() {
+            out.extend([" ", attr_name]);
+            if let Some(v) = value {
+                let js = is_javascript_url(v);
+                stats.js_urls_removed += usize::from(js);
+                out.extend(["=\"", if js { "#" } else { v }, "\""]);
             }
-        } else if !attr_name.is_empty() {
-            out.push(' ');
-            out.push_str(attr_name);
         }
         if attr_name.is_empty() {
             // Defensive: avoid an infinite loop on pathological input.
@@ -174,10 +176,8 @@ fn clean_tag(tag: &str, out: &mut String, stats: &mut SanitizeStats) {
         rest = after;
     }
     // Preserve self-closing slash.
-    if self_closing {
-        out.push_str(" /");
-    }
-    out.push('>');
+    out.push_str(if self_closing { " />" } else { ">" });
+    true
 }
 
 /// Split an attribute value from what follows it: a quoted value runs to
@@ -303,6 +303,18 @@ mod tests {
         let (out, _) = sanitize_html("<p>ok</p><img src=");
         assert!(out.contains("ok"));
         assert!(!out.contains("img"));
+    }
+
+    #[test]
+    fn a_clean_page_is_kept_verbatim_and_a_rewrite_keeps_what_surrounds_it() {
+        let items: String = (0..250).map(|i| format!("<li>post {i:03}</li>")).collect();
+        let clean = format!("<html><body><!-- list --><h1>bob's blog</h1><ul>{items}</ul></body></html>");
+        assert_eq!(sanitize_html(&clean), (clean.clone(), SanitizeStats::default()));
+        let (before, after) = clean.split_at(clean.find("<li>post 125").unwrap());
+        let dirty = format!("{before}<li onclick=\"steal()\">x</li>{after}");
+        let (out, stats) = sanitize_html(&dirty);
+        assert_eq!(stats, SanitizeStats { handlers_removed: 1, ..SanitizeStats::default() });
+        assert_eq!(out, format!("{before}<li>x</li>{after}"));
     }
 
     #[test]

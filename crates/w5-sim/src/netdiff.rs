@@ -130,7 +130,7 @@ impl W5App for NdApp {
                     CreateLabels::Derived,
                 )?;
                 let vals: Vec<String> =
-                    out.rows.iter().map(|r| format!("{:?}", r.values)).collect();
+                    out.rows().iter().map(|r| format!("{:?}", r.values)).collect();
                 Ok(AppResponse::text(vals.join(";")))
             }
             "sum" => {
@@ -138,7 +138,7 @@ impl W5App for NdApp {
                     &format!("SELECT COUNT(*), SUM(v) FROM {t}"),
                     CreateLabels::Derived,
                 )?;
-                Ok(AppResponse::text(format!("{:?}", out.rows[0].values)))
+                Ok(AppResponse::text(format!("{:?}", out.row(0).values)))
             }
             "del" => {
                 let out = api.query(

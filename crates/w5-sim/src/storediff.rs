@@ -26,7 +26,7 @@ use std::sync::Arc;
 use w5_chaos::Site;
 use w5_difc::{CapSet, Label, LabelPair, TagKind, TagRegistry};
 use w5_obs::Ledger;
-use w5_store::{Database, QueryCost, QueryError, QueryMode, QueryOutput, Row, Subject};
+use w5_store::{Database, QueryCost, QueryError, QueryMode, QueryOutput, Subject};
 
 /// Seed rows inserted per table before the op streams start.
 const SEED_ROWS: i64 = 12;
@@ -42,8 +42,9 @@ pub const ID_DOMAIN: i64 = 24;
 pub struct StoreOutcome {
     /// Per sequence, what every statement returned (`scanned` zeroed).
     pub statements: Vec<Vec<Outcome>>,
-    /// Final rows of every table, oldest first.
-    pub tables: BTreeMap<String, Vec<Row>>,
+    /// Final rows of every table, oldest first: the [`StoreOp::Dump`]'s
+    /// answer (`scanned` zeroed).
+    pub tables: BTreeMap<String, QueryOutput>,
 }
 
 /// One statement over a `(id INTEGER, v INTEGER, s TEXT)` table: the one op
@@ -383,8 +384,9 @@ impl Oracle for StoreOracle {
         let tables = seqs
             .into_iter()
             .map(|(w, mut arm)| {
-                let rows = arm.apply(&w, &StoreOp::Dump).expect("dump never fails").rows;
-                (w.table, rows)
+                let mut dump = arm.apply(&w, &StoreOp::Dump).expect("dump never fails");
+                dump.scanned = 0;
+                (w.table, dump)
             })
             .collect();
         StoreOutcome { statements, tables }
@@ -433,7 +435,7 @@ mod tests {
     fn workload_actually_exercises_the_store() {
         let spec = Spec::new(20070824, 300);
         let store = run(&StoreOracle::STORE, &spec, Mode::Serial);
-        assert!(store.outcome.tables.values().any(|rows| !rows.is_empty()), "tables must end non-empty");
+        assert!(store.outcome.tables.values().any(|dump| !dump.rows().is_empty()), "tables must end non-empty");
         assert!(store.injected() > 0, "storm must fire");
         // Pruning must actually pay off on this schedule, not merely tie.
         let model = run(&StoreOracle::MODEL, &spec, Mode::Serial);
@@ -521,7 +523,7 @@ mod tests {
         let model = crate::harness::run_ops(&StoreOracle::MODEL, &spec, vec![ops.clone()], Mode::Serial);
         let store = crate::harness::run_ops(&StoreOracle::STORE, &spec, vec![ops], Mode::Serial);
         assert_eq!(model.outcome, store.outcome);
-        let hits = store.outcome.statements[0].iter().filter(|o| o.as_ref().is_ok_and(|q| !q.rows.is_empty()));
+        let hits = store.outcome.statements[0].iter().filter(|o| o.as_ref().is_ok_and(|q| !q.rows().is_empty()));
         assert!(hits.count() > 20, "the conjunctions must match rows, not only miss");
     }
 
@@ -586,12 +588,43 @@ mod tests {
         let rows = |pick: fn(&StoreOp) -> bool| {
             (0..ops.len())
                 .filter(|&i| pick(&ops[i]))
-                .map(|i| store.outcome.statements[1][i].as_ref().map_or(0, |q| q.rows.len()))
+                .map(|i| store.outcome.statements[1][i].as_ref().map_or(0, |q| q.rows().len()))
                 .sum::<usize>()
         };
         assert!(rows(|op| matches!(op, StoreOp::Claimed { .. })) > 0, "the claimant must read claimed rows");
         let stranger = rows(|op| matches!(op, StoreOp::Point { stranger: true, .. }));
         assert!(stranger > 10, "the stranger must read open rows");
+    }
+
+    /// An ORDER BY interleaves the rows of three partitions, so consecutive
+    /// rows alternate pairs: each row keeps its own partition's labels, and
+    /// the combined labels are those of the rows kept — after a LIMIT that
+    /// cuts a partition out, too. The store answers as the flat model does.
+    #[test]
+    fn interleaved_rows_keep_their_own_labels() {
+        let mut ops = vec![StoreOp::DeleteWindow { lo: 0, hi: SEED_ROWS }];
+        // Inserted partition by partition; ordered by key, they alternate.
+        for kind in 0..3 {
+            for j in 0..3 {
+                let id = 3 * j + kind;
+                ops.push(StoreOp::Insert { kind: kind as u8, id: Some(id), v: id });
+            }
+        }
+        let range = ops.len();
+        ops.push(StoreOp::Range { stranger: false, lo: 0, span: 9 });
+        ops.push(StoreOp::Range { stranger: true, lo: 0, span: 9 });
+        let last = ops.len();
+        ops.extend([9, 2, 1].map(|limit| StoreOp::OrderLimit { stranger: false, limit }));
+        let spec = Spec { seed: 5, threads: 1, ops_per_thread: ops.len(), fault_rate: 0.0 };
+        let model = crate::harness::run_ops(&StoreOracle::MODEL, &spec, vec![ops.clone()], Mode::Serial);
+        let store = crate::harness::run_ops(&StoreOracle::STORE, &spec, vec![ops], Mode::Serial);
+        assert_eq!(model.outcome, store.outcome);
+        let out = |i: usize| store.outcome.statements[0][i].as_ref().expect("no faults armed");
+        let labels: Vec<&LabelPair> = out(range).rows().iter().map(|r| r.labels).collect();
+        assert_eq!(labels.len(), 9);
+        assert!(labels.windows(2).all(|p| p[0] != p[1]), "consecutive rows must alternate pairs");
+        let one = out(last + 2);
+        assert_eq!((one.rows().len(), &one.labels), (1, one.row(0).labels), "the cut rows' labels stay out");
     }
 
     /// A lone `COUNT(*)`, which the store counts without a row list, in
@@ -618,7 +651,7 @@ mod tests {
         let model = crate::harness::run_ops(&StoreOracle::MODEL, &spec, vec![ops.clone()], Mode::Serial);
         let store = crate::harness::run_ops(&StoreOracle::STORE, &spec, vec![ops.clone()], Mode::Serial);
         assert_eq!(model.outcome, store.outcome);
-        let count = |i: usize| store.outcome.statements[0][i].as_ref().map(|q| q.rows[0].values[0].clone()).ok();
+        let count = |i: usize| store.outcome.statements[0][i].as_ref().map(|q| q.row(0).values[0].clone()).ok();
         let owner_differs = (0..ops.len())
             .filter(|&i| matches!(ops[i], StoreOp::Count { stranger: false, unprivileged: false, .. }))
             .any(|i| count(i) != count(i + 1));

@@ -19,7 +19,7 @@ use crate::storediff::{Arm, EqTerm, Outcome, StoreOp, StoreWorld, ID_DOMAIN};
 use std::cmp::Reverse;
 use w5_difc::{rules, CapSet, LabelPair};
 use w5_store::QueryMode::{Filtered, Naive, Unprivileged};
-use w5_store::{QueryError, QueryMode, QueryOutput, Row, Subject, Value};
+use w5_store::{QueryError, QueryMode, QueryOutput, Subject, Value};
 
 #[derive(Clone, Debug)]
 pub(crate) struct ModelRow {
@@ -65,18 +65,19 @@ impl Model {
             .map(|r| r.labels.clone())
             .reduce(|a, b| a.combine(&b))
             .unwrap_or_else(LabelPair::public);
-        let rows = match aggregate {
-            Some(values) => vec![Row { values, labels: labels.clone() }],
-            None => hits
-                .iter()
-                .map(|r| {
+        let mut out = QueryOutput::new(columns.iter().map(|c| c.to_string()).collect());
+        match aggregate {
+            Some(values) => out.push_row(values, &labels),
+            None => {
+                for r in hits {
                     let all = [int(r.id), Value::Int(r.v), Value::Text(r.s.clone())];
-                    Row { values: all[..columns.len()].to_vec(), labels: r.labels.clone() }
-                })
-                .collect(),
-        };
-        let columns = columns.iter().map(|c| c.to_string()).collect();
-        Ok(QueryOutput { columns, rows, labels, affected: 0, scanned: self.rows.len() as u64 })
+                    out.push_row(all.into_iter().take(columns.len()), &r.labels);
+                }
+            }
+        }
+        out.labels = labels;
+        out.scanned = self.rows.len() as u64;
+        Ok(out)
     }
 
     /// An UPDATE or DELETE: every visible match, all of them writable or the
@@ -103,8 +104,10 @@ impl Model {
 }
 
 fn dml(affected: usize, scanned: usize) -> Outcome {
-    let labels = LabelPair::public();
-    Ok(QueryOutput { columns: Vec::new(), rows: Vec::new(), labels, affected, scanned: scanned as u64 })
+    let mut out = QueryOutput::new(Vec::new());
+    out.affected = affected;
+    out.scanned = scanned as u64;
+    Ok(out)
 }
 
 impl Arm for Model {

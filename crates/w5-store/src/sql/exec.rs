@@ -30,9 +30,10 @@
 
 use super::ast::{BinOp, Expr, SelectItem, Statement};
 use super::lexer::SqlError;
+use super::output::QueryOutput;
 use super::parser::parse;
 use super::plan::{self, Key, Probe, Pushdown};
-use super::storage::{col_index, Partition, RowLoc, StoredRow, Table};
+use super::storage::{col_index, RowLoc, StoredRow, Table};
 use super::value::{like_match, ColumnType, Value};
 use crate::subject::Subject;
 use w5_sync::RwLock;
@@ -127,32 +128,6 @@ impl From<SqlError> for QueryError {
     fn from(e: SqlError) -> Self {
         QueryError::Sql(e)
     }
-}
-
-/// A materialized result row.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Row {
-    /// Cell values, in result-column order.
-    pub values: Vec<Value>,
-    /// The stored row's labels (for SELECT results).
-    pub labels: LabelPair,
-}
-
-/// The result of executing a statement.
-#[derive(Clone, Debug, PartialEq)]
-pub struct QueryOutput {
-    /// Result column headers (empty for DML).
-    pub columns: Vec<String>,
-    /// Result rows (empty for DML).
-    pub rows: Vec<Row>,
-    /// Combined labels of all data that contributed to the result. The
-    /// caller must taint the reading process with these labels.
-    pub labels: LabelPair,
-    /// Rows inserted/updated/deleted by DML.
-    pub affected: usize,
-    /// Cost units consumed (see the module docs: per row visited, plus one
-    /// per unreadable partition skipped).
-    pub scanned: u64,
 }
 
 /// Visit `t`'s rows and hand those that are visible to `subject` under
@@ -632,27 +607,22 @@ impl Database {
                 }
             })?;
             let labels = labels.unwrap_or_else(LabelPair::public);
-            let rows = vec![Row { values: vec![Value::Int(n)], labels: labels.clone() }];
-            return Ok(QueryOutput { columns: vec![items[0].header()], rows, labels, affected: 0, scanned });
+            return Ok(one_row(vec![items[0].header()], vec![Value::Int(n)], labels, scanned));
         }
 
-        let mut locs = Vec::new();
+        // Each match: its row, and the partition it lives in.
+        let mut hits: Vec<Hit> = Vec::new();
         let probe = Probe::plan(t, filter.as_ref());
-        let scanned = scan(t, subject, &self.global, mode, cost, probe, false, &mut |l| locs.push(l))?;
+        let scanned = scan(t, subject, &self.global, mode, cost, probe, false, &mut |l| {
+            hits.push(Hit { row: &t.partitions[l.part].rows[l.row], part: l.part })
+        })?;
         // Back to insertion order: the scan visits partition-major.
-        locs.sort_unstable_by_key(|l| l.seq);
-        let mut hits: Vec<(&StoredRow, &Partition)> = locs
-            .iter()
-            .map(|l| {
-                let part = &t.partitions[l.part];
-                (&part.rows[l.row], part)
-            })
-            .collect();
+        hits.sort_unstable_by_key(|h| h.row.seq);
 
         if let Some((col, asc)) = &order_by {
             let ix = t.col_index(col)?;
             hits.sort_by(|a, b| {
-                let ord = a.0.values[ix].order(&b.0.values[ix]);
+                let ord = a.row.values[ix].order(&b.row.values[ix]);
                 if *asc {
                     ord
                 } else {
@@ -664,7 +634,24 @@ impl Database {
             hits.truncate(n);
         }
 
-        let labels = combine_labels(hits.iter().map(|&(_, part)| part));
+        // Each partition the kept rows come from gets one slot in the pair
+        // table, in order of first appearance: its pair is cloned once, and
+        // a row records only the slot. The pairs are distinct (a table's
+        // partitions hold distinct pairs), so they also fold, once each,
+        // into the combined labels.
+        let mut slot = vec![u32::MAX; t.partitions.len()];
+        let mut pairs: Vec<LabelPair> = Vec::new();
+        let row_pairs: Vec<u32> = hits
+            .iter()
+            .map(|h| {
+                if slot[h.part] == u32::MAX {
+                    slot[h.part] = pairs.len() as u32;
+                    pairs.push(t.partitions[h.part].pair.clone());
+                }
+                slot[h.part]
+            })
+            .collect();
+        let labels = combine_labels(&pairs);
 
         // One pass sorts the select list into aggregate values *or* row
         // projections. The parser admits no mix of the two; a hand-built
@@ -702,22 +689,20 @@ impl Database {
             if !proj.is_empty() {
                 return Err(QueryError::Eval("cannot mix aggregates and plain columns".into()));
             }
-            let rows = vec![Row { values: aggregates, labels: labels.clone() }];
-            return Ok(QueryOutput { columns: headers, rows, labels, affected: 0, scanned });
+            return Ok(one_row(headers, aggregates, labels, scanned));
         }
 
-        let mut rows = Vec::with_capacity(hits.len());
-        for &(r, part) in &hits {
-            let mut values = Vec::with_capacity(proj.len());
+        // Every kept row's cells, row-major, in one buffer.
+        let mut cells = Vec::with_capacity(hits.len() * proj.len());
+        for h in &hits {
             for p in &proj {
-                values.push(match p {
-                    Projection::Col(i) => r.values[*i].clone(),
-                    Projection::Expr(e) => eval(e, &t.columns, &r.values)?.into_owned(),
+                cells.push(match p {
+                    Projection::Col(i) => h.row.values[*i].clone(),
+                    Projection::Expr(e) => eval(e, &t.columns, &h.row.values)?.into_owned(),
                 });
             }
-            rows.push(Row { values, labels: part.pair.clone() });
         }
-        Ok(QueryOutput { columns: headers, rows, labels, affected: 0, scanned })
+        Ok(QueryOutput { columns: headers, cells, row_pairs, pairs, labels, affected: 0, scanned })
     }
 
     fn update(
@@ -918,13 +903,13 @@ fn join_tables(
 }
 
 fn empty_output() -> QueryOutput {
-    QueryOutput {
-        columns: Vec::new(),
-        rows: Vec::new(),
-        labels: LabelPair::public(),
-        affected: 0,
-        scanned: 0,
-    }
+    QueryOutput::new(Vec::new())
+}
+
+/// A one-row answer (an aggregate): the row carries the combined `labels`.
+fn one_row(columns: Vec<String>, values: Vec<Value>, labels: LabelPair, scanned: u64) -> QueryOutput {
+    let (row_pairs, pairs) = (vec![0], vec![labels.clone()]);
+    QueryOutput { columns, cells: values, row_pairs, pairs, labels, affected: 0, scanned }
 }
 
 /// Validate that every column a filter references exists, so "no such
@@ -946,19 +931,14 @@ fn validate_columns(
 }
 
 /// Combined labels of the rows that contributed to a result, folded over
-/// the *distinct* partitions they came from, so the set algebra is bounded
-/// by partitions hit, not rows. A table's partitions hold distinct pairs,
-/// so deduplicating them by identity deduplicates their pairs exactly.
-fn combine_labels<'t>(parts: impl Iterator<Item = &'t Partition>) -> LabelPair {
-    let mut distinct: Vec<&Partition> = parts.collect();
-    distinct.sort_unstable_by_key(|p| *p as *const Partition);
-    distinct.dedup_by(|a, b| std::ptr::eq(*a, *b));
-    let mut pairs = distinct.iter().map(|p| &p.pair);
+/// the distinct pairs they carry, so the set algebra is bounded by
+/// partitions hit, not rows.
+fn combine_labels(pairs: &[LabelPair]) -> LabelPair {
     // Fold from the first pair, not from PUBLIC: integrity combines by
     // intersection, and an empty seed would erase every integrity claim.
-    match pairs.next() {
+    match pairs.split_first() {
         None => LabelPair::public(),
-        Some(first) => pairs.fold(first.clone(), |all, pair| all.combine(pair)),
+        Some((first, rest)) => rest.iter().fold(first.clone(), |all, pair| all.combine(pair)),
     }
 }
 
@@ -1084,19 +1064,23 @@ fn eval_const(expr: &Expr) -> Result<Value, QueryError> {
     eval(expr, &[], &[]).map(Cow::into_owned)
 }
 
-type Hits<'t> = [(&'t StoredRow, &'t Partition)];
+/// One row a SELECT keeps, and the index of the partition it lives in.
+struct Hit<'t> {
+    row: &'t StoredRow,
+    part: usize,
+}
 
 /// `COUNT(col)`: the non-NULL cells.
-fn count(col: usize, hits: &Hits) -> Value {
-    Value::Int(hits.iter().filter(|(r, _)| !matches!(r.values[col], Value::Null)).count() as i64)
+fn count(col: usize, hits: &[Hit]) -> Value {
+    Value::Int(hits.iter().filter(|h| !matches!(h.row.values[col], Value::Null)).count() as i64)
 }
 
 /// `SUM(col)`: NULL cells are skipped; no integer at all sums to NULL.
-fn sum(col: usize, hits: &Hits) -> Result<Value, QueryError> {
+fn sum(col: usize, hits: &[Hit]) -> Result<Value, QueryError> {
     let mut sum = 0i64;
     let mut any = false;
-    for (r, _) in hits {
-        match &r.values[col] {
+    for h in hits {
+        match &h.row.values[col] {
             Value::Int(v) => {
                 sum = sum
                     .checked_add(*v)
@@ -1112,10 +1096,10 @@ fn sum(col: usize, hits: &Hits) -> Result<Value, QueryError> {
 
 /// `MIN(col)` / `MAX(col)`: the first non-NULL cell that none `beats` under
 /// [`Value::order`].
-fn extreme(col: usize, hits: &Hits, beats: fn(Ordering) -> bool) -> Value {
+fn extreme(col: usize, hits: &[Hit], beats: fn(Ordering) -> bool) -> Value {
     let mut best: Option<&Value> = None;
-    for (r, _) in hits {
-        let v = &r.values[col];
+    for h in hits {
+        let v = &h.row.values[col];
         if !matches!(v, Value::Null) && best.is_none_or(|b| beats(v.order(b))) {
             best = Some(v);
         }

@@ -42,13 +42,15 @@
 mod ast;
 mod exec;
 mod lexer;
+mod output;
 mod parser;
 mod plan;
 mod storage;
 mod value;
 
 pub use ast::{BinOp, Expr, SelectItem, Statement};
-pub use exec::{Database, QueryCost, QueryError, QueryMode, QueryOutput, Row};
+pub use exec::{Database, QueryCost, QueryError, QueryMode};
+pub use output::{QueryOutput, Row, RowIter, Rows};
 pub use lexer::SqlError;
 pub use parser::parse;
 pub use value::{ColumnType, Value};

@@ -157,6 +157,6 @@ proptest! {
             &LabelPair::public(), &sql).is_err());
         let out = db.execute(&subject, QueryMode::Filtered, QueryCost::unlimited(),
             &LabelPair::public(), "SELECT COUNT(*) FROM t").unwrap();
-        prop_assert_eq!(&out.rows[0].values[0], &w5_store::Value::Int(0));
+        prop_assert_eq!(&out.row(0).values[0], &w5_store::Value::Int(0));
     }
 }

@@ -72,8 +72,8 @@ fn create_insert_select() {
     assert_eq!(out.affected, 2);
     let out = run(&w, &w.bob, &LabelPair::public(), "SELECT id, title FROM photos ORDER BY id").unwrap();
     assert_eq!(out.columns, vec!["id", "title"]);
-    assert_eq!(out.rows.len(), 2);
-    assert_eq!(out.rows[0].values, vec![Value::Int(1), Value::Text("cat".into())]);
+    assert_eq!(out.rows().len(), 2);
+    assert_eq!(out.row(0).values, vec![Value::Int(1), Value::Text("cat".into())]);
     // The result carries Bob's labels: the platform will taint the reader.
     assert_eq!(out.labels, w.bob_rows);
 }
@@ -99,7 +99,7 @@ fn where_order_limit_like() {
     )
     .unwrap();
     let ns: Vec<i64> = out
-        .rows
+        .rows()
         .iter()
         .map(|r| match r.values[0] {
             Value::Int(i) => i,
@@ -122,7 +122,7 @@ fn aggregates() {
     )
     .unwrap();
     assert_eq!(
-        out.rows[0].values,
+        out.row(0).values,
         vec![Value::Int(4), Value::Int(3), Value::Int(6), Value::Int(1), Value::Int(3)]
     );
     // The parser refuses a list that mixes aggregates with plain columns; a
@@ -150,7 +150,7 @@ fn filtered_mode_hides_other_users_rows() {
     // The unprivileged app *can* read both (export tags are raise-free), and
     // the result labels then carry BOTH users' tags.
     let out = run(&w, &w.app, &LabelPair::public(), "SELECT body FROM inbox").unwrap();
-    assert_eq!(out.rows.len(), 2);
+    assert_eq!(out.rows().len(), 2);
     assert_eq!(out.labels.secrecy.len(), 2);
 
     // Alice, whose capabilities only cover her own tag… also reads both:
@@ -158,7 +158,7 @@ fn filtered_mode_hides_other_users_rows() {
     // carrying conflicting labels is a different story — covered in the
     // covert-channel test below via ReadProtect.
     let out = run(&w, &w.alice, &LabelPair::public(), "SELECT COUNT(*) FROM inbox").unwrap();
-    assert_eq!(out.rows[0].values, vec![Value::Int(2)]);
+    assert_eq!(out.row(0).values, vec![Value::Int(2)]);
 }
 
 #[test]
@@ -178,21 +178,21 @@ fn read_protected_rows_are_invisible_and_uncountable() {
     // Filtered mode: the stranger sees an empty table — COUNT included.
     let out = db.execute(&stranger, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
         "SELECT COUNT(*) FROM diary").unwrap();
-    assert_eq!(out.rows[0].values, vec![Value::Int(0)]);
+    assert_eq!(out.row(0).values, vec![Value::Int(0)]);
     let out = db.execute(&stranger, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
         "SELECT * FROM diary").unwrap();
-    assert!(out.rows.is_empty());
+    assert!(out.rows().is_empty());
     assert!(out.labels.is_public(), "empty result must not carry labels");
 
     // Naive mode: the count leaks — this is the §3.5 covert channel.
     let out = db.execute(&stranger, QueryMode::Naive, QueryCost::unlimited(), &LabelPair::public(),
         "SELECT COUNT(*) FROM diary").unwrap();
-    assert_eq!(out.rows[0].values, vec![Value::Int(1)]);
+    assert_eq!(out.row(0).values, vec![Value::Int(1)]);
 
     // The owner sees her row either way.
     let out = db.execute(&alice, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
         "SELECT COUNT(*) FROM diary").unwrap();
-    assert_eq!(out.rows[0].values, vec![Value::Int(1)]);
+    assert_eq!(out.row(0).values, vec![Value::Int(1)]);
 }
 
 #[test]
@@ -212,14 +212,14 @@ fn update_delete_respect_write_protection() {
     );
     // And the failed statements changed nothing (atomicity).
     let out = run(&w, &w.bob, &LabelPair::public(), "SELECT SUM(n) FROM t").unwrap();
-    assert_eq!(out.rows[0].values, vec![Value::Int(3)]);
+    assert_eq!(out.row(0).values, vec![Value::Int(3)]);
 
     // Bob can do both.
     assert_eq!(run(&w, &w.bob, &LabelPair::public(), "UPDATE t SET n = n * 10 WHERE n = 1").unwrap().affected, 1);
     assert_eq!(run(&w, &w.bob, &LabelPair::public(), "DELETE FROM t WHERE n = 2").unwrap().affected, 1);
     let out = run(&w, &w.bob, &LabelPair::public(), "SELECT * FROM t").unwrap();
-    assert_eq!(out.rows.len(), 1);
-    assert_eq!(out.rows[0].values, vec![Value::Int(10)]);
+    assert_eq!(out.rows().len(), 1);
+    assert_eq!(out.row(0).values, vec![Value::Int(10)]);
 }
 
 #[test]
@@ -243,8 +243,8 @@ fn update_skips_invisible_rows_silently() {
     assert_eq!(out.affected, 1);
     let out = db.execute(&alice, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
         "SELECT n FROM t ORDER BY n").unwrap();
-    assert_eq!(out.rows.len(), 2);
-    assert_eq!(out.rows[0].values, vec![Value::Int(1)], "hidden row untouched");
+    assert_eq!(out.rows().len(), 2);
+    assert_eq!(out.row(0).values, vec![Value::Int(1)], "hidden row untouched");
 }
 
 #[test]
@@ -352,7 +352,7 @@ fn subset_selects_carry_exactly_the_picked_tags() {
         let clause: Vec<String> = picked.iter().map(|k| format!("k = {k}")).collect();
         let out = exec(&reader, &LabelPair::public(), &format!("SELECT k FROM t WHERE {}", clause.join(" OR ")));
         let keys: Vec<Value> = picked.iter().map(|&k| Value::Int(k as i64)).collect();
-        assert_eq!(out.rows.iter().map(|r| r.values[0].clone()).collect::<Vec<_>>(), keys);
+        assert_eq!(out.rows().iter().map(|r| r.values[0].clone()).collect::<Vec<_>>(), keys);
         let expected = Label::from_iter(picked.iter().map(|&k| tags[k]));
         assert_eq!(out.labels, LabelPair::new(expected, Label::empty()), "{subset:b}");
     }
@@ -416,11 +416,11 @@ fn null_semantics_in_where() {
     run(&w, &w.bob, &LabelPair::public(), "INSERT INTO t VALUES (1), (NULL)").unwrap();
     // NULL = NULL is not true.
     let out = run(&w, &w.bob, &LabelPair::public(), "SELECT * FROM t WHERE n = NULL").unwrap();
-    assert!(out.rows.is_empty());
+    assert!(out.rows().is_empty());
     let out = run(&w, &w.bob, &LabelPair::public(), "SELECT * FROM t WHERE n IS NULL").unwrap();
-    assert_eq!(out.rows.len(), 1);
+    assert_eq!(out.rows().len(), 1);
     let out = run(&w, &w.bob, &LabelPair::public(), "SELECT * FROM t WHERE n IS NOT NULL").unwrap();
-    assert_eq!(out.rows.len(), 1);
+    assert_eq!(out.rows().len(), 1);
 }
 
 #[test]
@@ -443,7 +443,7 @@ fn inner_join_basics() {
     .unwrap();
     assert_eq!(out.columns, vec!["users.name", "posts.title"]);
     let rows: Vec<(String, String)> = out
-        .rows
+        .rows()
         .iter()
         .map(|r| (r.values[0].render(), r.values[1].render()))
         .collect();
@@ -471,7 +471,7 @@ fn join_with_where_and_aggregates() {
         "SELECT COUNT(*), SUM(b.v) FROM a INNER JOIN b ON a.k = b.k WHERE b.v > 10",
     )
     .unwrap();
-    assert_eq!(out.rows[0].values, vec![Value::Int(2), Value::Int(50)]);
+    assert_eq!(out.row(0).values, vec![Value::Int(2), Value::Int(50)]);
 }
 
 #[test]
@@ -491,7 +491,7 @@ fn join_labels_combine_and_filter() {
         "SELECT right_t.s FROM left_t JOIN right_t ON left_t.k = right_t.k",
     )
     .unwrap();
-    assert_eq!(out.rows.len(), 1);
+    assert_eq!(out.rows().len(), 1);
     // The result carries BOTH export tags.
     assert_eq!(out.labels.secrecy.len(), 2);
 
@@ -512,10 +512,10 @@ fn join_labels_combine_and_filter() {
         "INSERT INTO r2 VALUES (1)").unwrap();
     let out = db.execute(&stranger, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
         "SELECT COUNT(*) FROM l JOIN r2 ON l.k = r2.k").unwrap();
-    assert_eq!(out.rows[0].values, vec![Value::Int(0)], "hidden rows never join");
+    assert_eq!(out.row(0).values, vec![Value::Int(0)], "hidden rows never join");
     let out = db.execute(&owner, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
         "SELECT COUNT(*) FROM l JOIN r2 ON l.k = r2.k").unwrap();
-    assert_eq!(out.rows[0].values, vec![Value::Int(1)]);
+    assert_eq!(out.row(0).values, vec![Value::Int(1)]);
 
     // Integrity degrades across a join: a joined row vouches only for the
     // claims both of its sources carry.
@@ -534,8 +534,8 @@ fn join_labels_combine_and_filter() {
     }
     let out = db.execute(&stranger, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(),
         "SELECT il.k FROM il JOIN ir ON il.k = ir.k").unwrap();
-    assert_eq!(out.rows.len(), 1);
-    assert_eq!(out.rows[0].labels, vouched(&[w2]), "the intersection of the sources' integrity");
+    assert_eq!(out.rows().len(), 1);
+    assert_eq!(out.row(0).labels, &vouched(&[w2]), "the intersection of the sources' integrity");
     assert_eq!(out.labels, vouched(&[w2]));
 }
 
@@ -604,7 +604,7 @@ fn indexed_equality_with_a_second_conjunct_still_filters() {
     .unwrap();
     let select = |sql: &str| {
         let out = run(&w, &w.bob, &LabelPair::public(), sql).unwrap();
-        let titles: Vec<Value> = out.rows.into_iter().map(|r| r.values[0].clone()).collect();
+        let titles: Vec<Value> = out.rows().iter().map(|r| r.values[0].clone()).collect();
         (titles, out.scanned)
     };
     let text = |s: &str| Value::Text(s.into());
@@ -675,7 +675,7 @@ fn hostile_range_windows_answer_literally_and_never_panic() {
     ];
     for (sql, expected) in cases {
         let got = run(&LabelPair::public(), sql).map(|out| {
-            (out.rows.into_iter().map(|r| r.values).collect::<Vec<_>>(), out.affected, out.scanned)
+            (out.rows().iter().map(|r| r.values.to_vec()).collect::<Vec<_>>(), out.affected, out.scanned)
         });
         assert_eq!(got, expected, "{sql}");
     }
@@ -764,7 +764,7 @@ fn one_read_check_per_partition_in_creation_order() {
         let met: Vec<&Part> = parts.iter().filter(|p| meets(p)).collect();
         let found = met.iter().filter(|p| reads(p) && p.3).count();
         let denied = met.iter().filter(|p| !reads(p)).count();
-        assert_eq!(out.rows.len(), found);
+        assert_eq!(out.rows().len(), found);
         assert_eq!(out.scanned, (found + denied) as u64);
 
         assert_eq!(ledger.events_recorded(), met.len() as u64);
@@ -841,7 +841,7 @@ fn a_keyed_select_costs_the_same_over_200_and_20000_open_partitions() {
             let sql = "SELECT s FROM t WHERE k = 7";
             db.execute(&app, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(), sql).unwrap()
         };
-        let rows: Vec<Value> = out.rows.into_iter().flat_map(|r| r.values).collect();
+        let rows: Vec<Value> = out.rows().iter().flat_map(|r| r.values.iter().cloned()).collect();
         (ledger.events_recorded(), out.scanned, rows)
     };
     let small = select(200);
@@ -1016,7 +1016,7 @@ fn holds_answers_as_an_unprivileged_count_and_counts_the_same_verdicts() {
             let sql = format!("SELECT COUNT(*) FROM t WHERE a = '{}' AND b = '{}'", quote(x), quote(y));
             let counted = footprint(&|| {
                 let out = run(QueryMode::Unprivileged, &LabelPair::public(), &sql).unwrap();
-                out.rows[0].values[0] != Value::Int(0)
+                out.row(0).values[0] != Value::Int(0)
             });
             assert_eq!(direct, counted, "{x:?} {y:?}");
             yes += usize::from(direct.0);
@@ -1028,4 +1028,29 @@ fn holds_answers_as_an_unprivileged_count_and_counts_the_same_verdicts() {
     assert_eq!(db.holds("t", &[]), Ok(false));
     assert_eq!(db.holds("t", &[("a", "al"), ("zz", "c")]), Err(QueryError::NoSuchColumn("zz".into())));
     assert_eq!(db.holds("nope", &[("a", "al")]), Err(QueryError::NoSuchTable("nope".into())));
+}
+
+/// Rows of two partitions, inserted partition by partition, come back
+/// interleaved by ORDER BY: each row still carries its own partition's
+/// pair, the combined labels fold the pairs of the rows kept, and a LIMIT
+/// that cuts one partition out leaves its pair out of the combined labels.
+#[test]
+fn interleaved_rows_keep_their_own_partitions_labels() {
+    let w = world();
+    run(&w, &w.bob, &LabelPair::public(), "CREATE TABLE t (n INTEGER)").unwrap();
+    run(&w, &w.bob, &w.bob_rows, "INSERT INTO t VALUES (0), (2), (4), (6)").unwrap();
+    run(&w, &w.alice, &w.alice_rows, "INSERT INTO t VALUES (1), (3), (5), (7)").unwrap();
+    for sql in ["SELECT n FROM t ORDER BY n", "SELECT * FROM t ORDER BY n DESC"] {
+        let out = run(&w, &w.app, &LabelPair::public(), sql).unwrap();
+        assert_eq!(out.rows().len(), 8, "{sql}");
+        for row in out.rows() {
+            let Value::Int(n) = row.values[0] else { panic!("{sql}: {row:?}") };
+            let own = if n % 2 == 0 { &w.bob_rows } else { &w.alice_rows };
+            assert_eq!(row.labels, own, "{sql}: row {n}");
+        }
+        assert_eq!(out.labels, w.bob_rows.combine(&w.alice_rows), "{sql}");
+    }
+    let out = run(&w, &w.app, &LabelPair::public(), "SELECT n FROM t ORDER BY n LIMIT 1").unwrap();
+    assert_eq!((out.row(0).values, out.row(0).labels), (&[Value::Int(0)][..], &w.bob_rows));
+    assert_eq!(out.labels, w.bob_rows, "alice's rows were cut: her pair stays out");
 }

@@ -220,3 +220,50 @@ fn parsing_the_blog_list_allocates_only_its_statement() {
     let n = allocations(|| w5_store::sql::parse(sql).unwrap());
     assert!(n <= 14, "{n} allocations");
 }
+
+/// The allocations of one blog list: a friend's page of `rows` posts, read
+/// by a process as a store call meets it ([`store_process`]), statement
+/// text parsed in the call as the blog app's is.
+fn blog_list(rows: usize) -> u64 {
+    let w = world(200);
+    let (owner, _) = friends(&w);
+    let p = &w.platform;
+    let writer = Subject::new(LabelPair::public(), owner.owner_caps.clone());
+    let run = |sql: &str| {
+        let cost = w5_store::QueryCost::unlimited();
+        p.db.execute(&writer, w5_store::QueryMode::Filtered, cost, &owner.data_labels(), sql).unwrap()
+    };
+    let mine = format!("FROM blog_posts WHERE owner = '{}'", owner.username);
+    let have = match run(&format!("SELECT COUNT(*) {mine}")).row(0).values[0] {
+        w5_store::Value::Int(n) => n as usize,
+        _ => unreachable!(),
+    };
+    let posts: Vec<String> =
+        (have..rows).map(|i| format!("('{}', 'post {i:05}', 'body')", owner.username)).collect();
+    run(&format!("INSERT INTO blog_posts (owner, title, body) VALUES {}", posts.join(", ")));
+    let sql = format!("SELECT title {mine} ORDER BY title");
+    let pid = store_process(&w);
+    allocations(|| {
+        let (labels, caps) = p.kernel.subject(pid).unwrap();
+        let cost = p.config.query_cost;
+        let out = p
+            .db
+            .execute(&Subject::new(labels, caps), w5_store::QueryMode::Filtered, cost, &LabelPair::public(), &sql)
+            .unwrap();
+        assert_eq!(out.rows().len(), rows);
+        out
+    })
+}
+
+/// A result is one buffer of cells, so a blog list allocates one title per
+/// row and a constant beside them: its statement (see the parse test
+/// above), the result's buffers, and the scan's list of matches, which
+/// doubles as it grows (three more from 250 rows to 1,000, with the sort's
+/// scratch). Built row by row, a result allocated two per row.
+#[test]
+fn a_blog_list_allocates_one_per_title_and_a_constant() {
+    for rows in [250, 1_000] {
+        let n = blog_list(rows);
+        assert!(n <= rows as u64 + 32, "{rows} rows: {n} allocations");
+    }
+}

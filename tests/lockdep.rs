@@ -73,7 +73,7 @@ fn live_platform_workload_certifies_against_the_manifest() {
         let (locked, _) = registry.create_tag(TagKind::ReadProtect, "read:t");
         let hidden = LabelPair::new(w5_difc::Label::singleton(locked), w5_difc::Label::empty());
         exec(&hidden, "INSERT INTO t (id, body) VALUES (3, 'z')");
-        assert_eq!(exec(&public, "SELECT * FROM t WHERE id > 0").rows.len(), 2);
+        assert_eq!(exec(&public, "SELECT * FROM t WHERE id > 0").rows().len(), 2);
         rec.snapshot()
     };
 

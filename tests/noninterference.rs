@@ -307,7 +307,7 @@ mod scan_cost {
             let b = big
                 .execute(&stranger_b, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(), sql)
                 .unwrap();
-            assert_eq!(a.rows, b.rows, "{sql}: rows depend on hidden partition size");
+            assert_eq!(a.rows(), b.rows(), "{sql}: rows depend on hidden partition size");
             assert_eq!(a.affected, b.affected, "{sql}: affected depends on hidden size");
             assert_eq!(a.scanned, b.scanned, "{sql}: scan cost leaks hidden partition size");
         }
@@ -368,7 +368,7 @@ mod scan_cost {
         let point = small
             .execute(&stranger_s, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(), "SELECT id FROM inbox WHERE id = 7")
             .unwrap();
-        assert_eq!((point.rows.len(), point.scanned), (1, 2), "one visible row, one skip unit");
+        assert_eq!((point.rows().len(), point.scanned), (1, 2), "one visible row, one skip unit");
         assert_same_costs((small, stranger_s), (big, stranger_b));
     }
 
@@ -389,14 +389,11 @@ mod scan_cost {
         let sql = "SELECT id, body FROM inbox WHERE id = 7 AND body = 'm7'";
         assert_same_verdicts((&small, &stranger_s), (&big, &stranger_b), sql, &[0, 1, 2, 3]);
         let run = |db: &Database, stranger: &Subject| {
-            let out = db
-                .execute(stranger, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(), sql)
-                .unwrap();
-            (out.rows, out.scanned)
+            db.execute(stranger, QueryMode::Filtered, QueryCost::unlimited(), &LabelPair::public(), sql).unwrap()
         };
         let (a, b) = (run(&small, &stranger_s), run(&big, &stranger_b));
-        assert_eq!((a.0.len(), a.1), (1, 2), "one visible row, one skip unit");
-        assert_eq!(a, b, "the hidden partition's postings showed");
+        assert_eq!((a.rows().len(), a.scanned), (1, 2), "one visible row, one skip unit");
+        assert_eq!((a.rows(), a.scanned), (b.rows(), b.scanned), "the hidden partition's postings showed");
     }
 
     /// Contrast: `Naive` mode *is* the covert channel (paper §3.5, E9) —
@@ -802,5 +799,79 @@ mod user_logs {
         }
         let log = p.exporter.audit_log();
         assert!(log.iter().any(|e| e.secrecy == both.secrecy && e.app == "devA/mashup"));
+    }
+}
+
+mod app_counters {
+    //! Noninterference on the numbers an app's own answer carries: a
+    //! public sender's mail `seq` is differenced across two worlds that
+    //! disagree only about how often a hidden user sent mail while tainted
+    //! by their own secret file. Mail is numbered per message label pair
+    //! (DESIGN §7), so the hidden sends count under the hidden user's
+    //! label and never in the public one.
+
+    use bytes::Bytes;
+    use std::sync::Arc;
+    use w5_platform::{
+        Account, ApiError, AppManifest, AppRequest, AppResponse, Platform, PlatformApi, W5App,
+    };
+
+    /// Sends one message, first reading the viewer's file when asked to,
+    /// and answers with the `seq` it was given.
+    struct Sender;
+
+    impl W5App for Sender {
+        fn handle(&self, req: &AppRequest, api: &mut PlatformApi<'_>) -> Result<AppResponse, ApiError> {
+            if req.param("taint") == Some("1") {
+                let me = api.viewer().ok_or(ApiError::Denied)?.to_string();
+                api.read_file(&format!("/files/{me}"))?;
+            }
+            let seq = api.send_message("devM/inbox", "hi")?;
+            Ok(AppResponse::text(format!("seq={seq}")))
+        }
+        fn source_lines(&self) -> usize {
+            10
+        }
+    }
+
+    /// Carol's two answers, with `hidden` tainted sends by Bob between
+    /// them.
+    fn carols_answers(hidden: usize) -> [String; 2] {
+        let p = Platform::new_default("ni-mail");
+        p.apps
+            .publish(AppManifest {
+                name: "sender".into(),
+                developer: "devM".into(),
+                version: 1,
+                description: "sends mail".into(),
+                module_slots: vec![],
+                imports: vec![],
+                forked_from: None,
+                source: None,
+            })
+            .unwrap();
+        p.install_app("devM/sender", Arc::new(Sender));
+        let bob = p.accounts.register("bob", "pw").unwrap();
+        let carol = p.accounts.register("carol", "pw").unwrap();
+        let owner = w5_store::Subject::new(w5_difc::LabelPair::public(), bob.owner_caps.clone());
+        p.fs.create(&owner, "/files/bob", bob.data_labels(), Bytes::from_static(b"SECRET")).unwrap();
+        let send = |viewer: &Account, taint: &str| {
+            let req = Platform::make_request("GET", "send", &[("taint", taint)], Some(viewer), Bytes::new());
+            let out = p.invoke(Some(viewer), "devM/sender", req);
+            assert_eq!(out.status, 200, "{}", String::from_utf8_lossy(&out.body));
+            String::from_utf8(out.body.to_vec()).unwrap()
+        };
+        let first = send(&carol, "0");
+        for _ in 0..hidden {
+            assert!(send(&bob, "1").starts_with("seq="));
+        }
+        [first, send(&carol, "0")]
+    }
+
+    #[test]
+    fn a_hidden_users_sends_never_show_in_a_public_mail_seq() {
+        let quiet = carols_answers(0);
+        assert_eq!(quiet, ["seq=1", "seq=2"]);
+        assert_eq!(carols_answers(5), quiet);
     }
 }
